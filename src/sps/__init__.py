@@ -3,7 +3,7 @@ finite fields: certified ideal matchings, gcd/simple-part decomposition,
 chains of form-ideals with rank-bound certificates, identity family
 generators, and exact plus randomized zero testing."""
 
-from .algebra import Field, SpanBasis, field_make, span_insert, spans_orthogonal
+from .algebra import Field, SpanBasis, field_make, spans_orthogonal
 from .chain import (
     Chain,
     ChainLink,
@@ -16,11 +16,9 @@ from .chain import (
 )
 from .circuit import (
     Circuit,
-    SparsePoly,
     ZeroOracle,
     circuit_rank,
     dumps_circuit,
-    expand_circuit,
     homogenize,
     is_minimal,
     is_simple,
@@ -43,7 +41,6 @@ from .families import (
 from .forms import (
     LinearForm,
     Term,
-    form,
     lists_coprime,
     lists_similar,
     normalize,
@@ -59,7 +56,6 @@ from .matching import (
     doubling_check,
     find_matching,
     invert,
-    scaling_factor,
     trivialize,
     unscramble,
 )
@@ -68,7 +64,6 @@ from .quotient import (
     GcdData,
     gcd_data,
     is_regular,
-    reduce_form,
     similar_mod,
     simple_part,
     zero_ideal,

@@ -192,12 +192,13 @@ class Field:
         return c
 
     def is_element(self, x):
+        # type() rather than isinstance(): bool is an int subclass, not an element
         if self.e == 1:
-            return isinstance(x, int) and 0 <= x < self.p
+            return type(x) is int and 0 <= x < self.p
         return (
             isinstance(x, tuple)
             and len(x) == self.e
-            and all(isinstance(v, int) and 0 <= v < self.p for v in x)
+            and all(type(v) is int and 0 <= v < self.p for v in x)
         )
 
     # -- arithmetic --
@@ -308,15 +309,7 @@ def gf2_mulmod(a: int, b: int, mod: int, deg: int) -> int:
     return r
 
 
-# -- vectors and echelon span bases --
-
-def zero_vector(field: Field, n: int) -> tuple:
-    return (field.zero,) * n
-
-
-def vector(field: Field, coords) -> tuple:
-    return tuple(field.element(c) for c in coords)
-
+# -- echelon span bases --
 
 class SpanBasis:
     """Reduced-row-echelon basis of a subspace of F^n.
@@ -416,12 +409,6 @@ class SpanBasis:
             pivots.append(piv)
         return SpanBasis(self.field, self.n, rows, pivots), True
 
-    def union(self, other: "SpanBasis") -> "SpanBasis":
-        basis = self
-        for row in other.rows:
-            basis, _ = basis.insert(row)
-        return basis
-
     def __eq__(self, other):
         return (
             isinstance(other, SpanBasis)
@@ -435,11 +422,6 @@ class SpanBasis:
 
     def __repr__(self):
         return f"SpanBasis(n={self.n}, rank={self.rank})"
-
-
-def span_insert(basis: SpanBasis, v) -> tuple[SpanBasis, bool]:
-    """Insert v into the span; unchanged basis and False if already spanned."""
-    return basis.insert(v)
 
 
 def spans_orthogonal(bases: list[SpanBasis]) -> bool:

@@ -15,12 +15,21 @@ previous basis); independent circuits can be processed concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import SpanBasis, spans_orthogonal
-from .circuit import Circuit, ZeroOracle, circuit_rank, is_minimal, is_simple, subcircuit
+from .circuit import (
+    Circuit,
+    ZeroOracle,
+    _dumps,
+    _form_to_json,
+    _json_number,
+    circuit_rank,
+    is_minimal,
+    is_simple,
+    subcircuit,
+)
 from .errors import BoundViolationError, VerificationError
 from .forms import LinearForm, Term, similarity_key
 from .matching import OrderedMatching
@@ -107,7 +116,7 @@ class Chain:
             out.append(
                 {
                     "round": i,
-                    "ideal": [_form_json(g) for g in link.ideal.generators],
+                    "ideal": [_form_to_json(g) for g in link.ideal.generators],
                     "Q": list(md.q_set),
                     "V_q_sizes": {str(q): len(md.v_lists[q]) for q in md.q_set},
                     "type": md.mtype,
@@ -118,20 +127,7 @@ class Chain:
         return out
 
     def trace_lines(self) -> list[str]:
-        lines = [json.dumps(obj, sort_keys=True, separators=(",", ":"))
-                 for obj in self.trace_rounds()]
-        lines.append(json.dumps(self.summary(), sort_keys=True, separators=(",", ":")))
-        return lines
-
-
-def _form_json(f: LinearForm):
-    from .circuit import _element_to_json
-
-    return [_element_to_json(f.field, c) for c in f.coeffs]
-
-
-def _json_number(x: float):
-    return int(x) if float(x).is_integer() else x
+        return [_dumps(obj) for obj in self.trace_rounds() + [self.summary()]]
 
 
 def chain_length_bound(k: int, d: int) -> float:

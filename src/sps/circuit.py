@@ -109,105 +109,6 @@ def form_basis(circuit: Circuit) -> SpanBasis:
     )
 
 
-# -- sparse polynomials (expansion oracle target) --
-
-class SparsePoly:
-    """Multivariate polynomial as a map from exponent tuples to nonzero coefficients."""
-
-    __slots__ = ("field", "nvars", "coeffs")
-
-    def __init__(self, field: Field, nvars: int, coeffs=None):
-        self.field = field
-        self.nvars = nvars
-        self.coeffs = dict(coeffs) if coeffs else {}
-
-    @classmethod
-    def const(cls, field, nvars, c):
-        c = field.element(c)
-        if c == field.zero:
-            return cls(field, nvars)
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def from_form(cls, f: LinearForm):
-        field = f.field
-        coeffs = {}
-        for i, c in enumerate(f.coeffs):
-            if c != field.zero:
-                e = [0] * f.n
-                e[i] = 1
-                coeffs[tuple(e)] = c
-        return cls(field, f.n, coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def add(self, other: "SparsePoly") -> "SparsePoly":
-        field = self.field
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = field.add(out.get(e, field.zero), c)
-            if s == field.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return SparsePoly(field, self.nvars, out)
-
-    def scale(self, c) -> "SparsePoly":
-        field = self.field
-        c = field.element(c)
-        if c == field.zero:
-            return SparsePoly(field, self.nvars)
-        return SparsePoly(
-            field, self.nvars, {e: field.mul(c, v) for e, v in self.coeffs.items()}
-        )
-
-    def mul(self, other: "SparsePoly") -> "SparsePoly":
-        field = self.field
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(out.get(e, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePoly(field, self.nvars, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePoly)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"SparsePoly({len(self.coeffs)} monomials over {self.field})"
-
-
-def product_of_forms(field: Field, n: int, forms) -> SparsePoly:
-    """Expanded product of the given forms (1 for the empty list)."""
-    acc = SparsePoly.const(field, n, field.one)
-    for f in forms:
-        acc = acc.mul(SparsePoly.from_form(f))
-    return acc
-
-
-def expand_term(t: Term, n: int) -> SparsePoly:
-    return product_of_forms(t.field, n, t.forms).scale(t.coef)
-
-
-def expand_circuit(circuit: Circuit) -> SparsePoly:
-    """Full sparse expansion in the circuit's own variables (small instances)."""
-    acc = SparsePoly(circuit.field, circuit.n)
-    for t in circuit.terms:
-        acc = acc.add(expand_term(t, circuit.n))
-    return acc
-
-
 # -- exact zero test (rank compression + packed sparse expansion) --
 
 def exact_cost_bound(circuit: Circuit, rank: int | None = None) -> int:
@@ -404,27 +305,25 @@ def _trial_is_zero(circuit: Circuit, ev: Field, rng) -> bool:
 class ZeroOracle:
     """Zero-test strategy: exact, random, or auto (exact within a size cap)."""
 
-    __slots__ = ("mode", "trials", "seed", "budget", "lift", "auto_budget")
+    __slots__ = ("mode", "trials", "seed", "budget", "auto_budget")
 
-    def __init__(self, mode="auto", trials=20, seed=0, budget=None, lift=None,
-                 auto_budget=200_000):
+    def __init__(self, mode="auto", trials=20, seed=0, budget=None, auto_budget=200_000):
         if mode not in ("exact", "random", "auto"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         self.mode = mode
         self.trials = trials
         self.seed = seed
         self.budget = budget
-        self.lift = lift
         self.auto_budget = auto_budget
 
     def is_zero(self, circuit: Circuit) -> bool:
         if self.mode == "exact":
             return zero_test_exact(circuit, self.budget)
         if self.mode == "random":
-            return zero_test_random(circuit, self.trials, self.seed, self.lift)
+            return zero_test_random(circuit, self.trials, self.seed)
         if exact_cost_bound(circuit) <= self.auto_budget:
             return zero_test_exact(circuit, self.budget)
-        return zero_test_random(circuit, self.trials, self.seed, self.lift)
+        return zero_test_random(circuit, self.trials, self.seed)
 
     def __repr__(self):
         return f"ZeroOracle({self.mode}, trials={self.trials}, seed={self.seed})"
@@ -553,15 +452,43 @@ def _divides(circuit: Circuit, piv: int, q_coeffs, oracle: ZeroOracle) -> bool:
     return oracle.is_zero(Circuit(field, n - 1, new_terms))
 
 
-# -- persistent circuit format --
+# -- persistent format: the one JSON codec for numbers, elements, forms, circuits --
+
+def _dumps(obj) -> str:
+    """Canonical JSON: sorted keys, no whitespace variance."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _json_number(x: float):
+    return int(x) if float(x).is_integer() else x
+
 
 def _element_to_json(field: Field, el):
     return el if field.e == 1 else list(el)
 
 
+def _form_to_json(f: LinearForm) -> list:
+    return [_element_to_json(f.field, c) for c in f.coeffs]
+
+
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # rejects bools, floats and strings
+        raise ValueError(f'"{key}" must be a JSON integer, got {value!r}')
+    return value
+
+
+def _header_from_json(obj: dict) -> tuple[Field, int]:
+    """The field GF(p^e) and the dimension n >= 1 named by a file's header."""
+    p, e, n = (_json_int(obj, key) for key in ("p", "e", "n"))
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    return field_make(p, e), n
+
+
 def _element_from_json(field: Field, obj):
     if field.e == 1:
-        if not isinstance(obj, int):
+        if type(obj) is not int:
             raise ValueError("prime-field elements serialize as ints")
         if not 0 <= obj < field.p:
             raise ValueError(f"element {obj} out of range [0, {field.p})")
@@ -574,6 +501,12 @@ def _element_from_json(field: Field, obj):
     return el
 
 
+def _form_from_json(field: Field, n: int, vec) -> LinearForm:
+    if len(vec) != n:
+        raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+    return LinearForm(field, [_element_from_json(field, c) for c in vec])
+
+
 def circuit_to_dict(circuit: Circuit) -> dict:
     field = circuit.field
     return {
@@ -583,9 +516,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "terms": [
             {
                 "coef": _element_to_json(field, t.coef),
-                "forms": [
-                    [_element_to_json(field, c) for c in f.coeffs] for f in t.forms
-                ],
+                "forms": [_form_to_json(f) for f in t.forms],
             }
             for t in circuit.terms
         ],
@@ -593,23 +524,21 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(obj: dict) -> Circuit:
-    field = field_make(int(obj["p"]), int(obj["e"]))
-    n = int(obj["n"])
-    terms = []
-    for tobj in obj["terms"]:
-        coef = _element_from_json(field, tobj["coef"])
-        forms = []
-        for vec in tobj["forms"]:
-            if len(vec) != n:
-                raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-            forms.append(LinearForm(field, [_element_from_json(field, c) for c in vec]))
-        terms.append(Term(field, coef, forms))
+    field, n = _header_from_json(obj)
+    terms = [
+        Term(
+            field,
+            _element_from_json(field, tobj["coef"]),
+            [_form_from_json(field, n, vec) for vec in tobj["forms"]],
+        )
+        for tobj in obj["terms"]
+    ]
     return Circuit(field, n, terms)
 
 
 def dumps_circuit(circuit: Circuit) -> str:
     """Canonical emission: sorted keys, no whitespace variance."""
-    return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":"))
+    return _dumps(circuit_to_dict(circuit))
 
 
 def loads_circuit(text: str) -> Circuit:

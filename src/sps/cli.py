@@ -16,12 +16,17 @@ import json
 import sys
 import time
 
-from .algebra import field_make
 from .chain import build_chain, chain_length_bound
 from .circuit import (
     Circuit,
     ZeroOracle,
+    _dumps,
+    _form_from_json,
+    _form_to_json,
+    _header_from_json,
+    _json_number,
     circuit_rank,
+    circuit_to_dict,
     dumps_circuit,
     is_minimal,
     is_simple,
@@ -39,12 +44,8 @@ from .matching import doubling_check, find_matching
 from .quotient import FormIdeal
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(obj) -> None:
-    sys.stdout.write(_canon(obj) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _note(msg: str) -> None:
@@ -68,10 +69,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _json_number(x: float):
-    return int(x) if float(x).is_integer() else x
 
 
 def _oracle_from_args(args) -> ZeroOracle:
@@ -113,18 +110,17 @@ def cmd_gen(args) -> int:
         t = gen_tight_lists(args.s, args.p)
         obj = {
             "p": t.field.p,
-            "e": 1,
+            "e": t.field.e,
             "n": t.n,
-            "U": [[c for c in f.coeffs] for f in t.u],
-            "V": [[c for c in f.coeffs] for f in t.v],
+            "U": [_form_to_json(f) for f in t.u],
+            "V": [_form_to_json(f) for f in t.v],
             "ideals": [
-                [[c for c in g.coeffs] for g in ideal.generators]
-                for ideal in t.ideals
+                [_form_to_json(g) for g in ideal.generators] for ideal in t.ideals
             ],
             "claimed": t.claimed,
             "verified": t.verified_count,
         }
-        text = _canon(obj) + "\n"
+        text = _dumps(obj) + "\n"
         _note(f"tight lists s={args.s}: {t.verified_count} of {t.claimed} "
               "claimed matchings verified")
     else:  # counter
@@ -134,8 +130,7 @@ def cmd_gen(args) -> int:
         elif args.which == "nonminimal":
             text = dumps_circuit(nonminimal) + "\n"
         else:
-            text = _canon([json.loads(dumps_circuit(nonsimple)),
-                           json.loads(dumps_circuit(nonminimal))]) + "\n"
+            text = _dumps([circuit_to_dict(nonsimple), circuit_to_dict(nonminimal)]) + "\n"
     _write_text(args.output, text)
     return 0
 
@@ -223,9 +218,8 @@ def cmd_match(args) -> int:
             if pi is not None:
                 found += 1
                 entry["ordered"] = pi.is_ordered
-                if pi.is_ordered:
-                    sc = pi.scaling_factor()
-                    entry["sc"] = sc if circuit.field.e == 1 else list(sc)
+                if pi.is_ordered:  # _parse_ideal admits prime fields only
+                    entry["sc"] = pi.scaling_factor()
             _emit(entry)
     _emit({"command": "match", "digest": _digest(dumps_circuit(circuit)),
            "pairs": pairs, "found": found})
@@ -235,14 +229,13 @@ def cmd_match(args) -> int:
 
 def cmd_doubling(args) -> int:
     obj = json.loads(_read_text(args.lists))
-    field = field_make(int(obj["p"]), int(obj.get("e", 1)))
-    n = int(obj["n"])
-    u = tuple(LinearForm(field, c) for c in obj["U"])
-    v = tuple(LinearForm(field, c) for c in obj["V"])
-    ideals = [
-        FormIdeal(field, n, tuple(LinearForm(field, g) for g in gens))
-        for gens in obj["ideals"]
-    ]
+    field, n = _header_from_json({"e": 1, **obj})
+
+    def forms(vectors):
+        return tuple(_form_from_json(field, n, vec) for vec in vectors)
+
+    u, v = forms(obj["U"]), forms(obj["V"])
+    ideals = [FormIdeal(field, n, forms(gens)) for gens in obj["ideals"]]
     matchings = []
     for idx, ideal in enumerate(ideals):
         pi = find_matching(u, v, ideal)
@@ -253,7 +246,7 @@ def cmd_doubling(args) -> int:
     if args.trace:
         for line in report.transcript_lines():
             _note(line)
-    out = {"command": "doubling", "digest": _digest(_canon(obj))}
+    out = {"command": "doubling", "digest": _digest(_dumps(obj))}
     out.update(report.to_dict())
     out["bound"] = _json_number(out["bound"])
     _emit(out)

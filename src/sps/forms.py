@@ -67,11 +67,6 @@ class LinearForm:
         return " + ".join(parts) if parts else "0"
 
 
-def form(field: Field, coeffs) -> LinearForm:
-    """Convenience constructor accepting raw ints (reduced into the field)."""
-    return LinearForm(field, coeffs)
-
-
 class Term:
     """A nonzero constant times an ordered multiset of nonzero linear forms."""
 

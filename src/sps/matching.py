@@ -159,10 +159,6 @@ def find_matching(u, v, ideal) -> OrderedMatching | None:
     return OrderedMatching.build(ideal, u, v, tuple(sigma))
 
 
-def scaling_factor(pi: OrderedMatching):
-    return pi.scaling_factor()
-
-
 def invert(pi: OrderedMatching) -> OrderedMatching:
     """Inverse matching; its scaling factor is the inverse scalar."""
     d = len(pi)

@@ -10,7 +10,14 @@ every operation treats it uniformly as "span is {0}".
 from __future__ import annotations
 
 from .algebra import Field, SpanBasis
-from .circuit import Circuit, ZeroOracle, product_of_forms
+from .circuit import (
+    DEFAULT_EXPANSION_BUDGET,
+    Circuit,
+    ZeroOracle,
+    _element_to_json,
+    _form_to_json,
+    zero_test_exact,
+)
 from .errors import VerificationError
 from .forms import LinearForm, Term, normalize, similar
 
@@ -95,11 +102,6 @@ def zero_ideal(field: Field, n: int) -> FormIdeal:
     return FormIdeal(field, n, ())
 
 
-def reduce_form(f: LinearForm, ideal: FormIdeal) -> LinearForm:
-    """Unique representative of f modulo the ideal's span; zero iff f is in it."""
-    return ideal.reduce(f)
-
-
 def similar_mod(f: LinearForm, g: LinearForm, ideal: FormIdeal):
     """Scalar c with f = c*g modulo the ideal, or None.
 
@@ -165,7 +167,7 @@ class GcdData:
     sublist u_lists[q] of each term, a certified matching u -> u_lists[q] per
     term, and the residual simple part. The defining identity
     M(u_lists[q]) = sc(pi_q) * M(u) modulo the ideal is certified edge-by-edge
-    always, and re-checked by full expansion on small instances.
+    always, and re-checked by the exact zero test on small instances.
     """
 
     __slots__ = ("circuit", "ideal", "u", "u_lists", "u_positions", "matchings", "sim")
@@ -186,13 +188,10 @@ class GcdData:
         return Term(self.circuit.field, self.circuit.field.one, self.u)
 
     def to_dict(self) -> dict:
-        from .circuit import _element_to_json
-
         field = self.circuit.field
         return {
-            "ideal": [[_element_to_json(field, c) for c in g.coeffs]
-                      for g in self.ideal.generators],
-            "u": [[_element_to_json(field, c) for c in f.coeffs] for f in self.u],
+            "ideal": [_form_to_json(g) for g in self.ideal.generators],
+            "u": [_form_to_json(f) for f in self.u],
             "u_positions": {str(q): list(pos) for q, pos in self.u_positions.items()},
             "sc": {str(q): _element_to_json(field, m.scaling_factor())
                    for q, m in self.matchings.items()},
@@ -292,15 +291,24 @@ def _gcd_expansion_cost(circuit: Circuit, u) -> int:
 
 
 def _verify_gcd_by_expansion(gd: GcdData) -> None:
-    """Check M(u_lists[q]) = sc(pi_q) * M(u) mod the ideal by full expansion."""
+    """Check M(u_lists[q]) = sc(pi_q) * M(u) mod the ideal by exact expansion.
+
+    Each q is one exact zero test of the two-term circuit
+    M(reduce u_lists[q]) - sc(pi_q) * M(reduce u); regularity keeps every
+    reduced form nonzero. The budget is fixed here so that SPS_BUDGET cannot
+    decide whether a decomposition verifies.
+    """
     field = gd.circuit.field
     n = gd.circuit.n
     ideal = gd.ideal
-    mu = product_of_forms(field, n, [ideal.reduce(f) for f in gd.u])
+    mu = [ideal.reduce(f) for f in gd.u]
     for q, forms_q in gd.u_lists.items():
-        muq = product_of_forms(field, n, [ideal.reduce(f) for f in forms_q])
         sc = gd.matchings[q].scaling_factor()
-        if not muq.add(mu.scale(field.neg(sc))).is_zero:
+        diff = Circuit(field, n, [
+            Term(field, field.one, [ideal.reduce(f) for f in forms_q]),
+            Term(field, field.neg(sc), mu),
+        ])
+        if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):
             raise VerificationError(
                 f"gcd expansion check failed for term {q}: M(U_q) != sc * M(U) mod I"
             )

@@ -29,7 +29,6 @@ from sps import (
     is_simple,
     linear_factors,
     lists_similar,
-    scaling_factor,
     similarity_key,
     subcircuit,
     trivialize,
@@ -194,16 +193,16 @@ def test_criterion_5_matching_algebra():
     rng = random.Random(50_000)
     for t in range(200):
         pi1 = random_ordered_matching(rng, F5, n_max=6, size_max=8)
-        sc1 = scaling_factor(pi1)
-        if F5.mul(sc1, scaling_factor(invert(pi1))) != 1:
+        sc1 = pi1.scaling_factor()
+        if F5.mul(sc1, invert(pi1).scaling_factor()) != 1:
             failures.append(f"#{t}: invert scaling")
         pi2 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, size_max=8)
-        if scaling_factor(disjoint_union(pi1, pi2)) != F5.mul(
-            sc1, scaling_factor(pi2)
+        if disjoint_union(pi1, pi2).scaling_factor() != F5.mul(
+            sc1, pi2.scaling_factor()
         ):
             failures.append(f"#{t}: union scaling")
         pi3 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, domain=pi1.codomain)
-        if scaling_factor(compose(pi3, pi1)) != F5.mul(sc1, scaling_factor(pi3)):
+        if compose(pi3, pi1).scaling_factor() != F5.mul(sc1, pi3.scaling_factor()):
             failures.append(f"#{t}: compose scaling")
 
     for t in range(100):
@@ -223,9 +222,9 @@ def test_criterion_5_matching_algebra():
         if pi is None:
             failures.append(f"sim #{t}: no matching found")
             continue
-        sc = scaling_factor(pi)
+        sc = pi.scaling_factor()
         out = trivialize(pi)
-        if scaling_factor(out) != sc:
+        if out.scaling_factor() != sc:
             failures.append(f"sim #{t}: trivialize changed sc")
         mu = brute_product(F5, n, u)
         mv = brute_product(F5, n, v)

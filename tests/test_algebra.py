@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sps import SpanBasis, field_make, span_insert, spans_orthogonal
+from sps import SpanBasis, field_make, spans_orthogonal
 from sps.algebra import Field, is_prime
 from sps.errors import BudgetExceededError
 
@@ -65,9 +65,9 @@ def test_field_axioms_random_triples(p, e):
 def test_span_insert_basics():
     F2 = field_make(2)
     b = SpanBasis.empty(F2, 3)
-    b, ins = span_insert(b, (1, 0, 1))
+    b, ins = b.insert((1, 0, 1))
     assert ins and b.rank == 1
-    b2, ins = span_insert(b, (1, 0, 1))
+    b2, ins = b.insert((1, 0, 1))
     assert not ins and b2 is b
 
     F5 = field_make(5)

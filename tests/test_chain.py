@@ -4,6 +4,7 @@ import pytest
 
 from sps import (
     BoundViolationError,
+    LinearForm,
     SpanBasis,
     ZeroOracle,
     build_chain,
@@ -12,7 +13,6 @@ from sps import (
     circuit_rank,
     classify_matching_data,
     field_make,
-    form,
     gen_family,
     gen_intro_counterexamples,
     gen_ks,
@@ -160,7 +160,7 @@ def _synthetic_mdata(v_lists, ideal_span_forms, su_extra, field, n):
 
 
 def test_classifier_types():
-    x1, x2, x3 = (form(F5, [1, 0, 0]), form(F5, [0, 1, 0]), form(F5, [0, 0, 1]))
+    x1, x2, x3 = (LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]), LinearForm(F5, [0, 0, 1]))
     # Type 1: outside parts dissimilar
     md1 = _synthetic_mdata([[x1, x2], [x1, x3]], [x1], [], F5, 3)
     assert classify_matching_data(md1) == 1
@@ -175,7 +175,7 @@ def test_classifier_types():
 
 
 def test_forest_processing():
-    x1 = form(F5, [1, 0, 0])
+    x1 = LinearForm(F5, [1, 0, 0])
     links = []
 
     class FakeLink:

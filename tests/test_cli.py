@@ -155,3 +155,120 @@ def test_cli_subprocess_pipe():
     )
     assert check.returncode == 0
     assert json.loads(check.stdout)["zero"] is True
+
+
+# stdout bytes pinned from the release before the JSON codec was merged into
+# one module: a change in key order, separators or number formatting shows
+# here even where the parsed values stay equal
+PINNED_COUNTER_D2 = (
+    '[{"e":1,"n":2,"p":5,"terms":[{"coef":1,"forms":[[1,0],[0,1]]},'
+    '{"coef":4,"forms":[[1,0],[0,1]]}]},{"e":1,"n":6,"p":5,"terms":[{"coef":1,'
+    '"forms":[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,1,0]]},{"coef":4,"forms":'
+    '[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,1,0]]},{"coef":1,"forms":'
+    '[[0,0,1,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]},{"coef":4,"forms":'
+    '[[0,0,1,0,0,0],[0,0,0,1,0,0],[0,0,0,0,0,1]]}]}]\n'
+)
+PINNED_TIGHT_S4 = (
+    '{"U":[[0,0,0,1],[1,1,0,1],[1,0,1,1],[0,1,1,1]],"V":[[1,0,0,1],[0,1,0,1],'
+    '[0,0,1,1],[1,1,1,1]],"claimed":4,"e":1,"ideals":[[[1,0,0,0]],[[0,1,0,0]],'
+    '[[0,0,1,0]],[[1,1,1,2]]],"n":4,"p":5,"verified":4}\n'
+)
+PINNED_CHAIN_KS4 = (
+    '{"Q":[1,2],"V_q_sizes":{"1":4,"2":4},"external":false,"green_rank":1,'
+    '"ideal":[[1,0,0,0]],"round":1,"type":1}\n'
+    '{"Q":[1,2],"V_q_sizes":{"1":4,"2":4},"external":false,"green_rank":2,'
+    '"ideal":[[0,1,0,0]],"round":2,"type":1}\n'
+    '{"Q":[1,2],"V_q_sizes":{"1":4,"2":4},"external":false,"green_rank":3,'
+    '"ideal":[[0,0,1,0]],"round":3,"type":1}\n'
+    '{"Q":[0,2],"V_q_sizes":{"0":0,"2":0},"external":true,"green_rank":4,'
+    '"ideal":[[0,0,0,1]],"round":4,"type":3}\n'
+    '{"N1":3,"N2":0,"N3":1,"bound":17,"command":"chain","d":4,'
+    '"digest":"7509b0976730c8d1","k":3,"m":4,"n":4,"ok":true,"rank":4}\n'
+)
+PINNED_MATCH_KS3 = (
+    '{"found":false,"pair":[0,1]}\n{"found":false,"pair":[0,2]}\n'
+    '{"found":true,"ordered":true,"pair":[1,2],"sc":1}\n'
+    '{"command":"match","digest":"ec2426d6eca0168a","found":1,"pairs":3}\n'
+)
+PINNED_DOUBLING_S4 = (
+    '{"bound":4,"command":"doubling","d":4,"d_prime":4,"digest":"51261a17bdfbc197",'
+    '"i0":4,"r":4,"reason":null,"rounds":[{"doubled":false,"green_U":1,"green_V":1,'
+    '"must_double":false,"round":1},{"doubled":true,"green_U":2,"green_V":2,'
+    '"must_double":true,"round":2},{"doubled":true,"green_U":4,"green_V":4,'
+    '"must_double":true,"round":3},{"doubled":false,"green_U":4,"green_V":4,'
+    '"must_double":false,"round":4}],"similar_pairs":0,"verdict":"BOUND_OK"}\n'
+)
+PINNED_BOUND_K4_D3 = (
+    '{"command":"bound","d":3,"k":4,"m_bound":30.509775004326936,'
+    '"rank_bound":61.01955000865387}\n'
+)
+
+
+def _gen_file(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    code, _, _ = run_cli(["gen", *argv, "-o", str(path)], capsys)
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gen", "counter", "--d", "2"], PINNED_COUNTER_D2),
+    (["gen", "tight", "--s", "4"], PINNED_TIGHT_S4),
+    (["bound", "--k", "4", "--d", "3"], PINNED_BOUND_K4_D3),
+])
+def test_stdout_bytes_pinned(argv, expected, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+
+
+def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
+    ks4 = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
+    ks3 = _gen_file(tmp_path, capsys, ["ks", "--r", "3"], "ks3.json")
+    tight = _gen_file(tmp_path, capsys, ["tight", "--s", "4"], "tight.json")
+    assert run_cli(["chain", ks4, "--trace"], capsys)[:2] == (0, PINNED_CHAIN_KS4)
+    assert run_cli(["match", ks3, "--ideal", "1,0,0"], capsys)[:2] == (0, PINNED_MATCH_KS3)
+    assert run_cli(["doubling", "--lists", tight], capsys)[:2] == (0, PINNED_DOUBLING_S4)
+
+
+def _ks3_with(path, edit):
+    obj = json.loads(dumps_circuit(gen_ks(3)))
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+def _set_coef(obj):
+    obj["terms"][0]["coef"] = True
+
+
+def _bool_coords(obj):
+    obj["terms"][0]["forms"][0] = [True, False, False]
+
+
+def _zero_dimension(obj):
+    obj["n"] = 0
+    for t in obj["terms"]:
+        t["forms"] = []
+
+
+@pytest.mark.parametrize("edit", [
+    _set("p", 5.9),
+    _set("p", "5"),
+    _set("e", True),
+    _set_coef,
+    _bool_coords,
+    _zero_dimension,
+], ids=["p-float", "p-string", "e-bool", "coef-bool", "coords-bool", "n-zero"])
+def test_check_rejects_non_integer_json(edit, tmp_path, capsys):
+    path = _ks3_with(tmp_path / "bad.json", edit)
+    code, out, err = run_cli(["check", path, "--exact"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

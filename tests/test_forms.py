@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sps import (
+    LinearForm,
     Term,
     field_make,
-    form,
     lists_coprime,
     lists_similar,
     normalize,
@@ -21,47 +21,47 @@ F5 = field_make(5)
 
 
 def test_normalize_examples():
-    can, sc = normalize(form(F5, [3, 2]))
+    can, sc = normalize(LinearForm(F5, [3, 2]))
     assert can.coeffs == (1, 4) and sc == 3  # 3^-1 = 2 mod 5
-    can, sc = normalize(form(F2, [0, 1]))
+    can, sc = normalize(LinearForm(F2, [0, 1]))
     assert can.coeffs == (0, 1) and sc == 1
-    can, sc = normalize(form(F5, [0, 0, 2]))
+    can, sc = normalize(LinearForm(F5, [0, 0, 2]))
     assert can.coeffs == (0, 0, 1) and sc == 2
     with pytest.raises(ValueError):
-        normalize(form(F5, [0, 0]))
+        normalize(LinearForm(F5, [0, 0]))
 
 
 def test_similar_examples():
-    assert similar(form(F5, [2, 2]), form(F5, [1, 1])) == 2
-    assert similar(form(F5, [1, 0]), form(F5, [0, 1])) is None
-    assert similar(form(F2, [1, 1]), form(F2, [1, 1])) == 1
+    assert similar(LinearForm(F5, [2, 2]), LinearForm(F5, [1, 1])) == 2
+    assert similar(LinearForm(F5, [1, 0]), LinearForm(F5, [0, 1])) is None
+    assert similar(LinearForm(F2, [1, 1]), LinearForm(F2, [1, 1])) == 1
     # zero forms: similar only to zero
-    assert similar(form(F5, [0, 0]), form(F5, [0, 0])) == 1
-    assert similar(form(F5, [0, 0]), form(F5, [1, 0])) is None
+    assert similar(LinearForm(F5, [0, 0]), LinearForm(F5, [0, 0])) == 1
+    assert similar(LinearForm(F5, [0, 0]), LinearForm(F5, [1, 0])) is None
 
 
 def test_similar_sublist():
-    s = [form(F5, [1, 0, 0]), form(F5, [2, 0, 0]), form(F5, [0, 1, 0])]
-    got = similar_sublist(form(F5, [1, 0, 0]), s)
+    s = [LinearForm(F5, [1, 0, 0]), LinearForm(F5, [2, 0, 0]), LinearForm(F5, [0, 1, 0])]
+    got = similar_sublist(LinearForm(F5, [1, 0, 0]), s)
     assert got == (s[0], s[1])
-    assert similar_sublist(form(F5, [0, 0, 1]), s[:2]) == ()
-    assert similar_sublist(form(F2, [1, 1]), [form(F2, [1, 1])]) == (form(F2, [1, 1]),)
+    assert similar_sublist(LinearForm(F5, [0, 0, 1]), s[:2]) == ()
+    x = LinearForm(F2, [1, 1])
+    assert similar_sublist(x, [LinearForm(F2, [1, 1])]) == (x,)
 
 
 def test_lists_similar_examples():
-    u = (form(F5, [1, 0]), form(F5, [0, 1]))
-    v = (form(F5, [0, 2]), form(F5, [3, 0]))
+    u = (LinearForm(F5, [1, 0]), LinearForm(F5, [0, 1]))
+    v = (LinearForm(F5, [0, 2]), LinearForm(F5, [3, 0]))
     assert lists_similar(u, v) == (1, 0)
-    assert lists_similar(
-        (form(F5, [1, 0]), form(F5, [1, 0])), (form(F5, [1, 0]), form(F5, [0, 1]))
-    ) is None
+    x1, x2 = LinearForm(F5, [1, 0]), LinearForm(F5, [0, 1])
+    assert lists_similar((x1, x1), (x1, x2)) is None
     assert lists_similar((), ()) == ()
 
 
 def test_lists_coprime():
-    assert lists_coprime([form(F5, [1, 0])], [form(F5, [0, 1])])
-    assert not lists_coprime([form(F5, [1, 0])], [form(F5, [2, 0])])
-    assert lists_coprime([], [form(F5, [1, 0])])
+    assert lists_coprime([LinearForm(F5, [1, 0])], [LinearForm(F5, [0, 1])])
+    assert not lists_coprime([LinearForm(F5, [1, 0])], [LinearForm(F5, [2, 0])])
+    assert lists_coprime([], [LinearForm(F5, [1, 0])])
 
 
 def test_normalize_idempotent_and_class_keys():
@@ -87,7 +87,7 @@ def test_similar_lists_product_scales(base, data):
     scalars = data.draw(
         st.lists(st.integers(1, 4), min_size=len(base), max_size=len(base))
     )
-    u = tuple(form(F5, c) for c in base)
+    u = tuple(LinearForm(F5, c) for c in base)
     v = tuple(f.scale(c) for f, c in zip(u, scalars))
     v = tuple(data.draw(st.permutations(list(v))))
     sigma = lists_similar(u, v)
@@ -117,8 +117,8 @@ def test_sublists_in_span_stay_similar():
 
 def test_term_invariants():
     with pytest.raises(ValueError):
-        Term(F5, 0, [form(F5, [1, 0])])
+        Term(F5, 0, [LinearForm(F5, [1, 0])])
     with pytest.raises(ValueError):
-        Term(F5, 1, [form(F5, [0, 0])])
+        Term(F5, 1, [LinearForm(F5, [0, 0])])
     t = Term(F5, 2, [])
     assert t.degree == 0

@@ -4,6 +4,7 @@ import pytest
 
 from sps import (
     FormIdeal,
+    LinearForm,
     OrderedMatching,
     VerificationError,
     compose,
@@ -11,10 +12,8 @@ from sps import (
     doubling_check,
     field_make,
     find_matching,
-    form,
     gen_tight_lists,
     invert,
-    scaling_factor,
     trivialize,
     unscramble,
 )
@@ -31,7 +30,7 @@ F5 = field_make(5)
 
 
 def ideal(field, n, *gens):
-    return FormIdeal(field, n, [form(field, g) for g in gens])
+    return FormIdeal(field, n, [LinearForm(field, g) for g in gens])
 
 
 def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain=None):
@@ -69,15 +68,15 @@ def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain
 
 def test_find_matching_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    u = (form(F5, [0, 1, 0]), form(F5, [1, 1, 0]))
-    v = (form(F5, [0, 1, 1]), form(F5, [1, 1, 2]))
+    u = (LinearForm(F5, [0, 1, 0]), LinearForm(F5, [1, 1, 0]))
+    v = (LinearForm(F5, [0, 1, 1]), LinearForm(F5, [1, 1, 2]))
     pi = find_matching(u, v, i3)
     assert pi is not None and pi.is_ordered
     assert [e.c for e in pi.edges] == [1, 1]
 
-    assert find_matching((form(F5, [1, 0, 0]),), (form(F5, [0, 1, 0]),), i3) is None
+    assert find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [0, 1, 0]),), i3) is None
 
-    u = (form(F5, [1, 1, 0]),)
+    u = (LinearForm(F5, [1, 1, 0]),)
     pi = find_matching(u, u, i3)
     assert [e.c for e in pi.edges] == [1]
     assert [e.level for e in pi.edges] == [0]
@@ -85,39 +84,39 @@ def test_find_matching_examples():
 
 def test_scaling_factor_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    pi = find_matching((form(F5, [1, 0, 0]),), (form(F5, [2, 0, 1]),), i3)
-    assert scaling_factor(pi) == 2
+    pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 1]),), i3)
+    assert pi.scaling_factor() == 2
 
     empty = OrderedMatching.build(i3, (), (), ())
-    assert scaling_factor(empty) == 1
+    assert empty.scaling_factor() == 1
 
     F7 = field_make(7)
     i7 = ideal(F7, 3, [0, 0, 1])
     pi2 = OrderedMatching.build(
         i7,
-        (form(F7, [1, 0, 0]), form(F7, [0, 1, 0])),
-        (form(F7, [2, 0, 0]), form(F7, [0, 3, 1])),
+        (LinearForm(F7, [1, 0, 0]), LinearForm(F7, [0, 1, 0])),
+        (LinearForm(F7, [2, 0, 0]), LinearForm(F7, [0, 3, 1])),
         (0, 1),
     )
-    assert scaling_factor(pi2) == 6
+    assert pi2.scaling_factor() == 6
 
 
 def test_invert_union_compose_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    pi = find_matching((form(F5, [1, 0, 0]),), (form(F5, [2, 0, 1]),), i3)
+    pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 1]),), i3)
     back = invert(pi)
-    assert scaling_factor(back) == 3  # 2^-1 mod 5
+    assert back.scaling_factor() == 3  # 2^-1 mod 5
 
     empty = OrderedMatching.build(i3, (), (), ())
-    assert scaling_factor(disjoint_union(pi, empty)) == scaling_factor(pi)
+    assert disjoint_union(pi, empty).scaling_factor() == pi.scaling_factor()
 
     round_trip = compose(back, pi)
-    assert scaling_factor(round_trip) == 1
+    assert round_trip.scaling_factor() == 1
     assert all(e.w.is_zero for e in round_trip.edges)
 
     with pytest.raises(ValueError):
-        disjoint_union(pi, find_matching((form(F5, [1, 0, 0]),),
-                                         (form(F5, [1, 0, 0]),),
+        disjoint_union(pi, find_matching((LinearForm(F5, [1, 0, 0]),),
+                                         (LinearForm(F5, [1, 0, 0]),),
                                          ideal(F5, 3, [0, 1, 0])))
 
 
@@ -125,21 +124,21 @@ def test_matching_algebra_random():
     rng = random.Random(2024)
     for _ in range(60):
         pi1 = random_ordered_matching(rng, F5)
-        assert F5.mul(scaling_factor(pi1), scaling_factor(invert(pi1))) == 1
+        assert F5.mul(pi1.scaling_factor(), invert(pi1).scaling_factor()) == 1
         pi2 = random_ordered_matching(rng, F5, ideal_=pi1.ideal)
-        assert scaling_factor(disjoint_union(pi1, pi2)) == F5.mul(
-            scaling_factor(pi1), scaling_factor(pi2)
+        assert disjoint_union(pi1, pi2).scaling_factor() == F5.mul(
+            pi1.scaling_factor(), pi2.scaling_factor()
         )
         pi3 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, domain=pi1.codomain)
-        assert scaling_factor(compose(pi3, pi1)) == F5.mul(
-            scaling_factor(pi1), scaling_factor(pi3)
+        assert compose(pi3, pi1).scaling_factor() == F5.mul(
+            pi1.scaling_factor(), pi3.scaling_factor()
         )
 
 
 def test_unscramble_one_flip_example():
     i3 = ideal(F5, 3, [0, 0, 1])
-    x1 = form(F5, [1, 0, 0])
-    x1_plus = form(F5, [1, 0, 1])
+    x1 = LinearForm(F5, [1, 0, 0])
+    x1_plus = LinearForm(F5, [1, 0, 1])
     u = (x1, x1)
     v = (x1_plus, x1)
     # matching sending the first copy to x1 + x3, the second to x1
@@ -155,14 +154,14 @@ def test_unscramble_one_flip_example():
 
 def test_trivialize_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    u = (form(F5, [1, 0, 0]),)
-    v = (form(F5, [2, 0, 0]),)
+    u = (LinearForm(F5, [1, 0, 0]),)
+    v = (LinearForm(F5, [2, 0, 0]),)
     pi = find_matching(u, v, i3)
     out = trivialize(pi)
-    assert out.sigma == pi.sigma and scaling_factor(out) == 2
+    assert out.sigma == pi.sigma and out.scaling_factor() == 2
 
     # non-similar lists: a matching exists by (x3) but cannot be trivialized
-    w = (form(F5, [1, 0, 1]),)
+    w = (LinearForm(F5, [1, 0, 1]),)
     pi_ns = find_matching(u, w, i3)
     assert pi_ns is not None
     with pytest.raises(ValueError):
@@ -182,9 +181,9 @@ def test_trivialize_preserves_scaling_and_products():
         v = tuple(v)
         pi = find_matching(u, v, ideal_)
         assert pi is not None
-        sc = scaling_factor(pi)
+        sc = pi.scaling_factor()
         out = trivialize(pi)
-        assert scaling_factor(out) == sc
+        assert out.scaling_factor() == sc
         assert all(e.w.is_zero for e in out.edges)
         # M(V) = sc * M(U) exactly, via the independent expansion oracle
         mu = brute_product(F5, n, u)
@@ -195,20 +194,20 @@ def test_trivialize_preserves_scaling_and_products():
 def test_plain_matching_has_no_scaling_factor():
     # a scalar multiple inside the span still gets an ordered level-0 edge
     i1 = ideal(F5, 3, [1, 0, 0])
-    pi0 = find_matching((form(F5, [1, 0, 0]),), (form(F5, [2, 0, 0]),), i1)
+    pi0 = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 0]),), i1)
     assert pi0 is not None and pi0.is_ordered and pi0.edges[0].level == 0
 
     # dissimilar forms inside the span only admit a plain edge; sc undefined
     i12 = ideal(F5, 3, [1, 0, 0], [0, 1, 0])
-    pi = find_matching((form(F5, [1, 0, 0]),), (form(F5, [0, 1, 0]),), i12)
+    pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [0, 1, 0]),), i12)
     assert pi is not None and not pi.is_ordered
     with pytest.raises(ValueError):
-        scaling_factor(pi)
+        pi.scaling_factor()
 
 
 def test_unscramble_rejects_dissimilar_sublists():
     i3 = ideal(F5, 3, [0, 0, 1])
-    u = (form(F5, [1, 0, 0]), form(F5, [0, 1, 0]))
+    u = (LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]))
     pi = find_matching(u, u, i3)
     with pytest.raises(ValueError):
         unscramble(pi, [0], [1])
@@ -216,7 +215,7 @@ def test_unscramble_rejects_dissimilar_sublists():
 
 def test_certificates_rechecked():
     i3 = ideal(F5, 3, [0, 0, 1])
-    pi = find_matching((form(F5, [1, 0, 0]),), (form(F5, [2, 0, 1]),), i3)
+    pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 1]),), i3)
     from sps.matching import MatchEdge
 
     bad = MatchEdge(3, pi.edges[0].w, 1, True)
@@ -226,13 +225,13 @@ def test_certificates_rechecked():
 
 def test_doubling_check_trivial_cases():
     i1 = ideal(F5, 3, [1, 0, 0])
-    u = (form(F5, [0, 0, 1]),)
-    v = (form(F5, [1, 0, 1]),)
+    u = (LinearForm(F5, [0, 0, 1]),)
+    v = (LinearForm(F5, [1, 0, 1]),)
     pi = find_matching(u, v, i1)
     rep = doubling_check(u, v, [i1], [pi])
     assert rep.verdict == "BOUND_OK" and rep.r == 1 and rep.d_prime == 1
 
-    same = (form(F5, [1, 1, 0]), form(F5, [0, 1, 0]))
+    same = (LinearForm(F5, [1, 1, 0]), LinearForm(F5, [0, 1, 0]))
     pis = [find_matching(same, same, i1)]
     rep2 = doubling_check(same, same, [i1], pis)
     assert rep2.verdict == "SIMILAR"
@@ -289,8 +288,8 @@ def test_doubling_check_never_contradicts_on_valid_input():
 def test_doubling_check_input_validation():
     i1 = ideal(F5, 3, [1, 0, 0])
     i1b = ideal(F5, 3, [2, 0, 0])  # same span: not orthogonal
-    u = (form(F5, [0, 0, 1]),)
-    v = (form(F5, [1, 0, 1]),)
+    u = (LinearForm(F5, [0, 0, 1]),)
+    v = (LinearForm(F5, [1, 0, 1]),)
     pi = find_matching(u, v, i1)
     with pytest.raises(ValueError):
         doubling_check(u, v, [i1, i1b], [pi, pi])

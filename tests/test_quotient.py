@@ -5,16 +5,14 @@ import pytest
 from sps import (
     Circuit,
     FormIdeal,
+    LinearForm,
     Term,
     VerificationError,
-    expand_circuit,
     field_make,
-    form,
     gcd_data,
     gen_ks,
     is_regular,
     make_circuit,
-    reduce_form,
     similar_mod,
     similar_sublist,
     similarity_key,
@@ -25,7 +23,14 @@ from sps import (
     zero_test_random,
 )
 from sps.quotient import is_zero_mod, reduce_circuit
-from helpers import random_circuit, random_form, random_ideal, random_unit
+from helpers import (
+    brute_expand,
+    brute_product,
+    random_circuit,
+    random_form,
+    random_ideal,
+    random_unit,
+)
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -33,7 +38,7 @@ F7 = field_make(7)
 
 
 def ideal(field, n, *gens):
-    return FormIdeal(field, n, [form(field, g) for g in gens])
+    return FormIdeal(field, n, [LinearForm(field, g) for g in gens])
 
 
 def test_form_ideal_invariants():
@@ -43,27 +48,27 @@ def test_form_ideal_invariants():
         ideal(F5, 2, [1, 0], [2, 0])  # dependent generators
     z = zero_ideal(F5, 2)
     assert z.is_zero_ideal and z.r == 0
-    assert z.reduce(form(F5, [1, 2])).coeffs == (1, 2)
+    assert z.reduce(LinearForm(F5, [1, 2])).coeffs == (1, 2)
 
 
 def test_reduce_form_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    assert reduce_form(form(F5, [1, 0, 1]), i3).coeffs == (1, 0, 0)
-    assert reduce_form(form(F5, [0, 0, 1]), i3).is_zero
+    assert i3.reduce(LinearForm(F5, [1, 0, 1])).coeffs == (1, 0, 0)
+    assert i3.reduce(LinearForm(F5, [0, 0, 1])).is_zero
     isum = ideal(F5, 3, [1, 1, 1])
-    red = reduce_form(form(F5, [1, 1, 0]), isum)
+    red = isum.reduce(LinearForm(F5, [1, 1, 0]))
     assert red.coeffs == (0, 0, 4)
     # the difference went into the span
-    assert isum.span_contains(form(F5, [1, 1, 0]).sub(red))
+    assert isum.span_contains(LinearForm(F5, [1, 1, 0]).sub(red))
 
 
 def test_similar_mod_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    assert similar_mod(form(F5, [0, 1, 1]), form(F5, [0, 1, 0]), i3) == 1
-    assert similar_mod(form(F5, [0, 2, 1]), form(F5, [0, 1, 0]), i3) == 2
-    assert similar_mod(form(F5, [1, 0, 0]), form(F5, [0, 1, 0]), i3) is None
+    assert similar_mod(LinearForm(F5, [0, 1, 1]), LinearForm(F5, [0, 1, 0]), i3) == 1
+    assert similar_mod(LinearForm(F5, [0, 2, 1]), LinearForm(F5, [0, 1, 0]), i3) == 2
+    assert similar_mod(LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]), i3) is None
     # degenerate: both in the span reduce to zero, scalar 1 by convention
-    assert similar_mod(form(F5, [0, 0, 2]), form(F5, [0, 0, 3]), i3) == 1
+    assert similar_mod(LinearForm(F5, [0, 0, 2]), LinearForm(F5, [0, 0, 3]), i3) == 1
 
 
 def test_is_regular_examples():
@@ -88,8 +93,8 @@ def test_gcd_data_worked_example_f7():
     assert [t.degree for t in sim.terms] == [0, 0]
     assert sorted(t.coef for t in sim.terms) == [2, 3]
     # M(U_2) = sc * M(U) mod I, by expansion
-    left = expand_circuit(Circuit(F7, 3, [Term(F7, 1, [i3.reduce(f) for f in gd.u_lists[1]])]))
-    right = expand_circuit(Circuit(F7, 3, [Term(F7, 1, [i3.reduce(f) for f in gd.u])]))
+    left = brute_product(F7, 3, [i3.reduce(f) for f in gd.u_lists[1]])
+    right = brute_product(F7, 3, [i3.reduce(f) for f in gd.u])
     assert left == right
 
 
@@ -136,7 +141,7 @@ def _random_regular_instance(rng, plant=True):
         forms = []
         for base in shared:
             c = random_unit(rng, F5)
-            w = form(F5, [0] * n)
+            w = LinearForm(F5, [0] * n)
             for g in ideal_.generators:
                 w = w.add(g.scale(rng.randrange(5)))
             cand = base.scale(c).add(w)
@@ -152,25 +157,20 @@ def _random_regular_instance(rng, plant=True):
 
 
 def test_gcd_times_sim_recovers_subcircuit():
-    # C_Q = gcd * sim modulo the ideal, checked by expansion of reduced forms
+    # C_Q = gcd * sim modulo the ideal: red(C) - sum_q coef_q * M(red U) * M(red sim_q)
+    # expands to zero (every reduced form stays nonzero on regular instances)
     rng = random.Random(77)
     for _ in range(50):
         c, ideal_ = _random_regular_instance(rng)
         gd = gcd_data(c, ideal_)
         red_c = reduce_circuit(c, ideal_)
         assert red_c is not None  # regular instances never vanish
-        lhs = expand_circuit(red_c)
-        gcd_poly = expand_circuit(
-            Circuit(F5, c.n, [Term(F5, 1, [ideal_.reduce(f) for f in gd.u])])
-        )
-        sim_red = reduce_circuit(gd.sim, ideal_)
-        sim_poly = (
-            expand_circuit(sim_red)
-            if sim_red is not None
-            else expand_circuit(Circuit(F5, c.n, [Term(F5, 1, [])])).scale(0)
-        )
-        diff = lhs.add(gcd_poly.mul(sim_poly).scale(F5.neg(F5.one)))
-        assert diff.is_zero
+        red_u = [ideal_.reduce(f) for f in gd.u]
+        products = [
+            Term(F5, F5.neg(s.coef), red_u + [ideal_.reduce(f) for f in s.forms])
+            for s in gd.sim.terms
+        ]
+        assert not brute_expand(Circuit(F5, c.n, list(red_c.terms) + products))
 
 
 def test_gcd_data_deterministic():
@@ -197,8 +197,8 @@ def test_orthogonal_ideal_zero_promotion():
             gens2.append(g)
         i2 = FormIdeal(F5, n, gens2)
         base = [
-            form(F5, i1.generators[0].coeffs),
-            form(F5, i1.generators[1].coeffs),
+            LinearForm(F5, i1.generators[0].coeffs),
+            LinearForm(F5, i1.generators[1].coeffs),
         ]
         make_zero = rng.random() < 0.5
         t1 = Term(F5, 1, [base[0], base[1]])
@@ -222,7 +222,7 @@ def test_sim_membership_characterizes_unbalanced_classes():
 
         for piv in range(n):
             for tail in itertools.product(range(5), repeat=n - piv - 1):
-                ell = form(F5, (0,) * piv + (1,) + tail)
+                ell = LinearForm(F5, (0,) * piv + (1,) + tail)
                 counts = {
                     len(similar_sublist(ell, t.forms)) for t in c.terms
                 }
