@@ -136,6 +136,11 @@ class Field:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e!r}")
+        # p**e > budget already when 2**e > budget; refuse before exponentiating
+        if e > 1 and (e >= search_budget.bit_length() or p**e > search_budget):
+            raise BudgetExceededError(
+                f"irreducible search over {p}^{e} candidates exceeds budget {search_budget}"
+            )
         self.p = p
         self.e = e
         self.order = p**e
@@ -145,10 +150,6 @@ class Field:
             self.one = 1
             self._mod_packed = None
         else:
-            if p**e > search_budget:
-                raise BudgetExceededError(
-                    f"irreducible search over {p}^{e} candidates exceeds budget {search_budget}"
-                )
             self.modulus = self._find_modulus(p, e)
             self.zero = (0,) * e
             self.one = (1,) + (0,) * (e - 1)
@@ -311,6 +312,28 @@ def gf2_mulmod(a: int, b: int, mod: int, deg: int) -> int:
 
 # -- echelon span bases --
 
+def eliminate(field: Field, rows, pivots, v):
+    """Clear each row's pivot from v, in row order: (multipliers, remainder).
+
+    Each row must be zero before its pivot, 1 at it, and zero at the pivots
+    of the rows before it. Then v = sum(multipliers[i] * rows[i]) + remainder
+    and the remainder is zero at every pivot, which makes it the unique such
+    representative of v modulo the rows' span. Both results are lists.
+    """
+    z = field.zero
+    out = list(v)
+    mults = []
+    for row, piv in zip(rows, pivots):
+        c = out[piv]
+        mults.append(c)
+        if c != z:
+            for j in range(piv, len(out)):
+                rj = row[j]
+                if rj != z:
+                    out[j] = field.sub(out[j], field.mul(c, rj))
+    return mults, out
+
+
 class SpanBasis:
     """Reduced-row-echelon basis of a subspace of F^n.
 
@@ -349,36 +372,19 @@ class SpanBasis:
     def reduce(self, v) -> tuple:
         """Canonical representative of v modulo the span (pivot coords eliminated)."""
         self._check(v)
-        field = self.field
-        out = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = out[piv]
-            if c != field.zero:
-                for j in range(piv, self.n):
-                    rj = row[j]
-                    if rj != field.zero:
-                        out[j] = field.sub(out[j], field.mul(c, rj))
-        return tuple(out)
+        return tuple(eliminate(self.field, self.rows, self.pivots, v)[1])
 
     def contains(self, v) -> bool:
+        self._check(v)
         z = self.field.zero
-        return all(c == z for c in self.reduce(v))
+        return all(c == z for c in eliminate(self.field, self.rows, self.pivots, v)[1])
 
     def coordinates(self, v):
         """Coefficients of v over the basis rows, or None if v is outside the span."""
         self._check(v)
-        field = self.field
-        out = list(v)
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = out[piv]
-            coords.append(c)
-            if c != field.zero:
-                for j in range(piv, self.n):
-                    rj = row[j]
-                    if rj != field.zero:
-                        out[j] = field.sub(out[j], field.mul(c, rj))
-        if any(c != field.zero for c in out):
+        coords, rest = eliminate(self.field, self.rows, self.pivots, v)
+        z = self.field.zero
+        if any(c != z for c in rest):
             return None
         return tuple(coords)
 

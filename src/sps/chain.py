@@ -243,7 +243,6 @@ def single_round(
         ):
             break
 
-    ideal = FormIdeal(field, n, gens)
     if len(gens) > k - 2:
         raise VerificationError("round used more than k - 2 iterations")
     if not spans_orthogonal([s_span, ideal.span]):

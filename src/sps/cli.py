@@ -4,8 +4,8 @@ Machine-readable JSON goes to stdout (one object per line; chain traces are
 JSON lines followed by a summary object); the human summary goes to stderr.
 Reports are byte-stable across runs for fixed inputs and seeds, so timing is
 reported only on stderr. Exit codes: 0 all checks pass, 1 a checked property
-is false, 2 usage or I/O error, 3 a proven bound was violated (the
-falsification signal).
+is false, 2 usage, I/O or malformed-input error, 3 a proven bound was
+violated (the falsification signal).
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def cmd_chain(args) -> int:
                "violation": str(exc)})
         _note(f"BOUND VIOLATION: {exc}")
         return 3
+    except ValueError as exc:  # not an identity, not simple, not minimal, ...
+        _note(f"error: {exc}")
+        return 1
     if args.trace:
         for line in chain.trace_lines()[:-1]:
             sys.stdout.write(line + "\n")
@@ -240,9 +243,14 @@ def cmd_doubling(args) -> int:
     for idx, ideal in enumerate(ideals):
         pi = find_matching(u, v, ideal)
         if pi is None:
-            raise ValueError(f"no matching between U and V by ideal {idx}")
+            _note(f"error: no matching between U and V by ideal {idx}")
+            return 1
         matchings.append(pi)
-    report = doubling_check(u, v, ideals, matchings)
+    try:
+        report = doubling_check(u, v, ideals, matchings)
+    except ValueError as exc:
+        _note(f"error: {exc}")
+        return 1
     if args.trace:
         for line in report.transcript_lines():
             _note(line)
@@ -343,12 +351,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _note(f"budget exceeded: {exc}")
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
         _note(f"error: {exc}")
         return 2
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return 1 if args.command in ("chain", "doubling") else 2
 
 
 if __name__ == "__main__":

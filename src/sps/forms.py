@@ -8,6 +8,8 @@ between lists well defined. Everything here is immutable.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .algebra import Field
 
 
@@ -146,6 +148,36 @@ def similar_sublist(ell: LinearForm, forms) -> tuple:
     return tuple(f for f in forms if not f.is_zero and similarity_key(f) == key)
 
 
+def pair_by_key(keys_u, keys_v):
+    """Bijection sigma with keys_v[sigma[i]] == keys_u[i], pairing equal keys
+    in list order on both sides; None unless both lists hold the same keys."""
+    slots: dict = {}
+    for j in reversed(range(len(keys_v))):
+        slots.setdefault(keys_v[j], []).append(j)
+    sigma = tuple(slots[k].pop() if slots.get(k) else None for k in keys_u)
+    if len(keys_u) != len(keys_v) or None in sigma:
+        return None
+    return sigma
+
+
+def common_positions(key_lists) -> list[list[int]]:
+    """Per key list, the ascending positions of the keys common to all lists:
+    each key keeps its first m occurrences, m its least count over the lists."""
+    common = Counter(key_lists[0])
+    for keys in key_lists[1:]:
+        common &= Counter(keys)
+    out = []
+    for keys in key_lists:
+        left = Counter(common)
+        picked = []
+        for pos, k in enumerate(keys):
+            if left[k] > 0:
+                left[k] -= 1
+                picked.append(pos)
+        out.append(picked)
+    return out
+
+
 def lists_similar(u, v):
     """Positionwise bijection sigma with u[i] similar to v[sigma[i]], or None.
 
@@ -153,22 +185,7 @@ def lists_similar(u, v):
     pairing is in list order within each class. Empty lists are similar
     vacuously (the empty bijection).
     """
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        return None
-    slots: dict[tuple, list[int]] = {}
-    for j, g in enumerate(v):
-        slots.setdefault(similarity_key(g), []).append(j)
-    taken = {k: 0 for k in slots}
-    sigma = []
-    for f in u:
-        key = similarity_key(f)
-        pos = slots.get(key)
-        if pos is None or taken[key] >= len(pos):
-            return None
-        sigma.append(pos[taken[key]])
-        taken[key] += 1
-    return tuple(sigma)
+    return pair_by_key([similarity_key(f) for f in u], [similarity_key(g) for g in v])
 
 
 def lists_coprime(u, v) -> bool:

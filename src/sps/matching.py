@@ -6,8 +6,9 @@ bijection where each image equals a nonzero multiple of its source plus an
 element of the ideal's span. An ordered matching refines this: each edge's
 offset lies in the span of a generator *prefix* that does not contain the
 source form, which pins a unique per-edge scalar. Edges store the minimal
-valid prefix level, so certificates are canonical; every constructor and
-every algebra operation re-derives and re-checks them.
+valid prefix level, so certificates are canonical. ``build`` derives each
+certificate once, from one elimination pass per form, and every constructor
+checks the certificates it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import SpanBasis, spans_orthogonal
 from .errors import VerificationError
-from .forms import LinearForm, lists_coprime, lists_similar, similar, similarity_key
+from .forms import LinearForm, common_positions, lists_coprime, lists_similar
+from .forms import pair_by_key, similarity_key
 
 if TYPE_CHECKING:  # runtime access goes through ideal methods only
     from .quotient import FormIdeal
@@ -33,21 +35,27 @@ class MatchEdge(NamedTuple):
 def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
     """Minimal-level certificate for dst = c*src + w, or None.
 
-    Scans prefix levels upward; the valid levels form an interval sharing one
-    scalar, so the first hit is canonical. Falls back to a plain (unordered)
-    edge only when both forms lie in the ideal's span, where c = 1 by
-    convention.
+    With S = (rest(src), a_r, ..., a_1) from the ideal's coordinates and D
+    likewise for dst, level j with scalar c is valid iff D = c*S on the first
+    n + r - j entries and S is nonzero there. So c = D[t]/S[t] at the first
+    nonzero entry t of S, and the first entry k where D != c*S gives the
+    level: 0 when there is none, n + r - k when k > t lies in the coordinate
+    part. Otherwise only a plain (unordered) edge between forms in the span
+    remains, with c = 1 by convention.
     """
     field = src.field
-    for j in range(ideal.r + 1):
-        if ideal.prefix_contains(j, src):
-            break
-        c = similar(ideal.reduce_prefix(j, dst), ideal.reduce_prefix(j, src))
-        if c is not None:
-            return MatchEdge(c, dst.sub(src.scale(c)), j, True)
-    else:
-        return None
-    if ideal.span_contains(src) and ideal.span_contains(dst):
+    z = field.zero
+    a, rest_src = ideal.coordinates(src)
+    b, rest_dst = ideal.coordinates(dst)
+    s = rest_src + a[::-1]
+    d = rest_dst + b[::-1]
+    t = next((i for i, x in enumerate(s) if x != z), None)
+    if t is not None and d[t] != z:
+        c = field.div(d[t], s[t])
+        k = next((i for i, (x, y) in enumerate(zip(s, d)) if y != field.mul(c, x)), None)
+        if k is None or (k > t and k >= ideal.n):
+            return MatchEdge(c, dst.sub(src.scale(c)), 0 if k is None else len(s) - k, True)
+    if all(x == z for x in rest_src + rest_dst):
         return MatchEdge(field.one, dst.sub(src), ideal.r, False)
     return None
 
@@ -57,7 +65,7 @@ def _check_edge(ideal, src: LinearForm, dst: LinearForm, e: MatchEdge) -> bool:
         return False
     if dst.sub(src.scale(e.c)) != e.w:
         return False
-    if not ideal.prefix(e.level).contains(e.w.coeffs):
+    if not ideal.prefix_contains(e.level, e.w):
         return False
     if e.ordered and ideal.prefix_contains(e.level, src):
         return False
@@ -141,22 +149,11 @@ def find_matching(u, v, ideal) -> OrderedMatching | None:
     """
     from .quotient import reduced_class_key
 
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
+    sigma = pair_by_key([reduced_class_key(f, ideal) for f in u],
+                        [reduced_class_key(g, ideal) for g in v])
+    if sigma is None:
         return None
-    slots: dict = {}
-    for j, g in enumerate(v):
-        slots.setdefault(reduced_class_key(g, ideal), []).append(j)
-    cursor = {k: 0 for k in slots}
-    sigma = []
-    for f in u:
-        key = reduced_class_key(f, ideal)
-        pos = slots.get(key)
-        if pos is None or cursor[key] >= len(pos):
-            return None
-        sigma.append(pos[cursor[key]])
-        cursor[key] += 1
-    return OrderedMatching.build(ideal, u, v, tuple(sigma))
+    return OrderedMatching.build(ideal, u, v, sigma)
 
 
 def invert(pi: OrderedMatching) -> OrderedMatching:
@@ -198,7 +195,8 @@ def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching
     u_positions / v_positions index similar sublists of the domain and
     codomain. Works by image flips: a slot of the sublist whose image is not
     an unconsumed similar target swaps images with the slot currently holding
-    one. At most len(u_positions) flips; certificates are re-derived.
+    one. At most len(u_positions) flips; certificates are re-derived when an
+    image moved, and the input is returned unchanged when none did.
     """
     u_positions = list(u_positions)
     v_positions = list(v_positions)
@@ -232,6 +230,8 @@ def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching
         a2 = inv[b]
         sigma[a], sigma[a2] = sigma[a2], sigma[a]
         inv[sigma[a]], inv[sigma[a2]] = a, a2
+    if tuple(sigma) == pi.sigma:
+        return pi
     return OrderedMatching.build(pi.ideal, pi.domain, pi.codomain, tuple(sigma))
 
 
@@ -350,20 +350,8 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     r = len(ideals)
 
     # maximal similar sublists, leaving coprime remainders
-    by_key_u: dict = {}
-    by_key_v: dict = {}
-    for i, f in enumerate(u):
-        by_key_u.setdefault(similarity_key(f), []).append(i)
-    for j, g in enumerate(v):
-        by_key_v.setdefault(similarity_key(g), []).append(j)
-    sim_u, sim_v = [], []
-    for key, pos_u in by_key_u.items():
-        pos_v = by_key_v.get(key, [])
-        m = min(len(pos_u), len(pos_v))
-        sim_u.extend(pos_u[:m])
-        sim_v.extend(pos_v[:m])
-    sim_u.sort()
-    sim_v.sort()
+    sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
+                                     [similarity_key(g) for g in v]])
     rest_u = [i for i in range(d) if i not in set(sim_u)]
     rest_v = [j for j in range(d) if j not in set(sim_v)]
     d_prime = len(rest_u)
@@ -375,11 +363,10 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     if not lists_coprime([u[i] for i in rest_u], [v[j] for j in rest_v]):
         raise VerificationError("similar-part extraction left non-coprime remainders")
 
-    # unscramble and restrict every matching to the remainders
-    restricted = []
+    # unscramble every matching and check its restriction to the remainders
+    rest_v_index = {j: slot for slot, j in enumerate(rest_v)}
     for pi in matchings:
         pi2 = unscramble(pi, sim_u, sim_v)
-        rest_v_index = {j: slot for slot, j in enumerate(rest_v)}
         try:
             sigma = tuple(rest_v_index[pi2.sigma[i]] for i in rest_u)
         except KeyError:
@@ -387,10 +374,8 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
                 "CONTRADICTION", r, d, d_prime, bound, 0, len(sim_u), (),
                 reason="unscrambled matching does not restrict to the remainders",
             )
-        restricted.append(
-            OrderedMatching.build(pi2.ideal, [u[i] for i in rest_u],
-                                  [v[j] for j in rest_v], sigma)
-        )
+        OrderedMatching(pi2.ideal, [u[i] for i in rest_u], [v[j] for j in rest_v],
+                        sigma, [pi2.edges[i] for i in rest_u])
 
     field = ideals[0].field if ideals else u[0].field
     n = u[0].n

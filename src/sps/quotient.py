@@ -3,13 +3,16 @@
 A form-ideal is generated by linearly independent nonzero linear forms; the
 quotient by it is again a polynomial ring, so reduction is plain Gaussian
 elimination on coefficient vectors and products of forms factor uniquely
-modulo the ideal. The zero ideal is the same type with no generators, and
-every operation treats it uniformly as "span is {0}".
+modulo the ideal. The ideal keeps one echelon list in generator order, so
+its first j rows span the first j generators and one elimination pass writes
+a form in coordinates over every generator prefix at once. The zero ideal is
+the same type with no generators, and every operation treats it uniformly as
+"span is {0}".
 """
 
 from __future__ import annotations
 
-from .algebra import Field, SpanBasis
+from .algebra import Field, SpanBasis, eliminate
 from .circuit import (
     DEFAULT_EXPANSION_BUDGET,
     Circuit,
@@ -19,38 +22,47 @@ from .circuit import (
     zero_test_exact,
 )
 from .errors import VerificationError
-from .forms import LinearForm, Term, normalize, similar
+from .forms import LinearForm, Term, common_positions, normalize, pair_by_key, similar
 
 _EXPANSION_CHECK_CAP = 20_000
 
 
 class FormIdeal:
-    """Ordered form-ideal with echelon data for every generator prefix.
+    """Ordered form-ideal kept as one echelon list in generator order.
 
-    prefix(j) is the span of the first j generators (prefix(0) = {0}), which
-    is what level-j matching certificates quantify over. Generators must be
-    nonzero and linearly independent; an empty generator list is the
-    distinguished zero ideal.
+    Row j is generator j with the earlier rows' pivots cleared and its own
+    pivot (first nonzero column) scaled to 1, so the first j rows span
+    prefix(j), the span of the first j generators, which is what level-j
+    matching certificates quantify over. Elimination by those rows leaves
+    the representative that is zero at their pivots, a set fixed by the
+    span alone, so it equals reduction by the echelon basis of prefix(j).
+    Generators must be nonzero and linearly independent; an empty generator
+    list is the distinguished zero ideal.
     """
 
-    __slots__ = ("field", "n", "generators", "_prefixes")
+    __slots__ = ("field", "n", "generators", "rows", "pivots")
 
     def __init__(self, field: Field, n: int, generators=()):
         self.field = field
         self.n = n
         gens = tuple(generators)
-        prefixes = [SpanBasis.empty(field, n)]
+        rows, pivots = [], []
+        z = field.zero
         for g in gens:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
-            nxt, inserted = prefixes[-1].insert(g.coeffs)
-            if not inserted:
+            red = eliminate(field, rows, pivots, g.coeffs)[1]
+            piv = next((j for j, c in enumerate(red) if c != z), None)
+            if piv is None:
                 raise ValueError("ideal generators must be linearly independent")
-            prefixes.append(nxt)
+            inv = field.inv(red[piv])
+            rows.append(tuple(field.mul(inv, c) for c in red))
+            pivots.append(piv)
         self.generators = gens
-        self._prefixes = tuple(prefixes)
+        self.rows = tuple(rows)
+        self.pivots = tuple(pivots)
 
     @property
     def r(self) -> int:
@@ -62,25 +74,27 @@ class FormIdeal:
 
     @property
     def span(self) -> SpanBasis:
-        return self._prefixes[-1]
+        return SpanBasis.from_vectors(self.field, self.n, self.rows)
 
-    def prefix(self, j: int) -> SpanBasis:
-        return self._prefixes[j]
+    def coordinates(self, f: LinearForm):
+        """(a, rest) with f = sum(a[i] * row i) + rest and rest zero at every
+        pivot; f lies in prefix(j) iff rest and a[j:] are zero."""
+        return eliminate(self.field, self.rows, self.pivots, f.coeffs)
 
     def span_contains(self, f: LinearForm) -> bool:
-        return self.span.contains(f.coeffs)
+        return self.prefix_contains(self.r, f)
 
     def prefix_contains(self, j: int, f: LinearForm) -> bool:
-        return self._prefixes[j].contains(f.coeffs)
+        z = self.field.zero
+        rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
+        return all(c == z for c in rest)
 
     def reduce(self, f: LinearForm) -> LinearForm:
-        return LinearForm(self.field, self.span.reduce(f.coeffs))
+        return LinearForm(self.field, self.coordinates(f)[1])
 
     def reduce_prefix(self, j: int, f: LinearForm) -> LinearForm:
-        return LinearForm(self.field, self._prefixes[j].reduce(f.coeffs))
-
-    def extended(self, g: LinearForm) -> "FormIdeal":
-        return FormIdeal(self.field, self.n, self.generators + (g,))
+        rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
+        return LinearForm(self.field, rest)
 
     def __eq__(self, other):
         return (
@@ -217,52 +231,21 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = 
         [reduced_class_key(f, ideal) for f in t.forms] for t in circuit.terms
     ]
 
-    counts = []
-    for keys in keys_per_term:
-        c: dict = {}
-        for k in keys:
-            c[k] = c.get(k, 0) + 1
-        counts.append(c)
-    common = {
-        k: min(c.get(k, 0) for c in counts)
-        for k in counts[0]
-        if all(c.get(k, 0) for c in counts)
-    }
-
-    def pick(term_idx):
-        taken: dict = {}
-        positions = []
-        for pos, k in enumerate(keys_per_term[term_idx]):
-            have = taken.get(k, 0)
-            if common.get(k, 0) > have:
-                taken[k] = have + 1
-                positions.append(pos)
-        return positions
-
-    u_pos0 = pick(0)
-    u = tuple(circuit.terms[0].forms[p] for p in u_pos0)
-    u_keys = [keys_per_term[0][p] for p in u_pos0]
+    positions = common_positions(keys_per_term)
+    u = tuple(circuit.terms[0].forms[p] for p in positions[0])
+    u_keys = [keys_per_term[0][p] for p in positions[0]]
 
     u_lists: dict[int, tuple] = {}
     u_positions: dict[int, tuple] = {}
     matchings: dict[int, object] = {}
     sim_terms = []
     for q, t in enumerate(circuit.terms):
-        pos_q = pick(q)
+        pos_q = positions[q]
         u_positions[q] = tuple(pos_q)
         forms_q = tuple(t.forms[p] for p in pos_q)
         u_lists[q] = forms_q
-        # class-by-class pairing, both sides in list order
-        by_key: dict = {}
-        for slot, p in enumerate(pos_q):
-            by_key.setdefault(keys_per_term[q][p], []).append(slot)
-        cursor = {k: 0 for k in by_key}
-        sigma = []
-        for k in u_keys:
-            slot = by_key[k][cursor[k]]
-            cursor[k] += 1
-            sigma.append(slot)
-        pi = _matching.OrderedMatching.build(ideal, u, forms_q, tuple(sigma))
+        sigma = pair_by_key(u_keys, [keys_per_term[q][p] for p in pos_q])
+        pi = _matching.OrderedMatching.build(ideal, u, forms_q, sigma)
         if not pi.is_ordered:
             raise VerificationError("gcd matching failed to validate as ordered")
         matchings[q] = pi

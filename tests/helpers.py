@@ -9,6 +9,7 @@ from sps import (
     LinearForm,
     SpanBasis,
     Term,
+    similar,
 )
 
 
@@ -79,6 +80,34 @@ def random_span_element(rng, field, ideal, level):
     for g in ideal.generators[:level]:
         f = f.add(g.scale(rng.randrange(field.p)))
     return f
+
+
+def scan_edge(ideal, src, dst):
+    """Reference edge certificate (c, w, level, ordered) for dst = c*src + w,
+    or None, found by scanning generator prefixes upward.
+
+    Uses only fresh reduced-row-echelon bases of the prefixes and plain
+    similarity, never the ideal's own elimination data. The first level
+    whose reductions are similar is the minimal one; when src enters the
+    span first, only a plain edge (c = 1, level r) between span elements
+    remains.
+    """
+    field, n = src.field, src.n
+    gens = [g.coeffs for g in ideal.generators]
+    for j in range(ideal.r + 1):
+        prefix = SpanBasis.from_vectors(field, n, gens[:j])
+        if prefix.contains(src.coeffs):
+            break
+        c = similar(LinearForm(field, prefix.reduce(dst.coeffs)),
+                    LinearForm(field, prefix.reduce(src.coeffs)))
+        if c is not None:
+            return (c, dst.sub(src.scale(c)), j, True)
+    else:
+        return None
+    span = SpanBasis.from_vectors(field, n, gens)
+    if span.contains(src.coeffs) and span.contains(dst.coeffs):
+        return (field.one, dst.sub(src), ideal.r, False)
+    return None
 
 
 def random_circuit(rng, field, n, k, d):

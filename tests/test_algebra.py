@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,14 @@ def test_modulus_is_deterministic_and_monic():
 def test_irreducible_search_budget():
     with pytest.raises(BudgetExceededError):
         Field(2, 30, search_budget=1000)
+
+
+def test_oversized_extension_refused_before_exponentiating():
+    # 3**4_000_000 has over six million bits; computing it takes about a second
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        Field(3, 4_000_000)
+    assert time.perf_counter() - started < 0.5
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (5, 2), (3, 3)])

@@ -190,6 +190,13 @@ PINNED_MATCH_KS3 = (
     '{"found":true,"ordered":true,"pair":[1,2],"sc":1}\n'
     '{"command":"match","digest":"ec2426d6eca0168a","found":1,"pairs":3}\n'
 )
+# plain edges and ordered edges at levels 2 and 3
+PINNED_MATCH_KS5_DEEP = (
+    '{"found":true,"ordered":false,"pair":[0,1]}\n'
+    '{"found":true,"ordered":false,"pair":[0,2]}\n'
+    '{"found":true,"ordered":true,"pair":[1,2],"sc":1}\n'
+    '{"command":"match","digest":"14af70cd6215efd8","found":3,"pairs":3}\n'
+)
 PINNED_DOUBLING_S4 = (
     '{"bound":4,"command":"doubling","d":4,"d_prime":4,"digest":"51261a17bdfbc197",'
     '"i0":4,"r":4,"reason":null,"rounds":[{"doubled":false,"green_U":1,"green_V":1,'
@@ -225,9 +232,12 @@ def test_stdout_bytes_pinned(argv, expected, capsys):
 def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
     ks4 = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
     ks3 = _gen_file(tmp_path, capsys, ["ks", "--r", "3"], "ks3.json")
+    ks5 = _gen_file(tmp_path, capsys, ["ks", "--r", "5"], "ks5.json")
     tight = _gen_file(tmp_path, capsys, ["tight", "--s", "4"], "tight.json")
     assert run_cli(["chain", ks4, "--trace"], capsys)[:2] == (0, PINNED_CHAIN_KS4)
     assert run_cli(["match", ks3, "--ideal", "1,0,0"], capsys)[:2] == (0, PINNED_MATCH_KS3)
+    deep = "1,1,0,0,0;0,0,1,0,0;0,0,0,1,1"
+    assert run_cli(["match", ks5, "--ideal", deep], capsys)[:2] == (0, PINNED_MATCH_KS5_DEEP)
     assert run_cli(["doubling", "--lists", tight], capsys)[:2] == (0, PINNED_DOUBLING_S4)
 
 
@@ -258,17 +268,37 @@ def _zero_dimension(obj):
         t["forms"] = []
 
 
-@pytest.mark.parametrize("edit", [
-    _set("p", 5.9),
-    _set("p", "5"),
-    _set("e", True),
-    _set_coef,
-    _bool_coords,
-    _zero_dimension,
-], ids=["p-float", "p-string", "e-bool", "coef-bool", "coords-bool", "n-zero"])
-def test_check_rejects_non_integer_json(edit, tmp_path, capsys):
+_MALFORMED = {
+    "p-float": _set("p", 5.9),
+    "p-string": _set("p", "5"),
+    "e-bool": _set("e", True),
+    "coef-bool": _set_coef,
+    "coords-bool": _bool_coords,
+    "n-zero": _zero_dimension,
+}
+
+
+# check cases keep the bare edit name as their id
+@pytest.mark.parametrize("argv, edit", [
+    pytest.param(argv, edit, id=prefix + name)
+    for prefix, argv in (("", ["check", "--exact"]), ("chain-", ["chain"]))
+    for name, edit in _MALFORMED.items()
+])
+def test_check_rejects_non_integer_json(argv, edit, tmp_path, capsys):
     path = _ks3_with(tmp_path / "bad.json", edit)
-    code, out, err = run_cli(["check", path, "--exact"], capsys)
+    code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_doubling_rejects_non_integer_json(tmp_path, capsys):
+    _gen_file(tmp_path, capsys, ["tight", "--s", "4"], "tight.json")
+    obj = json.loads((tmp_path / "tight.json").read_text())
+    obj["p"] = "5"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(["doubling", "--lists", str(bad)], capsys)
     assert code == 2
     assert out == ""
     assert "error" in err

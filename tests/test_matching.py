@@ -6,6 +6,7 @@ from sps import (
     FormIdeal,
     LinearForm,
     OrderedMatching,
+    SpanBasis,
     VerificationError,
     compose,
     disjoint_union,
@@ -23,7 +24,9 @@ from helpers import (
     random_ideal,
     random_span_element,
     random_unit,
+    scan_edge,
 )
+from sps.matching import _derive_edge
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -221,6 +224,62 @@ def test_certificates_rechecked():
     bad = MatchEdge(3, pi.edges[0].w, 1, True)
     with pytest.raises(VerificationError):
         OrderedMatching(i3, pi.domain, pi.codomain, pi.sigma, (bad,))
+
+
+def test_derived_edges_match_prefix_scan():
+    """Edge certificates and prefix reductions agree with fresh echelon bases
+    of the generator prefixes, over prime and extension fields, for sources
+    inside and outside the span."""
+    rng = random.Random(20081)
+    outcomes = set()
+    for field in (F2, F5, field_make(2, 3), field_make(3, 2)):
+        def vector(n):
+            return [field.rand_element(rng) for _ in range(n)]
+
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            r = rng.randrange(0, n + 1)
+            span, gens = SpanBasis.empty(field, n), []
+            while len(gens) < r:
+                v = vector(n)
+                span, inserted = span.insert(v)
+                if inserted:
+                    gens.append(LinearForm(field, v))
+            ideal_ = FormIdeal(field, n, gens)
+
+            def prefix_element(level):
+                w = LinearForm(field, [0] * n)
+                for g in gens[:level]:
+                    w = w.add(g.scale(field.rand_element(rng)))
+                return w
+
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    src = LinearForm(field, vector(n))
+                else:
+                    src = prefix_element(rng.randrange(r + 1))
+                if rng.random() < 0.6:
+                    dst = src.scale(field.rand_element(rng)).add(
+                        prefix_element(rng.randrange(r + 1)))
+                else:
+                    dst = LinearForm(field, vector(n))
+                edge = _derive_edge(ideal_, src, dst)
+                assert edge == scan_edge(ideal_, src, dst)
+                if edge is None:
+                    outcomes.add("none")
+                elif not edge.ordered:
+                    outcomes.add("plain")
+                else:
+                    outcomes.add("level 0" if edge.level == 0 else "higher level")
+
+            f = LinearForm(field, vector(n))
+            for j in range(r + 1):
+                prefix = SpanBasis.from_vectors(field, n, [g.coeffs for g in gens[:j]])
+                assert ideal_.reduce_prefix(j, f).coeffs == prefix.reduce(f.coeffs)
+                assert ideal_.prefix_contains(j, f) == prefix.contains(f.coeffs)
+                w = prefix_element(j)
+                assert ideal_.prefix_contains(j, w) and prefix.contains(w.coeffs)
+    assert outcomes == {"level 0", "higher level", "plain", "none"}
 
 
 def test_doubling_check_trivial_cases():
