@@ -5,6 +5,7 @@ product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
+Minimality expands each term once when the oracle would answer it exactly.
 """
 
 from __future__ import annotations
@@ -128,20 +129,22 @@ def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
     budget is the summed bound C(d + r - 1, r - 1) per term (default 10^7,
     overridable via the SPS_BUDGET environment variable).
     """
+    return _sums_to_zero(circuit.field, _expand_terms(circuit, budget), range(circuit.k))
+
+
+def _expand_terms(circuit: Circuit, budget: int | None) -> list:
+    """Each term expanded over a basis of the circuit's span, exponents packed
+    into ints: a set of monomials over GF(2), else a dict monomial -> coef."""
     field = circuit.field
     basis = form_basis(circuit)
     r = basis.rank
-    if r == 0:
-        total = field.zero
-        for t in circuit.terms:
-            total = field.add(total, t.coef)
-        return total == field.zero
-    budget = _expansion_budget(budget)
-    bound = exact_cost_bound(circuit, r)
-    if bound > budget:
-        raise BudgetExceededError(
-            f"exact expansion bound {bound} exceeds budget {budget}"
-        )
+    if r:
+        budget = _expansion_budget(budget)
+        bound = exact_cost_bound(circuit, r)
+        if bound > budget:
+            raise BudgetExceededError(
+                f"exact expansion bound {bound} exceeds budget {budget}"
+            )
 
     # pack exponent vectors into ints: degree <= d fits in shift-sized fields
     shift_bits = max(1, circuit.degree.bit_length())
@@ -155,8 +158,8 @@ def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
             )
         compressed.append((t.coef, forms))
 
+    polys = []
     if field.p == 2 and field.e == 1:
-        acc: set[int] = set()
         for _, forms in compressed:
             cur = {0}
             for nz in forms:
@@ -165,11 +168,10 @@ def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
                     shift = 1 << (shift_bits * j)
                     nxt.symmetric_difference_update(k + shift for k in cur)
                 cur = nxt
-            acc.symmetric_difference_update(cur)
-        return not acc
+            polys.append(cur)
+        return polys
 
     add, mul, zero = field.add, field.mul, field.zero
-    total: dict = {}
     for coef, forms in compressed:
         cur = {0: coef}
         for nz in forms:
@@ -184,14 +186,30 @@ def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
                     else:
                         nxt[kk] = v
             cur = nxt
-        for key, c in cur.items():
-            prev = total.get(key)
-            v = c if prev is None else add(prev, c)
-            if v == zero:
-                total.pop(key, None)
-            else:
-                total[key] = v
-    return not total
+        polys.append(cur)
+    return polys
+
+
+def _sums_to_zero(field: Field, polys: list, q) -> bool:
+    """Whether the polynomials of _expand_terms indexed by q sum to zero;
+    outside GF(2), stops at the first monomial whose coefficients do not cancel."""
+    if field.p == 2 and field.e == 1:
+        acc: set[int] = set()
+        for i in q:
+            acc.symmetric_difference_update(polys[i])
+        return not acc
+    chosen = [polys[i] for i in q]
+    for pos, poly in enumerate(chosen):
+        earlier, later = chosen[:pos], chosen[pos + 1:]
+        for key, total in poly.items():
+            if any(key in other for other in earlier):
+                continue
+            for other in later:
+                if key in other:
+                    total = field.add(total, other[key])
+            if total != field.zero:
+                return False
+    return True
 
 
 # -- randomized zero test (seeded evaluation, lifted to a large field) --
@@ -346,19 +364,27 @@ def is_minimal(circuit: Circuit, oracle: ZeroOracle | None = None) -> bool:
     """True iff no proper nonempty subset of the terms sums to zero.
 
     Singletons are nonzero by the term invariant, so only subsets of size
-    >= 2 are oracle-tested; k is capped at 16 (2^k - 2 subset tests).
+    >= 2 are tested; k is capped at 16 (2^k - 2 subset tests). If the oracle
+    would answer every subset exactly (mode exact, or auto with the circuit
+    within auto_budget), each term is expanded once and every subset sums the
+    cached expansions, under the budget for the whole circuit that check,
+    build_chain and gen_joined already require through their zero test of
+    it. Otherwise each subcircuit goes to oracle.is_zero.
     """
     k = circuit.k
     if k > 16:
         raise ValueError("minimality testing is capped at k <= 16 terms")
+    if k < 3:  # every proper subset is a singleton
+        return True
     oracle = oracle or ZeroOracle()
-    for mask in range(3, (1 << k) - 1):
-        if mask.bit_count() < 2:
-            continue
-        q = [i for i in range(k) if mask >> i & 1]
-        if oracle.is_zero(subcircuit(circuit, q)):
-            return False
-    return True
+    masks = (m for m in range(3, (1 << k) - 1) if m.bit_count() >= 2)
+    subsets = ([i for i in range(k) if m >> i & 1] for m in masks)
+    if oracle.mode == "exact" or (
+        oracle.mode == "auto" and exact_cost_bound(circuit) <= oracle.auto_budget
+    ):
+        polys = _expand_terms(circuit, oracle.budget)
+        return not any(_sums_to_zero(circuit.field, polys, q) for q in subsets)
+    return not any(oracle.is_zero(subcircuit(circuit, q)) for q in subsets)
 
 
 # -- homogenization --

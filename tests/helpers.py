@@ -45,10 +45,12 @@ def brute_product(field, n, forms, coef=None):
     return brute_expand(Circuit(field, n, [Term(field, c, list(forms))]))
 
 
-def random_form(rng, field, n, avoid_span=None):
-    """Random nonzero form, optionally outside a given span."""
+def random_form(rng, field, n, avoid_span=None, any_element=False):
+    """Random nonzero form, optionally outside a given span. Coordinates come
+    from the prime subfield unless any_element is set."""
+    draw = field.rand_element if any_element else (lambda r: r.randrange(field.p))
     while True:
-        f = LinearForm(field, [rng.randrange(field.p) for _ in range(n)])
+        f = LinearForm(field, [draw(rng) for _ in range(n)])
         if f.is_zero:
             continue
         if avoid_span is not None and avoid_span.contains(f.coeffs):
@@ -110,15 +112,16 @@ def scan_edge(ideal, src, dst):
     return None
 
 
-def random_circuit(rng, field, n, k, d):
-    """Random circuit with k terms of degree d (forms nonzero, coefs nonzero)."""
+def random_circuit(rng, field, n, k, d, any_element=False):
+    """Random circuit with k terms of degree d (forms nonzero, coefs nonzero);
+    any_element as in random_form."""
     terms = []
     for _ in range(k):
         terms.append(
             Term(
                 field,
                 random_unit(rng, field),
-                [random_form(rng, field, n) for _ in range(d)],
+                [random_form(rng, field, n, any_element=any_element) for _ in range(d)],
             )
         )
     return Circuit(field, n, terms)

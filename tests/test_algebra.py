@@ -27,6 +27,33 @@ def test_prime_test():
         assert is_prime(m) == reference(m)
 
 
+def test_prime_test_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2, ..., 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+def test_prime_test_large_primes():
+    # timed first, so a slow primality test fails here within seconds instead
+    # of running for minutes on 2^61 - 1
+    started = time.perf_counter()
+    assert is_prime(10**16 + 61)
+    assert time.perf_counter() - started < 0.1
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)
+
+
+def test_field_refuses_characteristic_from_2_64(monkeypatch):
+    import sps.algebra
+
+    def no_primality_test(m):
+        raise AssertionError("primality test reached")
+
+    monkeypatch.setattr(sps.algebra, "is_prime", no_primality_test)
+    with pytest.raises(ValueError):
+        Field(2**64 + 13)
+
+
 def test_extension_field_fermat():
     # x^(2^10) == x for all elements of GF(2^10); spot-check 10 random ones
     F = field_make(2, 10)

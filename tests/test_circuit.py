@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from sps import (
     BudgetExceededError,
+    Circuit,
+    Term,
     ZeroOracle,
     circuit_rank,
     dumps_circuit,
@@ -20,10 +23,44 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
-from helpers import brute_expand, random_circuit, random_pair_identity
+from sps.circuit import exact_cost_bound
+from helpers import (
+    brute_expand,
+    random_circuit,
+    random_form,
+    random_pair_identity,
+    random_unit,
+)
 
 F2 = field_make(2)
 F5 = field_make(5)
+F8 = field_make(2, 3)
+F9 = field_make(3, 2)
+
+
+def _planted(rng, field, n, k, d, size):
+    """k random terms of degree d >= 1, `size` of them (0 or 2..k) summing to
+    zero: c*(f_1 + ... + f_{size-1})*H and -c*f_i*H for each i, with H a
+    product of d - 1 forms. Positions and form orders are shuffled."""
+    terms = []
+    if size:
+        while True:
+            fs = [random_form(rng, field, n, any_element=True) for _ in range(size - 1)]
+            total = fs[0]
+            for f in fs[1:]:
+                total = total.add(f)
+            if not total.is_zero:
+                break
+        h = [random_form(rng, field, n, any_element=True) for _ in range(d - 1)]
+        c = random_unit(rng, field)
+        for coef, f in [(c, total)] + [(field.neg(c), f) for f in fs]:
+            forms = [f, *h]
+            rng.shuffle(forms)
+            terms.append(Term(field, coef, forms))
+    extra = random_circuit(rng, field, n, k - size, d, any_element=True).terms if k > size else ()
+    terms.extend(extra)
+    rng.shuffle(terms)
+    return Circuit(field, n, terms)
 
 
 def test_all_forms_order_and_length():
@@ -72,6 +109,22 @@ def test_exact_agrees_with_brute_force():
         c = random_circuit(rng, field, rng.randrange(1, 4), rng.randrange(1, 4),
                            rng.randrange(0, 4))
         assert zero_test_exact(c) == (not brute_expand(c))
+    # extension fields, coordinates drawn from the whole field
+    rng = random.Random(18)
+    for field in (F8, F9):
+        verdicts = set()
+        for _ in range(60):
+            c = (
+                _planted(rng, field, rng.randrange(1, 4), rng.randrange(2, 4),
+                         rng.randrange(1, 4), 2)
+                if rng.random() < 0.3
+                else random_circuit(rng, field, rng.randrange(1, 4), rng.randrange(1, 4),
+                                    rng.randrange(0, 4), any_element=True)
+            )
+            zero = zero_test_exact(c)
+            assert zero == (not brute_expand(c))
+            verdicts.add(zero)
+        assert verdicts == {True, False}
 
 
 def test_exact_budget_refusal():
@@ -136,6 +189,42 @@ def test_is_minimal_examples():
     assert not is_minimal(four)
     with pytest.raises(ValueError):
         is_minimal(random_circuit(random.Random(0), F2, 2, 17, 1))
+
+
+def _minimal_by_reference(c):
+    """No proper subcircuit of >= 2 terms expands to zero (brute force)."""
+    return not any(
+        not brute_expand(subcircuit(c, q))
+        for size in range(2, c.k)
+        for q in itertools.combinations(range(c.k), size)
+    )
+
+
+def test_is_minimal_matches_subset_reference():
+    rng = random.Random(41)
+    exact, auto = ZeroOracle("exact"), ZeroOracle("auto")
+    for field in (F2, F5, F8, F9):
+        cases = []
+        for k in range(2, 6):
+            for size in sorted({0, 2, min(3, k), k - 1, k} - {1}):
+                for _ in range(3):
+                    cases.append(_planted(rng, field, rng.randrange(2, 5), k,
+                                          rng.randrange(1, 4), size))
+        if field is F2:
+            # gen_ks(3) is a vanishing triple; one or two extra terms
+            for extra in (1, 1, 2, 2):
+                more = random_circuit(rng, F2, 3, extra, 2)
+                cases.append(Circuit(F2, 3, gen_ks(3).terms + more.terms))
+        verdicts = set()
+        for c in cases:
+            want = _minimal_by_reference(c)
+            assert exact_cost_bound(c) <= auto.auto_budget
+            assert is_minimal(c, exact) == want
+            assert is_minimal(c, auto) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}, field
+    with pytest.raises(BudgetExceededError):
+        is_minimal(gen_ks(5), ZeroOracle("exact", budget=10))
 
 
 def test_subcircuit():
@@ -214,7 +303,7 @@ def test_json_round_trip_byte_identical():
         assert again == c
     # extension-field circuits serialize coefficients as arrays
     F9 = field_make(3, 2)
-    from sps import Circuit, LinearForm, Term
+    from sps import LinearForm
 
     c = Circuit(F9, 2, [Term(F9, (1, 1), [LinearForm(F9, [(1, 0), (0, 1)])])])
     assert loads_circuit(dumps_circuit(c)) == c

@@ -197,6 +197,22 @@ PINNED_MATCH_KS5_DEEP = (
     '{"found":true,"ordered":true,"pair":[1,2],"sc":1}\n'
     '{"command":"match","digest":"14af70cd6215efd8","found":3,"pairs":3}\n'
 )
+# check --exact: an identity, a non-simple one, and one with a vanishing pair
+PINNED_CHECK_KS4 = (
+    '{"command":"check","d":4,"digest":"7509b0976730c8d1","e":1,"k":3,'
+    '"minimal":true,"mode":"exact","n":4,"p":2,"rank":4,"seed":0,"simple":true,'
+    '"zero":true}\n'
+)
+PINNED_CHECK_NONSIMPLE_D2 = (
+    '{"command":"check","d":2,"digest":"1c93ade47ac71e36","e":1,"k":2,'
+    '"minimal":true,"mode":"exact","n":2,"p":5,"rank":2,"seed":0,"simple":false,'
+    '"zero":true}\n'
+)
+PINNED_CHECK_NONMINIMAL_D2 = (
+    '{"command":"check","d":3,"digest":"c425f1c7ed7e95fc","e":1,"k":4,'
+    '"minimal":false,"mode":"exact","n":6,"p":5,"rank":6,"seed":0,"simple":true,'
+    '"zero":true}\n'
+)
 PINNED_DOUBLING_S4 = (
     '{"bound":4,"command":"doubling","d":4,"d_prime":4,"digest":"51261a17bdfbc197",'
     '"i0":4,"r":4,"reason":null,"rounds":[{"doubled":false,"green_U":1,"green_V":1,'
@@ -239,6 +255,12 @@ def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
     deep = "1,1,0,0,0;0,0,1,0,0;0,0,0,1,1"
     assert run_cli(["match", ks5, "--ideal", deep], capsys)[:2] == (0, PINNED_MATCH_KS5_DEEP)
     assert run_cli(["doubling", "--lists", tight], capsys)[:2] == (0, PINNED_DOUBLING_S4)
+    assert run_cli(["check", ks4, "--exact"], capsys)[:2] == (0, PINNED_CHECK_KS4)
+    for which, expected in (("nonsimple", PINNED_CHECK_NONSIMPLE_D2),
+                            ("nonminimal", PINNED_CHECK_NONMINIMAL_D2)):
+        path = _gen_file(tmp_path, capsys, ["counter", "--d", "2", "--which", which],
+                         which + ".json")
+        assert run_cli(["check", path, "--exact"], capsys)[:2] == (0, expected)
 
 
 def _ks3_with(path, edit):
