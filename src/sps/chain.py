@@ -16,7 +16,7 @@ previous basis); independent circuits can be processed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .algebra import SpanBasis, spans_orthogonal
 from .circuit import (
@@ -26,7 +26,6 @@ from .circuit import (
     _form_to_json,
     _json_number,
     circuit_rank,
-    is_minimal,
     is_simple,
     subcircuit,
 )
@@ -60,14 +59,9 @@ class MatchingData:
     mtype: int | None = None
     external: bool | None = None
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.mtype == 3
-
 
 @dataclass
 class ChainLink:
-    s_forms: tuple[LinearForm, ...]
     s_span: SpanBasis
     ideal: FormIdeal
     mdata: MatchingData
@@ -76,10 +70,9 @@ class ChainLink:
 
 @dataclass
 class Forest:
-    """Merge history of the external-matching forest over the k term leaves."""
+    """External and internal trivial links of the forest over the k term leaves."""
 
     k: int
-    events: list[dict] = dataclass_field(default_factory=list)
     external_count: int = 0
     internal_count: int = 0
 
@@ -87,14 +80,13 @@ class Forest:
 class Chain:
     """A maximal chain of form-ideals for a circuit, with verified bounds."""
 
-    def __init__(self, circuit, links, forest, counts, bound, maximal, enforced):
+    def __init__(self, circuit, links, forest, counts, bound, maximal):
         self.circuit = circuit
         self.links = tuple(links)
         self.forest = forest
         self.n1, self.n2, self.n3 = counts
         self.bound = bound
         self.maximal = maximal
-        self.bounds_enforced = enforced
         self.m = len(self.links)
         self.rank = circuit_rank(circuit)
 
@@ -388,7 +380,6 @@ def build_forest(links, k: int, strict: bool = True) -> Forest:
         if len(trees) == 1:
             md.external = False
             forest.internal_count += 1
-            forest.events.append({"round": idx, "internal": True})
             if strict:
                 raise BoundViolationError(
                     f"internal trivial matching data in round {idx}: "
@@ -398,9 +389,6 @@ def build_forest(links, k: int, strict: bool = True) -> Forest:
         else:
             md.external = True
             forest.external_count += 1
-            forest.events.append(
-                {"round": idx, "internal": False, "merged": sorted(trees)}
-            )
             for q in range(k):
                 if tree_of[q] in trees:
                     tree_of[q] = next_id
@@ -429,33 +417,23 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         raise ValueError("chains need equal term degrees")
     if not is_simple(circuit):
         raise ValueError("chains require a simple circuit")
-    if not oracle.is_zero(circuit):
+    values = oracle.term_values(circuit)
+    if not values.is_zero():
         raise ValueError("chains require an identity (zero oracle said no)")
-    if not is_minimal(circuit, oracle):
+    if not values.is_minimal():
         raise ValueError("chains require a minimal circuit")
 
     all_forms = circuit.all_forms()
     s_span = SpanBasis.empty(circuit.field, circuit.n)
-    s_forms: list[LinearForm] = []
     links: list[ChainLink] = []
     while not all(s_span.contains(f.coeffs) for f in all_forms):
         if len(links) > circuit.n:  # each round grows the span rank by >= 1
             raise VerificationError("chain failed to terminate")
         ideal, q_set, md = single_round(circuit, s_span, oracle, precheck=False)
-        before_forms = tuple(s_forms)
         before_span = s_span
         for g in ideal.generators:
             s_span, _ = s_span.insert(g.coeffs)
-            s_forms.append(g)
-        links.append(
-            ChainLink(
-                s_forms=before_forms,
-                s_span=before_span,
-                ideal=ideal,
-                mdata=md,
-                green_rank=s_span.rank,
-            )
-        )
+        links.append(ChainLink(before_span, ideal, md, green_rank=s_span.rank))
 
     if not spans_orthogonal([link.ideal.span for link in links]):
         raise VerificationError("round ideals are not mutually orthogonal")
@@ -475,8 +453,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         raise BoundViolationError(
             f"rank {rank} exceeds (k-2)*m = {(k - 2) * m}"
         )
-    enforced = d >= 2  # the logarithmic bounds are asymptotic in d
-    if enforced:
+    if d >= 2:  # the logarithmic bounds are asymptotic in d
         if m > bound:
             raise BoundViolationError(f"chain length {m} exceeds bound {bound}")
         if n1 > math.comb(k, 2) * (math.log2(d) + 2):
@@ -486,7 +463,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         if n3 > k - 1:
             raise BoundViolationError(f"N3 = {n3} exceeds its bound")
 
-    return Chain(circuit, links, forest, (n1, n2, n3), bound, True, enforced)
+    return Chain(circuit, links, forest, (n1, n2, n3), bound, True)
 
 
 def trivial_link_simple_part_check(circuit: Circuit, link: ChainLink,

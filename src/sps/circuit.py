@@ -5,7 +5,7 @@ product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
-Minimality expands each term once when the oracle would answer it exactly.
+Both verdicts of one circuit come from one set of term values (ZeroOracle.term_values).
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import random
+from functools import lru_cache, partial, reduce
 
 from .algebra import Field, SpanBasis, field_make, gf2_mulmod
 from .errors import BudgetExceededError
@@ -235,6 +237,13 @@ def zero_test_random(
     lifted). Points derive deterministically from (seed, trial), so trials
     are order-independent and runs are reproducible.
     """
+    return _random_sums(circuit, trials, seed, lift_field)(range(circuit.k))
+
+
+def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | None = None):
+    """Whether the terms indexed by q sum to zero, for any subset q, evaluated in
+    the circuit's field E: trial t's term values are computed when a subset
+    first needs them and kept; each subset stops at its first nonzero trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     field = circuit.field
@@ -253,20 +262,29 @@ def zero_test_random(
         raise ValueError(
             "cannot lift an extension-field circuit; supply lift_field explicitly"
         )
+    packed = ev.e > 1 and ev.p == 2 and field.e == 1  # see _term_values
+    add, zero = (operator.xor, 0) if packed else (ev.add, ev.zero)
 
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        if not _trial_is_zero(circuit, ev, rng):
-            return False
-    return True
+    @lru_cache(maxsize=None)
+    def trial_values(t: int) -> list:
+        return _term_values(circuit, ev, random.Random(f"{seed}:{t}"))
+
+    return lambda q: all(_trial_is_zero(trial_values(t), q, add, zero) for t in range(trials))
 
 
-def _trial_is_zero(circuit: Circuit, ev: Field, rng) -> bool:
+def _trial_is_zero(values: list, q, add, zero) -> bool:
+    """Whether one trial's values of the terms indexed by q sum to zero."""
+    return reduce(add, (values[i] for i in q), zero) == zero
+
+
+def _term_values(circuit: Circuit, ev: Field, rng) -> list:
+    """Each term's value at one random point over ev: ints mod p for a prime
+    ev, packed ints (added by xor) for a GF(2) circuit, else elements of ev."""
     n = circuit.n
     p = ev.p
+    values = []
     if ev.e == 1:
         point = [rng.randrange(p) for _ in range(n)]
-        total = 0
         for t in circuit.terms:
             val = t.coef
             for f in t.forms:
@@ -277,19 +295,15 @@ def _trial_is_zero(circuit: Circuit, ev: Field, rng) -> bool:
                 val = (val * s) % p
                 if not val:
                     break
-            total = (total + val) % p
-        return total == 0
+            values.append(val)
+        return values
 
     if p == 2 and circuit.field.e == 1:
         # packed carry-less path: coefficients are bits, points are bit vectors
-        order = ev.order
-        mod = ev._mod_packed
-        deg = ev.e
-        point = [rng.randrange(order) for _ in range(n)]
-        total = 0
-        one = 1
+        mod, deg = ev._mod_packed, ev.e
+        point = [rng.randrange(ev.order) for _ in range(n)]
         for t in circuit.terms:
-            val = one
+            val = 1
             for f in t.forms:
                 s = 0
                 for a, x in zip(f.coeffs, point):
@@ -298,14 +312,13 @@ def _trial_is_zero(circuit: Circuit, ev: Field, rng) -> bool:
                 val = gf2_mulmod(val, s, mod, deg)
                 if not val:
                     break
-            total ^= val
-        return total == 0
+            values.append(val)
+        return values
 
     point = [ev.rand_element(rng) for _ in range(n)]
     zero = ev.zero
     own_field = circuit.field == ev
     cf_zero = circuit.field.zero
-    total = zero
     for t in circuit.terms:
         val = t.coef if own_field else ev.element(t.coef)
         for f in t.forms:
@@ -316,8 +329,8 @@ def _trial_is_zero(circuit: Circuit, ev: Field, rng) -> bool:
             val = ev.mul(val, s)
             if val == zero:
                 break
-        total = ev.add(total, val)
-    return total == zero
+        values.append(val)
+    return values
 
 
 class ZeroOracle:
@@ -334,17 +347,47 @@ class ZeroOracle:
         self.budget = budget
         self.auto_budget = auto_budget
 
+    def answers_exactly(self, circuit: Circuit) -> bool:
+        """The one exact-vs-random decision, made once per circuit: exact in mode
+        exact, and in mode auto while exact_cost_bound is within auto_budget."""
+        return self.mode == "exact" or (self.mode == "auto"
+                                        and exact_cost_bound(circuit) <= self.auto_budget)
+
     def is_zero(self, circuit: Circuit) -> bool:
-        if self.mode == "exact":
-            return zero_test_exact(circuit, self.budget)
-        if self.mode == "random":
-            return zero_test_random(circuit, self.trials, self.seed)
-        if exact_cost_bound(circuit) <= self.auto_budget:
+        if self.answers_exactly(circuit):
             return zero_test_exact(circuit, self.budget)
         return zero_test_random(circuit, self.trials, self.seed)
 
+    def term_values(self, circuit: Circuit) -> TermValues:
+        """Zero and minimality verdicts from one expansion, or one evaluation of
+        each term per trial; k > 16 (2^k - k - 2 subsets) is refused first."""
+        if circuit.k > 16:
+            raise ValueError("minimality testing is capped at k <= 16 terms")
+        if self.answers_exactly(circuit):
+            sums = partial(_sums_to_zero, circuit.field, _expand_terms(circuit, self.budget))
+        else:
+            sums = _random_sums(circuit, self.trials, self.seed)
+        return TermValues(circuit.k, sums)
+
     def __repr__(self):
         return f"ZeroOracle({self.mode}, trials={self.trials}, seed={self.seed})"
+
+
+class TermValues:
+    """Subsets q of one circuit's terms, each decided by sums_to_zero(q)."""
+
+    def __init__(self, k: int, sums_to_zero):
+        self.k = k
+        self.sums_to_zero = sums_to_zero
+
+    def is_zero(self) -> bool:
+        return self.sums_to_zero(range(self.k))
+
+    def is_minimal(self) -> bool:
+        """No proper subset of >= 2 terms sums to zero (singletons are nonzero)."""
+        k = self.k
+        masks = (m for m in range(3, (1 << k) - 1) if m.bit_count() >= 2)
+        return not any(self.sums_to_zero([i for i in range(k) if m >> i & 1]) for m in masks)
 
 
 # -- structural predicates --
@@ -363,28 +406,11 @@ def is_simple(circuit: Circuit) -> bool:
 def is_minimal(circuit: Circuit, oracle: ZeroOracle | None = None) -> bool:
     """True iff no proper nonempty subset of the terms sums to zero.
 
-    Singletons are nonzero by the term invariant, so only subsets of size
-    >= 2 are tested; k is capped at 16 (2^k - 2 subset tests). If the oracle
-    would answer every subset exactly (mode exact, or auto with the circuit
-    within auto_budget), each term is expanded once and every subset sums the
-    cached expansions, under the budget for the whole circuit that check,
-    build_chain and gen_joined already require through their zero test of
-    it. Otherwise each subcircuit goes to oracle.is_zero.
+    All subsets are read off one set of term values under the oracle's one
+    decision for the circuit (ZeroOracle.term_values), random ones in the
+    circuit's evaluation field; k <= 2 needs no work, k > 16 is refused.
     """
-    k = circuit.k
-    if k > 16:
-        raise ValueError("minimality testing is capped at k <= 16 terms")
-    if k < 3:  # every proper subset is a singleton
-        return True
-    oracle = oracle or ZeroOracle()
-    masks = (m for m in range(3, (1 << k) - 1) if m.bit_count() >= 2)
-    subsets = ([i for i in range(k) if m >> i & 1] for m in masks)
-    if oracle.mode == "exact" or (
-        oracle.mode == "auto" and exact_cost_bound(circuit) <= oracle.auto_budget
-    ):
-        polys = _expand_terms(circuit, oracle.budget)
-        return not any(_sums_to_zero(circuit.field, polys, q) for q in subsets)
-    return not any(oracle.is_zero(subcircuit(circuit, q)) for q in subsets)
+    return circuit.k < 3 or (oracle or ZeroOracle()).term_values(circuit).is_minimal()
 
 
 # -- homogenization --

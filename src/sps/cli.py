@@ -28,7 +28,6 @@ from .circuit import (
     circuit_rank,
     circuit_to_dict,
     dumps_circuit,
-    is_minimal,
     is_simple,
     loads_circuit,
 )
@@ -140,9 +139,10 @@ def cmd_check(args) -> int:
     text = _read_text(args.file)
     circuit = loads_circuit(text)
     oracle = _oracle_from_args(args)
-    zero = oracle.is_zero(circuit)
+    values = oracle.term_values(circuit)
+    zero = values.is_zero()
     simple = is_simple(circuit)
-    minimal = is_minimal(circuit, oracle)
+    minimal = values.is_minimal()
     rank = circuit_rank(circuit)
     report = {
         "command": "check",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Field, field_make, spans_orthogonal
-from .circuit import Circuit, ZeroOracle, circuit_rank, is_minimal, is_simple
+from .circuit import Circuit, ZeroOracle, circuit_rank, is_simple
 from .errors import VerificationError
 from .forms import LinearForm, Term
 from .matching import OrderedMatching, find_matching
@@ -101,11 +101,12 @@ def gen_joined(base_identity: Circuit, block: Circuit,
             raise VerificationError("join produced the wrong degree")
         if circuit_rank(out) != expect_rank:
             raise VerificationError("join produced the wrong rank")
-        if not oracle.is_zero(out):
+        values = oracle.term_values(out)
+        if not values.is_zero():
             raise VerificationError("join output failed the zero oracle")
         if not is_simple(out):
             raise VerificationError("join output is not simple")
-        if not is_minimal(out, oracle):
+        if not values.is_minimal():
             raise VerificationError("join output is not minimal")
     return out
 
@@ -150,8 +151,6 @@ class TightLists:
     n: int
     u: tuple[LinearForm, ...]
     v: tuple[LinearForm, ...]
-    candidate_ideals: tuple[FormIdeal, ...]
-    verified: tuple[bool, ...]
     ideals: tuple[FormIdeal, ...]
     matchings: tuple[OrderedMatching, ...]
     claimed: int
@@ -187,10 +186,9 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         FormIdeal(field, s, (LinearForm(field, [1] * (s - 1) + [2]),))
     )
 
-    flags, kept, pis = [], [], []
+    kept, pis = [], []
     for ideal in candidates:
         pi = find_matching(u, v, ideal)
-        flags.append(pi is not None)
         if pi is not None:
             kept.append(ideal)
             pis.append(pi)
@@ -200,8 +198,6 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         n=s,
         u=u,
         v=v,
-        candidate_ideals=tuple(candidates),
-        verified=tuple(flags),
         ideals=tuple(kept),
         matchings=tuple(pis),
         claimed=claimed,

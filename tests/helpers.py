@@ -3,6 +3,7 @@ seeded random generators for forms, ideals, circuits, and identities."""
 
 import itertools
 
+import sps.circuit
 from sps import (
     Circuit,
     FormIdeal,
@@ -10,6 +11,7 @@ from sps import (
     SpanBasis,
     Term,
     similar,
+    subcircuit,
 )
 
 
@@ -125,6 +127,40 @@ def random_circuit(rng, field, n, k, d, any_element=False):
             )
         )
     return Circuit(field, n, terms)
+
+
+def subset_reference(circuit, oracle):
+    """Minimality by the former per-subset loop: every proper subset of >= 2
+    terms, in bitmask order, zero-tested as its own subcircuit by
+    oracle.is_zero (so each subset picks its own evaluation field, and in auto
+    mode its own exact-vs-random path)."""
+    k = circuit.k
+    masks = (m for m in range(3, (1 << k) - 1) if m.bit_count() >= 2)
+    subsets = ([i for i in range(k) if m >> i & 1] for m in masks)
+    return not any(oracle.is_zero(subcircuit(circuit, q)) for q in subsets)
+
+
+def count_calls(monkeypatch, name):
+    """Patch sps.circuit.<name> to record the arguments of every call; returns
+    the list it appends to."""
+    calls = []
+    original = getattr(sps.circuit, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sps.circuit, name, counted)
+    return calls
+
+
+def refuse_oracle_work(monkeypatch):
+    """Make any term expansion or random trial evaluation fail the test."""
+    def refuse(*args):
+        raise AssertionError("the oracle was asked to expand or evaluate")
+
+    monkeypatch.setattr(sps.circuit, "_expand_terms", refuse)
+    monkeypatch.setattr(sps.circuit, "_term_values", refuse, raising=False)
 
 
 def random_pair_identity(rng, field, n, d):

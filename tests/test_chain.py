@@ -15,11 +15,13 @@ from sps import (
     field_make,
     gen_family,
     gen_intro_counterexamples,
+    gen_joined,
     gen_ks,
     make_circuit,
     single_round,
 )
 from sps.chain import MatchingData, trivial_link_simple_part_check
+from helpers import refuse_oracle_work
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -31,6 +33,23 @@ def empty_span(field, n):
 
 def span_of(field, n, vecs):
     return SpanBasis.from_vectors(field, n, vecs)
+
+
+def test_build_chain_refuses_more_than_16_terms_before_any_work(monkeypatch):
+    refuse_oracle_work(monkeypatch)
+    # 17 distinct variables: simple, equal degrees, so only k stops it
+    c = make_circuit(F2, 17, [(1, [[int(i == j) for j in range(17)]]) for i in range(17)])
+    for oracle in (ZeroOracle("exact"), ZeroOracle("random"), None):
+        with pytest.raises(ValueError, match="k <= 16"):
+            build_chain(c, oracle)
+
+
+def test_gen_joined_refuses_more_than_16_terms_before_any_work(monkeypatch):
+    refuse_oracle_work(monkeypatch)
+    base = make_circuit(F2, 1, [(1, [[1]])] * 16)
+    for oracle in (ZeroOracle("exact"), ZeroOracle("random"), None):
+        with pytest.raises(ValueError, match="k <= 16"):
+            gen_joined(base, gen_ks(3), oracle=oracle)
 
 
 def test_single_round_ks3_from_empty():

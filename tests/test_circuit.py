@@ -26,14 +26,17 @@ from sps import (
 from sps.circuit import exact_cost_bound
 from helpers import (
     brute_expand,
+    count_calls,
     random_circuit,
     random_form,
     random_pair_identity,
     random_unit,
+    subset_reference,
 )
 
 F2 = field_make(2)
 F5 = field_make(5)
+F7 = field_make(7)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 
@@ -156,6 +159,16 @@ def test_zero_test_random_soundness_and_agreement():
         assert zero_test_random(c, trials=20, seed=i) == zero_test_exact(c)
 
 
+def test_zero_test_random_stops_at_first_nonzero_trial(monkeypatch):
+    calls = count_calls(monkeypatch, "_term_values")
+    # nonzero: the first trial decides, the other 19 are never evaluated
+    assert not zero_test_random(subcircuit(gen_ks(4), [0, 1]), trials=20, seed=0)
+    assert len(calls) == 1
+    calls.clear()
+    assert zero_test_random(gen_ks(4), trials=20, seed=0)
+    assert len(calls) == 20
+
+
 def test_zero_test_random_lift_override():
     F4096 = field_make(2, 12)
     assert zero_test_random(gen_ks(8), trials=40, seed=3, lift_field=F4096)
@@ -203,6 +216,8 @@ def _minimal_by_reference(c):
 def test_is_minimal_matches_subset_reference():
     rng = random.Random(41)
     exact, auto = ZeroOracle("exact"), ZeroOracle("auto")
+    # every field here is larger than 2d or a prime field, so no lift is refused
+    rand = ZeroOracle("random", trials=20, seed=41)
     for field in (F2, F5, F8, F9):
         cases = []
         for k in range(2, 6):
@@ -221,10 +236,45 @@ def test_is_minimal_matches_subset_reference():
             assert exact_cost_bound(c) <= auto.auto_budget
             assert is_minimal(c, exact) == want
             assert is_minimal(c, auto) == want
+            assert is_minimal(c, rand) == want
             verdicts.add(want)
         assert verdicts == {True, False}, field
     with pytest.raises(BudgetExceededError):
         is_minimal(gen_ks(5), ZeroOracle("exact", budget=10))
+
+
+def _mixed_degrees(rng, field, n, k, size):
+    """_planted with `size` planted terms of one degree and the other k - size
+    terms of random degrees 1..3."""
+    planted = _planted(rng, field, n, size, rng.randrange(1, 4), size).terms if size else ()
+    extra = [random_circuit(rng, field, n, 1, rng.randrange(1, 4), any_element=True).terms[0]
+             for _ in range(k - size)]
+    terms = [*planted, *extra]
+    rng.shuffle(terms)
+    return Circuit(field, n, terms)
+
+
+def test_random_minimality_matches_subset_reference():
+    # the per-subset loop gave each subcircuit its own evaluation field and, in
+    # auto mode, its own exact-vs-random path; is_minimal now reads every
+    # subset off one set of term values in the circuit's evaluation field.
+    # Degrees stay <= 3, so GF(2^3) and GF(3^2) are never asked to lift.
+    rng = random.Random(43)
+    verdicts, own_field = set(), 0
+    for i, field in enumerate([F2, F5, F7, F8, F9] * 24):
+        k = rng.randrange(3, 6)
+        c = _mixed_degrees(rng, field, rng.randrange(2, 5), k,
+                           rng.choice([0, 2, 3, k - 1, k]))
+        degrees = sorted(c.degrees)
+        # the reference evaluates the two lowest-degree terms in F, not lifted
+        own_field += field.order <= 2 * degrees[-1] and field.order > 2 * degrees[1]
+        for oracle in (ZeroOracle("random", trials=20, seed=i),
+                       ZeroOracle("auto", trials=20, seed=i, auto_budget=8)):
+            want = subset_reference(c, oracle)
+            assert is_minimal(c, oracle) == want, (i, field, c.degrees)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert own_field >= 3
 
 
 def test_subcircuit():

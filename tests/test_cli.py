@@ -6,6 +6,7 @@ import pytest
 
 from sps import dumps_circuit, gen_ks, make_circuit, field_make
 from sps.cli import main
+from helpers import count_calls, refuse_oracle_work
 
 
 def run_cli(argv, capsys):
@@ -255,12 +256,49 @@ def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
     deep = "1,1,0,0,0;0,0,1,0,0;0,0,0,1,1"
     assert run_cli(["match", ks5, "--ideal", deep], capsys)[:2] == (0, PINNED_MATCH_KS5_DEEP)
     assert run_cli(["doubling", "--lists", tight], capsys)[:2] == (0, PINNED_DOUBLING_S4)
-    assert run_cli(["check", ks4, "--exact"], capsys)[:2] == (0, PINNED_CHECK_KS4)
+    checks = [(ks4, PINNED_CHECK_KS4)]
     for which, expected in (("nonsimple", PINNED_CHECK_NONSIMPLE_D2),
                             ("nonminimal", PINNED_CHECK_NONMINIMAL_D2)):
         path = _gen_file(tmp_path, capsys, ["counter", "--d", "2", "--which", which],
                          which + ".json")
+        checks.append((path, expected))
+    # random and auto reports differ from the exact ones only in mode and seed
+    for path, expected in checks:
         assert run_cli(["check", path, "--exact"], capsys)[:2] == (0, expected)
+        rand = expected.replace('"mode":"exact"', '"mode":"random"')
+        rand = rand.replace('"seed":0', '"seed":7')
+        argv = ["check", path, "--random", "--trials", "40", "--seed", "7"]
+        assert run_cli(argv, capsys)[:2] == (0, rand)
+        auto = expected.replace('"mode":"exact"', '"mode":"auto"')
+        assert run_cli(["check", path], capsys)[:2] == (0, auto)
+
+
+def test_check_reads_both_verdicts_off_one_set_of_term_values(tmp_path, capsys,
+                                                               monkeypatch):
+    # gen counter --which nonminimal: k = 4, zero, with a vanishing pair
+    path = _gen_file(tmp_path, capsys, ["counter", "--d", "2", "--which", "nonminimal"],
+                     "nonminimal.json")
+    expansions = count_calls(monkeypatch, "_expand_terms")
+    assert run_cli(["check", path, "--exact"], capsys)[:2] == (0, PINNED_CHECK_NONMINIMAL_D2)
+    assert len(expansions) == 1
+    # zero needs all 40 trials; each is evaluated once, whatever the subsets
+    trials = count_calls(monkeypatch, "_term_values")
+    code, out, _ = run_cli(["check", path, "--random", "--trials", "40", "--seed", "7"],
+                           capsys)
+    assert code == 0 and json.loads(out)["minimal"] is False
+    states = [rng.getstate() for _, _, rng in trials]
+    assert len(states) == 40 and len(set(states)) == 40
+
+
+def test_check_refuses_more_than_16_terms_before_any_work(tmp_path, capsys, monkeypatch):
+    refuse_oracle_work(monkeypatch)
+    c = make_circuit(field_make(2), 1, [(1, [[1]])] * 17)
+    path = tmp_path / "k17.json"
+    path.write_text(dumps_circuit(c))
+    for mode in (["--exact"], ["--random"], []):
+        code, out, err = run_cli(["check", str(path), *mode], capsys)
+        assert (code, out) == (2, "")
+        assert "k <= 16" in err
 
 
 def _ks3_with(path, edit):
