@@ -244,11 +244,11 @@ def single_round(
     def in_trim(f: LinearForm) -> bool:
         return su_span.contains(f.coeffs) and not ideal.span_contains(f)
 
-    keep = [t for t, f in enumerate(v_forms) if not in_trim(f)]
+    trimmed = [in_trim(f) for f in v_forms]
+    keep = [t for t, out in enumerate(trimmed) if not out]
     for q in survivors:
-        for t in range(len(v_forms)):
-            f_q = circuit.terms[q].forms[vq_pos[q][t]]
-            if in_trim(f_q) != in_trim(v_forms[t]):
+        for t, out in enumerate(trimmed):
+            if in_trim(circuit.terms[q].forms[vq_pos[q][t]]) != out:
                 raise VerificationError("trim membership disagrees along an edge")
 
     q_set = tuple(survivors)

@@ -4,6 +4,10 @@ Everything here is constructed, then *verified*: where a generator's output is
 claimed simple, minimal, and zero with a known rank, the claim is re-checked
 with the circuit oracles (cheap insurance against variable-bookkeeping bugs),
 and failures raise rather than warn.
+
+Every generator checks its output size against ``FAMILY_FORMS_BUDGET``
+before it builds anything and raises ``BudgetExceededError`` when the size
+is over it, so an oversized request is refused in constant time.
 """
 
 from __future__ import annotations
@@ -12,12 +16,26 @@ from dataclasses import dataclass
 
 from .algebra import Field, field_make, spans_orthogonal
 from .circuit import Circuit, ZeroOracle, circuit_rank, is_simple
-from .errors import VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .forms import LinearForm, Term
 from .matching import OrderedMatching, find_matching
 from .quotient import FormIdeal
 
 FAMILY_FORMS_BUDGET = 250_000
+
+
+def _parity_degree(r: int, budget: int) -> int:
+    """2^(r-2), the number of parity forms of each kind in r variables, or
+    budget + 1 once that is over the budget, so a huge r costs no big-int
+    work."""
+    return 1 << (r - 2) if r - 2 < budget.bit_length() else budget + 1
+
+
+def _check_budget(what: str, size: int, budget: int, unit: str = "forms") -> None:
+    if size > budget:
+        raise BudgetExceededError(
+            f"{what} needs at least {size} {unit}, over budget {budget}"
+        )
 
 
 def _parity_forms(field: Field, n: int, r: int, parity: int, with_last: bool):
@@ -45,6 +63,8 @@ def gen_ks(r: int) -> Circuit:
     """
     if r < 2:
         raise ValueError("the parity family needs r >= 2")
+    _check_budget(f"gen_ks({r})", 3 * _parity_degree(r, FAMILY_FORMS_BUDGET),
+                  FAMILY_FORMS_BUDGET)
     field = field_make(2)
     t1 = Term(field, 1, _parity_forms(field, r, r, 1, with_last=False))
     t2 = Term(field, 1, _parity_forms(field, r, r, 0, with_last=True))
@@ -123,14 +143,9 @@ def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
 
     if r < 2 or i < 0:
         raise ValueError("family parameters need r >= 2 and i >= 0")
-    base = gen_ks(r)
-    d = base.degree
-    total_forms = (i + 3) * (i + 1) * d
-    if total_forms > budget:
-        raise VerificationError(
-            f"family member needs {total_forms} forms, over budget {budget}"
-        )
-    member = base
+    d = _parity_degree(r, budget)
+    _check_budget(f"family member ({r}, {i})", (i + 3) * (i + 1) * d, budget)
+    member = gen_ks(r)
     for _ in range(i):
         member = gen_joined(member, gen_ks(r), oracle=oracle, verify=verify)
     if verify:
@@ -174,6 +189,8 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         raise ValueError("tight lists need s >= 3")
     if p < 5:
         raise ValueError("tight lists need a prime p >= 5")
+    _check_budget(f"tight lists ({s})", 2 * _parity_degree(s, FAMILY_FORMS_BUDGET),
+                  FAMILY_FORMS_BUDGET)
     field = field_make(p)
     u = tuple(_parity_forms(field, s, s, 0, with_last=True))
     v = tuple(_parity_forms(field, s, s, 1, with_last=True))
@@ -210,10 +227,13 @@ def gen_intro_counterexamples(d: int, p: int = 5) -> tuple[Circuit, Circuit]:
     First: (x_1 ... x_d) - (x_1 ... x_d), rank d, which fails simplicity.
     Second: the 4-term circuit Y*x - Y*x + Z*y - Z*y on disjoint variable
     blocks (degree d + 1, rank 2d + 2), which fails minimality. Both pass the
-    zero oracle.
+    zero oracle. Their forms have d and 2d + 2 coefficients, so the budget
+    counts coefficients here: 2d^2 + 8(d + 1)^2 of them.
     """
     if d < 1:
         raise ValueError("counterexamples need d >= 1")
+    _check_budget(f"counterexamples ({d})", 2 * d * d + 8 * (d + 1) ** 2,
+                  FAMILY_FORMS_BUDGET, unit="form coefficients")
     field = field_make(p)
 
     xs = [LinearForm(field, [1 if j == i else 0 for j in range(d)]) for i in range(d)]

@@ -4,6 +4,12 @@ A linear form is a homogeneous degree-1 polynomial, stored as its coefficient
 vector. Lists of forms are ordinary tuples: the order is semantically
 unimportant but disambiguates repeated forms, which is what makes bijections
 between lists well defined. Everything here is immutable.
+
+``LinearForm(field, coeffs)`` canonicalizes every coefficient through
+``Field.element``; it is the constructor for values from outside (the
+loader, the generators, ``--ideal``). Results of field arithmetic are
+already canonical, so ``scale``, ``add``, ``sub`` and ideal reduction wrap
+their tuples with the private ``LinearForm._wrap`` instead.
 """
 
 from __future__ import annotations
@@ -22,6 +28,15 @@ class LinearForm:
         self.field = field
         self.coeffs = tuple(field.element(c) for c in coeffs)
 
+    @classmethod
+    def _wrap(cls, field: Field, coeffs: tuple) -> "LinearForm":
+        """Form over a tuple of canonical elements that field operations
+        produced; skips the per-coefficient ``Field.element`` call."""
+        form = object.__new__(cls)
+        form.field = field
+        form.coeffs = coeffs
+        return form
+
     @property
     def n(self) -> int:
         return len(self.coeffs)
@@ -34,15 +49,17 @@ class LinearForm:
     def scale(self, c) -> "LinearForm":
         f = self.field
         c = f.element(c)
-        return LinearForm(f, tuple(f.mul(c, a) for a in self.coeffs))
+        if c == f.one:
+            return self
+        return LinearForm._wrap(f, tuple(f.mul(c, a) for a in self.coeffs))
 
     def add(self, other: "LinearForm") -> "LinearForm":
         f = self.field
-        return LinearForm(f, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return LinearForm._wrap(f, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def sub(self, other: "LinearForm") -> "LinearForm":
         f = self.field
-        return LinearForm(f, tuple(f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return LinearForm._wrap(f, tuple(f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __eq__(self, other):
         return (

@@ -7,8 +7,13 @@ element of the ideal's span. An ordered matching refines this: each edge's
 offset lies in the span of a generator *prefix* that does not contain the
 source form, which pins a unique per-edge scalar. Edges store the minimal
 valid prefix level, so certificates are canonical. ``build`` derives each
-certificate once, from one elimination pass per form, and every constructor
-checks the certificates it is given.
+certificate once, from one elimination pass per form.
+
+Every ``OrderedMatching`` is checked exactly once, by its constructor, which
+verifies each edge it is given; an instance that exists is a verified
+certificate (instances are immutable). Code that receives one, such as
+``doubling_check``, checks how it is used (its ideal, domain and codomain)
+and does not re-check its edges.
 """
 
 from __future__ import annotations
@@ -327,6 +332,13 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     first and the round i0 where the seed form becomes dependent. Verdicts:
     SIMILAR (nothing left over), BOUND_OK with r <= log2(d') + 2, or
     CONTRADICTION, which valid inputs can never produce.
+
+    Each matching was checked once, by its constructor, so only its ideal,
+    domain and codomain are checked here, and no edge is checked again. An
+    unscrambled matching restricts to the remainders when its bijection
+    sends every slot of rest_u into rest_v: both have size d', so that
+    restriction is a bijection between them, and its edges are edges of the
+    already verified matching.
     """
     import math
 
@@ -344,7 +356,6 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
             raise ValueError(f"matching {i} is not by ideal {i}")
         if pi.domain != u or pi.codomain != v:
             raise ValueError(f"matching {i} is not between the given lists")
-        pi.verify()
 
     d = len(u)
     r = len(ideals)
@@ -352,8 +363,9 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     # maximal similar sublists, leaving coprime remainders
     sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
                                      [similarity_key(g) for g in v]])
-    rest_u = [i for i in range(d) if i not in set(sim_u)]
-    rest_v = [j for j in range(d) if j not in set(sim_v)]
+    sim_u_set, sim_v_set = set(sim_u), set(sim_v)
+    rest_u = [i for i in range(d) if i not in sim_u_set]
+    rest_v = [j for j in range(d) if j not in sim_v_set]
     d_prime = len(rest_u)
     bound = math.log2(d_prime) + 2 if d_prime else float(r)
 
@@ -363,19 +375,14 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     if not lists_coprime([u[i] for i in rest_u], [v[j] for j in rest_v]):
         raise VerificationError("similar-part extraction left non-coprime remainders")
 
-    # unscramble every matching and check its restriction to the remainders
-    rest_v_index = {j: slot for slot, j in enumerate(rest_v)}
+    # unscramble every matching; it must restrict to the remainders
     for pi in matchings:
         pi2 = unscramble(pi, sim_u, sim_v)
-        try:
-            sigma = tuple(rest_v_index[pi2.sigma[i]] for i in rest_u)
-        except KeyError:
+        if any(pi2.sigma[i] in sim_v_set for i in rest_u):
             return DoublingReport(
                 "CONTRADICTION", r, d, d_prime, bound, 0, len(sim_u), (),
                 reason="unscrambled matching does not restrict to the remainders",
             )
-        OrderedMatching(pi2.ideal, [u[i] for i in rest_u], [v[j] for j in rest_v],
-                        sigma, [pi2.edges[i] for i in rest_u])
 
     field = ideals[0].field if ideals else u[0].field
     n = u[0].n

@@ -90,11 +90,11 @@ class FormIdeal:
         return all(c == z for c in rest)
 
     def reduce(self, f: LinearForm) -> LinearForm:
-        return LinearForm(self.field, self.coordinates(f)[1])
+        return LinearForm._wrap(self.field, tuple(self.coordinates(f)[1]))
 
     def reduce_prefix(self, j: int, f: LinearForm) -> LinearForm:
         rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
-        return LinearForm(self.field, rest)
+        return LinearForm._wrap(self.field, tuple(rest))
 
     def __eq__(self, other):
         return (
@@ -249,7 +249,8 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = 
         if not pi.is_ordered:
             raise VerificationError("gcd matching failed to validate as ordered")
         matchings[q] = pi
-        leftover = [t.forms[p] for p in range(t.degree) if p not in set(pos_q)]
+        taken = set(pos_q)
+        leftover = [t.forms[p] for p in range(t.degree) if p not in taken]
         sim_terms.append(
             Term(field, field.mul(pi.scaling_factor(), t.coef), leftover)
         )

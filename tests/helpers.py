@@ -163,6 +163,18 @@ def refuse_oracle_work(monkeypatch):
     monkeypatch.setattr(sps.circuit, "_term_values", refuse, raising=False)
 
 
+def refuse_generator_work(monkeypatch):
+    """Make any form construction or field set-up in sps.families fail the
+    test, so an over-budget generator call must refuse before building."""
+    import sps.families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator started building its output")
+
+    for name in ("field_make", "_parity_forms", "LinearForm"):
+        monkeypatch.setattr(sps.families, name, refuse)
+
+
 def random_pair_identity(rng, field, n, d):
     """Two-term identity T + T' with T' a scalar-scrambled shuffle of T.
 

@@ -6,7 +6,8 @@ import pytest
 
 from sps import dumps_circuit, gen_ks, make_circuit, field_make
 from sps.cli import main
-from helpers import count_calls, refuse_oracle_work
+import sps.matching
+from helpers import count_calls, refuse_generator_work, refuse_oracle_work
 
 
 def run_cli(argv, capsys):
@@ -91,6 +92,43 @@ def test_doubling_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "BOUND_OK" and rep["r"] == 4
     assert "round 2" in err
+
+
+def test_doubling_checks_each_derived_edge_once(tmp_path, capsys, monkeypatch):
+    lists = tmp_path / "tight6.json"
+    assert run_cli(["gen", "tight", "--s", "6", "-o", str(lists)], capsys)[0] == 0
+    derived, checked = [], []
+    derive, check = sps.matching._derive_edge, sps.matching._check_edge
+
+    def counted_derive(*args):
+        edge = derive(*args)
+        derived.append(edge)
+        return edge
+
+    def counted_check(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
+    monkeypatch.setattr(sps.matching, "_check_edge", counted_check)
+    code, out, _ = run_cli(["doubling", "--lists", str(lists)], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "BOUND_OK"
+    assert None not in derived
+    assert len(derived) == 6 * 16  # six matchings of 2^(6-2) edges each
+    assert len(checked) == len(derived)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ks", "--r", "40"],
+    ["family", "--r", "30", "--i", "30"],
+    ["tight", "--s", "40"],
+    ["counter", "--d", "100000000"],
+])
+def test_gen_refuses_oversized_output_with_exit_2(argv, capsys, monkeypatch):
+    refuse_generator_work(monkeypatch)
+    code, out, err = run_cli(["gen", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "over budget" in err
 
 
 def test_gen_counter_variants(capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sps import (
-    VerificationError,
+    BudgetExceededError,
     ZeroOracle,
     circuit_rank,
     field_make,
@@ -19,6 +19,7 @@ from sps import (
     zero_test_random,
 )
 from sps.families import tight_lists_orthogonal
+from helpers import refuse_generator_work
 
 F2 = field_make(2)
 
@@ -89,8 +90,23 @@ def test_gen_family_members():
         assert rank == (i + 1) * r
         assert rank == (k - 2) * (math.log2(d / (k - 2)) + 2)
 
-    with pytest.raises(VerificationError):
+    with pytest.raises(BudgetExceededError):
         gen_family(4, 50, budget=100)
+
+
+def test_generators_refuse_oversized_output_before_any_work(monkeypatch):
+    refuse_generator_work(monkeypatch)
+    calls = [
+        lambda: gen_ks(40),
+        lambda: gen_ks(10**30),  # no 2^(10^30) is ever formed
+        lambda: gen_family(30, 30),
+        lambda: gen_tight_lists(40),
+        lambda: gen_intro_counterexamples(10**8),
+        lambda: gen_intro_counterexamples(158),  # 252176 coefficients > 250000
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError):
+            call()
 
 
 def test_tight_lists_shapes_and_reports():

@@ -64,6 +64,27 @@ def test_lists_coprime():
     assert lists_coprime([], [LinearForm(F5, [1, 0])])
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2)])
+def test_field_output_forms_equal_public_construction(p, e):
+    field = field_make(p, e)
+    rng = random.Random(p * 10 + e)
+
+    def public(g):
+        return LinearForm(field, g.coeffs)
+
+    for _ in range(40):
+        f = random_form(rng, field, 4, any_element=True)
+        g = random_form(rng, field, 4, any_element=True)
+        c = field.rand_element(rng)
+        ideal_ = random_ideal(rng, field, 4, rng.randrange(1, 4))
+        made = [f.scale(c), f.add(g), f.sub(g), f.sub(f), normalize(f)[0],
+                ideal_.reduce(f), ideal_.reduce_prefix(1, g)]
+        for out in made:
+            assert type(out.coeffs) is tuple
+            assert out == public(out) and hash(out) == hash(public(out))
+        assert f.scale(field.one) == f and f.scale(1) == f
+
+
 def test_normalize_idempotent_and_class_keys():
     rng = random.Random(11)
     for _ in range(200):
