@@ -1,16 +1,23 @@
 """Exact arithmetic over GF(p) and GF(p^e), plus echelon linear algebra.
 
-Field elements are plain Python values: an int in [0, p) for a prime field,
-a length-e tuple of such ints (constant coefficient first) for an extension
-field. Equality of elements is equality of representations, so elements are
-hashable and canonical. Everything in this module is immutable after
-construction; operations return new values, which makes all of it safe to
-share between concurrent tasks.
+Every field element is an int: in GF(p^e) the residue sum(c_i * x^i) of the
+modulus is the int sum(c_i * p^i), so the prime subfield is [0, p), zero is
+0 and one is 1 in every field, and GF(2^m) elements are bit vectors. Only
+``Field.element`` and ``Field.digits`` pack and unpack the digits c_i.
+Prime fields compute mod p. Extension fields multiply through antilog/log
+tables of their least primitive element and add by xor (p = 2) or through a
+Zech logarithm table (odd p; Huber, IEEE Trans. IT 36(4), 1990), built once
+per field in O(q) time and at most 16 bytes per element.
+IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
+Elements are canonical and hashable, and everything here is immutable after
+construction, which makes all of it safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
 from functools import lru_cache
 
 from .errors import BudgetExceededError
@@ -80,15 +87,15 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _poly_pow_xq(q, mod, p):
-    """x^q mod (mod) by square-and-multiply."""
-    base = _poly_divmod([0, 1], mod, p)[1]
+def _poly_powmod(base, k, mod, p):
+    """base^k mod (mod) by square-and-multiply."""
+    base = _poly_divmod(base, mod, p)[1]
     result = [1]
-    while q:
-        if q & 1:
+    while k:
+        if k & 1:
             result = _poly_mulmod(result, base, mod, p)
         base = _poly_mulmod(base, base, mod, p)
-        q >>= 1
+        k >>= 1
     return result
 
 
@@ -113,10 +120,10 @@ def _is_irreducible(mod, p):
         return True
     if mod[0] == 0:  # divisible by x
         return False
-    if _poly_pow_xq(p**e, mod, p) != [0, 1]:
+    if _poly_powmod([0, 1], p**e, mod, p) != [0, 1]:
         return False
     for r in _prime_factors(e):
-        h = _poly_pow_xq(p ** (e // r), mod, p)
+        h = _poly_powmod([0, 1], p ** (e // r), mod, p)
         h = list(h) + [0] * max(0, 2 - len(h))
         h[1] = (h[1] - 1) % p
         g = _poly_gcd(list(mod), _poly_trim(h), p)
@@ -131,9 +138,10 @@ class Field:
     For e > 1 the modulus is the lexicographically least monic irreducible
     polynomial of degree e (coefficient tuple (c_0, ..., c_{e-1}) compared
     left to right, constant term first), so construction is reproducible.
+    Every element is an int in [0, p^e); see the module docstring.
     """
 
-    __slots__ = ("p", "e", "order", "modulus", "zero", "one", "_mod_packed")
+    __slots__ = ("p", "e", "order", "modulus", "zero", "one", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, e: int = 1, search_budget: int = IRREDUCIBLE_SEARCH_BUDGET):
         if not isinstance(p, int) or p >= 2**64 or not is_prime(p):
@@ -148,16 +156,14 @@ class Field:
         self.p = p
         self.e = e
         self.order = p**e
+        self.zero = 0
+        self.one = 1
         if e == 1:
             self.modulus = None
-            self.zero = 0
-            self.one = 1
-            self._mod_packed = None
+            self._exp = self._log = self._zech = None
         else:
             self.modulus = self._find_modulus(p, e)
-            self.zero = (0,) * e
-            self.one = (1,) + (0,) * (e - 1)
-            self._mod_packed = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else None
+            self._exp, self._log, self._zech = self._log_tables()
 
     @staticmethod
     def _find_modulus(p, e):
@@ -166,6 +172,45 @@ class Field:
             if _is_irreducible(cand, p):
                 return tuple(cand)
         raise ValueError(f"no irreducible polynomial of degree {e} over GF({p})")  # unreachable
+
+    def _log_tables(self):
+        """(exp, log, zech) with g the least primitive element: exp[i] = g^i for
+        i < 2(q - 1), so a sum of two logs indexes it directly; log[g^i] = i;
+        for odd p, zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0 (None for
+        p = 2, where addition is xor)."""
+        p, e, q, mod = self.p, self.e, self.order, list(self.modulus)
+        factors = _prime_factors(q - 1)
+        # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1
+        g = next(c for c in range(p, q)
+                 if all(_poly_powmod(self.digits(c), (q - 1) // r, mod, p) != [1]
+                        for r in factors))
+        exp = array("i", [0]) * (2 * (q - 1))
+        if p == 2:
+            cur, mod_bits = 1, sum(c << i for i, c in enumerate(mod))
+            for i in range(q - 1):
+                exp[i] = cur
+                cur = gf2_mulmod(cur, g, mod_bits, e)
+        else:
+            # multiplication by g is GF(p)-linear: digit j of g*a is a . cols[j]
+            g_times_x = [_poly_mulmod(self.digits(g), [0] * i + [1], mod, p) for i in range(e)]
+            cols = [[v[j] if j < len(v) else 0 for v in g_times_x] for j in range(e)]
+            powers = [p**j for j in range(e)]
+            cur = [1] + [0] * (e - 1)
+            for i in range(q - 1):
+                exp[i] = sum(map(operator.mul, cur, powers))
+                cur = [sum(map(operator.mul, cur, col)) % p for col in cols]
+        exp[q - 1:] = exp[:q - 1]
+        log = array("i", [0]) * q
+        for i in range(q - 1):
+            log[exp[i]] = i
+        if p == 2:
+            return exp, log, None
+        zech = array("i", [0]) * (q - 1)
+        for n in range(q - 1):
+            a = exp[n]
+            one_plus = a - a % p + (a + 1) % p  # add 1 to the constant digit
+            zech[n] = log[one_plus] if one_plus else -1
+        return exp, log, zech
 
     # -- identity / representation --
 
@@ -184,86 +229,74 @@ class Field:
         return f"GF({self.p})" if self.e == 1 else f"GF({self.p}^{self.e})"
 
     def element(self, x):
-        """Canonicalize x into this field (ints embed via the prime subfield)."""
+        """Canonicalize x into this field. A prime field takes any int mod p.
+        An extension field takes an int in [0, p^e) as itself, or a sequence
+        of e ints (constant coefficient first, each mod p) and packs it."""
         if self.e == 1:
             if isinstance(x, int):
                 return x % self.p
             raise TypeError(f"prime-field element must be an int, got {type(x).__name__}")
         if isinstance(x, int):
-            return (x % self.p,) + (0,) * (self.e - 1)
-        c = tuple(int(v) % self.p for v in x)
+            if 0 <= x < self.order:
+                return x
+            raise ValueError(f"extension element int must lie in [0, {self.order}), got {x}")
+        c = [int(v) % self.p for v in x]
         if len(c) != self.e:
             raise ValueError(f"extension element needs {self.e} coefficients, got {len(c)}")
-        return c
+        return sum(ci * self.p**i for i, ci in enumerate(c))
+
+    def digits(self, a) -> tuple:
+        """The e coefficients of element a, constant first; element() packs them."""
+        out = []
+        for _ in range(self.e):
+            a, c = divmod(a, self.p)
+            out.append(c)
+        return tuple(out)
 
     def is_element(self, x):
         # type() rather than isinstance(): bool is an int subclass, not an element
-        if self.e == 1:
-            return type(x) is int and 0 <= x < self.p
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.e
-            and all(type(v) is int and 0 <= v < self.p for v in x)
-        )
+        return type(x) is int and 0 <= x < self.order
 
-    # -- arithmetic --
+    # -- arithmetic: ints mod p in a prime field, log tables otherwise --
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        log = self._log
+        i = log[a]  # g^i + g^j = g^(i + zech[j - i])
+        z = self._zech[(log[b] - i) % (self.order - 1)]
+        return self._exp[i + z] if z >= 0 else 0
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + (self.order - 1) // 2]  # -1 = g^((q-1)/2)
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        p, e, m = self.p, self.e, self.modulus
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(e):
-                    if m[j]:
-                        prod[k - e + j] = (prod[k - e + j] - c * m[j]) % p
-        return tuple(prod[:e])
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid in GF(p)[x]
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            new_s = [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
-            s0, s1 = s1, _poly_trim(new_s)
-        c_inv = pow(r0[0], p - 2, p)
-        out = [(x * c_inv) % p for x in s0]
-        out += [0] * (self.e - len(out))
-        return tuple(out[: self.e])
+        return self._exp[-self._log[a]]  # exp has length 2(q - 1) and period q - 1
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -271,34 +304,21 @@ class Field:
     def pow(self, a, k: int):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def scale_int(self, c: int, a):
-        """Multiply element a by the prime-subfield scalar c (an int)."""
         if self.e == 1:
-            return (c * a) % self.p
-        return tuple((c * x) % self.p for x in a)
+            return pow(a, k, self.p)
+        if not a:
+            return 0 if k else 1
+        return self._exp[self._log[a] * k % (self.order - 1)]
 
     def rand_element(self, rng):
-        if self.e == 1:
-            return rng.randrange(self.p)
-        return tuple(rng.randrange(self.p) for _ in range(self.e))
+        return rng.randrange(self.order)
 
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1) -> Field:
-    """Construct (and cache) GF(p^e) with the canonical modulus."""
+    """Construct (and cache) GF(p^e) with the canonical modulus and tables."""
     return Field(p, e)
 
-
-# -- packed GF(2^m) helpers used by the fast evaluation paths --
 
 def gf2_mulmod(a: int, b: int, mod: int, deg: int) -> int:
     """Carry-less multiply of bit-packed GF(2^deg) elements, reduced by mod."""
@@ -324,16 +344,15 @@ def eliminate(field: Field, rows, pivots, v):
     and the remainder is zero at every pivot, which makes it the unique such
     representative of v modulo the rows' span. Both results are lists.
     """
-    z = field.zero
     out = list(v)
     mults = []
     for row, piv in zip(rows, pivots):
         c = out[piv]
         mults.append(c)
-        if c != z:
+        if c:
             for j in range(piv, len(out)):
                 rj = row[j]
-                if rj != z:
+                if rj:
                     out[j] = field.sub(out[j], field.mul(c, rj))
     return mults, out
 
@@ -380,15 +399,13 @@ class SpanBasis:
 
     def contains(self, v) -> bool:
         self._check(v)
-        z = self.field.zero
-        return all(c == z for c in eliminate(self.field, self.rows, self.pivots, v)[1])
+        return not any(eliminate(self.field, self.rows, self.pivots, v)[1])
 
     def coordinates(self, v):
         """Coefficients of v over the basis rows, or None if v is outside the span."""
         self._check(v)
         coords, rest = eliminate(self.field, self.rows, self.pivots, v)
-        z = self.field.zero
-        if any(c != z for c in rest):
+        if any(rest):
             return None
         return tuple(coords)
 
@@ -396,8 +413,7 @@ class SpanBasis:
         """Return (basis', inserted). Rank grows by exactly 1 iff inserted."""
         field = self.field
         red = self.reduce(v)
-        z = field.zero
-        piv = next((j for j, c in enumerate(red) if c != z), None)
+        piv = next((j for j, c in enumerate(red) if c), None)
         if piv is None:
             return self, False
         inv = field.inv(red[piv])
@@ -406,7 +422,7 @@ class SpanBasis:
         placed = False
         for row, rp in zip(self.rows, self.pivots):
             c = row[piv]
-            if c != z:
+            if c:
                 row = tuple(field.sub(a, field.mul(c, b)) for a, b in zip(row, new_row))
             if not placed and rp > piv:
                 rows.append(new_row)

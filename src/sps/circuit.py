@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 import random
 from functools import lru_cache, partial, reduce
 
-from .algebra import Field, SpanBasis, field_make, gf2_mulmod
+from .algebra import Field, SpanBasis, field_make
 from .errors import BudgetExceededError
 from .forms import LinearForm, Term, similarity_key
 
@@ -262,29 +261,27 @@ def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | N
         raise ValueError(
             "cannot lift an extension-field circuit; supply lift_field explicitly"
         )
-    packed = ev.e > 1 and ev.p == 2 and field.e == 1  # see _term_values
-    add, zero = (operator.xor, 0) if packed else (ev.add, ev.zero)
 
     @lru_cache(maxsize=None)
     def trial_values(t: int) -> list:
         return _term_values(circuit, ev, random.Random(f"{seed}:{t}"))
 
-    return lambda q: all(_trial_is_zero(trial_values(t), q, add, zero) for t in range(trials))
+    return lambda q: all(_trial_is_zero(trial_values(t), q, ev.add) for t in range(trials))
 
 
-def _trial_is_zero(values: list, q, add, zero) -> bool:
+def _trial_is_zero(values: list, q, add) -> bool:
     """Whether one trial's values of the terms indexed by q sum to zero."""
-    return reduce(add, (values[i] for i in q), zero) == zero
+    return reduce(add, (values[i] for i in q), 0) == 0
 
 
 def _term_values(circuit: Circuit, ev: Field, rng) -> list:
-    """Each term's value at one random point over ev: ints mod p for a prime
-    ev, packed ints (added by xor) for a GF(2) circuit, else elements of ev."""
-    n = circuit.n
-    p = ev.p
+    """Each term's value at one random point over ev, whose elements include
+    the circuit's coefficients as they stand: plain ints mod p for a prime ev,
+    table arithmetic otherwise."""
+    point = [ev.rand_element(rng) for _ in range(circuit.n)]
     values = []
     if ev.e == 1:
-        point = [rng.randrange(p) for _ in range(n)]
+        p = ev.p
         for t in circuit.terms:
             val = t.coef
             for f in t.forms:
@@ -298,36 +295,16 @@ def _term_values(circuit: Circuit, ev: Field, rng) -> list:
             values.append(val)
         return values
 
-    if p == 2 and circuit.field.e == 1:
-        # packed carry-less path: coefficients are bits, points are bit vectors
-        mod, deg = ev._mod_packed, ev.e
-        point = [rng.randrange(ev.order) for _ in range(n)]
-        for t in circuit.terms:
-            val = 1
-            for f in t.forms:
-                s = 0
-                for a, x in zip(f.coeffs, point):
-                    if a:
-                        s ^= x
-                val = gf2_mulmod(val, s, mod, deg)
-                if not val:
-                    break
-            values.append(val)
-        return values
-
-    point = [ev.rand_element(rng) for _ in range(n)]
-    zero = ev.zero
-    own_field = circuit.field == ev
-    cf_zero = circuit.field.zero
+    add, mul = ev.add, ev.mul
     for t in circuit.terms:
-        val = t.coef if own_field else ev.element(t.coef)
+        val = t.coef
         for f in t.forms:
-            s = zero
+            s = 0
             for a, x in zip(f.coeffs, point):
-                if a != cf_zero:
-                    s = ev.add(s, ev.mul(x, a) if own_field else ev.scale_int(a, x))
-            val = ev.mul(val, s)
-            if val == zero:
+                if a:  # unit coefficients, all of a GF(2) circuit's, need no mul
+                    s = add(s, x if a == 1 else mul(a, x))
+            val = mul(val, s)
+            if not val:
                 break
         values.append(val)
     return values
@@ -516,7 +493,7 @@ def _json_number(x: float):
 
 
 def _element_to_json(field: Field, el):
-    return el if field.e == 1 else list(el)
+    return el if field.e == 1 else list(field.digits(el))
 
 
 def _form_to_json(f: LinearForm) -> list:
@@ -547,10 +524,9 @@ def _element_from_json(field: Field, obj):
         return obj
     if not isinstance(obj, list) or len(obj) != field.e:
         raise ValueError(f"extension elements serialize as length-{field.e} arrays")
-    el = tuple(obj)
-    if not field.is_element(el):
+    if not all(type(c) is int and 0 <= c < field.p for c in obj):
         raise ValueError("extension element coefficients out of range")
-    return el
+    return field.element(obj)
 
 
 def _form_from_json(field: Field, n: int, vec) -> LinearForm:

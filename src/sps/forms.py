@@ -19,6 +19,11 @@ from collections import Counter
 from .algebra import Field
 
 
+def _shown(field: Field, c):
+    """An element as messages print it: an extension element as its digit tuple."""
+    return c if field.e == 1 else field.digits(c)
+
+
 class LinearForm:
     """A homogeneous linear polynomial sum(a_i * x_i) over a fixed field."""
 
@@ -43,8 +48,7 @@ class LinearForm:
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(c == z for c in self.coeffs)
+        return not any(self.coeffs)
 
     def scale(self, c) -> "LinearForm":
         f = self.field
@@ -72,7 +76,7 @@ class LinearForm:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        return f"LinearForm({list(self.coeffs)!r})"
+        return f"LinearForm({[_shown(self.field, c) for c in self.coeffs]!r})"
 
     def __str__(self):
         parts = []
@@ -82,7 +86,7 @@ class LinearForm:
             if c == self.field.one:
                 parts.append(f"x{i + 1}")
             else:
-                parts.append(f"{c}*x{i + 1}")
+                parts.append(f"{_shown(self.field, c)}*x{i + 1}")
         return " + ".join(parts) if parts else "0"
 
 
@@ -123,7 +127,7 @@ class Term:
 
     def __repr__(self):
         body = "*".join(f"({f})" for f in self.forms) or "1"
-        return f"{self.coef}*{body}"
+        return f"{_shown(self.field, self.coef)}*{body}"
 
 
 def normalize(f: LinearForm) -> tuple[LinearForm, object]:

@@ -49,18 +49,17 @@ def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
     remains, with c = 1 by convention.
     """
     field = src.field
-    z = field.zero
     a, rest_src = ideal.coordinates(src)
     b, rest_dst = ideal.coordinates(dst)
     s = rest_src + a[::-1]
     d = rest_dst + b[::-1]
-    t = next((i for i, x in enumerate(s) if x != z), None)
-    if t is not None and d[t] != z:
+    t = next((i for i, x in enumerate(s) if x), None)
+    if t is not None and d[t]:
         c = field.div(d[t], s[t])
         k = next((i for i, (x, y) in enumerate(zip(s, d)) if y != field.mul(c, x)), None)
         if k is None or (k > t and k >= ideal.n):
             return MatchEdge(c, dst.sub(src.scale(c)), 0 if k is None else len(s) - k, True)
-    if all(x == z for x in rest_src + rest_dst):
+    if not any(rest_src + rest_dst):
         return MatchEdge(field.one, dst.sub(src), ideal.r, False)
     return None
 

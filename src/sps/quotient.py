@@ -47,14 +47,13 @@ class FormIdeal:
         self.n = n
         gens = tuple(generators)
         rows, pivots = [], []
-        z = field.zero
         for g in gens:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
             red = eliminate(field, rows, pivots, g.coeffs)[1]
-            piv = next((j for j, c in enumerate(red) if c != z), None)
+            piv = next((j for j, c in enumerate(red) if c), None)
             if piv is None:
                 raise ValueError("ideal generators must be linearly independent")
             inv = field.inv(red[piv])
@@ -85,9 +84,8 @@ class FormIdeal:
         return self.prefix_contains(self.r, f)
 
     def prefix_contains(self, j: int, f: LinearForm) -> bool:
-        z = self.field.zero
         rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
-        return all(c == z for c in rest)
+        return not any(rest)
 
     def reduce(self, f: LinearForm) -> LinearForm:
         return LinearForm._wrap(self.field, tuple(self.coordinates(f)[1]))
@@ -224,12 +222,12 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = 
     """
     from . import matching as _matching
 
-    if not is_regular(circuit, ideal):
-        raise ValueError("gcd data requires a circuit that is regular mod the ideal")
     field = circuit.field
     keys_per_term = [
         [reduced_class_key(f, ideal) for f in t.forms] for t in circuit.terms
     ]
+    if any(None in keys for keys in keys_per_term):  # a form in the span
+        raise ValueError("gcd data requires a circuit that is regular mod the ideal")
 
     positions = common_positions(keys_per_term)
     u = tuple(circuit.terms[0].forms[p] for p in positions[0])

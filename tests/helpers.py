@@ -1,7 +1,10 @@
 """Shared test utilities: an independent brute-force expansion oracle and
 seeded random generators for forms, ideals, circuits, and identities."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import sps.circuit
 from sps import (
@@ -138,6 +141,19 @@ def subset_reference(circuit, oracle):
     masks = (m for m in range(3, (1 << k) - 1) if m.bit_count() >= 2)
     subsets = ([i for i in range(k) if m >> i & 1] for m in masks)
     return not any(oracle.is_zero(subcircuit(circuit, q)) for q in subsets)
+
+
+def load_bench(name):
+    """bench/<name>.py loaded read-only as its own module; its field arithmetic
+    and instance builders never call sps."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[key] = mod  # dataclasses look their module up there
+        spec.loader.exec_module(mod)
+    return sys.modules[key]
 
 
 def count_calls(monkeypatch, name):

@@ -171,3 +171,41 @@ def test_rank_never_exceeds_dimension():
     for _ in range(5):
         b, _ = b.insert(tuple(rng.randrange(2) for _ in range(4)))
     assert b.rank <= 4
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_field_agrees_with_independent_reference(p, e):
+    # bench/instances.py's GF shares only the JSON element encoding with sps
+    from helpers import load_bench
+    from sps.circuit import _element_from_json, _element_to_json
+
+    G, F = load_bench("instances").GF(p, e), field_make(p, e)
+    assert tuple(G.mod) == F.modulus
+    ref = [G.to_json(a) for a in G.elements()]
+    els = [_element_from_json(F, x) for x in ref]
+
+    def ours(x):
+        return G.from_json(_element_to_json(F, x))
+
+    assert [_element_to_json(F, x) for x in els] == ref
+    for a, x in zip(G.elements(), els):
+        assert ours(F.neg(x)) == G.neg(a)
+        if a != G.zero:
+            assert ours(F.inv(x)) == G.inv(a)
+        for b, y in zip(G.elements(), els):
+            assert ours(F.add(x, y)) == G.add(a, b)
+            assert ours(F.sub(x, y)) == G.add(a, G.neg(b))
+            assert ours(F.mul(x, y)) == G.mul(a, b)
+
+
+def test_extension_elements_are_packed_ints():
+    F9 = field_make(3, 2)
+    assert F9.element((2, 1)) == F9.element([5, 4]) == 5 == 2 + 1 * 3
+    assert F9.digits(5) == (2, 1) and F9.element(F9.digits(8)) == 8
+    assert F9.element(5) == 5 and F9.is_element(8) and not F9.is_element(9)
+    for bad in (9, -1):
+        with pytest.raises(ValueError):
+            F9.element(bad)
+    with pytest.raises(ValueError):
+        F9.element((1, 2, 0))
+    assert field_make(5).element(-1) == 4  # prime fields still reduce any int

@@ -3,7 +3,6 @@ relies on must resolve, so that renaming or deleting one fails here and not
 only when `bench/run.py --trace 1` runs. bench/ is read, never modified."""
 
 import importlib
-import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -12,18 +11,10 @@ import pytest
 
 import sps
 import sps.cli
+from helpers import load_bench
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-SPANS = _load_spans()
+SPANS = load_bench("spans")
 
 
 @pytest.mark.parametrize(

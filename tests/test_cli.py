@@ -1,13 +1,14 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from sps import dumps_circuit, gen_ks, make_circuit, field_make
+from sps import dumps_circuit, gen_joined, gen_ks, loads_circuit, make_circuit, field_make
 from sps.cli import main
 import sps.matching
-from helpers import count_calls, refuse_generator_work, refuse_oracle_work
+from helpers import count_calls, load_bench, refuse_generator_work, refuse_oracle_work
 
 
 def run_cli(argv, capsys):
@@ -400,3 +401,88 @@ def test_doubling_rejects_non_integer_json(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+# extension-field stdout pinned before elements became packed ints; inputs
+# come from bench/instances.py's own field arithmetic, independent of sps
+def _square_identity(bench, p, e, coef_is_generator=False):
+    """(x + a y)(x - a y) - x^2 + a^2 y^2 over GF(p^e), a the generator, with
+    x, y densified by a seeded change of variables; degree 2, so |F| > 2d.
+    With coef_is_generator the first term is scaled by a: not an identity."""
+    F = bench.GF(p, e)
+    a = (0, 1) + (0,) * (e - 2)
+    j = F.to_json
+    obj = {"p": p, "e": e, "n": 2, "terms": [
+        {"coef": j(a if coef_is_generator else F.one),
+         "forms": [[j(F.one), j(a)], [j(F.one), j(F.neg(a))]]},
+        {"coef": j(F.neg(F.one)), "forms": [[j(F.one), j(F.zero)]] * 2},
+        {"coef": j(F.mul(a, a)), "forms": [[j(F.zero), j(F.one)]] * 2},
+    ]}
+    return bench.change_variables(obj, random.Random(1))
+
+
+PINNED_EXTENSION_CHECKS = {
+    # name: (d, digest, e, p, zero)
+    "vp-2^3": (7, "acb305643c8692be", 3, 2, True),
+    "vp-3^2": (8, "c2a3092db14d0ae9", 2, 3, True),
+    "sq-2^3": (2, "28648797386d333b", 3, 2, True),
+    "sq-3^2": (2, "19b949184ee8b924", 2, 3, True),
+    "sq-2^3-scaled": (2, "a5d9fd8f2842af56", 3, 2, False),
+    "sq-3^2-scaled": (2, "22b8590b2c3ad322", 2, 3, False),
+}
+PINNED_CHAIN_VP_2_3 = (
+    '{"Q":[1,2],"V_q_sizes":{"1":7,"2":7},"external":false,"green_rank":1,'
+    '"ideal":[[[0,0,1],[1,1,0]]],"round":1,"type":1}\n'
+    '{"Q":[1,2],"V_q_sizes":{"1":0,"2":0},"external":true,"green_rank":2,'
+    '"ideal":[[[1,0,0],[0,1,1]]],"round":2,"type":3}\n'
+    '{"N1":1,"N2":0,"N3":1,"bound":19.42206476617281,"command":"chain","d":7,'
+    '"digest":"acb305643c8692be","k":3,"m":2,"n":2,"ok":true,"rank":2}\n'
+)
+PINNED_CHAIN_VP_3_2 = (
+    '{"Q":[1,2],"V_q_sizes":{"1":8,"2":8},"external":false,"green_rank":1,'
+    '"ideal":[[[0,2],[2,2]]],"round":1,"type":1}\n'
+    '{"Q":[1,2],"V_q_sizes":{"1":0,"2":0},"external":true,"green_rank":2,'
+    '"ideal":[[[2,1],[1,2]]],"round":2,"type":3}\n'
+    '{"N1":1,"N2":0,"N3":1,"bound":20,"command":"chain","d":8,'
+    '"digest":"c2a3092db14d0ae9","k":3,"m":2,"n":2,"ok":true,"rank":2}\n'
+)
+
+
+def test_stdout_bytes_pinned_on_extension_fields(tmp_path, capsys):
+    bench = load_bench("instances")
+    objs = {}
+    for p, e in ((2, 3), (3, 2)):
+        objs[f"vp-{p}^{e}"] = bench.change_variables(bench.vanishing_identity(p, e),
+                                                     random.Random(1))
+        objs[f"sq-{p}^{e}"] = _square_identity(bench, p, e)
+        objs[f"sq-{p}^{e}-scaled"] = _square_identity(bench, p, e, coef_is_generator=True)
+    for name, (d, digest, e, p, zero) in PINNED_EXTENSION_CHECKS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(bench.canon(objs[name]))
+        expected = (
+            f'{{"command":"check","d":{d},"digest":"{digest}","e":{e},"k":3,'
+            f'"minimal":true,"mode":"exact","n":2,"p":{p},"rank":2,"seed":0,'
+            f'"simple":true,"zero":{str(zero).lower()}}}\n'
+        )
+        assert run_cli(["check", str(path), "--exact"], capsys)[:2] == (0, expected)
+        auto = expected.replace('"mode":"exact"', '"mode":"auto"')
+        assert run_cli(["check", str(path)], capsys)[:2] == (0, auto)
+        argv = ["check", str(path), "--random", "--trials", "20", "--seed", "3"]
+        if name.startswith("vp"):  # |F| <= 2d and no extension-field lift
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "") and "cannot lift" in err
+        else:
+            rand = expected.replace('"mode":"exact"', '"mode":"random"')
+            assert run_cli(argv, capsys)[:2] == (0, rand.replace('"seed":0', '"seed":3'))
+    for name, expected in (("vp-2^3", PINNED_CHAIN_VP_2_3), ("vp-3^2", PINNED_CHAIN_VP_3_2)):
+        path = str(tmp_path / f"{name}.json")
+        assert run_cli(["chain", path, "--trace"], capsys)[:2] == (0, expected)
+
+
+def test_joined_extension_identity_bytes_pinned():
+    bench = load_bench("instances")
+    base = loads_circuit(bench.canon(bench.vanishing_identity(3, 2)))
+    text = dumps_circuit(gen_joined(base, base))
+    assert bench.digest16(text) == "8ec93ed73cb698a0"
+    assert text.startswith('{"e":2,"n":4,"p":3,"terms":[{"coef":[1,0],"forms":'
+                           '[[[1,0],[0,2],[0,0],[0,0]],[[1,0],[0,1],[0,0],[0,0]],')

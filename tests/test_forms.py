@@ -143,3 +143,17 @@ def test_term_invariants():
         Term(F5, 1, [LinearForm(F5, [0, 0])])
     t = Term(F5, 2, [])
     assert t.degree == 0
+
+
+def test_messages_print_extension_coefficients_as_digit_tuples():
+    # pinned before elements became packed ints: messages on stderr quote these
+    from sps import FormIdeal
+
+    F9 = field_make(3, 2)
+    f = LinearForm(F9, [(1, 0), (0, 1)])
+    g = LinearForm(F9, [(0, 0), (2, 1)])
+    assert str(f) == "x1 + (0, 1)*x2"
+    assert repr(f) == "LinearForm([(1, 0), (0, 1)])"
+    assert repr(Term(F9, (2, 1), [f, g])) == "(2, 1)*(x1 + (0, 1)*x2)*((2, 1)*x2)"
+    assert repr(FormIdeal(F9, 2, [f])) == "FormIdeal(['x1 + (0, 1)*x2'])"
+    assert str(LinearForm(F5, [0, 3])) == "3*x2"

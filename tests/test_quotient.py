@@ -267,3 +267,27 @@ def test_gcd_expansion_check_catches_corruption():
     gd.u_lists[1] = (gd.u_lists[1][0].scale(2), gd.u_lists[1][1])
     with pytest.raises(VerificationError):
         _verify_gcd_by_expansion(gd)
+
+
+def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
+    # a form lies in the ideal's span exactly when its class key is None, so
+    # no separate span_contains elimination runs before the keys
+    rng = random.Random(5)
+    instances = [_random_regular_instance(rng) for _ in range(10)]
+    calls = []
+    contains = FormIdeal.span_contains
+
+    def counted(self, f):
+        calls.append(f)
+        return contains(self, f)
+
+    monkeypatch.setattr(FormIdeal, "span_contains", counted)
+    for c, ideal_ in instances:
+        gcd_data(c, ideal_)
+    assert calls == []
+    i3 = ideal(F7, 3, [0, 0, 1])
+    in_span_late = make_circuit(F7, 3, [(2, [[1, 0, 0], [0, 1, 1]]), (3, [[1, 0, 1], [0, 0, 4]])])
+    with pytest.raises(ValueError, match="regular mod the ideal"):
+        gcd_data(in_span_late, i3)
+    with pytest.raises(ValueError, match="regular mod the ideal"):
+        gcd_data(make_circuit(F5, 2, [(1, [[1, 0]])]), ideal(F5, 2, [1, 0]))
