@@ -253,10 +253,6 @@ class Field:
             out.append(c)
         return tuple(out)
 
-    def is_element(self, x):
-        # type() rather than isinstance(): bool is an int subclass, not an element
-        return type(x) is int and 0 <= x < self.order
-
     # -- arithmetic: ints mod p in a prime field, log tables otherwise --
 
     def add(self, a, b):

@@ -27,12 +27,11 @@ from .circuit import (
     _json_number,
     circuit_rank,
     is_simple,
-    subcircuit,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import LinearForm, Term, similarity_key
+from .forms import LinearForm, Term, pair_common, similarity_key
 from .matching import OrderedMatching
-from .quotient import FormIdeal, gcd_data, is_regular, is_zero_mod, zero_ideal
+from .quotient import FormIdeal, class_keys, is_zero_mod
 
 
 @dataclass
@@ -137,13 +136,18 @@ def single_round(
     """Run one round of the iterative procedure against the partial basis S.
 
     Each iteration picks the first remaining form outside sp(S u I) (terms in
-    index order, forms in list order), extends I by it, drops the terms that
-    vanish mod I, and folds the gcd data of the survivors into the
-    accumulated V / V_q lists. The round stops when the surviving fanin is 2
-    or when every leftover form lies in sp(S u I); the accumulated lists are
-    then trimmed by sp(S u I) \\ sp(I) and certified. Returns the useful
-    ideal (at most k - 2 generators), the blocking subset, and the verified
-    matching data.
+    index order, forms in list order), extends I by it, and computes one class
+    key mod I per remaining form of the survivors: a term survives iff none
+    of its keys is None (no form in sp(I)), and the survivors' keys give the
+    gcd pairing (forms.pair_common) folded into the accumulated V / V_q
+    lists. The round stops when the surviving fanin is 2 or when every
+    leftover form lies in sp(S u I). Each form is then placed once against
+    sp(I) and sp(S u I) for the trim, the partition and the leftover check,
+    and each kept slot's edge is derived and checked once, by the final
+    matchings under the full I. Its first j echelon rows are the rows of
+    iteration j's ideal, so a slot paired at iteration j gets the same
+    (c, w, level) as it would under that ideal. Returns the useful ideal (at most k - 2 generators), the blocking subset,
+    and the verified matching data.
     """
     oracle = oracle or ZeroOracle()
     field = circuit.field
@@ -164,59 +168,45 @@ def single_round(
     v_forms: list[LinearForm] = []
     vq_pos: dict[int, list[int]] = {q: [] for q in survivors}
 
-    while True:
-        ell = None
+    def first_unspanned():
         for q in survivors:
             for pos in remaining[q]:
                 f = circuit.terms[q].forms[pos]
                 if not su_span.contains(f.coeffs):
-                    ell = f
-                    break
-            if ell is not None:
-                break
-        if ell is None:
-            raise ValueError("every form already lies in sp(S); nothing to do")
+                    return f
+        return None
 
+    ell = first_unspanned()
+    if ell is None:
+        raise ValueError("every form already lies in sp(S); nothing to do")
+    while ell is not None:
         gens.append(ell)
         su_span, inserted = su_span.insert(ell.coeffs)
         if not inserted:
             raise VerificationError("picked form was already spanned")
         ideal = FormIdeal(field, n, gens)
 
-        new_survivors = [
-            q
-            for q in survivors
-            if not any(
-                ideal.span_contains(circuit.terms[q].forms[pos])
-                for pos in remaining[q]
-            )
-        ]
-        if len(new_survivors) >= len(survivors):
+        keys = {}
+        for q in survivors:
+            kq = class_keys([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
+            if kq is not None:
+                keys[q] = kq
+        if len(keys) >= len(survivors):
             raise VerificationError("no term vanished after extending the ideal")
-        if len(new_survivors) < 2:
+        if len(keys) < 2:
             raise VerificationError(
                 "fewer than two terms survived; the input cannot be an identity"
             )
-        survivors = new_survivors
+        survivors = list(keys)
 
-        sub = Circuit(
-            field,
-            n,
-            [
-                Term(field, circuit.terms[q].coef,
-                     [circuit.terms[q].forms[p] for p in remaining[q]])
-                for q in survivors
-            ],
-        )
-        gd = gcd_data(sub, ideal, expansion_check=False)
-        u_len = len(gd.u)
-        v_forms.extend(gd.u)
-        for local, q in enumerate(survivors):
-            # store matched positions in V-slot order (through the gcd
-            # matching's sigma) so the accumulated lists stay edge-aligned
-            pos_list = gd.u_positions[local]
-            sigma = gd.matchings[local].sigma
-            vq_pos[q].extend(remaining[q][pos_list[sigma[i]]] for i in range(u_len))
+        positions, sigmas = pair_common(list(keys.values()))
+        first = survivors[0]
+        v_forms.extend(circuit.terms[first].forms[remaining[first][p]]
+                       for p in positions[0])
+        for q, pos_list, sigma in zip(survivors, positions, sigmas):
+            # store matched positions in V-slot order (through sigma) so the
+            # accumulated lists stay edge-aligned
+            vq_pos[q].extend(remaining[q][pos_list[j]] for j in sigma)
             taken = set(pos_list)
             remaining[q] = [
                 remaining[q][p] for p in range(len(remaining[q])) if p not in taken
@@ -228,27 +218,20 @@ def single_round(
                     "fanin-2 stop left unmatched forms; the input is not an identity"
                 )
             break
-        if all(
-            su_span.contains(circuit.terms[q].forms[pos].coeffs)
-            for q in survivors
-            for pos in remaining[q]
-        ):
-            break
+        ell = first_unspanned()
 
     if len(gens) > k - 2:
         raise VerificationError("round used more than k - 2 iterations")
     if not spans_orthogonal([s_span, ideal.span]):
         raise VerificationError("round ideal is not orthogonal to S")
 
+    place = _placement(ideal, su_span)
     # trim V by sp(S u I) \ sp(I); membership must agree slot-by-slot across q
-    def in_trim(f: LinearForm) -> bool:
-        return su_span.contains(f.coeffs) and not ideal.span_contains(f)
-
-    trimmed = [in_trim(f) for f in v_forms]
+    trimmed = [place(f) == _TRIM for f in v_forms]
     keep = [t for t, out in enumerate(trimmed) if not out]
     for q in survivors:
         for t, out in enumerate(trimmed):
-            if in_trim(circuit.terms[q].forms[vq_pos[q][t]]) != out:
+            if (place(circuit.terms[q].forms[vq_pos[q][t]]) == _TRIM) != out:
                 raise VerificationError("trim membership disagrees along an edge")
 
     q_set = tuple(survivors)
@@ -267,13 +250,37 @@ def single_round(
         matchings[q] = pi
 
     md = _finish_matching_data(
-        circuit, su_span, ideal, q_set, v_kept, v_lists, v_positions, matchings, oracle
+        circuit, place, ideal, q_set, v_kept, v_lists, v_positions, matchings, oracle
     )
     return ideal, q_set, md
 
 
+# where a form lies against sp(I) inside sp(S u I)
+_IN_IDEAL, _TRIM, _OUTSIDE = 0, 1, 2
+
+
+def _placement(ideal: FormIdeal, su_span: SpanBasis):
+    """Memoized place(f): _IN_IDEAL in sp(I), _TRIM in sp(S u I) \\ sp(I), or
+    _OUTSIDE sp(S u I), decided once per distinct form."""
+    memo: dict[tuple, int] = {}
+
+    def place(f: LinearForm) -> int:
+        where = memo.get(f.coeffs)
+        if where is None:
+            if ideal.span_contains(f):
+                where = _IN_IDEAL
+            elif su_span.contains(f.coeffs):
+                where = _TRIM
+            else:
+                where = _OUTSIDE
+            memo[f.coeffs] = where
+        return where
+
+    return place
+
+
 def _finish_matching_data(
-    circuit, su_span, ideal, q_set, v_forms, v_lists, v_positions, matchings, oracle
+    circuit, place, ideal, q_set, v_forms, v_lists, v_positions, matchings, oracle
 ) -> MatchingData:
     """Partition the lists, then verify every matching-data invariant."""
     field = circuit.field
@@ -281,14 +288,12 @@ def _finish_matching_data(
     def split(forms):
         inside, outside = [], []
         for t, f in enumerate(forms):
-            if ideal.span_contains(f):
-                inside.append(t)
-            elif not su_span.contains(f.coeffs):
-                outside.append(t)
-            else:
+            where = place(f)
+            if where == _TRIM:
                 raise VerificationError(
                     "form survived trimming inside sp(S u I) \\ sp(I)"
                 )
+            (inside if where == _IN_IDEAL else outside).append(t)
         return tuple(inside), tuple(outside)
 
     v0, v1 = split(v_forms)
@@ -302,6 +307,8 @@ def _finish_matching_data(
     if not (1 < len(q_set) < k):
         raise VerificationError(f"blocking subset size {len(q_set)} outside (1, {k})")
 
+    # every leftover form lies in sp(S u I) \ sp(I), so outside sp(I): the
+    # residual is regular mod the ideal
     residual_terms = []
     for q in q_set:
         kept = set(v_positions[q])
@@ -310,16 +317,11 @@ def _finish_matching_data(
             for p in range(circuit.terms[q].degree)
             if p not in kept
         ]
-        for f in leftover:
-            if not (su_span.contains(f.coeffs) and not ideal.span_contains(f)):
-                raise VerificationError(
-                    "unmatched form escaped sp(S u I) \\ sp(I)"
-                )
+        if any(place(f) != _TRIM for f in leftover):
+            raise VerificationError("unmatched form escaped sp(S u I) \\ sp(I)")
         coef = field.mul(matchings[q].scaling_factor(), circuit.terms[q].coef)
         residual_terms.append(Term(field, coef, leftover))
     residual = Circuit(field, circuit.n, residual_terms)
-    if not is_regular(residual, ideal):
-        raise VerificationError("residual circuit is not regular mod the ideal")
     if not is_zero_mod(residual, ideal, oracle):
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
@@ -465,19 +467,3 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
 
     return Chain(circuit, links, forest, (n1, n2, n3), bound, True)
 
-
-def trivial_link_simple_part_check(circuit: Circuit, link: ChainLink,
-                                   oracle: ZeroOracle | None = None) -> bool:
-    """Diagnostic for trivial links: the simple part of the blocking
-    subcircuit (gcd taken mod 0) is an identity mod the link's ideal and all
-    its forms lie in sp(S u I)."""
-    md = link.mdata
-    sub = subcircuit(circuit, md.q_set)
-    sim = gcd_data(sub, zero_ideal(circuit.field, circuit.n),
-                   expansion_check=False).sim
-    if not is_zero_mod(sim, link.ideal, oracle):
-        return False
-    su = link.s_span
-    for g in link.ideal.generators:
-        su, _ = su.insert(g.coeffs)
-    return all(su.contains(f.coeffs) for t in sim.terms for f in t.forms)

@@ -155,7 +155,7 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
         for f in t.forms:
             coords = basis.coordinates(f.coeffs)
             forms.append(
-                tuple((j, coords[j]) for j in range(r) if coords[j] != field.zero)
+                tuple((j, coords[j]) for j in range(r) if coords[j])
             )
         compressed.append((t.coef, forms))
 
@@ -172,7 +172,7 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
             polys.append(cur)
         return polys
 
-    add, mul, zero = field.add, field.mul, field.zero
+    add, mul = field.add, field.mul
     for coef, forms in compressed:
         cur = {0: coef}
         for nz in forms:
@@ -182,7 +182,7 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
                     kk = key + (1 << (shift_bits * j))
                     prev = nxt.get(kk)
                     v = mul(c, fc) if prev is None else add(prev, mul(c, fc))
-                    if v == zero:
+                    if not v:
                         nxt.pop(kk, None)
                     else:
                         nxt[kk] = v
@@ -208,7 +208,7 @@ def _sums_to_zero(field: Field, polys: list, q) -> bool:
             for other in later:
                 if key in other:
                     total = field.add(total, other[key])
-            if total != field.zero:
+            if total:
                 return False
     return True
 
@@ -464,13 +464,13 @@ def _divides(circuit: Circuit, piv: int, q_coeffs, oracle: ZeroOracle) -> bool:
         vanished = False
         for f in t.forms:
             c = f.coeffs[piv]
-            if c != field.zero:
+            if c:
                 reduced = [
                     field.sub(f.coeffs[j], field.mul(c, q_coeffs[j])) for j in keep
                 ]
             else:
                 reduced = [f.coeffs[j] for j in keep]
-            if all(v == field.zero for v in reduced):
+            if not any(reduced):
                 vanished = True
                 break
             forms.append(LinearForm(field, reduced))

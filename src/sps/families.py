@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Field, field_make, spans_orthogonal
+from .algebra import Field, field_make
 from .circuit import Circuit, ZeroOracle, circuit_rank, is_simple
 from .errors import BudgetExceededError, VerificationError
 from .forms import LinearForm, Term
@@ -261,6 +261,3 @@ def gen_intro_counterexamples(d: int, p: int = 5) -> tuple[Circuit, Circuit]:
     )
     return nonsimple, nonminimal
 
-
-def tight_lists_orthogonal(t: TightLists) -> bool:
-    return spans_orthogonal([i.span for i in t.ideals])

@@ -53,7 +53,7 @@ class LinearForm:
     def scale(self, c) -> "LinearForm":
         f = self.field
         c = f.element(c)
-        if c == f.one:
+        if c == 1:
             return self
         return LinearForm._wrap(f, tuple(f.mul(c, a) for a in self.coeffs))
 
@@ -81,9 +81,9 @@ class LinearForm:
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c == self.field.zero:
+            if not c:
                 continue
-            if c == self.field.one:
+            if c == 1:
                 parts.append(f"x{i + 1}")
             else:
                 parts.append(f"{_shown(self.field, c)}*x{i + 1}")
@@ -98,7 +98,7 @@ class Term:
     def __init__(self, field: Field, coef, forms):
         self.field = field
         self.coef = field.element(coef)
-        if self.coef == field.zero:
+        if not self.coef:
             raise ValueError("term constant must be nonzero")
         forms = tuple(forms)
         for f in forms:
@@ -138,10 +138,8 @@ def normalize(f: LinearForm) -> tuple[LinearForm, object]:
     """
     if f.is_zero:
         raise ValueError("cannot normalize the zero form")
-    field = f.field
-    lead = next(c for c in f.coeffs if c != field.zero)
-    inv = field.inv(lead)
-    return f.scale(inv), lead
+    lead = next(c for c in f.coeffs if c)
+    return f.scale(f.field.inv(lead)), lead
 
 
 def similarity_key(f: LinearForm) -> tuple:
@@ -152,7 +150,7 @@ def similarity_key(f: LinearForm) -> tuple:
 def similar(f: LinearForm, g: LinearForm):
     """Scalar c with f = c*g, or None. Zero forms are similar only to zero."""
     if f.is_zero or g.is_zero:
-        return f.field.one if (f.is_zero and g.is_zero) else None
+        return 1 if (f.is_zero and g.is_zero) else None
     cf, sf = normalize(f)
     cg, sg = normalize(g)
     if cf.coeffs != cg.coeffs:
@@ -179,6 +177,17 @@ def pair_by_key(keys_u, keys_v):
     if len(keys_u) != len(keys_v) or None in sigma:
         return None
     return sigma
+
+
+def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The gcd pairing of key lists: common_positions, and per list the
+    bijection sigma pairing the first list's common keys with its own, equal
+    keys in list order (sigma[i] indexes that list's common positions)."""
+    positions = common_positions(key_lists)
+    u_keys = [key_lists[0][p] for p in positions[0]]
+    sigmas = [pair_by_key(u_keys, [keys[p] for p in pos])
+              for keys, pos in zip(key_lists, positions)]
+    return positions, sigmas
 
 
 def common_positions(key_lists) -> list[list[int]]:

@@ -60,12 +60,12 @@ def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
         if k is None or (k > t and k >= ideal.n):
             return MatchEdge(c, dst.sub(src.scale(c)), 0 if k is None else len(s) - k, True)
     if not any(rest_src + rest_dst):
-        return MatchEdge(field.one, dst.sub(src), ideal.r, False)
+        return MatchEdge(1, dst.sub(src), ideal.r, False)
     return None
 
 
 def _check_edge(ideal, src: LinearForm, dst: LinearForm, e: MatchEdge) -> bool:
-    if e.c == src.field.zero:
+    if not e.c:
         return False
     if dst.sub(src.scale(e.c)) != e.w:
         return False
@@ -134,7 +134,7 @@ class OrderedMatching:
         if not self.is_ordered:
             raise ValueError("scaling factor requires a matching validated as ordered")
         field = self.ideal.field
-        out = field.one
+        out = 1
         for e in self.edges:
             out = field.mul(out, e.c)
         return out

@@ -13,18 +13,9 @@ the same type with no generators, and every operation treats it uniformly as
 from __future__ import annotations
 
 from .algebra import Field, SpanBasis, eliminate
-from .circuit import (
-    DEFAULT_EXPANSION_BUDGET,
-    Circuit,
-    ZeroOracle,
-    _element_to_json,
-    _form_to_json,
-    zero_test_exact,
-)
+from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
 from .errors import VerificationError
-from .forms import LinearForm, Term, common_positions, normalize, pair_by_key, similar
-
-_EXPANSION_CHECK_CAP = 20_000
+from .forms import LinearForm, Term, normalize, pair_common, similar
 
 
 class FormIdeal:
@@ -66,10 +57,6 @@ class FormIdeal:
     @property
     def r(self) -> int:
         return len(self.generators)
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
 
     @property
     def span(self) -> SpanBasis:
@@ -131,6 +118,18 @@ def reduced_class_key(f: LinearForm, ideal: FormIdeal):
     return normalize(red)[0].coeffs
 
 
+def class_keys(forms, ideal: FormIdeal):
+    """reduced_class_key of each form, or None as soon as one form lies in the
+    span (a term with that form vanishes mod the ideal)."""
+    keys = []
+    for f in forms:
+        key = reduced_class_key(f, ideal)
+        if key is None:
+            return None
+        keys.append(key)
+    return keys
+
+
 def is_regular(circuit: Circuit, ideal: FormIdeal) -> bool:
     """True iff no term vanishes mod the ideal, i.e. no form lies in its span.
 
@@ -178,8 +177,8 @@ class GcdData:
     Holds the common factor list u (a sublist of the first term), the matched
     sublist u_lists[q] of each term, a certified matching u -> u_lists[q] per
     term, and the residual simple part. The defining identity
-    M(u_lists[q]) = sc(pi_q) * M(u) modulo the ideal is certified edge-by-edge
-    always, and re-checked by the exact zero test on small instances.
+    M(u_lists[q]) = sc(pi_q) * M(u) modulo the ideal is certified edge by
+    edge, once, by each matching's constructor.
     """
 
     __slots__ = ("circuit", "ideal", "u", "u_lists", "u_positions", "matchings", "sim")
@@ -193,12 +192,6 @@ class GcdData:
         self.matchings = matchings
         self.sim = sim
 
-    def gcd_term(self) -> Term | None:
-        """M(u) as a term (None when u is empty: the gcd is the constant 1)."""
-        if not self.u:
-            return None
-        return Term(self.circuit.field, self.circuit.field.one, self.u)
-
     def to_dict(self) -> dict:
         field = self.circuit.field
         return {
@@ -210,28 +203,25 @@ class GcdData:
         }
 
 
-def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = None) -> GcdData:
+def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
     """Common-factor data of a regular subcircuit modulo a form-ideal.
 
     The gcd list u is the maximal sublist of the first term whose product
     divides every term mod the ideal: per similarity class mod the ideal, u
     carries the minimum multiplicity over the terms. Candidate forms are
     taken in list order of the first term and matched to targets in list
-    order of each term, which pins the decomposition to one deterministic
-    representative. Raises on non-regular input.
+    order of each term (forms.pair_common), which pins the decomposition to
+    one deterministic representative. Raises on non-regular input.
     """
     from . import matching as _matching
 
     field = circuit.field
-    keys_per_term = [
-        [reduced_class_key(f, ideal) for f in t.forms] for t in circuit.terms
-    ]
-    if any(None in keys for keys in keys_per_term):  # a form in the span
+    keys_per_term = [class_keys(t.forms, ideal) for t in circuit.terms]
+    if None in keys_per_term:  # a form in the span
         raise ValueError("gcd data requires a circuit that is regular mod the ideal")
 
-    positions = common_positions(keys_per_term)
+    positions, sigmas = pair_common(keys_per_term)
     u = tuple(circuit.terms[0].forms[p] for p in positions[0])
-    u_keys = [keys_per_term[0][p] for p in positions[0]]
 
     u_lists: dict[int, tuple] = {}
     u_positions: dict[int, tuple] = {}
@@ -242,8 +232,7 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = 
         u_positions[q] = tuple(pos_q)
         forms_q = tuple(t.forms[p] for p in pos_q)
         u_lists[q] = forms_q
-        sigma = pair_by_key(u_keys, [keys_per_term[q][p] for p in pos_q])
-        pi = _matching.OrderedMatching.build(ideal, u, forms_q, sigma)
+        pi = _matching.OrderedMatching.build(ideal, u, forms_q, sigmas[q])
         if not pi.is_ordered:
             raise VerificationError("gcd matching failed to validate as ordered")
         matchings[q] = pi
@@ -254,46 +243,7 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal, expansion_check: bool | None = 
         )
 
     sim = Circuit(field, circuit.n, sim_terms)
-    gd = GcdData(circuit, ideal, u, u_lists, u_positions, matchings, sim)
-    if expansion_check is None:
-        expansion_check = _gcd_expansion_cost(circuit, u) <= _EXPANSION_CHECK_CAP
-    if expansion_check:
-        _verify_gcd_by_expansion(gd)
-    return gd
-
-
-def _gcd_expansion_cost(circuit: Circuit, u) -> int:
-    import math
-
-    d = len(u)
-    if d == 0:
-        return 0
-    n = circuit.n
-    return circuit.k * math.comb(d + n - 1, n - 1)
-
-
-def _verify_gcd_by_expansion(gd: GcdData) -> None:
-    """Check M(u_lists[q]) = sc(pi_q) * M(u) mod the ideal by exact expansion.
-
-    Each q is one exact zero test of the two-term circuit
-    M(reduce u_lists[q]) - sc(pi_q) * M(reduce u); regularity keeps every
-    reduced form nonzero. The budget is fixed here so that SPS_BUDGET cannot
-    decide whether a decomposition verifies.
-    """
-    field = gd.circuit.field
-    n = gd.circuit.n
-    ideal = gd.ideal
-    mu = [ideal.reduce(f) for f in gd.u]
-    for q, forms_q in gd.u_lists.items():
-        sc = gd.matchings[q].scaling_factor()
-        diff = Circuit(field, n, [
-            Term(field, field.one, [ideal.reduce(f) for f in forms_q]),
-            Term(field, field.neg(sc), mu),
-        ])
-        if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):
-            raise VerificationError(
-                f"gcd expansion check failed for term {q}: M(U_q) != sc * M(U) mod I"
-            )
+    return GcdData(circuit, ideal, u, u_lists, u_positions, matchings, sim)
 
 
 def simple_part(circuit: Circuit, ideal: FormIdeal) -> Circuit:

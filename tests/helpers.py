@@ -1,5 +1,6 @@
-"""Shared test utilities: an independent brute-force expansion oracle and
-seeded random generators for forms, ideals, circuits, and identities."""
+"""Shared test utilities: an independent brute-force expansion oracle,
+seeded random generators for forms, ideals, circuits, and identities, and
+reference checks that the library itself does not run."""
 
 import importlib.util
 import itertools
@@ -13,9 +14,15 @@ from sps import (
     LinearForm,
     SpanBasis,
     Term,
+    VerificationError,
+    gcd_data,
     similar,
+    spans_orthogonal,
     subcircuit,
+    zero_test_exact,
 )
+from sps.circuit import DEFAULT_EXPANSION_BUDGET
+from sps.quotient import is_zero_mod, zero_ideal
 
 
 def brute_expand(circuit):
@@ -259,3 +266,57 @@ def random_embedding(rng, field, n_in, n_out):
             span = span2
             rows.append(row)
     return rows
+
+
+def is_zero_ideal(ideal):
+    return not ideal.generators
+
+
+def gcd_term(gd):
+    """M(u) of gcd data as a term (None when u is empty: the gcd is 1)."""
+    if not gd.u:
+        return None
+    return Term(gd.circuit.field, 1, gd.u)
+
+
+def verify_gcd_by_expansion(gd):
+    """Reference for gcd data: M(u_lists[q]) = sc(pi_q) * M(u) mod the ideal,
+    checked by exact expansion instead of the matchings' edge certificates.
+
+    Each q is one exact zero test of the two-term circuit
+    M(reduce u_lists[q]) - sc(pi_q) * M(reduce u); regularity keeps every
+    reduced form nonzero. The budget is fixed so that SPS_BUDGET cannot
+    decide whether a decomposition verifies.
+    """
+    field = gd.circuit.field
+    n = gd.circuit.n
+    ideal = gd.ideal
+    mu = [ideal.reduce(f) for f in gd.u]
+    for q, forms_q in gd.u_lists.items():
+        sc = gd.matchings[q].scaling_factor()
+        diff = Circuit(field, n, [
+            Term(field, 1, [ideal.reduce(f) for f in forms_q]),
+            Term(field, field.neg(sc), mu),
+        ])
+        if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):
+            raise VerificationError(
+                f"gcd expansion check failed for term {q}: M(U_q) != sc * M(U) mod I"
+            )
+
+
+def trivial_link_simple_part_check(circuit, link, oracle=None):
+    """Diagnostic for trivial links: the simple part of the blocking
+    subcircuit (gcd taken mod 0) is an identity mod the link's ideal and all
+    its forms lie in sp(S u I)."""
+    sub = subcircuit(circuit, link.mdata.q_set)
+    sim = gcd_data(sub, zero_ideal(circuit.field, circuit.n)).sim
+    if not is_zero_mod(sim, link.ideal, oracle):
+        return False
+    su = link.s_span
+    for g in link.ideal.generators:
+        su, _ = su.insert(g.coeffs)
+    return all(su.contains(f.coeffs) for t in sim.terms for f in t.forms)
+
+
+def tight_lists_orthogonal(t):
+    return spans_orthogonal([i.span for i in t.ideals])

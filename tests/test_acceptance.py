@@ -36,7 +36,6 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
-from sps.families import tight_lists_orthogonal
 from sps.quotient import reduce_circuit
 from helpers import (
     brute_expand,
@@ -46,6 +45,8 @@ from helpers import (
     random_form,
     random_pair_identity,
     substitute,
+    tight_lists_orthogonal,
+    verify_gcd_by_expansion,
 )
 from test_matching import random_ordered_matching
 from test_quotient import _random_regular_instance
@@ -242,6 +243,7 @@ def test_criterion_6_gcd_sim():
         c, ideal = _random_regular_instance(rng)
         try:
             gd = gcd_data(c, ideal)
+            verify_gcd_by_expansion(gd)
         except Exception as exc:
             failures.append(f"#{t}: gcd_data raised {exc!r}")
             continue

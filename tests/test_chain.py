@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 
 import pytest
 
@@ -17,11 +20,15 @@ from sps import (
     gen_intro_counterexamples,
     gen_joined,
     gen_ks,
+    loads_circuit,
     make_circuit,
     single_round,
 )
-from sps.chain import MatchingData, trivial_link_simple_part_check
-from helpers import refuse_oracle_work
+import sps.chain
+import sps.matching
+import sps.quotient
+from sps.chain import MatchingData
+from helpers import load_bench, refuse_oracle_work, trivial_link_simple_part_check
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -247,3 +254,80 @@ def test_round_ideals_mutually_orthogonal():
     for r in (3, 4, 6):
         chain = build_chain(gen_ks(r))
         assert spans_orthogonal([link.ideal.span for link in chain.links])
+
+
+def _round_certificates_digest(chain):
+    """Digest of every link's trace row, list positions, span partition and
+    final edge certificates (c, level, ordered, w)."""
+    rows = chain.trace_rounds()
+    for row, link in zip(rows, chain.links):
+        md = link.mdata
+        row["v_positions"] = {str(q): list(p) for q, p in md.v_positions.items()}
+        row["v0"], row["v1"] = list(md.v0), list(md.v1)
+        row["vq0"] = {str(q): list(p) for q, p in md.vq0.items()}
+        row["vq1"] = {str(q): list(p) for q, p in md.vq1.items()}
+        row["edges"] = {
+            str(q): [[e.c, e.level, e.ordered, list(e.w.coeffs)] for e in m.edges]
+            for q, m in md.matchings.items()
+        }
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# recorded when every round still derived its gcd edges through gcd_data
+PINNED_ROUND_CERTIFICATES = {
+    "ks3": "94241ba17af48619",
+    "ks4": "b53085035e19d0da",
+    "ks5": "e46a23c5c37980f8",
+    "ks6": "b2fc184d1e1fa614",
+    "ks7": "eac6de20aa69c81e",
+    "ks8": "d42d15532ac40c22",
+    "ks9": "fe9a4a49a1d79f3e",
+    "family-3-1": "5862734f54cb75f8",
+    "family-3-2": "ddf7c5d7ef89cd09",
+    "family-3-3": "a9fdaca6ef9fec54",
+    "family-4-1": "f9e3465021b755ad",
+    "family-4-2": "1240035d5586972c",
+    "vp-5^1": "ea5b32bc3d356636",
+    "vp-2^3": "c22255076123d16b",
+    "vp-3^2": "f8628aeb76daaec6",
+}
+
+
+def test_round_certificates_pinned():
+    bench = load_bench("instances")
+    cases = {f"ks{r}": lambda r=r: gen_ks(r) for r in range(3, 10)}
+    for r, i in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        cases[f"family-{r}-{i}"] = lambda r=r, i=i: gen_family(r, i)
+    for p, e in ((5, 1), (2, 3), (3, 2)):  # the densified vanishing-product identities
+        obj = bench.change_variables(bench.vanishing_identity(p, e), random.Random(1))
+        cases[f"vp-{p}^{e}"] = lambda obj=obj: loads_circuit(bench.canon(obj))
+    digests = {name: _round_certificates_digest(build_chain(make()))
+               for name, make in cases.items()}
+    assert digests == PINNED_ROUND_CERTIFICATES
+
+
+def test_each_round_derives_each_edge_once(monkeypatch):
+    # a round pairs forms by their class keys alone; only its final matchings
+    # derive edges, one per slot of V for every term of Q
+    derived, gcd_calls = [], []
+    derive = sps.matching._derive_edge
+
+    def counted_derive(*args):
+        derived.append(args)
+        return derive(*args)
+
+    def refused_gcd(*args, **kwargs):
+        gcd_calls.append(args)
+        raise AssertionError("a chain round ran gcd_data")
+
+    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
+    for mod in (sps.quotient, sps.chain):
+        monkeypatch.setattr(mod, "gcd_data", refused_gcd, raising=False)
+    for circuit in (gen_ks(6), gen_family(3, 2)):
+        derived.clear()
+        chain = build_chain(circuit)
+        expected = sum(len(link.mdata.q_set) * len(link.mdata.v_forms)
+                       for link in chain.links)
+        assert len(derived) == expected
+    assert gcd_calls == []

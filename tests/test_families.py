@@ -18,8 +18,7 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
-from sps.families import tight_lists_orthogonal
-from helpers import refuse_generator_work
+from helpers import refuse_generator_work, tight_lists_orthogonal
 
 F2 = field_make(2)
 

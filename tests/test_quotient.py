@@ -26,10 +26,13 @@ from sps.quotient import is_zero_mod, reduce_circuit
 from helpers import (
     brute_expand,
     brute_product,
+    gcd_term,
+    is_zero_ideal,
     random_circuit,
     random_form,
     random_ideal,
     random_unit,
+    verify_gcd_by_expansion,
 )
 
 F2 = field_make(2)
@@ -47,7 +50,7 @@ def test_form_ideal_invariants():
     with pytest.raises(ValueError):
         ideal(F5, 2, [1, 0], [2, 0])  # dependent generators
     z = zero_ideal(F5, 2)
-    assert z.is_zero_ideal and z.r == 0
+    assert is_zero_ideal(z) and z.r == 0
     assert z.reduce(LinearForm(F5, [1, 2])).coeffs == (1, 2)
 
 
@@ -108,7 +111,7 @@ def test_gcd_data_zero_ideal_and_coprime():
     cop = make_circuit(F5, 2, [(1, [[1, 0]]), (2, [[0, 1]])])
     gd2 = gcd_data(cop, zero_ideal(F5, 2))
     assert gd2.u == ()
-    assert gd2.gcd_term() is None
+    assert gcd_term(gd2) is None
     assert [t.coef for t in gd2.sim.terms] == [1, 2]  # sim = C_Q up to constants
 
     with pytest.raises(ValueError):
@@ -163,6 +166,7 @@ def test_gcd_times_sim_recovers_subcircuit():
     for _ in range(50):
         c, ideal_ = _random_regular_instance(rng)
         gd = gcd_data(c, ideal_)
+        verify_gcd_by_expansion(gd)
         red_c = reduce_circuit(c, ideal_)
         assert red_c is not None  # regular instances never vanish
         red_u = [ideal_.reduce(f) for f in gd.u]
@@ -261,12 +265,12 @@ def test_sim_span_monotone_under_subsets_and_unions():
 def test_gcd_expansion_check_catches_corruption():
     c = make_circuit(F7, 3, [(2, [[1, 0, 0], [0, 1, 1]]), (3, [[1, 0, 1], [0, 1, 0]])])
     i3 = ideal(F7, 3, [0, 0, 1])
-    gd = gcd_data(c, i3, expansion_check=True)
-    from sps.quotient import _verify_gcd_by_expansion
+    gd = gcd_data(c, i3)
+    verify_gcd_by_expansion(gd)
 
     gd.u_lists[1] = (gd.u_lists[1][0].scale(2), gd.u_lists[1][1])
     with pytest.raises(VerificationError):
-        _verify_gcd_by_expansion(gd)
+        verify_gcd_by_expansion(gd)
 
 
 def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
