@@ -22,7 +22,6 @@ from .circuit import (
     homogenize,
     is_minimal,
     is_simple,
-    linear_factors,
     loads_circuit,
     make_circuit,
     subcircuit,
@@ -64,6 +63,7 @@ from .quotient import (
     GcdData,
     gcd_data,
     is_regular,
+    linear_factors,
     similar_mod,
     simple_part,
     zero_ideal,

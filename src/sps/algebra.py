@@ -9,6 +9,8 @@ tables of their least primitive element and add by xor (p = 2) or through a
 Zech logarithm table (odd p; Huber, IEEE Trans. IT 36(4), 1990), built once
 per field in O(q) time and at most 16 bytes per element.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
+Linear algebra has one echelon format, ``SpanBasis``: rows in insertion
+order, appended and never rewritten, reduced by the one kernel ``eliminate``.
 Elements are canonical and hashable, and everything here is immutable after
 construction, which makes all of it safe to share between concurrent tasks.
 """
@@ -354,11 +356,17 @@ def eliminate(field: Field, rows, pivots, v):
 
 
 class SpanBasis:
-    """Reduced-row-echelon basis of a subspace of F^n.
+    """Echelon basis of a subspace of F^n, rows in insertion order.
 
-    Rows carry pivot coefficient 1 with zeros above and below each pivot, and
-    are ordered by pivot column, so two bases are equal iff they span the same
-    subspace. Instances are immutable; ``insert`` returns a new basis.
+    Each row is zero before its pivot and at the pivots of earlier rows, and
+    is 1 at its own pivot, which is what ``eliminate`` requires; ``insert``
+    appends one row and never rewrites an earlier one. ``reduce`` and
+    ``contains`` depend on the span alone: the pivots are the leading
+    positions of the span's nonzero vectors (a combination leads where its
+    row of least pivot does), and the remainder of v that is zero at every
+    pivot is unique (two differ by a span vector leading at no pivot, so by
+    0). ``coordinates`` are over the rows in insertion order. Two bases are
+    equal iff they span the same subspace. Instances are immutable.
     """
 
     __slots__ = ("field", "n", "rows", "pivots")
@@ -406,41 +414,27 @@ class SpanBasis:
         return tuple(coords)
 
     def insert(self, v):
-        """Return (basis', inserted). Rank grows by exactly 1 iff inserted."""
-        field = self.field
+        """Return (basis', inserted): v's remainder, scaled to 1 at its first
+        nonzero entry, appended as the last row. Rank grows by 1 iff inserted."""
         red = self.reduce(v)
         piv = next((j for j, c in enumerate(red) if c), None)
         if piv is None:
             return self, False
-        inv = field.inv(red[piv])
-        new_row = tuple(field.mul(inv, c) for c in red)
-        rows, pivots = [], []
-        placed = False
-        for row, rp in zip(self.rows, self.pivots):
-            c = row[piv]
-            if c:
-                row = tuple(field.sub(a, field.mul(c, b)) for a, b in zip(row, new_row))
-            if not placed and rp > piv:
-                rows.append(new_row)
-                pivots.append(piv)
-                placed = True
-            rows.append(row)
-            pivots.append(rp)
-        if not placed:
-            rows.append(new_row)
-            pivots.append(piv)
-        return SpanBasis(self.field, self.n, rows, pivots), True
+        inv = self.field.inv(red[piv])
+        row = tuple(self.field.mul(inv, c) for c in red)
+        return SpanBasis(self.field, self.n, self.rows + (row,), self.pivots + (piv,)), True
 
     def __eq__(self, other):
         return (
             isinstance(other, SpanBasis)
             and self.field == other.field
             and self.n == other.n
-            and self.rows == other.rows
+            and self.rank == other.rank
+            and all(other.contains(row) for row in self.rows)
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.rows))
+        return hash((self.field, self.n, frozenset(self.pivots)))
 
     def __repr__(self):
         return f"SpanBasis(n={self.n}, rank={self.rank})"

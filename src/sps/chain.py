@@ -69,25 +69,23 @@ class ChainLink:
 
 @dataclass
 class Forest:
-    """External and internal trivial links of the forest over the k term leaves."""
+    """External trivial links of the forest over the k term leaves."""
 
     k: int
     external_count: int = 0
-    internal_count: int = 0
 
 
 class Chain:
     """A maximal chain of form-ideals for a circuit, with verified bounds."""
 
-    def __init__(self, circuit, links, forest, counts, bound, maximal):
+    def __init__(self, circuit, links, forest, counts, bound, rank):
         self.circuit = circuit
         self.links = tuple(links)
         self.forest = forest
         self.n1, self.n2, self.n3 = counts
         self.bound = bound
-        self.maximal = maximal
         self.m = len(self.links)
-        self.rank = circuit_rank(circuit)
+        self.rank = rank
 
     def summary(self) -> dict:
         return {
@@ -363,13 +361,13 @@ def classify_chain(links) -> None:
         link.mdata.mtype = classify_matching_data(link.mdata)
 
 
-def build_forest(links, k: int, strict: bool = True) -> Forest:
+def build_forest(links, k: int) -> Forest:
     """Process trivial (Type 3) links in order over k term leaves.
 
     A link whose blocking subset spans several trees is external: it becomes
     a new root over those trees. A link falling inside a single tree is
-    internal, which cannot happen for a simple, minimal identity; with
-    strict=True an internal link raises the falsification error.
+    internal, which cannot happen for a simple, minimal identity, so it
+    raises the falsification error.
     """
     forest = Forest(k=k)
     tree_of = list(range(k))
@@ -380,21 +378,17 @@ def build_forest(links, k: int, strict: bool = True) -> Forest:
             continue
         trees = {tree_of[q] for q in md.q_set}
         if len(trees) == 1:
-            md.external = False
-            forest.internal_count += 1
-            if strict:
-                raise BoundViolationError(
-                    f"internal trivial matching data in round {idx}: "
-                    f"subcircuit {sorted(md.q_set)} would be a zero subcircuit, "
-                    "contradicting minimality"
-                )
-        else:
-            md.external = True
-            forest.external_count += 1
-            for q in range(k):
-                if tree_of[q] in trees:
-                    tree_of[q] = next_id
-            next_id += 1
+            raise BoundViolationError(
+                f"internal trivial matching data in round {idx}: "
+                f"subcircuit {sorted(md.q_set)} would be a zero subcircuit, "
+                "contradicting minimality"
+            )
+        md.external = True
+        forest.external_count += 1
+        for q in range(k):
+            if tree_of[q] in trees:
+                tree_of[q] = next_id
+        next_id += 1
     return forest
 
 
@@ -428,20 +422,21 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     all_forms = circuit.all_forms()
     s_span = SpanBasis.empty(circuit.field, circuit.n)
     links: list[ChainLink] = []
-    while not all(s_span.contains(f.coeffs) for f in all_forms):
-        if len(links) > circuit.n:  # each round grows the span rank by >= 1
-            raise VerificationError("chain failed to terminate")
-        ideal, q_set, md = single_round(circuit, s_span, oracle, precheck=False)
-        before_span = s_span
-        for g in ideal.generators:
-            s_span, _ = s_span.insert(g.coeffs)
-        links.append(ChainLink(before_span, ideal, md, green_rank=s_span.rank))
+    for f in all_forms:  # S only grows: a form in S is not tested again
+        while not s_span.contains(f.coeffs):
+            if len(links) > circuit.n:  # each round grows the span rank by >= 1
+                raise VerificationError("chain failed to terminate")
+            ideal, q_set, md = single_round(circuit, s_span, oracle, precheck=False)
+            before_span = s_span
+            for g in ideal.generators:
+                s_span, _ = s_span.insert(g.coeffs)
+            links.append(ChainLink(before_span, ideal, md, green_rank=s_span.rank))
 
     if not spans_orthogonal([link.ideal.span for link in links]):
         raise VerificationError("round ideals are not mutually orthogonal")
 
     classify_chain(links)
-    forest = build_forest(links, k, strict=True)
+    forest = build_forest(links, k)
 
     m = len(links)
     rank = circuit_rank(circuit)
@@ -465,5 +460,5 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         if n3 > k - 1:
             raise BoundViolationError(f"N3 = {n3} exceeds its bound")
 
-    return Chain(circuit, links, forest, (n1, n2, n3), bound, True)
+    return Chain(circuit, links, forest, (n1, n2, n3), bound, rank)
 

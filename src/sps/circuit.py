@@ -10,7 +10,6 @@ Both verdicts of one circuit come from one set of term values (ZeroOracle.term_v
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,6 @@ from .errors import BudgetExceededError
 from .forms import LinearForm, Term, similarity_key
 
 DEFAULT_EXPANSION_BUDGET = 10_000_000
-DEFAULT_FACTOR_BUDGET = 1_000_000
 
 
 def _expansion_budget(budget):
@@ -417,68 +415,6 @@ def homogenize(field: Field, n: int, affine_terms) -> Circuit:
         forms.extend([fresh] * (dmax - len(forms)))
         terms.append(Term(field, coef, forms))
     return Circuit(field, n + 1, terms)
-
-
-# -- linear factor enumeration --
-
-def linear_factors(
-    circuit: Circuit,
-    oracle: ZeroOracle | None = None,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-) -> tuple[LinearForm, ...]:
-    """All normalized forms q with C = 0 modulo (q): the linear factors of the
-    computed polynomial, without multiplicity.
-
-    Enumerates every normalized candidate over the prime field ((p^n - 1) /
-    (p - 1) of them), substitutes the pivot variable away, and zero-tests the
-    shrunken circuit. The caller should check the circuit is nonzero first;
-    on an identity the enumeration degenerates to every form.
-    """
-    field = circuit.field
-    if field.e != 1:
-        raise ValueError("linear factor enumeration supports prime fields only")
-    p, n = field.p, circuit.n
-    n_candidates = (p**n - 1) // (p - 1)
-    if n_candidates > budget:
-        raise BudgetExceededError(
-            f"{n_candidates} candidate forms exceed budget {budget}"
-        )
-    oracle = oracle or ZeroOracle()
-    found = []
-    for piv in range(n):
-        for tail in itertools.product(range(p), repeat=n - piv - 1):
-            coeffs = (0,) * piv + (1,) + tail
-            if _divides(circuit, piv, coeffs, oracle):
-                found.append(LinearForm(field, coeffs))
-    return tuple(found)
-
-
-def _divides(circuit: Circuit, piv: int, q_coeffs, oracle: ZeroOracle) -> bool:
-    """Test C = 0 mod (q) by substituting x_piv = -sum(tail) and zero-testing."""
-    field = circuit.field
-    n = circuit.n
-    keep = [j for j in range(n) if j != piv]
-    new_terms = []
-    for t in circuit.terms:
-        forms = []
-        vanished = False
-        for f in t.forms:
-            c = f.coeffs[piv]
-            if c:
-                reduced = [
-                    field.sub(f.coeffs[j], field.mul(c, q_coeffs[j])) for j in keep
-                ]
-            else:
-                reduced = [f.coeffs[j] for j in keep]
-            if not any(reduced):
-                vanished = True
-                break
-            forms.append(LinearForm(field, reduced))
-        if not vanished:
-            new_terms.append(Term(field, t.coef, forms))
-    if not new_terms:
-        return True
-    return oracle.is_zero(Circuit(field, n - 1, new_terms))
 
 
 # -- persistent format: the one JSON codec for numbers, elements, forms, circuits --

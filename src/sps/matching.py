@@ -390,11 +390,13 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     ideal_only = SpanBasis.empty(field, n)
     i0 = r + 1
     rounds = []
+    # forms not yet green; the basis only grows, so a green form stays green
+    pending = [[u[i] for i in rest_u], [v[j] for j in rest_v]]
 
     def greens():
-        gu = sum(1 for i in rest_u if basis.contains(u[i].coeffs))
-        gv = sum(1 for j in rest_v if basis.contains(v[j].coeffs))
-        return gu, gv
+        for side in pending:
+            side[:] = [f for f in side if not basis.contains(f.coeffs)]
+        return d_prime - len(pending[0]), d_prime - len(pending[1])
 
     prev_u, _ = greens()
     for idx, ideal in enumerate(ideals, start=1):

@@ -1,66 +1,64 @@
-"""Form-ideals, reduction modulo an ideal, and gcd/simple-part decomposition.
+"""Form-ideals, reduction modulo an ideal, linear factors, and gcd/simple-part
+decomposition.
 
 A form-ideal is generated by linearly independent nonzero linear forms; the
 quotient by it is again a polynomial ring, so reduction is plain Gaussian
 elimination on coefficient vectors and products of forms factor uniquely
-modulo the ideal. The ideal keeps one echelon list in generator order, so
-its first j rows span the first j generators and one elimination pass writes
-a form in coordinates over every generator prefix at once. The zero ideal is
-the same type with no generators, and every operation treats it uniformly as
-"span is {0}".
+modulo the ideal. The ideal is its generators plus the append-only
+``SpanBasis`` they insert into, so its first j rows span the first j
+generators and one elimination pass writes a form in coordinates over every
+generator prefix at once. A linear factor q of a circuit is a form with
+C = 0 mod (q), tested by reduction modulo the one-generator ideal. The zero
+ideal is the same type with no generators, and every operation treats it
+uniformly as "span is {0}".
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
-from .errors import VerificationError
+from .errors import BudgetExceededError, VerificationError
 from .forms import LinearForm, Term, normalize, pair_common, similar
+
+DEFAULT_FACTOR_BUDGET = 1_000_000
 
 
 class FormIdeal:
-    """Ordered form-ideal kept as one echelon list in generator order.
+    """Ordered form-ideal: its generators and the SpanBasis they insert into.
 
     Row j is generator j with the earlier rows' pivots cleared and its own
     pivot (first nonzero column) scaled to 1, so the first j rows span
     prefix(j), the span of the first j generators, which is what level-j
     matching certificates quantify over. Elimination by those rows leaves
     the representative that is zero at their pivots, a set fixed by the
-    span alone, so it equals reduction by the echelon basis of prefix(j).
+    span alone, so it equals reduction by any echelon basis of prefix(j).
     Generators must be nonzero and linearly independent; an empty generator
     list is the distinguished zero ideal.
     """
 
-    __slots__ = ("field", "n", "generators", "rows", "pivots")
+    __slots__ = ("field", "n", "generators", "span", "rows", "pivots")
 
     def __init__(self, field: Field, n: int, generators=()):
         self.field = field
         self.n = n
-        gens = tuple(generators)
-        rows, pivots = [], []
-        for g in gens:
+        self.generators = tuple(generators)
+        span = SpanBasis.empty(field, n)
+        for g in self.generators:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
-            red = eliminate(field, rows, pivots, g.coeffs)[1]
-            piv = next((j for j, c in enumerate(red) if c), None)
-            if piv is None:
+            span, inserted = span.insert(g.coeffs)
+            if not inserted:
                 raise ValueError("ideal generators must be linearly independent")
-            inv = field.inv(red[piv])
-            rows.append(tuple(field.mul(inv, c) for c in red))
-            pivots.append(piv)
-        self.generators = gens
-        self.rows = tuple(rows)
-        self.pivots = tuple(pivots)
+        self.span = span
+        self.rows, self.pivots = span.rows, span.pivots
 
     @property
     def r(self) -> int:
         return len(self.generators)
-
-    @property
-    def span(self) -> SpanBasis:
-        return SpanBasis.from_vectors(self.field, self.n, self.rows)
 
     def coordinates(self, f: LinearForm):
         """(a, rest) with f = sum(a[i] * row i) + rest and rest zero at every
@@ -169,6 +167,37 @@ def is_zero_mod(circuit: Circuit, ideal: FormIdeal, oracle: ZeroOracle | None = 
     if reduced is None:
         return True
     return (oracle or ZeroOracle()).is_zero(reduced)
+
+
+def linear_factors(
+    circuit: Circuit,
+    oracle: ZeroOracle | None = None,
+    budget: int = DEFAULT_FACTOR_BUDGET,
+) -> tuple[LinearForm, ...]:
+    """All normalized forms q with C = 0 modulo (q): the linear factors of the
+    computed polynomial, without multiplicity.
+
+    Enumerates every normalized candidate over the prime field ((p^n - 1) /
+    (p - 1) of them) and zero-tests the circuit reduced modulo the ideal (q).
+    The caller should check the circuit is nonzero first; on an identity the
+    enumeration degenerates to every form.
+    """
+    field = circuit.field
+    if field.e != 1:
+        raise ValueError("linear factor enumeration supports prime fields only")
+    p, n = field.p, circuit.n
+    n_candidates = (p**n - 1) // (p - 1)
+    if n_candidates > budget:
+        raise BudgetExceededError(
+            f"{n_candidates} candidate forms exceed budget {budget}"
+        )
+    found = []
+    for piv in range(n):
+        for tail in itertools.product(range(p), repeat=n - piv - 1):
+            q = LinearForm(field, (0,) * piv + (1,) + tail)
+            if is_zero_mod(circuit, FormIdeal(field, n, [q]), oracle):
+                found.append(q)
+    return tuple(found)
 
 
 class GcdData:

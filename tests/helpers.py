@@ -150,6 +150,40 @@ def subset_reference(circuit, oracle):
     return not any(oracle.is_zero(subcircuit(circuit, q)) for q in subsets)
 
 
+def divides_by_substitution(circuit, piv, q_coeffs, oracle):
+    """Reference test of C = 0 mod (q) for q with leading 1 at piv: substitute
+    x_piv = -(the rest of q) into every form, drop that variable and
+    zero-test the shrunken circuit in n - 1 variables."""
+    field = circuit.field
+    keep = [j for j in range(circuit.n) if j != piv]
+    new_terms = []
+    for t in circuit.terms:
+        forms = []
+        for f in t.forms:
+            c = f.coeffs[piv]
+            reduced = [field.sub(f.coeffs[j], field.mul(c, q_coeffs[j])) for j in keep]
+            if not any(reduced):
+                break
+            forms.append(LinearForm(field, reduced))
+        else:
+            new_terms.append(Term(field, t.coef, forms))
+    if not new_terms:
+        return True
+    return oracle.is_zero(Circuit(field, circuit.n - 1, new_terms))
+
+
+def linear_factors_reference(circuit, oracle):
+    """linear_factors by enumeration through divides_by_substitution."""
+    field, n = circuit.field, circuit.n
+    found = []
+    for piv in range(n):
+        for tail in itertools.product(range(field.p), repeat=n - piv - 1):
+            q = (0,) * piv + (1,) + tail
+            if divides_by_substitution(circuit, piv, q, oracle):
+                found.append(LinearForm(field, q))
+    return tuple(found)
+
+
 def load_bench(name):
     """bench/<name>.py loaded read-only as its own module; its field arithmetic
     and instance builders never call sps."""

@@ -112,6 +112,27 @@ def test_span_insert_basics():
     assert not ins
 
 
+def test_span_insert_appends_one_row():
+    # insert never rewrites a row: each row is zero before its pivot and at
+    # the earlier rows' pivots, and 1 at its own
+    rng = random.Random(17)
+    for p, e in ((2, 1), (5, 1), (2, 3), (3, 2)):
+        F = field_make(p, e)
+        b = SpanBasis.empty(F, 5)
+        for _ in range(8):
+            v = tuple(F.rand_element(rng) for _ in range(5))
+            b2, ins = b.insert(v)
+            assert b2.rows[:b.rank] == b.rows and b2.pivots[:b.rank] == b.pivots
+            assert b2.rank == b.rank + ins and b2.contains(v)
+            b = b2
+        for i, (row, piv) in enumerate(zip(b.rows, b.pivots)):
+            assert not any(row[:piv]) and row[piv] == 1
+            assert not any(row[q] for q in b.pivots[:i])
+    b = SpanBasis.from_vectors(field_make(5), 3, [(1, 2, 0), (0, 0, 1)])
+    assert b.insert((0, 3, 0))[0].rows == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
+    assert b != SpanBasis.from_vectors(field_make(5), 3, [(1, 0, 0), (0, 0, 1)])
+
+
 def test_span_membership_and_coordinates():
     F5 = field_make(5)
     b = SpanBasis.from_vectors(F5, 4, [(1, 2, 0, 0), (0, 0, 1, 3)])
@@ -146,13 +167,13 @@ vectors_f5 = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(vecs=vectors_f2, data=st.data())
 def test_span_insertion_order_invariance_f2(vecs, data):
-    # the reduced echelon form is canonical, so any insertion order must
-    # rebuild the identical basis
+    # bases are equal when they span the same subspace, so every insertion
+    # order gives an equal basis with an equal hash, though not equal rows
     F = field_make(2)
     perm = data.draw(st.permutations(vecs))
     a = SpanBasis.from_vectors(F, 5, vecs)
     b = SpanBasis.from_vectors(F, 5, perm)
-    assert a == b
+    assert a == b and hash(a) == hash(b)
     assert a.rank <= 5
 
 
@@ -161,7 +182,10 @@ def test_span_insertion_order_invariance_f2(vecs, data):
 def test_span_insertion_order_invariance_f5(vecs, data):
     F = field_make(5)
     perm = data.draw(st.permutations(vecs))
-    assert SpanBasis.from_vectors(F, 4, vecs) == SpanBasis.from_vectors(F, 4, perm)
+    a = SpanBasis.from_vectors(F, 4, vecs)
+    b = SpanBasis.from_vectors(F, 4, perm)
+    assert a == b and hash(a) == hash(b)
+    assert all(a.reduce(v) == b.reduce(v) for v in vecs + [(1, 2, 3, 4)])
 
 
 def test_rank_never_exceeds_dimension():

@@ -100,7 +100,6 @@ def test_build_chain_ks3_frozen_trace():
     assert [link.mdata.q_set for link in chain.links] == [(1, 2), (1, 2), (0, 2)]
     assert (chain.n1, chain.n2, chain.n3) == (2, 0, 1)
     assert chain.forest.external_count == 1
-    assert chain.forest.internal_count == 0
     assert chain.links[2].mdata.external is True
 
 
@@ -121,7 +120,6 @@ def test_chain_bounds_ks():
             assert chain.n1 <= math.comb(k, 2) * (math.log2(d) + 2)
             assert chain.n2 <= math.comb(k, 2)
         assert chain.n3 <= k - 1
-        assert chain.forest.internal_count == 0
 
 
 def test_chain_family_member():
@@ -131,7 +129,6 @@ def test_chain_family_member():
     assert (k, d) == (4, 8)
     assert chain.rank == 8 <= (k - 2) * chain.m
     assert chain.m <= chain_length_bound(k, d)
-    assert chain.forest.internal_count == 0
 
 
 def test_trivial_link_simple_part_diagnostic():
@@ -215,7 +212,7 @@ def test_forest_processing():
     md_b.mtype = 3
     md_b.q_set = (1, 2)
     forest = build_forest([FakeLink(md_a), FakeLink(md_b)], k=4)
-    assert forest.external_count == 2 and forest.internal_count == 0
+    assert forest.external_count == 2
     assert md_a.external and md_b.external
 
     # an internal link (entirely inside the first tree) must raise
@@ -224,8 +221,6 @@ def test_forest_processing():
     md_c.q_set = (0, 1)
     with pytest.raises(BoundViolationError):
         build_forest([FakeLink(md_a), FakeLink(md_c)], k=4)
-    relaxed = build_forest([FakeLink(md_a), FakeLink(md_c)], k=4, strict=False)
-    assert relaxed.internal_count == 1
 
 
 def test_type2_search_on_natural_chains():

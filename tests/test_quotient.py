@@ -8,10 +8,12 @@ from sps import (
     LinearForm,
     Term,
     VerificationError,
+    ZeroOracle,
     field_make,
     gcd_data,
     gen_ks,
     is_regular,
+    linear_factors,
     make_circuit,
     similar_mod,
     similar_sublist,
@@ -28,14 +30,17 @@ from helpers import (
     brute_product,
     gcd_term,
     is_zero_ideal,
+    linear_factors_reference,
     random_circuit,
     random_form,
     random_ideal,
+    random_pair_identity,
     random_unit,
     verify_gcd_by_expansion,
 )
 
 F2 = field_make(2)
+F3 = field_make(3)
 F5 = field_make(5)
 F7 = field_make(7)
 
@@ -52,6 +57,38 @@ def test_form_ideal_invariants():
     z = zero_ideal(F5, 2)
     assert is_zero_ideal(z) and z.r == 0
     assert z.reduce(LinearForm(F5, [1, 2])).coeffs == (1, 2)
+
+
+def test_form_ideal_span_is_its_echelon_basis():
+    i = ideal(F5, 4, [0, 2, 1, 0], [1, 3, 0, 4], [0, 1, 0, 0])
+    assert i.span is i.span
+    assert i.rows is i.span.rows and i.pivots is i.span.pivots
+    # row j is generator j with earlier pivots cleared, its own pivot 1
+    assert i.rows == ((0, 1, 3, 0), (1, 0, 1, 4), (0, 0, 1, 0))
+    assert i.pivots == (1, 0, 2)
+
+
+def test_linear_factors_match_substitution_reference():
+    # reduction modulo (q) against substituting the pivot variable away, on
+    # circuits whose terms repeat and rescale forms of a small pool
+    rng = random.Random(71)
+    exact = ZeroOracle("exact")
+    sizes = set()
+    for field in (F2, F3, F5, F7):
+        for _ in range(8):
+            n = rng.randrange(2, 4)
+            pool = [random_form(rng, field, n) for _ in range(3)]
+            terms = [
+                Term(field, random_unit(rng, field),
+                     [rng.choice(pool).scale(random_unit(rng, field))
+                      for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(1, 4))
+            ]
+            for c in (Circuit(field, n, terms), random_pair_identity(rng, field, n, 2)):
+                want = linear_factors_reference(c, exact)
+                assert linear_factors(c, exact) == want
+                sizes.add(len(want))
+    assert 0 in sizes and len(sizes) > 3
 
 
 def test_reduce_form_examples():
