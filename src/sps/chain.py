@@ -1,12 +1,14 @@
 """Round-by-round construction of chains of form-ideals with certified
-matching data, type classification, the external-matching forest, and the
-rank-bound certificate.
+matching data, type classification, the external-matching forest check, and
+the rank-bound certificate.
 
 One round starts from a partial basis S and produces a form-ideal I
 orthogonal to S together with a blocking subset of surviving terms and, for
 each survivor, the sublist of its forms tied to a shared list V by ordered
-matchings. Rounds repeat until the accumulated ideals span every form of the
-circuit (a maximal chain); the chain length then certifies the rank bound.
+matchings. A link holds only that ideal and matching data, typed when built;
+S before a round is the span of the earlier links' ideals. Rounds repeat
+until the accumulated ideals span every form of the circuit (a maximal
+chain); the chain length then certifies the rank bound.
 Bound violations raise instead of warning: on a verified simple, minimal
 identity they would falsify a proven bound, and the CLI turns them into
 exit code 3. Chain building is strictly sequential (each round depends on the
@@ -16,7 +18,7 @@ previous basis); independent circuits can be processed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import SpanBasis, spans_orthogonal
 from .circuit import (
@@ -29,8 +31,8 @@ from .circuit import (
     is_simple,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import LinearForm, Term, pair_common, similarity_key
-from .matching import OrderedMatching
+from .forms import LinearForm, pair_common, similarity_key
+from .matching import OrderedMatching, split_term
 from .quotient import FormIdeal, class_keys, is_zero_mod
 
 
@@ -42,8 +44,8 @@ class MatchingData:
 
     v0/v1 (and vq0/vq1 per term) partition the lists into the part inside the
     ideal's span and the part outside sp(S u I); the trimming step guarantees
-    the partition is exhaustive. mtype and external are filled in by
-    classification and forest construction.
+    the partition is exhaustive. mtype (1, 2 or 3, see
+    classify_matching_data) is computed once, at construction.
     """
 
     q_set: tuple[int, ...]
@@ -55,34 +57,27 @@ class MatchingData:
     v1: tuple[int, ...]
     vq0: dict[int, tuple[int, ...]]
     vq1: dict[int, tuple[int, ...]]
-    mtype: int | None = None
-    external: bool | None = None
+    mtype: int = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.mtype = classify_matching_data(self)
 
 
 @dataclass
 class ChainLink:
-    s_span: SpanBasis
     ideal: FormIdeal
     mdata: MatchingData
-    green_rank: int
-
-
-@dataclass
-class Forest:
-    """External trivial links of the forest over the k term leaves."""
-
-    k: int
-    external_count: int = 0
 
 
 class Chain:
-    """A maximal chain of form-ideals for a circuit, with verified bounds."""
+    """A maximal chain of form-ideals for a circuit, with verified bounds;
+    n1, n2, n3 count its links of Type 1, 2 and 3."""
 
-    def __init__(self, circuit, links, forest, counts, bound, rank):
+    def __init__(self, circuit, links, bound, rank):
         self.circuit = circuit
         self.links = tuple(links)
-        self.forest = forest
-        self.n1, self.n2, self.n3 = counts
+        self.n1, self.n2, self.n3 = (sum(link.mdata.mtype == t for link in self.links)
+                                     for t in (1, 2, 3))
         self.bound = bound
         self.m = len(self.links)
         self.rank = rank
@@ -99,9 +94,13 @@ class Chain:
         }
 
     def trace_rounds(self) -> list[dict]:
+        """One row per round. Type 3 links are external (build_forest raises on
+        an internal one); green_rank sums the ideal ranks, each orthogonal to S."""
         out = []
+        green_rank = 0
         for i, link in enumerate(self.links, start=1):
             md = link.mdata
+            green_rank += link.ideal.r
             out.append(
                 {
                     "round": i,
@@ -109,8 +108,8 @@ class Chain:
                     "Q": list(md.q_set),
                     "V_q_sizes": {str(q): len(md.v_lists[q]) for q in md.q_set},
                     "type": md.mtype,
-                    "external": bool(md.external) if md.mtype == 3 else False,
-                    "green_rank": link.green_rank,
+                    "external": md.mtype == 3,
+                    "green_rank": green_rank,
                 }
             )
         return out
@@ -130,7 +129,7 @@ def single_round(
     s_span: SpanBasis,
     oracle: ZeroOracle | None = None,
     precheck: bool = True,
-) -> tuple[FormIdeal, tuple[int, ...], MatchingData]:
+) -> tuple[FormIdeal, MatchingData]:
     """Run one round of the iterative procedure against the partial basis S.
 
     Each iteration picks the first remaining form outside sp(S u I) (terms in
@@ -144,8 +143,9 @@ def single_round(
     and each kept slot's edge is derived and checked once, by the final
     matchings under the full I. Its first j echelon rows are the rows of
     iteration j's ideal, so a slot paired at iteration j gets the same
-    (c, w, level) as it would under that ideal. Returns the useful ideal (at most k - 2 generators), the blocking subset,
-    and the verified matching data.
+    (c, level) as it would under that ideal. Returns the useful ideal (at
+    most k - 2 generators) and the verified matching data, whose q_set is
+    the blocking subset.
     """
     oracle = oracle or ZeroOracle()
     field = circuit.field
@@ -237,20 +237,17 @@ def single_round(
     v_lists: dict[int, tuple] = {}
     v_positions: dict[int, tuple] = {}
     matchings: dict[int, OrderedMatching] = {}
+    residual_terms = []
     for q in q_set:
-        pos = tuple(vq_pos[q][t] for t in keep)
-        v_positions[q] = pos
-        forms_q = tuple(circuit.terms[q].forms[p] for p in pos)
-        v_lists[q] = forms_q
-        pi = OrderedMatching.build(ideal, v_kept, forms_q, tuple(range(len(keep))))
-        if not pi.is_ordered:
-            raise VerificationError("round matching failed to validate as ordered")
-        matchings[q] = pi
+        v_positions[q] = tuple(vq_pos[q][t] for t in keep)
+        v_lists[q], matchings[q], residual = split_term(
+            ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep))
+        )
+        residual_terms.append(residual)
 
-    md = _finish_matching_data(
-        circuit, place, ideal, q_set, v_kept, v_lists, v_positions, matchings, oracle
-    )
-    return ideal, q_set, md
+    md = _finish_matching_data(circuit, place, ideal, q_set, v_kept, v_lists,
+                               v_positions, matchings, residual_terms, oracle)
+    return ideal, md
 
 
 # where a form lies against sp(I) inside sp(S u I)
@@ -277,11 +274,9 @@ def _placement(ideal: FormIdeal, su_span: SpanBasis):
     return place
 
 
-def _finish_matching_data(
-    circuit, place, ideal, q_set, v_forms, v_lists, v_positions, matchings, oracle
-) -> MatchingData:
+def _finish_matching_data(circuit, place, ideal, q_set, v_forms, v_lists,
+                          v_positions, matchings, residual_terms, oracle) -> MatchingData:
     """Partition the lists, then verify every matching-data invariant."""
-    field = circuit.field
 
     def split(forms):
         inside, outside = [], []
@@ -307,33 +302,15 @@ def _finish_matching_data(
 
     # every leftover form lies in sp(S u I) \ sp(I), so outside sp(I): the
     # residual is regular mod the ideal
-    residual_terms = []
-    for q in q_set:
-        kept = set(v_positions[q])
-        leftover = [
-            circuit.terms[q].forms[p]
-            for p in range(circuit.terms[q].degree)
-            if p not in kept
-        ]
-        if any(place(f) != _TRIM for f in leftover):
-            raise VerificationError("unmatched form escaped sp(S u I) \\ sp(I)")
-        coef = field.mul(matchings[q].scaling_factor(), circuit.terms[q].coef)
-        residual_terms.append(Term(field, coef, leftover))
-    residual = Circuit(field, circuit.n, residual_terms)
+    if any(place(f) != _TRIM for t in residual_terms for f in t.forms):
+        raise VerificationError("unmatched form escaped sp(S u I) \\ sp(I)")
+    residual = Circuit(circuit.field, circuit.n, residual_terms)
     if not is_zero_mod(residual, ideal, oracle):
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
-    return MatchingData(
-        q_set=q_set,
-        v_forms=v_forms,
-        v_lists=v_lists,
-        v_positions=v_positions,
-        matchings=matchings,
-        v0=v0,
-        v1=v1,
-        vq0=vq0,
-        vq1=vq1,
-    )
+    return MatchingData(q_set=q_set, v_forms=v_forms, v_lists=v_lists,
+                        v_positions=v_positions, matchings=matchings,
+                        v0=v0, v1=v1, vq0=vq0, vq1=vq1)
 
 
 def classify_matching_data(md: MatchingData) -> int:
@@ -356,22 +333,15 @@ def classify_matching_data(md: MatchingData) -> int:
     return 3
 
 
-def classify_chain(links) -> None:
-    for link in links:
-        link.mdata.mtype = classify_matching_data(link.mdata)
-
-
-def build_forest(links, k: int) -> Forest:
-    """Process trivial (Type 3) links in order over k term leaves.
+def build_forest(links, k: int) -> None:
+    """Check the trivial (Type 3) links in order over k term leaves.
 
     A link whose blocking subset spans several trees is external: it becomes
     a new root over those trees. A link falling inside a single tree is
     internal, which cannot happen for a simple, minimal identity, so it
     raises the falsification error.
     """
-    forest = Forest(k=k)
     tree_of = list(range(k))
-    next_id = k
     for idx, link in enumerate(links, start=1):
         md = link.mdata
         if md.mtype != 3:
@@ -383,13 +353,9 @@ def build_forest(links, k: int) -> Forest:
                 f"subcircuit {sorted(md.q_set)} would be a zero subcircuit, "
                 "contradicting minimality"
             )
-        md.external = True
-        forest.external_count += 1
         for q in range(k):
             if tree_of[q] in trees:
-                tree_of[q] = next_id
-        next_id += 1
-    return forest
+                tree_of[q] = k + idx  # the new root's id, unused by any leaf
 
 
 def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
@@ -426,39 +392,29 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         while not s_span.contains(f.coeffs):
             if len(links) > circuit.n:  # each round grows the span rank by >= 1
                 raise VerificationError("chain failed to terminate")
-            ideal, q_set, md = single_round(circuit, s_span, oracle, precheck=False)
-            before_span = s_span
+            ideal, md = single_round(circuit, s_span, oracle, precheck=False)
             for g in ideal.generators:
                 s_span, _ = s_span.insert(g.coeffs)
-            links.append(ChainLink(before_span, ideal, md, green_rank=s_span.rank))
+            links.append(ChainLink(ideal, md))
 
     if not spans_orthogonal([link.ideal.span for link in links]):
         raise VerificationError("round ideals are not mutually orthogonal")
 
-    classify_chain(links)
-    forest = build_forest(links, k)
+    build_forest(links, k)
+    chain = Chain(circuit, links, chain_length_bound(k, d), circuit_rank(circuit))
 
-    m = len(links)
-    rank = circuit_rank(circuit)
-    counts = [0, 0, 0]
-    for link in links:
-        counts[link.mdata.mtype - 1] += 1
-    n1, n2, n3 = counts
-    bound = chain_length_bound(k, d)
-
-    if rank > (k - 2) * m:
+    if chain.rank > (k - 2) * chain.m:
         raise BoundViolationError(
-            f"rank {rank} exceeds (k-2)*m = {(k - 2) * m}"
+            f"rank {chain.rank} exceeds (k-2)*m = {(k - 2) * chain.m}"
         )
     if d >= 2:  # the logarithmic bounds are asymptotic in d
-        if m > bound:
-            raise BoundViolationError(f"chain length {m} exceeds bound {bound}")
-        if n1 > math.comb(k, 2) * (math.log2(d) + 2):
-            raise BoundViolationError(f"N1 = {n1} exceeds its bound")
-        if n2 > math.comb(k, 2):
-            raise BoundViolationError(f"N2 = {n2} exceeds its bound")
-        if n3 > k - 1:
-            raise BoundViolationError(f"N3 = {n3} exceeds its bound")
-
-    return Chain(circuit, links, forest, (n1, n2, n3), bound, rank)
+        if chain.m > chain.bound:
+            raise BoundViolationError(f"chain length {chain.m} exceeds bound {chain.bound}")
+        if chain.n1 > math.comb(k, 2) * (math.log2(d) + 2):
+            raise BoundViolationError(f"N1 = {chain.n1} exceeds its bound")
+        if chain.n2 > math.comb(k, 2):
+            raise BoundViolationError(f"N2 = {chain.n2} exceeds its bound")
+        if chain.n3 > k - 1:
+            raise BoundViolationError(f"N3 = {chain.n3} exceeds its bound")
+    return chain
 

@@ -33,7 +33,7 @@ def _expansion_budget(budget):
 class Circuit:
     """Sum of k multiplication terms over n variables."""
 
-    __slots__ = ("field", "n", "terms")
+    __slots__ = ("field", "n", "terms", "_basis")
 
     def __init__(self, field: Field, n: int, terms):
         terms = tuple(terms)
@@ -47,6 +47,7 @@ class Circuit:
         self.field = field
         self.n = n
         self.terms = terms
+        self._basis = None  # form_basis, built on first use
 
     @property
     def k(self) -> int:
@@ -104,16 +105,20 @@ def circuit_rank(circuit: Circuit) -> int:
 
 
 def form_basis(circuit: Circuit) -> SpanBasis:
-    return SpanBasis.from_vectors(
-        circuit.field, circuit.n, (f.coeffs for f in circuit.all_forms())
-    )
+    """Echelon basis of the circuit's forms, built once per (immutable) circuit
+    and shared by the rank, the exact cost bound and the expansion."""
+    if circuit._basis is None:
+        circuit._basis = SpanBasis.from_vectors(
+            circuit.field, circuit.n, (f.coeffs for f in circuit.all_forms())
+        )
+    return circuit._basis
 
 
 # -- exact zero test (rank compression + packed sparse expansion) --
 
-def exact_cost_bound(circuit: Circuit, rank: int | None = None) -> int:
+def exact_cost_bound(circuit: Circuit) -> int:
     """Upper bound on total monomials touched by the exact expansion."""
-    r = circuit_rank(circuit) if rank is None else rank
+    r = circuit_rank(circuit)
     if r == 0:
         return len(circuit.terms)
     return sum(math.comb(t.degree + r - 1, r - 1) for t in circuit.terms)
@@ -139,7 +144,7 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
     r = basis.rank
     if r:
         budget = _expansion_budget(budget)
-        bound = exact_cost_bound(circuit, r)
+        bound = exact_cost_bound(circuit)
         if bound > budget:
             raise BudgetExceededError(
                 f"exact expansion bound {bound} exceeds budget {budget}"
@@ -505,5 +510,13 @@ def dumps_circuit(circuit: Circuit) -> str:
     return _dumps(circuit_to_dict(circuit))
 
 
+def _json_loads(text: str):
+    """json.loads; input nested too deeply to decode is malformed (ValueError)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def loads_circuit(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))
+    return circuit_from_dict(_json_loads(text))

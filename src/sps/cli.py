@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -24,6 +23,7 @@ from .circuit import (
     _form_from_json,
     _form_to_json,
     _header_from_json,
+    _json_loads,
     _json_number,
     circuit_rank,
     circuit_to_dict,
@@ -231,7 +231,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    obj = json.loads(_read_text(args.lists))
+    obj = _json_loads(_read_text(args.lists))
     field, n = _header_from_json({"e": 1, **obj})
 
     def forms(vectors):

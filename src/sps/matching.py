@@ -5,9 +5,11 @@ A matching between lists U and V by a form-ideal I is a position-level
 bijection where each image equals a nonzero multiple of its source plus an
 element of the ideal's span. An ordered matching refines this: each edge's
 offset lies in the span of a generator *prefix* that does not contain the
-source form, which pins a unique per-edge scalar. Edges store the minimal
-valid prefix level, so certificates are canonical. ``build`` derives each
-certificate once, from one elimination pass per form.
+source form, which pins a unique per-edge scalar. An edge's certificate is
+that scalar c and the minimal valid prefix level, so certificates are
+canonical; the offset image - c * source is recomputed by the check, not
+stored. ``build`` derives each certificate once, from one elimination pass
+per form.
 
 Every ``OrderedMatching`` is checked exactly once, by its constructor, which
 verifies each edge it is given; an instance that exists is a verified
@@ -19,21 +21,17 @@ and does not re-check its edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .algebra import SpanBasis, spans_orthogonal
 from .errors import VerificationError
-from .forms import LinearForm, common_positions, lists_coprime, lists_similar
+from .forms import LinearForm, Term, common_positions, lists_coprime, lists_similar
 from .forms import pair_by_key, similarity_key
-
-if TYPE_CHECKING:  # runtime access goes through ideal methods only
-    from .quotient import FormIdeal
 
 
 class MatchEdge(NamedTuple):
     c: object          # field element, nonzero
-    w: LinearForm      # offset, in the level-j prefix span
-    level: int         # minimal valid j
+    level: int         # minimal j with image - c * source in the level-j prefix span
     ordered: bool      # False only for edges between forms inside the span
 
 
@@ -58,31 +56,28 @@ def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
         c = field.div(d[t], s[t])
         k = next((i for i, (x, y) in enumerate(zip(s, d)) if y != field.mul(c, x)), None)
         if k is None or (k > t and k >= ideal.n):
-            return MatchEdge(c, dst.sub(src.scale(c)), 0 if k is None else len(s) - k, True)
+            return MatchEdge(c, 0 if k is None else len(s) - k, True)
     if not any(rest_src + rest_dst):
-        return MatchEdge(1, dst.sub(src), ideal.r, False)
+        return MatchEdge(1, ideal.r, False)
     return None
 
 
 def _check_edge(ideal, src: LinearForm, dst: LinearForm, e: MatchEdge) -> bool:
-    if not e.c:
+    """dst - c*src lies in prefix(level), c is nonzero, and for an ordered edge
+    src lies outside prefix(level), which makes c the only valid scalar."""
+    if not e.c or not ideal.prefix_contains(e.level, dst.sub(src.scale(e.c))):
         return False
-    if dst.sub(src.scale(e.c)) != e.w:
-        return False
-    if not ideal.prefix_contains(e.level, e.w):
-        return False
-    if e.ordered and ideal.prefix_contains(e.level, src):
-        return False
-    return True
+    return not (e.ordered and ideal.prefix_contains(e.level, src))
 
 
 class OrderedMatching:
     """A certified bijection between two form lists by an ordered form-ideal.
 
-    sigma maps domain slot i to codomain slot sigma[i]; edges[i] certifies
-    codomain[sigma[i]] = c * domain[i] + w with w in the level-j prefix span.
-    The matching validates as *ordered* when every edge does; otherwise it is
-    a plain ideal matching (only possible for forms inside the span).
+    sigma maps domain slot i to codomain slot sigma[i]; edges[i] = (c, j, ...)
+    certifies that codomain[sigma[i]] - c * domain[i] lies in the level-j
+    prefix span. The matching validates as *ordered* when every edge does;
+    otherwise it is a plain ideal matching (only possible for forms inside
+    the span).
     """
 
     __slots__ = ("ideal", "domain", "codomain", "sigma", "edges")
@@ -158,6 +153,20 @@ def find_matching(u, v, ideal) -> OrderedMatching | None:
     if sigma is None:
         return None
     return OrderedMatching.build(ideal, u, v, sigma)
+
+
+def split_term(ideal, u, term: Term, positions, sigma):
+    """Split a term against the common list u modulo the ideal: the sublist
+    at positions, the ordered matching u -> sublist by sigma, and the residual
+    term sc * coef * (the other forms), so term = M(u) * residual mod I."""
+    field = term.field
+    sub = tuple(term.forms[p] for p in positions)
+    pi = OrderedMatching.build(ideal, u, sub, sigma)
+    if not pi.is_ordered:
+        raise VerificationError("common-factor matching failed to validate as ordered")
+    taken = set(positions)
+    rest = [f for p, f in enumerate(term.forms) if p not in taken]
+    return sub, pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
 
 
 def invert(pi: OrderedMatching) -> OrderedMatching:
@@ -252,7 +261,9 @@ def trivialize(pi: OrderedMatching) -> OrderedMatching:
         raise ValueError("trivialize requires similar domain and codomain")
     before = pi.scaling_factor()
     out = unscramble(pi, range(len(pi)), range(len(pi)))
-    if any(not e.w.is_zero for e in out.edges):
+    # compare the forms, not the levels: the constructor does not require
+    # a level to be minimal, so a zero offset may carry a positive level
+    if any(out.image(i) != f.scale(e.c) for i, (f, e) in enumerate(zip(out.domain, out.edges))):
         raise VerificationError("trivialize left a non-similar edge")
     if out.scaling_factor() != before:
         raise VerificationError("trivialize changed the scaling factor")

@@ -19,8 +19,9 @@ import itertools
 
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError
 from .forms import LinearForm, Term, normalize, pair_common, similar
+from .matching import split_term
 
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
@@ -242,9 +243,6 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
     order of each term (forms.pair_common), which pins the decomposition to
     one deterministic representative. Raises on non-regular input.
     """
-    from . import matching as _matching
-
-    field = circuit.field
     keys_per_term = [class_keys(t.forms, ideal) for t in circuit.terms]
     if None in keys_per_term:  # a form in the span
         raise ValueError("gcd data requires a circuit that is regular mod the ideal")
@@ -257,21 +255,11 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
     matchings: dict[int, object] = {}
     sim_terms = []
     for q, t in enumerate(circuit.terms):
-        pos_q = positions[q]
-        u_positions[q] = tuple(pos_q)
-        forms_q = tuple(t.forms[p] for p in pos_q)
-        u_lists[q] = forms_q
-        pi = _matching.OrderedMatching.build(ideal, u, forms_q, sigmas[q])
-        if not pi.is_ordered:
-            raise VerificationError("gcd matching failed to validate as ordered")
-        matchings[q] = pi
-        taken = set(pos_q)
-        leftover = [t.forms[p] for p in range(t.degree) if p not in taken]
-        sim_terms.append(
-            Term(field, field.mul(pi.scaling_factor(), t.coef), leftover)
-        )
+        u_positions[q] = tuple(positions[q])
+        u_lists[q], matchings[q], residual = split_term(ideal, u, t, positions[q], sigmas[q])
+        sim_terms.append(residual)
 
-    sim = Circuit(field, circuit.n, sim_terms)
+    sim = Circuit(circuit.field, circuit.n, sim_terms)
     return GcdData(circuit, ideal, u, u_lists, u_positions, matchings, sim)
 
 

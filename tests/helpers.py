@@ -97,8 +97,9 @@ def random_span_element(rng, field, ideal, level):
 
 
 def scan_edge(ideal, src, dst):
-    """Reference edge certificate (c, w, level, ordered) for dst = c*src + w,
-    or None, found by scanning generator prefixes upward.
+    """Reference edge certificate (c, level, ordered) for dst = c*src + w with
+    w in the level prefix span, or None, found by scanning generator prefixes
+    upward.
 
     Uses only fresh reduced-row-echelon bases of the prefixes and plain
     similarity, never the ideal's own elimination data. The first level
@@ -115,12 +116,12 @@ def scan_edge(ideal, src, dst):
         c = similar(LinearForm(field, prefix.reduce(dst.coeffs)),
                     LinearForm(field, prefix.reduce(src.coeffs)))
         if c is not None:
-            return (c, dst.sub(src.scale(c)), j, True)
+            return (c, j, True)
     else:
         return None
     span = SpanBasis.from_vectors(field, n, gens)
     if span.contains(src.coeffs) and span.contains(dst.coeffs):
-        return (field.one, dst.sub(src), ideal.r, False)
+        return (field.one, ideal.r, False)
     return None
 
 
@@ -338,17 +339,18 @@ def verify_gcd_by_expansion(gd):
             )
 
 
-def trivial_link_simple_part_check(circuit, link, oracle=None):
-    """Diagnostic for trivial links: the simple part of the blocking
-    subcircuit (gcd taken mod 0) is an identity mod the link's ideal and all
-    its forms lie in sp(S u I)."""
+def trivial_link_simple_part_check(chain, i, oracle=None):
+    """Diagnostic for the trivial link chain.links[i]: the simple part of the
+    blocking subcircuit (gcd taken mod 0) is an identity mod the link's ideal
+    and all its forms lie in sp(S u I), where S u I is spanned by the
+    generators of links 0..i."""
+    circuit, link = chain.circuit, chain.links[i]
     sub = subcircuit(circuit, link.mdata.q_set)
     sim = gcd_data(sub, zero_ideal(circuit.field, circuit.n)).sim
     if not is_zero_mod(sim, link.ideal, oracle):
         return False
-    su = link.s_span
-    for g in link.ideal.generators:
-        su, _ = su.insert(g.coeffs)
+    su = SpanBasis.from_vectors(circuit.field, circuit.n, [
+        g.coeffs for earlier in chain.links[:i + 1] for g in earlier.ideal.generators])
     return all(su.contains(f.coeffs) for t in sim.terms for f in t.forms)
 
 

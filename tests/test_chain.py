@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,9 +62,9 @@ def test_gen_joined_refuses_more_than_16_terms_before_any_work(monkeypatch):
 
 def test_single_round_ks3_from_empty():
     ks = gen_ks(3)
-    ideal, q_set, md = single_round(ks, empty_span(F2, 3))
+    ideal, md = single_round(ks, empty_span(F2, 3))
     assert [g.coeffs for g in ideal.generators] == [(1, 0, 0)]
-    assert q_set == (1, 2)
+    assert md.q_set == (1, 2)
     assert md.v_lists[1] == ks.terms[1].forms
     assert md.v_lists[2] == ks.terms[2].forms
     assert md.v0 == () and len(md.v1) == 2  # nothing in sp(I), all outside sp(S u I)
@@ -72,9 +73,9 @@ def test_single_round_ks3_from_empty():
 def test_single_round_ks3_final_round():
     ks = gen_ks(3)
     s = span_of(F2, 3, [(1, 0, 0), (0, 1, 0)])
-    ideal, q_set, md = single_round(ks, s)
+    ideal, md = single_round(ks, s)
     assert [g.coeffs for g in ideal.generators] == [(0, 0, 1)]
-    assert q_set == (0, 2)
+    assert md.q_set == (0, 2)
     assert md.v_lists[0] == () and md.v_lists[2] == ()
     assert classify_matching_data(md) == 3
 
@@ -99,8 +100,7 @@ def test_build_chain_ks3_frozen_trace():
     assert [link.mdata.mtype for link in chain.links] == [1, 1, 3]
     assert [link.mdata.q_set for link in chain.links] == [(1, 2), (1, 2), (0, 2)]
     assert (chain.n1, chain.n2, chain.n3) == (2, 0, 1)
-    assert chain.forest.external_count == 1
-    assert chain.links[2].mdata.external is True
+    assert [row["external"] for row in chain.trace_rounds()] == [False, False, True]
 
 
 def test_chain_trace_deterministic():
@@ -133,9 +133,9 @@ def test_chain_family_member():
 
 def test_trivial_link_simple_part_diagnostic():
     chain = build_chain(gen_ks(3))
-    for link in chain.links:
+    for i, link in enumerate(chain.links):
         if link.mdata.mtype == 3:
-            assert trivial_link_simple_part_check(chain.circuit, link)
+            assert trivial_link_simple_part_check(chain, i)
 
 
 def test_build_chain_rejects_bad_input():
@@ -198,29 +198,18 @@ def test_classifier_types():
 
 
 def test_forest_processing():
-    x1 = LinearForm(F5, [1, 0, 0])
-    links = []
+    def link(mtype, q_set):  # stand-in: the forest reads only mdata.mtype and q_set
+        return SimpleNamespace(mdata=SimpleNamespace(mtype=mtype, q_set=q_set))
 
-    class FakeLink:
-        def __init__(self, md):
-            self.mdata = md
+    # two external trivial links merge trees; a Type 1 link is not a forest link
+    assert build_forest([link(3, (0, 1)), link(1, (0, 1)), link(3, (1, 2))], k=4) is None
+    assert build_forest([link(3, (0, 1)), link(3, (1, 2)), link(3, (2, 3))], k=4) is None
 
-    md_a = _synthetic_mdata([[x1], [x1]], [x1], [], F5, 3)
-    md_a.mtype = 3
-    md_a.q_set = (0, 1)
-    md_b = _synthetic_mdata([[x1], [x1]], [x1], [], F5, 3)
-    md_b.mtype = 3
-    md_b.q_set = (1, 2)
-    forest = build_forest([FakeLink(md_a), FakeLink(md_b)], k=4)
-    assert forest.external_count == 2
-    assert md_a.external and md_b.external
-
-    # an internal link (entirely inside the first tree) must raise
-    md_c = _synthetic_mdata([[x1], [x1]], [x1], [], F5, 3)
-    md_c.mtype = 3
-    md_c.q_set = (0, 1)
-    with pytest.raises(BoundViolationError):
-        build_forest([FakeLink(md_a), FakeLink(md_c)], k=4)
+    # an internal link (entirely inside one tree) must raise
+    with pytest.raises(BoundViolationError, match="round 2"):
+        build_forest([link(3, (0, 1)), link(3, (0, 1))], k=4)
+    with pytest.raises(BoundViolationError, match="round 3"):
+        build_forest([link(3, (0, 1)), link(3, (1, 2)), link(3, (0, 2))], k=4)
 
 
 def test_type2_search_on_natural_chains():
@@ -238,9 +227,20 @@ def test_type2_search_on_natural_chains():
 
 def test_chain_green_rank_monotone():
     chain = build_chain(gen_ks(5))
-    ranks = [link.green_rank for link in chain.links]
+    ranks = [row["green_rank"] for row in chain.trace_rounds()]
     assert ranks == sorted(ranks)
     assert ranks[-1] == circuit_rank(chain.circuit)
+
+
+def test_green_rank_is_the_rank_of_the_links_generators():
+    for circuit in [gen_ks(r) for r in range(3, 8)] + [gen_family(3, i) for i in (1, 2)]:
+        chain = build_chain(circuit)
+        gens = []
+        for row, link in zip(chain.trace_rounds(), chain.links):
+            gens.extend(g.coeffs for g in link.ideal.generators)
+            assert row["green_rank"] == span_of(circuit.field, circuit.n, gens).rank
+        assert [row["external"] for row in chain.trace_rounds()] == [
+            link.mdata.mtype == 3 for link in chain.links]
 
 
 def test_round_ideals_mutually_orthogonal():
@@ -253,7 +253,8 @@ def test_round_ideals_mutually_orthogonal():
 
 def _round_certificates_digest(chain):
     """Digest of every link's trace row, list positions, span partition and
-    final edge certificates (c, level, ordered, w)."""
+    final edge certificates (c, level, ordered) with the offset
+    w = image - c * source."""
     rows = chain.trace_rounds()
     for row, link in zip(rows, chain.links):
         md = link.mdata
@@ -262,7 +263,9 @@ def _round_certificates_digest(chain):
         row["vq0"] = {str(q): list(p) for q, p in md.vq0.items()}
         row["vq1"] = {str(q): list(p) for q, p in md.vq1.items()}
         row["edges"] = {
-            str(q): [[e.c, e.level, e.ordered, list(e.w.coeffs)] for e in m.edges]
+            str(q): [[e.c, e.level, e.ordered,
+                      list(m.image(i).sub(m.domain[i].scale(e.c)).coeffs)]
+                     for i, e in enumerate(m.edges)]
             for q, m in md.matchings.items()
         }
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sps import dumps_circuit, gen_joined, gen_ks, loads_circuit, make_circuit, field_make
+from sps import SpanBasis, dumps_circuit, gen_joined, gen_ks, loads_circuit, make_circuit, field_make
 from sps.cli import main
 import sps.matching
 from helpers import count_calls, load_bench, refuse_generator_work, refuse_oracle_work
@@ -486,3 +486,46 @@ def test_joined_extension_identity_bytes_pinned():
     assert bench.digest16(text) == "8ec93ed73cb698a0"
     assert text.startswith('{"e":2,"n":4,"p":3,"terms":[{"coef":[1,0],"forms":'
                            '[[[1,0],[0,2],[0,0],[0,0]],[[1,0],[0,1],[0,0],[0,0]],')
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+_DEEP_TERMS = '{"e":1,"n":1,"p":2,"terms":' + "[" * 50_000 + "]" * 50_000 + "}"
+
+
+@pytest.mark.parametrize("payload", [_DEEP, _DEEP_TERMS], ids=["array", "terms"])
+@pytest.mark.parametrize("argv", [["check"], ["chain"], ["match", "--ideal", "1"]],
+                         ids=lambda argv: argv[0])
+def test_deeply_nested_json_on_stdin_exits_2(argv, payload):
+    run = subprocess.run([sys.executable, "-m", "sps", *argv], input=payload,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    _DEEP,
+    '{"p":5,"n":1,"U":' + "[" * 50_000 + "]" * 50_000 + ',"V":[],"ideals":[]}',
+], ids=["array", "U"])
+def test_deeply_nested_doubling_lists_exit_2(payload, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(payload)
+    run = subprocess.run([sys.executable, "-m", "sps", "doubling", "--lists", str(path)],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["auto", "exact"])
+def test_check_builds_one_form_basis(mode, tmp_path, capsys, monkeypatch):
+    path = _gen_file(tmp_path, capsys, ["ks", "--r", "6"], "ks6.json")
+    builds = []
+    from_vectors = SpanBasis.from_vectors.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return from_vectors(cls, *args)
+
+    monkeypatch.setattr(SpanBasis, "from_vectors", classmethod(counted))
+    code, out, _ = run_cli(["check", *mode, path], capsys)
+    assert code == 0 and json.loads(out)["zero"] is True
+    assert len(builds) == 1  # shared by the cost bound, the expansion and the rank

@@ -36,6 +36,11 @@ def ideal(field, n, *gens):
     return FormIdeal(field, n, [LinearForm(field, g) for g in gens])
 
 
+def offsets(pi):
+    """Each edge's offset w = image - c * source, recomputed from the lists."""
+    return [pi.image(i).sub(f.scale(e.c)) for i, (f, e) in enumerate(zip(pi.domain, pi.edges))]
+
+
 def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain=None):
     """Forward construction: pick U and push each form through a random valid
     edge map (scalar, prefix level, offset in that prefix span)."""
@@ -115,7 +120,7 @@ def test_invert_union_compose_examples():
 
     round_trip = compose(back, pi)
     assert round_trip.scaling_factor() == 1
-    assert all(e.w.is_zero for e in round_trip.edges)
+    assert all(offset.is_zero for offset in offsets(round_trip))
 
     with pytest.raises(ValueError):
         disjoint_union(pi, find_matching((LinearForm(F5, [1, 0, 0]),),
@@ -171,6 +176,16 @@ def test_trivialize_examples():
         trivialize(pi_ns)
 
 
+def test_trivialize_accepts_a_zero_offset_at_a_higher_level():
+    # the constructor accepts a valid but non-minimal level
+    i1 = ideal(F5, 3, [0, 0, 1])
+    u, v = (LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 0]),)
+    built = OrderedMatching.build(i1, u, v, (0,))
+    assert built.edges[0].level == 0
+    hand = OrderedMatching(i1, u, v, (0,), (built.edges[0]._replace(level=1),))
+    assert trivialize(hand).scaling_factor() == 2
+
+
 def test_trivialize_preserves_scaling_and_products():
     rng = random.Random(31337)
     for _ in range(60):
@@ -187,7 +202,7 @@ def test_trivialize_preserves_scaling_and_products():
         sc = pi.scaling_factor()
         out = trivialize(pi)
         assert out.scaling_factor() == sc
-        assert all(e.w.is_zero for e in out.edges)
+        assert all(offset.is_zero for offset in offsets(out))
         # M(V) = sc * M(U) exactly, via the independent expansion oracle
         mu = brute_product(F5, n, u)
         mv = brute_product(F5, n, v)
@@ -221,9 +236,32 @@ def test_certificates_rechecked():
     pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 1]),), i3)
     from sps.matching import MatchEdge
 
-    bad = MatchEdge(3, pi.edges[0].w, 1, True)
+    assert MatchEdge._fields == ("c", "level", "ordered")
+    bad = MatchEdge(3, 1, True)
     with pytest.raises(VerificationError):
         OrderedMatching(i3, pi.domain, pi.codomain, pi.sigma, (bad,))
+
+
+def test_edge_certificates_admit_no_other_scalar_or_lower_level():
+    """An ordered edge's (c, level) is the only certificate that verifies:
+    any other nonzero c, or a positive level lowered by 1, is refused."""
+    rng = random.Random(31)
+    kinds = set()
+    for field in (F5, field_make(7), field_make(2, 3), field_make(3, 2)):
+        for _ in range(15):
+            pi = random_ordered_matching(rng, field)
+            assert pi.is_ordered
+            for i, e in enumerate(pi.edges):
+                mutants = [e._replace(c=c) for c in range(1, field.order) if c != e.c]
+                if e.level:
+                    mutants.append(e._replace(level=e.level - 1))
+                    kinds.add("level")
+                for bad in mutants:
+                    edges = pi.edges[:i] + (bad,) + pi.edges[i + 1:]
+                    with pytest.raises(VerificationError):
+                        OrderedMatching(pi.ideal, pi.domain, pi.codomain, pi.sigma, edges)
+                kinds.add("c")
+    assert kinds == {"c", "level"}
 
 
 def test_derived_edges_match_prefix_scan():
