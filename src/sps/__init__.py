@@ -19,7 +19,6 @@ from .circuit import (
     ZeroOracle,
     circuit_rank,
     dumps_circuit,
-    homogenize,
     is_minimal,
     is_simple,
     loads_circuit,
@@ -44,7 +43,6 @@ from .forms import (
     lists_similar,
     normalize,
     similar,
-    similar_sublist,
     similarity_key,
 )
 from .matching import (
@@ -62,11 +60,8 @@ from .quotient import (
     FormIdeal,
     GcdData,
     gcd_data,
-    is_regular,
     linear_factors,
-    similar_mod,
     simple_part,
-    zero_ideal,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,7 @@ product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
-Both verdicts of one circuit come from one set of term values (ZeroOracle.term_values).
+One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
 """
 
 from __future__ import annotations
@@ -278,27 +278,11 @@ def _trial_is_zero(values: list, q, add) -> bool:
 
 
 def _term_values(circuit: Circuit, ev: Field, rng) -> list:
-    """Each term's value at one random point over ev, whose elements include
-    the circuit's coefficients as they stand: plain ints mod p for a prime ev,
-    table arithmetic otherwise."""
+    """Each term's value at one random point over ev, in ev's arithmetic; the
+    circuit's coefficients are elements of ev as they stand (ints mod p embed)."""
     point = [ev.rand_element(rng) for _ in range(circuit.n)]
-    values = []
-    if ev.e == 1:
-        p = ev.p
-        for t in circuit.terms:
-            val = t.coef
-            for f in t.forms:
-                s = 0
-                for a, x in zip(f.coeffs, point):
-                    if a:
-                        s += a * x
-                val = (val * s) % p
-                if not val:
-                    break
-            values.append(val)
-        return values
-
     add, mul = ev.add, ev.mul
+    values = []
     for t in circuit.terms:
         val = t.coef
         for f in t.forms:
@@ -333,21 +317,22 @@ class ZeroOracle:
         return self.mode == "exact" or (self.mode == "auto"
                                         and exact_cost_bound(circuit) <= self.auto_budget)
 
-    def is_zero(self, circuit: Circuit) -> bool:
+    def _sums(self, circuit: Circuit):
+        """Whether the terms indexed by q sum to zero, for any subset q: read off
+        one expansion of each term, or one evaluation of each term per trial."""
         if self.answers_exactly(circuit):
-            return zero_test_exact(circuit, self.budget)
-        return zero_test_random(circuit, self.trials, self.seed)
+            return partial(_sums_to_zero, circuit.field, _expand_terms(circuit, self.budget))
+        return _random_sums(circuit, self.trials, self.seed)
+
+    def is_zero(self, circuit: Circuit) -> bool:
+        return self._sums(circuit)(range(circuit.k))
 
     def term_values(self, circuit: Circuit) -> TermValues:
-        """Zero and minimality verdicts from one expansion, or one evaluation of
-        each term per trial; k > 16 (2^k - k - 2 subsets) is refused first."""
+        """Zero and minimality verdicts from one set of term values; k > 16
+        (2^k - k - 2 subsets) is refused before any oracle work."""
         if circuit.k > 16:
             raise ValueError("minimality testing is capped at k <= 16 terms")
-        if self.answers_exactly(circuit):
-            sums = partial(_sums_to_zero, circuit.field, _expand_terms(circuit, self.budget))
-        else:
-            sums = _random_sums(circuit, self.trials, self.seed)
-        return TermValues(circuit.k, sums)
+        return TermValues(circuit.k, self._sums(circuit))
 
     def __repr__(self):
         return f"ZeroOracle({self.mode}, trials={self.trials}, seed={self.seed})"
@@ -391,35 +376,6 @@ def is_minimal(circuit: Circuit, oracle: ZeroOracle | None = None) -> bool:
     circuit's evaluation field; k <= 2 needs no work, k > 16 is refused.
     """
     return circuit.k < 3 or (oracle or ZeroOracle()).term_values(circuit).is_minimal()
-
-
-# -- homogenization --
-
-def homogenize(field: Field, n: int, affine_terms) -> Circuit:
-    """Make affine input homogeneous with one fresh variable.
-
-    Input terms are (coef, [affine vectors]) where each affine vector has
-    length n + 1: coefficients of x_1..x_n followed by the constant. The
-    constant c becomes c * x_{n+1}, shorter terms are padded with copies of
-    x_{n+1} up to the maximum degree, and the result sums to zero iff the
-    input does. Exactly one variable is appended even for homogeneous input.
-    """
-    affine_terms = list(affine_terms)
-    if not affine_terms:
-        raise ValueError("homogenize needs at least one term")
-    dmax = max(len(vectors) for _, vectors in affine_terms)
-    fresh = LinearForm(field, [0] * n + [1])
-    terms = []
-    for coef, vectors in affine_terms:
-        forms = []
-        for vec in vectors:
-            vec = tuple(vec)
-            if len(vec) != n + 1:
-                raise ValueError(f"affine vectors need length {n + 1} (constant last)")
-            forms.append(LinearForm(field, vec))
-        forms.extend([fresh] * (dmax - len(forms)))
-        terms.append(Term(field, coef, forms))
-    return Circuit(field, n + 1, terms)
 
 
 # -- persistent format: the one JSON codec for numbers, elements, forms, circuits --

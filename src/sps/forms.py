@@ -158,15 +158,6 @@ def similar(f: LinearForm, g: LinearForm):
     return f.field.div(sf, sg)
 
 
-def similar_sublist(ell: LinearForm, forms) -> tuple:
-    """Order-preserving sublist of forms similar to ell; its length is the
-    multiplicity of ell's similarity class."""
-    if ell.is_zero:
-        raise ValueError("similarity class of the zero form is not defined")
-    key = similarity_key(ell)
-    return tuple(f for f in forms if not f.is_zero and similarity_key(f) == key)
-
-
 def pair_by_key(keys_u, keys_v):
     """Bijection sigma with keys_v[sigma[i]] == keys_u[i], pairing equal keys
     in list order on both sides; None unless both lists hold the same keys."""

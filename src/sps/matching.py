@@ -6,10 +6,10 @@ bijection where each image equals a nonzero multiple of its source plus an
 element of the ideal's span. An ordered matching refines this: each edge's
 offset lies in the span of a generator *prefix* that does not contain the
 source form, which pins a unique per-edge scalar. An edge's certificate is
-that scalar c and the minimal valid prefix level, so certificates are
-canonical; the offset image - c * source is recomputed by the check, not
-stored. ``build`` derives each certificate once, from one elimination pass
-per form.
+that scalar c and the minimal valid prefix level, and the constructor accepts
+no other, so certificates are canonical; the offset image - c * source is
+recomputed by the check, not stored. ``build`` derives each certificate once,
+from one elimination pass per form.
 
 Every ``OrderedMatching`` is checked exactly once, by its constructor, which
 verifies each edge it is given; an instance that exists is a verified
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import SpanBasis, spans_orthogonal
+from .algebra import SpanBasis, eliminate, spans_orthogonal
 from .errors import VerificationError
 from .forms import LinearForm, Term, common_positions, lists_coprime, lists_similar
 from .forms import pair_by_key, similarity_key
@@ -63,11 +63,27 @@ def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
 
 
 def _check_edge(ideal, src: LinearForm, dst: LinearForm, e: MatchEdge) -> bool:
-    """dst - c*src lies in prefix(level), c is nonzero, and for an ordered edge
-    src lies outside prefix(level), which makes c the only valid scalar."""
-    if not e.c or not ideal.prefix_contains(e.level, dst.sub(src.scale(e.c))):
+    """Whether e is the certificate _derive_edge gives for src -> dst, the only
+    one that passes: c in [1, q), level in [0, r], w = dst - c*src in
+    prefix(level). An ordered edge has src outside prefix(level), which pins
+    c, and w outside prefix(level - 1) (its last multiplier is nonzero). An
+    unordered edge is (1, r) between forms in the span with no ordered edge:
+    src is zero, or dst's coordinate at src's last nonzero one is zero, or a
+    later one is not."""
+    field, (c, level, ordered) = ideal.field, e
+    if not (type(c) is int and 0 < c < field.order and type(level) is int
+            and 0 <= level <= ideal.r) or not (ordered or (c, level) == (1, ideal.r)):
         return False
-    return not (e.ordered and ideal.prefix_contains(e.level, src))
+    rows, pivots = ideal.rows[:level], ideal.pivots[:level]
+    w, w_rest = eliminate(field, rows, pivots, dst.sub(src.scale(c)).coeffs)
+    if any(w_rest) or (ordered and level and not w[-1]):
+        return False
+    a, src_rest = eliminate(field, rows, pivots, src.coeffs)
+    if ordered:
+        return any(src_rest)
+    b = [field.add(x, y) for x, y in zip(a, w)]  # dst's coordinates, as c = 1
+    top = max((i for i, x in enumerate(a) if x), default=None)
+    return not any(src_rest) and (top is None or not b[top] or any(b[top + 1:]))
 
 
 class OrderedMatching:
@@ -261,9 +277,7 @@ def trivialize(pi: OrderedMatching) -> OrderedMatching:
         raise ValueError("trivialize requires similar domain and codomain")
     before = pi.scaling_factor()
     out = unscramble(pi, range(len(pi)), range(len(pi)))
-    # compare the forms, not the levels: the constructor does not require
-    # a level to be minimal, so a zero offset may carry a positive level
-    if any(out.image(i) != f.scale(e.c) for i, (f, e) in enumerate(zip(out.domain, out.edges))):
+    if any(e.level for e in out.edges):
         raise VerificationError("trivialize left a non-similar edge")
     if out.scaling_factor() != before:
         raise VerificationError("trivialize changed the scaling factor")

@@ -20,7 +20,7 @@ import itertools
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
 from .errors import BudgetExceededError
-from .forms import LinearForm, Term, normalize, pair_common, similar
+from .forms import LinearForm, Term, normalize, pair_common
 from .matching import split_term
 
 DEFAULT_FACTOR_BUDGET = 1_000_000
@@ -96,19 +96,6 @@ class FormIdeal:
         return f"FormIdeal({[str(g) for g in self.generators]})"
 
 
-def zero_ideal(field: Field, n: int) -> FormIdeal:
-    return FormIdeal(field, n, ())
-
-
-def similar_mod(f: LinearForm, g: LinearForm, ideal: FormIdeal):
-    """Scalar c with f = c*g modulo the ideal, or None.
-
-    When both forms reduce to zero the answer is 1 by convention (degenerate
-    case: every scalar works).
-    """
-    return similar(ideal.reduce(f), ideal.reduce(g))
-
-
 def reduced_class_key(f: LinearForm, ideal: FormIdeal):
     """Similarity-class key of f modulo the ideal; None for forms in the span."""
     red = ideal.reduce(f)
@@ -127,17 +114,6 @@ def class_keys(forms, ideal: FormIdeal):
             return None
         keys.append(key)
     return keys
-
-
-def is_regular(circuit: Circuit, ideal: FormIdeal) -> bool:
-    """True iff no term vanishes mod the ideal, i.e. no form lies in its span.
-
-    A multiplication term is zero modulo a form-ideal exactly when one of its
-    forms is in the span (the quotient ring is an integral domain).
-    """
-    return all(
-        not ideal.span_contains(f) for t in circuit.terms for f in t.forms
-    )
 
 
 def reduce_circuit(circuit: Circuit, ideal: FormIdeal):

@@ -22,7 +22,7 @@ from sps import (
     zero_test_exact,
 )
 from sps.circuit import DEFAULT_EXPANSION_BUDGET
-from sps.quotient import is_zero_mod, zero_ideal
+from sps.quotient import is_zero_mod
 
 
 def brute_expand(circuit):
@@ -346,7 +346,7 @@ def trivial_link_simple_part_check(chain, i, oracle=None):
     generators of links 0..i."""
     circuit, link = chain.circuit, chain.links[i]
     sub = subcircuit(circuit, link.mdata.q_set)
-    sim = gcd_data(sub, zero_ideal(circuit.field, circuit.n)).sim
+    sim = gcd_data(sub, FormIdeal(circuit.field, circuit.n)).sim
     if not is_zero_mod(sim, link.ideal, oracle):
         return False
     su = SpanBasis.from_vectors(circuit.field, circuit.n, [

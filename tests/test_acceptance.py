@@ -8,6 +8,7 @@ import time
 
 from sps import (
     Circuit,
+    FormIdeal,
     LinearForm,
     SpanBasis,
     Term,
@@ -33,7 +34,6 @@ from sps import (
     similarity_key,
     subcircuit,
     trivialize,
-    zero_ideal,
     zero_test_exact,
     zero_test_random,
 )
@@ -272,7 +272,7 @@ def test_criterion_6_gcd_sim():
     for t in range(100):
         n = rng.randrange(2, 4)
         c = random_circuit(rng, F5, n, rng.randrange(2, 4), rng.randrange(1, 4))
-        sim = gcd_data(c, zero_ideal(F5, n)).sim
+        sim = gcd_data(c, FormIdeal(F5, n)).sim
         sim_keys = {similarity_key(f) for tt in sim.terms for f in tt.forms}
         for piv in range(n):
             for tail in itertools.product(range(5), repeat=n - piv - 1):
@@ -289,7 +289,7 @@ def test_criterion_6_gcd_sim():
     for t in range(100):
         n = rng.randrange(2, 5)
         c = random_circuit(rng, F5, n, 4, rng.randrange(1, 4))
-        z = zero_ideal(F5, n)
+        z = FormIdeal(F5, n)
 
         def sim_forms(q):
             return [

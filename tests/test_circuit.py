@@ -6,13 +6,13 @@ import pytest
 from sps import (
     BudgetExceededError,
     Circuit,
+    LinearForm,
     Term,
     ZeroOracle,
     circuit_rank,
     dumps_circuit,
     field_make,
     gen_ks,
-    homogenize,
     is_minimal,
     is_simple,
     linear_factors,
@@ -31,6 +31,7 @@ from helpers import (
     random_form,
     random_pair_identity,
     random_unit,
+    refuse_oracle_work,
     subset_reference,
 )
 
@@ -290,38 +291,6 @@ def test_subcircuit():
         subcircuit(ks3, [3])
 
 
-def test_homogenize_examples():
-    # (x1 + 1) - (x1 + 1) over F5, n = 1
-    c = homogenize(F5, 1, [(1, [[1, 1]]), (4, [[1, 1]])])
-    assert c.n == 2 and zero_test_exact(c)
-    assert all(f.coeffs == (1, 1) for t in c.terms for f in t.forms)
-
-    # degrees 2 and 1: the constant becomes c * x4 and the short term is padded
-    c = homogenize(F5, 3, [(1, [[1, 0, 0, 0], [0, 1, 0, 0]]), (1, [[0, 0, 1, 2]])])
-    assert c.n == 4
-    assert [t.degree for t in c.terms] == [2, 2]
-    assert c.terms[1].forms[0].coeffs == (0, 0, 1, 2)
-    assert c.terms[1].forms[1].coeffs == (0, 0, 0, 1)
-    # substituting x4 = 1 recovers the input: check by evaluation
-    rng = random.Random(4)
-    for _ in range(20):
-        x = [rng.randrange(5) for _ in range(3)]
-        inp = x[0] * x[1] + (x[2] + 2)
-        out = 0
-        for t in c.terms:
-            v = t.coef
-            for f in t.forms:
-                v = v * sum(a * xx for a, xx in zip(f.coeffs, x + [1])) % 5
-            out = (out + v) % 5
-        assert out == inp % 5
-
-    # already homogeneous: unchanged up to the appended unused variable
-    c = homogenize(F2, 2, [(1, [[1, 0, 0], [0, 1, 0]])])
-    assert c.n == 3 and c.terms[0].forms[0].coeffs == (1, 0, 0)
-    with pytest.raises(ValueError):
-        homogenize(F2, 2, [])
-
-
 def test_linear_factors_examples():
     c = make_circuit(F5, 3, [(1, [[1, 0, 0], [0, 1, 0]]), (1, [[1, 0, 0], [0, 0, 1]])])
     got = {f.coeffs for f in linear_factors(c)}
@@ -352,9 +321,6 @@ def test_json_round_trip_byte_identical():
         assert dumps_circuit(again) == text
         assert again == c
     # extension-field circuits serialize coefficients as arrays
-    F9 = field_make(3, 2)
-    from sps import LinearForm
-
     c = Circuit(F9, 2, [Term(F9, (1, 1), [LinearForm(F9, [(1, 0), (0, 1)])])])
     assert loads_circuit(dumps_circuit(c)) == c
 
@@ -365,3 +331,53 @@ def test_oracle_auto_mode():
     assert ZeroOracle("exact").is_zero(gen_ks(3))
     with pytest.raises(ValueError):
         ZeroOracle("bogus")
+
+
+def _perturbed(rng, c):
+    """c with one form of one term replaced by a fresh random form."""
+    i = rng.randrange(c.k)
+    forms = list(c.terms[i].forms)
+    forms[rng.randrange(len(forms))] = random_form(rng, c.field, c.n, any_element=True)
+    terms = list(c.terms)
+    terms[i] = Term(c.field, c.terms[i].coef, forms)
+    return Circuit(c.field, c.n, terms)
+
+
+def test_one_kernel_choice_answers_is_zero_and_term_values():
+    """is_zero and term_values(c).is_zero() give the verdict of the one
+    oracle call the mode picks, exact or random, on planted identities and
+    perturbed copies over prime and extension fields."""
+    rng = random.Random(2007)
+    oracles = [ZeroOracle("exact"), ZeroOracle("random", trials=20, seed=5),
+               ZeroOracle("auto", trials=20, seed=5, auto_budget=12)]
+    seen = set()
+    for field in (F2, F5, F8, F9):
+        for _ in range(10):
+            n, k, d = rng.randrange(2, 4), rng.randrange(2, 5), rng.randrange(1, 4)
+            planted = _planted(rng, field, n, k, d, rng.choice([0, 2, k]))
+            for c in (planted, _perturbed(rng, planted)):
+                for oracle in oracles:
+                    exact = oracle.answers_exactly(c)
+                    if exact:
+                        want = zero_test_exact(c, oracle.budget)
+                    else:
+                        want = zero_test_random(c, oracle.trials, oracle.seed)
+                    assert oracle.is_zero(c) == want
+                    assert oracle.term_values(c).is_zero() == want
+                    seen.add((oracle.mode, exact, want))
+    assert {("auto", True), ("auto", False)} <= {(m, e) for m, e, _ in seen}
+    assert {want for _, _, want in seen} == {True, False}
+
+
+def test_is_zero_answers_k_over_16_and_term_values_refuses_first(monkeypatch):
+    x1 = LinearForm(F5, [1, 0])
+    ones = [Term(F5, 1, [x1])] * 16
+    zero = Circuit(F5, 2, ones + [Term(F5, 4, [x1])])      # 16 + 4 = 0 mod 5
+    nonzero = Circuit(F5, 2, ones + [Term(F5, 3, [x1])])
+    for mode in ("exact", "random", "auto"):
+        oracle = ZeroOracle(mode)
+        assert zero.k == 17 and oracle.is_zero(zero) and not oracle.is_zero(nonzero)
+    refuse_oracle_work(monkeypatch)
+    for mode in ("exact", "random", "auto"):
+        with pytest.raises(ValueError, match="k <= 16"):
+            ZeroOracle(mode).term_values(zero)

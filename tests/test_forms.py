@@ -12,7 +12,7 @@ from sps import (
     lists_similar,
     normalize,
     similar,
-    similar_sublist,
+    similarity_key,
 )
 from helpers import brute_product, random_form, random_ideal
 
@@ -41,12 +41,18 @@ def test_similar_examples():
 
 
 def test_similar_sublist():
+    # the order-preserving sublist of forms similar to ell, by class keys
+    def similar_sublist(ell, forms):
+        return tuple(f for f in forms if similarity_key(f) == similarity_key(ell))
+
     s = [LinearForm(F5, [1, 0, 0]), LinearForm(F5, [2, 0, 0]), LinearForm(F5, [0, 1, 0])]
     got = similar_sublist(LinearForm(F5, [1, 0, 0]), s)
     assert got == (s[0], s[1])
     assert similar_sublist(LinearForm(F5, [0, 0, 1]), s[:2]) == ()
     x = LinearForm(F2, [1, 1])
     assert similar_sublist(x, [LinearForm(F2, [1, 1])]) == (x,)
+    with pytest.raises(ValueError):  # the zero form has no similarity class
+        similarity_key(LinearForm(F5, [0, 0, 0]))
 
 
 def test_lists_similar_examples():

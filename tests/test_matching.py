@@ -26,7 +26,7 @@ from helpers import (
     random_unit,
     scan_edge,
 )
-from sps.matching import _derive_edge
+from sps.matching import MatchEdge, _derive_edge
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -176,14 +176,15 @@ def test_trivialize_examples():
         trivialize(pi_ns)
 
 
-def test_trivialize_accepts_a_zero_offset_at_a_higher_level():
-    # the constructor accepts a valid but non-minimal level
+def test_constructor_refuses_a_zero_offset_at_a_higher_level():
+    # a valid but non-minimal level is not the edge's certificate
     i1 = ideal(F5, 3, [0, 0, 1])
     u, v = (LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 0]),)
     built = OrderedMatching.build(i1, u, v, (0,))
     assert built.edges[0].level == 0
-    hand = OrderedMatching(i1, u, v, (0,), (built.edges[0]._replace(level=1),))
-    assert trivialize(hand).scaling_factor() == 2
+    with pytest.raises(VerificationError):
+        OrderedMatching(i1, u, v, (0,), (built.edges[0]._replace(level=1),))
+    assert trivialize(built).scaling_factor() == 2
 
 
 def test_trivialize_preserves_scaling_and_products():
@@ -244,15 +245,22 @@ def test_certificates_rechecked():
 
 def test_edge_certificates_admit_no_other_scalar_or_lower_level():
     """An ordered edge's (c, level) is the only certificate that verifies:
-    any other nonzero c, or a positive level lowered by 1, is refused."""
+    any other nonzero c, c + p, the level lowered or raised by 1, the levels
+    -1 and r + 1, or the unordered flag, is refused."""
     rng = random.Random(31)
     kinds = set()
     for field in (F5, field_make(7), field_make(2, 3), field_make(3, 2)):
         for _ in range(15):
             pi = random_ordered_matching(rng, field)
             assert pi.is_ordered
+            r = pi.ideal.r
             for i, e in enumerate(pi.edges):
                 mutants = [e._replace(c=c) for c in range(1, field.order) if c != e.c]
+                mutants += [e._replace(level=level) for level in (e.level + 1, -1, r + 1)]
+                mutants.append(e._replace(ordered=False))
+                if field.e == 1:
+                    mutants.append(e._replace(c=e.c + field.p))
+                    kinds.add("c + p")
                 if e.level:
                     mutants.append(e._replace(level=e.level - 1))
                     kinds.add("level")
@@ -261,7 +269,55 @@ def test_edge_certificates_admit_no_other_scalar_or_lower_level():
                     with pytest.raises(VerificationError):
                         OrderedMatching(pi.ideal, pi.domain, pi.codomain, pi.sigma, edges)
                 kinds.add("c")
-    assert kinds == {"c", "level"}
+    assert kinds == {"c", "c + p", "level"}
+
+
+def test_each_form_pair_has_exactly_one_certificate():
+    """Over every candidate (c, level, ordered), the constructor accepts the
+    edge that build derives and nothing else, and none when build finds
+    none: certificates are canonical, unordered edges between forms in the
+    span included."""
+    rng = random.Random(2011)
+    outcomes = set()
+    for field in (F2, F5, field_make(2, 2), field_make(3, 2)):
+        for _ in range(60):
+            n = rng.randrange(1, 5)
+            ideal_ = random_ideal(rng, field, n, rng.randrange(0, n + 1))
+            r = ideal_.r
+            for _ in range(4):
+                if rng.random() < 0.4:
+                    src = random_form(rng, field, n)
+                else:
+                    src = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+                dst = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+                if rng.random() < 0.7:
+                    dst = dst.add(src.scale(field.rand_element(rng)))
+                derived = _derive_edge(ideal_, src, dst)
+                accepted = []
+                for edge in (MatchEdge(c, level, ordered) for c in range(1, field.order)
+                             for level in range(r + 1) for ordered in (True, False)):
+                    try:
+                        OrderedMatching(ideal_, (src,), (dst,), (0,), (edge,))
+                    except VerificationError:
+                        continue
+                    accepted.append(edge)
+                assert accepted == ([] if derived is None else [derived])
+                outcomes.add("none" if derived is None else
+                             "ordered" if derived.ordered else "plain")
+    assert outcomes == {"none", "ordered", "plain"}
+
+
+def test_edge_scalar_must_be_a_canonical_element():
+    i1 = ideal(F5, 3, [0, 0, 1])
+    u, v = (LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 0]),)
+    with pytest.raises(VerificationError):  # 7 = 2 mod 5, not canonical
+        OrderedMatching(i1, u, v, (0,), (MatchEdge(7, 0, True),))
+    F9 = field_make(3, 2)
+    x = LinearForm(F9, [1, 0])
+    j1 = FormIdeal(F9, 2, [LinearForm(F9, [0, 1])])
+    with pytest.raises(VerificationError):  # out of range, not a ValueError
+        OrderedMatching(j1, (x,), (x,), (0,), (MatchEdge(10, 0, True),))
+    assert OrderedMatching(j1, (x,), (x,), (0,), (MatchEdge(1, 0, True),)).is_ordered
 
 
 def test_derived_edges_match_prefix_scan():

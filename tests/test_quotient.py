@@ -12,19 +12,16 @@ from sps import (
     field_make,
     gcd_data,
     gen_ks,
-    is_regular,
     linear_factors,
     make_circuit,
-    similar_mod,
-    similar_sublist,
+    similar,
     similarity_key,
     simple_part,
     subcircuit,
-    zero_ideal,
     zero_test_exact,
     zero_test_random,
 )
-from sps.quotient import is_zero_mod, reduce_circuit
+from sps.quotient import class_keys, is_zero_mod, reduce_circuit
 from helpers import (
     brute_expand,
     brute_product,
@@ -54,7 +51,7 @@ def test_form_ideal_invariants():
         ideal(F5, 2, [0, 0])
     with pytest.raises(ValueError):
         ideal(F5, 2, [1, 0], [2, 0])  # dependent generators
-    z = zero_ideal(F5, 2)
+    z = FormIdeal(F5, 2)  # no generators: the zero ideal
     assert is_zero_ideal(z) and z.r == 0
     assert z.reduce(LinearForm(F5, [1, 2])).coeffs == (1, 2)
 
@@ -103,21 +100,28 @@ def test_reduce_form_examples():
 
 
 def test_similar_mod_examples():
+    # f = c*g modulo the ideal, decided on the reduced representatives
     i3 = ideal(F5, 3, [0, 0, 1])
-    assert similar_mod(LinearForm(F5, [0, 1, 1]), LinearForm(F5, [0, 1, 0]), i3) == 1
-    assert similar_mod(LinearForm(F5, [0, 2, 1]), LinearForm(F5, [0, 1, 0]), i3) == 2
-    assert similar_mod(LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]), i3) is None
+
+    def similar_mod(f, g):
+        return similar(i3.reduce(LinearForm(F5, f)), i3.reduce(LinearForm(F5, g)))
+
+    assert similar_mod([0, 1, 1], [0, 1, 0]) == 1
+    assert similar_mod([0, 2, 1], [0, 1, 0]) == 2
+    assert similar_mod([1, 0, 0], [0, 1, 0]) is None
     # degenerate: both in the span reduce to zero, scalar 1 by convention
-    assert similar_mod(LinearForm(F5, [0, 0, 2]), LinearForm(F5, [0, 0, 3]), i3) == 1
+    assert similar_mod([0, 0, 2], [0, 0, 3]) == 1
 
 
 def test_is_regular_examples():
+    # a circuit is regular mod the ideal when no form lies in its span, which
+    # class_keys reports by returning None
     c = make_circuit(F5, 3, [(1, [[1, 0, 0], [0, 1, 0]])])
-    assert not is_regular(c, ideal(F5, 3, [1, 0, 0]))
+    assert class_keys(c.all_forms(), ideal(F5, 3, [1, 0, 0])) is None
     c2 = make_circuit(F5, 3, [(1, [[1, 1, 0], [0, 1, 0]])])
-    assert is_regular(c2, ideal(F5, 3, [1, 0, 0]))
+    assert class_keys(c2.all_forms(), ideal(F5, 3, [1, 0, 0])) is not None
     ks = gen_ks(3)
-    assert is_regular(subcircuit(ks, [1, 2]), ideal(F2, 3, [1, 0, 0]))
+    assert class_keys(subcircuit(ks, [1, 2]).all_forms(), ideal(F2, 3, [1, 0, 0])) is not None
 
 
 def test_gcd_data_worked_example_f7():
@@ -141,12 +145,12 @@ def test_gcd_data_worked_example_f7():
 def test_gcd_data_zero_ideal_and_coprime():
     xs = [[1, 0], [0, 1]]
     c = make_circuit(F5, 2, [(1, xs), (4, xs)])
-    gd = gcd_data(c, zero_ideal(F5, 2))
+    gd = gcd_data(c, FormIdeal(F5, 2))
     assert len(gd.u) == 2
     assert all(t.degree == 0 for t in gd.sim.terms)
 
     cop = make_circuit(F5, 2, [(1, [[1, 0]]), (2, [[0, 1]])])
-    gd2 = gcd_data(cop, zero_ideal(F5, 2))
+    gd2 = gcd_data(cop, FormIdeal(F5, 2))
     assert gd2.u == ()
     assert gcd_term(gd2) is None
     assert [t.coef for t in gd2.sim.terms] == [1, 2]  # sim = C_Q up to constants
@@ -257,17 +261,17 @@ def test_sim_membership_characterizes_unbalanced_classes():
     for _ in range(40):
         n = rng.randrange(2, 4)
         c = random_circuit(rng, F5, n, rng.randrange(2, 4), rng.randrange(1, 4))
-        gd = gcd_data(c, zero_ideal(F5, n))
+        gd = gcd_data(c, FormIdeal(F5, n))
         sim_keys = {similarity_key(f) for t in gd.sim.terms for f in t.forms}
         import itertools
 
         for piv in range(n):
             for tail in itertools.product(range(5), repeat=n - piv - 1):
-                ell = LinearForm(F5, (0,) * piv + (1,) + tail)
+                key = (0,) * piv + (1,) + tail  # the normalized form's key
                 counts = {
-                    len(similar_sublist(ell, t.forms)) for t in c.terms
+                    sum(similarity_key(f) == key for f in t.forms) for t in c.terms
                 }
-                assert (similarity_key(ell) in sim_keys) == (len(counts) > 1)
+                assert (key in sim_keys) == (len(counts) > 1)
 
 
 def test_sim_span_monotone_under_subsets_and_unions():
@@ -277,7 +281,7 @@ def test_sim_span_monotone_under_subsets_and_unions():
     for _ in range(40):
         n = rng.randrange(2, 5)
         c = random_circuit(rng, F5, n, 4, rng.randrange(1, 4))
-        z = zero_ideal(F5, n)
+        z = FormIdeal(F5, n)
 
         def sim_forms(q):
             return [

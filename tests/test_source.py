@@ -30,3 +30,46 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}: {name}" for line, name in unused_imports(tree)]
     assert found == []
+
+
+# Public names that no other library code reaches, each kept for one reason.
+UNREACHED_ALLOWED = {
+    "zero_test_exact": "bench/spans.py spans it; ZeroOracle answers through its kernel",
+    "zero_test_random": "bench/spans.py spans it; ZeroOracle answers through its kernel",
+    "similar": "bench/spans.py spans it (forms.similar)",
+    "invert": "matching algebra, acceptance criterion 5",
+    "disjoint_union": "matching algebra, acceptance criterion 5",
+    "compose": "matching algebra, acceptance criterion 5",
+    "trivialize": "matching algebra, acceptance criterion 5",
+    "simple_part": "gcd / simple-part decomposition, acceptance criterion 6",
+    "linear_factors": "linear factors, acceptance criterion 9",
+    "make_circuit": "public constructor of circuits from raw ints",
+    "subcircuit": "public constructor of a circuit's restriction to a term subset",
+}
+
+
+def unreached_definitions(trees):
+    """Public top-level functions and classes of the modules that no module
+    other than __init__.py references by name or attribute."""
+    referenced = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":  # its imports are the package's exports
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted((name, node.name)
+                  for name, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in referenced)
+
+
+def test_no_unreached_public_definitions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = unreached_definitions(trees)
+    assert [(module, name) for module, name in found if name not in UNREACHED_ALLOWED] == []
+    assert sorted(name for _, name in found) == sorted(UNREACHED_ALLOWED)  # none stale
