@@ -311,6 +311,26 @@ class Field:
     def rand_element(self, rng):
         return rng.randrange(self.order)
 
+    # -- batch arithmetic, one call per vector: the random oracle's inner loops --
+
+    def add_vectors(self, u, v) -> list:
+        """The element-wise sums u[i] + v[i] of two equally long sequences."""
+        if self.e == 1:
+            p = self.p
+            return [(a + b) % p for a, b in zip(u, v)]
+        return list(map(operator.xor if self.p == 2 else self.add, u, v))
+
+    def product(self, xs: list):
+        """The product of the elements of the list xs (1 when it is empty)."""
+        if self.e == 1:
+            p, acc = self.p, 1
+            for x in xs:
+                acc = acc * x % p
+            return acc
+        if 0 in xs:
+            return 0
+        return self._exp[sum(map(self._log.__getitem__, xs)) % (self.order - 1)]
+
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1) -> Field:
@@ -383,9 +403,14 @@ class SpanBasis:
 
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
+        """The insertions of vectors in order; once the rank is n, later
+        vectors are only checked for length, since none can insert."""
         basis = cls(field, n)
         for v in vectors:
-            basis, _ = basis.insert(v)
+            if basis.rank < n:
+                basis, _ = basis.insert(v)
+            else:
+                basis._check(v)
         return basis
 
     @property

@@ -6,10 +6,15 @@ value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
 One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
+The random oracle compiles the circuit's forms once (_EvalPlan): each trial
+evaluates every distinct coefficient slice of a chunk of 8 coordinates once,
+then sums slices into forms and multiplies forms into terms with the batch
+Field methods, so a trial's values equal a coordinate-by-coordinate evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -265,9 +270,11 @@ def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | N
             "cannot lift an extension-field circuit; supply lift_field explicitly"
         )
 
+    plan = _EvalPlan(circuit)
+
     @lru_cache(maxsize=None)
     def trial_values(t: int) -> list:
-        return _term_values(circuit, ev, random.Random(f"{seed}:{t}"))
+        return _term_values(plan, ev, random.Random(f"{seed}:{t}"))
 
     return lambda q: all(_trial_is_zero(trial_values(t), q, ev.add) for t in range(trials))
 
@@ -277,24 +284,74 @@ def _trial_is_zero(values: list, q, add) -> bool:
     return reduce(add, (values[i] for i in q), 0) == 0
 
 
-def _term_values(circuit: Circuit, ev: Field, rng) -> list:
+_CHUNK = 8  # coordinates per chunk of an _EvalPlan
+
+
+class _EvalPlan:
+    """A circuit's forms compiled once for evaluation at many points.
+
+    The coordinates fall into chunks of _CHUNK. ``slices`` holds each distinct
+    nonzero coefficient slice of a chunk that some form has, as its first
+    (coordinate, coefficient) pair and a list of the others. The distinct
+    forms are ordered by how many nonzero slices they have, most first;
+    ``columns[i]`` holds the i-th slice id of every form that has more than i
+    of them, so it covers a prefix of that order and no form pays for a chunk
+    where it is zero. ``terms`` holds each term's constant and the positions
+    of its forms.
+    """
+
+    __slots__ = ("n", "slices", "columns", "terms")
+
+    def __init__(self, circuit: Circuit):
+        n = circuit.n
+        distinct: dict = {}  # coefficient vector -> distinct-form id, first seen first
+        form_ids = [distinct.setdefault(f.coeffs, len(distinct)) for f in circuit.all_forms()]
+        self.n = n
+        self.slices = []
+        chunk_ids = []  # per chunk, each distinct form's slice id there (-1: zero)
+        for start in range(0, n, _CHUNK):
+            ids = {(0,) * min(_CHUNK, n - start): -1}
+            col = []
+            for coeffs in distinct:
+                chunk = coeffs[start:start + _CHUNK]
+                i = ids.get(chunk)
+                if i is None:
+                    i = ids[chunk] = len(self.slices)
+                    (j, a), *rest = [(start + j, a) for j, a in enumerate(chunk) if a]
+                    self.slices.append((j, a, rest))
+                col.append(i)
+            chunk_ids.append(col)
+        form_slices = [[i for i in row if i >= 0] for row in zip(*chunk_ids)]
+        order = sorted(range(len(distinct)), key=lambda f: len(form_slices[f]), reverse=True)
+        depth = max(map(len, form_slices), default=1)  # columns[0] exists, maybe empty
+        self.columns = [[form_slices[f][c] for f in order if len(form_slices[f]) > c]
+                        for c in range(depth)]
+        position = {f: pos for pos, f in enumerate(order)}
+        remaining = iter(form_ids)
+        self.terms = [(t.coef, [position[f] for f in itertools.islice(remaining, t.degree)])
+                      for t in circuit.terms]
+
+
+def _term_values(plan: _EvalPlan, ev: Field, rng) -> list:
     """Each term's value at one random point over ev, in ev's arithmetic; the
-    circuit's coefficients are elements of ev as they stand (ints mod p embed)."""
-    point = [ev.rand_element(rng) for _ in range(circuit.n)]
+    circuit's coefficients are elements of ev as they stand (ints mod p embed).
+    Each distinct slice is evaluated once, each distinct form once."""
+    point = [ev.rand_element(rng) for _ in range(plan.n)]
     add, mul = ev.add, ev.mul
-    values = []
-    for t in circuit.terms:
-        val = t.coef
-        for f in t.forms:
-            s = 0
-            for a, x in zip(f.coeffs, point):
-                if a:  # unit coefficients, all of a GF(2) circuit's, need no mul
-                    s = add(s, x if a == 1 else mul(a, x))
-            val = mul(val, s)
-            if not val:
-                break
-        values.append(val)
-    return values
+    slice_values = []
+    for j, a, rest in plan.slices:
+        s = point[j] if a == 1 else mul(a, point[j])
+        for j, a in rest:  # unit coefficients, all of a GF(2) circuit's, need no mul
+            s = add(s, point[j] if a == 1 else mul(a, point[j]))
+        slice_values.append(s)
+    get = slice_values.__getitem__
+    columns = plan.columns
+    form_values = list(map(get, columns[0]))
+    for col in columns[1:]:
+        m = len(col)
+        form_values[:m] = ev.add_vectors(form_values[:m], map(get, col))
+    get = form_values.__getitem__
+    return [mul(coef, ev.product(list(map(get, forms)))) for coef, forms in plan.terms]
 
 
 class ZeroOracle:

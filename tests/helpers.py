@@ -140,6 +140,27 @@ def random_circuit(rng, field, n, k, d, any_element=False):
     return Circuit(field, n, terms)
 
 
+def reference_term_values(circuit, ev, rng):
+    """The former random-trial kernel: every form of every term evaluated
+    coordinate by coordinate at one point of ev, drawn by the same n
+    ev.rand_element(rng) calls; a term stops at its first zero form."""
+    point = [ev.rand_element(rng) for _ in range(circuit.n)]
+    add, mul = ev.add, ev.mul
+    values = []
+    for t in circuit.terms:
+        val = t.coef
+        for f in t.forms:
+            s = 0
+            for a, x in zip(f.coeffs, point):
+                if a:
+                    s = add(s, x if a == 1 else mul(a, x))
+            val = mul(val, s)
+            if not val:
+                break
+        values.append(val)
+    return values
+
+
 def subset_reference(circuit, oracle):
     """Minimality by the former per-subset loop: every proper subset of >= 2
     terms, in bitmask order, zero-tested as its own subcircuit by

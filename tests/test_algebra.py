@@ -98,6 +98,19 @@ def test_field_axioms_random_triples(p, e):
             assert F.mul(a, F.inv(a)) == F.one
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (2, 4), (3, 3)])
+def test_batch_arithmetic_matches_add_and_mul(p, e):
+    F = field_make(p, e)
+    rng = random.Random(11)
+    for length in range(6):
+        u, v = ([F.rand_element(rng) for _ in range(length)] for _ in range(2))
+        assert F.add_vectors(u, v) == [F.add(a, b) for a, b in zip(u, v)]
+        want = 1
+        for x in u:
+            want = F.mul(want, x)
+        assert F.product(u) == want
+
+
 def test_span_insert_basics():
     F2 = field_make(2)
     b = SpanBasis.empty(F2, 3)
@@ -110,6 +123,21 @@ def test_span_insert_basics():
     b = SpanBasis.from_vectors(F5, 3, [(1, 0, 0), (0, 1, 0)])
     _, ins = b.insert((2, 3, 0))
     assert not ins
+
+
+def test_from_vectors_stops_eliminating_at_full_rank():
+    rng = random.Random(13)
+    for p, e in ((2, 1), (5, 1), (3, 2)):
+        F = field_make(p, e)
+        vecs = [tuple(F.rand_element(rng) for _ in range(4)) for _ in range(30)]
+        plain = SpanBasis.empty(F, 4)
+        for v in vecs:
+            plain, _ = plain.insert(v)
+        fast = SpanBasis.from_vectors(F, 4, vecs)
+        assert fast.rank == 4
+        assert (fast.rows, fast.pivots) == (plain.rows, plain.pivots)
+        with pytest.raises(ValueError, match="dimension"):
+            SpanBasis.from_vectors(F, 4, vecs + [(1, 0, 0)])
 
 
 def test_span_insert_appends_one_row():

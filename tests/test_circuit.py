@@ -23,7 +23,8 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
-from sps.circuit import exact_cost_bound
+from sps.algebra import Field
+from sps.circuit import _EvalPlan, _term_values, exact_cost_bound
 from helpers import (
     brute_expand,
     count_calls,
@@ -31,6 +32,7 @@ from helpers import (
     random_form,
     random_pair_identity,
     random_unit,
+    reference_term_values,
     refuse_oracle_work,
     subset_reference,
 )
@@ -175,6 +177,101 @@ def test_zero_test_random_lift_override():
     assert zero_test_random(gen_ks(8), trials=40, seed=3, lift_field=F4096)
     with pytest.raises(ValueError):
         zero_test_random(gen_ks(3), lift_field=field_make(3, 2))
+
+
+def _chunky_circuit(rng, field, n, k, d):
+    """k terms of degree d whose forms are zero on whole chunks of 8
+    coordinates with probability 1/2 each, repeat an earlier form with
+    probability 1/4, and carry constants other than 1."""
+    pool = []
+    terms = []
+    for _ in range(k):
+        forms = []
+        while len(forms) < d:
+            if pool and rng.random() < 0.25:
+                forms.append(rng.choice(pool))
+                continue
+            coeffs = [field.rand_element(rng) for _ in range(n)]
+            for start in range(0, n, 8):
+                if rng.random() < 0.5:
+                    coeffs[start:start + 8] = [0] * len(coeffs[start:start + 8])
+            if any(coeffs):
+                pool.append(LinearForm(field, coeffs))
+                forms.append(pool[-1])
+        terms.append(Term(field, random_unit(rng, field), forms))
+    return Circuit(field, n, terms)
+
+
+# (circuit field, evaluation field): each field in itself, three lifts, and
+# two evaluation fields small enough that forms and products vanish often
+EVALUATIONS = [(F2, F2), (F5, F5), (F7, F7), (F8, F8), (F9, F9),
+               (field_make(1009), field_make(1009)),
+               (F2, field_make(2, 9)), (F5, field_make(5, 3)), (F7, field_make(7, 3)),
+               (F2, field_make(2, 2)), (field_make(3), field_make(3))]
+
+
+def test_term_values_match_reference():
+    rng = random.Random(1970)
+    zeros = 0
+    for field, ev in EVALUATIONS:
+        for n in range(1, 21):
+            c = _chunky_circuit(rng, field, n, rng.randrange(1, 4), rng.randrange(1, 5))
+            plan = _EvalPlan(c)
+            for trial in range(4):
+                got = _term_values(plan, ev, random.Random(f"{n}:{trial}"))
+                want = reference_term_values(c, ev, random.Random(f"{n}:{trial}"))
+                assert got == want, (field, ev, n, trial)
+                zeros += want.count(0)
+    assert zeros > 0  # the zero-product path ran
+
+
+def _counted_field_calls(monkeypatch, evaluate, trials):
+    """Field.add + Field.mul calls made by evaluate(rng), per seeded trial."""
+    calls = []
+    for name in ("add", "mul"):
+        original = getattr(Field, name)
+
+        def counted(self, a, b, original=original):
+            calls.append(None)
+            return original(self, a, b)
+
+        monkeypatch.setattr(Field, name, counted)
+    per_trial = []
+    for t in range(trials):
+        calls.clear()
+        evaluate(random.Random(f"0:{t}"))
+        per_trial.append(len(calls))
+    monkeypatch.undo()
+    return per_trial
+
+
+def test_term_values_do_less_field_work_than_reference(monkeypatch):
+    # ks12 in its lift field: 270 distinct chunk slices stand in for 3,072
+    # forms, and forms and products go through the batch methods
+    c = gen_ks(12)
+    ev = field_make(2, 13)
+    plan = _EvalPlan(c)
+    new = _counted_field_calls(monkeypatch, lambda rng: _term_values(plan, ev, rng), 3)
+    ref = _counted_field_calls(monkeypatch,
+                               lambda rng: reference_term_values(c, ev, rng), 3)
+    assert all(8 * a <= b for a, b in zip(new, ref)), (new, ref)
+    # wide sparse forms pay for their nonzero coordinates, not for every chunk
+    rng = random.Random(64)
+    terms = []
+    for _ in range(4):
+        forms = []
+        for _ in range(4):
+            coeffs = [0] * 64
+            for j in rng.sample(range(64), rng.choice([1, 2])):
+                coeffs[j] = random_unit(rng, F9)
+            forms.append(LinearForm(F9, coeffs))
+        terms.append(Term(F9, random_unit(rng, F9), forms))
+    c = Circuit(F9, 64, terms)
+    plan = _EvalPlan(c)
+    new = _counted_field_calls(monkeypatch, lambda rng: _term_values(plan, F9, rng), 10)
+    ref = _counted_field_calls(monkeypatch,
+                               lambda rng: reference_term_values(c, F9, rng), 10)
+    assert all(a <= b for a, b in zip(new, ref)), (new, ref)
 
 
 def test_is_simple_examples():

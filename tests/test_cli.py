@@ -7,6 +7,7 @@ import pytest
 
 from sps import SpanBasis, dumps_circuit, gen_joined, gen_ks, loads_circuit, make_circuit, field_make
 from sps.cli import main
+import sps.circuit
 import sps.matching
 from helpers import count_calls, load_bench, refuse_generator_work, refuse_oracle_work
 
@@ -327,6 +328,45 @@ def test_check_reads_both_verdicts_off_one_set_of_term_values(tmp_path, capsys,
     assert code == 0 and json.loads(out)["minimal"] is False
     states = [rng.getstate() for _, _, rng in trials]
     assert len(states) == 40 and len(set(states)) == 40
+
+
+# check --random where the coordinates make a full chunk of 8 and a partial
+# one (ks10, n = 10) and exactly two full chunks (family 4 3, n = 16); the
+# bytes are those of the coordinate-by-coordinate random kernel
+PINNED_CHECK_RANDOM = {
+    ("ks", "--r", "10"): (
+        '{"command":"check","d":256,"digest":"2aa9e8ea3ba2967c","e":1,"k":3,'
+        '"minimal":true,"mode":"random","n":10,"p":2,"rank":10,"seed":7,'
+        '"simple":true,"zero":true}\n'
+    ),
+    ("family", "--r", "4", "--i", "3"): (
+        '{"command":"check","d":16,"digest":"3bf0057a3fbad1ad","e":1,"k":6,'
+        '"minimal":true,"mode":"random","n":16,"p":2,"rank":16,"seed":7,'
+        '"simple":true,"zero":true}\n'
+    ),
+}
+
+
+def test_check_random_bytes_pinned_and_one_plan_per_circuit(tmp_path, capsys,
+                                                          monkeypatch):
+    built = []
+    compile_plan = sps.circuit._EvalPlan
+
+    def recorded(circuit):
+        built.append(compile_plan(circuit))
+        return built[-1]
+
+    monkeypatch.setattr(sps.circuit, "_EvalPlan", recorded)
+    trials = count_calls(monkeypatch, "_term_values")
+    for gen_argv, expected in PINNED_CHECK_RANDOM.items():
+        path = _gen_file(tmp_path, capsys, list(gen_argv), "c.json")
+        built.clear()
+        trials.clear()
+        argv = ["check", path, "--random", "--trials", "40", "--seed", "7"]
+        assert run_cli(argv, capsys)[:2] == (0, expected)
+        # the zero verdict and every minimality subset read one plan's trials
+        assert len(built) == 1 and len(trials) == 40
+        assert all(plan is built[0] for plan, _, _ in trials)
 
 
 def test_check_refuses_more_than_16_terms_before_any_work(tmp_path, capsys, monkeypatch):
