@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import SpanBasis, spans_orthogonal
+from .algebra import SpanBasis
 from .circuit import (
     Circuit,
     ZeroOracle,
@@ -38,25 +38,22 @@ from .quotient import FormIdeal, class_keys, is_zero_mod
 
 @dataclass
 class MatchingData:
-    """Per-round matching data: the blocking subset Q, the shared list V, and
-    for each q in Q the matched sublist V_q of term q's forms with a certified
-    ordered matching V -> V_q.
+    """Per-round matching data: the blocking subset Q and, for each q in Q,
+    a certified ordered matching from the shared list V (its domain) to the
+    matched sublist V_q of term q's forms (its codomain), slot t to slot t,
+    at the positions v_positions[q] of term q.
 
-    v0/v1 (and vq0/vq1 per term) partition the lists into the part inside the
-    ideal's span and the part outside sp(S u I); the trimming step guarantees
-    the partition is exhaustive. mtype (1, 2 or 3, see
-    classify_matching_data) is computed once, at construction.
+    v0 and v1 partition the slots of V into those inside the ideal's span and
+    those outside sp(S u I). Every V_q partitions the same way, since each
+    edge's offset lies in sp(I) and its scalar is nonzero. mtype (1, 2 or 3,
+    see classify_matching_data) is computed once, at construction.
     """
 
     q_set: tuple[int, ...]
-    v_forms: tuple[LinearForm, ...]
-    v_lists: dict[int, tuple[LinearForm, ...]]
     v_positions: dict[int, tuple[int, ...]]
     matchings: dict[int, OrderedMatching]
     v0: tuple[int, ...]
     v1: tuple[int, ...]
-    vq0: dict[int, tuple[int, ...]]
-    vq1: dict[int, tuple[int, ...]]
     mtype: int = dataclass_field(init=False)
 
     def __post_init__(self):
@@ -106,7 +103,7 @@ class Chain:
                     "round": i,
                     "ideal": [_form_to_json(g) for g in link.ideal.generators],
                     "Q": list(md.q_set),
-                    "V_q_sizes": {str(q): len(md.v_lists[q]) for q in md.q_set},
+                    "V_q_sizes": {str(q): len(md.v_positions[q]) for q in md.q_set},
                     "type": md.mtype,
                     "external": md.mtype == 3,
                     "green_rank": green_rank,
@@ -138,14 +135,26 @@ def single_round(
     of its keys is None (no form in sp(I)), and the survivors' keys give the
     gcd pairing (forms.pair_common) folded into the accumulated V / V_q
     lists. The round stops when the surviving fanin is 2 or when every
-    leftover form lies in sp(S u I). Each form is then placed once against
-    sp(I) and sp(S u I) for the trim, the partition and the leftover check,
-    and each kept slot's edge is derived and checked once, by the final
-    matchings under the full I. Its first j echelon rows are the rows of
-    iteration j's ideal, so a slot paired at iteration j gets the same
-    (c, level) as it would under that ideal. Returns the useful ideal (at
-    most k - 2 generators) and the verified matching data, whose q_set is
-    the blocking subset.
+    leftover form lies in sp(S u I). Each form of V is then placed once
+    (trimmed from sp(S u I) \\ sp(I), else kept in sp(I) or outside
+    sp(S u I)), each V_q form that is not V's own once for the
+    trim-agreement check, and each kept slot's edge is derived and checked
+    once, by the final matchings under the full I. Its first j echelon rows
+    are the rows of iteration j's ideal, so a slot paired at iteration j gets
+    the same (c, level) as it would under that ideal. Returns the useful
+    ideal and the verified matching data, whose q_set is the blocking subset.
+
+    Checked here: at least two terms survive each iteration, the fanin-2
+    stop leaves no form unmatched, trimming agrees along every V -> V_q
+    pairing, and the residual is an identity mod I. Implied, so not checked:
+    - each picked form extends sp(S u I): first_unspanned tested it;
+    - each iteration kills a term: the picked form is a survivor's form;
+    - at most k - 2 iterations: each kills a term and two always survive;
+    - 1 < |Q| < k: the same two facts;
+    - I is orthogonal to S: each picked form lay outside sp(S u I);
+    - every V_q partitions like V: each edge's offset lies in sp(I), c != 0;
+    - leftovers lie in sp(S u I) \\ sp(I): the loop ends with none or with
+      none outside sp(S u I), and class_keys found none in sp(I).
     """
     oracle = oracle or ZeroOracle()
     field = circuit.field
@@ -179,9 +188,7 @@ def single_round(
         raise ValueError("every form already lies in sp(S); nothing to do")
     while ell is not None:
         gens.append(ell)
-        su_span, inserted = su_span.insert(ell.coeffs)
-        if not inserted:
-            raise VerificationError("picked form was already spanned")
+        su_span, _ = su_span.insert(ell.coeffs)
         ideal = FormIdeal(field, n, gens)
 
         keys = {}
@@ -189,8 +196,6 @@ def single_round(
             kq = class_keys([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
             if kq is not None:
                 keys[q] = kq
-        if len(keys) >= len(survivors):
-            raise VerificationError("no term vanished after extending the ideal")
         if len(keys) < 2:
             raise VerificationError(
                 "fewer than two terms survived; the input cannot be an identity"
@@ -218,99 +223,38 @@ def single_round(
             break
         ell = first_unspanned()
 
-    if len(gens) > k - 2:
-        raise VerificationError("round used more than k - 2 iterations")
-    if not spans_orthogonal([s_span, ideal.span]):
-        raise VerificationError("round ideal is not orthogonal to S")
+    def trimmed(f):  # in sp(S u I) \ sp(I)
+        return not ideal.span_contains(f) and su_span.contains(f.coeffs)
 
-    place = _placement(ideal, su_span)
-    # trim V by sp(S u I) \ sp(I); membership must agree slot-by-slot across q
-    trimmed = [place(f) == _TRIM for f in v_forms]
-    keep = [t for t, out in enumerate(trimmed) if not out]
+    keep, v0, v1 = [], [], []
+    for t, f in enumerate(v_forms):
+        if ideal.span_contains(f):
+            v0.append(len(keep))
+        elif not su_span.contains(f.coeffs):
+            v1.append(len(keep))
+        else:
+            continue
+        keep.append(t)
+    kept = set(keep)
     for q in survivors:
-        for t, out in enumerate(trimmed):
-            if (place(circuit.terms[q].forms[vq_pos[q][t]]) == _TRIM) != out:
+        for t, pos in enumerate(vq_pos[q]):
+            g = circuit.terms[q].forms[pos]
+            # a slot of V's own term holds V's form, which agrees with itself
+            if g is not v_forms[t] and trimmed(g) != (t not in kept):
                 raise VerificationError("trim membership disagrees along an edge")
 
-    q_set = tuple(survivors)
     v_kept = tuple(v_forms[t] for t in keep)
-    v_lists: dict[int, tuple] = {}
-    v_positions: dict[int, tuple] = {}
-    matchings: dict[int, OrderedMatching] = {}
-    residual_terms = []
-    for q in q_set:
-        v_positions[q] = tuple(vq_pos[q][t] for t in keep)
-        v_lists[q], matchings[q], residual = split_term(
-            ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep))
-        )
+    v_positions = {q: tuple(vq_pos[q][t] for t in keep) for q in survivors}
+    matchings, residual_terms = {}, []
+    for q in survivors:
+        matchings[q], residual = split_term(ideal, v_kept, circuit.terms[q],
+                                            v_positions[q], range(len(keep)))
         residual_terms.append(residual)
-
-    md = _finish_matching_data(circuit, place, ideal, q_set, v_kept, v_lists,
-                               v_positions, matchings, residual_terms, oracle)
-    return ideal, md
-
-
-# where a form lies against sp(I) inside sp(S u I)
-_IN_IDEAL, _TRIM, _OUTSIDE = 0, 1, 2
-
-
-def _placement(ideal: FormIdeal, su_span: SpanBasis):
-    """Memoized place(f): _IN_IDEAL in sp(I), _TRIM in sp(S u I) \\ sp(I), or
-    _OUTSIDE sp(S u I), decided once per distinct form."""
-    memo: dict[tuple, int] = {}
-
-    def place(f: LinearForm) -> int:
-        where = memo.get(f.coeffs)
-        if where is None:
-            if ideal.span_contains(f):
-                where = _IN_IDEAL
-            elif su_span.contains(f.coeffs):
-                where = _TRIM
-            else:
-                where = _OUTSIDE
-            memo[f.coeffs] = where
-        return where
-
-    return place
-
-
-def _finish_matching_data(circuit, place, ideal, q_set, v_forms, v_lists,
-                          v_positions, matchings, residual_terms, oracle) -> MatchingData:
-    """Partition the lists, then verify every matching-data invariant."""
-
-    def split(forms):
-        inside, outside = [], []
-        for t, f in enumerate(forms):
-            where = place(f)
-            if where == _TRIM:
-                raise VerificationError(
-                    "form survived trimming inside sp(S u I) \\ sp(I)"
-                )
-            (inside if where == _IN_IDEAL else outside).append(t)
-        return tuple(inside), tuple(outside)
-
-    v0, v1 = split(v_forms)
-    vq0, vq1 = {}, {}
-    for q in q_set:
-        vq0[q], vq1[q] = split(v_lists[q])
-        if len(vq0[q]) != len(v0) or len(vq1[q]) != len(v1):
-            raise VerificationError("span partition is not edge-consistent")
-
-    k = circuit.k
-    if not (1 < len(q_set) < k):
-        raise VerificationError(f"blocking subset size {len(q_set)} outside (1, {k})")
-
-    # every leftover form lies in sp(S u I) \ sp(I), so outside sp(I): the
-    # residual is regular mod the ideal
-    if any(place(f) != _TRIM for t in residual_terms for f in t.forms):
-        raise VerificationError("unmatched form escaped sp(S u I) \\ sp(I)")
-    residual = Circuit(circuit.field, circuit.n, residual_terms)
-    if not is_zero_mod(residual, ideal, oracle):
+    if not is_zero_mod(Circuit(field, n, residual_terms), ideal, oracle):
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
-    return MatchingData(q_set=q_set, v_forms=v_forms, v_lists=v_lists,
-                        v_positions=v_positions, matchings=matchings,
-                        v0=v0, v1=v1, vq0=vq0, vq1=vq1)
+    return ideal, MatchingData(tuple(survivors), v_positions, matchings,
+                               tuple(v0), tuple(v1))
 
 
 def classify_matching_data(md: MatchingData) -> int:
@@ -319,16 +263,12 @@ def classify_matching_data(md: MatchingData) -> int:
     all V_q mutually similar (trivial matching data)."""
 
     def sig(forms) -> tuple:
-        keys = sorted(similarity_key(f) for f in forms)
-        return tuple(keys)
+        return tuple(sorted(similarity_key(f) for f in forms))
 
-    v1_sigs = {
-        sig([md.v_lists[q][t] for t in md.vq1[q]]) for q in md.q_set
-    }
-    if len(v1_sigs) > 1:
+    vq = [md.matchings[q].codomain for q in md.q_set]
+    if len({sig(forms[t] for t in md.v1) for forms in vq}) > 1:
         return 1
-    vq_sigs = {sig(md.v_lists[q]) for q in md.q_set}
-    if len(vq_sigs) > 1:
+    if len({sig(forms) for forms in vq}) > 1:
         return 2
     return 3
 
@@ -396,9 +336,6 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
             for g in ideal.generators:
                 s_span, _ = s_span.insert(g.coeffs)
             links.append(ChainLink(ideal, md))
-
-    if not spans_orthogonal([link.ideal.span for link in links]):
-        raise VerificationError("round ideals are not mutually orthogonal")
 
     build_forest(links, k)
     chain = Chain(circuit, links, chain_length_bound(k, d), circuit_rank(circuit))

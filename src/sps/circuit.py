@@ -486,7 +486,7 @@ def _element_from_json(field: Field, obj):
 def _form_from_json(field: Field, n: int, vec) -> LinearForm:
     if len(vec) != n:
         raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-    return LinearForm(field, [_element_from_json(field, c) for c in vec])
+    return LinearForm._wrap(field, tuple(_element_from_json(field, c) for c in vec))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -12,6 +12,7 @@ is over it, so an oversized request is refused in constant time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import Field, field_make
@@ -139,8 +140,6 @@ def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
     the family realizes rank growing like (k/3) * log2(d); the generator
     re-checks rank > (k/3) * log2(d) whenever 3 <= i < d.
     """
-    import math
-
     if r < 2 or i < 0:
         raise ValueError("family parameters need r >= 2 and i >= 0")
     d = _parity_degree(r, budget)

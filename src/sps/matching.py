@@ -20,13 +20,15 @@ and does not re-check its edges.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
 from .errors import VerificationError
 from .forms import LinearForm, Term, common_positions, lists_coprime, lists_similar
-from .forms import pair_by_key, similarity_key
+from .forms import normalize, pair_by_key, similarity_key
 
 
 class MatchEdge(NamedTuple):
@@ -155,6 +157,14 @@ class OrderedMatching:
         return f"OrderedMatching({kind}, size={len(self)}, ideal={self.ideal!r})"
 
 
+def reduced_class_key(f: LinearForm, ideal):
+    """Similarity-class key of f modulo the ideal; None for forms in the span."""
+    red = ideal.reduce(f)
+    if red.is_zero:
+        return None
+    return normalize(red)[0].coeffs
+
+
 def find_matching(u, v, ideal) -> OrderedMatching | None:
     """Search for a matching between u and v by the ideal.
 
@@ -162,8 +172,6 @@ def find_matching(u, v, ideal) -> OrderedMatching | None:
     agree; pairing is deterministic, in list order within each class. If no
     form of u or v lies in the ideal's span, the result validates as ordered.
     """
-    from .quotient import reduced_class_key
-
     sigma = pair_by_key([reduced_class_key(f, ideal) for f in u],
                         [reduced_class_key(g, ideal) for g in v])
     if sigma is None:
@@ -172,17 +180,17 @@ def find_matching(u, v, ideal) -> OrderedMatching | None:
 
 
 def split_term(ideal, u, term: Term, positions, sigma):
-    """Split a term against the common list u modulo the ideal: the sublist
-    at positions, the ordered matching u -> sublist by sigma, and the residual
-    term sc * coef * (the other forms), so term = M(u) * residual mod I."""
+    """Split a term against the common list u modulo the ideal: the ordered
+    matching pi from u to the sublist at positions (its codomain) by sigma,
+    and the residual term sc(pi) * coef * (the other forms), so
+    term = M(u) * residual mod I."""
     field = term.field
-    sub = tuple(term.forms[p] for p in positions)
-    pi = OrderedMatching.build(ideal, u, sub, sigma)
+    pi = OrderedMatching.build(ideal, u, (term.forms[p] for p in positions), sigma)
     if not pi.is_ordered:
         raise VerificationError("common-factor matching failed to validate as ordered")
     taken = set(positions)
     rest = [f for p, f in enumerate(term.forms) if p not in taken]
-    return sub, pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
+    return pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
 
 
 def invert(pi: OrderedMatching) -> OrderedMatching:
@@ -238,8 +246,6 @@ def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching
     inv = [0] * len(sigma)
     for i, j in enumerate(sigma):
         inv[j] = i
-
-    from collections import deque
 
     free: dict = {}
     for j in v_positions:
@@ -364,8 +370,6 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     restriction is a bijection between them, and its edges are edges of the
     already verified matching.
     """
-    import math
-
     u, v = tuple(u), tuple(v)
     if not u or len(u) != len(v):
         raise ValueError("doubling check needs nonempty lists of equal size")

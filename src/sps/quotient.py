@@ -20,8 +20,8 @@ import itertools
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
 from .errors import BudgetExceededError
-from .forms import LinearForm, Term, normalize, pair_common
-from .matching import split_term
+from .forms import LinearForm, Term, pair_common
+from .matching import reduced_class_key, split_term
 
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
@@ -94,14 +94,6 @@ class FormIdeal:
 
     def __repr__(self):
         return f"FormIdeal({[str(g) for g in self.generators]})"
-
-
-def reduced_class_key(f: LinearForm, ideal: FormIdeal):
-    """Similarity-class key of f modulo the ideal; None for forms in the span."""
-    red = ideal.reduce(f)
-    if red.is_zero:
-        return None
-    return normalize(red)[0].coeffs
 
 
 def class_keys(forms, ideal: FormIdeal):
@@ -180,20 +172,18 @@ def linear_factors(
 class GcdData:
     """Certified common-factor decomposition of a subcircuit modulo an ideal.
 
-    Holds the common factor list u (a sublist of the first term), the matched
-    sublist u_lists[q] of each term, a certified matching u -> u_lists[q] per
-    term, and the residual simple part. The defining identity
-    M(u_lists[q]) = sc(pi_q) * M(u) modulo the ideal is certified edge by
-    edge, once, by each matching's constructor.
+    For each term q, a certified matching pi_q from the common factor list u
+    (a sublist of the first term, every matching's domain) to the sublist of
+    term q at u_positions[q] (its codomain), and the residual simple part.
+    The defining identity M(codomain) = sc(pi_q) * M(u) modulo the ideal is
+    certified edge by edge, once, by each matching's constructor.
     """
 
-    __slots__ = ("circuit", "ideal", "u", "u_lists", "u_positions", "matchings", "sim")
+    __slots__ = ("circuit", "ideal", "u_positions", "matchings", "sim")
 
-    def __init__(self, circuit, ideal, u, u_lists, u_positions, matchings, sim):
+    def __init__(self, circuit, ideal, u_positions, matchings, sim):
         self.circuit = circuit
         self.ideal = ideal
-        self.u = u
-        self.u_lists = u_lists
         self.u_positions = u_positions
         self.matchings = matchings
         self.sim = sim
@@ -202,7 +192,7 @@ class GcdData:
         field = self.circuit.field
         return {
             "ideal": [_form_to_json(g) for g in self.ideal.generators],
-            "u": [_form_to_json(f) for f in self.u],
+            "u": [_form_to_json(f) for f in self.matchings[0].domain],
             "u_positions": {str(q): list(pos) for q, pos in self.u_positions.items()},
             "sc": {str(q): _element_to_json(field, m.scaling_factor())
                    for q, m in self.matchings.items()},
@@ -226,17 +216,14 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
     positions, sigmas = pair_common(keys_per_term)
     u = tuple(circuit.terms[0].forms[p] for p in positions[0])
 
-    u_lists: dict[int, tuple] = {}
-    u_positions: dict[int, tuple] = {}
-    matchings: dict[int, object] = {}
-    sim_terms = []
+    u_positions = {q: tuple(pos) for q, pos in enumerate(positions)}
+    matchings, sim_terms = {}, []
     for q, t in enumerate(circuit.terms):
-        u_positions[q] = tuple(positions[q])
-        u_lists[q], matchings[q], residual = split_term(ideal, u, t, positions[q], sigmas[q])
+        matchings[q], residual = split_term(ideal, u, t, positions[q], sigmas[q])
         sim_terms.append(residual)
 
     sim = Circuit(circuit.field, circuit.n, sim_terms)
-    return GcdData(circuit, ideal, u, u_lists, u_positions, matchings, sim)
+    return GcdData(circuit, ideal, u_positions, matchings, sim)
 
 
 def simple_part(circuit: Circuit, ideal: FormIdeal) -> Circuit:

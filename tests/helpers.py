@@ -329,29 +329,32 @@ def is_zero_ideal(ideal):
 
 
 def gcd_term(gd):
-    """M(u) of gcd data as a term (None when u is empty: the gcd is 1)."""
-    if not gd.u:
+    """M(u) of gcd data as a term (None when u is empty: the gcd is 1); u is
+    every matching's domain."""
+    u = gd.matchings[0].domain
+    if not u:
         return None
-    return Term(gd.circuit.field, 1, gd.u)
+    return Term(gd.circuit.field, 1, u)
 
 
 def verify_gcd_by_expansion(gd):
-    """Reference for gcd data: M(u_lists[q]) = sc(pi_q) * M(u) mod the ideal,
-    checked by exact expansion instead of the matchings' edge certificates.
+    """Reference for gcd data: for each matching pi_q from u (its domain) to
+    V_q (its codomain), M(V_q) = sc(pi_q) * M(u) mod the ideal, checked by
+    exact expansion instead of the matchings' edge certificates.
 
     Each q is one exact zero test of the two-term circuit
-    M(reduce u_lists[q]) - sc(pi_q) * M(reduce u); regularity keeps every
+    M(reduce V_q) - sc(pi_q) * M(reduce u); regularity keeps every
     reduced form nonzero. The budget is fixed so that SPS_BUDGET cannot
     decide whether a decomposition verifies.
     """
     field = gd.circuit.field
     n = gd.circuit.n
     ideal = gd.ideal
-    mu = [ideal.reduce(f) for f in gd.u]
-    for q, forms_q in gd.u_lists.items():
-        sc = gd.matchings[q].scaling_factor()
+    for q, pi in gd.matchings.items():
+        sc = pi.scaling_factor()
+        mu = [ideal.reduce(f) for f in pi.domain]
         diff = Circuit(field, n, [
-            Term(field, 1, [ideal.reduce(f) for f in forms_q]),
+            Term(field, 1, [ideal.reduce(f) for f in pi.codomain]),
             Term(field, field.neg(sc), mu),
         ])
         if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):

@@ -250,7 +250,7 @@ def test_criterion_6_gcd_sim():
             continue
         red_c = reduce_circuit(c, ideal)
         lhs = brute_expand(red_c)
-        gcd_part = brute_product(F5, c.n, [ideal.reduce(f) for f in gd.u])
+        gcd_part = brute_product(F5, c.n, [ideal.reduce(f) for f in gd.matchings[0].domain])
         sim_red = reduce_circuit(gd.sim, ideal)
         rhs_terms = brute_expand(sim_red)
         # multiply the two expansions

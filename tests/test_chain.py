@@ -10,6 +10,7 @@ from sps import (
     BoundViolationError,
     LinearForm,
     SpanBasis,
+    VerificationError,
     ZeroOracle,
     build_chain,
     build_forest,
@@ -65,8 +66,8 @@ def test_single_round_ks3_from_empty():
     ideal, md = single_round(ks, empty_span(F2, 3))
     assert [g.coeffs for g in ideal.generators] == [(1, 0, 0)]
     assert md.q_set == (1, 2)
-    assert md.v_lists[1] == ks.terms[1].forms
-    assert md.v_lists[2] == ks.terms[2].forms
+    assert md.matchings[1].codomain == ks.terms[1].forms
+    assert md.matchings[2].codomain == ks.terms[2].forms
     assert md.v0 == () and len(md.v1) == 2  # nothing in sp(I), all outside sp(S u I)
 
 
@@ -76,7 +77,7 @@ def test_single_round_ks3_final_round():
     ideal, md = single_round(ks, s)
     assert [g.coeffs for g in ideal.generators] == [(0, 0, 1)]
     assert md.q_set == (0, 2)
-    assert md.v_lists[0] == () and md.v_lists[2] == ()
+    assert md.matchings[0].codomain == () and md.matchings[2].codomain == ()
     assert classify_matching_data(md) == 3
 
 
@@ -157,28 +158,21 @@ def test_build_chain_rejects_bad_input():
 
 def _synthetic_mdata(v_lists, ideal_span_forms, su_extra, field, n):
     """Hand-built matching data over term indices 0..len(v_lists)-1 for
-    classifier unit tests; partitions are given explicitly."""
+    classifier unit tests. The classifier reads only each matching's
+    codomain and the partition, which is taken from the first list, so the
+    matchings are stand-ins between V = v_lists[0] and each list."""
     ideal_span = span_of(field, n, [f.coeffs for f in ideal_span_forms])
     su = ideal_span
     for f in su_extra:
         su, _ = su.insert(f.coeffs)
-    q_set = tuple(range(len(v_lists)))
-    vq0, vq1 = {}, {}
-    for q, forms in enumerate(v_lists):
-        vq0[q] = tuple(t for t, f in enumerate(forms) if ideal_span.contains(f.coeffs))
-        vq1[q] = tuple(
-            t for t, f in enumerate(forms) if not su.contains(f.coeffs)
-        )
+    v = tuple(v_lists[0])
     return MatchingData(
-        q_set=q_set,
-        v_forms=tuple(v_lists[0]),
-        v_lists={q: tuple(forms) for q, forms in enumerate(v_lists)},
+        q_set=tuple(range(len(v_lists))),
         v_positions={q: tuple(range(len(forms))) for q, forms in enumerate(v_lists)},
-        matchings={},
-        v0=vq0[0],
-        v1=vq1[0],
-        vq0=vq0,
-        vq1=vq1,
+        matchings={q: SimpleNamespace(domain=v, codomain=tuple(forms))
+                   for q, forms in enumerate(v_lists)},
+        v0=tuple(t for t, f in enumerate(v) if ideal_span.contains(f.coeffs)),
+        v1=tuple(t for t, f in enumerate(v) if not su.contains(f.coeffs)),
     )
 
 
@@ -190,8 +184,8 @@ def test_classifier_types():
     # Type 2: outside parts similar (both empty), full lists dissimilar
     md2 = _synthetic_mdata([[x1, x2], [x1, x3]], [x1, x2, x3], [], F5, 3)
     assert classify_matching_data(md2) == 2
-    # Type 3: all lists similar
-    md3 = _synthetic_mdata([[x1, x2], [x2, x1]], [x1], [], F5, 3)
+    # Type 3: all lists similar, slot by slot
+    md3 = _synthetic_mdata([[x1, x2], [x1.scale(2), x2]], [x1], [], F5, 3)
     assert classify_matching_data(md3) == 3
     md_empty = _synthetic_mdata([[], []], [x1], [], F5, 3)
     assert classify_matching_data(md_empty) == 3
@@ -260,8 +254,9 @@ def _round_certificates_digest(chain):
         md = link.mdata
         row["v_positions"] = {str(q): list(p) for q, p in md.v_positions.items()}
         row["v0"], row["v1"] = list(md.v0), list(md.v1)
-        row["vq0"] = {str(q): list(p) for q, p in md.vq0.items()}
-        row["vq1"] = {str(q): list(p) for q, p in md.vq1.items()}
+        # every V_q partitions like V
+        row["vq0"] = {str(q): list(md.v0) for q in md.q_set}
+        row["vq1"] = {str(q): list(md.v1) for q in md.q_set}
         row["edges"] = {
             str(q): [[e.c, e.level, e.ordered,
                       list(m.image(i).sub(m.domain[i].scale(e.c)).coeffs)]
@@ -292,7 +287,9 @@ PINNED_ROUND_CERTIFICATES = {
 }
 
 
-def test_round_certificates_pinned():
+@pytest.fixture(scope="module")
+def pinned_chains():
+    """The chains of the PINNED_ROUND_CERTIFICATES corpus, by name."""
     bench = load_bench("instances")
     cases = {f"ks{r}": lambda r=r: gen_ks(r) for r in range(3, 10)}
     for r, i in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
@@ -300,9 +297,60 @@ def test_round_certificates_pinned():
     for p, e in ((5, 1), (2, 3), (3, 2)):  # the densified vanishing-product identities
         obj = bench.change_variables(bench.vanishing_identity(p, e), random.Random(1))
         cases[f"vp-{p}^{e}"] = lambda obj=obj: loads_circuit(bench.canon(obj))
-    digests = {name: _round_certificates_digest(build_chain(make()))
-               for name, make in cases.items()}
+    return {name: build_chain(make()) for name, make in cases.items()}
+
+
+def test_round_certificates_pinned(pinned_chains):
+    digests = {name: _round_certificates_digest(chain)
+               for name, chain in pinned_chains.items()}
     assert digests == PINNED_ROUND_CERTIFICATES
+
+
+def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
+    # single_round does not check these facts, because its construction
+    # implies them; recompute each with SpanBasis alone
+    for name, chain in pinned_chains.items():
+        circuit = chain.circuit
+        field, n, k = circuit.field, circuit.n, circuit.k
+        s_span = SpanBasis(field, n)
+        for link in chain.links:
+            md, gens = link.mdata, [g.coeffs for g in link.ideal.generators]
+            assert 1 < len(md.q_set) < k, name
+            assert len(gens) <= k - 2, name
+            i_span = SpanBasis.from_vectors(field, n, gens)
+            su_span = s_span
+            for g in gens:  # I is orthogonal to S
+                su_span, inserted = su_span.insert(g)
+                assert inserted, name
+            for q in md.q_set:
+                pi = md.matchings[q]
+                for forms in (pi.domain, pi.codomain):  # V and V_q partition alike
+                    assert md.v0 == tuple(t for t, f in enumerate(forms)
+                                          if i_span.contains(f.coeffs)), name
+                    assert md.v1 == tuple(t for t, f in enumerate(forms)
+                                          if not su_span.contains(f.coeffs)), name
+                    assert len(md.v0) + len(md.v1) == len(forms), name
+                taken = set(md.v_positions[q])
+                for p, f in enumerate(circuit.terms[q].forms):
+                    if p not in taken:  # leftovers lie in sp(S u I) \ sp(I)
+                        assert su_span.contains(f.coeffs), name
+                        assert not i_span.contains(f.coeffs), name
+            s_span = su_span
+
+
+@pytest.mark.parametrize("n, spec, message", [
+    (2, [(1, [[0, 1]]), (1, [[1, 1]]), (1, [[0, 1]])], "fewer than two terms survived"),
+    (2, [(1, [[0, 1]]), (1, [[1, 0]]), (1, [[1, 0]]), (1, [[1, 1]])],
+     "residual circuit is not an identity mod the ideal"),
+    (4, [(1, [[0, 1, 1, 1], [0, 1, 1, 1]]), (1, [[0, 0, 1, 0], [1, 1, 0, 1]]),
+         (1, [[1, 0, 0, 1], [1, 0, 1, 1]]), (1, [[1, 0, 1, 1], [0, 1, 1, 0]])],
+     "fanin-2 stop left unmatched forms"),
+], ids=["survivors", "residual", "fanin-2"])
+def test_single_round_refuses_non_identities(n, spec, message):
+    # the input-dependent checks a round keeps, each reached by a GF(2)
+    # non-identity with the precheck off
+    with pytest.raises(VerificationError, match=message):
+        single_round(make_circuit(F2, n, spec), SpanBasis(F2, n), precheck=False)
 
 
 def test_each_round_derives_each_edge_once(monkeypatch):
@@ -325,7 +373,7 @@ def test_each_round_derives_each_edge_once(monkeypatch):
     for circuit in (gen_ks(6), gen_family(3, 2)):
         derived.clear()
         chain = build_chain(circuit)
-        expected = sum(len(link.mdata.q_set) * len(link.mdata.v_forms)
-                       for link in chain.links)
+        expected = sum(len(m.domain) for link in chain.links
+                       for m in link.mdata.matchings.values())
         assert len(derived) == expected
     assert gcd_calls == []

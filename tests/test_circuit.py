@@ -422,6 +422,28 @@ def test_json_round_trip_byte_identical():
     assert loads_circuit(dumps_circuit(c)) == c
 
 
+def test_load_canonicalizes_each_element_once(monkeypatch):
+    # a prime-field coefficient is a checked int; only each term constant (in
+    # Term) and each extension-field element (packed from its digit array)
+    # goes through Field.element, once
+    circuits = [gen_ks(4), random_circuit(random.Random(2), F5, 3, 3, 2, any_element=True),
+                random_circuit(random.Random(3), F9, 3, 3, 2, any_element=True)]
+    texts = [dumps_circuit(c) for c in circuits]
+    calls = []
+    element = Field.element
+
+    def counted(self, x):
+        calls.append(x)
+        return element(self, x)
+
+    monkeypatch.setattr(Field, "element", counted)
+    for c, text in zip(circuits, texts):
+        calls.clear()
+        assert loads_circuit(text) == c
+        ext_elements = c.k + sum(t.degree for t in c.terms) * c.n if c.field.e > 1 else 0
+        assert len(calls) == c.k + ext_elements
+
+
 def test_oracle_auto_mode():
     auto = ZeroOracle("auto", trials=10, seed=0, auto_budget=10)
     assert auto.is_zero(gen_ks(5))  # falls to the randomized path

@@ -128,17 +128,17 @@ def test_gcd_data_worked_example_f7():
     c = make_circuit(F7, 3, [(2, [[1, 0, 0], [0, 1, 1]]), (3, [[1, 0, 1], [0, 1, 0]])])
     i3 = ideal(F7, 3, [0, 0, 1])
     gd = gcd_data(c, i3)
-    assert [f.coeffs for f in gd.u] == [(1, 0, 0), (0, 1, 1)]
-    assert gd.u_lists[0] == c.terms[0].forms  # identity matching on T1
-    assert [f.coeffs for f in gd.u_lists[1]] == [(1, 0, 1), (0, 1, 0)]
+    assert [f.coeffs for f in gd.matchings[0].domain] == [(1, 0, 0), (0, 1, 1)]
+    assert gd.matchings[0].codomain == c.terms[0].forms  # identity matching on T1
+    assert [f.coeffs for f in gd.matchings[1].codomain] == [(1, 0, 1), (0, 1, 0)]
     assert gd.matchings[0].scaling_factor() == 1
     assert gd.matchings[1].scaling_factor() == 1
     sim = gd.sim
     assert [t.degree for t in sim.terms] == [0, 0]
     assert sorted(t.coef for t in sim.terms) == [2, 3]
     # M(U_2) = sc * M(U) mod I, by expansion
-    left = brute_product(F7, 3, [i3.reduce(f) for f in gd.u_lists[1]])
-    right = brute_product(F7, 3, [i3.reduce(f) for f in gd.u])
+    left = brute_product(F7, 3, [i3.reduce(f) for f in gd.matchings[1].codomain])
+    right = brute_product(F7, 3, [i3.reduce(f) for f in gd.matchings[1].domain])
     assert left == right
 
 
@@ -146,12 +146,12 @@ def test_gcd_data_zero_ideal_and_coprime():
     xs = [[1, 0], [0, 1]]
     c = make_circuit(F5, 2, [(1, xs), (4, xs)])
     gd = gcd_data(c, FormIdeal(F5, 2))
-    assert len(gd.u) == 2
+    assert len(gd.matchings[0].domain) == 2
     assert all(t.degree == 0 for t in gd.sim.terms)
 
     cop = make_circuit(F5, 2, [(1, [[1, 0]]), (2, [[0, 1]])])
     gd2 = gcd_data(cop, FormIdeal(F5, 2))
-    assert gd2.u == ()
+    assert gd2.matchings[0].domain == ()
     assert gcd_term(gd2) is None
     assert [t.coef for t in gd2.sim.terms] == [1, 2]  # sim = C_Q up to constants
 
@@ -210,7 +210,7 @@ def test_gcd_times_sim_recovers_subcircuit():
         verify_gcd_by_expansion(gd)
         red_c = reduce_circuit(c, ideal_)
         assert red_c is not None  # regular instances never vanish
-        red_u = [ideal_.reduce(f) for f in gd.u]
+        red_u = [ideal_.reduce(f) for f in gd.matchings[0].domain]
         products = [
             Term(F5, F5.neg(s.coef), red_u + [ideal_.reduce(f) for f in s.forms])
             for s in gd.sim.terms
@@ -309,7 +309,8 @@ def test_gcd_expansion_check_catches_corruption():
     gd = gcd_data(c, i3)
     verify_gcd_by_expansion(gd)
 
-    gd.u_lists[1] = (gd.u_lists[1][0].scale(2), gd.u_lists[1][1])
+    pi = gd.matchings[1]
+    pi.codomain = (pi.codomain[0].scale(2), pi.codomain[1])
     with pytest.raises(VerificationError):
         verify_gcd_by_expansion(gd)
 

@@ -32,6 +32,19 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_imports_inside_functions():
+    # every dependency of a module is stated at its top; an import in a
+    # function body hides a cycle or a cost until the function first runs
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 # Public names that no other library code reaches, each kept for one reason.
 UNREACHED_ALLOWED = {
     "zero_test_exact": "bench/spans.py spans it; ZeroOracle answers through its kernel",
