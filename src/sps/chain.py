@@ -33,7 +33,7 @@ from .circuit import (
 from .errors import BoundViolationError, VerificationError
 from .forms import LinearForm, pair_common, similarity_key
 from .matching import OrderedMatching, split_term
-from .quotient import FormIdeal, class_keys, is_zero_mod
+from .quotient import FormIdeal, is_zero_mod, reductions
 
 
 @dataclass
@@ -130,31 +130,32 @@ def single_round(
     """Run one round of the iterative procedure against the partial basis S.
 
     Each iteration picks the first remaining form outside sp(S u I) (terms in
-    index order, forms in list order), extends I by it, and computes one class
-    key mod I per remaining form of the survivors: a term survives iff none
-    of its keys is None (no form in sp(I)), and the survivors' keys give the
-    gcd pairing (forms.pair_common) folded into the accumulated V / V_q
-    lists. The round stops when the surviving fanin is 2 or when every
-    leftover form lies in sp(S u I). Each form of V is then placed once
-    (trimmed from sp(S u I) \\ sp(I), else kept in sp(I) or outside
-    sp(S u I)), each V_q form that is not V's own once for the
-    trim-agreement check, and each kept slot's edge is derived and checked
-    once, by the final matchings under the full I. Its first j echelon rows
+    index order, forms in list order), extends I by it, and reduces each
+    remaining form of the survivors once mod I: a term survives iff no form
+    lies in sp(I), and the survivors' class keys give the gcd pairing
+    (forms.pair_common) folded into the accumulated V / V_q lists. The round
+    stops when the surviving fanin is 2 or when every leftover form lies in
+    sp(S u I). One record per form of V and of each kept V_q slot under the
+    final I (the last iteration's, or one new reduction) places V (trimmed
+    from sp(S u I) \\ sp(I), else kept in sp(I) or outside sp(S u I)) and
+    derives and checks the final matchings' edges. Its first j echelon rows
     are the rows of iteration j's ideal, so a slot paired at iteration j gets
     the same (c, level) as it would under that ideal. Returns the useful
     ideal and the verified matching data, whose q_set is the blocking subset.
 
     Checked here: at least two terms survive each iteration, the fanin-2
-    stop leaves no form unmatched, trimming agrees along every V -> V_q
-    pairing, and the residual is an identity mod I. Implied, so not checked:
+    stop leaves no form unmatched, and the residual is an identity mod I.
+    Implied, so not checked:
     - each picked form extends sp(S u I): first_unspanned tested it;
     - each iteration kills a term: the picked form is a survivor's form;
     - at most k - 2 iterations: each kills a term and two always survive;
     - 1 < |Q| < k: the same two facts;
     - I is orthogonal to S: each picked form lay outside sp(S u I);
     - every V_q partitions like V: each edge's offset lies in sp(I), c != 0;
+    - trimming agrees along every V -> V_q pairing: paired forms differ by
+      an element of sp(I) up to a nonzero scalar;
     - leftovers lie in sp(S u I) \\ sp(I): the loop ends with none or with
-      none outside sp(S u I), and class_keys found none in sp(I).
+      none outside sp(S u I), and no survivor's form was in sp(I).
     """
     oracle = oracle or ZeroOracle()
     field = circuit.field
@@ -172,7 +173,7 @@ def single_round(
     remaining = {q: list(range(circuit.terms[q].degree)) for q in survivors}
     su_span = s_span
     gens: list[LinearForm] = []
-    v_forms: list[LinearForm] = []
+    v_slots: list[tuple[int, int]] = []  # (term, position) of V's forms
     vq_pos: dict[int, list[int]] = {q: [] for q in survivors}
 
     def first_unspanned():
@@ -191,11 +192,12 @@ def single_round(
         su_span, _ = su_span.insert(ell.coeffs)
         ideal = FormIdeal(field, n, gens)
 
-        keys = {}
+        keys, recs = {}, {}  # recs: (term, position) -> reduction mod this ideal
         for q in survivors:
-            kq = class_keys([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
-            if kq is not None:
-                keys[q] = kq
+            rq = reductions([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
+            if rq is not None:
+                keys[q] = [x.key for x in rq]
+                recs.update(((q, p), x) for p, x in zip(remaining[q], rq))
         if len(keys) < 2:
             raise VerificationError(
                 "fewer than two terms survived; the input cannot be an identity"
@@ -204,8 +206,7 @@ def single_round(
 
         positions, sigmas = pair_common(list(keys.values()))
         first = survivors[0]
-        v_forms.extend(circuit.terms[first].forms[remaining[first][p]]
-                       for p in positions[0])
+        v_slots.extend((first, remaining[first][p]) for p in positions[0])
         for q, pos_list, sigma in zip(survivors, positions, sigmas):
             # store matched positions in V-slot order (through sigma) so the
             # accumulated lists stay edge-aligned
@@ -223,32 +224,29 @@ def single_round(
             break
         ell = first_unspanned()
 
-    def trimmed(f):  # in sp(S u I) \ sp(I)
-        return not ideal.span_contains(f) and su_span.contains(f.coeffs)
+    def reduction(q, pos):  # modulo the final ideal, once per form
+        if (q, pos) not in recs:
+            recs[q, pos] = ideal.reduction(circuit.terms[q].forms[pos])
+        return recs[q, pos]
 
     keep, v0, v1 = [], [], []
-    for t, f in enumerate(v_forms):
-        if ideal.span_contains(f):
+    for t, (q, pos) in enumerate(v_slots):
+        if reduction(q, pos).key is None:
             v0.append(len(keep))
-        elif not su_span.contains(f.coeffs):
+        elif not su_span.contains(circuit.terms[q].forms[pos].coeffs):
             v1.append(len(keep))
         else:
             continue
         keep.append(t)
-    kept = set(keep)
-    for q in survivors:
-        for t, pos in enumerate(vq_pos[q]):
-            g = circuit.terms[q].forms[pos]
-            # a slot of V's own term holds V's form, which agrees with itself
-            if g is not v_forms[t] and trimmed(g) != (t not in kept):
-                raise VerificationError("trim membership disagrees along an edge")
 
-    v_kept = tuple(v_forms[t] for t in keep)
+    v_kept = tuple(circuit.terms[q].forms[pos] for q, pos in (v_slots[t] for t in keep))
+    v_recs = [reduction(*v_slots[t]) for t in keep]
     v_positions = {q: tuple(vq_pos[q][t] for t in keep) for q in survivors}
     matchings, residual_terms = {}, []
     for q in survivors:
-        matchings[q], residual = split_term(ideal, v_kept, circuit.terms[q],
-                                            v_positions[q], range(len(keep)))
+        matchings[q], residual = split_term(
+            ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep)),
+            (v_recs, [reduction(q, pos) for pos in v_positions[q]]))
         residual_terms.append(residual)
     if not is_zero_mod(Circuit(field, n, residual_terms), ideal, oracle):
         raise VerificationError("residual circuit is not an identity mod the ideal")

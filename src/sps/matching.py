@@ -7,9 +7,10 @@ element of the ideal's span. An ordered matching refines this: each edge's
 offset lies in the span of a generator *prefix* that does not contain the
 source form, which pins a unique per-edge scalar. An edge's certificate is
 that scalar c and the minimal valid prefix level, and the constructor accepts
-no other, so certificates are canonical; the offset image - c * source is
-recomputed by the check, not stored. ``build`` derives each certificate once,
-from one elimination pass per form.
+no other, so certificates are canonical. Both are read off the two forms'
+reductions modulo the ideal (``FormIdeal.reduction``), never from an offset:
+``build`` reduces each form once and derives and checks every edge from those
+records, which depend on the ideal and the form alone.
 
 Every ``OrderedMatching`` is checked exactly once, by its constructor, which
 verifies each edge it is given; an instance that exists is a verified
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from .algebra import SpanBasis, eliminate, spans_orthogonal
 from .errors import VerificationError
 from .forms import LinearForm, Term, common_positions, lists_coprime, lists_similar
-from .forms import normalize, pair_by_key, similarity_key
+from .forms import pair_by_key, similarity_key
 
 
 class MatchEdge(NamedTuple):
@@ -37,55 +38,61 @@ class MatchEdge(NamedTuple):
     ordered: bool      # False only for edges between forms inside the span
 
 
-def _derive_edge(ideal, src: LinearForm, dst: LinearForm) -> MatchEdge | None:
-    """Minimal-level certificate for dst = c*src + w, or None.
+def _derive_edge(ideal, s, d) -> MatchEdge | None:
+    """Minimal-level certificate for dst = c*src + w, or None, from the
+    reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
 
-    With S = (rest(src), a_r, ..., a_1) from the ideal's coordinates and D
-    likewise for dst, level j with scalar c is valid iff D = c*S on the first
-    n + r - j entries and S is nonzero there. So c = D[t]/S[t] at the first
-    nonzero entry t of S, and the first entry k where D != c*S gives the
-    level: 0 when there is none, n + r - k when k > t lies in the coordinate
-    part. Otherwise only a plain (unordered) edge between forms in the span
-    remains, with c = 1 by convention.
+    w lies in prefix(j) iff rest_d = c*rest_s and b[i] = c*a[i] for i >= j,
+    so the level is 1 + max{i : b[i] != c*a[i]} (0 if none). Outside the
+    span c = lead_d/lead_s; inside it, c = b[top]/a[top] at a's last nonzero
+    coordinate, and a level above top (src in the prefix) leaves only a
+    plain edge (1, r) between span forms.
     """
-    field = src.field
-    a, rest_src = ideal.coordinates(src)
-    b, rest_dst = ideal.coordinates(dst)
-    s = rest_src + a[::-1]
-    d = rest_dst + b[::-1]
-    t = next((i for i, x in enumerate(s) if x), None)
-    if t is not None and d[t]:
-        c = field.div(d[t], s[t])
-        k = next((i for i, (x, y) in enumerate(zip(s, d)) if y != field.mul(c, x)), None)
-        if k is None or (k > t and k >= ideal.n):
-            return MatchEdge(c, 0 if k is None else len(s) - k, True)
-    if not any(rest_src + rest_dst):
+    field = ideal.field
+    a, _, key_s, lead_s = s
+    b, _, key_d, lead_d = d
+    if key_s != key_d:
+        return None
+    top = max((i for i, x in enumerate(a) if x), default=-1)
+    if key_s is not None:
+        c = field.div(lead_d, lead_s)
+    elif top >= 0 and b[top]:
+        c = field.div(b[top], a[top])
+    else:
         return MatchEdge(1, ideal.r, False)
-    return None
+    level = next((i + 1 for i in reversed(range(len(a))) if b[i] != field.mul(c, a[i])), 0)
+    if key_s is not None or level <= top:
+        return MatchEdge(c, level, True)
+    return MatchEdge(1, ideal.r, False)
 
 
-def _check_edge(ideal, src: LinearForm, dst: LinearForm, e: MatchEdge) -> bool:
-    """Whether e is the certificate _derive_edge gives for src -> dst, the only
-    one that passes: c in [1, q), level in [0, r], w = dst - c*src in
-    prefix(level). An ordered edge has src outside prefix(level), which pins
-    c, and w outside prefix(level - 1) (its last multiplier is nonzero). An
-    unordered edge is (1, r) between forms in the span with no ordered edge:
-    src is zero, or dst's coordinate at src's last nonzero one is zero, or a
-    later one is not."""
+def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
+    """Whether e is the certificate _derive_edge gives for the forms reduced
+    to s and d, the only one that passes: c in [1, q), level in [0, r], and
+    w = dst - c*src in prefix(level) (read as in _derive_edge). An ordered
+    edge has src outside prefix(level), which pins c, and w outside
+    prefix(level - 1). An unordered edge is (1, r) between span forms with
+    no ordered edge: src is zero, or b is zero at a's last nonzero
+    coordinate, or nonzero above it."""
     field, (c, level, ordered) = ideal.field, e
     if not (type(c) is int and 0 < c < field.order and type(level) is int
             and 0 <= level <= ideal.r) or not (ordered or (c, level) == (1, ideal.r)):
         return False
-    rows, pivots = ideal.rows[:level], ideal.pivots[:level]
-    w, w_rest = eliminate(field, rows, pivots, dst.sub(src.scale(c)).coeffs)
-    if any(w_rest) or (ordered and level and not w[-1]):
+    a, _, key_s, lead_s = s
+    b, _, key_d, lead_d = d
+    if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
         return False
-    a, src_rest = eliminate(field, rows, pivots, src.coeffs)
+    w = [field.sub(y, field.mul(c, x)) for x, y in zip(a, b)]
+    if any(w[level:]) or (ordered and level and not w[level - 1]):
+        return False
+    top = max((i for i, x in enumerate(a) if x), default=-1)
     if ordered:
-        return any(src_rest)
-    b = [field.add(x, y) for x, y in zip(a, w)]  # dst's coordinates, as c = 1
-    top = max((i for i, x in enumerate(a) if x), default=None)
-    return not any(src_rest) and (top is None or not b[top] or any(b[top + 1:]))
+        return key_s is not None or top >= level
+    return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
+
+
+def _records(ideal, domain, codomain):
+    return ([ideal.reduction(f) for f in domain], [ideal.reduction(g) for g in codomain])
 
 
 class OrderedMatching:
@@ -100,36 +107,41 @@ class OrderedMatching:
 
     __slots__ = ("ideal", "domain", "codomain", "sigma", "edges")
 
-    def __init__(self, ideal, domain, codomain, sigma, edges):
+    def __init__(self, ideal, domain, codomain, sigma, edges, _reductions=None):
         self.ideal = ideal
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
         self.sigma = tuple(sigma)
         self.edges = tuple(edges)
-        self.verify()
+        self.verify(_reductions)
 
     @classmethod
-    def build(cls, ideal, domain, codomain, sigma) -> "OrderedMatching":
-        """Derive minimal-level certificates for the given position bijection."""
+    def build(cls, ideal, domain, codomain, sigma, reductions=None) -> "OrderedMatching":
+        """Derive minimal-level certificates for the given position bijection
+        from the (domain, codomain) records, reduced here when not given."""
         domain, codomain, sigma = tuple(domain), tuple(codomain), tuple(sigma)
+        src, dst = reductions or _records(ideal, domain, codomain)
         edges = []
         for i, f in enumerate(domain):
-            e = _derive_edge(ideal, f, codomain[sigma[i]])
+            e = _derive_edge(ideal, src[i], dst[sigma[i]])
             if e is None:
                 raise VerificationError(
                     f"no matching certificate for slot {i}: {f} -> {codomain[sigma[i]]}"
                 )
             edges.append(e)
-        return cls(ideal, domain, codomain, sigma, edges)
+        return cls(ideal, domain, codomain, sigma, edges, (src, dst))
 
-    def verify(self) -> None:
+    def verify(self, reductions=None) -> None:
+        """Check every edge from the (domain, codomain) records, reduced here
+        when not given; they depend on the ideal and forms, not the edges."""
         d = len(self.domain)
         if len(self.codomain) != d or len(self.sigma) != d or len(self.edges) != d:
             raise VerificationError("matching arity mismatch")
         if sorted(self.sigma) != list(range(d)):
             raise VerificationError("sigma is not a bijection")
-        for i, f in enumerate(self.domain):
-            if not _check_edge(self.ideal, f, self.codomain[self.sigma[i]], self.edges[i]):
+        src, dst = reductions or _records(self.ideal, self.domain, self.codomain)
+        for i in range(d):
+            if not _check_edge(self.ideal, src[i], dst[self.sigma[i]], self.edges[i]):
                 raise VerificationError(f"edge certificate {i} failed verification")
 
     @property
@@ -157,35 +169,29 @@ class OrderedMatching:
         return f"OrderedMatching({kind}, size={len(self)}, ideal={self.ideal!r})"
 
 
-def reduced_class_key(f: LinearForm, ideal):
-    """Similarity-class key of f modulo the ideal; None for forms in the span."""
-    red = ideal.reduce(f)
-    if red.is_zero:
-        return None
-    return normalize(red)[0].coeffs
-
-
 def find_matching(u, v, ideal) -> OrderedMatching | None:
     """Search for a matching between u and v by the ideal.
 
     One exists iff the multisets of similarity classes modulo the ideal
-    agree; pairing is deterministic, in list order within each class. If no
-    form of u or v lies in the ideal's span, the result validates as ordered.
+    agree; pairing is deterministic, in list order within each class, and
+    reads one reduction per form, as do the edges. If no form of u or v lies
+    in the ideal's span, the result validates as ordered.
     """
-    sigma = pair_by_key([reduced_class_key(f, ideal) for f in u],
-                        [reduced_class_key(g, ideal) for g in v])
+    src, dst = _records(ideal, u, v)
+    sigma = pair_by_key([x.key for x in src], [x.key for x in dst])
     if sigma is None:
         return None
-    return OrderedMatching.build(ideal, u, v, sigma)
+    return OrderedMatching.build(ideal, u, v, sigma, (src, dst))
 
 
-def split_term(ideal, u, term: Term, positions, sigma):
+def split_term(ideal, u, term: Term, positions, sigma, reductions):
     """Split a term against the common list u modulo the ideal: the ordered
     matching pi from u to the sublist at positions (its codomain) by sigma,
     and the residual term sc(pi) * coef * (the other forms), so
-    term = M(u) * residual mod I."""
+    term = M(u) * residual mod I; reductions are (u's, the sublist's)."""
     field = term.field
-    pi = OrderedMatching.build(ideal, u, (term.forms[p] for p in positions), sigma)
+    pi = OrderedMatching.build(ideal, u, (term.forms[p] for p in positions), sigma,
+                               reductions)
     if not pi.is_ordered:
         raise VerificationError("common-factor matching failed to validate as ordered")
     taken = set(positions)
@@ -419,12 +425,17 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     ideal_only = SpanBasis.empty(field, n)
     i0 = r + 1
     rounds = []
-    # forms not yet green; the basis only grows, so a green form stays green
-    pending = [[u[i] for i in rest_u], [v[j] for j in rest_v]]
+    # remainders of the forms not yet green, modulo the first `done` basis
+    # rows; the basis only appends rows, so eliminating by the new rows alone
+    # continues the same elimination, and a green form stays green
+    pending = [[u[i].coeffs for i in rest_u], [v[j].coeffs for j in rest_v]]
+    done = 0
 
     def greens():
+        nonlocal done
+        rows, pivots, done = basis.rows[done:], basis.pivots[done:], basis.rank
         for side in pending:
-            side[:] = [f for f in side if not basis.contains(f.coeffs)]
+            side[:] = [w for x in side if any(w := eliminate(field, rows, pivots, x)[1])]
         return d_prime - len(pending[0]), d_prime - len(pending[1])
 
     prev_u, _ = greens()

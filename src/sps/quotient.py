@@ -7,23 +7,28 @@ elimination on coefficient vectors and products of forms factor uniquely
 modulo the ideal. The ideal is its generators plus the append-only
 ``SpanBasis`` they insert into, so its first j rows span the first j
 generators and one elimination pass writes a form in coordinates over every
-generator prefix at once. A linear factor q of a circuit is a form with
-C = 0 mod (q), tested by reduction modulo the one-generator ideal. The zero
-ideal is the same type with no generators, and every operation treats it
-uniformly as "span is {0}".
+generator prefix at once: ``FormIdeal.reduction``, the one record of a form
+modulo the ideal that every later decision about the form reads. A linear
+factor q of a circuit is a form with C = 0 mod (q), tested by reduction
+modulo the one-generator ideal. The zero ideal is the same type with no
+generators, and every operation treats it uniformly as "span is {0}".
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
 from .errors import BudgetExceededError
 from .forms import LinearForm, Term, pair_common
-from .matching import reduced_class_key, split_term
+from .matching import split_term
 
 DEFAULT_FACTOR_BUDGET = 1_000_000
+
+
+Reduction = namedtuple("Reduction", "a rest key lead")  # see FormIdeal.reduction
 
 
 class FormIdeal:
@@ -35,6 +40,7 @@ class FormIdeal:
     matching certificates quantify over. Elimination by those rows leaves
     the representative that is zero at their pivots, a set fixed by the
     span alone, so it equals reduction by any echelon basis of prefix(j).
+    ``reduction`` computes a record afresh on every call and keeps none.
     Generators must be nonzero and linearly independent; an empty generator
     list is the distinguished zero ideal.
     """
@@ -61,20 +67,31 @@ class FormIdeal:
     def r(self) -> int:
         return len(self.generators)
 
-    def coordinates(self, f: LinearForm):
-        """(a, rest) with f = sum(a[i] * row i) + rest and rest zero at every
-        pivot; f lies in prefix(j) iff rest and a[j:] are zero."""
-        return eliminate(self.field, self.rows, self.pivots, f.coeffs)
+    def reduction(self, f: LinearForm) -> Reduction:
+        """f's record (a, rest, key, lead): f = sum(a[i] * row i) + rest with
+        rest zero at every pivot, and rest = lead * key with key's first
+        nonzero entry 1 (f's similarity class modulo the ideal), or key =
+        lead = None when rest is zero. f lies in prefix(j) iff rest and a[j:]
+        are zero."""
+        field = self.field
+        a, rest = eliminate(field, self.rows, self.pivots, f.coeffs)
+        lead = next((x for x in rest if x), None)
+        if lead is None:
+            return Reduction(a, rest, None, None)
+        if lead == 1:  # rest is its own key: hold one tuple for both
+            rest = tuple(rest)
+            return Reduction(a, rest, rest, lead)
+        inv = field.inv(lead)
+        return Reduction(a, rest, tuple(field.mul(inv, x) if x else 0 for x in rest), lead)
 
     def span_contains(self, f: LinearForm) -> bool:
         return self.prefix_contains(self.r, f)
 
     def prefix_contains(self, j: int, f: LinearForm) -> bool:
-        rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
-        return not any(rest)
+        return self.reduce_prefix(j, f).is_zero
 
     def reduce(self, f: LinearForm) -> LinearForm:
-        return LinearForm._wrap(self.field, tuple(self.coordinates(f)[1]))
+        return self.reduce_prefix(self.r, f)
 
     def reduce_prefix(self, j: int, f: LinearForm) -> LinearForm:
         rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
@@ -96,16 +113,20 @@ class FormIdeal:
         return f"FormIdeal({[str(g) for g in self.generators]})"
 
 
-def class_keys(forms, ideal: FormIdeal):
-    """reduced_class_key of each form, or None as soon as one form lies in the
+def reduced_class_key(f: LinearForm, ideal: FormIdeal):
+    """Similarity-class key of f modulo the ideal; None for forms in the span."""
+    return ideal.reduction(f).key
+
+
+def reductions(forms, ideal: FormIdeal):
+    """ideal.reduction of each form, or None as soon as one form lies in the
     span (a term with that form vanishes mod the ideal)."""
-    keys = []
+    out = []
     for f in forms:
-        key = reduced_class_key(f, ideal)
-        if key is None:
+        out.append(ideal.reduction(f))
+        if out[-1].key is None:
             return None
-        keys.append(key)
-    return keys
+    return out
 
 
 def reduce_circuit(circuit: Circuit, ideal: FormIdeal):
@@ -116,15 +137,9 @@ def reduce_circuit(circuit: Circuit, ideal: FormIdeal):
     field = circuit.field
     new_terms = []
     for t in circuit.terms:
-        forms = []
-        dead = False
-        for f in t.forms:
-            red = ideal.reduce(f)
-            if red.is_zero:
-                dead = True
-                break
-            forms.append(red)
-        if not dead:
+        recs = reductions(t.forms, ideal)
+        if recs is not None:
+            forms = [LinearForm._wrap(field, tuple(x.rest)) for x in recs]
             new_terms.append(Term(field, t.coef, forms))
     if not new_terms:
         return None
@@ -209,17 +224,19 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
     order of each term (forms.pair_common), which pins the decomposition to
     one deterministic representative. Raises on non-regular input.
     """
-    keys_per_term = [class_keys(t.forms, ideal) for t in circuit.terms]
-    if None in keys_per_term:  # a form in the span
+    recs = [reductions(t.forms, ideal) for t in circuit.terms]
+    if None in recs:  # a form in the span
         raise ValueError("gcd data requires a circuit that is regular mod the ideal")
 
-    positions, sigmas = pair_common(keys_per_term)
+    positions, sigmas = pair_common([[x.key for x in rq] for rq in recs])
     u = tuple(circuit.terms[0].forms[p] for p in positions[0])
+    u_recs = [recs[0][p] for p in positions[0]]
 
     u_positions = {q: tuple(pos) for q, pos in enumerate(positions)}
     matchings, sim_terms = {}, []
     for q, t in enumerate(circuit.terms):
-        matchings[q], residual = split_term(ideal, u, t, positions[q], sigmas[q])
+        matchings[q], residual = split_term(ideal, u, t, positions[q], sigmas[q],
+                                            (u_recs, [recs[q][p] for p in positions[q]]))
         sim_terms.append(residual)
 
     sim = Circuit(circuit.field, circuit.n, sim_terms)

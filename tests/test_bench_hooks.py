@@ -25,8 +25,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = load_bench("spans")
 INSTANCES = load_bench("instances")
 GOLDEN_KINDS = [("chain-ks", kind) for kind in
-                ("ks9", "family-4-3", "family-4-4", "family-4-5", "family-5-3")]
-GOLDEN_KINDS += [("doubling-tight", kind) for kind in ("tight-7-5", "tight-8-5", "tight-8-7")]
+                ("ks9", "ks10", "family-4-3", "family-4-4", "family-4-5", "family-5-3")]
+GOLDEN_KINDS += [("doubling-tight", f"tight-{s}-{p}") for s in (7, 8, 9, 10) for p in (5, 7)
+                 if (s, p) != (7, 7)]
 
 
 @pytest.mark.parametrize(

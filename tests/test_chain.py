@@ -308,7 +308,10 @@ def test_round_certificates_pinned(pinned_chains):
 
 def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
     # single_round does not check these facts, because its construction
-    # implies them; recompute each with SpanBasis alone
+    # implies them; recompute each with SpanBasis alone. Trimming agreement
+    # along every V -> V_q pairing is among them: the kept V_q forms
+    # partition like V (v0 in sp(I), v1 outside sp(S u I)), and every untaken
+    # form, the trimmed V_q forms included, lies in sp(S u I) \ sp(I)
     for name, chain in pinned_chains.items():
         circuit = chain.circuit
         field, n, k = circuit.field, circuit.n, circuit.k

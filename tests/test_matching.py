@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import sps.matching
+import sps.quotient
 from sps import (
     FormIdeal,
     LinearForm,
@@ -26,6 +28,7 @@ from helpers import (
     random_unit,
     scan_edge,
 )
+from sps.algebra import eliminate
 from sps.matching import MatchEdge, _derive_edge
 
 F2 = field_make(2)
@@ -292,7 +295,7 @@ def test_each_form_pair_has_exactly_one_certificate():
                 dst = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
                 if rng.random() < 0.7:
                     dst = dst.add(src.scale(field.rand_element(rng)))
-                derived = _derive_edge(ideal_, src, dst)
+                derived = _derive_edge(ideal_, ideal_.reduction(src), ideal_.reduction(dst))
                 accepted = []
                 for edge in (MatchEdge(c, level, ordered) for c in range(1, field.order)
                              for level in range(r + 1) for ordered in (True, False)):
@@ -357,7 +360,7 @@ def test_derived_edges_match_prefix_scan():
                         prefix_element(rng.randrange(r + 1)))
                 else:
                     dst = LinearForm(field, vector(n))
-                edge = _derive_edge(ideal_, src, dst)
+                edge = _derive_edge(ideal_, ideal_.reduction(src), ideal_.reduction(dst))
                 assert edge == scan_edge(ideal_, src, dst)
                 if edge is None:
                     outcomes.add("none")
@@ -448,3 +451,68 @@ def test_doubling_check_input_validation():
         doubling_check(u, v, [i1, i1b], [pi, pi])
     with pytest.raises(ValueError):
         doubling_check(u, (), [i1], [pi])
+
+
+def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
+    """find_matching reduces each form of u and v once modulo the ideal, and
+    its class key, edge derivation and edge check all read that record."""
+    t = gen_tight_lists(6)
+    calls = []
+
+    def counted(field, rows, pivots, v):
+        calls.append(v)
+        return eliminate(field, rows, pivots, v)
+
+    for module in (sps.quotient, sps.matching):  # FormIdeal's and the checker's
+        monkeypatch.setattr(module, "eliminate", counted)
+    for ideal_ in t.ideals:
+        calls.clear()
+        assert find_matching(t.u, t.v, ideal_) is not None
+        assert len(calls) == len(t.u) + len(t.v) == 32
+
+
+def test_doubling_check_keeps_running_remainders(monkeypatch):
+    """Each pending form meets each basis row at most once: the membership
+    tests of doubling_check (eliminate calls in its module, SpanBasis.contains
+    calls counted by the rank they eliminate with) pass at most
+    2 * d' * rank(final basis) rows, and the green counts equal a
+    from-scratch SpanBasis.contains recount."""
+    t = gen_tight_lists(8, p=5)
+    rows = []
+
+    def counted(field, rows_, pivots, v):
+        rows.append(len(rows_))
+        return eliminate(field, rows_, pivots, v)
+
+    def counted_contains(self, v):
+        rows.append(self.rank)
+        return contains(self, v)
+
+    contains = SpanBasis.contains
+    monkeypatch.setattr(sps.matching, "eliminate", counted)
+    monkeypatch.setattr(SpanBasis, "contains", counted_contains)
+    rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
+    monkeypatch.undo()
+
+    field, n = t.field, t.n
+    assert rep.verdict == "BOUND_OK" and rep.similar_pairs == 0 and rep.d_prime == len(t.u)
+    vectors = [t.u[0].coeffs]  # the seed: no pairs are similar, so rest_u is all of u
+    recount = []
+    for ideal_ in t.ideals:
+        vectors += [g.coeffs for g in ideal_.generators]
+        basis = SpanBasis.from_vectors(field, n, vectors)
+        recount.append(tuple(sum(basis.contains(f.coeffs) for f in side)
+                             for side in (t.u, t.v)))
+    assert [(rd.green_u, rd.green_v) for rd in rep.rounds] == recount
+    assert sum(rows) <= 2 * rep.d_prime * basis.rank
+
+
+def test_reduction_records_live_on_no_long_lived_object():
+    # a reduction record lives for one call: records kept on ideals raised
+    # the benchmark's peak memory by 9 to 15 %, so neither class may grow a
+    # slot (or a __dict__) to hold them
+    assert FormIdeal.__slots__ == ("field", "n", "generators", "span", "rows", "pivots")
+    assert OrderedMatching.__slots__ == ("ideal", "domain", "codomain", "sigma", "edges")
+    pi = find_matching((LinearForm(F5, [1, 0]),), (LinearForm(F5, [2, 1]),),
+                       ideal(F5, 2, [0, 1]))
+    assert not hasattr(pi, "__dict__") and not hasattr(pi.ideal, "__dict__")

@@ -21,7 +21,7 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
-from sps.quotient import class_keys, is_zero_mod, reduce_circuit
+from sps.quotient import is_zero_mod, reduce_circuit, reductions
 from helpers import (
     brute_expand,
     brute_product,
@@ -115,13 +115,13 @@ def test_similar_mod_examples():
 
 def test_is_regular_examples():
     # a circuit is regular mod the ideal when no form lies in its span, which
-    # class_keys reports by returning None
+    # reductions reports by returning None
     c = make_circuit(F5, 3, [(1, [[1, 0, 0], [0, 1, 0]])])
-    assert class_keys(c.all_forms(), ideal(F5, 3, [1, 0, 0])) is None
+    assert reductions(c.all_forms(), ideal(F5, 3, [1, 0, 0])) is None
     c2 = make_circuit(F5, 3, [(1, [[1, 1, 0], [0, 1, 0]])])
-    assert class_keys(c2.all_forms(), ideal(F5, 3, [1, 0, 0])) is not None
+    assert reductions(c2.all_forms(), ideal(F5, 3, [1, 0, 0])) is not None
     ks = gen_ks(3)
-    assert class_keys(subcircuit(ks, [1, 2]).all_forms(), ideal(F2, 3, [1, 0, 0])) is not None
+    assert reductions(subcircuit(ks, [1, 2]).all_forms(), ideal(F2, 3, [1, 0, 0])) is not None
 
 
 def test_gcd_data_worked_example_f7():

@@ -50,6 +50,7 @@ UNREACHED_ALLOWED = {
     "zero_test_exact": "bench/spans.py spans it; ZeroOracle answers through its kernel",
     "zero_test_random": "bench/spans.py spans it; ZeroOracle answers through its kernel",
     "similar": "bench/spans.py spans it (forms.similar)",
+    "reduced_class_key": "bench/spans.py counts it (quotient.reduced_class_key)",
     "invert": "matching algebra, acceptance criterion 5",
     "disjoint_union": "matching algebra, acceptance criterion 5",
     "compose": "matching algebra, acceptance criterion 5",
