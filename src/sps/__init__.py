@@ -39,7 +39,6 @@ from .families import (
 from .forms import (
     LinearForm,
     Term,
-    lists_coprime,
     lists_similar,
     normalize,
     similar,

@@ -398,10 +398,6 @@ class SpanBasis:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def empty(cls, field: Field, n: int) -> "SpanBasis":
-        return cls(field, n)
-
-    @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
         """The insertions of vectors in order; once the rank is n, later
         vectors are only checked for length, since none can insert."""
@@ -474,7 +470,7 @@ def spans_orthogonal(bases: list[SpanBasis]) -> bool:
     if not bases:
         return True
     field, n = bases[0].field, bases[0].n
-    acc = SpanBasis.empty(field, n)
+    acc = SpanBasis(field, n)
     for b in bases:
         if b.field != field or b.n != n:
             raise ValueError("orthogonality check needs a common field and dimension")

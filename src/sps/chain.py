@@ -24,7 +24,6 @@ from .algebra import SpanBasis
 from .circuit import (
     Circuit,
     ZeroOracle,
-    _dumps,
     _form_to_json,
     _json_number,
     circuit_rank,
@@ -110,9 +109,6 @@ class Chain:
                 }
             )
         return out
-
-    def trace_lines(self) -> list[str]:
-        return [_dumps(obj) for obj in self.trace_rounds() + [self.summary()]]
 
 
 def chain_length_bound(k: int, d: int) -> float:
@@ -324,7 +320,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         raise ValueError("chains require a minimal circuit")
 
     all_forms = circuit.all_forms()
-    s_span = SpanBasis.empty(circuit.field, circuit.n)
+    s_span = SpanBasis(circuit.field, circuit.n)
     links: list[ChainLink] = []
     for f in all_forms:  # S only grows: a form in S is not tested again
         while not s_span.contains(f.coeffs):

@@ -303,10 +303,10 @@ class _EvalPlan:
     __slots__ = ("n", "slices", "columns", "terms")
 
     def __init__(self, circuit: Circuit):
-        n = circuit.n
         distinct: dict = {}  # coefficient vector -> distinct-form id, first seen first
         form_ids = [distinct.setdefault(f.coeffs, len(distinct)) for f in circuit.all_forms()]
-        self.n = n
+        # with no form no coordinate is read, so the point is empty, whatever n says
+        n = self.n = circuit.n if form_ids else 0
         self.slices = []
         chunk_ids = []  # per chunk, each distinct form's slice id there (-1: zero)
         for start in range(0, n, _CHUNK):

@@ -117,10 +117,10 @@ def cmd_gen(args) -> int:
                 [_form_to_json(g) for g in ideal.generators] for ideal in t.ideals
             ],
             "claimed": t.claimed,
-            "verified": t.verified_count,
+            "verified": len(t.ideals),
         }
         text = _dumps(obj) + "\n"
-        _note(f"tight lists s={args.s}: {t.verified_count} of {t.claimed} "
+        _note(f"tight lists s={args.s}: {len(t.ideals)} of {t.claimed} "
               "claimed matchings verified")
     else:  # counter
         nonsimple, nonminimal = gen_intro_counterexamples(args.d)
@@ -187,8 +187,8 @@ def cmd_chain(args) -> int:
         _note(f"error: {exc}")
         return 1
     if args.trace:
-        for line in chain.trace_lines()[:-1]:
-            sys.stdout.write(line + "\n")
+        for row in chain.trace_rounds():
+            _emit(row)
     summary = chain.summary()
     report = {
         "command": "chain",

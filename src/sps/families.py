@@ -169,10 +169,6 @@ class TightLists:
     matchings: tuple[OrderedMatching, ...]
     claimed: int
 
-    @property
-    def verified_count(self) -> int:
-        return len(self.ideals)
-
 
 def gen_tight_lists(s: int, p: int = 5) -> TightLists:
     """Nonsimilar lists of size 2^(s-2) admitting many orthogonal matchings.

@@ -208,8 +208,3 @@ def lists_similar(u, v):
     """
     return pair_by_key([similarity_key(f) for f in u], [similarity_key(g) for g in v])
 
-
-def lists_coprime(u, v) -> bool:
-    """True iff no form of u has a similar form in v."""
-    vkeys = {similarity_key(g) for g in v}
-    return all(similarity_key(f) not in vkeys for f in u)

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
 from .errors import VerificationError
-from .forms import LinearForm, Term, common_positions, lists_coprime, lists_similar
+from .forms import Term, common_positions, lists_similar
 from .forms import pair_by_key, similarity_key
 
 
@@ -150,9 +150,6 @@ class OrderedMatching:
 
     def __len__(self):
         return len(self.domain)
-
-    def image(self, i: int) -> LinearForm:
-        return self.codomain[self.sigma[i]]
 
     def scaling_factor(self):
         """Product of the unique per-edge scalars (1 for the empty matching)."""
@@ -300,9 +297,9 @@ def trivialize(pi: OrderedMatching) -> OrderedMatching:
 
 @dataclass(frozen=True)
 class DoublingRound:
-    index: int
-    green_u: int
-    green_v: int
+    round: int
+    green_U: int
+    green_V: int
     must_double: bool
     doubled: bool
 
@@ -320,26 +317,7 @@ class DoublingReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "r": self.r,
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "bound": self.bound,
-            "i0": self.i0,
-            "similar_pairs": self.similar_pairs,
-            "rounds": [
-                {
-                    "round": rd.index,
-                    "green_U": rd.green_u,
-                    "green_V": rd.green_v,
-                    "must_double": rd.must_double,
-                    "doubled": rd.doubled,
-                }
-                for rd in self.rounds
-            ],
-            "reason": self.reason,
-        }
+        return asdict(self)
 
     def transcript_lines(self) -> list[str]:
         lines = [
@@ -349,7 +327,7 @@ class DoublingReport:
         for rd in self.rounds:
             mark = "double" if rd.must_double else "free"
             lines.append(
-                f"round {rd.index}: green_U={rd.green_u} green_V={rd.green_v} [{mark}]"
+                f"round {rd.round}: green_U={rd.green_U} green_V={rd.green_V} [{mark}]"
             )
         lines.append(f"verdict {self.verdict}"
                      + (f" ({self.reason})" if self.reason else ""))
@@ -360,21 +338,29 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     """Run the constructive argument that many orthogonal matchings force
     similarity, reporting a per-round transcript.
 
-    Steps: split off maximal similar sublists leaving coprime remainders;
-    unscramble every matching so it restricts to the remainders; seed a basis
-    with the first leftover form and add one ideal per round, tracking which
-    forms fall into the span ("green"). Green counts must agree on both sides
-    at the end of every round and must double in every round other than the
-    first and the round i0 where the seed form becomes dependent. Verdicts:
-    SIMILAR (nothing left over), BOUND_OK with r <= log2(d') + 2, or
-    CONTRADICTION, which valid inputs can never produce.
+    Steps: split off maximal similar sublists, leaving the remainders rest_u
+    and rest_v; seed a basis with the first leftover form and add one ideal
+    per round, tracking which forms fall into the span ("green"). Green
+    counts must agree on both sides at the end of every round and must
+    double in every round other than the first and the round i0 where the
+    seed form becomes dependent. Verdicts: SIMILAR (nothing left over),
+    BOUND_OK with r <= log2(d') + 2, or CONTRADICTION, which valid inputs
+    can never produce.
 
     Each matching was checked once, by its constructor, so only its ideal,
-    domain and codomain are checked here, and no edge is checked again. An
-    unscrambled matching restricts to the remainders when its bijection
-    sends every slot of rest_u into rest_v: both have size d', so that
-    restriction is a bijection between them, and its edges are edges of the
-    already verified matching.
+    domain and codomain are checked here. What the argument also uses
+    follows from the steps and is not checked again:
+
+    - the remainders are coprime, since common_positions keeps each class
+      shared by u and v at its least count;
+    - every matching restricts to the remainders once unscrambled by the
+      similar sublists: unscramble gives each slot of sim_u a distinct
+      target in sim_v that no later flip takes, so rest_u lands in rest_v,
+      and a flip joins forms with equal class keys, so it never fails;
+    - i0 is the round of the one generator whose insert fails: the ideals
+      are mutually orthogonal, so their generators are independent, and one
+      of them depends on the seed and its predecessors exactly when the
+      seed enters the span of the ideals so far.
     """
     u, v = tuple(u), tuple(v)
     if not u or len(u) != len(v):
@@ -394,7 +380,7 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     d = len(u)
     r = len(ideals)
 
-    # maximal similar sublists, leaving coprime remainders
+    # maximal similar sublists; the remainders are coprime
     sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
                                      [similarity_key(g) for g in v]])
     sim_u_set, sim_v_set = set(sim_u), set(sim_v)
@@ -402,29 +388,18 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     rest_v = [j for j in range(d) if j not in sim_v_set]
     d_prime = len(rest_u)
     bound = math.log2(d_prime) + 2 if d_prime else float(r)
-
-    if d_prime == 0:
-        return DoublingReport("SIMILAR", r, d, 0, bound, r + 1, len(sim_u), ())
-
-    if not lists_coprime([u[i] for i in rest_u], [v[j] for j in rest_v]):
-        raise VerificationError("similar-part extraction left non-coprime remainders")
-
-    # unscramble every matching; it must restrict to the remainders
-    for pi in matchings:
-        pi2 = unscramble(pi, sim_u, sim_v)
-        if any(pi2.sigma[i] in sim_v_set for i in rest_u):
-            return DoublingReport(
-                "CONTRADICTION", r, d, d_prime, bound, 0, len(sim_u), (),
-                reason="unscrambled matching does not restrict to the remainders",
-            )
-
-    field = ideals[0].field if ideals else u[0].field
-    n = u[0].n
-    seed = u[rest_u[0]]
-    basis = SpanBasis.from_vectors(field, n, [seed.coeffs])
-    ideal_only = SpanBasis.empty(field, n)
     i0 = r + 1
     rounds = []
+
+    def report(verdict, reason=None):
+        return DoublingReport(verdict, r, d, d_prime, bound, i0, len(sim_u),
+                              tuple(rounds), reason)
+
+    if d_prime == 0:
+        return report("SIMILAR")
+
+    field = u[0].field
+    basis = SpanBasis.from_vectors(field, u[0].n, [u[rest_u[0]].coeffs])
     # remainders of the forms not yet green, modulo the first `done` basis
     # rows; the basis only appends rows, so eliminating by the new rows alone
     # continues the same elimination, and a green form stays green
@@ -441,30 +416,20 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     prev_u, _ = greens()
     for idx, ideal in enumerate(ideals, start=1):
         for g in ideal.generators:
-            basis, _ = basis.insert(g.coeffs)
-            ideal_only, _ = ideal_only.insert(g.coeffs)
-        if i0 == r + 1 and ideal_only.contains(seed.coeffs):
-            i0 = idx
+            basis, inserted = basis.insert(g.coeffs)
+            if not inserted:
+                i0 = idx
         gu, gv = greens()
         must = idx not in (1, i0)
         doubled = gu >= 2 * prev_u
         rounds.append(DoublingRound(idx, gu, gv, must, doubled))
         if gu != gv:
-            return DoublingReport(
-                "CONTRADICTION", r, d, d_prime, bound, i0, len(sim_u),
-                tuple(rounds), reason=f"green counts diverged in round {idx}",
-            )
+            return report("CONTRADICTION", f"green counts diverged in round {idx}")
         if must and not doubled:
-            return DoublingReport(
-                "CONTRADICTION", r, d, d_prime, bound, i0, len(sim_u),
-                tuple(rounds), reason=f"green count failed to double in round {idx}",
-            )
+            return report("CONTRADICTION", f"green count failed to double in round {idx}")
         prev_u = gu
 
     if r > bound:
-        return DoublingReport(
-            "CONTRADICTION", r, d, d_prime, bound, i0, len(sim_u), tuple(rounds),
-            reason="more orthogonal matchings than the bound allows on dissimilar lists",
-        )
-    return DoublingReport("BOUND_OK", r, d, d_prime, bound, i0, len(sim_u),
-                          tuple(rounds))
+        return report("CONTRADICTION",
+                      "more orthogonal matchings than the bound allows on dissimilar lists")
+    return report("BOUND_OK")

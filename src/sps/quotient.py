@@ -20,7 +20,7 @@ import itertools
 from collections import namedtuple
 
 from .algebra import Field, SpanBasis, eliminate
-from .circuit import Circuit, ZeroOracle, _element_to_json, _form_to_json
+from .circuit import Circuit, ZeroOracle
 from .errors import BudgetExceededError
 from .forms import LinearForm, Term, pair_common
 from .matching import split_term
@@ -51,7 +51,7 @@ class FormIdeal:
         self.field = field
         self.n = n
         self.generators = tuple(generators)
-        span = SpanBasis.empty(field, n)
+        span = SpanBasis(field, n)
         for g in self.generators:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
@@ -83,15 +83,6 @@ class FormIdeal:
             return Reduction(a, rest, rest, lead)
         inv = field.inv(lead)
         return Reduction(a, rest, tuple(field.mul(inv, x) if x else 0 for x in rest), lead)
-
-    def span_contains(self, f: LinearForm) -> bool:
-        return self.prefix_contains(self.r, f)
-
-    def prefix_contains(self, j: int, f: LinearForm) -> bool:
-        return self.reduce_prefix(j, f).is_zero
-
-    def reduce(self, f: LinearForm) -> LinearForm:
-        return self.reduce_prefix(self.r, f)
 
     def reduce_prefix(self, j: int, f: LinearForm) -> LinearForm:
         rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
@@ -194,24 +185,13 @@ class GcdData:
     certified edge by edge, once, by each matching's constructor.
     """
 
-    __slots__ = ("circuit", "ideal", "u_positions", "matchings", "sim")
+    __slots__ = ("ideal", "u_positions", "matchings", "sim")
 
-    def __init__(self, circuit, ideal, u_positions, matchings, sim):
-        self.circuit = circuit
+    def __init__(self, ideal, u_positions, matchings, sim):
         self.ideal = ideal
         self.u_positions = u_positions
         self.matchings = matchings
         self.sim = sim
-
-    def to_dict(self) -> dict:
-        field = self.circuit.field
-        return {
-            "ideal": [_form_to_json(g) for g in self.ideal.generators],
-            "u": [_form_to_json(f) for f in self.matchings[0].domain],
-            "u_positions": {str(q): list(pos) for q, pos in self.u_positions.items()},
-            "sc": {str(q): _element_to_json(field, m.scaling_factor())
-                   for q, m in self.matchings.items()},
-        }
 
 
 def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
@@ -240,7 +220,7 @@ def gcd_data(circuit: Circuit, ideal: FormIdeal) -> GcdData:
         sim_terms.append(residual)
 
     sim = Circuit(circuit.field, circuit.n, sim_terms)
-    return GcdData(circuit, ideal, u_positions, matchings, sim)
+    return GcdData(ideal, u_positions, matchings, sim)
 
 
 def simple_part(circuit: Circuit, ideal: FormIdeal) -> Circuit:

@@ -15,6 +15,8 @@ from sps import (
     SpanBasis,
     Term,
     VerificationError,
+    field_make,
+    find_matching,
     gcd_data,
     similar,
     spans_orthogonal,
@@ -72,7 +74,7 @@ def random_form(rng, field, n, avoid_span=None, any_element=False):
 
 def random_ideal(rng, field, n, r):
     """Random form-ideal with r independent generators."""
-    span = SpanBasis.empty(field, n)
+    span = SpanBasis(field, n)
     gens = []
     while len(gens) < r:
         g = random_form(rng, field, n, avoid_span=span)
@@ -313,7 +315,7 @@ def substitute(circuit, matrix, n_out=None):
 
 def random_embedding(rng, field, n_in, n_out):
     """n_in independent rows of length n_out (an injective substitution)."""
-    span = SpanBasis.empty(field, n_out)
+    span = SpanBasis(field, n_out)
     rows = []
     while len(rows) < n_in:
         row = tuple(field.element(rng.randrange(field.p)) for _ in range(n_out))
@@ -334,7 +336,7 @@ def gcd_term(gd):
     u = gd.matchings[0].domain
     if not u:
         return None
-    return Term(gd.circuit.field, 1, u)
+    return Term(gd.ideal.field, 1, u)
 
 
 def verify_gcd_by_expansion(gd):
@@ -347,14 +349,13 @@ def verify_gcd_by_expansion(gd):
     reduced form nonzero. The budget is fixed so that SPS_BUDGET cannot
     decide whether a decomposition verifies.
     """
-    field = gd.circuit.field
-    n = gd.circuit.n
     ideal = gd.ideal
+    field, n = ideal.field, ideal.n
     for q, pi in gd.matchings.items():
         sc = pi.scaling_factor()
-        mu = [ideal.reduce(f) for f in pi.domain]
+        mu = [ideal.reduce_prefix(ideal.r, f) for f in pi.domain]
         diff = Circuit(field, n, [
-            Term(field, 1, [ideal.reduce(f) for f in pi.codomain]),
+            Term(field, 1, [ideal.reduce_prefix(ideal.r, f) for f in pi.codomain]),
             Term(field, field.neg(sc), mu),
         ])
         if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):
@@ -380,3 +381,54 @@ def trivial_link_simple_part_check(chain, i, oracle=None):
 
 def tight_lists_orthogonal(t):
     return spans_orthogonal([i.span for i in t.ideals])
+
+
+def doubling_corpus(rng, count):
+    """Seeded doubling-check inputs (u, v, ideals, matchings) over GF(2),
+    GF(3), GF(5) and GF(7): one to four mutually orthogonal ideals of one or
+    two generators, u partly drawn from their span, v made from u by nonzero
+    scalars plus offsets from the first ideal's span (zero about half the
+    time, which leaves similar pairs) and then shuffled; the ideals kept are
+    those by which u and v match, the first always among them."""
+    fields = [field_make(p) for p in (2, 3, 5, 7)]
+    out = []
+    while len(out) < count:
+        field = rng.choice(fields)
+        n = rng.randrange(3, 7)
+        span, ideals = SpanBasis(field, n), []
+        for _ in range(rng.randrange(1, 5)):
+            size = rng.randrange(1, 3)
+            if span.rank + size >= n:
+                break
+            gens = []
+            for _ in range(size):
+                g = random_form(rng, field, n, avoid_span=span)
+                span, _ = span.insert(g.coeffs)
+                gens.append(g)
+            ideals.append(FormIdeal(field, n, gens))
+        in_span = [g for i in ideals for g in i.generators]
+
+        def draw():
+            if rng.random() < 0.25:
+                f = LinearForm(field, [0] * n)
+                for g in in_span:
+                    f = f.add(g.scale(rng.randrange(field.p)))
+                if not f.is_zero:
+                    return f
+            return random_form(rng, field, n)
+
+        u = tuple(draw() for _ in range(rng.randrange(1, 9)))
+        v = []
+        for f in u:
+            while True:
+                g = f.scale(random_unit(rng, field))
+                if rng.random() < 0.5:
+                    g = g.add(random_span_element(rng, field, ideals[0], ideals[0].r))
+                if not g.is_zero:
+                    v.append(g)
+                    break
+        rng.shuffle(v)
+        v = tuple(v)
+        kept = [(i, pi) for i in ideals if (pi := find_matching(u, v, i)) is not None]
+        out.append((u, v, [i for i, _ in kept], [pi for _, pi in kept]))
+    return out

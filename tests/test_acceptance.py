@@ -175,7 +175,7 @@ def test_criterion_4_doubling_tightness():
         if not tight_lists_orthogonal(t):
             failures.append(f"s={s}: ideals not orthogonal")
         claimed = int(math.log2(len(t.u))) + 2
-        if t.verified_count == claimed:
+        if len(t.ideals) == claimed:
             rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
             if rep.verdict != "BOUND_OK":
                 failures.append(f"s={s}: verdict {rep.verdict}")
@@ -250,7 +250,8 @@ def test_criterion_6_gcd_sim():
             continue
         red_c = reduce_circuit(c, ideal)
         lhs = brute_expand(red_c)
-        gcd_part = brute_product(F5, c.n, [ideal.reduce(f) for f in gd.matchings[0].domain])
+        gcd_part = brute_product(F5, c.n, [ideal.reduce_prefix(ideal.r, f)
+                                           for f in gd.matchings[0].domain])
         sim_red = reduce_circuit(gd.sim, ideal)
         rhs_terms = brute_expand(sim_red)
         # multiply the two expansions

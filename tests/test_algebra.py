@@ -113,7 +113,7 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
 
 def test_span_insert_basics():
     F2 = field_make(2)
-    b = SpanBasis.empty(F2, 3)
+    b = SpanBasis(F2, 3)
     b, ins = b.insert((1, 0, 1))
     assert ins and b.rank == 1
     b2, ins = b.insert((1, 0, 1))
@@ -130,7 +130,7 @@ def test_from_vectors_stops_eliminating_at_full_rank():
     for p, e in ((2, 1), (5, 1), (3, 2)):
         F = field_make(p, e)
         vecs = [tuple(F.rand_element(rng) for _ in range(4)) for _ in range(30)]
-        plain = SpanBasis.empty(F, 4)
+        plain = SpanBasis(F, 4)
         for v in vecs:
             plain, _ = plain.insert(v)
         fast = SpanBasis.from_vectors(F, 4, vecs)
@@ -146,7 +146,7 @@ def test_span_insert_appends_one_row():
     rng = random.Random(17)
     for p, e in ((2, 1), (5, 1), (2, 3), (3, 2)):
         F = field_make(p, e)
-        b = SpanBasis.empty(F, 5)
+        b = SpanBasis(F, 5)
         for _ in range(8):
             v = tuple(F.rand_element(rng) for _ in range(5))
             b2, ins = b.insert(v)
@@ -219,7 +219,7 @@ def test_span_insertion_order_invariance_f5(vecs, data):
 def test_rank_never_exceeds_dimension():
     F2 = field_make(2)
     rng = random.Random(3)
-    b = SpanBasis.empty(F2, 4)
+    b = SpanBasis(F2, 4)
     for _ in range(5):
         b, _ = b.insert(tuple(rng.randrange(2) for _ in range(4)))
     assert b.rank <= 4

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from sps import SpanBasis, dumps_circuit, gen_joined, gen_ks, loads_circuit, make_circuit, field_make
+from sps import (
+    Field, SpanBasis, dumps_circuit, field_make, gen_joined, gen_ks, loads_circuit, make_circuit,
+)
 from sps.cli import main
 import sps.circuit
 import sps.matching
@@ -378,6 +380,28 @@ def test_check_refuses_more_than_16_terms_before_any_work(tmp_path, capsys, monk
         code, out, err = run_cli(["check", str(path), *mode], capsys)
         assert (code, out) == (2, "")
         assert "k <= 16" in err
+
+
+def test_check_random_draws_no_point_for_a_circuit_without_forms(tmp_path, capsys,
+                                                                monkeypatch):
+    # no coordinate of the point is read, so none is drawn, whatever n says
+    path = tmp_path / "constant.json"
+    path.write_text('{"p":2,"e":1,"n":100000,"terms":'
+                    '[{"coef":1,"forms":[]},{"coef":1,"forms":[]}]}')
+    draws = []
+    rand_element = Field.rand_element
+
+    def counted(self, rng):
+        draws.append(self)
+        return rand_element(self, rng)
+
+    monkeypatch.setattr(Field, "rand_element", counted)
+    code, out, _ = run_cli(["check", "--random", str(path)], capsys)
+    assert code == 0 and draws == []
+    random_report = json.loads(out)
+    code, out, _ = run_cli(["check", "--exact", str(path)], capsys)
+    exact_report = json.loads(out)
+    assert code == 0 and random_report["zero"] is exact_report["zero"] is True
 
 
 def _ks3_with(path, edit):

@@ -116,8 +116,8 @@ def test_tight_lists_shapes_and_reports():
         assert t.claimed == s
         assert lists_similar(t.u, t.v) is None  # parity classes never meet
         assert tight_lists_orthogonal(t)
-        assert t.verified_count == expected_verified[s]
-        assert len(t.matchings) == t.verified_count
+        assert len(t.ideals) == expected_verified[s]
+        assert len(t.matchings) == len(t.ideals)
     with pytest.raises(ValueError):
         gen_tight_lists(2)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,11 +19,14 @@ from sps import (
     find_matching,
     gen_tight_lists,
     invert,
+    similar,
+    similarity_key,
     trivialize,
     unscramble,
 )
 from helpers import (
     brute_product,
+    doubling_corpus,
     random_form,
     random_ideal,
     random_span_element,
@@ -29,6 +34,7 @@ from helpers import (
     scan_edge,
 )
 from sps.algebra import eliminate
+from sps.forms import common_positions
 from sps.matching import MatchEdge, _derive_edge
 
 F2 = field_make(2)
@@ -41,7 +47,7 @@ def ideal(field, n, *gens):
 
 def offsets(pi):
     """Each edge's offset w = image - c * source, recomputed from the lists."""
-    return [pi.image(i).sub(f.scale(e.c)) for i, (f, e) in enumerate(zip(pi.domain, pi.edges))]
+    return [pi.codomain[j].sub(f.scale(e.c)) for f, j, e in zip(pi.domain, pi.sigma, pi.edges)]
 
 
 def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain=None):
@@ -57,7 +63,7 @@ def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain
     for f in domain:
         for _ in range(50):
             level = rng.randrange(0, ideal_.r + 1)
-            if ideal_.prefix_contains(level, f):
+            if ideal_.reduce_prefix(level, f).is_zero:
                 continue
             c = random_unit(rng, field)
             w = random_span_element(rng, field, ideal_, level)
@@ -155,12 +161,13 @@ def test_unscramble_one_flip_example():
     # matching sending the first copy to x1 + x3, the second to x1
     pi = OrderedMatching.build(i3, u, v, (0, 1))
     out = unscramble(pi, [0], [1])  # u' = first copy, v' = the bare x1
-    assert out.image(0) == x1
-    assert out.image(1) == x1_plus
+    assert out.codomain[out.sigma[0]] == x1
+    assert out.codomain[out.sigma[1]] == x1_plus
     # no-op cases
     assert unscramble(pi, [], []).sigma == pi.sigma
     pre_similar = OrderedMatching.build(i3, u, v, (1, 0))
-    assert unscramble(pre_similar, [0], [1]).image(0) == x1
+    out = unscramble(pre_similar, [0], [1])
+    assert out.codomain[out.sigma[0]] == x1
 
 
 def test_trivialize_examples():
@@ -336,7 +343,7 @@ def test_derived_edges_match_prefix_scan():
         for _ in range(150):
             n = rng.randrange(1, 6)
             r = rng.randrange(0, n + 1)
-            span, gens = SpanBasis.empty(field, n), []
+            span, gens = SpanBasis(field, n), []
             while len(gens) < r:
                 v = vector(n)
                 span, inserted = span.insert(v)
@@ -373,9 +380,9 @@ def test_derived_edges_match_prefix_scan():
             for j in range(r + 1):
                 prefix = SpanBasis.from_vectors(field, n, [g.coeffs for g in gens[:j]])
                 assert ideal_.reduce_prefix(j, f).coeffs == prefix.reduce(f.coeffs)
-                assert ideal_.prefix_contains(j, f) == prefix.contains(f.coeffs)
+                assert ideal_.reduce_prefix(j, f).is_zero == prefix.contains(f.coeffs)
                 w = prefix_element(j)
-                assert ideal_.prefix_contains(j, w) and prefix.contains(w.coeffs)
+                assert ideal_.reduce_prefix(j, w).is_zero and prefix.contains(w.coeffs)
     assert outcomes == {"level 0", "higher level", "plain", "none"}
 
 
@@ -398,9 +405,9 @@ def test_doubling_check_tight_lists():
     rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
     assert rep.verdict == "BOUND_OK"
     assert rep.r == 4 and rep.d_prime == 4 and rep.bound == 4.0
-    greens = [rd.green_u for rd in rep.rounds]
+    greens = [rd.green_U for rd in rep.rounds]
     assert greens == [1, 2, 4, 4]
-    assert all(rd.green_u == rd.green_v for rd in rep.rounds)
+    assert all(rd.green_U == rd.green_V for rd in rep.rounds)
 
     t6 = gen_tight_lists(6)
     rep6 = doubling_check(t6.u, t6.v, list(t6.ideals), list(t6.matchings))
@@ -417,7 +424,7 @@ def test_doubling_check_never_contradicts_on_valid_input():
         ideals = []
         from sps import SpanBasis
 
-        span = SpanBasis.empty(F5, n)
+        span = SpanBasis(F5, n)
         while len(ideals) < rng.randrange(1, 3) and span.rank < n - 1:
             g = random_form(rng, F5, n, avoid_span=span)
             span, _ = span.insert(g.coeffs)
@@ -453,6 +460,44 @@ def test_doubling_check_input_validation():
         doubling_check(u, (), [i1], [pi])
 
 
+# sha256 over the corpus of json.dumps(report.to_dict()) + "\n", recorded
+# while doubling_check still re-checked the restriction to the remainders,
+# their coprimality and i0 against a basis of the ideals alone
+DOUBLING_CORPUS_DIGEST = "7db3652c65a336aaa963e9f37f50902e54e7661c7908270544cbad9610c250e7"
+
+
+def test_doubling_check_implied_facts_on_corpus():
+    """The facts doubling_check reads off its construction instead of
+    checking: after unscrambling by the similar sublists every matching sends
+    rest_u into rest_v, the remainders share no similar pair, and i0 is the
+    first round whose ideals alone span the seed. The reports are those of
+    the checker that still tested all three."""
+    digest = hashlib.sha256()
+    both = early = 0
+    for u, v, ideals, pis in doubling_corpus(random.Random(2008), 2000):
+        rep = doubling_check(u, v, ideals, pis)
+        digest.update(json.dumps(rep.to_dict()).encode() + b"\n")
+        sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
+                                         [similarity_key(g) for g in v]])
+        rest_u = [i for i in range(len(u)) if i not in sim_u]
+        rest_v = [j for j in range(len(v)) if j not in sim_v]
+        assert all(similar(u[i], v[j]) is None for i in rest_u for j in rest_v)
+        for pi in pis:
+            sigma = unscramble(pi, sim_u, sim_v).sigma
+            assert {sigma[i] for i in rest_u} == set(rest_v)
+        i0, gens = len(ideals) + 1, []
+        for idx, ideal_ in enumerate(ideals if rest_u else (), start=1):
+            gens += [g.coeffs for g in ideal_.generators]
+            if SpanBasis.from_vectors(u[0].field, u[0].n, gens).contains(u[rest_u[0]].coeffs):
+                i0 = idx
+                break
+        assert rep.i0 == i0
+        both += bool(sim_u and rest_u)
+        early += i0 <= len(ideals)
+    assert both >= 1000 and early >= 100  # both paths really ran
+    assert digest.hexdigest() == DOUBLING_CORPUS_DIGEST
+
+
 def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
     """find_matching reduces each form of u and v once modulo the ideal, and
     its class key, edge derivation and edge check all read that record."""
@@ -473,19 +518,19 @@ def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
 
 def test_doubling_check_keeps_running_remainders(monkeypatch):
     """Each pending form meets each basis row at most once: the membership
-    tests of doubling_check (eliminate calls in its module, SpanBasis.contains
-    calls counted by the rank they eliminate with) pass at most
-    2 * d' * rank(final basis) rows, and the green counts equal a
-    from-scratch SpanBasis.contains recount."""
+    tests of doubling_check (eliminate calls in its module) pass at most
+    2 * d' * rank(final basis) rows, no SpanBasis.contains call runs (i0 is
+    read off the insert flag), and the green counts equal a from-scratch
+    SpanBasis.contains recount."""
     t = gen_tight_lists(8, p=5)
-    rows = []
+    rows, contains_calls = [], []
 
     def counted(field, rows_, pivots, v):
         rows.append(len(rows_))
         return eliminate(field, rows_, pivots, v)
 
     def counted_contains(self, v):
-        rows.append(self.rank)
+        contains_calls.append(v)
         return contains(self, v)
 
     contains = SpanBasis.contains
@@ -496,6 +541,7 @@ def test_doubling_check_keeps_running_remainders(monkeypatch):
 
     field, n = t.field, t.n
     assert rep.verdict == "BOUND_OK" and rep.similar_pairs == 0 and rep.d_prime == len(t.u)
+    assert contains_calls == []
     vectors = [t.u[0].coeffs]  # the seed: no pairs are similar, so rest_u is all of u
     recount = []
     for ideal_ in t.ideals:
@@ -503,7 +549,7 @@ def test_doubling_check_keeps_running_remainders(monkeypatch):
         basis = SpanBasis.from_vectors(field, n, vectors)
         recount.append(tuple(sum(basis.contains(f.coeffs) for f in side)
                              for side in (t.u, t.v)))
-    assert [(rd.green_u, rd.green_v) for rd in rep.rounds] == recount
+    assert [(rd.green_U, rd.green_V) for rd in rep.rounds] == recount
     assert sum(rows) <= 2 * rep.d_prime * basis.rank
 
 

@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+import sps.algebra
+import sps.matching
+import sps.quotient
+
 from sps import (
     Circuit,
     FormIdeal,
@@ -21,6 +25,7 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
+from sps.algebra import eliminate
 from sps.quotient import is_zero_mod, reduce_circuit, reductions
 from helpers import (
     brute_expand,
@@ -53,7 +58,7 @@ def test_form_ideal_invariants():
         ideal(F5, 2, [1, 0], [2, 0])  # dependent generators
     z = FormIdeal(F5, 2)  # no generators: the zero ideal
     assert is_zero_ideal(z) and z.r == 0
-    assert z.reduce(LinearForm(F5, [1, 2])).coeffs == (1, 2)
+    assert z.reduce_prefix(z.r, LinearForm(F5, [1, 2])).coeffs == (1, 2)
 
 
 def test_form_ideal_span_is_its_echelon_basis():
@@ -90,13 +95,13 @@ def test_linear_factors_match_substitution_reference():
 
 def test_reduce_form_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
-    assert i3.reduce(LinearForm(F5, [1, 0, 1])).coeffs == (1, 0, 0)
-    assert i3.reduce(LinearForm(F5, [0, 0, 1])).is_zero
+    assert i3.reduce_prefix(i3.r, LinearForm(F5, [1, 0, 1])).coeffs == (1, 0, 0)
+    assert i3.reduce_prefix(i3.r, LinearForm(F5, [0, 0, 1])).is_zero
     isum = ideal(F5, 3, [1, 1, 1])
-    red = isum.reduce(LinearForm(F5, [1, 1, 0]))
+    red = isum.reduce_prefix(isum.r, LinearForm(F5, [1, 1, 0]))
     assert red.coeffs == (0, 0, 4)
     # the difference went into the span
-    assert isum.span_contains(LinearForm(F5, [1, 1, 0]).sub(red))
+    assert isum.span.contains(LinearForm(F5, [1, 1, 0]).sub(red).coeffs)
 
 
 def test_similar_mod_examples():
@@ -104,7 +109,8 @@ def test_similar_mod_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
 
     def similar_mod(f, g):
-        return similar(i3.reduce(LinearForm(F5, f)), i3.reduce(LinearForm(F5, g)))
+        f, g = (i3.reduce_prefix(i3.r, LinearForm(F5, x)) for x in (f, g))
+        return similar(f, g)
 
     assert similar_mod([0, 1, 1], [0, 1, 0]) == 1
     assert similar_mod([0, 2, 1], [0, 1, 0]) == 2
@@ -137,8 +143,8 @@ def test_gcd_data_worked_example_f7():
     assert [t.degree for t in sim.terms] == [0, 0]
     assert sorted(t.coef for t in sim.terms) == [2, 3]
     # M(U_2) = sc * M(U) mod I, by expansion
-    left = brute_product(F7, 3, [i3.reduce(f) for f in gd.matchings[1].codomain])
-    right = brute_product(F7, 3, [i3.reduce(f) for f in gd.matchings[1].domain])
+    left = brute_product(F7, 3, [i3.reduce_prefix(i3.r, f) for f in gd.matchings[1].codomain])
+    right = brute_product(F7, 3, [i3.reduce_prefix(i3.r, f) for f in gd.matchings[1].domain])
     assert left == right
 
 
@@ -189,7 +195,7 @@ def _random_regular_instance(rng, plant=True):
             for g in ideal_.generators:
                 w = w.add(g.scale(rng.randrange(5)))
             cand = base.scale(c).add(w)
-            if ideal_.span_contains(cand):
+            if ideal_.span.contains(cand.coeffs):
                 cand = base.scale(c)
             forms.append(cand)
         for _ in range(rng.randrange(0, 3)):
@@ -210,9 +216,9 @@ def test_gcd_times_sim_recovers_subcircuit():
         verify_gcd_by_expansion(gd)
         red_c = reduce_circuit(c, ideal_)
         assert red_c is not None  # regular instances never vanish
-        red_u = [ideal_.reduce(f) for f in gd.matchings[0].domain]
+        red_u = [ideal_.reduce_prefix(ideal_.r, f) for f in gd.matchings[0].domain]
         products = [
-            Term(F5, F5.neg(s.coef), red_u + [ideal_.reduce(f) for f in s.forms])
+            Term(F5, F5.neg(s.coef), red_u + [ideal_.reduce_prefix(ideal_.r, f) for f in s.forms])
             for s in gd.sim.terms
         ]
         assert not brute_expand(Circuit(F5, c.n, list(red_c.terms) + products))
@@ -222,9 +228,10 @@ def test_gcd_data_deterministic():
     rng = random.Random(123)
     for _ in range(20):
         c, ideal_ = _random_regular_instance(rng)
-        a = gcd_data(c, ideal_).to_dict()
-        b = gcd_data(c, ideal_).to_dict()
-        assert a == b
+        a, b = (gcd_data(c, ideal_) for _ in range(2))
+        assert a.u_positions == b.u_positions and a.sim == b.sim
+        assert ([(m.domain, m.codomain, m.sigma, m.edges) for m in a.matchings.values()]
+                == [(m.domain, m.codomain, m.sigma, m.edges) for m in b.matchings.values()])
 
 
 def test_orthogonal_ideal_zero_promotion():
@@ -317,20 +324,21 @@ def test_gcd_expansion_check_catches_corruption():
 
 def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
     # a form lies in the ideal's span exactly when its class key is None, so
-    # no separate span_contains elimination runs before the keys
+    # each form is reduced once and no separate membership elimination runs
     rng = random.Random(5)
     instances = [_random_regular_instance(rng) for _ in range(10)]
     calls = []
-    contains = FormIdeal.span_contains
 
-    def counted(self, f):
-        calls.append(f)
-        return contains(self, f)
+    def counted(field, rows, pivots, v):
+        calls.append(v)
+        return eliminate(field, rows, pivots, v)
 
-    monkeypatch.setattr(FormIdeal, "span_contains", counted)
+    for module in (sps.algebra, sps.quotient, sps.matching):
+        monkeypatch.setattr(module, "eliminate", counted)
     for c, ideal_ in instances:
+        calls.clear()
         gcd_data(c, ideal_)
-    assert calls == []
+        assert len(calls) == sum(t.degree for t in c.terms)
     i3 = ideal(F7, 3, [0, 0, 1])
     in_span_late = make_circuit(F7, 3, [(2, [[1, 0, 0], [0, 1, 1]]), (3, [[1, 0, 1], [0, 0, 4]])])
     with pytest.raises(ValueError, match="regular mod the ideal"):

@@ -62,18 +62,18 @@ UNREACHED_ALLOWED = {
 }
 
 
+def referenced_names(trees):
+    """Every name and attribute read by a module other than __init__.py (its
+    imports are the package's exports)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for name, tree in trees.items() if name != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def unreached_definitions(trees):
     """Public top-level functions and classes of the modules that no module
     other than __init__.py references by name or attribute."""
-    referenced = set()
-    for name, tree in trees.items():
-        if name == "__init__.py":  # its imports are the package's exports
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    referenced = referenced_names(trees)
     return sorted((name, node.name)
                   for name, tree in trees.items()
                   for node in tree.body
@@ -87,3 +87,30 @@ def test_no_unreached_public_definitions():
     found = unreached_definitions(trees)
     assert [(module, name) for module, name in found if name not in UNREACHED_ALLOWED] == []
     assert sorted(name for _, name in found) == sorted(UNREACHED_ALLOWED)  # none stale
+
+
+# Public methods and properties that no library code reaches, each kept for one reason.
+UNREACHED_MEMBERS_ALLOWED = {
+    "FormIdeal.reduce_prefix": "bench/spans.py counts it (quotient.reduce_prefix)",
+}
+
+
+def unreached_members(trees):
+    """Public methods and properties of the modules' classes whose names no
+    module other than __init__.py references by name or attribute."""
+    referenced = referenced_names(trees)
+    return sorted((name, f"{cls.name}.{node.name}")
+                  for name, tree in trees.items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in referenced)
+
+
+def test_no_unreached_public_members():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = unreached_members(trees)
+    assert [(module, name) for module, name in found
+            if name not in UNREACHED_MEMBERS_ALLOWED] == []
+    assert sorted(name for _, name in found) == sorted(UNREACHED_MEMBERS_ALLOWED)  # none stale
