@@ -18,21 +18,22 @@ previous basis); independent circuits can be processed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from collections import Counter
+from dataclasses import InitVar, dataclass, field as dataclass_field
 
-from .algebra import SpanBasis
+from .algebra import SpanBasis, eliminate
 from .circuit import (
     Circuit,
     ZeroOracle,
     _form_to_json,
     _json_number,
-    circuit_rank,
+    form_keys,
     is_simple,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import LinearForm, pair_common, similarity_key
+from .forms import LinearForm, pair_common
 from .matching import OrderedMatching, split_term
-from .quotient import FormIdeal, is_zero_mod, reductions
+from .quotient import FormIdeal, is_zero_mod, pair_is_zero_mod, reductions
 
 
 @dataclass
@@ -45,7 +46,8 @@ class MatchingData:
     v0 and v1 partition the slots of V into those inside the ideal's span and
     those outside sp(S u I). Every V_q partitions the same way, since each
     edge's offset lies in sp(I) and its scalar is nonzero. mtype (1, 2 or 3,
-    see classify_matching_data) is computed once, at construction.
+    see classify_matching_data) is computed once, at construction, from the
+    circuit's form_keys, which the data does not keep.
     """
 
     q_set: tuple[int, ...]
@@ -53,10 +55,11 @@ class MatchingData:
     matchings: dict[int, OrderedMatching]
     v0: tuple[int, ...]
     v1: tuple[int, ...]
+    keys: InitVar[tuple]
     mtype: int = dataclass_field(init=False)
 
-    def __post_init__(self):
-        self.mtype = classify_matching_data(self)
+    def __post_init__(self, keys):
+        self.mtype = classify_matching_data(self, keys)
 
 
 @dataclass
@@ -117,15 +120,46 @@ def chain_length_bound(k: int, d: int) -> float:
     return math.comb(k, 2) * (math.log2(d) + 3) + (k - 1)
 
 
+class _RunningSpan:
+    """The rows of S u I, appended to over a whole chain (a round's rows are
+    the next round's S), and one running remainder per distinct form. A
+    remainder is extended only by the rows appended since it was last read:
+    eliminate clears rows in order and each is zero at the earlier pivots,
+    so that is the full elimination, operation for operation."""
+
+    def __init__(self, basis: SpanBasis):
+        self.field, self.rows, self.pivots = basis.field, list(basis.rows), list(basis.pivots)
+        self.rest: dict = {}  # coefficient vector -> [remainder, rows read]
+
+    def contains(self, f: LinearForm) -> bool:
+        rec = self.rest.setdefault(f.coeffs, [f.coeffs, 0])
+        if rec[1] < len(self.rows):
+            rec[0] = eliminate(self.field, self.rows[rec[1]:], self.pivots[rec[1]:], rec[0])[1]
+            rec[1] = len(self.rows)
+        return not any(rec[0])
+
+    def append(self, f: LinearForm) -> None:
+        """Append the row SpanBasis.insert builds for f, which lies outside
+        the span: its remainder scaled to 1 at its first nonzero entry."""
+        self.contains(f)  # brings f's remainder up to date
+        rest = self.rest[f.coeffs][0]
+        piv = next(j for j, c in enumerate(rest) if c)
+        inv = self.field.inv(rest[piv])
+        self.rows.append(tuple(self.field.mul(inv, c) for c in rest))
+        self.pivots.append(piv)
+
+
 def single_round(
     circuit: Circuit,
-    s_span: SpanBasis,
+    s_span: SpanBasis | _RunningSpan,
     oracle: ZeroOracle | None = None,
     precheck: bool = True,
 ) -> tuple[FormIdeal, MatchingData]:
     """Run one round of the iterative procedure against the partial basis S.
 
-    Each iteration picks the first remaining form outside sp(S u I) (terms in
+    s_span is S as a SpanBasis, or build_chain's _RunningSpan, which the
+    round extends in place to S u I; every sp(S u I) test reads it. Each
+    iteration picks the first remaining form outside sp(S u I) (terms in
     index order, forms in list order), extends I by it, and reduces each
     remaining form of the survivors once mod I: a term survives iff no form
     lies in sp(I), and the survivors' class keys give the gcd pairing
@@ -136,8 +170,11 @@ def single_round(
     from sp(S u I) \\ sp(I), else kept in sp(I) or outside sp(S u I)) and
     derives and checks the final matchings' edges. Its first j echelon rows
     are the rows of iteration j's ideal, so a slot paired at iteration j gets
-    the same (c, level) as it would under that ideal. Returns the useful
-    ideal and the verified matching data, whose q_set is the blocking subset.
+    the same (c, level) as it would under that ideal. A two-term residual is
+    decided exactly from its forms' records (quotient.pair_is_zero_mod, by
+    unique factorization), with no oracle call; a longer one goes to
+    is_zero_mod and the oracle. Returns the useful ideal and the verified
+    matching data, whose q_set is the blocking subset.
 
     Checked here: at least two terms survive each iteration, the fanin-2
     stop leaves no form unmatched, and the residual is an identity mod I.
@@ -164,10 +201,10 @@ def single_round(
             raise ValueError("rounds require a simple circuit")
         if not oracle.is_zero(circuit):
             raise ValueError("rounds require an identity (zero oracle said no)")
+    su_span = s_span if isinstance(s_span, _RunningSpan) else _RunningSpan(s_span)
 
     survivors = list(range(k))
     remaining = {q: list(range(circuit.terms[q].degree)) for q in survivors}
-    su_span = s_span
     gens: list[LinearForm] = []
     v_slots: list[tuple[int, int]] = []  # (term, position) of V's forms
     vq_pos: dict[int, list[int]] = {q: [] for q in survivors}
@@ -176,7 +213,7 @@ def single_round(
         for q in survivors:
             for pos in remaining[q]:
                 f = circuit.terms[q].forms[pos]
-                if not su_span.contains(f.coeffs):
+                if not su_span.contains(f):
                     return f
         return None
 
@@ -185,7 +222,7 @@ def single_round(
         raise ValueError("every form already lies in sp(S); nothing to do")
     while ell is not None:
         gens.append(ell)
-        su_span, _ = su_span.insert(ell.coeffs)
+        su_span.append(ell)
         ideal = FormIdeal(field, n, gens)
 
         keys, recs = {}, {}  # recs: (term, position) -> reduction mod this ideal
@@ -229,7 +266,7 @@ def single_round(
     for t, (q, pos) in enumerate(v_slots):
         if reduction(q, pos).key is None:
             v0.append(len(keep))
-        elif not su_span.contains(circuit.terms[q].forms[pos].coeffs):
+        elif not su_span.contains(circuit.terms[q].forms[pos]):
             v1.append(len(keep))
         else:
             continue
@@ -238,31 +275,37 @@ def single_round(
     v_kept = tuple(circuit.terms[q].forms[pos] for q, pos in (v_slots[t] for t in keep))
     v_recs = [reduction(*v_slots[t]) for t in keep]
     v_positions = {q: tuple(vq_pos[q][t] for t in keep) for q in survivors}
-    matchings, residual_terms = {}, []
+    matchings, residual = {}, []  # per survivor: its residual term, the positions of its forms
     for q in survivors:
-        matchings[q], residual = split_term(
+        matchings[q], term = split_term(
             ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep)),
             (v_recs, [reduction(q, pos) for pos in v_positions[q]]))
-        residual_terms.append(residual)
-    if not is_zero_mod(Circuit(field, n, residual_terms), ideal, oracle):
+        taken = set(v_positions[q])
+        residual.append((term, [p for p in range(circuit.terms[q].degree) if p not in taken]))
+    if len(residual) == 2:  # exact, from the records of the residual's forms
+        zero = pair_is_zero_mod(field, [(t.coef, [reduction(q, p) for p in rest])
+                                        for q, (t, rest) in zip(survivors, residual)])
+    else:
+        zero = is_zero_mod(Circuit(field, n, [t for t, _ in residual]), ideal, oracle)
+    if not zero:
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
     return ideal, MatchingData(tuple(survivors), v_positions, matchings,
-                               tuple(v0), tuple(v1))
+                               tuple(v0), tuple(v1), form_keys(circuit))
 
 
-def classify_matching_data(md: MatchingData) -> int:
+def classify_matching_data(md: MatchingData, keys) -> int:
     """Type 1: some pair of outside parts V_{q,1} is dissimilar. Type 2: the
     outside parts all match but some full V_q pair is dissimilar. Type 3:
-    all V_q mutually similar (trivial matching data)."""
-
-    def sig(forms) -> tuple:
-        return tuple(sorted(similarity_key(f) for f in forms))
-
-    vq = [md.matchings[q].codomain for q in md.q_set]
-    if len({sig(forms[t] for t in md.v1) for forms in vq}) > 1:
+    all V_q mutually similar (trivial matching data). keys[q][p] is the
+    similarity key of form p of term q (form_keys); lists are compared as
+    multisets of classes."""
+    vq = [[keys[q][p] for p in md.v_positions[q]] for q in md.q_set]
+    outside = [Counter(k[t] for t in md.v1) for k in vq]
+    if any(c != outside[0] for c in outside):
         return 1
-    if len({sig(forms) for forms in vq}) > 1:
+    full = [Counter(k) for k in vq]
+    if any(c != full[0] for c in full):
         return 2
     return 3
 
@@ -319,20 +362,18 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     if not values.is_minimal():
         raise ValueError("chains require a minimal circuit")
 
-    all_forms = circuit.all_forms()
-    s_span = SpanBasis(circuit.field, circuit.n)
+    s_span = _RunningSpan(SpanBasis(circuit.field, circuit.n))
     links: list[ChainLink] = []
-    for f in all_forms:  # S only grows: a form in S is not tested again
-        while not s_span.contains(f.coeffs):
+    for f in circuit.all_forms():  # S only grows: a form in S is not tested again
+        while not s_span.contains(f):
             if len(links) > circuit.n:  # each round grows the span rank by >= 1
                 raise VerificationError("chain failed to terminate")
             ideal, md = single_round(circuit, s_span, oracle, precheck=False)
-            for g in ideal.generators:
-                s_span, _ = s_span.insert(g.coeffs)
             links.append(ChainLink(ideal, md))
 
     build_forest(links, k)
-    chain = Chain(circuit, links, chain_length_bound(k, d), circuit_rank(circuit))
+    # S's rows come from circuit forms and S holds every form: its rank is the circuit's
+    chain = Chain(circuit, links, chain_length_bound(k, d), len(s_span.rows))
 
     if chain.rank > (k - 2) * chain.m:
         raise BoundViolationError(

@@ -26,6 +26,7 @@ from .errors import BudgetExceededError
 from .forms import LinearForm, Term, similarity_key
 
 DEFAULT_EXPANSION_BUDGET = 10_000_000
+MAX_TRIALS = 128  # every evaluation field has |E| > 2d: 128 trials err below 2^-128
 
 
 def _expansion_budget(budget):
@@ -38,7 +39,7 @@ def _expansion_budget(budget):
 class Circuit:
     """Sum of k multiplication terms over n variables."""
 
-    __slots__ = ("field", "n", "terms", "_basis")
+    __slots__ = ("field", "n", "terms", "_basis", "_keys")
 
     def __init__(self, field: Field, n: int, terms):
         terms = tuple(terms)
@@ -53,6 +54,7 @@ class Circuit:
         self.n = n
         self.terms = terms
         self._basis = None  # form_basis, built on first use
+        self._keys = None  # form_keys, computed on first use
 
     @property
     def k(self) -> int:
@@ -117,6 +119,15 @@ def form_basis(circuit: Circuit) -> SpanBasis:
             circuit.field, circuit.n, (f.coeffs for f in circuit.all_forms())
         )
     return circuit._basis
+
+
+def form_keys(circuit: Circuit) -> tuple[tuple, ...]:
+    """Per term, the similarity key of each form, computed once per
+    (immutable) circuit and shared by is_simple and the chain's type
+    classification."""
+    if circuit._keys is None:
+        circuit._keys = tuple(tuple(map(similarity_key, t.forms)) for t in circuit.terms)
+    return circuit._keys
 
 
 # -- exact zero test (rank compression + packed sparse expansion) --
@@ -251,8 +262,8 @@ def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | N
     """Whether the terms indexed by q sum to zero, for any subset q, evaluated in
     the circuit's field E: trial t's term values are computed when a subset
     first needs them and kept; each subset stops at its first nonzero trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}]")
     field = circuit.field
     d = circuit.degree
     if lift_field is not None:
@@ -417,9 +428,8 @@ class TermValues:
 def is_simple(circuit: Circuit) -> bool:
     """True iff no nonzero form divides every term (no common similarity class)."""
     common = None
-    for t in circuit.terms:
-        keys = {similarity_key(f) for f in t.forms}
-        common = keys if common is None else common & keys
+    for keys in form_keys(circuit):
+        common = set(keys) if common is None else common.intersection(keys)
         if not common:
             return True
     return not common

@@ -143,8 +143,10 @@ def normalize(f: LinearForm) -> tuple[LinearForm, object]:
 
 
 def similarity_key(f: LinearForm) -> tuple:
-    """Canonical coefficient vector of the similarity class of a nonzero form."""
-    return normalize(f)[0].coeffs
+    """Canonical coefficient vector of the similarity class of a nonzero form:
+    its own when its leading coefficient is already 1."""
+    lead = next((c for c in f.coeffs if c), 0)
+    return f.coeffs if lead == 1 else normalize(f)[0].coeffs
 
 
 def similar(f: LinearForm, g: LinearForm):

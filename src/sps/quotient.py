@@ -17,7 +17,7 @@ generators, and every operation treats it uniformly as "span is {0}".
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle
@@ -142,6 +142,22 @@ def is_zero_mod(circuit: Circuit, ideal: FormIdeal, oracle: ZeroOracle | None = 
     if reduced is None:
         return True
     return (oracle or ZeroOracle()).is_zero(reduced)
+
+
+def pair_is_zero_mod(field: Field, pair) -> bool:
+    """Whether c1*M1 + c2*M2 is zero modulo an ideal I, exactly, for the pair
+    ((c1, recs1), (c2, recs2)) of constants and reductions of each term's
+    forms. A term with a form in sp(I) vanishes; F[x]/I is a polynomial ring,
+    so two that do not cancel iff their keys agree as multisets (unique
+    factorization) and c1 * prod(leads1) + c2 * prod(leads2) = 0."""
+    (c1, recs1), (c2, recs2) = pair
+    gone1, gone2 = (any(x.key is None for x in recs) for recs in (recs1, recs2))
+    if gone1 or gone2:
+        return gone1 and gone2
+    if Counter(x.key for x in recs1) != Counter(x.key for x in recs2):
+        return False
+    return not field.add(field.mul(c1, field.product([x.lead for x in recs1])),
+                         field.mul(c2, field.product([x.lead for x in recs2])))
 
 
 def linear_factors(

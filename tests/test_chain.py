@@ -24,12 +24,16 @@ from sps import (
     gen_ks,
     loads_circuit,
     make_circuit,
+    similarity_key,
     single_round,
 )
 import sps.chain
+import sps.circuit
+import sps.forms
 import sps.matching
 import sps.quotient
 from sps.chain import MatchingData
+from sps.circuit import form_keys
 from helpers import load_bench, refuse_oracle_work, trivial_link_simple_part_check
 
 F2 = field_make(2)
@@ -78,7 +82,7 @@ def test_single_round_ks3_final_round():
     assert [g.coeffs for g in ideal.generators] == [(0, 0, 1)]
     assert md.q_set == (0, 2)
     assert md.matchings[0].codomain == () and md.matchings[2].codomain == ()
-    assert classify_matching_data(md) == 3
+    assert classify_matching_data(md, form_keys(ks)) == md.mtype == 3
 
 
 def test_single_round_precondition():
@@ -158,8 +162,9 @@ def test_build_chain_rejects_bad_input():
 def _synthetic_mdata(v_lists, ideal_span_forms, su_extra, field, n):
     """Hand-built matching data over term indices 0..len(v_lists)-1 for
     classifier unit tests. The classifier reads only each matching's
-    codomain and the partition, which is taken from the first list, so the
-    matchings are stand-ins between V = v_lists[0] and each list."""
+    positions (the lists themselves), the partition, which is taken from
+    the first list, and the keys, so the matchings are stand-ins between
+    V = v_lists[0] and each list."""
     ideal_span = span_of(field, n, [f.coeffs for f in ideal_span_forms])
     su = ideal_span
     for f in su_extra:
@@ -172,22 +177,28 @@ def _synthetic_mdata(v_lists, ideal_span_forms, su_extra, field, n):
                    for q, forms in enumerate(v_lists)},
         v0=tuple(t for t, f in enumerate(v) if ideal_span.contains(f.coeffs)),
         v1=tuple(t for t, f in enumerate(v) if not su.contains(f.coeffs)),
+        keys=synthetic_keys(v_lists),
     )
+
+
+def synthetic_keys(v_lists):
+    """form_keys of the circuit whose term q has the forms v_lists[q]."""
+    return tuple(tuple(similarity_key(f) for f in forms) for forms in v_lists)
 
 
 def test_classifier_types():
     x1, x2, x3 = (LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]), LinearForm(F5, [0, 0, 1]))
-    # Type 1: outside parts dissimilar
-    md1 = _synthetic_mdata([[x1, x2], [x1, x3]], [x1], [], F5, 3)
-    assert classify_matching_data(md1) == 1
-    # Type 2: outside parts similar (both empty), full lists dissimilar
-    md2 = _synthetic_mdata([[x1, x2], [x1, x3]], [x1, x2, x3], [], F5, 3)
-    assert classify_matching_data(md2) == 2
-    # Type 3: all lists similar, slot by slot
-    md3 = _synthetic_mdata([[x1, x2], [x1.scale(2), x2]], [x1], [], F5, 3)
-    assert classify_matching_data(md3) == 3
-    md_empty = _synthetic_mdata([[], []], [x1], [], F5, 3)
-    assert classify_matching_data(md_empty) == 3
+    cases = [
+        ([[x1, x2], [x1, x3]], [x1], 1),  # Type 1: outside parts dissimilar
+        ([[x2, x2, x3], [x2, x3.scale(4), x3]], [x1], 1),  # same classes, other counts
+        # Type 2: outside parts similar (both empty), full lists dissimilar
+        ([[x1, x2], [x1, x3]], [x1, x2, x3], 2),
+        ([[x1, x2], [x1.scale(2), x2]], [x1], 3),  # Type 3: all lists similar, slot by slot
+        ([[], []], [x1], 3),
+    ]
+    for v_lists, ideal_forms, mtype in cases:
+        md = _synthetic_mdata(v_lists, ideal_forms, [], F5, 3)
+        assert md.mtype == classify_matching_data(md, synthetic_keys(v_lists)) == mtype
 
 
 def test_forest_processing():
@@ -340,19 +351,24 @@ def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
             s_span = su_span
 
 
-@pytest.mark.parametrize("n, spec, message", [
-    (2, [(1, [[0, 1]]), (1, [[1, 1]]), (1, [[0, 1]])], "fewer than two terms survived"),
-    (2, [(1, [[0, 1]]), (1, [[1, 0]]), (1, [[1, 0]]), (1, [[1, 1]])],
+@pytest.mark.parametrize("field, n, spec, message", [
+    (F2, 2, [(1, [[0, 1]]), (1, [[1, 1]]), (1, [[0, 1]])], "fewer than two terms survived"),
+    (F2, 2, [(1, [[0, 1]]), (1, [[1, 0]]), (1, [[1, 0]]), (1, [[1, 1]])],
      "residual circuit is not an identity mod the ideal"),
-    (4, [(1, [[0, 1, 1, 1], [0, 1, 1, 1]]), (1, [[0, 0, 1, 0], [1, 1, 0, 1]]),
-         (1, [[1, 0, 0, 1], [1, 0, 1, 1]]), (1, [[1, 0, 1, 1], [0, 1, 1, 0]])],
+    # the residual 1 + 2 of the two survivors, decided by factorization
+    (F5, 2, [(1, [[1, 0]]), (1, [[0, 1]]), (2, [[0, 1]])],
+     "residual circuit is not an identity mod the ideal"),
+    (F2, 4, [(1, [[0, 1, 1, 1], [0, 1, 1, 1]]), (1, [[0, 0, 1, 0], [1, 1, 0, 1]]),
+             (1, [[1, 0, 0, 1], [1, 0, 1, 1]]), (1, [[1, 0, 1, 1], [0, 1, 1, 0]])],
      "fanin-2 stop left unmatched forms"),
-], ids=["survivors", "residual", "fanin-2"])
-def test_single_round_refuses_non_identities(n, spec, message):
-    # the input-dependent checks a round keeps, each reached by a GF(2)
+], ids=["survivors", "residual", "two-term-residual", "fanin-2"])
+def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatch):
+    # the input-dependent checks a round keeps, each reached by a
     # non-identity with the precheck off
+    if len(spec) == 3:  # k = 3: a two-term residual, decided with no oracle work
+        refuse_oracle_work(monkeypatch)
     with pytest.raises(VerificationError, match=message):
-        single_round(make_circuit(F2, n, spec), SpanBasis(F2, n), precheck=False)
+        single_round(make_circuit(field, n, spec), SpanBasis(field, n), precheck=False)
 
 
 def test_each_round_derives_each_edge_once(monkeypatch):
@@ -379,3 +395,60 @@ def test_each_round_derives_each_edge_once(monkeypatch):
                        for m in link.mdata.matchings.values())
         assert len(derived) == expected
     assert gcd_calls == []
+
+
+def _round_facts(ideal, md):
+    """Everything a round returns, as comparable values."""
+    return (ideal, md.q_set, md.v_positions, md.v0, md.v1, md.mtype,
+            {q: (m.domain, m.codomain, m.sigma, m.edges) for q, m in md.matchings.items()})
+
+
+def _refuse_span_contains(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("SpanBasis.contains was called")
+
+    monkeypatch.setattr(SpanBasis, "contains", refuse)
+
+
+def test_k3_rounds_run_on_remainders_and_factorization_alone(pinned_chains, monkeypatch):
+    # sp(S u I) is read off running remainders, and a k = 3 round's residual
+    # has two terms, decided by factorization: no membership test, no oracle
+    replays = []
+    for name, chain in pinned_chains.items():
+        circuit = chain.circuit
+        if circuit.k == 3:
+            gens = [g.coeffs for link in chain.links for g in link.ideal.generators]
+            starts = [sum(link.ideal.r for link in chain.links[:i])
+                      for i in range(len(chain.links))]
+            replays += [(name, circuit, span_of(circuit.field, circuit.n, gens[:s]), link)
+                        for s, link in zip(starts, chain.links)]
+    assert len({name for name, *_ in replays}) == 10
+    _refuse_span_contains(monkeypatch)
+    refuse_oracle_work(monkeypatch)
+    for name, circuit, s_span, link in replays:
+        got = single_round(circuit, s_span, precheck=False)
+        assert _round_facts(*got) == _round_facts(link.ideal, link.mdata), name
+
+
+def test_build_chain_makes_no_membership_test(monkeypatch):
+    for circuit in (gen_ks(6), gen_family(3, 2)):
+        want = build_chain(circuit)
+        with monkeypatch.context() as patched:
+            _refuse_span_contains(patched)
+            got = build_chain(circuit)
+        assert (got.trace_rounds(), got.summary()) == (want.trace_rounds(), want.summary())
+
+
+def test_similarity_keys_once_per_distinct_form(monkeypatch):
+    calls = []
+    original = sps.forms.similarity_key
+
+    def counted(f):
+        calls.append(f.coeffs)
+        return original(f)
+
+    for mod in (sps.forms, sps.circuit, sps.matching):
+        monkeypatch.setattr(mod, "similarity_key", counted)
+    circuit = gen_ks(7)  # its forms are distinct
+    build_chain(circuit)
+    assert len(calls) == len(set(calls)) == len({f.coeffs for f in circuit.all_forms()})

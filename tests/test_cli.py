@@ -382,6 +382,19 @@ def test_check_refuses_more_than_16_terms_before_any_work(tmp_path, capsys, monk
         assert "k <= 16" in err
 
 
+def test_check_random_refuses_trials_above_the_cap_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch):
+    # every evaluation field has |E| > 2d, so 128 trials already err below 2^-128
+    path = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
+    code, out, _ = run_cli(["check", path, "--random", "--trials", "128"], capsys)
+    assert code == 0 and json.loads(out)["zero"] is True
+    refuse_oracle_work(monkeypatch)
+    for trials in ("0", "129", "1000000000"):
+        code, out, err = run_cli(["check", path, "--random", "--trials", trials], capsys)
+        assert (code, out) == (2, "")
+        assert "trials must be in [1, 128]" in err
+
+
 def test_check_random_draws_no_point_for_a_circuit_without_forms(tmp_path, capsys,
                                                                 monkeypatch):
     # no coordinate of the point is read, so none is drawn, whatever n says

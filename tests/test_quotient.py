@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from sps import (
     Circuit,
     FormIdeal,
     LinearForm,
+    SpanBasis,
     Term,
     VerificationError,
     ZeroOracle,
@@ -26,7 +28,7 @@ from sps import (
     zero_test_random,
 )
 from sps.algebra import eliminate
-from sps.quotient import is_zero_mod, reduce_circuit, reductions
+from sps.quotient import is_zero_mod, pair_is_zero_mod, reduce_circuit, reductions
 from helpers import (
     brute_expand,
     brute_product,
@@ -345,3 +347,52 @@ def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
         gcd_data(in_span_late, i3)
     with pytest.raises(ValueError, match="regular mod the ideal"):
         gcd_data(make_circuit(F5, 2, [(1, [[1, 0]])]), ideal(F5, 2, [1, 0]))
+
+
+def _two_term_corpus(rng):
+    """(circuit, ideal) pairs over GF(2), GF(5), GF(7), GF(2^3) and GF(3^2):
+    planted pair identities, the same with one scalar or one form changed,
+    each under random ideals of rank 0 to 2 and under an ideal whose span
+    holds one of the first term's forms."""
+    out = []
+    for field in (F2, F5, F7, field_make(2, 3), field_make(3, 2)):
+        for _ in range(30):
+            n, d = rng.randrange(2, 5), rng.randrange(1, 5)
+            planted = random_pair_identity(rng, field, n, d)
+            t1, t2 = planted.terms
+            changed = [planted]
+            if field.order > 2:  # GF(2) has one unit: no scalar to change
+                other = t2.coef
+                while other == t2.coef:
+                    other = random_unit(rng, field)
+                changed.append(Circuit(field, n, [t1, Term(field, other, t2.forms)]))
+            forms = list(t1.forms)
+            forms[rng.randrange(d)] = random_form(rng, field, n)
+            changed.append(Circuit(field, n, [Term(field, t1.coef, forms), t2]))
+            ideals = [random_ideal(rng, field, n, r) for r in range(min(2, n - 1) + 1)]
+            extra = [random_form(rng, field, n)] if rng.random() < 0.5 else []
+            gens = [rng.choice(t1.forms)] + extra
+            if SpanBasis.from_vectors(field, n, [g.coeffs for g in gens]).rank == len(gens):
+                ideals.append(FormIdeal(field, n, gens))
+            out += [(c, i) for c in changed for i in ideals]
+    return out
+
+
+def test_two_term_verdict_by_factorization_equals_expansion():
+    corpus = _two_term_corpus(random.Random(2008))
+    seen = Counter()
+    for c, ideal_ in corpus:
+        recs = [[ideal_.reduction(f) for f in t.forms] for t in c.terms]
+        verdict = pair_is_zero_mod(c.field, [(t.coef, r) for t, r in zip(c.terms, recs)])
+        reduced = reduce_circuit(c, ideal_)
+        assert verdict == (reduced is None or zero_test_exact(reduced)), (c, ideal_)
+        vanishing = sum(any(x.key is None for x in r) for r in recs)
+        if vanishing:
+            seen[f"{vanishing} vanishing"] += 1
+        elif verdict:
+            seen["zero"] += 1
+        elif Counter(x.key for x in recs[0]) == Counter(x.key for x in recs[1]):
+            seen["keys agree, constants do not cancel"] += 1
+        else:
+            seen["keys differ"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
