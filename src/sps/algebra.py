@@ -375,6 +375,17 @@ def eliminate(field: Field, rows, pivots, v):
     return mults, out
 
 
+def pivot_row(field: Field, rest):
+    """The echelon row a nonzero remainder of eliminate gives: (row, pivot),
+    the remainder scaled to 1 at its first nonzero entry and that entry's
+    index; None when the remainder is zero."""
+    piv = next((j for j, c in enumerate(rest) if c), None)
+    if piv is None:
+        return None
+    inv = field.inv(rest[piv])
+    return tuple(field.mul(inv, c) for c in rest), piv
+
+
 class SpanBasis:
     """Echelon basis of a subspace of F^n, rows in insertion order.
 
@@ -437,12 +448,10 @@ class SpanBasis:
     def insert(self, v):
         """Return (basis', inserted): v's remainder, scaled to 1 at its first
         nonzero entry, appended as the last row. Rank grows by 1 iff inserted."""
-        red = self.reduce(v)
-        piv = next((j for j, c in enumerate(red) if c), None)
-        if piv is None:
+        new = pivot_row(self.field, self.reduce(v))
+        if new is None:
             return self, False
-        inv = self.field.inv(red[piv])
-        row = tuple(self.field.mul(inv, c) for c in red)
+        row, piv = new
         return SpanBasis(self.field, self.n, self.rows + (row,), self.pivots + (piv,)), True
 
     def __eq__(self, other):

@@ -21,12 +21,13 @@ import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field as dataclass_field
 
-from .algebra import SpanBasis, eliminate
+from .algebra import SpanBasis, eliminate, pivot_row
 from .circuit import (
     Circuit,
     ZeroOracle,
     _form_to_json,
     _json_number,
+    circuit_rank,
     form_keys,
     is_simple,
 )
@@ -140,12 +141,10 @@ class _RunningSpan:
 
     def append(self, f: LinearForm) -> None:
         """Append the row SpanBasis.insert builds for f, which lies outside
-        the span: its remainder scaled to 1 at its first nonzero entry."""
+        the span (pivot_row of its remainder)."""
         self.contains(f)  # brings f's remainder up to date
-        rest = self.rest[f.coeffs][0]
-        piv = next(j for j, c in enumerate(rest) if c)
-        inv = self.field.inv(rest[piv])
-        self.rows.append(tuple(self.field.mul(inv, c) for c in rest))
+        row, piv = pivot_row(self.field, self.rest[f.coeffs][0])
+        self.rows.append(row)
         self.pivots.append(piv)
 
 
@@ -372,8 +371,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
             links.append(ChainLink(ideal, md))
 
     build_forest(links, k)
-    # S's rows come from circuit forms and S holds every form: its rank is the circuit's
-    chain = Chain(circuit, links, chain_length_bound(k, d), len(s_span.rows))
+    chain = Chain(circuit, links, chain_length_bound(k, d), circuit_rank(circuit))
 
     if chain.rank > (k - 2) * chain.m:
         raise BoundViolationError(

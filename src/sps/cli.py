@@ -17,6 +17,7 @@ import time
 
 from .chain import build_chain, chain_length_bound
 from .circuit import (
+    MAX_TRIALS,
     Circuit,
     ZeroOracle,
     _dumps,
@@ -68,6 +69,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _trials(text: str) -> int:
+    """--trials, refused at parse time outside [1, MAX_TRIALS], so whether a
+    command line is accepted does not depend on which oracle answers."""
+    trials = int(text)
+    if not 1 <= trials <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"trials must be in [1, {MAX_TRIALS}]")
+    return trials
 
 
 def _oracle_from_args(args) -> ZeroOracle:
@@ -308,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = check.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--random", action="store_true")
-    check.add_argument("--trials", type=int, default=20)
+    check.add_argument("--trials", type=_trials, default=20)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--assert-zero", action="store_true")
     check.set_defaults(func=cmd_check)

@@ -147,9 +147,10 @@ def is_zero_mod(circuit: Circuit, ideal: FormIdeal, oracle: ZeroOracle | None = 
 def pair_is_zero_mod(field: Field, pair) -> bool:
     """Whether c1*M1 + c2*M2 is zero modulo an ideal I, exactly, for the pair
     ((c1, recs1), (c2, recs2)) of constants and reductions of each term's
-    forms. A term with a form in sp(I) vanishes; F[x]/I is a polynomial ring,
-    so two that do not cancel iff their keys agree as multisets (unique
-    factorization) and c1 * prod(leads1) + c2 * prod(leads2) = 0."""
+    forms. A term with a form in sp(I) vanishes. F[x]/I is a polynomial ring,
+    so by unique factorization two terms with no form in sp(I) cancel iff
+    their keys agree as multisets and c1 * prod(leads1) + c2 * prod(leads2)
+    = 0."""
     (c1, recs1), (c2, recs2) = pair
     gone1, gone2 = (any(x.key is None for x in recs) for recs in (recs1, recs2))
     if gone1 or gone2:

@@ -388,11 +388,18 @@ def test_check_random_refuses_trials_above_the_cap_before_any_work(tmp_path, cap
     path = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
     code, out, _ = run_cli(["check", path, "--random", "--trials", "128"], capsys)
     assert code == 0 and json.loads(out)["zero"] is True
+    code, out, _ = run_cli(["check", path, "--trials", "128"], capsys)
+    assert code == 0 and json.loads(out)["zero"] is True
     refuse_oracle_work(monkeypatch)
-    for trials in ("0", "129", "1000000000"):
-        code, out, err = run_cli(["check", path, "--random", "--trials", trials], capsys)
-        assert (code, out) == (2, "")
-        assert "trials must be in [1, 128]" in err
+    # refused when the arguments are parsed, in auto mode too, where this
+    # small circuit would be answered exactly
+    for mode in (["--random"], []):
+        for trials in ("0", "129", "1000000000"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", path, *mode, "--trials", trials])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert "trials must be in [1, 128]" in err
 
 
 def test_check_random_draws_no_point_for_a_circuit_without_forms(tmp_path, capsys,
