@@ -5,6 +5,9 @@ product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
+Over GF(2) a term is expanded as a balanced tree of pairwise products of its
+forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere the
+forms are multiplied into one coefficient dict, one at a time.
 One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
 The random oracle compiles the circuit's forms once (_EvalPlan): each trial
 evaluates every distinct coefficient slice of a chunk of 8 coordinates once,
@@ -133,7 +136,10 @@ def form_keys(circuit: Circuit) -> tuple[tuple, ...]:
 # -- exact zero test (rank compression + packed sparse expansion) --
 
 def exact_cost_bound(circuit: Circuit) -> int:
-    """Upper bound on total monomials touched by the exact expansion."""
+    """Summed per-term bound C(d_t + r - 1, r - 1) on the monomials of each
+    expanded term, which also bounds every partial product of its forms (each
+    has degree <= d_t). It bounds the sizes the expansion holds, not the work
+    it does multiplying them."""
     r = circuit_rank(circuit)
     if r == 0:
         return len(circuit.terms)
@@ -154,7 +160,13 @@ def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
 
 def _expand_terms(circuit: Circuit, budget: int | None) -> list:
     """Each term expanded over a basis of the circuit's span, exponents packed
-    into ints: a set of monomials over GF(2), else a dict monomial -> coef."""
+    into ints: a set of monomials over GF(2), else a dict monomial -> coef.
+
+    Over GF(2) each form starts as its set of monomials and neighbouring sets
+    are multiplied pairwise (_gf2_product) until one is left, so cancellation
+    mod 2 shrinks the partial products early; a term of degree 0 is {0}. The
+    dict path multiplies the forms into the running polynomial one at a time.
+    """
     field = circuit.field
     basis = form_basis(circuit)
     r = basis.rank
@@ -181,14 +193,10 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
     polys = []
     if field.p == 2 and field.e == 1:
         for _, forms in compressed:
-            cur = {0}
-            for nz in forms:
-                nxt: set[int] = set()
-                for j, _c in nz:
-                    shift = 1 << (shift_bits * j)
-                    nxt.symmetric_difference_update(k + shift for k in cur)
-                cur = nxt
-            polys.append(cur)
+            sets = [{1 << (shift_bits * j) for j, _c in nz} for nz in forms] or [{0}]
+            while len(sets) > 1:  # neighbours multiplied, an odd last set carried over
+                sets = [*map(_gf2_product, sets[::2], sets[1::2]), *sets[len(sets) // 2 * 2:]]
+            polys.append(sets[0])
         return polys
 
     add, mul = field.add, field.mul
@@ -208,6 +216,17 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
             cur = nxt
         polys.append(cur)
     return polys
+
+
+def _gf2_product(a: set, b: set) -> set:
+    """Product of two GF(2) polynomials as sets of packed monomials: one set
+    xor per monomial of the smaller factor (packed keys add without carry)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: set[int] = set()
+    for m in a:
+        out.symmetric_difference_update(map(m.__add__, b))
+    return out
 
 
 def _sums_to_zero(field: Field, polys: list, q) -> bool:
@@ -471,32 +490,44 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
-def _header_from_json(obj: dict) -> tuple[Field, int]:
-    """The field GF(p^e) and the dimension n >= 1 named by a file's header."""
+def _header_from_json(obj: dict) -> tuple[int, int, int]:
+    """The (p, e, n) named by a file's header, n >= 1. The field GF(p^e) is
+    built by the caller once the body has been checked against them, so a
+    malformed body never pays for an extension field's tables."""
     p, e, n = (_json_int(obj, key) for key in ("p", "e", "n"))
+    if e < 1:  # the body is checked against e before Field would refuse it
+        raise ValueError(f"extension degree must be >= 1, got {e}")
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
-    return field_make(p, e), n
+    return p, e, n
 
 
-def _element_from_json(field: Field, obj):
-    if field.e == 1:
+def _element_from_json(p: int, e: int, obj):
+    """A file element checked against GF(p^e): an int for e = 1, else a digit
+    list, which Field.element packs."""
+    if e == 1:
         if type(obj) is not int:
             raise ValueError("prime-field elements serialize as ints")
-        if not 0 <= obj < field.p:
-            raise ValueError(f"element {obj} out of range [0, {field.p})")
+        if not 0 <= obj < p:
+            raise ValueError(f"element {obj} out of range [0, {p})")
         return obj
-    if not isinstance(obj, list) or len(obj) != field.e:
-        raise ValueError(f"extension elements serialize as length-{field.e} arrays")
-    if not all(type(c) is int and 0 <= c < field.p for c in obj):
+    if not isinstance(obj, list) or len(obj) != e:
+        raise ValueError(f"extension elements serialize as length-{e} arrays")
+    if not all(type(c) is int and 0 <= c < p for c in obj):
         raise ValueError("extension element coefficients out of range")
-    return field.element(obj)
+    return obj
 
 
-def _form_from_json(field: Field, n: int, vec) -> LinearForm:
+def _vector_from_json(p: int, e: int, n: int, vec) -> tuple:
+    """A form's coefficient vector checked against GF(p^e) and n."""
     if len(vec) != n:
         raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-    return LinearForm._wrap(field, tuple(_element_from_json(field, c) for c in vec))
+    return tuple(_element_from_json(p, e, c) for c in vec)
+
+
+def _form_from_vector(field: Field, vec: tuple) -> LinearForm:
+    """The form over a vector that _vector_from_json checked against field."""
+    return LinearForm._wrap(field, vec if field.e == 1 else tuple(map(field.element, vec)))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
@@ -516,15 +547,15 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(obj: dict) -> Circuit:
-    field, n = _header_from_json(obj)
-    terms = [
-        Term(
-            field,
-            _element_from_json(field, tobj["coef"]),
-            [_form_from_json(field, n, vec) for vec in tobj["forms"]],
-        )
+    p, e, n = _header_from_json(obj)
+    body = [
+        (_element_from_json(p, e, tobj["coef"]),
+         [_vector_from_json(p, e, n, vec) for vec in tobj["forms"]])
         for tobj in obj["terms"]
     ]
+    field = field_make(p, e)
+    terms = [Term(field, coef, [_form_from_vector(field, vec) for vec in vectors])
+             for coef, vectors in body]
     return Circuit(field, n, terms)
 
 

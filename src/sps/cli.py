@@ -15,17 +15,19 @@ import hashlib
 import sys
 import time
 
+from .algebra import field_make
 from .chain import build_chain, chain_length_bound
 from .circuit import (
     MAX_TRIALS,
     Circuit,
     ZeroOracle,
     _dumps,
-    _form_from_json,
+    _form_from_vector,
     _form_to_json,
     _header_from_json,
     _json_loads,
     _json_number,
+    _vector_from_json,
     circuit_rank,
     circuit_to_dict,
     dumps_circuit,
@@ -242,13 +244,12 @@ def cmd_match(args) -> int:
 
 def cmd_doubling(args) -> int:
     obj = _json_loads(_read_text(args.lists))
-    field, n = _header_from_json({"e": 1, **obj})
-
-    def forms(vectors):
-        return tuple(_form_from_json(field, n, vec) for vec in vectors)
-
-    u, v = forms(obj["U"]), forms(obj["V"])
-    ideals = [FormIdeal(field, n, forms(gens)) for gens in obj["ideals"]]
+    p, e, n = _header_from_json({"e": 1, **obj})
+    lists = [[_vector_from_json(p, e, n, vec) for vec in vectors]
+             for vectors in (obj["U"], obj["V"], *obj["ideals"])]
+    field = field_make(p, e)
+    u, v, *gens = [tuple(_form_from_vector(field, vec) for vec in vectors) for vectors in lists]
+    ideals = [FormIdeal(field, n, g) for g in gens]
     matchings = []
     for idx, ideal in enumerate(ideals):
         pi = find_matching(u, v, ideal)

@@ -23,7 +23,7 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
-from sps.circuit import DEFAULT_EXPANSION_BUDGET
+from sps.circuit import DEFAULT_EXPANSION_BUDGET, form_basis
 from sps.quotient import is_zero_mod
 
 
@@ -51,6 +51,28 @@ def brute_expand(circuit):
             else:
                 total[key] = s
     return total
+
+
+def sequential_gf2_expand(circuit):
+    """The former GF(2) expansion kernel: each term's forms multiplied into
+    the running set of monomials one form at a time, over the coordinates of
+    the circuit's form basis, with exponents packed as _expand_terms packs
+    them (shift-sized fields, coordinate j at bit shift * j)."""
+    basis = form_basis(circuit)
+    shift_bits = max(1, circuit.degree.bit_length())
+    polys = []
+    for t in circuit.terms:
+        cur = {0}
+        for f in t.forms:
+            coords = basis.coordinates(f.coeffs)
+            nxt = set()
+            for j in range(basis.rank):
+                if coords[j]:
+                    shift = 1 << (shift_bits * j)
+                    nxt.symmetric_difference_update(k + shift for k in cur)
+            cur = nxt
+        polys.append(cur)
+    return polys
 
 
 def brute_product(field, n, forms, coef=None):
@@ -254,6 +276,18 @@ def refuse_generator_work(monkeypatch):
 
     for name in ("field_make", "_parity_forms", "LinearForm"):
         monkeypatch.setattr(sps.families, name, refuse)
+
+
+def refuse_field_work(monkeypatch):
+    """Make any field construction by the file loaders fail the test, so a
+    malformed body must be refused before the header's field is built."""
+    import sps.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loader built the header's field")
+
+    for module in (sps.circuit, sps.cli):
+        monkeypatch.setattr(module, "field_make", refuse)
 
 
 def random_pair_identity(rng, field, n, d):

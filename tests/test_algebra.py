@@ -234,7 +234,7 @@ def test_field_agrees_with_independent_reference(p, e):
     G, F = load_bench("instances").GF(p, e), field_make(p, e)
     assert tuple(G.mod) == F.modulus
     ref = [G.to_json(a) for a in G.elements()]
-    els = [_element_from_json(F, x) for x in ref]
+    els = [F.element(_element_from_json(p, e, x)) for x in ref]
 
     def ours(x):
         return G.from_json(_element_to_json(F, x))

@@ -12,6 +12,7 @@ from sps import (
     circuit_rank,
     dumps_circuit,
     field_make,
+    gen_family,
     gen_ks,
     is_minimal,
     is_simple,
@@ -24,7 +25,7 @@ from sps import (
     zero_test_random,
 )
 from sps.algebra import Field
-from sps.circuit import _EvalPlan, _term_values, exact_cost_bound
+from sps.circuit import _EvalPlan, _expand_terms, _term_values, exact_cost_bound
 from helpers import (
     brute_expand,
     count_calls,
@@ -34,6 +35,7 @@ from helpers import (
     random_unit,
     reference_term_values,
     refuse_oracle_work,
+    sequential_gf2_expand,
     subset_reference,
 )
 
@@ -131,6 +133,44 @@ def test_exact_agrees_with_brute_force():
             assert zero == (not brute_expand(c))
             verdicts.add(zero)
         assert verdicts == {True, False}
+
+
+def _random_gf2_circuit(rng, n, k, max_degree):
+    """Random GF(2) circuit with k terms of random degrees in [0, max_degree]:
+    each form is, at random, a repeat of one of its term's earlier forms, a
+    single coordinate, or a random nonzero vector."""
+    terms = []
+    for _ in range(k):
+        forms = []
+        for _ in range(rng.randrange(max_degree + 1)):
+            kind = rng.randrange(3)
+            if kind == 0 and forms:
+                forms.append(rng.choice(forms))
+            elif kind == 1:
+                hot = rng.randrange(n)
+                forms.append(LinearForm(F2, [int(j == hot) for j in range(n)]))
+            else:
+                forms.append(random_form(rng, F2, n))
+        terms.append(Term(F2, 1, forms))
+    return Circuit(F2, n, terms)
+
+
+def test_gf2_pairwise_expansion_equals_sequential_reference():
+    named = [gen_ks(r) for r in range(3, 7)]
+    named += [gen_family(r, i) for r in (3, 4) for i in (1, 2)]
+    for c in named:
+        assert _expand_terms(c, None) == sequential_gf2_expand(c)
+    rng = random.Random(2008)
+    degrees, repeats, units = set(), 0, 0
+    for _ in range(250):
+        c = _random_gf2_circuit(rng, rng.randrange(1, 8), rng.randrange(1, 5), 9)
+        assert _expand_terms(c, None) == sequential_gf2_expand(c)
+        for t in c.terms:
+            degrees.add(t.degree)
+            repeats += len(set(t.forms)) < t.degree
+            units += sum(sum(f.coeffs) == 1 for f in t.forms)
+    # odd and even form counts (an odd set carried over), repeats, single coordinates
+    assert degrees == set(range(10)) and repeats >= 100 and units >= 100
 
 
 def test_exact_budget_refusal():
@@ -423,9 +463,9 @@ def test_json_round_trip_byte_identical():
 
 
 def test_load_canonicalizes_each_element_once(monkeypatch):
-    # a prime-field coefficient is a checked int; only each term constant (in
-    # Term) and each extension-field element (packed from its digit array)
-    # goes through Field.element, once
+    # a prime-field coefficient is a checked int; only each term constant and
+    # each extension-field coordinate (packed from its digit array) goes
+    # through Field.element, once: an extension term constant is packed by Term
     circuits = [gen_ks(4), random_circuit(random.Random(2), F5, 3, 3, 2, any_element=True),
                 random_circuit(random.Random(3), F9, 3, 3, 2, any_element=True)]
     texts = [dumps_circuit(c) for c in circuits]
@@ -440,8 +480,8 @@ def test_load_canonicalizes_each_element_once(monkeypatch):
     for c, text in zip(circuits, texts):
         calls.clear()
         assert loads_circuit(text) == c
-        ext_elements = c.k + sum(t.degree for t in c.terms) * c.n if c.field.e > 1 else 0
-        assert len(calls) == c.k + ext_elements
+        ext_coordinates = sum(t.degree for t in c.terms) * c.n if c.field.e > 1 else 0
+        assert len(calls) == c.k + ext_coordinates
 
 
 def test_oracle_auto_mode():

@@ -11,7 +11,9 @@ from sps import (
 from sps.cli import main
 import sps.circuit
 import sps.matching
-from helpers import count_calls, load_bench, refuse_generator_work, refuse_oracle_work
+from helpers import (
+    count_calls, load_bench, refuse_field_work, refuse_generator_work, refuse_oracle_work,
+)
 
 
 def run_cli(argv, capsys):
@@ -256,6 +258,11 @@ PINNED_CHECK_NONMINIMAL_D2 = (
     '"minimal":false,"mode":"exact","n":6,"p":5,"rank":6,"seed":0,"simple":true,'
     '"zero":true}\n'
 )
+PINNED_CHECK_KS7 = (
+    '{"command":"check","d":32,"digest":"1b7b4f4c2d0a16e0","e":1,"k":3,'
+    '"minimal":true,"mode":"exact","n":7,"p":2,"rank":7,"seed":0,"simple":true,'
+    '"zero":true}\n'
+)
 PINNED_DOUBLING_S4 = (
     '{"bound":4,"command":"doubling","d":4,"d_prime":4,"digest":"51261a17bdfbc197",'
     '"i0":4,"r":4,"reason":null,"rounds":[{"doubled":false,"green_U":1,"green_V":1,'
@@ -313,6 +320,15 @@ def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
         assert run_cli(argv, capsys)[:2] == (0, rand)
         auto = expected.replace('"mode":"exact"', '"mode":"auto"')
         assert run_cli(["check", path], capsys)[:2] == (0, auto)
+
+
+def test_check_exact_answers_ks7_and_refuses_ks8(tmp_path, capsys):
+    ks7 = _gen_file(tmp_path, capsys, ["ks", "--r", "7"], "ks7.json")
+    assert run_cli(["check", ks7, "--exact"], capsys)[:2] == (0, PINNED_CHECK_KS7)
+    ks8 = _gen_file(tmp_path, capsys, ["ks", "--r", "8"], "ks8.json")
+    code, out, err = run_cli(["check", ks8, "--exact"], capsys)
+    assert (code, out) == (2, "")
+    assert "exact expansion bound" in err
 
 
 def test_check_reads_both_verdicts_off_one_set_of_term_values(tmp_path, capsys,
@@ -485,6 +501,28 @@ def test_doubling_rejects_non_integer_json(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+# GF(997^2)'s log, antilog and Zech tables take seconds to build
+_LENGTH_2 = "extension elements serialize as length-2 arrays"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["check"], '{"p":997,"e":2,"n":1,"terms":[{"coef":"x","forms":[]}]}', _LENGTH_2),
+    (["chain"], '{"p":997,"e":2,"n":1,"terms":[{"coef":[1,0],"forms":[[5]]}]}', _LENGTH_2),
+    (["doubling", "--lists"], '{"p":997,"e":2,"n":1,"U":[[[1,0]]],"V":[[7]],"ideals":[]}',
+     _LENGTH_2),
+    (["check"], '{"p":997,"e":-1,"n":1,"terms":[{"coef":[],"forms":[]}]}',
+     "extension degree must be >= 1, got -1"),
+], ids=["check", "chain", "doubling", "check-e-negative"])
+def test_loader_checks_the_body_before_building_the_field(argv, text, message, tmp_path,
+                                                          capsys, monkeypatch):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    refuse_field_work(monkeypatch)
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 # extension-field stdout pinned before elements became packed ints; inputs
