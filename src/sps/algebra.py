@@ -11,6 +11,9 @@ per field in O(q) time and at most 16 bytes per element.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
 Linear algebra has one echelon format, ``SpanBasis``: rows in insertion
 order, appended and never rewritten, reduced by the one kernel ``eliminate``.
+``SpanBasis.from_vectors`` tests each vector for membership by one
+``Field.dot`` per free (non-pivot) coordinate against that column of the
+reduced row-echelon form, so only vectors that insert are eliminated.
 Elements are canonical and hashable, and everything here is immutable after
 construction, which makes all of it safe to share between concurrent tasks.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import BudgetExceededError
 
@@ -331,6 +334,12 @@ class Field:
             return 0
         return self._exp[sum(map(self._log.__getitem__, xs)) % (self.order - 1)]
 
+    def dot(self, u, v):
+        """The sum of the products u[i] * v[i] of two equally long sequences."""
+        if self.e == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        return reduce(operator.xor if self.p == 2 else self.add, map(self.mul, u, v), 0)
+
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1) -> Field:
@@ -410,14 +419,33 @@ class SpanBasis:
 
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
-        """The insertions of vectors in order; once the rank is n, later
-        vectors are only checked for length, since none can insert."""
+        """The insertions of vectors in order, eliminating only the vectors
+        that insert. v lies in the span iff at every free (non-pivot)
+        coordinate j, v[j] is the dot product of v's pivot entries with
+        column j of the span's reduced row-echelon form; those columns are
+        kept from the first vector on and updated by each inserted row, so
+        rows and pivots are those of inserting every vector. Once the rank is
+        n, later vectors are only checked for length."""
         basis = cls(field, n)
+        cols = None  # free coordinate -> its RREF column, one entry per pivot
+        sub, mul, dot = field.sub, field.mul, field.dot
         for v in vectors:
-            if basis.rank < n:
-                basis, _ = basis.insert(v)
-            else:
-                basis._check(v)
+            basis._check(v)
+            if basis.rank == n:
+                continue
+            if cols is None:
+                cols = {j: [] for j in range(n)}
+            at_pivots = [v[p] for p in basis.pivots]
+            if all(v[j] == dot(col, at_pivots) for j, col in cols.items()):
+                continue
+            basis, _ = basis.insert(v)
+            row, piv = basis.rows[-1], basis.pivots[-1]
+            # the new RREF row is the inserted row; it is cleared from the others at piv
+            col_piv = cols.pop(piv)
+            for j, col in cols.items():
+                if row[j]:
+                    col[:] = [sub(c, mul(row[j], cp)) for c, cp in zip(col, col_piv)]
+                col.append(row[j])
         return basis
 
     @property

@@ -49,9 +49,9 @@ class Circuit:
         if not terms:
             raise ValueError("a circuit needs at least one term")
         for t in terms:
-            if not isinstance(t, Term) or t.field != field:
+            if not isinstance(t, Term) or (t.field is not field and t.field != field):
                 raise ValueError("circuit terms must be Terms over the circuit field")
-            if any(f.n != n for f in t.forms):
+            if any(len(f.coeffs) != n for f in t.forms):
                 raise ValueError("all forms must have the circuit's dimension")
         self.field = field
         self.n = n
@@ -480,6 +480,8 @@ def _element_to_json(field: Field, el):
 
 
 def _form_to_json(f: LinearForm) -> list:
+    if f.field.e == 1:
+        return list(f.coeffs)
     return [_element_to_json(f.field, c) for c in f.coeffs]
 
 
@@ -519,9 +521,14 @@ def _element_from_json(p: int, e: int, obj):
 
 
 def _vector_from_json(p: int, e: int, n: int, vec) -> tuple:
-    """A form's coefficient vector checked against GF(p^e) and n."""
+    """A form's coefficient vector checked against GF(p^e) and n. A prime-field
+    vector of ints in [0, p) passes in one whole-vector check (type() is not
+    isinstance(): bools fail it); anything else goes element by element,
+    which names the first bad one."""
     if len(vec) != n:
         raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+    if e == 1 and set(map(type, vec)) == {int} and min(vec) >= 0 and max(vec) < p:
+        return tuple(vec)
     return tuple(_element_from_json(p, e, c) for c in vec)
 
 

@@ -11,6 +11,7 @@ violated (the falsification signal).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -289,7 +290,10 @@ def cmd_bound(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every main() call after the first reuses it."""
     parser = argparse.ArgumentParser(
         prog="sps",
         description="Exact analysis of depth-3 circuits over finite fields.",

@@ -102,11 +102,11 @@ class Term:
             raise ValueError("term constant must be nonzero")
         forms = tuple(forms)
         for f in forms:
-            if f.field != field:
+            if f.field is not field and f.field != field:
                 raise ValueError("term forms must live in the term's field")
-            if f.is_zero:
+            if not any(f.coeffs):
                 raise ValueError("term forms must be nonzero")
-        if forms and any(f.n != forms[0].n for f in forms):
+        if forms and any(len(f.coeffs) != len(forms[0].coeffs) for f in forms):
             raise ValueError("term forms must share one dimension")
         self.forms = forms
 

@@ -230,6 +230,26 @@ def linear_factors_reference(circuit, oracle):
     return tuple(found)
 
 
+def reference_vector_from_json(p, e, n, vec):
+    """The loader's per-element vector check: every coordinate checked on its
+    own, the first bad one named."""
+    if len(vec) != n:
+        raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+    return tuple(sps.circuit._element_from_json(p, e, c) for c in vec)
+
+
+def reference_from_vectors(field, n, vectors):
+    """SpanBasis.from_vectors by inserting every vector (each one eliminated)
+    until the rank is n, then checking only lengths."""
+    basis = SpanBasis(field, n)
+    for v in vectors:
+        if basis.rank < n:
+            basis, _ = basis.insert(v)
+        else:
+            basis._check(v)
+    return basis
+
+
 def load_bench(name):
     """bench/<name>.py loaded read-only as its own module; its field arithmetic
     and instance builders never call sps."""

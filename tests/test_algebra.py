@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sps import SpanBasis, field_make, spans_orthogonal
 from sps.algebra import Field, is_prime
 from sps.errors import BudgetExceededError
+from helpers import reference_from_vectors
 
 
 def test_prime_fields():
@@ -109,6 +110,10 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
         for x in u:
             want = F.mul(want, x)
         assert F.product(u) == want
+        want = 0
+        for a, b in zip(u, v):
+            want = F.add(want, F.mul(a, b))
+        assert F.dot(u, v) == want
 
 
 def test_span_insert_basics():
@@ -138,6 +143,46 @@ def test_from_vectors_stops_eliminating_at_full_rank():
         assert (fast.rows, fast.pivots) == (plain.rows, plain.pivots)
         with pytest.raises(ValueError, match="dimension"):
             SpanBasis.from_vectors(F, 4, vecs + [(1, 0, 0)])
+
+
+def _from_vectors_corpus(rng, F, n):
+    """Vector lists of the shapes from_vectors meets: zero vectors, repeats,
+    scalar multiples, long in-span runs between insertions (gen_ks's shape),
+    full rank and rank-deficient inputs."""
+    def rand_vec():
+        return tuple(F.rand_element(rng) for _ in range(n))
+
+    def in_span(gens):
+        out = (0,) * n
+        for g in gens:
+            c = F.rand_element(rng)
+            out = tuple(F.add(a, F.mul(c, b)) for a, b in zip(out, g))
+        return out
+
+    zero = (0,) * n
+    gens = [rand_vec() for _ in range(max(1, n - 1))]
+    yield [zero, zero, *gens, *gens]
+    yield [rand_vec() for _ in range(2 * n + 2)]
+    yield [g if rng.random() < 0.5 else tuple(F.mul(F.rand_element(rng) or 1, a) for a in g)
+           for g in gens for _ in range(3)]
+    ks_shape = []
+    for i in range(len(gens)):
+        ks_shape.append(gens[i])
+        ks_shape += [in_span(gens[:i + 1]) for _ in range(2 ** i)]
+    yield ks_shape
+    yield [in_span(gens) for _ in range(3 * n)]  # rank-deficient
+    yield [zero] * 3 + [rand_vec() for _ in range(n + 5)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_from_vectors_matches_inserting_every_vector(p, e):
+    F = field_make(p, e)
+    rng = random.Random(100 * p + e)
+    for n in (1, 2, 3, 5, 7):
+        for vecs in _from_vectors_corpus(rng, F, n):
+            want = reference_from_vectors(F, n, vecs)
+            got = SpanBasis.from_vectors(F, n, vecs)
+            assert (got.rows, got.pivots) == (want.rows, want.pivots)
 
 
 def test_span_insert_appends_one_row():

@@ -1,7 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sps import (
     BudgetExceededError,
@@ -24,8 +27,15 @@ from sps import (
     zero_test_exact,
     zero_test_random,
 )
+import sps.circuit
 from sps.algebra import Field
-from sps.circuit import _EvalPlan, _expand_terms, _term_values, exact_cost_bound
+from sps.circuit import (
+    _EvalPlan,
+    _expand_terms,
+    _term_values,
+    circuit_from_dict,
+    exact_cost_bound,
+)
 from helpers import (
     brute_expand,
     count_calls,
@@ -34,6 +44,7 @@ from helpers import (
     random_pair_identity,
     random_unit,
     reference_term_values,
+    reference_vector_from_json,
     refuse_oracle_work,
     sequential_gf2_expand,
     subset_reference,
@@ -482,6 +493,54 @@ def test_load_canonicalizes_each_element_once(monkeypatch):
         assert loads_circuit(text) == c
         ext_coordinates = sum(t.degree for t in c.terms) * c.n if c.field.e > 1 else 0
         assert len(calls) == c.k + ext_coordinates
+
+
+@st.composite
+def _loader_bodies(draw):
+    """Valid file bodies over small fields, most with one spot spoiled: an
+    element out of range, negative, a bool, a float, a string or a nested
+    list, a vector of the wrong length or not a list, or a bad constant."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]))
+    n = draw(st.integers(1, 4))
+    digit = st.integers(0, p - 1)
+    valid = digit if e == 1 else st.lists(digit, min_size=e, max_size=e)
+    bad = st.one_of(
+        st.integers(p, 3 * p), st.integers(-3 * p, -1), st.integers(2**63, 2**70),
+        st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+        st.lists(st.one_of(digit, st.integers(-1, p), st.booleans(), st.lists(digit, max_size=2)),
+                 max_size=e + 1),
+    )
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "coef": valid.filter(lambda c: c not in (0, [0] * e)),
+        "forms": st.lists(st.lists(valid, min_size=n, max_size=n), max_size=3),
+    }), min_size=1, max_size=3))
+    term = draw(st.sampled_from(terms))
+    spoil = draw(st.sampled_from(["none", "coef", "element", "vector"]))
+    if spoil == "coef":
+        term["coef"] = draw(bad)
+    elif term["forms"] and spoil == "element":
+        draw(st.sampled_from(term["forms"]))[draw(st.integers(0, n - 1))] = draw(bad)
+    elif term["forms"] and spoil == "vector":
+        term["forms"][draw(st.integers(0, len(term["forms"]) - 1))] = draw(st.one_of(
+            st.lists(valid, min_size=n + 1, max_size=n + 2), st.lists(valid, max_size=n - 1),
+            st.integers(), st.text(max_size=n)))
+    return {"p": p, "e": e, "n": n, "terms": terms}
+
+
+def _load_or_refusal(obj):
+    try:
+        return circuit_from_dict(obj)
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_loader_bodies())
+def test_whole_vector_check_loads_as_the_per_element_loop(obj):
+    got = _load_or_refusal(obj)
+    with mock.patch.object(sps.circuit, "_vector_from_json", reference_vector_from_json):
+        want = _load_or_refusal(obj)
+    assert type(got) is type(want) and got == want
 
 
 def test_oracle_auto_mode():

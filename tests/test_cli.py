@@ -2,13 +2,14 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from sps import (
     Field, SpanBasis, dumps_circuit, field_make, gen_joined, gen_ks, loads_circuit, make_circuit,
 )
-from sps.cli import main
+from sps.cli import _build_parser, main
 import sps.circuit
 import sps.matching
 from helpers import (
@@ -432,12 +433,34 @@ def test_check_random_draws_no_point_for_a_circuit_without_forms(tmp_path, capsy
         return rand_element(self, rng)
 
     monkeypatch.setattr(Field, "rand_element", counted)
-    code, out, _ = run_cli(["check", "--random", str(path)], capsys)
-    assert code == 0 and draws == []
-    random_report = json.loads(out)
-    code, out, _ = run_cli(["check", "--exact", str(path)], capsys)
-    exact_report = json.loads(out)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["check", "--random", str(path)], capsys)
+        assert code == 0 and draws == []
+        random_report = json.loads(out)
+        code, out, _ = run_cli(["check", "--exact", str(path)], capsys)
+        exact_report = json.loads(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0 and random_report["zero"] is exact_report["zero"] is True
+    # nothing n-sized is built, the rank's free-column state included:
+    # one empty list per coordinate would take about 10 MB here
+    assert peak < 1 << 20
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
+    argv = ["check", "--random", "--seed", "3", path]
+    alone = subprocess.run([sys.executable, "-m", "sps", *argv],
+                           capture_output=True, text=True)
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--trials", "0", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == alone.returncode == 0 and out == alone.stdout
 
 
 def _ks3_with(path, edit):
