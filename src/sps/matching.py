@@ -10,7 +10,9 @@ that scalar c and the minimal valid prefix level, and the constructor accepts
 no other, so certificates are canonical. Both are read off the two forms'
 reductions modulo the ideal (``FormIdeal.reduction``), never from an offset:
 ``build`` reduces each form once and derives and checks every edge from those
-records, which depend on the ideal and the form alone.
+records, which depend on the ideal and the form alone. One nonzero record on
+both sides of an edge admits (1, 0, True) alone, which is derived and checked
+with no level scan.
 
 Every ``OrderedMatching`` is checked exactly once, by its constructor, which
 verifies each edge it is given; an instance that exists is a verified
@@ -38,6 +40,17 @@ class MatchEdge(NamedTuple):
     ordered: bool      # False only for edges between forms inside the span
 
 
+_SELF_EDGE = MatchEdge(1, 0, True)
+
+
+def _level(field, c, a, b) -> int:
+    """1 + max{i : b[i] != c*a[i]}, or 0 if none, scanned from the end."""
+    level, mul = len(a), field.mul
+    while level and b[level - 1] == (a[level - 1] if c == 1 else mul(c, a[level - 1])):
+        level -= 1
+    return level
+
+
 def _derive_edge(ideal, s, d) -> MatchEdge | None:
     """Minimal-level certificate for dst = c*src + w, or None, from the
     reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
@@ -46,48 +59,55 @@ def _derive_edge(ideal, s, d) -> MatchEdge | None:
     so the level is 1 + max{i : b[i] != c*a[i]} (0 if none). Outside the
     span c = lead_d/lead_s; inside it, c = b[top]/a[top] at a's last nonzero
     coordinate, and a level above top (src in the prefix) leaves only a
-    plain edge (1, r) between span forms.
+    plain edge (1, r) between span forms. A nonzero record given as both s
+    and d (one object) has the edge (1, 0) at once.
     """
-    field = ideal.field
     a, _, key_s, lead_s = s
+    if s is d and (key_s is not None or any(a)):
+        return _SELF_EDGE
     b, _, key_d, lead_d = d
     if key_s != key_d:
         return None
-    top = max((i for i, x in enumerate(a) if x), default=-1)
+    field = ideal.field
     if key_s is not None:
-        c = field.div(lead_d, lead_s)
-    elif top >= 0 and b[top]:
-        c = field.div(b[top], a[top])
-    else:
-        return MatchEdge(1, ideal.r, False)
-    level = next((i + 1 for i in reversed(range(len(a))) if b[i] != field.mul(c, a[i])), 0)
-    if key_s is not None or level <= top:
-        return MatchEdge(c, level, True)
+        c = 1 if lead_d == lead_s else field.div(lead_d, lead_s)
+        return MatchEdge(c, _level(field, c, a, b), True)
+    top = len(a) - 1
+    while top >= 0 and not a[top]:
+        top -= 1
+    if top >= 0 and b[top]:
+        c = 1 if b[top] == a[top] else field.div(b[top], a[top])
+        level = _level(field, c, a, b)
+        if level <= top:
+            return MatchEdge(c, level, True)
     return MatchEdge(1, ideal.r, False)
 
 
 def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
     """Whether e is the certificate _derive_edge gives for the forms reduced
-    to s and d, the only one that passes: c in [1, q), level in [0, r], and
-    w = dst - c*src in prefix(level) (read as in _derive_edge). An ordered
-    edge has src outside prefix(level), which pins c, and w outside
-    prefix(level - 1). An unordered edge is (1, r) between span forms with
-    no ordered edge: src is zero, or b is zero at a's last nonzero
-    coordinate, or nonzero above it."""
+    to s and d, the only one that passes: c in [1, q), level in [0, r],
+    ordered a bool, and w = dst - c*src in prefix(level) (read as in
+    _derive_edge). An ordered edge has src outside prefix(level), which pins
+    c, and w outside prefix(level - 1). An unordered edge is (1, r) between
+    span forms with no ordered edge: src is zero, or b is zero at a's last
+    nonzero coordinate, or nonzero above it. A nonzero record given as both
+    s and d passes (1, 0, True) alone."""
     field, (c, level, ordered) = ideal.field, e
     if not (type(c) is int and 0 < c < field.order and type(level) is int
-            and 0 <= level <= ideal.r) or not (ordered or (c, level) == (1, ideal.r)):
+            and 0 <= level <= ideal.r and type(ordered) is bool
+            and (ordered or (c, level) == (1, ideal.r))):
         return False
     a, _, key_s, lead_s = s
+    if s is d and (key_s is not None or any(a)):
+        return c == 1 and level == 0 and ordered
     b, _, key_d, lead_d = d
     if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
         return False
-    w = [field.sub(y, field.mul(c, x)) for x, y in zip(a, b)]
-    if any(w[level:]) or (ordered and level and not w[level - 1]):
-        return False
-    top = max((i for i, x in enumerate(a) if x), default=-1)
     if ordered:
-        return key_s is not None or top >= level
+        return _level(field, c, a, b) == level and (key_s is not None or any(a[level:]))
+    top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
+    while top >= 0 and not a[top]:
+        top -= 1
     return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
 
 

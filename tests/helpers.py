@@ -24,6 +24,7 @@ from sps import (
     zero_test_exact,
 )
 from sps.circuit import DEFAULT_EXPANSION_BUDGET, form_basis
+from sps.matching import MatchEdge
 from sps.quotient import is_zero_mod
 
 
@@ -147,6 +148,63 @@ def scan_edge(ideal, src, dst):
     if span.contains(src.coeffs) and span.contains(dst.coeffs):
         return (field.one, ideal.r, False)
     return None
+
+
+# The former edge kernel, kept verbatim as a reference for sps.matching:
+# top and level found by generator scans, w built entry by entry, and
+# no shortcut for one record given as both sides.
+
+def reference_derive_edge(ideal, s, d) -> MatchEdge | None:
+    """Minimal-level certificate for dst = c*src + w, or None, from the
+    reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
+
+    w lies in prefix(j) iff rest_d = c*rest_s and b[i] = c*a[i] for i >= j,
+    so the level is 1 + max{i : b[i] != c*a[i]} (0 if none). Outside the
+    span c = lead_d/lead_s; inside it, c = b[top]/a[top] at a's last nonzero
+    coordinate, and a level above top (src in the prefix) leaves only a
+    plain edge (1, r) between span forms.
+    """
+    field = ideal.field
+    a, _, key_s, lead_s = s
+    b, _, key_d, lead_d = d
+    if key_s != key_d:
+        return None
+    top = max((i for i, x in enumerate(a) if x), default=-1)
+    if key_s is not None:
+        c = field.div(lead_d, lead_s)
+    elif top >= 0 and b[top]:
+        c = field.div(b[top], a[top])
+    else:
+        return MatchEdge(1, ideal.r, False)
+    level = next((i + 1 for i in reversed(range(len(a))) if b[i] != field.mul(c, a[i])), 0)
+    if key_s is not None or level <= top:
+        return MatchEdge(c, level, True)
+    return MatchEdge(1, ideal.r, False)
+
+
+def reference_check_edge(ideal, s, d, e: MatchEdge) -> bool:
+    """Whether e is the certificate _derive_edge gives for the forms reduced
+    to s and d, the only one that passes: c in [1, q), level in [0, r], and
+    w = dst - c*src in prefix(level) (read as in _derive_edge). An ordered
+    edge has src outside prefix(level), which pins c, and w outside
+    prefix(level - 1). An unordered edge is (1, r) between span forms with
+    no ordered edge: src is zero, or b is zero at a's last nonzero
+    coordinate, or nonzero above it."""
+    field, (c, level, ordered) = ideal.field, e
+    if not (type(c) is int and 0 < c < field.order and type(level) is int
+            and 0 <= level <= ideal.r) or not (ordered or (c, level) == (1, ideal.r)):
+        return False
+    a, _, key_s, lead_s = s
+    b, _, key_d, lead_d = d
+    if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
+        return False
+    w = [field.sub(y, field.mul(c, x)) for x, y in zip(a, b)]
+    if any(w[level:]) or (ordered and level and not w[level - 1]):
+        return False
+    top = max((i for i, x in enumerate(a) if x), default=-1)
+    if ordered:
+        return key_s is not None or top >= level
+    return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
 
 
 def random_circuit(rng, field, n, k, d, any_element=False):

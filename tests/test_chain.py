@@ -373,28 +373,54 @@ def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatc
 
 def test_each_round_derives_each_edge_once(monkeypatch):
     # a round pairs forms by their class keys alone; only its final matchings
-    # derive edges, one per slot of V for every term of Q
-    derived, gcd_calls = [], []
-    derive = sps.matching._derive_edge
+    # derive edges, one per slot of V for every term of Q, and check each
+    derived, checked, gcd_calls = [], [], []
+    derive, check = sps.matching._derive_edge, sps.matching._check_edge
 
     def counted_derive(*args):
         derived.append(args)
         return derive(*args)
+
+    def counted_check(*args):
+        checked.append(args)
+        return check(*args)
 
     def refused_gcd(*args, **kwargs):
         gcd_calls.append(args)
         raise AssertionError("a chain round ran gcd_data")
 
     monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
+    monkeypatch.setattr(sps.matching, "_check_edge", counted_check)
     for mod in (sps.quotient, sps.chain):
         monkeypatch.setattr(mod, "gcd_data", refused_gcd, raising=False)
     for circuit in (gen_ks(6), gen_family(3, 2)):
         derived.clear()
+        checked.clear()
         chain = build_chain(circuit)
         expected = sum(len(m.domain) for link in chain.links
                        for m in link.mdata.matchings.values())
         assert len(derived) == expected
+        assert len(checked) == len(derived)
     assert gcd_calls == []
+
+
+def test_first_survivor_edges_come_from_shared_records(monkeypatch):
+    # V is a sublist of the first survivor's term, so that survivor's
+    # matching pairs each slot with one record object: half of gen_ks(9)'s
+    # edges, each the identity certificate
+    shared = []
+    derive = sps.matching._derive_edge
+
+    def counted_derive(ideal, s, d):
+        shared.append(s is d)
+        return derive(ideal, s, d)
+
+    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
+    chain = build_chain(gen_ks(9))
+    assert (len(shared), sum(shared)) == (2048, 1024)
+    for link in chain.links:
+        md = link.mdata
+        assert all(e == (1, 0, True) for e in md.matchings[md.q_set[0]].edges)
 
 
 def _round_facts(ideal, md):

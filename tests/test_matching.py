@@ -31,11 +31,13 @@ from helpers import (
     random_ideal,
     random_span_element,
     random_unit,
+    reference_check_edge,
+    reference_derive_edge,
     scan_edge,
 )
 from sps.algebra import eliminate
 from sps.forms import common_positions
-from sps.matching import MatchEdge, _derive_edge
+from sps.matching import MatchEdge, _check_edge, _derive_edge
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -286,9 +288,22 @@ def test_each_form_pair_has_exactly_one_certificate():
     """Over every candidate (c, level, ordered), the constructor accepts the
     edge that build derives and nothing else, and none when build finds
     none: certificates are canonical, unordered edges between forms in the
-    span included."""
+    span included, and so are edges from one record object to itself, as a
+    round's first survivor gives them."""
     rng = random.Random(2011)
     outcomes = set()
+
+    def accepted(ideal_, src, dst, reductions=None):
+        out = []
+        for edge in (MatchEdge(c, level, ordered) for c in range(1, ideal_.field.order)
+                     for level in range(ideal_.r + 1) for ordered in (True, False)):
+            try:
+                OrderedMatching(ideal_, (src,), (dst,), (0,), (edge,), reductions)
+            except VerificationError:
+                continue
+            out.append(edge)
+        return out
+
     for field in (F2, F5, field_make(2, 2), field_make(3, 2)):
         for _ in range(60):
             n = rng.randrange(1, 5)
@@ -303,18 +318,65 @@ def test_each_form_pair_has_exactly_one_certificate():
                 if rng.random() < 0.7:
                     dst = dst.add(src.scale(field.rand_element(rng)))
                 derived = _derive_edge(ideal_, ideal_.reduction(src), ideal_.reduction(dst))
-                accepted = []
-                for edge in (MatchEdge(c, level, ordered) for c in range(1, field.order)
-                             for level in range(r + 1) for ordered in (True, False)):
-                    try:
-                        OrderedMatching(ideal_, (src,), (dst,), (0,), (edge,))
-                    except VerificationError:
-                        continue
-                    accepted.append(edge)
-                assert accepted == ([] if derived is None else [derived])
+                assert accepted(ideal_, src, dst) == ([] if derived is None else [derived])
                 outcomes.add("none" if derived is None else
                              "ordered" if derived.ordered else "plain")
-    assert outcomes == {"none", "ordered", "plain"}
+                rec = ideal_.reduction(src)
+                shared = _derive_edge(ideal_, rec, rec)
+                assert shared == (MatchEdge(1, r, False) if src.is_zero else MatchEdge(1, 0, True))
+                assert accepted(ideal_, src, src, ([rec], [rec])) == [shared]
+                outcomes.add("shared zero" if src.is_zero else "shared")
+    assert outcomes == {"none", "ordered", "plain", "shared", "shared zero"}
+
+
+def test_edge_ordered_flag_must_be_a_bool():
+    # a truthy non-bool flag would read as is_ordered; the constructor
+    # accepts only the derived certificate, so it refuses one
+    x = LinearForm(F5, [1, 0])
+    i1 = ideal(F5, 2, [0, 1])
+    rec = i1.reduction(x)
+    for flag in ("yes", [1], 1):
+        for reductions in (None, ([rec], [rec])):
+            with pytest.raises(VerificationError):
+                OrderedMatching(i1, (x,), (x,), (0,), (MatchEdge(1, 0, flag),), reductions)
+    assert OrderedMatching(i1, (x,), (x,), (0,), (MatchEdge(1, 0, True),)).is_ordered
+
+
+def test_edge_kernel_matches_reference():
+    """_derive_edge and _check_edge equal the former generator-scan kernel
+    on every candidate edge, including c and level out of range, for
+    sources outside the span, inside it and zero, with one record object
+    as both sides in at least a third of the cases."""
+    rng = random.Random(19)
+    kinds, cases, shared_cases = set(), 0, 0
+    for field in (F2, F5, field_make(7), field_make(2, 2), field_make(2, 3), field_make(3, 2)):
+        for _ in range(250):
+            n = rng.randrange(1, 6)
+            ideal_ = random_ideal(rng, field, n, rng.randrange(0, n + 1))
+            r = ideal_.r
+            kind = rng.choice(("outside", "inside", "zero"))
+            if kind == "outside" and r < n:
+                src = random_form(rng, field, n, avoid_span=ideal_.span, any_element=True)
+            elif kind == "zero":
+                src = LinearForm(field, [0] * n)
+            else:
+                kind, src = "inside", random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+            kinds.add(kind)
+            s = ideal_.reduction(src)
+            if rng.random() < 0.4:
+                d = s
+                shared_cases += 1
+            else:
+                dst = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+                if rng.random() < 0.7:
+                    dst = dst.add(src.scale(field.rand_element(rng)))
+                d = ideal_.reduction(dst)
+            cases += 1
+            assert _derive_edge(ideal_, s, d) == reference_derive_edge(ideal_, s, d)
+            for edge in (MatchEdge(c, level, ordered) for c in range(field.order + 1)
+                         for level in range(-1, r + 2) for ordered in (True, False)):
+                assert _check_edge(ideal_, s, d, edge) == reference_check_edge(ideal_, s, d, edge)
+    assert kinds == {"outside", "inside", "zero"} and 3 * shared_cases >= cases
 
 
 def test_edge_scalar_must_be_a_canonical_element():
