@@ -9,10 +9,10 @@ Over GF(2) a term is expanded as a balanced tree of pairwise products of its
 forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere the
 forms are multiplied into one coefficient dict, one at a time.
 One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
-The random oracle compiles the circuit's forms once (_EvalPlan): each trial
-evaluates every distinct coefficient slice of a chunk of 8 coordinates once,
-then sums slices into forms and multiplies forms into terms with the batch
-Field methods, so a trial's values equal a coordinate-by-coordinate evaluation.
+The random oracle compiles the circuit's forms once (_EvalPlan): a pass
+evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
+then forms and terms, equal to evaluating coordinate by coordinate; over
+characteristic 2 one pass serves many trials, each in a lane of packed ints.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import json
 import math
 import os
 import random
-from functools import lru_cache, partial, reduce
+import sys
+from array import array
+from functools import partial, reduce
 
 from .algebra import Field, SpanBasis, field_make
 from .errors import BudgetExceededError
@@ -278,11 +280,11 @@ def zero_test_random(
 
 
 def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | None = None):
-    """Whether the terms indexed by q sum to zero, for any subset q, evaluated in
-    the circuit's field E: trial t's term values are computed when a subset
-    first needs them and kept; each subset stops at its first nonzero trial."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}]")
+    """Whether the terms indexed by q sum to zero, for any subset q, over the
+    evaluation field; each subset stops at its first nonzero trial. Trials are
+    kept once evaluated: trial 0 alone, then in characteristic 2 all the rest."""
+    if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
     field = circuit.field
     d = circuit.degree
     if lift_field is not None:
@@ -301,10 +303,13 @@ def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | N
         )
 
     plan = _EvalPlan(circuit)
+    values: list = []  # per trial evaluated so far, its term values
 
-    @lru_cache(maxsize=None)
     def trial_values(t: int) -> list:
-        return _term_values(plan, ev, random.Random(f"{seed}:{t}"))
+        if t == len(values):  # subsets read trials in order: t is the next
+            stop = trials if t and ev.p == 2 else t + 1
+            values.extend(_term_values(plan, ev, seed, range(t, stop)))
+        return values[t]
 
     return lambda q: all(_trial_is_zero(trial_values(t), q, ev.add) for t in range(trials))
 
@@ -362,10 +367,40 @@ class _EvalPlan:
                       for t in circuit.terms]
 
 
-def _term_values(plan: _EvalPlan, ev: Field, rng) -> list:
-    """Each term's value at one random point over ev, in ev's arithmetic; the
-    circuit's coefficients are elements of ev as they stand (ints mod p embed).
-    Each distinct slice is evaluated once, each distinct form once."""
+def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
+    """Per trial t in trials, each term's value over ev (the circuit's field or
+    a lift) at the point of n ev.rand_element draws on random.Random(f"{seed}:{t}").
+    Over characteristic 2 xor cannot carry, so one pass serves 2+ trials: each
+    coordinate's values are lanes of one int, slices and forms xor such ints,
+    and each trial is a strided slice of a term's lanes. Draws go chunk by chunk."""
+    rngs = [random.Random(f"{seed}:{t}") for t in trials]
+    if ev.p != 2 or len(rngs) == 1:
+        return [_point_term_values(plan, ev, rng) for rng in rngs]
+    rand, mul, order, count = ev.rand_element, ev.mul, sys.byteorder, len(rngs)
+    width = count * array("I").itemsize  # bytes per packed int: every char-2 q < 2^20
+    slice_values, chunk = [], -1
+    for j, a, rest in plan.slices:  # in chunk order
+        while chunk < j // _CHUNK:  # draw the next chunk of every trial's point
+            chunk += 1
+            start, size = chunk * _CHUNK, min(_CHUNK, plan.n - chunk * _CHUNK)
+            drawn = array("I", [rand(rng) for rng in rngs for _ in range(size)])
+            cols = [drawn[i::size] for i in range(size)]  # per coordinate, its lanes
+            packed = [int.from_bytes(col.tobytes(), order) for col in cols]
+        s = 0
+        for j, a in ((j, a), *rest):
+            s ^= packed[j - start] if a == 1 else int.from_bytes(
+                array("I", map(partial(mul, a), cols[j - start])).tobytes(), order)
+        slice_values.append(s)
+    form_values = _form_values(plan.columns, slice_values, partial(map, int.__xor__))
+    per_term = []  # one term's lanes are held at a time
+    for coef, forms in plan.terms:
+        lanes = array("I", b"".join(form_values[f].to_bytes(width, order) for f in forms))
+        per_term.append([mul(coef, ev.product(lanes[t::count].tolist())) for t in range(count)])
+    return list(map(list, zip(*per_term)))
+
+
+def _point_term_values(plan: _EvalPlan, ev: Field, rng) -> list:
+    """Each term's value over ev at the point of n ev.rand_element(rng) draws."""
     point = [ev.rand_element(rng) for _ in range(plan.n)]
     add, mul = ev.add, ev.mul
     slice_values = []
@@ -374,14 +409,18 @@ def _term_values(plan: _EvalPlan, ev: Field, rng) -> list:
         for j, a in rest:  # unit coefficients, all of a GF(2) circuit's, need no mul
             s = add(s, point[j] if a == 1 else mul(a, point[j]))
         slice_values.append(s)
+    get = _form_values(plan.columns, slice_values, ev.add_vectors).__getitem__
+    return [mul(coef, ev.product(list(map(get, forms)))) for coef, forms in plan.terms]
+
+
+def _form_values(columns: list, slice_values: list, add_vectors) -> list:
+    """Each distinct form's value, its slices' sum, added a column at a time."""
     get = slice_values.__getitem__
-    columns = plan.columns
     form_values = list(map(get, columns[0]))
     for col in columns[1:]:
         m = len(col)
-        form_values[:m] = ev.add_vectors(form_values[:m], map(get, col))
-    get = form_values.__getitem__
-    return [mul(coef, ev.product(list(map(get, forms)))) for coef, forms in plan.terms]
+        form_values[:m] = add_vectors(form_values[:m], map(get, col))
+    return form_values
 
 
 class ZeroOracle:
@@ -392,6 +431,8 @@ class ZeroOracle:
     def __init__(self, mode="auto", trials=20, seed=0, budget=None, auto_budget=200_000):
         if mode not in ("exact", "random", "auto"):
             raise ValueError(f"unknown oracle mode {mode!r}")
+        if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:  # bools fail too
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
         self.mode = mode
         self.trials = trials
         self.seed = seed

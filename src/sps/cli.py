@@ -74,13 +74,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _trials(text: str) -> int:
-    """--trials, refused at parse time outside [1, MAX_TRIALS], so whether a
-    command line is accepted does not depend on which oracle answers."""
-    trials = int(text)
-    if not 1 <= trials <= MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"trials must be in [1, {MAX_TRIALS}]")
-    return trials
+def _int_in(name: str, low: int, high: int | None = None):
+    """An argparse type: an int in [low, high] (high None: no upper end), refused
+    at parse time, so acceptance never depends on which oracle would answer."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{name} must be {span}, got {value}")
+        return value
+
+    return integer
 
 
 def _oracle_from_args(args) -> ZeroOracle:
@@ -323,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = check.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--random", action="store_true")
-    check.add_argument("--trials", type=_trials, default=20)
+    check.add_argument("--trials", type=_int_in("trials", 1, MAX_TRIALS), default=20)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--assert-zero", action="store_true")
     check.set_defaults(func=cmd_check)
@@ -345,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     doubling.set_defaults(func=cmd_doubling)
 
     bound = sub.add_parser("bound", help="print the chain-length and rank bounds")
-    bound.add_argument("--k", type=int, required=True)
-    bound.add_argument("--d", type=int, required=True)
+    bound.add_argument("--k", type=_int_in("k", 3), required=True)  # chain's setting
+    bound.add_argument("--d", type=_int_in("d", 1), required=True)
     bound.set_defaults(func=cmd_bound)
 
     return parser

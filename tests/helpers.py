@@ -4,8 +4,10 @@ reference checks that the library itself does not run."""
 
 import importlib.util
 import itertools
+import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import sps.circuit
 from sps import (
@@ -333,6 +335,21 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(sps.circuit, name, counted)
     return calls
+
+
+def count_trials(monkeypatch):
+    """Record every random trial sps.circuit evaluates, by the one RNG it
+    seeds per trial with f"{seed}:{t}", however many trials a call batches;
+    returns the list of (seed text, initial RNG state) it appends to."""
+    trials = []
+
+    class Recorded(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            trials.append((x, self.getstate()))
+
+    monkeypatch.setattr(sps.circuit, "random", SimpleNamespace(Random=Recorded))
+    return trials
 
 
 def refuse_oracle_work(monkeypatch):

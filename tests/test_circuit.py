@@ -32,13 +32,14 @@ from sps.algebra import Field
 from sps.circuit import (
     _EvalPlan,
     _expand_terms,
+    MAX_TRIALS,
     _term_values,
     circuit_from_dict,
     exact_cost_bound,
 )
 from helpers import (
     brute_expand,
-    count_calls,
+    count_trials,
     random_circuit,
     random_form,
     random_pair_identity,
@@ -214,13 +215,33 @@ def test_zero_test_random_soundness_and_agreement():
 
 
 def test_zero_test_random_stops_at_first_nonzero_trial(monkeypatch):
-    calls = count_calls(monkeypatch, "_term_values")
+    trials = count_trials(monkeypatch)
     # nonzero: the first trial decides, the other 19 are never evaluated
     assert not zero_test_random(subcircuit(gen_ks(4), [0, 1]), trials=20, seed=0)
-    assert len(calls) == 1
-    calls.clear()
+    assert [seed for seed, _ in trials] == ["0:0"]
+    trials.clear()
+    # zero: each trial once, in characteristic 2 (GF(2^4)) and odd (GF(5))
     assert zero_test_random(gen_ks(4), trials=20, seed=0)
-    assert len(calls) == 20
+    assert [seed for seed, _ in trials] == [f"0:{t}" for t in range(20)]
+    x = LinearForm(F5, [1, 0])
+    for nonzero, want in ((3, ["1:0"]), (4, [f"1:{t}" for t in range(20)])):
+        trials.clear()
+        c = Circuit(F5, 2, [Term(F5, 1, [x]), Term(F5, nonzero, [x])])
+        assert zero_test_random(c, trials=20, seed=1) == (nonzero == 4)
+        assert [seed for seed, _ in trials] == want
+
+
+def test_zero_oracle_checks_trials_when_built():
+    # at construction, whichever oracle would answer: ks3 is answered exactly
+    for trials in (0, MAX_TRIALS + 1, -1, True, 2.0, "3", None):
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 128\]"):
+            ZeroOracle("auto", trials=trials)
+    for trials in (1, MAX_TRIALS):
+        assert ZeroOracle("auto", trials=trials).is_zero(gen_ks(3))
+        assert ZeroOracle("random", trials=trials).is_zero(gen_ks(9))
+    for trials in (0, True, 2.0):  # the random zero test checks on its own
+        with pytest.raises(ValueError, match="trials must be in"):
+            zero_test_random(gen_ks(3), trials=trials)
 
 
 def test_zero_test_random_lift_override():
@@ -258,26 +279,32 @@ def _chunky_circuit(rng, field, n, k, d):
 EVALUATIONS = [(F2, F2), (F5, F5), (F7, F7), (F8, F8), (F9, F9),
                (field_make(1009), field_make(1009)),
                (F2, field_make(2, 9)), (F5, field_make(5, 3)), (F7, field_make(7, 3)),
-               (F2, field_make(2, 2)), (field_make(3), field_make(3))]
+               (F2, field_make(2, 2)), (field_make(3), field_make(3)),
+               (F2, field_make(2, 17))]
 
 
 def test_term_values_match_reference():
+    # trial 0 alone, then trials 1..T-1 in one call: over characteristic 2
+    # the packed-lane pass, with T up to MAX_TRIALS; GF(2^17) fills lanes
+    # above 16 bits, and GF(2), GF(2^2) make forms and products vanish
     rng = random.Random(1970)
-    zeros = 0
+    zeros = {2: 0, "odd": 0}
     for field, ev in EVALUATIONS:
         for n in range(1, 21):
             c = _chunky_circuit(rng, field, n, rng.randrange(1, 4), rng.randrange(1, 5))
             plan = _EvalPlan(c)
-            for trial in range(4):
-                got = _term_values(plan, ev, random.Random(f"{n}:{trial}"))
-                want = reference_term_values(c, ev, random.Random(f"{n}:{trial}"))
-                assert got == want, (field, ev, n, trial)
-                zeros += want.count(0)
-    assert zeros > 0  # the zero-product path ran
+            stop = MAX_TRIALS if n % 5 == 0 else rng.randrange(2, 41)
+            for trials in (range(0, 1), range(1, stop)):
+                got = _term_values(plan, ev, n, trials)
+                want = [reference_term_values(c, ev, random.Random(f"{n}:{t}"))
+                        for t in trials]
+                assert got == want, (field, ev, n, trials)
+                zeros[2 if ev.p == 2 else "odd"] += sum(v.count(0) for v in want)
+    assert all(zeros.values())  # the zero-product path ran, packed and not
 
 
-def _counted_field_calls(monkeypatch, evaluate, trials):
-    """Field.add + Field.mul calls made by evaluate(rng), per seeded trial."""
+def _counted_field_calls(monkeypatch, evaluate):
+    """Field.add + Field.mul calls made by evaluate()."""
     calls = []
     for name in ("add", "mul"):
         original = getattr(Field, name)
@@ -287,25 +314,32 @@ def _counted_field_calls(monkeypatch, evaluate, trials):
             return original(self, a, b)
 
         monkeypatch.setattr(Field, name, counted)
-    per_trial = []
-    for t in range(trials):
-        calls.clear()
-        evaluate(random.Random(f"0:{t}"))
-        per_trial.append(len(calls))
+    evaluate()
     monkeypatch.undo()
-    return per_trial
+    return len(calls)
+
+
+def _field_work(monkeypatch, c, plan, ev, trials):
+    """Field.add + Field.mul calls of the kernel and of the reference on the
+    seeded trials: (kernel per trial alone, kernel on all of them in one
+    call, reference per trial)."""
+    def count(evaluate):
+        return _counted_field_calls(monkeypatch, evaluate)
+
+    alone = [count(lambda: _term_values(plan, ev, 0, range(t, t + 1))) for t in range(trials)]
+    batched = count(lambda: _term_values(plan, ev, 0, range(trials)))
+    ref = [count(lambda: reference_term_values(c, ev, random.Random(f"0:{t}")))
+           for t in range(trials)]
+    return alone, batched, ref
 
 
 def test_term_values_do_less_field_work_than_reference(monkeypatch):
     # ks12 in its lift field: 270 distinct chunk slices stand in for 3,072
     # forms, and forms and products go through the batch methods
     c = gen_ks(12)
-    ev = field_make(2, 13)
-    plan = _EvalPlan(c)
-    new = _counted_field_calls(monkeypatch, lambda rng: _term_values(plan, ev, rng), 3)
-    ref = _counted_field_calls(monkeypatch,
-                               lambda rng: reference_term_values(c, ev, rng), 3)
-    assert all(8 * a <= b for a, b in zip(new, ref)), (new, ref)
+    alone, batched, ref = _field_work(monkeypatch, c, _EvalPlan(c), field_make(2, 13), 3)
+    assert all(8 * a <= b for a, b in zip(alone, ref)), (alone, ref)
+    assert 8 * batched <= min(ref) * 3, (batched, ref)
     # wide sparse forms pay for their nonzero coordinates, not for every chunk
     rng = random.Random(64)
     terms = []
@@ -318,11 +352,9 @@ def test_term_values_do_less_field_work_than_reference(monkeypatch):
             forms.append(LinearForm(F9, coeffs))
         terms.append(Term(F9, random_unit(rng, F9), forms))
     c = Circuit(F9, 64, terms)
-    plan = _EvalPlan(c)
-    new = _counted_field_calls(monkeypatch, lambda rng: _term_values(plan, F9, rng), 10)
-    ref = _counted_field_calls(monkeypatch,
-                               lambda rng: reference_term_values(c, F9, rng), 10)
-    assert all(a <= b for a, b in zip(new, ref)), (new, ref)
+    alone, batched, ref = _field_work(monkeypatch, c, _EvalPlan(c), F9, 10)
+    assert all(a <= b for a, b in zip(alone, ref)), (alone, ref)
+    assert batched == sum(alone) <= sum(ref), (batched, alone, ref)
 
 
 def test_is_simple_examples():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -13,7 +14,8 @@ from sps.cli import _build_parser, main
 import sps.circuit
 import sps.matching
 from helpers import (
-    count_calls, load_bench, refuse_field_work, refuse_generator_work, refuse_oracle_work,
+    count_calls, count_trials, load_bench, refuse_field_work, refuse_generator_work,
+    refuse_oracle_work,
 )
 
 
@@ -29,6 +31,20 @@ def test_bound_command(capsys):
     obj = json.loads(out)
     assert obj["m_bound"] == 17 and obj["rank_bound"] == 17
     assert "17" in err
+
+
+@pytest.mark.parametrize("option, values, low", [
+    ("--k", ("0", "2", "-5"), 3),  # chain and the bound need k >= 3
+    ("--d", ("0", "-1"), 1),
+])
+def test_bound_refuses_k_below_3_and_d_below_1_at_parse_time(option, values, low, capsys):
+    for value in values:
+        argv = {"--k": "3", "--d": "4", option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", *itertools.chain(*argv.items())])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"argument {option}: {option[2:]} must be >= {low}, got {value}" in err
 
 
 def test_gen_and_check_pipe(tmp_path, capsys):
@@ -341,12 +357,12 @@ def test_check_reads_both_verdicts_off_one_set_of_term_values(tmp_path, capsys,
     assert run_cli(["check", path, "--exact"], capsys)[:2] == (0, PINNED_CHECK_NONMINIMAL_D2)
     assert len(expansions) == 1
     # zero needs all 40 trials; each is evaluated once, whatever the subsets
-    trials = count_calls(monkeypatch, "_term_values")
+    trials = count_trials(monkeypatch)
     code, out, _ = run_cli(["check", path, "--random", "--trials", "40", "--seed", "7"],
                            capsys)
     assert code == 0 and json.loads(out)["minimal"] is False
-    states = [rng.getstate() for _, _, rng in trials]
-    assert len(states) == 40 and len(set(states)) == 40
+    assert [seed for seed, _ in trials] == [f"7:{t}" for t in range(40)]
+    assert len({state for _, state in trials}) == 40
 
 
 # check --random where the coordinates make a full chunk of 8 and a partial
@@ -376,16 +392,18 @@ def test_check_random_bytes_pinned_and_one_plan_per_circuit(tmp_path, capsys,
         return built[-1]
 
     monkeypatch.setattr(sps.circuit, "_EvalPlan", recorded)
-    trials = count_calls(monkeypatch, "_term_values")
+    calls = count_calls(monkeypatch, "_term_values")
+    trials = count_trials(monkeypatch)
     for gen_argv, expected in PINNED_CHECK_RANDOM.items():
         path = _gen_file(tmp_path, capsys, list(gen_argv), "c.json")
         built.clear()
+        calls.clear()
         trials.clear()
         argv = ["check", path, "--random", "--trials", "40", "--seed", "7"]
         assert run_cli(argv, capsys)[:2] == (0, expected)
         # the zero verdict and every minimality subset read one plan's trials
-        assert len(built) == 1 and len(trials) == 40
-        assert all(plan is built[0] for plan, _, _ in trials)
+        assert len(built) == 1 and [seed for seed, _ in trials] == [f"7:{t}" for t in range(40)]
+        assert calls and all(plan is built[0] for plan, *_ in calls)
 
 
 def test_check_refuses_more_than_16_terms_before_any_work(tmp_path, capsys, monkeypatch):
