@@ -146,23 +146,23 @@ class Field:
     Every element is an int in [0, p^e); see the module docstring.
     """
 
-    __slots__ = ("p", "e", "order", "modulus", "zero", "one", "_exp", "_log", "_zech")
+    __slots__ = ("p", "e", "order", "modulus", "_exp", "_log", "_zech")
+    zero, one = 0, 1
 
-    def __init__(self, p: int, e: int = 1, search_budget: int = IRREDUCIBLE_SEARCH_BUDGET):
+    def __init__(self, p: int, e: int = 1):
         if not isinstance(p, int) or p >= 2**64 or not is_prime(p):
             raise ValueError(f"characteristic must be a prime below 2^64, got {p!r}")
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e!r}")
         # p**e > budget already when 2**e > budget; refuse before exponentiating
-        if e > 1 and (e >= search_budget.bit_length() or p**e > search_budget):
+        budget = IRREDUCIBLE_SEARCH_BUDGET
+        if e > 1 and (e >= budget.bit_length() or p**e > budget):
             raise BudgetExceededError(
-                f"irreducible search over {p}^{e} candidates exceeds budget {search_budget}"
+                f"irreducible search over {p}^{e} candidates exceeds budget {budget}"
             )
         self.p = p
         self.e = e
         self.order = p**e
-        self.zero = 0
-        self.one = 1
         if e == 1:
             self.modulus = None
             self._exp = self._log = self._zech = None
@@ -302,15 +302,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, k: int):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if self.e == 1:
-            return pow(a, k, self.p)
-        if not a:
-            return 0 if k else 1
-        return self._exp[self._log[a] * k % (self.order - 1)]
-
     def rand_element(self, rng):
         return rng.randrange(self.order)
 
@@ -405,8 +396,8 @@ class SpanBasis:
     positions of the span's nonzero vectors (a combination leads where its
     row of least pivot does), and the remainder of v that is zero at every
     pivot is unique (two differ by a span vector leading at no pivot, so by
-    0). ``coordinates`` are over the rows in insertion order. Two bases are
-    equal iff they span the same subspace. Instances are immutable.
+    0). ``coordinates`` are over the rows in insertion order. Instances are
+    immutable.
     """
 
     __slots__ = ("field", "n", "rows", "pivots")
@@ -481,18 +472,6 @@ class SpanBasis:
             return self, False
         row, piv = new
         return SpanBasis(self.field, self.n, self.rows + (row,), self.pivots + (piv,)), True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpanBasis)
-            and self.field == other.field
-            and self.n == other.n
-            and self.rank == other.rank
-            and all(other.contains(row) for row in self.rows)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, frozenset(self.pivots)))
 
     def __repr__(self):
         return f"SpanBasis(n={self.n}, rank={self.rank})"

@@ -34,9 +34,7 @@ DEFAULT_EXPANSION_BUDGET = 10_000_000
 MAX_TRIALS = 128  # every evaluation field has |E| > 2d: 128 trials err below 2^-128
 
 
-def _expansion_budget(budget):
-    if budget is not None:
-        return budget
+def _expansion_budget() -> int:
     env = os.environ.get("SPS_BUDGET")
     return int(env) if env else DEFAULT_EXPANSION_BUDGET
 
@@ -148,19 +146,19 @@ def exact_cost_bound(circuit: Circuit) -> int:
     return sum(math.comb(t.degree + r - 1, r - 1) for t in circuit.terms)
 
 
-def zero_test_exact(circuit: Circuit, budget: int | None = None) -> bool:
+def zero_test_exact(circuit: Circuit) -> bool:
     """Deterministic zero test by sparse expansion in rank-many variables.
 
     Forms are rewritten in coordinates over an echelon basis of their span, so
     the expansion cost depends on rank(C), not on n. Raises
     BudgetExceededError instead of attempting an oversized expansion; the
     budget is the summed bound C(d + r - 1, r - 1) per term (default 10^7,
-    overridable via the SPS_BUDGET environment variable).
+    overridable only via the SPS_BUDGET environment variable).
     """
-    return _sums_to_zero(circuit.field, _expand_terms(circuit, budget), range(circuit.k))
+    return _sums_to_zero(circuit.field, _expand_terms(circuit), range(circuit.k))
 
 
-def _expand_terms(circuit: Circuit, budget: int | None) -> list:
+def _expand_terms(circuit: Circuit) -> list:
     """Each term expanded over a basis of the circuit's span, exponents packed
     into ints: a set of monomials over GF(2), else a dict monomial -> coef.
 
@@ -173,7 +171,7 @@ def _expand_terms(circuit: Circuit, budget: int | None) -> list:
     basis = form_basis(circuit)
     r = basis.rank
     if r:
-        budget = _expansion_budget(budget)
+        budget = _expansion_budget()
         bound = exact_cost_bound(circuit)
         if bound > budget:
             raise BudgetExceededError(
@@ -426,9 +424,10 @@ def _form_values(columns: list, slice_values: list, add_vectors) -> list:
 class ZeroOracle:
     """Zero-test strategy: exact, random, or auto (exact within a size cap)."""
 
-    __slots__ = ("mode", "trials", "seed", "budget", "auto_budget")
+    __slots__ = ("mode", "trials", "seed")
+    auto_budget = 200_000  # mode auto expands while exact_cost_bound is within it
 
-    def __init__(self, mode="auto", trials=20, seed=0, budget=None, auto_budget=200_000):
+    def __init__(self, mode="auto", trials=20, seed=0):
         if mode not in ("exact", "random", "auto"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:  # bools fail too
@@ -436,8 +435,6 @@ class ZeroOracle:
         self.mode = mode
         self.trials = trials
         self.seed = seed
-        self.budget = budget
-        self.auto_budget = auto_budget
 
     def answers_exactly(self, circuit: Circuit) -> bool:
         """The one exact-vs-random decision, made once per circuit: exact in mode
@@ -449,7 +446,7 @@ class ZeroOracle:
         """Whether the terms indexed by q sum to zero, for any subset q: read off
         one expansion of each term, or one evaluation of each term per trial."""
         if self.answers_exactly(circuit):
-            return partial(_sums_to_zero, circuit.field, _expand_terms(circuit, self.budget))
+            return partial(_sums_to_zero, circuit.field, _expand_terms(circuit))
         return _random_sums(circuit, self.trials, self.seed)
 
     def is_zero(self, circuit: Circuit) -> bool:

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import sys
 import time
+from dataclasses import asdict
 
 from .algebra import field_make
 from .chain import build_chain, chain_length_bound
@@ -87,14 +88,6 @@ def _int_in(name: str, low: int, high: int | None = None):
     return integer
 
 
-def _oracle_from_args(args) -> ZeroOracle:
-    if getattr(args, "random", False):
-        return ZeroOracle("random", trials=args.trials, seed=args.seed)
-    if getattr(args, "exact", False):
-        return ZeroOracle("exact")
-    return ZeroOracle("auto", trials=args.trials, seed=args.seed)
-
-
 def _parse_ideal(text: str, circuit: Circuit) -> FormIdeal:
     """Semicolon-separated generators, comma-separated integer coefficients."""
     if circuit.field.e != 1:
@@ -155,7 +148,8 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     text = _read_text(args.file)
     circuit = loads_circuit(text)
-    oracle = _oracle_from_args(args)
+    mode = "random" if args.random else "exact" if args.exact else "auto"
+    oracle = ZeroOracle(mode, trials=args.trials, seed=args.seed)
     values = oracle.term_values(circuit)
     zero = values.is_zero()
     simple = is_simple(circuit)
@@ -271,7 +265,7 @@ def cmd_doubling(args) -> int:
         for line in report.transcript_lines():
             _note(line)
     out = {"command": "doubling", "digest": _digest(_dumps(obj))}
-    out.update(report.to_dict())
+    out.update(asdict(report))
     out["bound"] = _json_number(out["bound"])
     _emit(out)
     _note(f"doubling: verdict={report.verdict} r={report.r} d'={report.d_prime}")

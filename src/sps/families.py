@@ -25,17 +25,17 @@ from .quotient import FormIdeal
 FAMILY_FORMS_BUDGET = 250_000
 
 
-def _parity_degree(r: int, budget: int) -> int:
+def _parity_degree(r: int) -> int:
     """2^(r-2), the number of parity forms of each kind in r variables, or
-    budget + 1 once that is over the budget, so a huge r costs no big-int
-    work."""
-    return 1 << (r - 2) if r - 2 < budget.bit_length() else budget + 1
+    FAMILY_FORMS_BUDGET + 1 once that is over the budget, so a huge r costs
+    no big-int work."""
+    return 1 << (r - 2) if r - 2 < FAMILY_FORMS_BUDGET.bit_length() else FAMILY_FORMS_BUDGET + 1
 
 
-def _check_budget(what: str, size: int, budget: int, unit: str = "forms") -> None:
-    if size > budget:
+def _check_budget(what: str, size: int, unit: str = "forms") -> None:
+    if size > FAMILY_FORMS_BUDGET:
         raise BudgetExceededError(
-            f"{what} needs at least {size} {unit}, over budget {budget}"
+            f"{what} needs at least {size} {unit}, over budget {FAMILY_FORMS_BUDGET}"
         )
 
 
@@ -64,8 +64,7 @@ def gen_ks(r: int) -> Circuit:
     """
     if r < 2:
         raise ValueError("the parity family needs r >= 2")
-    _check_budget(f"gen_ks({r})", 3 * _parity_degree(r, FAMILY_FORMS_BUDGET),
-                  FAMILY_FORMS_BUDGET)
+    _check_budget(f"gen_ks({r})", 3 * _parity_degree(r))
     field = field_make(2)
     t1 = Term(field, 1, _parity_forms(field, r, r, 1, with_last=False))
     t2 = Term(field, 1, _parity_forms(field, r, r, 0, with_last=True))
@@ -133,7 +132,7 @@ def gen_joined(base_identity: Circuit, block: Circuit,
 
 
 def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
-               verify: bool = True, budget: int = FAMILY_FORMS_BUDGET) -> Circuit:
+               verify: bool = True) -> Circuit:
     """i-fold join of the parity identity with fresh copies of itself.
 
     Member i has degree (i+1) * 2^(r-2), fanin i + 3 and rank (i+1) * r, so
@@ -142,8 +141,8 @@ def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
     """
     if r < 2 or i < 0:
         raise ValueError("family parameters need r >= 2 and i >= 0")
-    d = _parity_degree(r, budget)
-    _check_budget(f"family member ({r}, {i})", (i + 3) * (i + 1) * d, budget)
+    d = _parity_degree(r)
+    _check_budget(f"family member ({r}, {i})", (i + 3) * (i + 1) * d)
     member = gen_ks(r)
     for _ in range(i):
         member = gen_joined(member, gen_ks(r), oracle=oracle, verify=verify)
@@ -184,8 +183,7 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         raise ValueError("tight lists need s >= 3")
     if p < 5:
         raise ValueError("tight lists need a prime p >= 5")
-    _check_budget(f"tight lists ({s})", 2 * _parity_degree(s, FAMILY_FORMS_BUDGET),
-                  FAMILY_FORMS_BUDGET)
+    _check_budget(f"tight lists ({s})", 2 * _parity_degree(s))
     field = field_make(p)
     u = tuple(_parity_forms(field, s, s, 0, with_last=True))
     v = tuple(_parity_forms(field, s, s, 1, with_last=True))
@@ -228,7 +226,7 @@ def gen_intro_counterexamples(d: int, p: int = 5) -> tuple[Circuit, Circuit]:
     if d < 1:
         raise ValueError("counterexamples need d >= 1")
     _check_budget(f"counterexamples ({d})", 2 * d * d + 8 * (d + 1) ** 2,
-                  FAMILY_FORMS_BUDGET, unit="form coefficients")
+                  unit="form coefficients")
     field = field_make(p)
 
     xs = [LinearForm(field, [1 if j == i else 0 for j in range(d)]) for i in range(d)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
@@ -335,9 +335,6 @@ class DoublingReport:
     similar_pairs: int
     rounds: tuple[DoublingRound, ...]
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def transcript_lines(self) -> list[str]:
         lines = [

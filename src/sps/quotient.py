@@ -25,7 +25,7 @@ from .errors import BudgetExceededError
 from .forms import LinearForm, Term, pair_common
 from .matching import split_term
 
-DEFAULT_FACTOR_BUDGET = 1_000_000
+FACTOR_BUDGET = 1_000_000
 
 
 Reduction = namedtuple("Reduction", "a rest key lead")  # see FormIdeal.reduction
@@ -161,11 +161,7 @@ def pair_is_zero_mod(field: Field, pair) -> bool:
                          field.mul(c2, field.product([x.lead for x in recs2])))
 
 
-def linear_factors(
-    circuit: Circuit,
-    oracle: ZeroOracle | None = None,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-) -> tuple[LinearForm, ...]:
+def linear_factors(circuit: Circuit, oracle: ZeroOracle | None = None) -> tuple[LinearForm, ...]:
     """All normalized forms q with C = 0 modulo (q): the linear factors of the
     computed polynomial, without multiplicity.
 
@@ -179,9 +175,9 @@ def linear_factors(
         raise ValueError("linear factor enumeration supports prime fields only")
     p, n = field.p, circuit.n
     n_candidates = (p**n - 1) // (p - 1)
-    if n_candidates > budget:
+    if n_candidates > FACTOR_BUDGET:
         raise BudgetExceededError(
-            f"{n_candidates} candidate forms exceed budget {budget}"
+            f"{n_candidates} candidate forms exceed budget {FACTOR_BUDGET}"
         )
     found = []
     for piv in range(n):

@@ -25,7 +25,7 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
-from sps.circuit import DEFAULT_EXPANSION_BUDGET, form_basis
+from sps.circuit import form_basis
 from sps.matching import MatchEdge
 from sps.quotient import is_zero_mod
 
@@ -475,8 +475,7 @@ def verify_gcd_by_expansion(gd):
 
     Each q is one exact zero test of the two-term circuit
     M(reduce V_q) - sc(pi_q) * M(reduce u); regularity keeps every
-    reduced form nonzero. The budget is fixed so that SPS_BUDGET cannot
-    decide whether a decomposition verifies.
+    reduced form nonzero.
     """
     ideal = gd.ideal
     field, n = ideal.field, ideal.n
@@ -487,7 +486,7 @@ def verify_gcd_by_expansion(gd):
             Term(field, 1, [ideal.reduce_prefix(ideal.r, f) for f in pi.codomain]),
             Term(field, field.neg(sc), mu),
         ])
-        if not zero_test_exact(diff, budget=DEFAULT_EXPANSION_BUDGET):
+        if not zero_test_exact(diff):
             raise VerificationError(
                 f"gcd expansion check failed for term {q}: M(U_q) != sc * M(U) mod I"
             )

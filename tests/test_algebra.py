@@ -60,8 +60,10 @@ def test_extension_field_fermat():
     F = field_make(2, 10)
     rng = random.Random(42)
     for _ in range(10):
-        a = F.rand_element(rng)
-        assert F.pow(a, 2**10) == a
+        a = x = F.rand_element(rng)
+        for _ in range(10):  # ten squarings: x = a^(2^10)
+            x = F.mul(x, x)
+        assert x == a
 
 
 def test_modulus_is_deterministic_and_monic():
@@ -74,8 +76,8 @@ def test_modulus_is_deterministic_and_monic():
 
 
 def test_irreducible_search_budget():
-    with pytest.raises(BudgetExceededError):
-        Field(2, 30, search_budget=1000)
+    with pytest.raises(BudgetExceededError):  # 2^30 candidates, over the 10^6 cap
+        Field(2, 30)
 
 
 def test_oversized_extension_refused_before_exponentiating():
@@ -203,7 +205,7 @@ def test_span_insert_appends_one_row():
             assert not any(row[q] for q in b.pivots[:i])
     b = SpanBasis.from_vectors(field_make(5), 3, [(1, 2, 0), (0, 0, 1)])
     assert b.insert((0, 3, 0))[0].rows == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
-    assert b != SpanBasis.from_vectors(field_make(5), 3, [(1, 0, 0), (0, 0, 1)])
+    assert not same_span(b, SpanBasis.from_vectors(field_make(5), 3, [(1, 0, 0), (0, 0, 1)]))
 
 
 def test_span_membership_and_coordinates():
@@ -229,6 +231,12 @@ def test_spans_orthogonal_examples():
     assert spans_orthogonal([both, x3])
 
 
+def same_span(a, b):
+    """Whether two bases of the same space span the same subspace: equal
+    ranks, and every row of one lies in the span of the other."""
+    return a.rank == b.rank and all(b.contains(row) for row in a.rows)
+
+
 vectors_f2 = st.lists(
     st.tuples(*[st.integers(0, 1)] * 5), min_size=1, max_size=8
 )
@@ -240,13 +248,12 @@ vectors_f5 = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(vecs=vectors_f2, data=st.data())
 def test_span_insertion_order_invariance_f2(vecs, data):
-    # bases are equal when they span the same subspace, so every insertion
-    # order gives an equal basis with an equal hash, though not equal rows
+    # every insertion order spans the same subspace, though not with equal rows
     F = field_make(2)
     perm = data.draw(st.permutations(vecs))
     a = SpanBasis.from_vectors(F, 5, vecs)
     b = SpanBasis.from_vectors(F, 5, perm)
-    assert a == b and hash(a) == hash(b)
+    assert same_span(a, b)
     assert a.rank <= 5
 
 
@@ -257,7 +264,7 @@ def test_span_insertion_order_invariance_f5(vecs, data):
     perm = data.draw(st.permutations(vecs))
     a = SpanBasis.from_vectors(F, 4, vecs)
     b = SpanBasis.from_vectors(F, 4, perm)
-    assert a == b and hash(a) == hash(b)
+    assert same_span(a, b)
     assert all(a.reduce(v) == b.reduce(v) for v in vecs + [(1, 2, 3, 4)])
 
 

@@ -171,12 +171,12 @@ def test_gf2_pairwise_expansion_equals_sequential_reference():
     named = [gen_ks(r) for r in range(3, 7)]
     named += [gen_family(r, i) for r in (3, 4) for i in (1, 2)]
     for c in named:
-        assert _expand_terms(c, None) == sequential_gf2_expand(c)
+        assert _expand_terms(c) == sequential_gf2_expand(c)
     rng = random.Random(2008)
     degrees, repeats, units = set(), 0, 0
     for _ in range(250):
         c = _random_gf2_circuit(rng, rng.randrange(1, 8), rng.randrange(1, 5), 9)
-        assert _expand_terms(c, None) == sequential_gf2_expand(c)
+        assert _expand_terms(c) == sequential_gf2_expand(c)
         for t in c.terms:
             degrees.add(t.degree)
             repeats += len(set(t.forms)) < t.degree
@@ -185,9 +185,13 @@ def test_gf2_pairwise_expansion_equals_sequential_reference():
     assert degrees == set(range(10)) and repeats >= 100 and units >= 100
 
 
-def test_exact_budget_refusal():
+def test_exact_budget_refusal(monkeypatch):
+    monkeypatch.setenv("SPS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError):
-        zero_test_exact(gen_ks(8), budget=1000)
+        zero_test_exact(gen_ks(8))
+    monkeypatch.delenv("SPS_BUDGET")  # the default 10^7 refuses ks8's 3,989,672,115 too
+    with pytest.raises(BudgetExceededError, match="budget 10000000"):
+        zero_test_exact(gen_ks(8))
 
 
 def test_budget_env_override(monkeypatch):
@@ -394,7 +398,7 @@ def _minimal_by_reference(c):
     )
 
 
-def test_is_minimal_matches_subset_reference():
+def test_is_minimal_matches_subset_reference(monkeypatch):
     rng = random.Random(41)
     exact, auto = ZeroOracle("exact"), ZeroOracle("auto")
     # every field here is larger than 2d or a prime field, so no lift is refused
@@ -420,8 +424,9 @@ def test_is_minimal_matches_subset_reference():
             assert is_minimal(c, rand) == want
             verdicts.add(want)
         assert verdicts == {True, False}, field
+    monkeypatch.setenv("SPS_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        is_minimal(gen_ks(5), ZeroOracle("exact", budget=10))
+        is_minimal(gen_ks(5), exact)
 
 
 def _mixed_degrees(rng, field, n, k, size):
@@ -435,12 +440,13 @@ def _mixed_degrees(rng, field, n, k, size):
     return Circuit(field, n, terms)
 
 
-def test_random_minimality_matches_subset_reference():
+def test_random_minimality_matches_subset_reference(monkeypatch):
     # the per-subset loop gave each subcircuit its own evaluation field and, in
     # auto mode, its own exact-vs-random path; is_minimal now reads every
     # subset off one set of term values in the circuit's evaluation field.
     # Degrees stay <= 3, so GF(2^3) and GF(3^2) are never asked to lift.
     rng = random.Random(43)
+    monkeypatch.setattr(ZeroOracle, "auto_budget", 8)
     verdicts, own_field = set(), 0
     for i, field in enumerate([F2, F5, F7, F8, F9] * 24):
         k = rng.randrange(3, 6)
@@ -450,7 +456,7 @@ def test_random_minimality_matches_subset_reference():
         # the reference evaluates the two lowest-degree terms in F, not lifted
         own_field += field.order <= 2 * degrees[-1] and field.order > 2 * degrees[1]
         for oracle in (ZeroOracle("random", trials=20, seed=i),
-                       ZeroOracle("auto", trials=20, seed=i, auto_budget=8)):
+                       ZeroOracle("auto", trials=20, seed=i)):
             want = subset_reference(c, oracle)
             assert is_minimal(c, oracle) == want, (i, field, c.degrees)
             verdicts.add(want)
@@ -480,8 +486,8 @@ def test_linear_factors_examples():
     got2 = {f.coeffs for f in linear_factors(c2)}
     assert got2 == {(0, 1, 0), (1, 0, 1)}  # x2 * (x1 + x3)
 
-    with pytest.raises(BudgetExceededError):
-        linear_factors(gen_ks(3), budget=1)
+    with pytest.raises(BudgetExceededError):  # 2^20 - 1 candidates, over the 10^6 cap
+        linear_factors(make_circuit(F2, 20, [(1, [[1] * 20])]))
 
 
 def test_linear_factors_match_term_structure():
@@ -575,8 +581,9 @@ def test_whole_vector_check_loads_as_the_per_element_loop(obj):
     assert type(got) is type(want) and got == want
 
 
-def test_oracle_auto_mode():
-    auto = ZeroOracle("auto", trials=10, seed=0, auto_budget=10)
+def test_oracle_auto_mode(monkeypatch):
+    monkeypatch.setattr(ZeroOracle, "auto_budget", 10)
+    auto = ZeroOracle("auto", trials=10, seed=0)
     assert auto.is_zero(gen_ks(5))  # falls to the randomized path
     assert ZeroOracle("exact").is_zero(gen_ks(3))
     with pytest.raises(ValueError):
@@ -593,13 +600,14 @@ def _perturbed(rng, c):
     return Circuit(c.field, c.n, terms)
 
 
-def test_one_kernel_choice_answers_is_zero_and_term_values():
+def test_one_kernel_choice_answers_is_zero_and_term_values(monkeypatch):
     """is_zero and term_values(c).is_zero() give the verdict of the one
     oracle call the mode picks, exact or random, on planted identities and
     perturbed copies over prime and extension fields."""
     rng = random.Random(2007)
+    monkeypatch.setattr(ZeroOracle, "auto_budget", 12)
     oracles = [ZeroOracle("exact"), ZeroOracle("random", trials=20, seed=5),
-               ZeroOracle("auto", trials=20, seed=5, auto_budget=12)]
+               ZeroOracle("auto", trials=20, seed=5)]
     seen = set()
     for field in (F2, F5, F8, F9):
         for _ in range(10):
@@ -609,7 +617,7 @@ def test_one_kernel_choice_answers_is_zero_and_term_values():
                 for oracle in oracles:
                     exact = oracle.answers_exactly(c)
                     if exact:
-                        want = zero_test_exact(c, oracle.budget)
+                        want = zero_test_exact(c)
                     else:
                         want = zero_test_random(c, oracle.trials, oracle.seed)
                     assert oracle.is_zero(c) == want

@@ -90,7 +90,7 @@ def test_gen_family_members():
         assert rank == (k - 2) * (math.log2(d / (k - 2)) + 2)
 
     with pytest.raises(BudgetExceededError):
-        gen_family(4, 50, budget=100)
+        gen_family(4, 400)  # 403 * 401 * 4 forms, over the 250,000 cap
 
 
 def test_generators_refuse_oversized_output_before_any_work(monkeypatch):

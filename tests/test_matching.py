@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -522,7 +523,7 @@ def test_doubling_check_input_validation():
         doubling_check(u, (), [i1], [pi])
 
 
-# sha256 over the corpus of json.dumps(report.to_dict()) + "\n", recorded
+# sha256 over the corpus of json.dumps(asdict(report)) + "\n", recorded
 # while doubling_check still re-checked the restriction to the remainders,
 # their coprimality and i0 against a basis of the ideals alone
 DOUBLING_CORPUS_DIGEST = "7db3652c65a336aaa963e9f37f50902e54e7661c7908270544cbad9610c250e7"
@@ -538,7 +539,7 @@ def test_doubling_check_implied_facts_on_corpus():
     both = early = 0
     for u, v, ideals, pis in doubling_corpus(random.Random(2008), 2000):
         rep = doubling_check(u, v, ideals, pis)
-        digest.update(json.dumps(rep.to_dict()).encode() + b"\n")
+        digest.update(json.dumps(asdict(rep)).encode() + b"\n")
         sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
                                          [similarity_key(g) for g in v]])
         rest_u = [i for i in range(len(u)) if i not in sim_u]

@@ -1,6 +1,7 @@
 """Source hygiene checks on the package, using only the standard library."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import sps
@@ -95,16 +96,47 @@ UNREACHED_MEMBERS_ALLOWED = {
 }
 
 
+def member_references(trees):
+    """(receiver class, attribute, enclosing member) for every attribute read
+    in a module other than __init__.py. Inside a member of class C, self.m
+    names C.m, so its receiver class is C; any other receiver cannot be
+    resolved from the AST and is None. The enclosing member is "C.m" for a
+    read inside the body of member m of class C, else None."""
+    refs = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for top in tree.body:
+            parts = ([(top.name, node) for node in top.body]
+                     if isinstance(top, ast.ClassDef) else [(None, top)])
+            for cls, part in parts:
+                method = cls is not None and isinstance(
+                    part, (ast.FunctionDef, ast.AsyncFunctionDef))
+                within = f"{cls}.{part.name}" if method else None
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Attribute):
+                        self_read = (method and isinstance(node.value, ast.Name)
+                                     and node.value.id == "self")
+                        refs.add((cls if self_read else None, node.attr, within))
+    return refs
+
+
 def unreached_members(trees):
-    """Public methods and properties of the modules' classes whose names no
-    module other than __init__.py references by name or attribute."""
-    referenced = referenced_names(trees)
+    """Public methods and properties of the modules' classes that no attribute
+    read outside their own bodies reaches: C.m is reached by self.m inside C
+    and by x.m on any receiver x other than self."""
+    refs = member_references(trees)
+
+    def reached(cls, method):
+        return any(attr == method and owner in (None, cls) and within != f"{cls}.{method}"
+                   for owner, attr, within in refs)
+
     return sorted((name, f"{cls.name}.{node.name}")
                   for name, tree in trees.items()
                   for cls in tree.body if isinstance(cls, ast.ClassDef)
                   for node in cls.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and not node.name.startswith("_") and node.name not in referenced)
+                  and not node.name.startswith("_") and not reached(cls.name, node.name))
 
 
 def test_no_unreached_public_members():
@@ -114,3 +146,57 @@ def test_no_unreached_public_members():
     assert [(module, name) for module, name in found
             if name not in UNREACHED_MEMBERS_ALLOWED] == []
     assert sorted(name for _, name in found) == sorted(UNREACHED_MEMBERS_ALLOWED)  # none stale
+
+
+# Every parameter with a default in the public callables of sps.__all__, each
+# with one caller outside the tests that sets it.
+OPTIONS_ALLOWED = {
+    "DoublingReport.__init__(reason=)": "doubling_check states why a verdict is CONTRADICTION",
+    "Field.__init__(e=)": "field_make passes a file header's e",
+    "FormIdeal.__init__(generators=)": "sps match --ideal; build_chain's ideals",
+    "OrderedMatching.__init__(_reductions=)": "OrderedMatching.build passes its records",
+    "OrderedMatching.build(reductions=)": "find_matching and split_term pass shared records",
+    "OrderedMatching.verify(reductions=)": "OrderedMatching.__init__ passes build's records",
+    "SpanBasis.__init__(rows=)": "SpanBasis.insert passes the grown rows",
+    "SpanBasis.__init__(pivots=)": "SpanBasis.insert passes the grown pivots",
+    "ZeroOracle.__init__(mode=)": "sps check --exact / --random",
+    "ZeroOracle.__init__(trials=)": "sps check --trials",
+    "ZeroOracle.__init__(seed=)": "sps check --seed",
+    "build_chain(oracle=)": "tests substitute an oracle",
+    "gen_family(oracle=)": "tests substitute an oracle",
+    "gen_family(verify=)": "bench/instances.py builds members with verify=False",
+    "gen_intro_counterexamples(p=)": "bench/instances.py passes large primes",
+    "gen_joined(oracle=)": "gen_family passes its oracle",
+    "gen_joined(verify=)": "gen_family and bench/instances.py pass verify=False",
+    "gen_tight_lists(p=)": "sps gen tight --p",
+    "is_minimal(oracle=)": "tests substitute an oracle",
+    "linear_factors(oracle=)": "tests substitute an oracle",
+    "single_round(oracle=)": "build_chain passes its oracle",
+    "single_round(precheck=)": "build_chain passes precheck=False",
+    "zero_test_random(trials=)": "sps check --trials sets the same value through ZeroOracle",
+    "zero_test_random(seed=)": "sps check --seed sets the same value through ZeroOracle",
+    "zero_test_random(lift_field=)": "until ROADMAP item 9's automatic lift",
+}
+
+
+def public_callables():
+    """(qualified name, function) for each function in sps.__all__ and each
+    class's __init__ and public methods, as defined on the class itself."""
+    for name in sps.__all__:
+        obj = getattr(sps, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                func = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if (attr == "__init__" or not attr.startswith("_")) and inspect.isfunction(func):
+                    yield f"{name}.{attr}", func
+
+
+def test_every_option_names_its_caller():
+    options = sorted(f"{name}({param.name}=)" for name, func in public_callables()
+                     for param in inspect.signature(func).parameters.values()
+                     if param.default is not param.empty)
+    assert options == sorted(OPTIONS_ALLOWED)
+    assert [o for o in options if o.startswith("ZeroOracle.")] == [
+        "ZeroOracle.__init__(mode=)", "ZeroOracle.__init__(seed=)", "ZeroOracle.__init__(trials=)"]
