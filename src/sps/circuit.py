@@ -253,52 +253,30 @@ def _sums_to_zero(field: Field, polys: list, q) -> bool:
 
 # -- randomized zero test (seeded evaluation, lifted to a large field) --
 
-def _lift_degree(p: int, d: int) -> int:
-    m = 1
-    while p**m <= 4 * d:
-        m += 1
-    return m
+class OracleRefusalError(ValueError):
+    """The zero oracle refuses the circuit (k > 16 subsets, or no lift field): exit 2."""
 
 
-def zero_test_random(
-    circuit: Circuit,
-    trials: int = 20,
-    seed: int = 0,
-    lift_field: Field | None = None,
-) -> bool:
-    """One-sided randomized zero test: False is always correct; True errs with
-    probability at most (d / |E|) ** trials over the evaluation field E.
-
-    When |F| <= 2d the evaluation is lifted to GF(p^m) with p^m > 4d
-    (coefficients embed via the prime subfield; only prime-field circuits are
-    lifted). Points derive deterministically from (seed, trial), so trials
-    are order-independent and runs are reproducible.
-    """
-    return _random_sums(circuit, trials, seed, lift_field)(range(circuit.k))
+def zero_test_random(circuit: Circuit) -> bool:
+    """ZeroOracle("random").is_zero: 20 trials from seed 0 (see _random_sums)."""
+    return ZeroOracle("random").is_zero(circuit)
 
 
-def _random_sums(circuit: Circuit, trials: int, seed: int, lift_field: Field | None = None):
+def _random_sums(circuit: Circuit, trials: int, seed: int):
     """Whether the terms indexed by q sum to zero, for any subset q, over the
-    evaluation field; each subset stops at its first nonzero trial. Trials are
-    kept once evaluated: trial 0 alone, then in characteristic 2 all the rest."""
-    if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials!r}")
+    evaluation field E; each subset stops at its first nonzero trial. Trials are
+    kept once evaluated: trial 0 alone, then in characteristic 2 all the rest.
+    False is always correct; True errs with probability at most (d/|E|)**trials.
+    E is F if |F| > 2d, else for prime F the least GF(p^m) with p^m > 4d (any
+    other F is refused); points derive from (seed, trial) alone."""
     field = circuit.field
     d = circuit.degree
-    if lift_field is not None:
-        if lift_field.p != field.p:
-            raise ValueError("lift field must share the circuit characteristic")
-        if field.e != 1 and lift_field != field:
-            raise ValueError("extension-field circuits evaluate in their own field")
-        ev = lift_field
-    elif field.order > 2 * d:
+    if field.order > 2 * d:
         ev = field
     elif field.e == 1:
-        ev = field_make(field.p, _lift_degree(field.p, d))
+        ev = field_make(field.p, next(m for m in itertools.count(1) if field.p**m > 4 * d))
     else:
-        raise ValueError(
-            "cannot lift an extension-field circuit; supply lift_field explicitly"
-        )
+        raise OracleRefusalError("cannot lift an extension-field circuit")
 
     plan = _EvalPlan(circuit)
     values: list = []  # per trial evaluated so far, its term values
@@ -456,7 +434,7 @@ class ZeroOracle:
         """Zero and minimality verdicts from one set of term values; k > 16
         (2^k - k - 2 subsets) is refused before any oracle work."""
         if circuit.k > 16:
-            raise ValueError("minimality testing is capped at k <= 16 terms")
+            raise OracleRefusalError("minimality testing is capped at k <= 16 terms")
         return TermValues(circuit.k, self._sums(circuit))
 
     def __repr__(self):

@@ -22,6 +22,7 @@ from .chain import build_chain, chain_length_bound
 from .circuit import (
     MAX_TRIALS,
     Circuit,
+    OracleRefusalError,
     ZeroOracle,
     _dumps,
     _form_from_vector,
@@ -73,6 +74,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _load_circuit(path: str) -> tuple[Circuit, str]:
+    """The circuit in a file ("-": stdin) and the digest of its canonical dump."""
+    circuit = loads_circuit(_read_text(path))
+    return circuit, _digest(dumps_circuit(circuit))
 
 
 def _int_in(name: str, low: int, high: int | None = None):
@@ -146,8 +153,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
-    text = _read_text(args.file)
-    circuit = loads_circuit(text)
+    circuit, digest = _load_circuit(args.file)
     mode = "random" if args.random else "exact" if args.exact else "auto"
     oracle = ZeroOracle(mode, trials=args.trials, seed=args.seed)
     values = oracle.term_values(circuit)
@@ -157,7 +163,7 @@ def cmd_check(args) -> int:
     rank = circuit_rank(circuit)
     report = {
         "command": "check",
-        "digest": _digest(dumps_circuit(circuit)),
+        "digest": digest,
         "p": circuit.field.p,
         "e": circuit.field.e,
         "k": circuit.k,
@@ -184,9 +190,7 @@ def cmd_check(args) -> int:
 
 def cmd_chain(args) -> int:
     started = time.monotonic()
-    text = _read_text(args.file)
-    circuit = loads_circuit(text)
-    digest = _digest(dumps_circuit(circuit))
+    circuit, digest = _load_circuit(args.file)
     try:
         chain = build_chain(circuit)
     except BoundViolationError as exc:
@@ -194,6 +198,8 @@ def cmd_chain(args) -> int:
                "violation": str(exc)})
         _note(f"BOUND VIOLATION: {exc}")
         return 3
+    except OracleRefusalError:
+        raise  # the oracle cannot decide the input: exit 2, as in check
     except ValueError as exc:  # not an identity, not simple, not minimal, ...
         _note(f"error: {exc}")
         return 1
@@ -219,8 +225,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_match(args) -> int:
-    text = _read_text(args.file)
-    circuit = loads_circuit(text)
+    circuit, digest = _load_circuit(args.file)
     ideal = _parse_ideal(args.ideal, circuit)
     found = 0
     pairs = 0
@@ -235,8 +240,7 @@ def cmd_match(args) -> int:
                 if pi.is_ordered:  # _parse_ideal admits prime fields only
                     entry["sc"] = pi.scaling_factor()
             _emit(entry)
-    _emit({"command": "match", "digest": _digest(dumps_circuit(circuit)),
-           "pairs": pairs, "found": found})
+    _emit({"command": "match", "digest": digest, "pairs": pairs, "found": found})
     _note(f"match: {found} of {pairs} term pairs matched mod the ideal")
     return 0
 

@@ -35,7 +35,6 @@ from sps import (
     subcircuit,
     trivialize,
     zero_test_exact,
-    zero_test_random,
 )
 from sps.quotient import reduce_circuit
 from helpers import (
@@ -82,10 +81,9 @@ def test_criterion_1_ks_identities():
             failures.append(f"r={r}: rank {rank} != log2({d}) + 2")
         if c.degree != d:
             failures.append(f"r={r}: degree {c.degree} != {d}")
-    lift = field_make(2, 12)
     for r in (8, 9, 10):
         c = gen_ks(r)
-        if not zero_test_random(c, trials=40, seed=1000 + r, lift_field=lift):
+        if not ZeroOracle("random", trials=40, seed=1000 + r).is_zero(c):
             failures.append(f"r={r}: randomized zero test failed")
         if not is_simple(c):
             failures.append(f"r={r}: not simple")
@@ -110,7 +108,7 @@ def test_criterion_2_family():
         k, d, rank = member.k, member.degree, circuit_rank(member)
         if (k, d, rank) != (i + 3, (i + 1) * 4, (i + 1) * 4):
             failures.append(f"i={i}: parameters ({k},{d},{rank})")
-        if not zero_test_random(member, trials=40, seed=2100 + i):
+        if not ZeroOracle("random", trials=40, seed=2100 + i).is_zero(member):
             failures.append(f"i={i}: zero test failed")
         if not is_simple(member):
             failures.append(f"i={i}: not simple")
@@ -366,7 +364,7 @@ def test_criterion_8_oracle_agreement():
     for index in range(500):
         c = _criterion8_circuit(rng, index)
         exact = zero_test_exact(c)
-        rand = zero_test_random(c, trials=20, seed=index)
+        rand = ZeroOracle("random", seed=index).is_zero(c)
         zeros += exact
         if exact != rand:
             failures.append(f"#{index}: exact={exact} random={rand}")

@@ -25,7 +25,6 @@ from sps import (
     similarity_key,
     subcircuit,
     zero_test_exact,
-    zero_test_random,
 )
 import sps.circuit
 from sps.algebra import Field
@@ -205,7 +204,7 @@ def test_zero_test_random_soundness_and_agreement():
     rng = random.Random(29)
     # identities: always reported zero, any seed
     for seed in (0, 1, 12345):
-        assert zero_test_random(gen_ks(4), trials=10, seed=seed)
+        assert ZeroOracle("random", trials=10, seed=seed).is_zero(gen_ks(4))
     # agreement with the exact oracle on seeded random circuits
     for i in range(100):
         field = F2 if i % 2 else F5
@@ -215,23 +214,23 @@ def test_zero_test_random_soundness_and_agreement():
             else random_circuit(rng, field, rng.randrange(1, 4), rng.randrange(1, 4),
                                 rng.randrange(1, 4))
         )
-        assert zero_test_random(c, trials=20, seed=i) == zero_test_exact(c)
+        assert ZeroOracle("random", trials=20, seed=i).is_zero(c) == zero_test_exact(c)
 
 
 def test_zero_test_random_stops_at_first_nonzero_trial(monkeypatch):
     trials = count_trials(monkeypatch)
     # nonzero: the first trial decides, the other 19 are never evaluated
-    assert not zero_test_random(subcircuit(gen_ks(4), [0, 1]), trials=20, seed=0)
+    assert not ZeroOracle("random").is_zero(subcircuit(gen_ks(4), [0, 1]))
     assert [seed for seed, _ in trials] == ["0:0"]
     trials.clear()
     # zero: each trial once, in characteristic 2 (GF(2^4)) and odd (GF(5))
-    assert zero_test_random(gen_ks(4), trials=20, seed=0)
+    assert ZeroOracle("random").is_zero(gen_ks(4))
     assert [seed for seed, _ in trials] == [f"0:{t}" for t in range(20)]
     x = LinearForm(F5, [1, 0])
     for nonzero, want in ((3, ["1:0"]), (4, [f"1:{t}" for t in range(20)])):
         trials.clear()
         c = Circuit(F5, 2, [Term(F5, 1, [x]), Term(F5, nonzero, [x])])
-        assert zero_test_random(c, trials=20, seed=1) == (nonzero == 4)
+        assert ZeroOracle("random", seed=1).is_zero(c) == (nonzero == 4)
         assert [seed for seed, _ in trials] == want
 
 
@@ -243,16 +242,16 @@ def test_zero_oracle_checks_trials_when_built():
     for trials in (1, MAX_TRIALS):
         assert ZeroOracle("auto", trials=trials).is_zero(gen_ks(3))
         assert ZeroOracle("random", trials=trials).is_zero(gen_ks(9))
-    for trials in (0, True, 2.0):  # the random zero test checks on its own
-        with pytest.raises(ValueError, match="trials must be in"):
-            zero_test_random(gen_ks(3), trials=trials)
 
 
-def test_zero_test_random_lift_override():
-    F4096 = field_make(2, 12)
-    assert zero_test_random(gen_ks(8), trials=40, seed=3, lift_field=F4096)
-    with pytest.raises(ValueError):
-        zero_test_random(gen_ks(3), lift_field=field_make(3, 2))
+def test_random_oracle_lifts_prime_fields_and_refuses_extension_fields():
+    # GF(2) with d = 64 evaluates over GF(2^9), the least 2^m > 4d
+    assert ZeroOracle("random", trials=40, seed=3).is_zero(gen_ks(8))
+    # GF(3^2) with d = 8: |F| = 9 <= 2d, and an extension field is not lifted
+    x, y = [1, 0], [0, 1]
+    c = make_circuit(field_make(3, 2), 2, [(1, [x] * 8), (1, [y] * 8), (2, [x] * 4 + [y] * 4)])
+    with pytest.raises(ValueError, match="cannot lift"):
+        ZeroOracle("random").is_zero(c)
 
 
 def _chunky_circuit(rng, field, n, k, d):
@@ -619,7 +618,7 @@ def test_one_kernel_choice_answers_is_zero_and_term_values(monkeypatch):
                     if exact:
                         want = zero_test_exact(c)
                     else:
-                        want = zero_test_random(c, oracle.trials, oracle.seed)
+                        want = ZeroOracle("random", oracle.trials, oracle.seed).is_zero(c)
                     assert oracle.is_zero(c) == want
                     assert oracle.term_values(c).is_zero() == want
                     seen.add((oracle.mode, exact, want))

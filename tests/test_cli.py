@@ -93,6 +93,30 @@ def test_chain_rejects_non_identity(tmp_path, capsys):
     assert "identity" in err or "zero" in err
 
 
+def test_chain_exits_2_on_the_oracle_refusals_as_check_does(tmp_path, capsys):
+    # x1 + i*x2 for i = 0..16 over GF(101): 17 terms, so minimality is refused
+    coefs = [1] * 15 + [67, 19]
+    k17 = make_circuit(field_make(101), 2, [(c, [[1, i]]) for i, c in enumerate(coefs)])
+    # GF(3^2) with k = 6 and d = 32: too many monomials to expand, no lift
+    bench = load_bench("instances")
+    gf9 = loads_circuit(bench.canon(bench.joined_identity(sps, 3, 2, 3)))
+    # xy + 2xy + 2xy over GF(5): an identity whose terms share the factors x and y
+    nonsimple = make_circuit(field_make(5), 2, [(c, [[1, 0], [0, 1]]) for c in (1, 2, 2)])
+    assert (k17.k, gf9.k, gf9.degree, nonsimple.k) == (17, 6, 32, 3)
+    for name, c, message in (("k17", k17, "k <= 16"), ("gf9", gf9, "cannot lift")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps_circuit(c))
+        for command in ("check", "chain"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (2, "") and message in err
+    path = tmp_path / "nonsimple.json"
+    path.write_text(dumps_circuit(nonsimple))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0 and json.loads(out)["simple"] is False
+    code, out, err = run_cli(["chain", str(path)], capsys)
+    assert (code, out) == (1, "") and "simple" in err
+
+
 def test_match_command(tmp_path, capsys):
     path = tmp_path / "ks3.json"
     run_cli(["gen", "ks", "--r", "3", "-o", str(path)], capsys)

@@ -16,7 +16,6 @@ from sps import (
     is_simple,
     lists_similar,
     zero_test_exact,
-    zero_test_random,
 )
 from helpers import refuse_generator_work, tight_lists_orthogonal
 
@@ -138,14 +137,14 @@ def test_intro_counterexamples():
 
 
 def test_family_member_d4_random_zero_over_small_lift():
-    # degree-20 member in 20 variables, evaluated over GF(2^8)
+    # degree-20 member in 20 variables, evaluated over GF(2^7), the least 2^m > 4d
     m = gen_family(4, 4, oracle=ZeroOracle(trials=10, seed=44))
     assert (m.k, m.degree, m.n) == (7, 20, 20)
-    assert zero_test_random(m, trials=40, seed=4, lift_field=field_make(2, 8))
+    assert ZeroOracle("random", trials=40, seed=4).is_zero(m)
 
 
 def test_family_members_verify_under_randomized_oracle():
     m = gen_family(4, 2, oracle=ZeroOracle(trials=20, seed=21))
-    assert zero_test_random(m, trials=20, seed=99)
+    assert ZeroOracle("random", seed=99).is_zero(m)
     assert is_simple(m)
     assert is_minimal(m, ZeroOracle("random", trials=20, seed=7))

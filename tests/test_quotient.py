@@ -25,7 +25,6 @@ from sps import (
     simple_part,
     subcircuit,
     zero_test_exact,
-    zero_test_random,
 )
 from sps.algebra import eliminate
 from sps.quotient import is_zero_mod, pair_is_zero_mod, reduce_circuit, reductions
@@ -260,7 +259,7 @@ def test_orthogonal_ideal_zero_promotion():
         d = Circuit(F5, n, [t1, t2])
         if is_zero_mod(d, i2):
             assert zero_test_exact(d)
-            assert zero_test_random(d, trials=20, seed=9)
+            assert ZeroOracle("random", seed=9).is_zero(d)
 
 
 def test_sim_membership_characterizes_unbalanced_classes():

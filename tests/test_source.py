@@ -49,7 +49,7 @@ def test_no_imports_inside_functions():
 # Public names that no other library code reaches, each kept for one reason.
 UNREACHED_ALLOWED = {
     "zero_test_exact": "bench/spans.py spans it; ZeroOracle answers through its kernel",
-    "zero_test_random": "bench/spans.py spans it; ZeroOracle answers through its kernel",
+    "zero_test_random": 'bench/spans.py spans it; it is ZeroOracle("random").is_zero',
     "similar": "bench/spans.py spans it (forms.similar)",
     "reduced_class_key": "bench/spans.py counts it (quotient.reduced_class_key)",
     "invert": "matching algebra, acceptance criterion 5",
@@ -173,9 +173,6 @@ OPTIONS_ALLOWED = {
     "linear_factors(oracle=)": "tests substitute an oracle",
     "single_round(oracle=)": "build_chain passes its oracle",
     "single_round(precheck=)": "build_chain passes precheck=False",
-    "zero_test_random(trials=)": "sps check --trials sets the same value through ZeroOracle",
-    "zero_test_random(seed=)": "sps check --seed sets the same value through ZeroOracle",
-    "zero_test_random(lift_field=)": "until ROADMAP item 9's automatic lift",
 }
 
 
@@ -200,3 +197,4 @@ def test_every_option_names_its_caller():
     assert options == sorted(OPTIONS_ALLOWED)
     assert [o for o in options if o.startswith("ZeroOracle.")] == [
         "ZeroOracle.__init__(mode=)", "ZeroOracle.__init__(seed=)", "ZeroOracle.__init__(trials=)"]
+    assert [o for o in options if o.startswith("zero_test_random(")] == []
