@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field as dataclass_field
 
-from .algebra import SpanBasis, eliminate, pivot_row
+from .algebra import eliminate, pivot_row
 from .circuit import (
     Circuit,
     ZeroOracle,
@@ -122,14 +122,15 @@ def chain_length_bound(k: int, d: int) -> float:
 
 
 class _RunningSpan:
-    """The rows of S u I, appended to over a whole chain (a round's rows are
-    the next round's S), and one running remainder per distinct form. A
-    remainder is extended only by the rows appended since it was last read:
-    eliminate clears rows in order and each is zero at the earlier pivots,
-    so that is the full elimination, operation for operation."""
+    """The rows of S u I, empty at the start of a chain and appended to over
+    all of it (a round's rows are the next round's S), and one running
+    remainder per distinct form. A remainder is extended only by the rows
+    appended since it was last read: eliminate clears rows in order and each
+    is zero at the earlier pivots, so that is the full elimination,
+    operation for operation."""
 
-    def __init__(self, basis: SpanBasis):
-        self.field, self.rows, self.pivots = basis.field, list(basis.rows), list(basis.pivots)
+    def __init__(self, field):
+        self.field, self.rows, self.pivots = field, [], []
         self.rest: dict = {}  # coefficient vector -> [remainder, rows read]
 
     def contains(self, f: LinearForm) -> bool:
@@ -148,16 +149,13 @@ class _RunningSpan:
         self.pivots.append(piv)
 
 
-def single_round(
-    circuit: Circuit,
-    s_span: SpanBasis | _RunningSpan,
-    oracle: ZeroOracle | None = None,
-    precheck: bool = True,
-) -> tuple[FormIdeal, MatchingData]:
+def single_round(circuit: Circuit, su_span: _RunningSpan,
+                 oracle: ZeroOracle) -> tuple[FormIdeal, MatchingData]:
     """Run one round of the iterative procedure against the partial basis S.
 
-    s_span is S as a SpanBasis, or build_chain's _RunningSpan, which the
-    round extends in place to S u I; every sp(S u I) test reads it. Each
+    su_span is the chain's running span, S on entry, which the round extends
+    in place to S u I; every sp(S u I) test reads it. The circuit is
+    build_chain's, which checked its preconditions before the first round. Each
     iteration picks the first remaining form outside sp(S u I) (terms in
     index order, forms in list order), extends I by it, and reduces each
     remaining form of the survivors once mod I: a term survives iff no form
@@ -189,20 +187,9 @@ def single_round(
     - leftovers lie in sp(S u I) \\ sp(I): the loop ends with none or with
       none outside sp(S u I), and no survivor's form was in sp(I).
     """
-    oracle = oracle or ZeroOracle()
     field = circuit.field
     n = circuit.n
-    k = circuit.k
-    if precheck:
-        if k < 3:
-            raise ValueError("a useful ideal needs top fanin k >= 3")
-        if not is_simple(circuit):
-            raise ValueError("rounds require a simple circuit")
-        if not oracle.is_zero(circuit):
-            raise ValueError("rounds require an identity (zero oracle said no)")
-    su_span = s_span if isinstance(s_span, _RunningSpan) else _RunningSpan(s_span)
-
-    survivors = list(range(k))
+    survivors = list(range(circuit.k))
     remaining = {q: list(range(circuit.terms[q].degree)) for q in survivors}
     gens: list[LinearForm] = []
     v_slots: list[tuple[int, int]] = []  # (term, position) of V's forms
@@ -338,7 +325,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     """Build a maximal chain for a verified simple, minimal identity and check
     every bound along the way.
 
-    Verifies first (zero, simple, minimal; k >= 3; equal degrees), then
+    Verifies first (k >= 3, d >= 1, equal degrees; simple, zero, minimal), then
     repeats single_round with S growing by each round's ideal until all forms
     of the circuit are spanned. Asserts rank <= (k - 2) * m always, and for
     d >= 2 the chain-length and per-type counts:
@@ -351,6 +338,8 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     d = circuit.degree
     if k < 3:
         raise ValueError("chains need top fanin k >= 3")
+    if d < 1:
+        raise ValueError("chains need term degree d >= 1")
     if len(set(circuit.degrees)) != 1:
         raise ValueError("chains need equal term degrees")
     if not is_simple(circuit):
@@ -361,13 +350,13 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     if not values.is_minimal():
         raise ValueError("chains require a minimal circuit")
 
-    s_span = _RunningSpan(SpanBasis(circuit.field, circuit.n))
+    s_span = _RunningSpan(circuit.field)
     links: list[ChainLink] = []
     for f in circuit.all_forms():  # S only grows: a form in S is not tested again
         while not s_span.contains(f):
             if len(links) > circuit.n:  # each round grows the span rank by >= 1
                 raise VerificationError("chain failed to terminate")
-            ideal, md = single_round(circuit, s_span, oracle, precheck=False)
+            ideal, md = single_round(circuit, s_span, oracle)
             links.append(ChainLink(ideal, md))
 
     build_forest(links, k)

@@ -250,18 +250,13 @@ def cmd_doubling(args) -> int:
     p, e, n = _header_from_json({"e": 1, **obj})
     lists = [[_vector_from_json(p, e, n, vec) for vec in vectors]
              for vectors in (obj["U"], obj["V"], *obj["ideals"])]
+    if not all(any(vec if e == 1 else map(any, vec)) for vec in lists[0] + lists[1]):
+        raise ValueError("U and V forms must be nonzero")
     field = field_make(p, e)
     u, v, *gens = [tuple(_form_from_vector(field, vec) for vec in vectors) for vectors in lists]
-    ideals = [FormIdeal(field, n, g) for g in gens]
-    matchings = []
-    for idx, ideal in enumerate(ideals):
-        pi = find_matching(u, v, ideal)
-        if pi is None:
-            _note(f"error: no matching between U and V by ideal {idx}")
-            return 1
-        matchings.append(pi)
+    ideals = [FormIdeal(field, n, g) for g in gens]  # a bad generator: exit 2
     try:
-        report = doubling_check(u, v, ideals, matchings)
+        report = doubling_check(u, v, ideals)
     except ValueError as exc:
         _note(f"error: {exc}")
         return 1

@@ -19,7 +19,7 @@ from .algebra import Field, field_make
 from .circuit import Circuit, ZeroOracle, circuit_rank, is_simple
 from .errors import BudgetExceededError, VerificationError
 from .forms import LinearForm, Term
-from .matching import OrderedMatching, find_matching
+from .matching import find_matching
 from .quotient import FormIdeal
 
 FAMILY_FORMS_BUDGET = 250_000
@@ -165,7 +165,6 @@ class TightLists:
     u: tuple[LinearForm, ...]
     v: tuple[LinearForm, ...]
     ideals: tuple[FormIdeal, ...]
-    matchings: tuple[OrderedMatching, ...]
     claimed: int
 
 
@@ -196,12 +195,7 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         FormIdeal(field, s, (LinearForm(field, [1] * (s - 1) + [2]),))
     )
 
-    kept, pis = [], []
-    for ideal in candidates:
-        pi = find_matching(u, v, ideal)
-        if pi is not None:
-            kept.append(ideal)
-            pis.append(pi)
+    kept = [ideal for ideal in candidates if find_matching(u, v, ideal) is not None]
     claimed = (len(u).bit_length() - 1) + 2  # log2(|U|) + 2, |U| a power of 2
     return TightLists(
         field=field,
@@ -209,7 +203,6 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         u=u,
         v=v,
         ideals=tuple(kept),
-        matchings=tuple(pis),
         claimed=claimed,
     )
 

@@ -8,8 +8,8 @@ between lists well defined. Everything here is immutable.
 ``LinearForm(field, coeffs)`` canonicalizes every coefficient through
 ``Field.element``; it is the constructor for values from outside (the
 loader, the generators, ``--ideal``). Results of field arithmetic are
-already canonical, so ``scale``, ``add``, ``sub`` and ideal reduction wrap
-their tuples with the private ``LinearForm._wrap`` instead.
+already canonical, so ``scale`` and ideal reduction wrap their tuples with
+the private ``LinearForm._wrap`` instead.
 """
 
 from __future__ import annotations
@@ -56,14 +56,6 @@ class LinearForm:
         if c == 1:
             return self
         return LinearForm._wrap(f, tuple(f.mul(c, a) for a in self.coeffs))
-
-    def add(self, other: "LinearForm") -> "LinearForm":
-        f = self.field
-        return LinearForm._wrap(f, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def sub(self, other: "LinearForm") -> "LinearForm":
-        f = self.field
-        return LinearForm._wrap(f, tuple(f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __eq__(self, other):
         return (

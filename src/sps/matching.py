@@ -16,9 +16,9 @@ with no level scan.
 
 Every ``OrderedMatching`` is checked exactly once, by its constructor, which
 verifies each edge it is given; an instance that exists is a verified
-certificate (instances are immutable). Code that receives one, such as
-``doubling_check``, checks how it is used (its ideal, domain and codomain)
-and does not re-check its edges.
+certificate (instances are immutable). ``doubling_check`` finds the
+matching by each ideal itself, with ``find_matching``, so no matching it
+uses needs its ideal, domain or codomain checked.
 """
 
 from __future__ import annotations
@@ -351,10 +351,12 @@ class DoublingReport:
         return lines
 
 
-def doubling_check(u, v, ideals, matchings) -> DoublingReport:
+def doubling_check(u, v, ideals) -> DoublingReport:
     """Run the constructive argument that many orthogonal matchings force
     similarity, reporting a per-round transcript.
 
+    First find and certify a matching between u and v by each ideal
+    (find_matching), then check the lists and the ideals' orthogonality.
     Steps: split off maximal similar sublists, leaving the remainders rest_u
     and rest_v; seed a basis with the first leftover form and add one ideal
     per round, tracking which forms fall into the span ("green"). Green
@@ -364,9 +366,8 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
     BOUND_OK with r <= log2(d') + 2, or CONTRADICTION, which valid inputs
     can never produce.
 
-    Each matching was checked once, by its constructor, so only its ideal,
-    domain and codomain are checked here. What the argument also uses
-    follows from the steps and is not checked again:
+    What the argument also uses follows from the steps and is not checked
+    again:
 
     - the remainders are coprime, since common_positions keeps each class
       shared by u and v at its least count;
@@ -379,20 +380,14 @@ def doubling_check(u, v, ideals, matchings) -> DoublingReport:
       of them depends on the seed and its predecessors exactly when the
       seed enters the span of the ideals so far.
     """
-    u, v = tuple(u), tuple(v)
+    u, v, ideals = tuple(u), tuple(v), list(ideals)
+    for i, ideal in enumerate(ideals):
+        if find_matching(u, v, ideal) is None:
+            raise ValueError(f"no matching between U and V by ideal {i}")
     if not u or len(u) != len(v):
         raise ValueError("doubling check needs nonempty lists of equal size")
-    ideals = list(ideals)
-    matchings = list(matchings)
-    if len(ideals) != len(matchings):
-        raise ValueError("need one matching per ideal")
     if not spans_orthogonal([i.span for i in ideals]):
         raise ValueError("ideals must be mutually orthogonal")
-    for i, (ideal, pi) in enumerate(zip(ideals, matchings)):
-        if pi.ideal != ideal:
-            raise ValueError(f"matching {i} is not by ideal {i}")
-        if pi.domain != u or pi.codomain != v:
-            raise ValueError(f"matching {i} is not between the given lists")
 
     d = len(u)
     r = len(ideals)

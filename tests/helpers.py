@@ -84,6 +84,18 @@ def brute_product(field, n, forms, coef=None):
     return brute_expand(Circuit(field, n, [Term(field, c, list(forms))]))
 
 
+def form_add(f, g):
+    """The form f + g."""
+    field = f.field
+    return LinearForm(field, [field.add(a, b) for a, b in zip(f.coeffs, g.coeffs)])
+
+
+def form_sub(f, g):
+    """The form f - g."""
+    field = f.field
+    return LinearForm(field, [field.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)])
+
+
 def random_form(rng, field, n, avoid_span=None, any_element=False):
     """Random nonzero form, optionally outside a given span. Coordinates come
     from the prime subfield unless any_element is set."""
@@ -119,7 +131,7 @@ def random_span_element(rng, field, ideal, level):
     """Random element of the level-j prefix span (possibly zero)."""
     f = LinearForm(field, [0] * ideal.n)
     for g in ideal.generators[:level]:
-        f = f.add(g.scale(rng.randrange(field.p)))
+        f = form_add(f, g.scale(rng.randrange(field.p)))
     return f
 
 
@@ -540,7 +552,7 @@ def doubling_corpus(rng, count):
             if rng.random() < 0.25:
                 f = LinearForm(field, [0] * n)
                 for g in in_span:
-                    f = f.add(g.scale(rng.randrange(field.p)))
+                    f = form_add(f, g.scale(rng.randrange(field.p)))
                 if not f.is_zero:
                     return f
             return random_form(rng, field, n)
@@ -551,7 +563,7 @@ def doubling_corpus(rng, count):
             while True:
                 g = f.scale(random_unit(rng, field))
                 if rng.random() < 0.5:
-                    g = g.add(random_span_element(rng, field, ideals[0], ideals[0].r))
+                    g = form_add(g, random_span_element(rng, field, ideals[0], ideals[0].r))
                 if not g.is_zero:
                     v.append(g)
                     break

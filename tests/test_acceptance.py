@@ -174,7 +174,7 @@ def test_criterion_4_doubling_tightness():
             failures.append(f"s={s}: ideals not orthogonal")
         claimed = int(math.log2(len(t.u))) + 2
         if len(t.ideals) == claimed:
-            rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
+            rep = doubling_check(t.u, t.v, list(t.ideals))
             if rep.verdict != "BOUND_OK":
                 failures.append(f"s={s}: verdict {rep.verdict}")
             elif rep.r != claimed or rep.r != rep.bound:

@@ -32,16 +32,20 @@ import sps.circuit
 import sps.forms
 import sps.matching
 import sps.quotient
-from sps.chain import MatchingData
+from sps.chain import MatchingData, _RunningSpan
 from sps.circuit import form_keys
-from helpers import load_bench, refuse_oracle_work, trivial_link_simple_part_check
+from helpers import form_sub, load_bench, refuse_oracle_work, trivial_link_simple_part_check
 
 F2 = field_make(2)
 F5 = field_make(5)
 
 
-def empty_span(field, n):
-    return SpanBasis(field, n)
+def running_span(field, vecs):
+    """The chain's running span S after appending the given independent vectors."""
+    span = _RunningSpan(field)
+    for vec in vecs:
+        span.append(LinearForm(field, vec))
+    return span
 
 
 def span_of(field, n, vecs):
@@ -67,7 +71,7 @@ def test_gen_joined_refuses_more_than_16_terms_before_any_work(monkeypatch):
 
 def test_single_round_ks3_from_empty():
     ks = gen_ks(3)
-    ideal, md = single_round(ks, empty_span(F2, 3))
+    ideal, md = single_round(ks, _RunningSpan(F2), ZeroOracle())
     assert [g.coeffs for g in ideal.generators] == [(1, 0, 0)]
     assert md.q_set == (1, 2)
     assert md.matchings[1].codomain == ks.terms[1].forms
@@ -77,8 +81,8 @@ def test_single_round_ks3_from_empty():
 
 def test_single_round_ks3_final_round():
     ks = gen_ks(3)
-    s = span_of(F2, 3, [(1, 0, 0), (0, 1, 0)])
-    ideal, md = single_round(ks, s)
+    s = running_span(F2, [(1, 0, 0), (0, 1, 0)])
+    ideal, md = single_round(ks, s, ZeroOracle())
     assert [g.coeffs for g in ideal.generators] == [(0, 0, 1)]
     assert md.q_set == (0, 2)
     assert md.matchings[0].codomain == () and md.matchings[2].codomain == ()
@@ -86,13 +90,9 @@ def test_single_round_ks3_final_round():
 
 
 def test_single_round_precondition():
-    ks = gen_ks(3)
-    full = span_of(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError):
-        single_round(ks, full)
-    nonzero = make_circuit(F2, 3, [(1, [[1, 0, 0]]), (1, [[0, 1, 0]]), (1, [[0, 0, 1]])])
-    with pytest.raises(ValueError):
-        single_round(nonzero, empty_span(F2, 3))
+    full = running_span(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="nothing to do"):
+        single_round(gen_ks(3), full, ZeroOracle())
 
 
 def test_build_chain_ks3_frozen_trace():
@@ -269,7 +269,7 @@ def _round_certificates_digest(chain):
         row["vq1"] = {str(q): list(md.v1) for q in md.q_set}
         row["edges"] = {
             str(q): [[e.c, e.level, e.ordered,
-                      list(m.codomain[m.sigma[i]].sub(m.domain[i].scale(e.c)).coeffs)]
+                      list(form_sub(m.codomain[m.sigma[i]], m.domain[i].scale(e.c)).coeffs)]
                      for i, e in enumerate(m.edges)]
             for q, m in md.matchings.items()
         }
@@ -364,11 +364,11 @@ def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
 ], ids=["survivors", "residual", "two-term-residual", "fanin-2"])
 def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatch):
     # the input-dependent checks a round keeps, each reached by a
-    # non-identity with the precheck off
+    # non-identity that build_chain would have refused before its first round
     if len(spec) == 3:  # k = 3: a two-term residual, decided with no oracle work
         refuse_oracle_work(monkeypatch)
     with pytest.raises(VerificationError, match=message):
-        single_round(make_circuit(field, n, spec), SpanBasis(field, n), precheck=False)
+        single_round(make_circuit(field, n, spec), _RunningSpan(field), ZeroOracle())
 
 
 def test_each_round_derives_each_edge_once(monkeypatch):
@@ -446,13 +446,13 @@ def test_k3_rounds_run_on_remainders_and_factorization_alone(pinned_chains, monk
             gens = [g.coeffs for link in chain.links for g in link.ideal.generators]
             starts = [sum(link.ideal.r for link in chain.links[:i])
                       for i in range(len(chain.links))]
-            replays += [(name, circuit, span_of(circuit.field, circuit.n, gens[:s]), link)
+            replays += [(name, circuit, running_span(circuit.field, gens[:s]), link)
                         for s, link in zip(starts, chain.links)]
     assert len({name for name, *_ in replays}) == 10
     _refuse_span_contains(monkeypatch)
     refuse_oracle_work(monkeypatch)
     for name, circuit, s_span, link in replays:
-        got = single_round(circuit, s_span, precheck=False)
+        got = single_round(circuit, s_span, ZeroOracle())
         assert _round_facts(*got) == _round_facts(link.ideal, link.mdata), name
 
 

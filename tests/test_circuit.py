@@ -39,6 +39,7 @@ from sps.circuit import (
 from helpers import (
     brute_expand,
     count_trials,
+    form_add,
     random_circuit,
     random_form,
     random_pair_identity,
@@ -67,7 +68,7 @@ def _planted(rng, field, n, k, d, size):
             fs = [random_form(rng, field, n, any_element=True) for _ in range(size - 1)]
             total = fs[0]
             for f in fs[1:]:
-                total = total.add(f)
+                total = form_add(total, f)
             if not total.is_zero:
                 break
         h = [random_form(rng, field, n, any_element=True) for _ in range(d - 1)]

@@ -117,6 +117,18 @@ def test_chain_exits_2_on_the_oracle_refusals_as_check_does(tmp_path, capsys):
     assert (code, out) == (1, "") and "simple" in err
 
 
+def test_chain_refuses_degree_0_before_any_oracle_work(tmp_path, capsys, monkeypatch):
+    # 1 + 1 + 3 over GF(5): a zero, simple and minimal identity of degree 0,
+    # which has no chain; its length bound would take log2(0)
+    path = tmp_path / "deg0.json"
+    path.write_text(dumps_circuit(make_circuit(field_make(5), 1, [(c, []) for c in (1, 1, 3)])))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0 and json.loads(out)["zero"] is json.loads(out)["minimal"] is True
+    refuse_oracle_work(monkeypatch)
+    code, out, err = run_cli(["chain", str(path)], capsys)
+    assert (code, out) == (1, "") and "chains need term degree d >= 1" in err
+
+
 def test_match_command(tmp_path, capsys):
     path = tmp_path / "ks3.json"
     run_cli(["gen", "ks", "--r", "3", "-o", str(path)], capsys)
@@ -577,9 +589,14 @@ _LENGTH_2 = "extension elements serialize as length-2 arrays"
     (["chain"], '{"p":997,"e":2,"n":1,"terms":[{"coef":[1,0],"forms":[[5]]}]}', _LENGTH_2),
     (["doubling", "--lists"], '{"p":997,"e":2,"n":1,"U":[[[1,0]]],"V":[[7]],"ideals":[]}',
      _LENGTH_2),
+    (["doubling", "--lists"], '{"p":5,"n":2,"U":[[0,0]],"V":[[0,0]],"ideals":[[[1,0]]]}',
+     "U and V forms must be nonzero"),
+    (["doubling", "--lists"], '{"p":997,"e":2,"n":1,"U":[[[1,0]]],"V":[[[0,0]]],"ideals":[]}',
+     "U and V forms must be nonzero"),
     (["check"], '{"p":997,"e":-1,"n":1,"terms":[{"coef":[],"forms":[]}]}',
      "extension degree must be >= 1, got -1"),
-], ids=["check", "chain", "doubling", "check-e-negative"])
+], ids=["check", "chain", "doubling", "doubling-zero-form", "doubling-zero-form-ext",
+        "check-e-negative"])
 def test_loader_checks_the_body_before_building_the_field(argv, text, message, tmp_path,
                                                           capsys, monkeypatch):
     path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from sps import (
     ZeroOracle,
     circuit_rank,
     field_make,
+    find_matching,
     gen_family,
     gen_intro_counterexamples,
     gen_joined,
@@ -116,7 +117,7 @@ def test_tight_lists_shapes_and_reports():
         assert lists_similar(t.u, t.v) is None  # parity classes never meet
         assert tight_lists_orthogonal(t)
         assert len(t.ideals) == expected_verified[s]
-        assert len(t.matchings) == len(t.ideals)
+        assert all(find_matching(t.u, t.v, ideal) is not None for ideal in t.ideals)
     with pytest.raises(ValueError):
         gen_tight_lists(2)
     with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ from sps import (
 from helpers import (
     brute_product,
     doubling_corpus,
+    form_add,
+    form_sub,
     random_form,
     random_ideal,
     random_span_element,
@@ -50,7 +52,7 @@ def ideal(field, n, *gens):
 
 def offsets(pi):
     """Each edge's offset w = image - c * source, recomputed from the lists."""
-    return [pi.codomain[j].sub(f.scale(e.c)) for f, j, e in zip(pi.domain, pi.sigma, pi.edges)]
+    return [form_sub(pi.codomain[j], f.scale(e.c)) for f, j, e in zip(pi.domain, pi.sigma, pi.edges)]
 
 
 def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain=None):
@@ -70,7 +72,7 @@ def random_ordered_matching(rng, field, n_max=6, size_max=8, ideal_=None, domain
                 continue
             c = random_unit(rng, field)
             w = random_span_element(rng, field, ideal_, level)
-            img = f.scale(c).add(w)
+            img = form_add(f.scale(c), w)
             if not img.is_zero:
                 images.append(img)
                 break
@@ -317,7 +319,7 @@ def test_each_form_pair_has_exactly_one_certificate():
                     src = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
                 dst = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
                 if rng.random() < 0.7:
-                    dst = dst.add(src.scale(field.rand_element(rng)))
+                    dst = form_add(dst, src.scale(field.rand_element(rng)))
                 derived = _derive_edge(ideal_, ideal_.reduction(src), ideal_.reduction(dst))
                 assert accepted(ideal_, src, dst) == ([] if derived is None else [derived])
                 outcomes.add("none" if derived is None else
@@ -370,7 +372,7 @@ def test_edge_kernel_matches_reference():
             else:
                 dst = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
                 if rng.random() < 0.7:
-                    dst = dst.add(src.scale(field.rand_element(rng)))
+                    dst = form_add(dst, src.scale(field.rand_element(rng)))
                 d = ideal_.reduction(dst)
             cases += 1
             assert _derive_edge(ideal_, s, d) == reference_derive_edge(ideal_, s, d)
@@ -417,7 +419,7 @@ def test_derived_edges_match_prefix_scan():
             def prefix_element(level):
                 w = LinearForm(field, [0] * n)
                 for g in gens[:level]:
-                    w = w.add(g.scale(field.rand_element(rng)))
+                    w = form_add(w, g.scale(field.rand_element(rng)))
                 return w
 
             for _ in range(4):
@@ -426,8 +428,8 @@ def test_derived_edges_match_prefix_scan():
                 else:
                     src = prefix_element(rng.randrange(r + 1))
                 if rng.random() < 0.6:
-                    dst = src.scale(field.rand_element(rng)).add(
-                        prefix_element(rng.randrange(r + 1)))
+                    dst = form_add(src.scale(field.rand_element(rng)),
+                                   prefix_element(rng.randrange(r + 1)))
                 else:
                     dst = LinearForm(field, vector(n))
                 edge = _derive_edge(ideal_, ideal_.reduction(src), ideal_.reduction(dst))
@@ -453,19 +455,17 @@ def test_doubling_check_trivial_cases():
     i1 = ideal(F5, 3, [1, 0, 0])
     u = (LinearForm(F5, [0, 0, 1]),)
     v = (LinearForm(F5, [1, 0, 1]),)
-    pi = find_matching(u, v, i1)
-    rep = doubling_check(u, v, [i1], [pi])
+    rep = doubling_check(u, v, [i1])
     assert rep.verdict == "BOUND_OK" and rep.r == 1 and rep.d_prime == 1
 
     same = (LinearForm(F5, [1, 1, 0]), LinearForm(F5, [0, 1, 0]))
-    pis = [find_matching(same, same, i1)]
-    rep2 = doubling_check(same, same, [i1], pis)
+    rep2 = doubling_check(same, same, [i1])
     assert rep2.verdict == "SIMILAR"
 
 
 def test_doubling_check_tight_lists():
     t = gen_tight_lists(4)
-    rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
+    rep = doubling_check(t.u, t.v, list(t.ideals))
     assert rep.verdict == "BOUND_OK"
     assert rep.r == 4 and rep.d_prime == 4 and rep.bound == 4.0
     greens = [rd.green_U for rd in rep.rounds]
@@ -473,7 +473,7 @@ def test_doubling_check_tight_lists():
     assert all(rd.green_U == rd.green_V for rd in rep.rounds)
 
     t6 = gen_tight_lists(6)
-    rep6 = doubling_check(t6.u, t6.v, list(t6.ideals), list(t6.matchings))
+    rep6 = doubling_check(t6.u, t6.v, list(t6.ideals))
     assert rep6.verdict == "BOUND_OK" and rep6.r == 6 and rep6.bound == 6.0
 
 
@@ -497,30 +497,33 @@ def test_doubling_check_never_contradicts_on_valid_input():
         u = tuple(random_form(rng, F5, n) for _ in range(d))
         pi0 = random_ordered_matching(rng, F5, ideal_=ideals[0], domain=u)
         v = pi0.codomain
-        kept, pis = [], []
-        for i in ideals:
-            pi = find_matching(u, v, i)
-            if pi is not None:
-                kept.append(i)
-                pis.append(pi)
+        kept = [i for i in ideals if find_matching(u, v, i) is not None]
         if not kept:
             continue
         hits += 1
-        rep = doubling_check(u, v, kept, pis)
+        rep = doubling_check(u, v, kept)
         assert rep.verdict != "CONTRADICTION"
     assert hits >= 50  # the construction really exercised the checker
 
 
 def test_doubling_check_input_validation():
+    # the checks run in this order: a matching by each ideal, the lists' sizes,
+    # the ideals' orthogonality
     i1 = ideal(F5, 3, [1, 0, 0])
     i1b = ideal(F5, 3, [2, 0, 0])  # same span: not orthogonal
+    i2 = ideal(F5, 3, [0, 1, 0])
     u = (LinearForm(F5, [0, 0, 1]),)
     v = (LinearForm(F5, [1, 0, 1]),)
-    pi = find_matching(u, v, i1)
-    with pytest.raises(ValueError):
-        doubling_check(u, v, [i1, i1b], [pi, pi])
-    with pytest.raises(ValueError):
-        doubling_check(u, (), [i1], [pi])
+    with pytest.raises(ValueError, match="no matching between U and V by ideal 1"):
+        doubling_check(u, v, [i1, i2, i1b])
+    with pytest.raises(ValueError, match="no matching between U and V by ideal 0"):
+        doubling_check(u, (), [i1])
+    with pytest.raises(ValueError, match="nonempty lists of equal size"):
+        doubling_check(u, (), [])
+    with pytest.raises(ValueError, match="nonempty lists of equal size"):
+        doubling_check((), (), [i1])
+    with pytest.raises(ValueError, match="mutually orthogonal"):
+        doubling_check(u, v, [i1, i1b])
 
 
 # sha256 over the corpus of json.dumps(asdict(report)) + "\n", recorded
@@ -538,7 +541,7 @@ def test_doubling_check_implied_facts_on_corpus():
     digest = hashlib.sha256()
     both = early = 0
     for u, v, ideals, pis in doubling_corpus(random.Random(2008), 2000):
-        rep = doubling_check(u, v, ideals, pis)
+        rep = doubling_check(u, v, ideals)
         digest.update(json.dumps(asdict(rep)).encode() + b"\n")
         sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
                                          [similarity_key(g) for g in v]])
@@ -599,7 +602,7 @@ def test_doubling_check_keeps_running_remainders(monkeypatch):
     contains = SpanBasis.contains
     monkeypatch.setattr(sps.matching, "eliminate", counted)
     monkeypatch.setattr(SpanBasis, "contains", counted_contains)
-    rep = doubling_check(t.u, t.v, list(t.ideals), list(t.matchings))
+    rep = doubling_check(t.u, t.v, list(t.ideals))
     monkeypatch.undo()
 
     field, n = t.field, t.n
