@@ -28,6 +28,7 @@ from functools import lru_cache, reduce
 from .errors import BudgetExceededError
 
 IRREDUCIBLE_SEARCH_BUDGET = 1_000_000
+_ZERO_LOG = 1 << 64  # Field.product's log of 0: above (q - 2) * len(xs) for any xs in memory
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -146,7 +147,7 @@ class Field:
     Every element is an int in [0, p^e); see the module docstring.
     """
 
-    __slots__ = ("p", "e", "order", "modulus", "_exp", "_log", "_zech")
+    __slots__ = ("p", "e", "order", "modulus", "_exp", "_log", "_zech", "_logs")
     zero, one = 0, 1
 
     def __init__(self, p: int, e: int = 1):
@@ -163,6 +164,7 @@ class Field:
         self.p = p
         self.e = e
         self.order = p**e
+        self._logs = None  # product's list view of _log, built (the same each time) on first use
         if e == 1:
             self.modulus = None
             self._exp = self._log = self._zech = None
@@ -314,16 +316,19 @@ class Field:
             return [(a + b) % p for a, b in zip(u, v)]
         return list(map(operator.xor if self.p == 2 else self.add, u, v))
 
-    def product(self, xs: list):
-        """The product of the elements of the list xs (1 when it is empty)."""
+    def product(self, xs):
+        """The product of the elements xs yields (1 when there are none); in an
+        extension field, g to the sum of their logs in a list view of the log
+        table (no int boxed per read) where 0 has log _ZERO_LOG."""
         if self.e == 1:
             p, acc = self.p, 1
             for x in xs:
                 acc = acc * x % p
             return acc
-        if 0 in xs:
-            return 0
-        return self._exp[sum(map(self._log.__getitem__, xs)) % (self.order - 1)]
+        if self._logs is None:
+            self._logs = [_ZERO_LOG, *self._log[1:]]
+        s = sum(map(self._logs.__getitem__, xs))
+        return self._exp[s % (self.order - 1)] if s < _ZERO_LOG else 0
 
     def dot(self, u, v):
         """The sum of the products u[i] * v[i] of two equally long sequences."""
@@ -416,14 +421,15 @@ class SpanBasis:
         column j of the span's reduced row-echelon form; those columns are
         kept from the first vector on and updated by each inserted row, so
         rows and pivots are those of inserting every vector. Once the rank is
-        n, later vectors are only checked for length."""
+        n, the later vectors are only checked for length, all in one pass."""
         basis = cls(field, n)
         cols = None  # free coordinate -> its RREF column, one entry per pivot
         sub, mul, dot = field.sub, field.mul, field.dot
+        vectors = iter(vectors)
         for v in vectors:
             basis._check(v)
             if basis.rank == n:
-                continue
+                break
             if cols is None:
                 cols = {j: [] for j in range(n)}
             at_pivots = [v[p] for p in basis.pivots]
@@ -437,6 +443,9 @@ class SpanBasis:
                 if row[j]:
                     col[:] = [sub(c, mul(row[j], cp)) for c, cp in zip(col, col_piv)]
                 col.append(row[j])
+        bad = set(map(len, vectors)) - {n}  # of the vectors left at full rank
+        if bad:
+            raise ValueError(f"vector has dimension {min(bad)}, basis ambient is {n}")
         return basis
 
     @property

@@ -25,6 +25,7 @@ import random
 import sys
 from array import array
 from functools import partial, reduce
+from operator import attrgetter
 
 from .algebra import Field, SpanBasis, field_make
 from .errors import BudgetExceededError
@@ -73,10 +74,7 @@ class Circuit:
 
     def all_forms(self) -> tuple[LinearForm, ...]:
         """Concatenation of the term form lists, in term order."""
-        out = []
-        for t in self.terms:
-            out.extend(t.forms)
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(t.forms for t in self.terms))
 
     def __eq__(self, other):
         return (
@@ -119,7 +117,7 @@ def form_basis(circuit: Circuit) -> SpanBasis:
     and shared by the rank, the exact cost bound and the expansion."""
     if circuit._basis is None:
         circuit._basis = SpanBasis.from_vectors(
-            circuit.field, circuit.n, (f.coeffs for f in circuit.all_forms())
+            circuit.field, circuit.n, map(attrgetter("coeffs"), circuit.all_forms())
         )
     return circuit._basis
 
@@ -371,7 +369,7 @@ def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
     per_term = []  # one term's lanes are held at a time
     for coef, forms in plan.terms:
         lanes = array("I", b"".join(form_values[f].to_bytes(width, order) for f in forms))
-        per_term.append([mul(coef, ev.product(lanes[t::count].tolist())) for t in range(count)])
+        per_term.append([mul(coef, ev.product(lanes[t::count])) for t in range(count)])
     return list(map(list, zip(*per_term)))
 
 
@@ -386,7 +384,7 @@ def _point_term_values(plan: _EvalPlan, ev: Field, rng) -> list:
             s = add(s, point[j] if a == 1 else mul(a, point[j]))
         slice_values.append(s)
     get = _form_values(plan.columns, slice_values, ev.add_vectors).__getitem__
-    return [mul(coef, ev.product(list(map(get, forms)))) for coef, forms in plan.terms]
+    return [mul(coef, ev.product(map(get, forms))) for coef, forms in plan.terms]
 
 
 def _form_values(columns: list, slice_values: list, add_vectors) -> list:
@@ -512,6 +510,8 @@ def _header_from_json(obj: dict) -> tuple[int, int, int]:
     """The (p, e, n) named by a file's header, n >= 1. The field GF(p^e) is
     built by the caller once the body has been checked against them, so a
     malformed body never pays for an extension field's tables."""
+    if type(obj) is not dict:
+        raise ValueError("the input must be a JSON object")
     p, e, n = (_json_int(obj, key) for key in ("p", "e", "n"))
     if e < 1:  # the body is checked against e before Field would refuse it
         raise ValueError(f"extension degree must be >= 1, got {e}")
@@ -536,21 +536,32 @@ def _element_from_json(p: int, e: int, obj):
     return obj
 
 
-def _vector_from_json(p: int, e: int, n: int, vec) -> tuple:
-    """A form's coefficient vector checked against GF(p^e) and n. A prime-field
-    vector of ints in [0, p) passes in one whole-vector check (type() is not
+def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
+    """The coefficient vectors in the JSON array vectors (called name in
+    messages), checked against GF(p^e) and n. Prime-field vectors of ints in
+    [0, p) all pass in one pass over the whole array (type() is not
     isinstance(): bools fail it); anything else goes element by element,
     which names the first bad one."""
-    if len(vec) != n:
-        raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-    if e == 1 and set(map(type, vec)) == {int} and min(vec) >= 0 and max(vec) < p:
-        return tuple(vec)
-    return tuple(_element_from_json(p, e, c) for c in vec)
+    if type(vectors) is not list or set(map(type, vectors)) - {list}:
+        raise ValueError(f"{name} must be an array of arrays")
+    flat = itertools.chain.from_iterable
+    if e == 1 and set(map(len, vectors)) <= {n} and set(map(type, flat(vectors))) <= {int}:
+        values = set(flat(vectors)) or {0}  # ints only, so no bool or float hides in the set
+        if min(values) >= 0 and max(values) < p:
+            return list(map(tuple, vectors))
+    out = []
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+        out.append(tuple(_element_from_json(p, e, c) for c in vec))
+    return out
 
 
-def _form_from_vector(field: Field, vec: tuple) -> LinearForm:
-    """The form over a vector that _vector_from_json checked against field."""
-    return LinearForm._wrap(field, vec if field.e == 1 else tuple(map(field.element, vec)))
+def _forms_from_vectors(field: Field, vectors: list) -> list:
+    """The forms over vectors that _vectors_from_json checked against field."""
+    if field.e > 1:
+        vectors = [tuple(map(field.element, vec)) for vec in vectors]
+    return list(map(partial(LinearForm._wrap, field), vectors))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
@@ -571,14 +582,16 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def circuit_from_dict(obj: dict) -> Circuit:
     p, e, n = _header_from_json(obj)
-    body = [
-        (_element_from_json(p, e, tobj["coef"]),
-         [_vector_from_json(p, e, n, vec) for vec in tobj["forms"]])
-        for tobj in obj["terms"]
-    ]
+    if type(obj["terms"]) is not list:
+        raise ValueError('"terms" must be an array')
+    body = []
+    for i, tobj in enumerate(obj["terms"]):
+        if type(tobj) is not dict or not tobj.keys() >= {"coef", "forms"}:
+            raise ValueError(f'terms[{i}] must be an object with "coef" and "forms"')
+        body.append((_element_from_json(p, e, tobj["coef"]),
+                     _vectors_from_json(p, e, n, tobj["forms"], f'terms[{i}]["forms"]')))
     field = field_make(p, e)
-    terms = [Term(field, coef, [_form_from_vector(field, vec) for vec in vectors])
-             for coef, vectors in body]
+    terms = [Term(field, coef, _forms_from_vectors(field, vectors)) for coef, vectors in body]
     return Circuit(field, n, terms)
 
 

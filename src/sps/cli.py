@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -25,12 +26,12 @@ from .circuit import (
     OracleRefusalError,
     ZeroOracle,
     _dumps,
-    _form_from_vector,
     _form_to_json,
+    _forms_from_vectors,
     _header_from_json,
     _json_loads,
     _json_number,
-    _vector_from_json,
+    _vectors_from_json,
     circuit_rank,
     circuit_to_dict,
     dumps_circuit,
@@ -76,10 +77,21 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+_CANONICAL_CHARS = re.compile(r'[0-9\[\],{}":a-z]*')  # one loop, keeps no backtracking state
+
+
 def _load_circuit(path: str) -> tuple[Circuit, str]:
-    """The circuit in a file ("-": stdin) and the digest of its canonical dump."""
-    circuit = loads_circuit(_read_text(path))
-    return circuit, _digest(dumps_circuit(circuit))
+    """The circuit in a file ("-": stdin) and the digest of its canonical dump:
+    of the text itself (but for one final newline) if it has no whitespace,
+    escape, sign or point, and its strings are the dump's keys in order; any
+    other text is re-encoded. The loader has checked every value as an int."""
+    text = _read_text(path)
+    circuit = loads_circuit(text)
+    text = text[:-1] if text.endswith("\n") else text
+    keys = ["e", "n", "p", "terms", *["coef", "forms"] * circuit.k]
+    if _CANONICAL_CHARS.fullmatch(text) is None or text.split('"')[1::2] != keys:
+        text = dumps_circuit(circuit)
+    return circuit, _digest(text)
 
 
 def _int_in(name: str, low: int, high: int | None = None):
@@ -247,13 +259,16 @@ def cmd_match(args) -> int:
 
 def cmd_doubling(args) -> int:
     obj = _json_loads(_read_text(args.lists))
-    p, e, n = _header_from_json({"e": 1, **obj})
-    lists = [[_vector_from_json(p, e, n, vec) for vec in vectors]
-             for vectors in (obj["U"], obj["V"], *obj["ideals"])]
+    p, e, n = _header_from_json({"e": 1, **obj} if type(obj) is dict else obj)
+    if type(obj["ideals"]) is not list:
+        raise ValueError('"ideals" must be an array')
+    named = {'"U"': obj["U"], '"V"': obj["V"]}
+    named.update((f"ideals[{i}]", g) for i, g in enumerate(obj["ideals"]))
+    lists = [_vectors_from_json(p, e, n, vectors, name) for name, vectors in named.items()]
     if not all(any(vec if e == 1 else map(any, vec)) for vec in lists[0] + lists[1]):
         raise ValueError("U and V forms must be nonzero")
     field = field_make(p, e)
-    u, v, *gens = [tuple(_form_from_vector(field, vec) for vec in vectors) for vectors in lists]
+    u, v, *gens = [tuple(_forms_from_vectors(field, vectors)) for vectors in lists]
     ideals = [FormIdeal(field, n, g) for g in gens]  # a bad generator: exit 2
     try:
         report = doubling_check(u, v, ideals)

@@ -302,12 +302,17 @@ def linear_factors_reference(circuit, oracle):
     return tuple(found)
 
 
-def reference_vector_from_json(p, e, n, vec):
-    """The loader's per-element vector check: every coordinate checked on its
-    own, the first bad one named."""
-    if len(vec) != n:
-        raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-    return tuple(sps.circuit._element_from_json(p, e, c) for c in vec)
+def reference_vectors_from_json(p, e, n, vectors, name):
+    """The loader's per-element check of a JSON array of vectors: each vector
+    and then each coordinate checked on its own, the first bad one named."""
+    if type(vectors) is not list or not all(type(vec) is list for vec in vectors):
+        raise ValueError(f"{name} must be an array of arrays")
+    out = []
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+        out.append(tuple(sps.circuit._element_from_json(p, e, c) for c in vec))
+    return out
 
 
 def reference_from_vectors(field, n, vectors):

@@ -32,6 +32,7 @@ from sps.circuit import (
     _EvalPlan,
     _expand_terms,
     MAX_TRIALS,
+    _point_term_values,
     _term_values,
     circuit_from_dict,
     exact_cost_bound,
@@ -45,7 +46,7 @@ from helpers import (
     random_pair_identity,
     random_unit,
     reference_term_values,
-    reference_vector_from_json,
+    reference_vectors_from_json,
     refuse_oracle_work,
     sequential_gf2_expand,
     subset_reference,
@@ -307,6 +308,27 @@ def test_term_values_match_reference():
     assert all(zeros.values())  # the zero-product path ran, packed and not
 
 
+def test_packed_products_of_zero_lanes_match_one_point_at_a_time():
+    # d = 2 lifts GF(2) to GF(2^4), where each form vanishes at one point in
+    # 16: every term is 0 in some trials' lanes and not in others, so the
+    # product's log of 0 is summed along with nonzero logs
+    c = make_circuit(F2, 3, [(1, [[1, 0, 0], [0, 1, 1]]), (1, [[1, 1, 0], [0, 0, 1]]),
+                             (1, [[1, 0, 1], [0, 1, 0]])])
+    plan, ev = _EvalPlan(c), field_make(2, 4)
+    got = _term_values(plan, ev, 5, range(1, 40))
+    assert got == [_point_term_values(plan, ev, random.Random(f"5:{t}")) for t in range(1, 40)]
+    assert [sum(v == 0 for v in term) for term in zip(*got)] == [2, 4, 4]
+
+
+def test_degree_0_gf2_products_take_no_log():
+    # with d = 0 the evaluation field is GF(2) itself, which has no log table
+    c = make_circuit(F2, 2, [(1, []), (1, [])])
+    plan = _EvalPlan(c)
+    assert _term_values(plan, F2, 0, range(1, 40)) == [[1, 1]] * 39
+    assert _point_term_values(plan, F2, random.Random("0:0")) == [1, 1]
+    assert ZeroOracle("random", trials=40).is_zero(c)
+
+
 def _counted_field_calls(monkeypatch, evaluate):
     """Field.add + Field.mul calls made by evaluate()."""
     calls = []
@@ -537,7 +559,8 @@ def test_load_canonicalizes_each_element_once(monkeypatch):
 def _loader_bodies(draw):
     """Valid file bodies over small fields, most with one spot spoiled: an
     element out of range, negative, a bool, a float, a string or a nested
-    list, a vector of the wrong length or not a list, or a bad constant."""
+    list, a vector of the wrong length or not a list, a forms value that is
+    not a list, or a bad constant."""
     p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]))
     n = draw(st.integers(1, 4))
     digit = st.integers(0, p - 1)
@@ -553,9 +576,11 @@ def _loader_bodies(draw):
         "forms": st.lists(st.lists(valid, min_size=n, max_size=n), max_size=3),
     }), min_size=1, max_size=3))
     term = draw(st.sampled_from(terms))
-    spoil = draw(st.sampled_from(["none", "coef", "element", "vector"]))
+    spoil = draw(st.sampled_from(["none", "coef", "element", "vector", "forms"]))
     if spoil == "coef":
         term["coef"] = draw(bad)
+    elif spoil == "forms":
+        term["forms"] = draw(st.one_of(st.integers(), st.text(max_size=n)))
     elif term["forms"] and spoil == "element":
         draw(st.sampled_from(term["forms"]))[draw(st.integers(0, n - 1))] = draw(bad)
     elif term["forms"] and spoil == "vector":
@@ -576,7 +601,7 @@ def _load_or_refusal(obj):
 @given(_loader_bodies())
 def test_whole_vector_check_loads_as_the_per_element_loop(obj):
     got = _load_or_refusal(obj)
-    with mock.patch.object(sps.circuit, "_vector_from_json", reference_vector_from_json):
+    with mock.patch.object(sps.circuit, "_vectors_from_json", reference_vectors_from_json):
         want = _load_or_refusal(obj)
     assert type(got) is type(want) and got == want
 

@@ -1,21 +1,27 @@
+import io
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sps import (
     Field, SpanBasis, dumps_circuit, field_make, gen_joined, gen_ks, loads_circuit, make_circuit,
 )
-from sps.cli import _build_parser, main
+from sps.cli import _build_parser, _digest, _load_circuit, main
 import sps.circuit
+import sps.cli
 import sps.matching
 from helpers import (
-    count_calls, count_trials, load_bench, refuse_field_work, refuse_generator_work,
-    refuse_oracle_work,
+    count_calls, count_trials, load_bench, random_circuit, refuse_field_work,
+    refuse_generator_work, refuse_oracle_work,
 )
 
 
@@ -733,3 +739,155 @@ def test_check_builds_one_form_basis(mode, tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["check", *mode, path], capsys)
     assert code == 0 and json.loads(out)["zero"] is True
     assert len(builds) == 1  # shared by the cost bound, the expansion and the rank
+
+
+_KS2 = '{"e":1,"n":2,"p":2,"terms":[{"coef":1,"forms":[[1,0]]},{"coef":1,"forms":[[1,1]]}]}'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["check"], _KS2.replace("[[1,0]]", "[5]"), 'terms[0]["forms"] must be an array of arrays'),
+    (["check"], _KS2.replace("[[1,1]]", '"ab"'), 'terms[1]["forms"] must be an array of arrays'),
+    (["chain"], '{"e":1,"n":2,"p":2,"terms":{"a":1}}', '"terms" must be an array'),
+    (["match", "--ideal", "1,0"], _KS2.replace('{"coef":1,"forms":[[1,1]]}', "7"),
+     'terms[1] must be an object with "coef" and "forms"'),
+    (["check"], '{"e":1,"n":2,"p":2,"terms":[{"forms":[]}]}',
+     'terms[0] must be an object with "coef" and "forms"'),
+    (["check"], "[1]", "the input must be a JSON object"),
+    (["doubling", "--lists"], "[1]", "the input must be a JSON object"),
+    (["doubling", "--lists"], '{"p":5,"n":2,"U":5,"V":[],"ideals":[]}',
+     '"U" must be an array of arrays'),
+    (["doubling", "--lists"], '{"p":5,"n":2,"U":[[1,0]],"V":[[1,0]],"ideals":3}',
+     '"ideals" must be an array'),
+    (["doubling", "--lists"], '{"p":5,"n":2,"U":[[1,0]],"V":[[1,0]],"ideals":[[1,0]]}',
+     "ideals[0] must be an array of arrays"),
+], ids=["forms-int", "forms-string", "terms-object", "term-int", "term-no-coef",
+        "check-array", "doubling-array", "U-int", "ideals-int", "ideal-vector"])
+def test_malformed_structure_is_named_not_leaked(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# -- the digest: hashed from the input text when it is the canonical dump --
+
+def _stdin_digest(text):
+    """The digest check, chain and match report for text read from stdin."""
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        return _load_circuit("-")[1]
+
+
+def _reencoded_digest(text):
+    return _digest(dumps_circuit(loads_circuit(text)))
+
+
+def _spaced(draw, text):
+    i = draw(st.sampled_from([i + 1 for i, ch in enumerate(text) if ch in ",:[{"]))
+    return text[:i] + draw(st.sampled_from([" ", "\t", "\n", "\r\n"])) + text[i:]
+
+
+def _escaped(draw, text):
+    key = draw(st.sampled_from(["e", "n", "p", "terms", "coef", "forms"]))
+    return text.replace(f'"{key}"', f'"\\u{ord(key[0]):04x}{key[1:]}"', 1)
+
+
+def _signed(draw, text):
+    zeros = [m.start() for m in re.finditer(r"(?<=[\[,])0(?=[,\]])", text)]
+    assume(zeros)
+    i = draw(st.sampled_from(zeros))
+    return text[:i] + "-" + text[i:]
+
+
+def _reordered(draw, text):
+    obj = json.loads(text)
+    top = draw(st.permutations(list(obj)))
+    orders = [draw(st.permutations(list(t))) for t in obj["terms"]]
+    assume(top != sorted(top) or any(order != sorted(order) for order in orders))
+    terms = [{key: t[key] for key in order} for t, order in zip(obj["terms"], orders)]
+    return json.dumps({key: terms if key == "terms" else obj[key] for key in top},
+                      separators=(",", ":"))
+
+
+def _duplicated(draw, text):
+    obj = json.loads(text)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["e", "n", "p"]))
+        return '{"%s":%d,' % (key, obj[key]) + text[1:]
+    coef = json.dumps(obj["terms"][0]["coef"], separators=(",", ":"))
+    return text.replace('{"coef":', '{"coef":%s,"coef":' % coef, 1)
+
+
+def _extended(draw, text):
+    """An extra key, "e" in a term among them, with a value of any JSON type,
+    floats among them."""
+    key = draw(st.sampled_from(["e", "x", "coef", "forms2", "terms"]))
+    value = draw(st.sampled_from(["1", "1.5", "1e5", "-0.0", '"s"', "[]", "{}", "null", "true"]))
+    if draw(st.booleans()):
+        return text.replace('{"coef":', '{"%s":%s,"coef":' % (key, value), 1)
+    assume(key not in ("e", "terms"))  # a header key again is _duplicated's
+    return text[:-1] + ',"%s":%s}' % (key, value)
+
+
+_MUTATIONS = [_spaced, _escaped, _signed, _reordered, _duplicated, _extended]
+
+
+@st.composite
+def _near_canonical_texts(draw):
+    """A random circuit's canonical dump over GF(2), GF(5) or GF(3^2), most
+    with one of the mutations the canonical test refuses, then maybe one
+    final newline."""
+    field = draw(st.sampled_from([field_make(2), field_make(5), field_make(3, 2)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, k, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    text = dumps_circuit(random_circuit(rng, field, n, k, d))
+    mutation = draw(st.sampled_from([None, *_MUTATIONS]))
+    if mutation is not None:
+        text = mutation(draw, text)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_canonical_texts())
+def test_digest_of_near_canonical_texts_is_that_of_the_canonical_dump(text):
+    assert _stdin_digest(text) == _reencoded_digest(text)
+
+
+def test_canonical_texts_are_hashed_without_reencoding(monkeypatch):
+    rng = random.Random(24)
+    circuits = [gen_ks(5), random_circuit(rng, field_make(5), 3, 3, 2),
+                random_circuit(rng, field_make(3, 2), 3, 3, 2)]
+    calls = []
+    monkeypatch.setattr(sps.cli, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
+    for c in circuits:
+        text = dumps_circuit(c)
+        assert _stdin_digest(text) == _stdin_digest(text + "\n") == _digest(text)
+    assert calls == []
+    for c in circuits:  # a second final newline is not the dump: re-encoded
+        text = dumps_circuit(c)
+        assert _stdin_digest(text + "\n\n") == _digest(text)
+    assert calls == circuits
+
+
+_KS3 = dumps_circuit(gen_ks(3))
+
+
+@pytest.mark.parametrize("text", [
+    _KS3.replace(",", ", ", 1),
+    " " + _KS3,
+    _KS3.replace('"coef"', '"\\u0063oef"', 1),
+    _KS3.replace("[1,0,0]", "[1,-0,0]", 1),
+    _KS3.replace('{"e":1,"n":3,', '{"n":3,"e":1,', 1),
+    '{"p":2,' + _KS3[1:],
+    _KS3[:-1] + ',"x":1}',
+    _KS3.replace('{"coef":', '{"e":1,"coef":', 1),
+    _KS3[:-1] + ',"x":1.5}',
+], ids=["whitespace", "leading-space", "escape", "minus-zero", "key-order", "duplicate-key",
+        "extra-key", "e-in-term", "float"])
+def test_each_near_canonical_class_is_reencoded(text, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sps.cli, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
+    path = tmp_path / "ks3.json"
+    path.write_text(text + "\n")
+    code, out, _ = run_cli(["check", "--exact", str(path)], capsys)
+    assert code == 0 and json.loads(out)["digest"] == _digest(_KS3)
+    assert len(calls) == 1
