@@ -14,8 +14,9 @@ order, appended and never rewritten, reduced by the one kernel ``eliminate``.
 ``SpanBasis.from_vectors`` tests each vector for membership by one
 ``Field.dot`` per free (non-pivot) coordinate against that column of the
 reduced row-echelon form, so only vectors that insert are eliminated.
-Elements are canonical and hashable, and everything here is immutable after
-construction, which makes all of it safe to share between concurrent tasks.
+Elements are canonical and hashable. A ``Field`` is immutable after
+construction; a ``SpanBasis`` is append-only, and only its builder appends,
+so what either hands out is safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -380,38 +381,28 @@ def eliminate(field: Field, rows, pivots, v):
     return mults, out
 
 
-def pivot_row(field: Field, rest):
-    """The echelon row a nonzero remainder of eliminate gives: (row, pivot),
-    the remainder scaled to 1 at its first nonzero entry and that entry's
-    index; None when the remainder is zero."""
-    piv = next((j for j, c in enumerate(rest) if c), None)
-    if piv is None:
-        return None
-    inv = field.inv(rest[piv])
-    return tuple(field.mul(inv, c) for c in rest), piv
-
-
 class SpanBasis:
     """Echelon basis of a subspace of F^n, rows in insertion order.
 
     Each row is zero before its pivot and at the pivots of earlier rows, and
     is 1 at its own pivot, which is what ``eliminate`` requires; ``insert``
-    appends one row and never rewrites an earlier one. ``reduce`` and
-    ``contains`` depend on the span alone: the pivots are the leading
+    appends one row in place and never rewrites an earlier one. ``reduce``
+    and ``contains`` depend on the span alone: the pivots are the leading
     positions of the span's nonzero vectors (a combination leads where its
     row of least pivot does), and the remainder of v that is zero at every
     pivot is unique (two differ by a span vector leading at no pivot, so by
-    0). ``coordinates`` are over the rows in insertion order. Instances are
-    immutable.
+    0). ``coordinates`` are over the rows in insertion order. A basis is
+    append-only; only its builder appends, so a basis handed out is complete.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots")
+    __slots__ = ("field", "n", "rows", "pivots", "_rest")
 
-    def __init__(self, field: Field, n: int, rows=(), pivots=()):
+    def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
-        self.rows = tuple(rows)
-        self.pivots = tuple(pivots)
+        self.rows = ()
+        self.pivots = ()
+        self._rest = {}  # vector -> [its remainder, the rows eliminated from it]
 
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
@@ -435,7 +426,7 @@ class SpanBasis:
             at_pivots = [v[p] for p in basis.pivots]
             if all(v[j] == dot(col, at_pivots) for j, col in cols.items()):
                 continue
-            basis, _ = basis.insert(v)
+            basis.insert(v)
             row, piv = basis.rows[-1], basis.pivots[-1]
             # the new RREF row is the inserted row; it is cleared from the others at piv
             col_piv = cols.pop(piv)
@@ -456,14 +447,24 @@ class SpanBasis:
         if len(v) != self.n:
             raise ValueError(f"vector has dimension {len(v)}, basis ambient is {self.n}")
 
-    def reduce(self, v) -> tuple:
-        """Canonical representative of v modulo the span (pivot coords eliminated)."""
-        self._check(v)
-        return tuple(eliminate(self.field, self.rows, self.pivots, v)[1])
+    def reduce(self, v: tuple) -> tuple:
+        """Canonical representative of v modulo the span (pivot coords
+        eliminated). v's remainder is kept and extended only by the rows
+        appended since it was last read: eliminate clears rows in order and
+        each is zero at the earlier pivots, so that is the full elimination,
+        operation for operation."""
+        rec = self._rest.get(v)
+        if rec is None:
+            self._check(v)
+            rec = self._rest[v] = [v, 0]
+        if rec[1] < len(self.rows):
+            rec[0] = tuple(eliminate(self.field, self.rows[rec[1]:], self.pivots[rec[1]:],
+                                     rec[0])[1])
+            rec[1] = len(self.rows)
+        return rec[0]
 
-    def contains(self, v) -> bool:
-        self._check(v)
-        return not any(eliminate(self.field, self.rows, self.pivots, v)[1])
+    def contains(self, v: tuple) -> bool:
+        return not any(self.reduce(v))
 
     def coordinates(self, v):
         """Coefficients of v over the basis rows, or None if v is outside the span."""
@@ -473,14 +474,17 @@ class SpanBasis:
             return None
         return tuple(coords)
 
-    def insert(self, v):
-        """Return (basis', inserted): v's remainder, scaled to 1 at its first
-        nonzero entry, appended as the last row. Rank grows by 1 iff inserted."""
-        new = pivot_row(self.field, self.reduce(v))
-        if new is None:
-            return self, False
-        row, piv = new
-        return SpanBasis(self.field, self.n, self.rows + (row,), self.pivots + (piv,)), True
+    def insert(self, v: tuple) -> bool:
+        """Append v's remainder, scaled to 1 at its first nonzero entry, as
+        the last row; False (and no row) when v lies in the span."""
+        rest = self.reduce(v)
+        piv = next((j for j, c in enumerate(rest) if c), None)
+        if piv is None:
+            return False
+        inv = self.field.inv(rest[piv])
+        self.rows += (tuple(self.field.mul(inv, c) for c in rest),)
+        self.pivots += (piv,)
+        return True
 
     def __repr__(self):
         return f"SpanBasis(n={self.n}, rank={self.rank})"
@@ -500,7 +504,6 @@ def spans_orthogonal(bases: list[SpanBasis]) -> bool:
         if b.field != field or b.n != n:
             raise ValueError("orthogonality check needs a common field and dimension")
         for row in b.rows:
-            acc, inserted = acc.insert(row)
-            if not inserted:
+            if not acc.insert(row):
                 return False
     return True

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field as dataclass_field
 
-from .algebra import eliminate, pivot_row
+from .algebra import SpanBasis
 from .circuit import (
     Circuit,
     ZeroOracle,
@@ -121,35 +121,7 @@ def chain_length_bound(k: int, d: int) -> float:
     return math.comb(k, 2) * (math.log2(d) + 3) + (k - 1)
 
 
-class _RunningSpan:
-    """The rows of S u I, empty at the start of a chain and appended to over
-    all of it (a round's rows are the next round's S), and one running
-    remainder per distinct form. A remainder is extended only by the rows
-    appended since it was last read: eliminate clears rows in order and each
-    is zero at the earlier pivots, so that is the full elimination,
-    operation for operation."""
-
-    def __init__(self, field):
-        self.field, self.rows, self.pivots = field, [], []
-        self.rest: dict = {}  # coefficient vector -> [remainder, rows read]
-
-    def contains(self, f: LinearForm) -> bool:
-        rec = self.rest.setdefault(f.coeffs, [f.coeffs, 0])
-        if rec[1] < len(self.rows):
-            rec[0] = eliminate(self.field, self.rows[rec[1]:], self.pivots[rec[1]:], rec[0])[1]
-            rec[1] = len(self.rows)
-        return not any(rec[0])
-
-    def append(self, f: LinearForm) -> None:
-        """Append the row SpanBasis.insert builds for f, which lies outside
-        the span (pivot_row of its remainder)."""
-        self.contains(f)  # brings f's remainder up to date
-        row, piv = pivot_row(self.field, self.rest[f.coeffs][0])
-        self.rows.append(row)
-        self.pivots.append(piv)
-
-
-def single_round(circuit: Circuit, su_span: _RunningSpan,
+def single_round(circuit: Circuit, su_span: SpanBasis,
                  oracle: ZeroOracle) -> tuple[FormIdeal, MatchingData]:
     """Run one round of the iterative procedure against the partial basis S.
 
@@ -199,7 +171,7 @@ def single_round(circuit: Circuit, su_span: _RunningSpan,
         for q in survivors:
             for pos in remaining[q]:
                 f = circuit.terms[q].forms[pos]
-                if not su_span.contains(f):
+                if not su_span.contains(f.coeffs):
                     return f
         return None
 
@@ -208,7 +180,7 @@ def single_round(circuit: Circuit, su_span: _RunningSpan,
         raise ValueError("every form already lies in sp(S); nothing to do")
     while ell is not None:
         gens.append(ell)
-        su_span.append(ell)
+        su_span.insert(ell.coeffs)
         ideal = FormIdeal(field, n, gens)
 
         keys, recs = {}, {}  # recs: (term, position) -> reduction mod this ideal
@@ -252,7 +224,7 @@ def single_round(circuit: Circuit, su_span: _RunningSpan,
     for t, (q, pos) in enumerate(v_slots):
         if reduction(q, pos).key is None:
             v0.append(len(keep))
-        elif not su_span.contains(circuit.terms[q].forms[pos]):
+        elif not su_span.contains(circuit.terms[q].forms[pos].coeffs):
             v1.append(len(keep))
         else:
             continue
@@ -350,10 +322,10 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     if not values.is_minimal():
         raise ValueError("chains require a minimal circuit")
 
-    s_span = _RunningSpan(circuit.field)
+    s_span = SpanBasis(circuit.field, circuit.n)
     links: list[ChainLink] = []
     for f in circuit.all_forms():  # S only grows: a form in S is not tested again
-        while not s_span.contains(f):
+        while not s_span.contains(f.coeffs):
             if len(links) > circuit.n:  # each round grows the span rank by >= 1
                 raise VerificationError("chain failed to terminate")
             ideal, md = single_round(circuit, s_span, oracle)

@@ -537,23 +537,27 @@ def _element_from_json(p: int, e: int, obj):
 
 
 def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
-    """The coefficient vectors in the JSON array vectors (called name in
-    messages), checked against GF(p^e) and n. Prime-field vectors of ints in
-    [0, p) all pass in one pass over the whole array (type() is not
+    """The nonzero coefficient vectors in the JSON array vectors (called name
+    in messages), checked against GF(p^e) and n. Prime-field vectors of ints
+    in [0, p) all pass in one pass over the whole array (type() is not
     isinstance(): bools fail it); anything else goes element by element,
     which names the first bad one."""
     if type(vectors) is not list or set(map(type, vectors)) - {list}:
         raise ValueError(f"{name} must be an array of arrays")
     flat = itertools.chain.from_iterable
+    out = None
     if e == 1 and set(map(len, vectors)) <= {n} and set(map(type, flat(vectors))) <= {int}:
         values = set(flat(vectors)) or {0}  # ints only, so no bool or float hides in the set
         if min(values) >= 0 and max(values) < p:
-            return list(map(tuple, vectors))
-    out = []
-    for vec in vectors:
-        if len(vec) != n:
-            raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-        out.append(tuple(_element_from_json(p, e, c) for c in vec))
+            out = list(map(tuple, vectors))
+    if out is None:
+        out = []
+        for vec in vectors:
+            if len(vec) != n:
+                raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
+            out.append(tuple(_element_from_json(p, e, c) for c in vec))
+    if not all(map(any, out) if e == 1 else (any(map(any, vec)) for vec in out)):
+        raise ValueError(f"every form of {name} must be nonzero")
     return out
 
 
@@ -584,12 +588,16 @@ def circuit_from_dict(obj: dict) -> Circuit:
     p, e, n = _header_from_json(obj)
     if type(obj["terms"]) is not list:
         raise ValueError('"terms" must be an array')
+    if not obj["terms"]:
+        raise ValueError("a circuit needs at least one term")
     body = []
     for i, tobj in enumerate(obj["terms"]):
         if type(tobj) is not dict or not tobj.keys() >= {"coef", "forms"}:
             raise ValueError(f'terms[{i}] must be an object with "coef" and "forms"')
-        body.append((_element_from_json(p, e, tobj["coef"]),
-                     _vectors_from_json(p, e, n, tobj["forms"], f'terms[{i}]["forms"]')))
+        coef = _element_from_json(p, e, tobj["coef"])
+        if not (coef if e == 1 else any(coef)):
+            raise ValueError(f"terms[{i}] constant must be nonzero")
+        body.append((coef, _vectors_from_json(p, e, n, tobj["forms"], f'terms[{i}]["forms"]')))
     field = field_make(p, e)
     terms = [Term(field, coef, _forms_from_vectors(field, vectors)) for coef, vectors in body]
     return Circuit(field, n, terms)

@@ -265,8 +265,6 @@ def cmd_doubling(args) -> int:
     named = {'"U"': obj["U"], '"V"': obj["V"]}
     named.update((f"ideals[{i}]", g) for i, g in enumerate(obj["ideals"]))
     lists = [_vectors_from_json(p, e, n, vectors, name) for name, vectors in named.items()]
-    if not all(any(vec if e == 1 else map(any, vec)) for vec in lists[0] + lists[1]):
-        raise ValueError("U and V forms must be nonzero")
     field = field_make(p, e)
     u, v, *gens = [tuple(_forms_from_vectors(field, vectors)) for vectors in lists]
     ideals = [FormIdeal(field, n, g) for g in gens]  # a bad generator: exit 2

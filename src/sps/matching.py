@@ -428,8 +428,7 @@ def doubling_check(u, v, ideals) -> DoublingReport:
     prev_u, _ = greens()
     for idx, ideal in enumerate(ideals, start=1):
         for g in ideal.generators:
-            basis, inserted = basis.insert(g.coeffs)
-            if not inserted:
+            if not basis.insert(g.coeffs):
                 i0 = idx
         gu, gv = greens()
         must = idx not in (1, i0)

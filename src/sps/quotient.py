@@ -51,16 +51,14 @@ class FormIdeal:
         self.field = field
         self.n = n
         self.generators = tuple(generators)
-        span = SpanBasis(field, n)
+        self.span = span = SpanBasis(field, n)
         for g in self.generators:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
-            span, inserted = span.insert(g.coeffs)
-            if not inserted:
+            if not span.insert(g.coeffs):
                 raise ValueError("ideal generators must be linearly independent")
-        self.span = span
         self.rows, self.pivots = span.rows, span.pivots
 
     @property

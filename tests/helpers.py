@@ -115,7 +115,7 @@ def random_ideal(rng, field, n, r):
     gens = []
     while len(gens) < r:
         g = random_form(rng, field, n, avoid_span=span)
-        span, _ = span.insert(g.coeffs)
+        span.insert(g.coeffs)
         gens.append(g)
     return FormIdeal(field, n, gens)
 
@@ -304,7 +304,8 @@ def linear_factors_reference(circuit, oracle):
 
 def reference_vectors_from_json(p, e, n, vectors, name):
     """The loader's per-element check of a JSON array of vectors: each vector
-    and then each coordinate checked on its own, the first bad one named."""
+    and then each coordinate checked on its own, the first bad one named,
+    then each vector checked to be nonzero."""
     if type(vectors) is not list or not all(type(vec) is list for vec in vectors):
         raise ValueError(f"{name} must be an array of arrays")
     out = []
@@ -312,6 +313,9 @@ def reference_vectors_from_json(p, e, n, vectors, name):
         if len(vec) != n:
             raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
         out.append(tuple(sps.circuit._element_from_json(p, e, c) for c in vec))
+    for vec in out:
+        if all(c == 0 if e == 1 else c == [0] * e for c in vec):
+            raise ValueError(f"every form of {name} must be nonzero")
     return out
 
 
@@ -321,7 +325,7 @@ def reference_from_vectors(field, n, vectors):
     basis = SpanBasis(field, n)
     for v in vectors:
         if basis.rank < n:
-            basis, _ = basis.insert(v)
+            basis.insert(v)
         else:
             basis._check(v)
     return basis
@@ -465,9 +469,7 @@ def random_embedding(rng, field, n_in, n_out):
     rows = []
     while len(rows) < n_in:
         row = tuple(field.element(rng.randrange(field.p)) for _ in range(n_out))
-        span2, ins = span.insert(row)
-        if ins:
-            span = span2
+        if span.insert(row):
             rows.append(row)
     return rows
 
@@ -548,7 +550,7 @@ def doubling_corpus(rng, count):
             gens = []
             for _ in range(size):
                 g = random_form(rng, field, n, avoid_span=span)
-                span, _ = span.insert(g.coeffs)
+                span.insert(g.coeffs)
                 gens.append(g)
             ideals.append(FormIdeal(field, n, gens))
         in_span = [g for i in ideals for g in i.generators]

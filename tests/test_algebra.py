@@ -121,15 +121,12 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
 def test_span_insert_basics():
     F2 = field_make(2)
     b = SpanBasis(F2, 3)
-    b, ins = b.insert((1, 0, 1))
-    assert ins and b.rank == 1
-    b2, ins = b.insert((1, 0, 1))
-    assert not ins and b2 is b
+    assert b.insert((1, 0, 1)) and b.rank == 1
+    assert not b.insert((1, 0, 1)) and b.rank == 1
 
     F5 = field_make(5)
     b = SpanBasis.from_vectors(F5, 3, [(1, 0, 0), (0, 1, 0)])
-    _, ins = b.insert((2, 3, 0))
-    assert not ins
+    assert not b.insert((2, 3, 0))
 
 
 def test_from_vectors_stops_eliminating_at_full_rank():
@@ -139,7 +136,7 @@ def test_from_vectors_stops_eliminating_at_full_rank():
         vecs = [tuple(F.rand_element(rng) for _ in range(4)) for _ in range(30)]
         plain = SpanBasis(F, 4)
         for v in vecs:
-            plain, _ = plain.insert(v)
+            plain.insert(v)
         fast = SpanBasis.from_vectors(F, 4, vecs)
         assert fast.rank == 4
         assert (fast.rows, fast.pivots) == (plain.rows, plain.pivots)
@@ -196,16 +193,46 @@ def test_span_insert_appends_one_row():
         b = SpanBasis(F, 5)
         for _ in range(8):
             v = tuple(F.rand_element(rng) for _ in range(5))
-            b2, ins = b.insert(v)
-            assert b2.rows[:b.rank] == b.rows and b2.pivots[:b.rank] == b.pivots
-            assert b2.rank == b.rank + ins and b2.contains(v)
-            b = b2
+            rows, pivots = b.rows, b.pivots
+            ins = b.insert(v)
+            assert b.rows[:len(rows)] == rows and b.pivots[:len(rows)] == pivots
+            assert b.rank == len(rows) + ins and b.contains(v)
         for i, (row, piv) in enumerate(zip(b.rows, b.pivots)):
             assert not any(row[:piv]) and row[piv] == 1
             assert not any(row[q] for q in b.pivots[:i])
     b = SpanBasis.from_vectors(field_make(5), 3, [(1, 2, 0), (0, 0, 1)])
-    assert b.insert((0, 3, 0))[0].rows == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
     assert not same_span(b, SpanBasis.from_vectors(field_make(5), 3, [(1, 0, 0), (0, 0, 1)]))
+    assert b.insert((0, 3, 0)) and b.rows == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2)])
+def test_running_remainders_answer_as_a_basis_built_from_scratch(p, e):
+    # one basis answers insert, contains and reduce, interleaved and repeated
+    # on the same vectors, from the remainders it keeps; each answer is that
+    # of a basis rebuilt from the vectors inserted so far
+    F = field_make(p, e)
+    rng = random.Random(10 * p + e)
+    n = 6
+    gens = [tuple(F.rand_element(rng) for _ in range(n)) for _ in range(4)]
+    mixes = []
+    for _ in range(4):
+        c, (g, h) = F.rand_element(rng), rng.sample(gens, 2)
+        mixes.append(tuple(F.add(F.mul(c, a), b) for a, b in zip(g, h)))
+    pool = gens + mixes + [(0,) * n]
+    basis, inserted = SpanBasis(F, n), []
+    for _ in range(80):
+        v, op = rng.choice(pool), rng.choice(("insert", "contains", "reduce"))
+        want = reference_from_vectors(F, n, inserted)
+        if op == "insert":
+            assert basis.insert(v) == (not want.contains(v))
+            inserted.append(v)
+            want = reference_from_vectors(F, n, inserted)
+            assert (basis.rows, basis.pivots) == (want.rows, want.pivots)
+        elif op == "contains":
+            assert basis.contains(v) == want.contains(v)
+        else:
+            assert basis.reduce(v) == want.reduce(v)
+    assert 0 < basis.rank < n
 
 
 def test_span_membership_and_coordinates():
@@ -273,7 +300,7 @@ def test_rank_never_exceeds_dimension():
     rng = random.Random(3)
     b = SpanBasis(F2, 4)
     for _ in range(5):
-        b, _ = b.insert(tuple(rng.randrange(2) for _ in range(4)))
+        b.insert(tuple(rng.randrange(2) for _ in range(4)))
     assert b.rank <= 4
 
 

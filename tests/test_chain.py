@@ -17,34 +17,37 @@ from sps import (
     chain_length_bound,
     circuit_rank,
     classify_matching_data,
+    doubling_check,
     field_make,
     gen_family,
     gen_intro_counterexamples,
     gen_joined,
     gen_ks,
+    gen_tight_lists,
     loads_circuit,
     make_circuit,
     similarity_key,
     single_round,
 )
+import sps.algebra
 import sps.chain
 import sps.circuit
 import sps.forms
 import sps.matching
 import sps.quotient
-from sps.chain import MatchingData, _RunningSpan
-from sps.circuit import form_keys
+from sps.chain import MatchingData
+from sps.circuit import form_basis, form_keys
 from helpers import form_sub, load_bench, refuse_oracle_work, trivial_link_simple_part_check
 
 F2 = field_make(2)
 F5 = field_make(5)
 
 
-def running_span(field, vecs):
+def running_span(field, n, vecs):
     """The chain's running span S after appending the given independent vectors."""
-    span = _RunningSpan(field)
+    span = SpanBasis(field, n)
     for vec in vecs:
-        span.append(LinearForm(field, vec))
+        span.insert(vec)
     return span
 
 
@@ -71,7 +74,7 @@ def test_gen_joined_refuses_more_than_16_terms_before_any_work(monkeypatch):
 
 def test_single_round_ks3_from_empty():
     ks = gen_ks(3)
-    ideal, md = single_round(ks, _RunningSpan(F2), ZeroOracle())
+    ideal, md = single_round(ks, SpanBasis(F2, 3), ZeroOracle())
     assert [g.coeffs for g in ideal.generators] == [(1, 0, 0)]
     assert md.q_set == (1, 2)
     assert md.matchings[1].codomain == ks.terms[1].forms
@@ -81,7 +84,7 @@ def test_single_round_ks3_from_empty():
 
 def test_single_round_ks3_final_round():
     ks = gen_ks(3)
-    s = running_span(F2, [(1, 0, 0), (0, 1, 0)])
+    s = running_span(F2, 3, [(1, 0, 0), (0, 1, 0)])
     ideal, md = single_round(ks, s, ZeroOracle())
     assert [g.coeffs for g in ideal.generators] == [(0, 0, 1)]
     assert md.q_set == (0, 2)
@@ -90,7 +93,7 @@ def test_single_round_ks3_final_round():
 
 
 def test_single_round_precondition():
-    full = running_span(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    full = running_span(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="nothing to do"):
         single_round(gen_ks(3), full, ZeroOracle())
 
@@ -166,9 +169,7 @@ def _synthetic_mdata(v_lists, ideal_span_forms, su_extra, field, n):
     the first list, and the keys, so the matchings are stand-ins between
     V = v_lists[0] and each list."""
     ideal_span = span_of(field, n, [f.coeffs for f in ideal_span_forms])
-    su = ideal_span
-    for f in su_extra:
-        su, _ = su.insert(f.coeffs)
+    su = span_of(field, n, [f.coeffs for f in [*ideal_span_forms, *su_extra]])
     v = tuple(v_lists[0])
     return MatchingData(
         q_set=tuple(range(len(v_lists))),
@@ -325,16 +326,14 @@ def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
     for name, chain in pinned_chains.items():
         circuit = chain.circuit
         field, n, k = circuit.field, circuit.n, circuit.k
-        s_span = SpanBasis(field, n)
+        su_span = SpanBasis(field, n)  # S, then S u I once I's rows are in
         for link in chain.links:
             md, gens = link.mdata, [g.coeffs for g in link.ideal.generators]
             assert 1 < len(md.q_set) < k, name
             assert len(gens) <= k - 2, name
             i_span = SpanBasis.from_vectors(field, n, gens)
-            su_span = s_span
             for g in gens:  # I is orthogonal to S
-                su_span, inserted = su_span.insert(g)
-                assert inserted, name
+                assert su_span.insert(g), name
             for q in md.q_set:
                 pi = md.matchings[q]
                 for forms in (pi.domain, pi.codomain):  # V and V_q partition alike
@@ -348,7 +347,6 @@ def test_implied_round_facts_hold_on_pinned_chains(pinned_chains):
                     if p not in taken:  # leftovers lie in sp(S u I) \ sp(I)
                         assert su_span.contains(f.coeffs), name
                         assert not i_span.contains(f.coeffs), name
-            s_span = su_span
 
 
 @pytest.mark.parametrize("field, n, spec, message", [
@@ -368,7 +366,7 @@ def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatc
     if len(spec) == 3:  # k = 3: a two-term residual, decided with no oracle work
         refuse_oracle_work(monkeypatch)
     with pytest.raises(VerificationError, match=message):
-        single_round(make_circuit(field, n, spec), _RunningSpan(field), ZeroOracle())
+        single_round(make_circuit(field, n, spec), SpanBasis(field, n), ZeroOracle())
 
 
 def test_each_round_derives_each_edge_once(monkeypatch):
@@ -429,40 +427,72 @@ def _round_facts(ideal, md):
             {q: (m.domain, m.codomain, m.sigma, m.edges) for q, m in md.matchings.items()})
 
 
-def _refuse_span_contains(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("SpanBasis.contains was called")
+def _count_span_rows(monkeypatch, skip=None):
+    """The number of rows each elimination by a SpanBasis receives, one
+    entry per call; eliminations by the row tuple skip are left out."""
+    counts = []
 
-    monkeypatch.setattr(SpanBasis, "contains", refuse)
+    def counted(field, rows, pivots, v):
+        if rows is not skip:
+            counts.append(len(rows))
+        return eliminate(field, rows, pivots, v)
+
+    eliminate = sps.algebra.eliminate
+    monkeypatch.setattr(sps.algebra, "eliminate", counted)
+    return counts
 
 
 def test_k3_rounds_run_on_remainders_and_factorization_alone(pinned_chains, monkeypatch):
-    # sp(S u I) is read off running remainders, and a k = 3 round's residual
-    # has two terms, decided by factorization: no membership test, no oracle
-    replays = []
-    for name, chain in pinned_chains.items():
-        circuit = chain.circuit
-        if circuit.k == 3:
-            gens = [g.coeffs for link in chain.links for g in link.ideal.generators]
-            starts = [sum(link.ideal.r for link in chain.links[:i])
-                      for i in range(len(chain.links))]
-            replays += [(name, circuit, running_span(circuit.field, gens[:s]), link)
-                        for s, link in zip(starts, chain.links)]
-    assert len({name for name, *_ in replays}) == 10
-    _refuse_span_contains(monkeypatch)
+    # sp(S u I) is read off running remainders, so over a chain's rounds each
+    # distinct form meets each row of S u I at most once, and a k = 3 round's
+    # residual has two terms, decided by factorization: no oracle
+    chains = [(name, chain) for name, chain in pinned_chains.items() if chain.circuit.k == 3]
+    assert len(chains) == 10
+    rows = _count_span_rows(monkeypatch)
     refuse_oracle_work(monkeypatch)
-    for name, circuit, s_span, link in replays:
-        got = single_round(circuit, s_span, ZeroOracle())
-        assert _round_facts(*got) == _round_facts(link.ideal, link.mdata), name
+    for name, chain in chains:
+        circuit = chain.circuit
+        rows.clear()
+        s_span = SpanBasis(circuit.field, circuit.n)  # S, grown by each round in turn
+        for link in chain.links:
+            got = single_round(circuit, s_span, ZeroOracle())
+            assert _round_facts(*got) == _round_facts(link.ideal, link.mdata), name
+        distinct = len({f.coeffs for f in circuit.all_forms()})
+        assert sum(rows) <= distinct * s_span.rank, name
 
 
 def test_build_chain_makes_no_membership_test(monkeypatch):
+    # no membership test from scratch: each distinct form meets each row of
+    # the chain's span at most once. Besides, each iteration's ideal inserts
+    # its j generators into a span of its own (j(j - 1) / 2 rows), and the
+    # exact oracle's coordinates are over the circuit's cached form basis
     for circuit in (gen_ks(6), gen_family(3, 2)):
         want = build_chain(circuit)
         with monkeypatch.context() as patched:
-            _refuse_span_contains(patched)
+            rows = _count_span_rows(patched, skip=form_basis(circuit).rows)
             got = build_chain(circuit)
         assert (got.trace_rounds(), got.summary()) == (want.trace_rounds(), want.summary())
+        distinct = len({f.coeffs for f in circuit.all_forms()})
+        ideals = sum(j * (j - 1) // 2 for link in got.links for j in range(1, link.ideal.r + 1))
+        assert sum(rows) <= distinct * got.rank + ideals
+
+
+def test_handed_out_bases_keep_their_rank():
+    # only the code that builds a basis appends to it: a chain, a doubling
+    # check and the verdicts of check leave a circuit's cached form basis and
+    # every ideal's span at the rank they were built with
+    circuit = gen_family(3, 2)
+    basis = form_basis(circuit)
+    rank = basis.rank
+    chain = build_chain(circuit)
+    t = gen_tight_lists(8, p=5)
+    assert doubling_check(t.u, t.v, list(t.ideals)).verdict == "BOUND_OK"
+    for mode in ("exact", "random"):
+        values = ZeroOracle(mode).term_values(circuit)
+        assert values.is_zero() and values.is_minimal()
+    assert form_basis(circuit) is basis and basis.rank == rank == chain.rank
+    for ideal in [link.ideal for link in chain.links] + list(t.ideals):
+        assert ideal.span.rank == ideal.r and ideal.rows is ideal.span.rows
 
 
 def test_similarity_keys_once_per_distinct_form(monkeypatch):

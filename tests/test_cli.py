@@ -596,13 +596,22 @@ _LENGTH_2 = "extension elements serialize as length-2 arrays"
     (["doubling", "--lists"], '{"p":997,"e":2,"n":1,"U":[[[1,0]]],"V":[[7]],"ideals":[]}',
      _LENGTH_2),
     (["doubling", "--lists"], '{"p":5,"n":2,"U":[[0,0]],"V":[[0,0]],"ideals":[[[1,0]]]}',
-     "U and V forms must be nonzero"),
+     'every form of "U" must be nonzero'),
     (["doubling", "--lists"], '{"p":997,"e":2,"n":1,"U":[[[1,0]]],"V":[[[0,0]]],"ideals":[]}',
-     "U and V forms must be nonzero"),
+     'every form of "V" must be nonzero'),
     (["check"], '{"p":997,"e":-1,"n":1,"terms":[{"coef":[],"forms":[]}]}',
      "extension degree must be >= 1, got -1"),
+    (["check"], '{"p":997,"e":2,"n":2,"terms":[{"coef":[1,0],"forms":[[[0,0],[0,0]]]}]}',
+     'every form of terms[0]["forms"] must be nonzero'),
+    (["check"], '{"p":997,"e":2,"n":1,"terms":[{"coef":[0,0],"forms":[[[1,0]]]}]}',
+     "terms[0] constant must be nonzero"),
+    (["chain"], '{"p":997,"e":2,"n":1,"terms":[]}', "a circuit needs at least one term"),
+    (["doubling", "--lists"],
+     '{"p":997,"e":2,"n":2,"U":[[[1,0],[0,0]]],"V":[[[1,0],[0,0]]],"ideals":[[[[0,0],[0,0]]]]}',
+     "every form of ideals[0] must be nonzero"),
 ], ids=["check", "chain", "doubling", "doubling-zero-form", "doubling-zero-form-ext",
-        "check-e-negative"])
+        "check-e-negative", "check-zero-form", "check-zero-coef", "chain-no-terms",
+        "doubling-zero-generator"])
 def test_loader_checks_the_body_before_building_the_field(argv, text, message, tmp_path,
                                                           capsys, monkeypatch):
     path = tmp_path / "bad.json"

@@ -411,8 +411,7 @@ def test_derived_edges_match_prefix_scan():
             span, gens = SpanBasis(field, n), []
             while len(gens) < r:
                 v = vector(n)
-                span, inserted = span.insert(v)
-                if inserted:
+                if span.insert(tuple(v)):
                     gens.append(LinearForm(field, v))
             ideal_ = FormIdeal(field, n, gens)
 
@@ -490,7 +489,7 @@ def test_doubling_check_never_contradicts_on_valid_input():
         span = SpanBasis(F5, n)
         while len(ideals) < rng.randrange(1, 3) and span.rank < n - 1:
             g = random_form(rng, F5, n, avoid_span=span)
-            span, _ = span.insert(g.coeffs)
+            span.insert(g.coeffs)
             ideals.append(FormIdeal(F5, n, [g]))
         if not ideals:
             continue
@@ -622,9 +621,11 @@ def test_doubling_check_keeps_running_remainders(monkeypatch):
 def test_reduction_records_live_on_no_long_lived_object():
     # a reduction record lives for one call: records kept on ideals raised
     # the benchmark's peak memory by 9 to 15 %, so neither class may grow a
-    # slot (or a __dict__) to hold them
+    # slot (or a __dict__) to hold them, and an ideal's span keeps the running
+    # remainders of its generators alone
     assert FormIdeal.__slots__ == ("field", "n", "generators", "span", "rows", "pivots")
     assert OrderedMatching.__slots__ == ("ideal", "domain", "codomain", "sigma", "edges")
     pi = find_matching((LinearForm(F5, [1, 0]),), (LinearForm(F5, [2, 1]),),
                        ideal(F5, 2, [0, 1]))
     assert not hasattr(pi, "__dict__") and not hasattr(pi.ideal, "__dict__")
+    assert set(pi.ideal.span._rest) == {g.coeffs for g in pi.ideal.generators}

@@ -244,11 +244,11 @@ def test_orthogonal_ideal_zero_promotion():
         n = 5
         i1 = random_ideal(rng, F5, n, 2)
         # build I2 orthogonal to I1
-        span = i1.span
+        span = SpanBasis.from_vectors(F5, n, [g.coeffs for g in i1.generators])
         gens2 = []
         while len(gens2) < 2:
             g = random_form(rng, F5, n, avoid_span=span)
-            span, _ = span.insert(g.coeffs)
+            span.insert(g.coeffs)
             gens2.append(g)
         i2 = FormIdeal(F5, n, gens2)
         base = [

@@ -34,6 +34,16 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_elimination_stays_behind_its_modules():
+    # the echelon kernel is read by name only where a basis is kept: algebra
+    # (SpanBasis), quotient (FormIdeal.reduction needs coordinates) and
+    # matching (doubling_check's sweep over its pending remainders)
+    readers = {path.name for path in SRC.glob("*.py")
+               if any(isinstance(node, ast.Name) and node.id == "eliminate"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert readers == {"algebra.py", "quotient.py", "matching.py"}
+
+
 def test_no_imports_inside_functions():
     # every dependency of a module is stated at its top; an import in a
     # function body hides a cycle or a cost until the function first runs
@@ -104,7 +114,6 @@ def test_no_unreached_public_definitions():
 # reaches, each kept for one caller outside the tests.
 UNREACHED_MEMBERS_ALLOWED = {
     "FormIdeal.reduce_prefix": "bench/spans.py counts it (quotient.reduce_prefix)",
-    "SpanBasis.contains": "bench/spans.py spans it (algebra.span.contains)",
 }
 
 # Public members whose name a public member of another class shares, read in
@@ -183,8 +192,8 @@ def unreached_members(trees):
     """Public methods and properties of the modules' classes that no attribute
     read outside their own bodies reaches. A read on a receiver tied to class
     C reaches C.m alone. A read on any other receiver reaches C.m only when
-    no other class defines a public member named m: x.contains does not
-    show a use of SpanBasis.contains, since _RunningSpan defines contains."""
+    no other class defines a public member named m: x.is_zero does not
+    show a use of ZeroOracle.is_zero, since TermValues defines is_zero."""
     refs = member_references(trees)
     defined = member_definitions(trees)
     shared = shared_member_names(defined)
@@ -218,8 +227,6 @@ OPTIONS_ALLOWED = {
     "OrderedMatching.__init__(_reductions=)": "OrderedMatching.build passes its records",
     "OrderedMatching.build(reductions=)": "find_matching and split_term pass shared records",
     "OrderedMatching.verify(reductions=)": "OrderedMatching.__init__ passes build's records",
-    "SpanBasis.__init__(rows=)": "SpanBasis.insert passes the grown rows",
-    "SpanBasis.__init__(pivots=)": "SpanBasis.insert passes the grown pivots",
     "ZeroOracle.__init__(mode=)": "sps check --exact / --random",
     "ZeroOracle.__init__(trials=)": "sps check --trials",
     "ZeroOracle.__init__(seed=)": "sps check --seed",
