@@ -7,7 +7,9 @@ modulus is the int sum(c_i * p^i), so the prime subfield is [0, p), zero is
 Prime fields compute mod p. Extension fields multiply through antilog/log
 tables of their least primitive element and add by xor (p = 2) or through a
 Zech logarithm table (odd p; Huber, IEEE Trans. IT 36(4), 1990), built once
-per field in O(q) time and at most 16 bytes per element.
+per field in O(q) time and at most 16 bytes per element. Only this module
+reads the tables: ``Field.product`` and ``Field.mul_by_form`` are the batch
+kernels of the random and the exact oracle.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
 Linear algebra has one echelon format, ``SpanBasis``: rows in insertion
 order, appended and never rewritten, reduced by the one kernel ``eliminate``.
@@ -30,6 +32,10 @@ from .errors import BudgetExceededError
 
 IRREDUCIBLE_SEARCH_BUDGET = 1_000_000
 _ZERO_LOG = 1 << 64  # Field.product's log of 0: above (q - 2) * len(xs) for any xs in memory
+# Field.product's list view of the log table costs about 40 bytes per element;
+# it is built only up to this q, which keeps the random oracle's GF(2^13) and
+# GF(2^14) lifts fast and a GF(2^19) file's memory bounded.
+_LOG_VIEW_MAX_ORDER = 1 << 14
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -319,17 +325,56 @@ class Field:
 
     def product(self, xs):
         """The product of the elements xs yields (1 when there are none); in an
-        extension field, g to the sum of their logs in a list view of the log
-        table (no int boxed per read) where 0 has log _ZERO_LOG."""
+        extension field, g to the sum of their logs. Up to q =
+        _LOG_VIEW_MAX_ORDER the logs come from a list view of the log table
+        (no int boxed per read) where 0 has log _ZERO_LOG; above it, from the
+        table itself, stopping at the first 0."""
         if self.e == 1:
             p, acc = self.p, 1
             for x in xs:
                 acc = acc * x % p
             return acc
+        if self.order > _LOG_VIEW_MAX_ORDER:
+            log, s = self._log, 0
+            for x in xs:
+                if not x:
+                    return 0
+                s += log[x]
+            return self._exp[s % (self.order - 1)]
         if self._logs is None:
             self._logs = [_ZERO_LOG, *self._log[1:]]
         s = sum(map(self._logs.__getitem__, xs))
         return self._exp[s % (self.order - 1)] if s < _ZERO_LOG else 0
+
+    def mul_by_form(self, poly: dict, form) -> dict:
+        """poly times a linear form, as a new dict without zero coefficients.
+
+        poly maps monomials to nonzero elements, and form is a sequence of
+        (step, nonzero coefficient) pairs, one per variable of the form, where
+        a monomial times that variable is the int monomial + step. GF(p) sums
+        the int products unreduced and reduces each sum once. GF(p^e) takes
+        one log per monomial of poly, multiplies through the antilog table
+        and adds only where two products meet: by xor when p = 2, else by add.
+        """
+        out: dict = {}
+        get = out.get
+        if self.e == 1:
+            for key, c in poly.items():
+                for step, fc in form:
+                    k = key + step
+                    out[k] = get(k, 0) + c * fc
+            p = self.p
+            return {k: r for k, v in out.items() if (r := v % p)}
+        exp, log = self._exp, self._log
+        form = [(step, log[fc]) for step, fc in form]
+        add = operator.xor if self.p == 2 else self.add
+        for key, c in poly.items():
+            lc = log[c]
+            for step, lf in form:
+                k = key + step
+                prev = get(k)
+                out[k] = exp[lc + lf] if prev is None else add(prev, exp[lc + lf])
+        return {k: v for k, v in out.items() if v}
 
     def dot(self, u, v):
         """The sum of the products u[i] * v[i] of two equally long sequences."""

@@ -127,7 +127,8 @@ def single_round(circuit: Circuit, su_span: SpanBasis,
 
     su_span is the chain's running span, S on entry, which the round extends
     in place to S u I; every sp(S u I) test reads it. The circuit is
-    build_chain's, which checked its preconditions before the first round. Each
+    build_chain's, which checked its preconditions before the first round and
+    starts a round only while some form lies outside sp(S) (asserted). Each
     iteration picks the first remaining form outside sp(S u I) (terms in
     index order, forms in list order), extends I by it, and reduces each
     remaining form of the survivors once mod I: a term survives iff no form
@@ -176,8 +177,7 @@ def single_round(circuit: Circuit, su_span: SpanBasis,
         return None
 
     ell = first_unspanned()
-    if ell is None:
-        raise ValueError("every form already lies in sp(S); nothing to do")
+    assert ell is not None, "build_chain starts a round only for a form outside sp(S)"
     while ell is not None:
         gens.append(ell)
         su_span.insert(ell.coeffs)

@@ -6,8 +6,10 @@ value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
 Over GF(2) a term is expanded as a balanced tree of pairwise products of its
-forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere the
-forms are multiplied into one coefficient dict, one at a time.
+forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere
+Field.mul_by_form multiplies the forms into one coefficient dict, one at a
+time, with no Field call per product: GF(p) sums int products and reduces
+once per form, GF(p^e) multiplies through the field's log tables.
 One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
 The random oracle compiles the circuit's forms once (_EvalPlan): a pass
 evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
@@ -163,7 +165,8 @@ def _expand_terms(circuit: Circuit) -> list:
     Over GF(2) each form starts as its set of monomials and neighbouring sets
     are multiplied pairwise (_gf2_product) until one is left, so cancellation
     mod 2 shrinks the partial products early; a term of degree 0 is {0}. The
-    dict path multiplies the forms into the running polynomial one at a time.
+    dict path multiplies the forms into the running polynomial one at a time
+    (Field.mul_by_form). A form repeated in the circuit is rewritten once.
     """
     field = circuit.field
     basis = form_basis(circuit)
@@ -176,44 +179,31 @@ def _expand_terms(circuit: Circuit) -> list:
                 f"exact expansion bound {bound} exceeds budget {budget}"
             )
 
-    # pack exponent vectors into ints: degree <= d fits in shift-sized fields
+    # pack exponent vectors into ints: degree <= d fits in shift-sized fields,
+    # so a form's variable j multiplies a monomial by adding 1 << (shift * j)
     shift_bits = max(1, circuit.degree.bit_length())
+    steps: dict = {}  # coefficient vector -> its form's (step, coordinate) pairs
     compressed = []
     for t in circuit.terms:
         forms = []
         for f in t.forms:
-            coords = basis.coordinates(f.coeffs)
-            forms.append(
-                tuple((j, coords[j]) for j in range(r) if coords[j])
-            )
+            form = steps.get(f.coeffs)
+            if form is None:
+                coords = basis.coordinates(f.coeffs)
+                form = steps[f.coeffs] = [(1 << (shift_bits * j), coords[j])
+                                          for j in range(r) if coords[j]]
+            forms.append(form)
         compressed.append((t.coef, forms))
 
-    polys = []
     if field.p == 2 and field.e == 1:
+        polys = []
         for _, forms in compressed:
-            sets = [{1 << (shift_bits * j) for j, _c in nz} for nz in forms] or [{0}]
+            sets = [{step for step, _c in form} for form in forms] or [{0}]
             while len(sets) > 1:  # neighbours multiplied, an odd last set carried over
                 sets = [*map(_gf2_product, sets[::2], sets[1::2]), *sets[len(sets) // 2 * 2:]]
             polys.append(sets[0])
         return polys
-
-    add, mul = field.add, field.mul
-    for coef, forms in compressed:
-        cur = {0: coef}
-        for nz in forms:
-            nxt: dict = {}
-            for key, c in cur.items():
-                for j, fc in nz:
-                    kk = key + (1 << (shift_bits * j))
-                    prev = nxt.get(kk)
-                    v = mul(c, fc) if prev is None else add(prev, mul(c, fc))
-                    if not v:
-                        nxt.pop(kk, None)
-                    else:
-                        nxt[kk] = v
-            cur = nxt
-        polys.append(cur)
-    return polys
+    return [reduce(field.mul_by_form, forms, {0: coef}) for coef, forms in compressed]
 
 
 def _gf2_product(a: set, b: set) -> set:
@@ -229,23 +219,27 @@ def _gf2_product(a: set, b: set) -> set:
 
 def _sums_to_zero(field: Field, polys: list, q) -> bool:
     """Whether the polynomials of _expand_terms indexed by q sum to zero;
-    outside GF(2), stops at the first monomial whose coefficients do not cancel."""
+    outside GF(2), stops at the first monomial whose coefficients do not cancel.
+    Each monomial is summed once, from the first polynomial that holds it; the
+    first polynomial needs no set difference, and most subsets stop there."""
     if field.p == 2 and field.e == 1:
         acc: set[int] = set()
         for i in q:
             acc.symmetric_difference_update(polys[i])
         return not acc
     chosen = [polys[i] for i in q]
+    p = field.p if field.e == 1 else None  # GF(p) adds ints and reduces each sum once
+    done: set = set()
     for pos, poly in enumerate(chosen):
-        earlier, later = chosen[:pos], chosen[pos + 1:]
-        for key, total in poly.items():
-            if any(key in other for other in earlier):
-                continue
+        later = chosen[pos + 1:]
+        for key in poly.keys() - done if done else poly:
+            total = poly[key]
             for other in later:
                 if key in other:
-                    total = field.add(total, other[key])
-            if total:
+                    total = total + other[key] if p else field.add(total, other[key])
+            if total % p if p else total:
                 return False
+        done.update(poly)
     return True
 
 

@@ -137,7 +137,7 @@ def normalize(f: LinearForm) -> tuple[LinearForm, object]:
 def similarity_key(f: LinearForm) -> tuple:
     """Canonical coefficient vector of the similarity class of a nonzero form:
     its own when its leading coefficient is already 1."""
-    lead = next((c for c in f.coeffs if c), 0)
+    lead = next(filter(None, f.coeffs), 0)
     return f.coeffs if lead == 1 else normalize(f)[0].coeffs
 
 

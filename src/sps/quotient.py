@@ -73,7 +73,7 @@ class FormIdeal:
         are zero."""
         field = self.field
         a, rest = eliminate(field, self.rows, self.pivots, f.coeffs)
-        lead = next((x for x in rest if x), None)
+        lead = next(filter(None, rest), None)
         if lead is None:
             return Reduction(a, rest, None, None)
         if lead == 1:  # rest is its own key: hold one tuple for both

@@ -78,6 +78,52 @@ def sequential_gf2_expand(circuit):
     return polys
 
 
+def sequential_dict_expand(circuit):
+    """The former expansion kernel outside GF(2): each term's forms multiplied
+    into the running coefficient dict one form at a time, one Field.mul and
+    one Field.add per product, over the coordinates of the circuit's form
+    basis, with exponents packed as _expand_terms packs them."""
+    field = circuit.field
+    basis = form_basis(circuit)
+    shift_bits = max(1, circuit.degree.bit_length())
+    polys = []
+    for t in circuit.terms:
+        cur = {0: t.coef}
+        for f in t.forms:
+            coords = basis.coordinates(f.coeffs)
+            nxt = {}
+            for key, c in cur.items():
+                for j in range(basis.rank):
+                    if coords[j]:
+                        kk = key + (1 << (shift_bits * j))
+                        v = field.add(nxt.get(kk, 0), field.mul(c, coords[j]))
+                        if v:
+                            nxt[kk] = v
+                        else:
+                            nxt.pop(kk, None)
+            cur = nxt
+        polys.append(cur)
+    return polys
+
+
+def sequential_sums_to_zero(field, polys, q):
+    """The former subset test outside GF(2): whether the coefficient dicts
+    indexed by q sum to zero, each monomial summed by Field.add from the
+    first dict that holds it (found by scanning the earlier ones)."""
+    chosen = [polys[i] for i in q]
+    for pos, poly in enumerate(chosen):
+        earlier, later = chosen[:pos], chosen[pos + 1:]
+        for key, total in poly.items():
+            if any(key in other for other in earlier):
+                continue
+            for other in later:
+                if key in other:
+                    total = field.add(total, other[key])
+            if total:
+                return False
+    return True
+
+
 def brute_product(field, n, forms, coef=None):
     """brute_expand of a single term."""
     c = field.one if coef is None else field.element(coef)

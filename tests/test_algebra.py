@@ -1,5 +1,7 @@
 import random
 import time
+import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,29 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
         for a, b in zip(u, v):
             want = F.add(want, F.mul(a, b))
         assert F.dot(u, v) == want
+        poly = {rng.randrange(8): F.rand_element(rng) or 1 for _ in range(length)}
+        form = [(1 << j, F.rand_element(rng) or 1) for j in range(3)]
+        want = {}
+        for key, c in poly.items():
+            for step, fc in form:
+                want[key + step] = F.add(want.get(key + step, 0), F.mul(c, fc))
+        assert F.mul_by_form(poly, form) == {key: c for key, c in want.items() if c}
+
+
+def test_product_above_the_list_view_cap_keeps_memory_bounded():
+    # a product reads GF(2^19)'s logs from its table: a list view of it held
+    # about 20 MB
+    F = Field(2, 19)
+    rng = random.Random(19)
+    xs = [F.rand_element(rng) or 1 for _ in range(64)]
+    tracemalloc.start()
+    try:
+        got, zero = F.product(xs), F.product(iter([*xs, 0, *xs]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert got == reduce(F.mul, xs, 1) and zero == 0 and F.product([]) == 1
 
 
 def test_span_insert_basics():

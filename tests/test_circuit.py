@@ -33,6 +33,7 @@ from sps.circuit import (
     _expand_terms,
     MAX_TRIALS,
     _point_term_values,
+    _sums_to_zero,
     _term_values,
     circuit_from_dict,
     exact_cost_bound,
@@ -48,7 +49,9 @@ from helpers import (
     reference_term_values,
     reference_vectors_from_json,
     refuse_oracle_work,
+    sequential_dict_expand,
     sequential_gf2_expand,
+    sequential_sums_to_zero,
     subset_reference,
 )
 
@@ -184,6 +187,86 @@ def test_gf2_pairwise_expansion_equals_sequential_reference():
             units += sum(sum(f.coeffs) == 1 for f in t.forms)
     # odd and even form counts (an odd set carried over), repeats, single coordinates
     assert degrees == set(range(10)) and repeats >= 100 and units >= 100
+
+
+DICT_FIELDS = [F5, F7, F8, F9, field_make(2**61 - 1)]  # the last sums big ints
+
+
+def _random_dict_circuit(rng, field, n, k, max_degree):
+    """Random circuit with k terms of random degrees in [0, max_degree] and
+    constants from the whole field: each form is, at random, a repeat of an
+    earlier form of the circuit, a multiple of one coordinate, or a vector
+    with entries from the whole field."""
+    seen, terms = [], []
+    for _ in range(k):
+        forms = []
+        for _ in range(rng.randrange(max_degree + 1)):
+            kind = rng.randrange(3)
+            if kind == 0 and seen:
+                f = rng.choice(seen)
+            elif kind == 1:
+                hot = rng.randrange(n)
+                f = LinearForm(field, [random_unit(rng, field) if j == hot else 0
+                                       for j in range(n)])
+            else:
+                f = random_form(rng, field, n, any_element=True)
+            forms.append(f)
+            seen.append(f)
+        terms.append(Term(field, random_unit(rng, field), forms))
+    return Circuit(field, n, terms)
+
+
+@pytest.mark.parametrize("field", DICT_FIELDS, ids=repr)
+def test_dict_expansion_equals_sequential_reference(field):
+    rng = random.Random(f"dict-expand:{field!r}")
+    degrees, repeats = set(), 0
+    for _ in range(60):
+        c = _random_dict_circuit(rng, field, rng.randrange(1, 5), rng.randrange(1, 5), 6)
+        assert _expand_terms(c) == sequential_dict_expand(c)
+        degrees.update(c.degrees)
+        repeats += len(set(c.all_forms())) < len(c.all_forms())
+    assert degrees == set(range(7)) and repeats >= 20
+
+
+def _planted_zero_circuit(rng, field, n):
+    """Six shuffled terms: a random pair identity, the three-term identity
+    c(a + b)P - caP - cbP for random forms a, b and a random product P, and
+    one random term. The pair, the triple and their union sum to zero."""
+    pair = random_pair_identity(rng, field, n, rng.randrange(1, 4)).terms
+    a = random_form(rng, field, n, any_element=True)
+    b = random_form(rng, field, n, any_element=True)
+    while form_add(a, b).is_zero:
+        b = random_form(rng, field, n, any_element=True)
+    prod = [random_form(rng, field, n, any_element=True) for _ in range(rng.randrange(3))]
+    c = random_unit(rng, field)
+    triple = [Term(field, c, [form_add(a, b), *prod]), Term(field, field.neg(c), [a, *prod]),
+              Term(field, field.neg(c), [b, *prod])]
+    other = Term(field, random_unit(rng, field),
+                 [random_form(rng, field, n, any_element=True) for _ in range(rng.randrange(4))])
+    terms = [*pair, *triple, other]
+    rng.shuffle(terms)
+    return Circuit(field, n, terms)
+
+
+@pytest.mark.parametrize("field", DICT_FIELDS, ids=repr)
+def test_subset_sums_equal_sequential_reference(field):
+    rng = random.Random(f"subset-sums:{field!r}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(15):
+        planted = _planted_zero_circuit(rng, field, rng.randrange(1, 5))
+        i = rng.randrange(planted.k)  # a perturbed copy: one constant changed
+        t = planted.terms[i]
+        coef = field.add(t.coef, random_unit(rng, field)) or t.coef
+        perturbed = Circuit(field, planted.n, [*planted.terms[:i], Term(field, coef, t.forms),
+                                                *planted.terms[i + 1:]])
+        for c in (planted, perturbed):
+            polys = _expand_terms(c)
+            for m in range(1, 1 << c.k):
+                q = [j for j in range(c.k) if m >> j & 1]
+                got = _sums_to_zero(field, polys, q)
+                assert got == sequential_sums_to_zero(field, polys, q)
+                verdicts[got] += 1
+    assert verdicts[True] >= 60 and verdicts[False] >= 1000
 
 
 def test_exact_budget_refusal(monkeypatch):

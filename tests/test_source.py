@@ -44,6 +44,16 @@ def test_elimination_stays_behind_its_modules():
     assert readers == {"algebra.py", "quotient.py", "matching.py"}
 
 
+def test_field_tables_stay_behind_their_module():
+    # the log, antilog and Zech tables and product's list view of the log
+    # table are Field's; every other module multiplies and adds through Field
+    tables = {"_exp", "_log", "_zech", "_logs"}
+    readers = {path.name for path in SRC.glob("*.py")
+               if any(isinstance(node, ast.Attribute) and node.attr in tables
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert readers == {"algebra.py"}
+
+
 def test_no_imports_inside_functions():
     # every dependency of a module is stated at its top; an import in a
     # function body hides a cycle or a cost until the function first runs
