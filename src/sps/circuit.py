@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -166,7 +167,7 @@ def _expand_terms(circuit: Circuit) -> list:
     are multiplied pairwise (_gf2_product) until one is left, so cancellation
     mod 2 shrinks the partial products early; a term of degree 0 is {0}. The
     dict path multiplies the forms into the running polynomial one at a time
-    (Field.mul_by_form). A form repeated in the circuit is rewritten once.
+    (Field.mul_by_form).
     """
     field = circuit.field
     basis = form_basis(circuit)
@@ -182,17 +183,12 @@ def _expand_terms(circuit: Circuit) -> list:
     # pack exponent vectors into ints: degree <= d fits in shift-sized fields,
     # so a form's variable j multiplies a monomial by adding 1 << (shift * j)
     shift_bits = max(1, circuit.degree.bit_length())
-    steps: dict = {}  # coefficient vector -> its form's (step, coordinate) pairs
     compressed = []
     for t in circuit.terms:
         forms = []
         for f in t.forms:
-            form = steps.get(f.coeffs)
-            if form is None:
-                coords = basis.coordinates(f.coeffs)
-                form = steps[f.coeffs] = [(1 << (shift_bits * j), coords[j])
-                                          for j in range(r) if coords[j]]
-            forms.append(form)
+            coords = basis.coordinates(f.coeffs)
+            forms.append([(1 << (shift_bits * j), coords[j]) for j in range(r) if coords[j]])
         compressed.append((t.coef, forms))
 
     if field.p == 2 and field.e == 1:
@@ -228,7 +224,9 @@ def _sums_to_zero(field: Field, polys: list, q) -> bool:
             acc.symmetric_difference_update(polys[i])
         return not acc
     chosen = [polys[i] for i in q]
-    p = field.p if field.e == 1 else None  # GF(p) adds ints and reduces each sum once
+    # GF(p) adds ints and reduces each sum once; an element of GF(p^e) is
+    # already below the order p^e, so one test mod the order serves every field
+    add, order = (operator.add if field.e == 1 else field.add), field.order
     done: set = set()
     for pos, poly in enumerate(chosen):
         later = chosen[pos + 1:]
@@ -236,8 +234,8 @@ def _sums_to_zero(field: Field, polys: list, q) -> bool:
             total = poly[key]
             for other in later:
                 if key in other:
-                    total = total + other[key] if p else field.add(total, other[key])
-            if total % p if p else total:
+                    total = add(total, other[key])
+            if total % order:
                 return False
         done.update(poly)
     return True
