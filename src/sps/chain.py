@@ -121,8 +121,7 @@ def chain_length_bound(k: int, d: int) -> float:
     return math.comb(k, 2) * (math.log2(d) + 3) + (k - 1)
 
 
-def single_round(circuit: Circuit, su_span: SpanBasis,
-                 oracle: ZeroOracle) -> tuple[FormIdeal, MatchingData]:
+def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, MatchingData]:
     """Run one round of the iterative procedure against the partial basis S.
 
     su_span is the chain's running span, S on entry, which the round extends
@@ -143,7 +142,7 @@ def single_round(circuit: Circuit, su_span: SpanBasis,
     the same (c, level) as it would under that ideal. A two-term residual is
     decided exactly from its forms' records (quotient.pair_is_zero_mod, by
     unique factorization), with no oracle call; a longer one goes to
-    is_zero_mod and the oracle. Returns the useful ideal and the verified
+    is_zero_mod and ZeroOracle(). Returns the useful ideal and the verified
     matching data, whose q_set is the blocking subset.
 
     Checked here: at least two terms survive each iteration, the fanin-2
@@ -244,7 +243,7 @@ def single_round(circuit: Circuit, su_span: SpanBasis,
         zero = pair_is_zero_mod(field, [(t.coef, [reduction(q, p) for p in rest])
                                         for q, (t, rest) in zip(survivors, residual)])
     else:
-        zero = is_zero_mod(Circuit(field, n, [t for t, _ in residual]), ideal, oracle)
+        zero = is_zero_mod(Circuit(field, n, [t for t, _ in residual]), ideal)
     if not zero:
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
@@ -293,11 +292,12 @@ def build_forest(links, k: int) -> None:
                 tree_of[q] = k + idx  # the new root's id, unused by any leaf
 
 
-def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
+def build_chain(circuit: Circuit) -> Chain:
     """Build a maximal chain for a verified simple, minimal identity and check
     every bound along the way.
 
-    Verifies first (k >= 3, d >= 1, equal degrees; simple, zero, minimal), then
+    Verifies first (k >= 3, d >= 1, equal degrees; simple, then zero and
+    minimal under ZeroOracle(): auto, 20 trials, seed 0), then
     repeats single_round with S growing by each round's ideal until all forms
     of the circuit are spanned. Asserts rank <= (k - 2) * m always, and for
     d >= 2 the chain-length and per-type counts:
@@ -305,7 +305,6 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
     N2 <= C(k,2), N3 <= k - 1, no internal trivial links. Violations raise
     BoundViolationError.
     """
-    oracle = oracle or ZeroOracle()
     k = circuit.k
     d = circuit.degree
     if k < 3:
@@ -316,7 +315,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         raise ValueError("chains need equal term degrees")
     if not is_simple(circuit):
         raise ValueError("chains require a simple circuit")
-    values = oracle.term_values(circuit)
+    values = ZeroOracle().term_values(circuit)
     if not values.is_zero():
         raise ValueError("chains require an identity (zero oracle said no)")
     if not values.is_minimal():
@@ -328,7 +327,7 @@ def build_chain(circuit: Circuit, oracle: ZeroOracle | None = None) -> Chain:
         while not s_span.contains(f.coeffs):
             if len(links) > circuit.n:  # each round grows the span rank by >= 1
                 raise VerificationError("chain failed to terminate")
-            ideal, md = single_round(circuit, s_span, oracle)
+            ideal, md = single_round(circuit, s_span)
             links.append(ChainLink(ideal, md))
 
     build_forest(links, k)

@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import random
 import sys
 from array import array
@@ -34,13 +33,8 @@ from .algebra import Field, SpanBasis, field_make
 from .errors import BudgetExceededError
 from .forms import LinearForm, Term, similarity_key
 
-DEFAULT_EXPANSION_BUDGET = 10_000_000
+EXPANSION_BUDGET = 10_000_000  # read at call time, like ZeroOracle.auto_budget
 MAX_TRIALS = 128  # every evaluation field has |E| > 2d: 128 trials err below 2^-128
-
-
-def _expansion_budget() -> int:
-    env = os.environ.get("SPS_BUDGET")
-    return int(env) if env else DEFAULT_EXPANSION_BUDGET
 
 
 class Circuit:
@@ -153,8 +147,8 @@ def zero_test_exact(circuit: Circuit) -> bool:
     Forms are rewritten in coordinates over an echelon basis of their span, so
     the expansion cost depends on rank(C), not on n. Raises
     BudgetExceededError instead of attempting an oversized expansion; the
-    budget is the summed bound C(d + r - 1, r - 1) per term (default 10^7,
-    overridable only via the SPS_BUDGET environment variable).
+    budget is the summed bound C(d + r - 1, r - 1) per term, capped at
+    EXPANSION_BUDGET (10^7).
     """
     return _sums_to_zero(circuit.field, _expand_terms(circuit), range(circuit.k))
 
@@ -173,11 +167,10 @@ def _expand_terms(circuit: Circuit) -> list:
     basis = form_basis(circuit)
     r = basis.rank
     if r:
-        budget = _expansion_budget()
         bound = exact_cost_bound(circuit)
-        if bound > budget:
+        if bound > EXPANSION_BUDGET:
             raise BudgetExceededError(
-                f"exact expansion bound {bound} exceeds budget {budget}"
+                f"exact expansion bound {bound} exceeds budget {EXPANSION_BUDGET}"
             )
 
     # pack exponent vectors into ints: degree <= d fits in shift-sized fields,
@@ -460,14 +453,15 @@ def is_simple(circuit: Circuit) -> bool:
     return not common
 
 
-def is_minimal(circuit: Circuit, oracle: ZeroOracle | None = None) -> bool:
+def is_minimal(circuit: Circuit) -> bool:
     """True iff no proper nonempty subset of the terms sums to zero.
 
-    All subsets are read off one set of term values under the oracle's one
-    decision for the circuit (ZeroOracle.term_values), random ones in the
-    circuit's evaluation field; k <= 2 needs no work, k > 16 is refused.
+    All subsets are read off one set of term values under ZeroOracle()'s one
+    decision for the circuit (auto, 20 trials, seed 0; random ones in the
+    circuit's evaluation field); k <= 2 needs no work, k > 16 is refused.
+    Another oracle's verdict is oracle.term_values(circuit).is_minimal().
     """
-    return circuit.k < 3 or (oracle or ZeroOracle()).term_values(circuit).is_minimal()
+    return circuit.k < 3 or ZeroOracle().term_values(circuit).is_minimal()
 
 
 # -- persistent format: the one JSON codec for numbers, elements, forms, circuits --

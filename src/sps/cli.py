@@ -376,7 +376,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _note(f"budget exceeded: {exc}")
         return 2
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
+    # JSON errors are ValueErrors; a huge bound --k overflows a float
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -81,15 +81,15 @@ def _shift_forms(term: Term, n_total: int, offset: int) -> Term:
     return Term(field, term.coef, forms)
 
 
-def gen_joined(base_identity: Circuit, block: Circuit,
-               oracle: ZeroOracle | None = None, verify: bool = True) -> Circuit:
+def gen_joined(base_identity: Circuit, block: Circuit, verify: bool = True) -> Circuit:
     """Join a k-term identity with a 3-term block on fresh variables.
 
     With base terms T_1..T_k and block terms S_1, S_2, S_3 (shifted onto
     fresh variables appended after the base's), the result is
     (T_1 + .. + T_{k-1}) * S_1 - T_k * S_2 - T_k * S_3: degree d + d_block,
     fanin k + 1, rank r + r_block. The output's zero / simple / minimal /
-    rank claims are re-verified unless verify=False.
+    rank claims are re-verified, zero and minimal under ZeroOracle(trials=40),
+    unless verify=False.
     """
     field = base_identity.field
     if block.field != field:
@@ -113,7 +113,6 @@ def gen_joined(base_identity: Circuit, block: Circuit,
     out = Circuit(field, n, terms)
 
     if verify:
-        oracle = oracle or ZeroOracle(trials=40)
         expect_rank = circuit_rank(base_identity) + circuit_rank(block)
         if out.k != base_identity.k + 1:
             raise VerificationError("join produced the wrong fanin")
@@ -121,7 +120,7 @@ def gen_joined(base_identity: Circuit, block: Circuit,
             raise VerificationError("join produced the wrong degree")
         if circuit_rank(out) != expect_rank:
             raise VerificationError("join produced the wrong rank")
-        values = oracle.term_values(out)
+        values = ZeroOracle(trials=40).term_values(out)
         if not values.is_zero():
             raise VerificationError("join output failed the zero oracle")
         if not is_simple(out):
@@ -131,8 +130,7 @@ def gen_joined(base_identity: Circuit, block: Circuit,
     return out
 
 
-def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
-               verify: bool = True) -> Circuit:
+def gen_family(r: int, i: int, verify: bool = True) -> Circuit:
     """i-fold join of the parity identity with fresh copies of itself.
 
     Member i has degree (i+1) * 2^(r-2), fanin i + 3 and rank (i+1) * r, so
@@ -145,7 +143,7 @@ def gen_family(r: int, i: int, oracle: ZeroOracle | None = None,
     _check_budget(f"family member ({r}, {i})", (i + 3) * (i + 1) * d)
     member = gen_ks(r)
     for _ in range(i):
-        member = gen_joined(member, gen_ks(r), oracle=oracle, verify=verify)
+        member = gen_joined(member, gen_ks(r), verify=verify)
     if verify:
         rank = circuit_rank(member)
         if (member.k, member.degree, rank) != (i + 3, (i + 1) * d, (i + 1) * r):

@@ -334,7 +334,7 @@ class DoublingReport:
     i0: int
     similar_pairs: int
     rounds: tuple[DoublingRound, ...]
-    reason: str | None = None
+    reason: str | None
 
     def transcript_lines(self) -> list[str]:
         lines = [

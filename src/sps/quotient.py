@@ -47,7 +47,7 @@ class FormIdeal:
 
     __slots__ = ("field", "n", "generators", "span", "rows", "pivots")
 
-    def __init__(self, field: Field, n: int, generators=()):
+    def __init__(self, field: Field, n: int, generators):
         self.field = field
         self.n = n
         self.generators = tuple(generators)
@@ -135,11 +135,11 @@ def reduce_circuit(circuit: Circuit, ideal: FormIdeal):
     return Circuit(field, circuit.n, new_terms)
 
 
-def is_zero_mod(circuit: Circuit, ideal: FormIdeal, oracle: ZeroOracle | None = None) -> bool:
+def is_zero_mod(circuit: Circuit, ideal: FormIdeal) -> bool:
+    """Whether the circuit is zero modulo the ideal, by ZeroOracle() on its
+    reduction."""
     reduced = reduce_circuit(circuit, ideal)
-    if reduced is None:
-        return True
-    return (oracle or ZeroOracle()).is_zero(reduced)
+    return reduced is None or ZeroOracle().is_zero(reduced)
 
 
 def pair_is_zero_mod(field: Field, pair) -> bool:
@@ -159,12 +159,13 @@ def pair_is_zero_mod(field: Field, pair) -> bool:
                          field.mul(c2, field.product([x.lead for x in recs2])))
 
 
-def linear_factors(circuit: Circuit, oracle: ZeroOracle | None = None) -> tuple[LinearForm, ...]:
+def linear_factors(circuit: Circuit) -> tuple[LinearForm, ...]:
     """All normalized forms q with C = 0 modulo (q): the linear factors of the
     computed polynomial, without multiplicity.
 
     Enumerates every normalized candidate over the prime field ((p^n - 1) /
-    (p - 1) of them) and zero-tests the circuit reduced modulo the ideal (q).
+    (p - 1) of them) and zero-tests the circuit reduced modulo the ideal (q)
+    (is_zero_mod, under ZeroOracle()).
     The caller should check the circuit is nonzero first; on an identity the
     enumeration degenerates to every form.
     """
@@ -181,7 +182,7 @@ def linear_factors(circuit: Circuit, oracle: ZeroOracle | None = None) -> tuple[
     for piv in range(n):
         for tail in itertools.product(range(p), repeat=n - piv - 1):
             q = LinearForm(field, (0,) * piv + (1,) + tail)
-            if is_zero_mod(circuit, FormIdeal(field, n, [q]), oracle):
+            if is_zero_mod(circuit, FormIdeal(field, n, [q])):
                 found.append(q)
     return tuple(found)
 

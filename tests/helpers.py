@@ -557,15 +557,15 @@ def verify_gcd_by_expansion(gd):
             )
 
 
-def trivial_link_simple_part_check(chain, i, oracle=None):
+def trivial_link_simple_part_check(chain, i):
     """Diagnostic for the trivial link chain.links[i]: the simple part of the
     blocking subcircuit (gcd taken mod 0) is an identity mod the link's ideal
     and all its forms lie in sp(S u I), where S u I is spanned by the
     generators of links 0..i."""
     circuit, link = chain.circuit, chain.links[i]
     sub = subcircuit(circuit, link.mdata.q_set)
-    sim = gcd_data(sub, FormIdeal(circuit.field, circuit.n)).sim
-    if not is_zero_mod(sim, link.ideal, oracle):
+    sim = gcd_data(sub, FormIdeal(circuit.field, circuit.n, ())).sim
+    if not is_zero_mod(sim, link.ideal):
         return False
     su = SpanBasis.from_vectors(circuit.field, circuit.n, [
         g.coeffs for earlier in chain.links[:i + 1] for g in earlier.ideal.generators])

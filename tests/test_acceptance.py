@@ -74,7 +74,7 @@ def test_criterion_1_ks_identities():
             failures.append(f"r={r}: exact zero test failed")
         if not is_simple(c):
             failures.append(f"r={r}: not simple")
-        if not is_minimal(c, ZeroOracle("exact")):
+        if not ZeroOracle("exact").term_values(c).is_minimal():
             failures.append(f"r={r}: not minimal")
         rank = circuit_rank(c)
         if not (rank == r == int(math.log2(d)) + 2 if d >= 1 else False):
@@ -87,7 +87,7 @@ def test_criterion_1_ks_identities():
             failures.append(f"r={r}: randomized zero test failed")
         if not is_simple(c):
             failures.append(f"r={r}: not simple")
-        if not is_minimal(c, ZeroOracle("random", trials=40, seed=r)):
+        if not ZeroOracle("random", trials=40, seed=r).term_values(c).is_minimal():
             failures.append(f"r={r}: not minimal")
         if circuit_rank(c) != r:
             failures.append(f"r={r}: wrong rank")
@@ -104,7 +104,7 @@ def test_criterion_2_family():
     started = time.monotonic()
     for i in (1, 2, 3, 4):
         oracle = ZeroOracle("random", trials=40, seed=2000 + i)
-        member = gen_family(4, i, oracle=oracle, verify=True)
+        member = gen_family(4, i, verify=True)  # its own checks, under ZeroOracle(trials=40)
         k, d, rank = member.k, member.degree, circuit_rank(member)
         if (k, d, rank) != (i + 3, (i + 1) * 4, (i + 1) * 4):
             failures.append(f"i={i}: parameters ({k},{d},{rank})")
@@ -112,7 +112,10 @@ def test_criterion_2_family():
             failures.append(f"i={i}: zero test failed")
         if not is_simple(member):
             failures.append(f"i={i}: not simple")
-        if not is_minimal(member, oracle):
+        values = oracle.term_values(member)
+        if not values.is_zero():
+            failures.append(f"i={i}: zero test failed under seed {2000 + i}")
+        if not values.is_minimal():
             failures.append(f"i={i}: not minimal")
         if i >= 3 and not rank > (k / 3) * math.log2(d):
             failures.append(f"i={i}: rank {rank} <= (k/3) log2 d")
@@ -129,15 +132,17 @@ def test_criterion_3_chain_bounds():
     started = time.monotonic()
     instances = [("ks", r, gen_ks(r)) for r in range(2, 11)]
     instances += [
-        ("family", i, gen_family(4, i, oracle=ZeroOracle(trials=20, seed=300 + i),
-                                 verify=False))
+        ("family", i, gen_family(4, i, verify=False))
         for i in (1, 2, 3, 4)
     ]
     for kind, param, c in instances:
         label = f"{kind}({param})"
         k, d = c.k, c.degree
+        values = ZeroOracle(trials=40, seed=3000 + d).term_values(c)
+        if not (values.is_zero() and values.is_minimal()):
+            failures.append(f"{label}: not a minimal identity under seed {3000 + d}")
         try:
-            chain = build_chain(c, ZeroOracle(trials=40, seed=3000 + d))
+            chain = build_chain(c)  # checks both again, under ZeroOracle()
         except Exception as exc:  # bound violations must fail the suite
             failures.append(f"{label}: build_chain raised {exc!r}")
             continue
@@ -271,7 +276,7 @@ def test_criterion_6_gcd_sim():
     for t in range(100):
         n = rng.randrange(2, 4)
         c = random_circuit(rng, F5, n, rng.randrange(2, 4), rng.randrange(1, 4))
-        sim = gcd_data(c, FormIdeal(F5, n)).sim
+        sim = gcd_data(c, FormIdeal(F5, n, ())).sim
         sim_keys = {similarity_key(f) for tt in sim.terms for f in tt.forms}
         for piv in range(n):
             for tail in itertools.product(range(5), repeat=n - piv - 1):
@@ -288,7 +293,7 @@ def test_criterion_6_gcd_sim():
     for t in range(100):
         n = rng.randrange(2, 5)
         c = random_circuit(rng, F5, n, 4, rng.randrange(1, 4))
-        z = FormIdeal(F5, n)
+        z = FormIdeal(F5, n, ())
 
         def sim_forms(q):
             return [
@@ -408,11 +413,14 @@ def test_criterion_9_linear_factors():
     rng = random.Random(90_000)
     cases = _drop_one_term_cases(rng)
     for index, (c, want) in enumerate(cases):
-        if not (is_simple(c) and is_minimal(c, ZeroOracle("exact"))
+        if not (is_simple(c) and ZeroOracle("exact").term_values(c).is_minimal()
                 and not zero_test_exact(c)):
             failures.append(f"#{index}: constructed case not simple/minimal/nonzero")
             continue
-        got_forms = linear_factors(c, oracle=ZeroOracle("exact"))
+        if not ZeroOracle().answers_exactly(c):  # so every reduction mod (q) is exact too
+            failures.append(f"#{index}: linear_factors would not answer exactly")
+            continue
+        got_forms = linear_factors(c)
         got = {f.coeffs for f in got_forms}
         if got != want:
             failures.append(f"#{index}: factor set mismatch")

@@ -270,19 +270,22 @@ def test_subset_sums_equal_sequential_reference(field):
 
 
 def test_exact_budget_refusal(monkeypatch):
-    monkeypatch.setenv("SPS_BUDGET", "1000")
+    monkeypatch.setattr(sps.circuit, "EXPANSION_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
         zero_test_exact(gen_ks(8))
-    monkeypatch.delenv("SPS_BUDGET")  # the default 10^7 refuses ks8's 3,989,672,115 too
+    monkeypatch.undo()  # the constant 10^7 refuses ks8's 3,989,672,115 too
     with pytest.raises(BudgetExceededError, match="budget 10000000"):
         zero_test_exact(gen_ks(8))
 
 
-def test_budget_env_override(monkeypatch):
+def test_budget_ignores_the_environment(monkeypatch):
+    # the budget is read from the module constant at call time; SPS_BUDGET,
+    # once an override, changes nothing
     monkeypatch.setenv("SPS_BUDGET", "1")
-    with pytest.raises(BudgetExceededError):
+    assert zero_test_exact(gen_ks(4))
+    monkeypatch.setattr(sps.circuit, "EXPANSION_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="budget 1$"):
         zero_test_exact(gen_ks(4))
-    monkeypatch.delenv("SPS_BUDGET")
 
 
 def test_zero_test_random_soundness_and_agreement():
@@ -524,14 +527,14 @@ def test_is_minimal_matches_subset_reference(monkeypatch):
         for c in cases:
             want = _minimal_by_reference(c)
             assert exact_cost_bound(c) <= auto.auto_budget
-            assert is_minimal(c, exact) == want
-            assert is_minimal(c, auto) == want
-            assert is_minimal(c, rand) == want
+            assert exact.term_values(c).is_minimal() == want
+            assert is_minimal(c) == auto.term_values(c).is_minimal() == want
+            assert rand.term_values(c).is_minimal() == want
             verdicts.add(want)
         assert verdicts == {True, False}, field
-    monkeypatch.setenv("SPS_BUDGET", "10")
+    monkeypatch.setattr(sps.circuit, "EXPANSION_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        is_minimal(gen_ks(5), exact)
+        exact.term_values(gen_ks(5)).is_minimal()
 
 
 def _mixed_degrees(rng, field, n, k, size):
@@ -563,7 +566,7 @@ def test_random_minimality_matches_subset_reference(monkeypatch):
         for oracle in (ZeroOracle("random", trials=20, seed=i),
                        ZeroOracle("auto", trials=20, seed=i)):
             want = subset_reference(c, oracle)
-            assert is_minimal(c, oracle) == want, (i, field, c.degrees)
+            assert oracle.term_values(c).is_minimal() == want, (i, field, c.degrees)
             verdicts.add(want)
     assert verdicts == {True, False}
     assert own_field >= 3

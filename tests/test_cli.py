@@ -53,6 +53,12 @@ def test_bound_refuses_k_below_3_and_d_below_1_at_parse_time(option, values, low
         assert f"argument {option}: {option[2:]} must be >= {low}, got {value}" in err
 
 
+def test_bound_on_a_huge_k_exits_2_without_a_traceback(capsys):
+    # C(k, 2) of a 201-digit k does not fit a float: an error line, not a crash
+    code, out, err = run_cli(["bound", "--k", "1" + "0" * 200, "--d", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: int too large to convert to float\n")
+
+
 def test_gen_and_check_pipe(tmp_path, capsys):
     path = tmp_path / "ks3.json"
     code, _, _ = run_cli(["gen", "ks", "--r", "3", "-o", str(path)], capsys)
@@ -238,7 +244,7 @@ def test_bound_violation_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ks3.json"
     run_cli(["gen", "ks", "--r", "3", "-o", str(path)], capsys)
 
-    def boom(circuit, oracle=None):
+    def boom(circuit):
         raise BoundViolationError("synthetic violation")
 
     monkeypatch.setattr(cli, "build_chain", boom)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -231,24 +232,17 @@ def test_no_unreached_public_members():
 # Every parameter with a default in the public callables of sps.__all__, each
 # with one caller outside the tests that sets it.
 OPTIONS_ALLOWED = {
-    "DoublingReport.__init__(reason=)": "doubling_check states why a verdict is CONTRADICTION",
     "Field.__init__(e=)": "field_make passes a file header's e",
-    "FormIdeal.__init__(generators=)": "sps match --ideal; build_chain's ideals",
     "OrderedMatching.__init__(_reductions=)": "OrderedMatching.build passes its records",
     "OrderedMatching.build(reductions=)": "find_matching and split_term pass shared records",
     "OrderedMatching.verify(reductions=)": "OrderedMatching.__init__ passes build's records",
     "ZeroOracle.__init__(mode=)": "sps check --exact / --random",
     "ZeroOracle.__init__(trials=)": "sps check --trials",
     "ZeroOracle.__init__(seed=)": "sps check --seed",
-    "build_chain(oracle=)": "tests substitute an oracle",
-    "gen_family(oracle=)": "tests substitute an oracle",
     "gen_family(verify=)": "bench/instances.py builds members with verify=False",
     "gen_intro_counterexamples(p=)": "bench/instances.py passes large primes",
-    "gen_joined(oracle=)": "gen_family passes its oracle",
     "gen_joined(verify=)": "gen_family and bench/instances.py pass verify=False",
     "gen_tight_lists(p=)": "sps gen tight --p",
-    "is_minimal(oracle=)": "tests substitute an oracle",
-    "linear_factors(oracle=)": "tests substitute an oracle",
 }
 
 
@@ -271,6 +265,22 @@ def test_every_option_names_its_caller():
                      for param in inspect.signature(func).parameters.values()
                      if param.default is not param.empty)
     assert options == sorted(OPTIONS_ALLOWED)
+    # a caller outside the tests: an option only tests set is not one
+    assert [o for o, why in OPTIONS_ALLOWED.items() if re.search(r"\btests?\b", why)] == []
     assert [o for o in options if o.startswith("ZeroOracle.")] == [
         "ZeroOracle.__init__(mode=)", "ZeroOracle.__init__(seed=)", "ZeroOracle.__init__(trials=)"]
     assert [o for o in options if o.startswith("zero_test_random(")] == []
+
+
+def test_no_environment_reads():
+    # behaviour is set by arguments and constants; an environment knob would
+    # change verdicts or refusals with nothing on the command line to show it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and {a.name for a in node.names} & {"environ", "getenv"}]
+    assert found == []
