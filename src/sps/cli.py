@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import re
 import sys
 import time
@@ -285,8 +286,13 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    m_bound = chain_length_bound(args.k, args.d)
-    rank_bound = (args.k - 2) * m_bound
+    try:
+        m_bound = chain_length_bound(args.k, args.d)
+        rank_bound = (args.k - 2) * m_bound
+    except OverflowError:
+        rank_bound = math.inf
+    if not math.isfinite(rank_bound):  # k >= 3, so m_bound <= rank_bound
+        raise ValueError("--k is too large: the bound overflows a float")
     _emit(
         {
             "command": "bound",
@@ -376,8 +382,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _note(f"budget exceeded: {exc}")
         return 2
-    # JSON errors are ValueErrors; a huge bound --k overflows a float
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
         _note(f"error: {exc}")
         return 2
 

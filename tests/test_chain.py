@@ -137,7 +137,7 @@ def test_chain_bounds_ks():
 
 
 def test_chain_family_member():
-    member = gen_family(4, 1, verify=False)
+    member = gen_family(4, 1)
     values = ZeroOracle(trials=20, seed=5).term_values(member)
     assert values.is_zero() and values.is_minimal()
     chain = build_chain(member)

@@ -53,10 +53,12 @@ def test_bound_refuses_k_below_3_and_d_below_1_at_parse_time(option, values, low
         assert f"argument {option}: {option[2:]} must be >= {low}, got {value}" in err
 
 
-def test_bound_on_a_huge_k_exits_2_without_a_traceback(capsys):
-    # C(k, 2) of a 201-digit k does not fit a float: an error line, not a crash
-    code, out, err = run_cli(["bound", "--k", "1" + "0" * 200, "--d", "2"], capsys)
-    assert (code, out, err) == (2, "", "error: int too large to convert to float\n")
+@pytest.mark.parametrize("zeros", [110, 160, 200])
+def test_bound_on_a_huge_k_exits_2_without_a_traceback(zeros, capsys):
+    # from 10^103 the rank bound is inf, from 10^154 the chain bound too, and
+    # C(k, 2) of a 201-digit k does not fit a float: an error line each time
+    code, out, err = run_cli(["bound", "--k", "1" + "0" * zeros, "--d", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: --k is too large: the bound overflows a float\n")
 
 
 def test_gen_and_check_pipe(tmp_path, capsys):

@@ -24,9 +24,10 @@ F2 = field_make(2)
 
 
 def checked(circuit, oracle):
-    """The circuit, once its zero and minimal claims hold under the oracle."""
+    """The circuit, once it is simple and its zero and minimal claims hold
+    under the oracle."""
     values = oracle.term_values(circuit)
-    assert values.is_zero() and values.is_minimal()
+    assert is_simple(circuit) and values.is_zero() and values.is_minimal()
     return circuit
 
 
@@ -62,8 +63,7 @@ def test_gen_ks_parameters():
 
 def test_gen_joined_parameters():
     d4 = gen_ks(4)
-    joined = checked(gen_joined(d4, gen_ks(4), verify=False), ZeroOracle(trials=20, seed=3))
-    assert gen_joined(d4, gen_ks(4)) == joined  # verifying changes nothing it returns
+    joined = checked(gen_joined(d4, gen_ks(4)), ZeroOracle(trials=20, seed=3))
     assert (joined.k, joined.degree, joined.n) == (4, 8, 8)
     assert circuit_rank(joined) == 8
     assert is_simple(joined)
@@ -80,18 +80,18 @@ def test_gen_family_members():
     base = gen_family(4, 0)
     assert base == gen_ks(4)
 
-    m3 = checked(gen_family(4, 3, verify=False), oracle)
+    m3 = checked(gen_family(4, 3), oracle)
     assert (m3.k, m3.degree) == (6, 16)
     assert circuit_rank(m3) == 16
     assert circuit_rank(m3) > (m3.k / 3) * math.log2(m3.degree)
 
-    m54 = checked(gen_family(5, 4, verify=False), ZeroOracle(trials=8, seed=4))
+    m54 = checked(gen_family(5, 4), ZeroOracle(trials=8, seed=4))
     assert (m54.k, m54.degree) == (7, 40)
     assert circuit_rank(m54) == 25
 
     # the closed-form relation between rank, fanin and degree
     for r, i in ((4, 2), (5, 1)):
-        m = checked(gen_family(r, i, verify=False), ZeroOracle(trials=8, seed=9))
+        m = checked(gen_family(r, i), ZeroOracle(trials=8, seed=9))
         k, d = m.k, m.degree
         rank = circuit_rank(m)
         assert rank == (i + 1) * r
@@ -147,13 +147,13 @@ def test_intro_counterexamples():
 
 def test_family_member_d4_random_zero_over_small_lift():
     # degree-20 member in 20 variables, evaluated over GF(2^7), the least 2^m > 4d
-    m = checked(gen_family(4, 4, verify=False), ZeroOracle(trials=10, seed=44))
+    m = checked(gen_family(4, 4), ZeroOracle(trials=10, seed=44))
     assert (m.k, m.degree, m.n, circuit_rank(m)) == (7, 20, 20, 20)
     assert ZeroOracle("random", trials=40, seed=4).is_zero(m)
 
 
 def test_family_members_verify_under_randomized_oracle():
-    m = checked(gen_family(4, 2, verify=False), ZeroOracle(trials=20, seed=21))
+    m = checked(gen_family(4, 2), ZeroOracle(trials=20, seed=21))
     assert (m.k, m.degree, circuit_rank(m)) == (5, 12, 12)
     assert ZeroOracle("random", seed=99).is_zero(m)
     assert is_simple(m)
