@@ -3,7 +3,8 @@
 Every field element is an int: in GF(p^e) the residue sum(c_i * x^i) of the
 modulus is the int sum(c_i * p^i), so the prime subfield is [0, p), zero is
 0 and one is 1 in every field, and GF(2^m) elements are bit vectors. Only
-``Field.element`` and ``Field.digits`` pack and unpack the digits c_i.
+``pack_digits`` (which ``Field.element`` and the loader call) and
+``Field.digits`` pack and unpack the digits c_i.
 Prime fields compute mod p. Extension fields multiply through antilog/log
 tables of their least primitive element and add by xor (p = 2) or through a
 Zech logarithm table (odd p; Huber, IEEE Trans. IT 36(4), 1990), built once
@@ -257,7 +258,7 @@ class Field:
         c = [int(v) % self.p for v in x]
         if len(c) != self.e:
             raise ValueError(f"extension element needs {self.e} coefficients, got {len(c)}")
-        return sum(ci * self.p**i for i, ci in enumerate(c))
+        return pack_digits(self.p, c)
 
     def digits(self, a) -> tuple:
         """The e coefficients of element a, constant first; element() packs them."""
@@ -353,8 +354,10 @@ class Field:
         (step, nonzero coefficient) pairs, one per variable of the form, where
         a monomial times that variable is the int monomial + step. GF(p) sums
         the int products unreduced and reduces each sum once. GF(p^e) takes
-        one log per monomial of poly, multiplies through the antilog table
-        and adds only where two products meet: by xor when p = 2, else by add.
+        one log per monomial of poly and multiplies by adding logs. GF(2^e)
+        adds the products by xor where two meet; odd p keeps each sum as its
+        log, adds through the Zech table (-1 marks a sum that cancelled) and
+        maps every sum back through the antilog table once, at the end.
         """
         out: dict = {}
         get = out.get
@@ -367,20 +370,40 @@ class Field:
             return {k: r for k, v in out.items() if (r := v % p)}
         exp, log = self._exp, self._log
         form = [(step, log[fc]) for step, fc in form]
-        add = operator.xor if self.p == 2 else self.add
+        if self.p == 2:
+            for key, c in poly.items():
+                lc = log[c]
+                for step, lf in form:
+                    k = key + step
+                    out[k] = get(k, 0) ^ exp[lc + lf]
+            return {k: v for k, v in out.items() if v}
+        zech, m = self._zech, self.order - 1
         for key, c in poly.items():
             lc = log[c]
             for step, lf in form:
                 k = key + step
-                prev = get(k)
-                out[k] = exp[lc + lf] if prev is None else add(prev, exp[lc + lf])
-        return {k: v for k, v in out.items() if v}
+                prev = get(k, -1)
+                if prev < 0:
+                    out[k] = lc + lf
+                else:  # g^prev + g^l = g^(prev + zech[l - prev])
+                    z = zech[(lc + lf - prev) % m]
+                    out[k] = (prev + z) % m if z >= 0 else -1
+        return {k: exp[v] for k, v in out.items() if v >= 0}
 
     def dot(self, u, v):
         """The sum of the products u[i] * v[i] of two equally long sequences."""
         if self.e == 1:
             return sum(map(operator.mul, u, v)) % self.p
         return reduce(operator.xor if self.p == 2 else self.add, map(self.mul, u, v), 0)
+
+
+def pack_digits(p: int, digits) -> int:
+    """The element sum(c_i * p^i) of GF(p^e) with digits c_i in [0, p),
+    constant first; it needs only p, not a field's tables."""
+    x = 0
+    for c in reversed(digits):
+        x = x * p + c
+    return x
 
 
 @lru_cache(maxsize=None)

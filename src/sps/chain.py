@@ -134,12 +134,13 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     lies in sp(I), and the survivors' class keys give the gcd pairing
     (forms.pair_common) folded into the accumulated V / V_q lists. The round
     stops when the surviving fanin is 2 or when every leftover form lies in
-    sp(S u I). One record per form of V and of each kept V_q slot under the
-    final I (the last iteration's, or one new reduction) places V (trimmed
-    from sp(S u I) \\ sp(I), else kept in sp(I) or outside sp(S u I)) and
-    derives and checks the final matchings' edges. Its first j echelon rows
-    are the rows of iteration j's ideal, so a slot paired at iteration j gets
-    the same (c, level) as it would under that ideal. A two-term residual is
+    sp(S u I). One record per form of V and of each V_q under the final I
+    (the last iteration's, or one new reduction filled in after the loop),
+    held per term by position, places V (trimmed from sp(S u I) \\ sp(I),
+    else kept in sp(I) or outside sp(S u I)) and derives and checks the
+    final matchings' edges. The final I's first j echelon rows are the rows
+    of iteration j's ideal, so a slot paired at iteration j gets the same
+    (c, level) as it would under that ideal. A two-term residual is
     decided exactly from its forms' records (quotient.pair_is_zero_mod, by
     unique factorization), with no oracle call; a longer one goes to
     is_zero_mod and ZeroOracle(). Returns the useful ideal and the verified
@@ -182,19 +183,18 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
         su_span.insert(ell.coeffs)
         ideal = FormIdeal(field, n, gens)
 
-        keys, recs = {}, {}  # recs: (term, position) -> reduction mod this ideal
+        recs = {}  # term -> position -> its reduction mod this ideal
         for q in survivors:
             rq = reductions([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
             if rq is not None:
-                keys[q] = [x.key for x in rq]
-                recs.update(((q, p), x) for p, x in zip(remaining[q], rq))
-        if len(keys) < 2:
+                recs[q] = dict(zip(remaining[q], rq))
+        if len(recs) < 2:
             raise VerificationError(
                 "fewer than two terms survived; the input cannot be an identity"
             )
-        survivors = list(keys)
+        survivors = list(recs)
 
-        positions, sigmas = pair_common(list(keys.values()))
+        positions, sigmas = pair_common([[x.key for x in rq.values()] for rq in recs.values()])
         first = survivors[0]
         v_slots.extend((first, remaining[first][p]) for p in positions[0])
         for q, pos_list, sigma in zip(survivors, positions, sigmas):
@@ -214,14 +214,15 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
             break
         ell = first_unspanned()
 
-    def reduction(q, pos):  # modulo the final ideal, once per form
-        if (q, pos) not in recs:
-            recs[q, pos] = ideal.reduction(circuit.terms[q].forms[pos])
-        return recs[q, pos]
+    # the final ideal's records of the forms paired at earlier iterations
+    for q, pos in [*v_slots, *((q, p) for q in survivors for p in vq_pos[q])]:
+        rq = recs.setdefault(q, {})
+        if pos not in rq:
+            rq[pos] = ideal.reduction(circuit.terms[q].forms[pos])
 
     keep, v0, v1 = [], [], []
     for t, (q, pos) in enumerate(v_slots):
-        if reduction(q, pos).key is None:
+        if recs[q][pos].key is None:
             v0.append(len(keep))
         elif not su_span.contains(circuit.terms[q].forms[pos].coeffs):
             v1.append(len(keep))
@@ -229,19 +230,20 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
             continue
         keep.append(t)
 
-    v_kept = tuple(circuit.terms[q].forms[pos] for q, pos in (v_slots[t] for t in keep))
-    v_recs = [reduction(*v_slots[t]) for t in keep]
+    kept = [v_slots[t] for t in keep]
+    v_kept = tuple(circuit.terms[q].forms[pos] for q, pos in kept)
+    v_recs = [recs[q][pos] for q, pos in kept]
     v_positions = {q: tuple(vq_pos[q][t] for t in keep) for q in survivors}
-    matchings, residual = {}, []  # per survivor: its residual term, the positions of its forms
+    matchings, residual = {}, []  # per survivor: its residual term, its forms' records
     for q in survivors:
+        rq = recs[q]
         matchings[q], term = split_term(
             ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep)),
-            (v_recs, [reduction(q, pos) for pos in v_positions[q]]))
+            (v_recs, [rq[pos] for pos in v_positions[q]]))
         taken = set(v_positions[q])
-        residual.append((term, [p for p in range(circuit.terms[q].degree) if p not in taken]))
+        residual.append((term, [rq[p] for p in range(circuit.terms[q].degree) if p not in taken]))
     if len(residual) == 2:  # exact, from the records of the residual's forms
-        zero = pair_is_zero_mod(field, [(t.coef, [reduction(q, p) for p in rest])
-                                        for q, (t, rest) in zip(survivors, residual)])
+        zero = pair_is_zero_mod(field, [(t.coef, rest) for t, rest in residual])
     else:
         zero = is_zero_mod(Circuit(field, n, [t for t, _ in residual]), ideal)
     if not zero:
@@ -256,12 +258,13 @@ def classify_matching_data(md: MatchingData, keys) -> int:
     outside parts all match but some full V_q pair is dissimilar. Type 3:
     all V_q mutually similar (trivial matching data). keys[q][p] is the
     similarity key of form p of term q (form_keys); lists are compared as
-    multisets of classes."""
+    multisets of classes, as plain dicts: dict equality reads the hashes
+    the dicts hold, where Counter's hashes every key again."""
     vq = [[keys[q][p] for p in md.v_positions[q]] for q in md.q_set]
-    outside = [Counter(k[t] for t in md.v1) for k in vq]
+    outside = [dict(Counter(k[t] for t in md.v1)) for k in vq]
     if any(c != outside[0] for c in outside):
         return 1
-    full = [Counter(k) for k in vq]
+    full = [dict(Counter(k)) for k in vq]
     if any(c != full[0] for c in full):
         return 2
     return 3

@@ -29,7 +29,7 @@ from array import array
 from functools import partial, reduce
 from operator import attrgetter
 
-from .algebra import Field, SpanBasis, field_make
+from .algebra import Field, SpanBasis, field_make, pack_digits
 from .errors import BudgetExceededError
 from .forms import LinearForm, Term, similarity_key
 
@@ -507,8 +507,8 @@ def _header_from_json(obj: dict) -> tuple[int, int, int]:
 
 
 def _element_from_json(p: int, e: int, obj):
-    """A file element checked against GF(p^e): an int for e = 1, else a digit
-    list, which Field.element packs."""
+    """A file element checked against GF(p^e), as the field's int: for e > 1
+    the digit list packed where it is checked."""
     if e == 1:
         if type(obj) is not int:
             raise ValueError("prime-field elements serialize as ints")
@@ -519,7 +519,7 @@ def _element_from_json(p: int, e: int, obj):
         raise ValueError(f"extension elements serialize as length-{e} arrays")
     if not all(type(c) is int and 0 <= c < p for c in obj):
         raise ValueError("extension element coefficients out of range")
-    return obj
+    return pack_digits(p, obj)
 
 
 def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
@@ -542,15 +542,13 @@ def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
             if len(vec) != n:
                 raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
             out.append(tuple(_element_from_json(p, e, c) for c in vec))
-    if not all(map(any, out) if e == 1 else (any(map(any, vec)) for vec in out)):
+    if not all(map(any, out)):
         raise ValueError(f"every form of {name} must be nonzero")
     return out
 
 
 def _forms_from_vectors(field: Field, vectors: list) -> list:
     """The forms over vectors that _vectors_from_json checked against field."""
-    if field.e > 1:
-        vectors = [tuple(map(field.element, vec)) for vec in vectors]
     return list(map(partial(LinearForm._wrap, field), vectors))
 
 
@@ -581,7 +579,7 @@ def circuit_from_dict(obj: dict) -> Circuit:
         if type(tobj) is not dict or not tobj.keys() >= {"coef", "forms"}:
             raise ValueError(f'terms[{i}] must be an object with "coef" and "forms"')
         coef = _element_from_json(p, e, tobj["coef"])
-        if not (coef if e == 1 else any(coef)):
+        if not coef:
             raise ValueError(f"terms[{i}] constant must be nonzero")
         body.append((coef, _vectors_from_json(p, e, n, tobj["forms"], f'terms[{i}]["forms"]')))
     field = field_make(p, e)

@@ -167,7 +167,13 @@ def pair_by_key(keys_u, keys_v):
 def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """The gcd pairing of key lists: common_positions, and per list the
     bijection sigma pairing the first list's common keys with its own, equal
-    keys in list order (sigma[i] indexes that list's common positions)."""
+    keys in list order (sigma[i] indexes that list's common positions).
+
+    Each key is read once, as it is numbered by first appearance; the
+    pairing runs on those small ints, and positions and sigmas depend only
+    on which keys are equal, so they are the keys' own."""
+    ids: dict = {}
+    key_lists = [[ids.setdefault(k, len(ids)) for k in keys] for keys in key_lists]
     positions = common_positions(key_lists)
     u_keys = [key_lists[0][p] for p in positions[0]]
     sigmas = [pair_by_key(u_keys, [keys[p] for p in pos])

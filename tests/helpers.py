@@ -26,6 +26,7 @@ from sps import (
     zero_test_exact,
 )
 from sps.circuit import form_basis
+from sps.forms import common_positions, pair_by_key
 from sps.matching import MatchEdge
 from sps.quotient import is_zero_mod
 
@@ -348,6 +349,33 @@ def linear_factors_reference(circuit, oracle):
     return tuple(found)
 
 
+class CountedKey:
+    """A class key that counts the calls of its own __hash__."""
+
+    __slots__ = ("value", "hashes")
+
+    def __init__(self, value):
+        self.value = value
+        self.hashes = 0
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __hash__(self):
+        self.hashes += 1
+        return hash(self.value)
+
+
+def reference_pair_common(key_lists):
+    """The gcd pairing of forms.pair_common run on the keys themselves, not
+    on their numbers: the reference its output must equal."""
+    positions = common_positions(key_lists)
+    u_keys = [key_lists[0][p] for p in positions[0]]
+    sigmas = [pair_by_key(u_keys, [keys[p] for p in pos])
+              for keys, pos in zip(key_lists, positions)]
+    return positions, sigmas
+
+
 def reference_vectors_from_json(p, e, n, vectors, name):
     """The loader's per-element check of a JSON array of vectors: each vector
     and then each coordinate checked on its own, the first bad one named,
@@ -360,7 +388,7 @@ def reference_vectors_from_json(p, e, n, vectors, name):
             raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
         out.append(tuple(sps.circuit._element_from_json(p, e, c) for c in vec))
     for vec in out:
-        if all(c == 0 if e == 1 else c == [0] * e for c in vec):
+        if all(c == 0 for c in vec):
             raise ValueError(f"every form of {name} must be nonzero")
     return out
 

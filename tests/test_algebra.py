@@ -127,6 +127,36 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
         assert F.mul_by_form(poly, form) == {key: c for key, c in want.items() if c}
 
 
+def _mul_by_form_by_add_and_mul(F, poly, form):
+    want = {}
+    for key, c in poly.items():
+        for step, fc in form:
+            want[key + step] = F.add(want.get(key + step, 0), F.mul(c, fc))
+    return {key: c for key, c in want.items() if c}
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2)])
+def test_mul_by_form_zech_sums_match_add_and_mul(p, e):
+    F = field_make(p, e)
+    rng = random.Random(26)
+    cancelled = 0
+    for _ in range(400):
+        poly = {rng.randrange(6): F.rand_element(rng) or 1 for _ in range(rng.randint(1, 6))}
+        steps = rng.sample(range(4), rng.randint(1, 4))
+        form = [(step, F.rand_element(rng) or 1) for step in steps]
+        want = _mul_by_form_by_add_and_mul(F, poly, form)
+        assert F.mul_by_form(poly, form) == want
+        cancelled += len({key + step for key in poly for step, _ in form} - want.keys())
+    assert cancelled > 10  # some sums cancel to 0, and are dropped
+    for a in range(1, F.order):
+        for c in range(1, F.order):
+            # monomial 2 sums a, then -a (cancelled), then c; monomial 3 sums -a and c
+            poly, form = {0: a, 1: F.neg(a), 2: c}, [(2, 1), (1, 1), (0, 1)]
+            got = F.mul_by_form(poly, form)
+            assert got == _mul_by_form_by_add_and_mul(F, poly, form)
+            assert 1 not in got and got[2] == c and got.get(3, 0) == F.sub(c, a)
+
+
 def test_product_above_the_list_view_cap_keeps_memory_bounded():
     # a product reads GF(2^19)'s logs from its table: a list view of it held
     # about 20 MB

@@ -37,7 +37,13 @@ import sps.matching
 import sps.quotient
 from sps.chain import MatchingData
 from sps.circuit import form_basis, form_keys
-from helpers import form_sub, load_bench, refuse_oracle_work, trivial_link_simple_part_check
+from helpers import (
+    CountedKey,
+    form_sub,
+    load_bench,
+    refuse_oracle_work,
+    trivial_link_simple_part_check,
+)
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -209,6 +215,16 @@ def test_classifier_types():
     for v_lists, ideal_forms, mtype in cases:
         md = _synthetic_mdata(v_lists, ideal_forms, [], F5, 3)
         assert md.mtype == classify_matching_data(md, synthetic_keys(v_lists)) == mtype
+
+
+def test_classifier_hashes_each_key_once_per_multiset():
+    x1, x2, x3 = (LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0]), LinearForm(F5, [0, 0, 1]))
+    for v_lists, mtype in [([[x2, x3, x2]] * 3, 3), ([[x2, x3], [x3, x2], [x3, x3]], 1)]:
+        md = _synthetic_mdata(v_lists, [x1], [], F5, 3)
+        counted = [[CountedKey(k) for k in keys] for keys in synthetic_keys(v_lists)]
+        assert classify_matching_data(md, counted) == mtype
+        # every slot is outside sp(S u I), so a key sits in both multisets of its list
+        assert max(k.hashes for keys in counted for k in keys) <= (2 if mtype == 3 else 1)
 
 
 def test_forest_processing():

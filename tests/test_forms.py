@@ -13,7 +13,8 @@ from sps import (
     similar,
     similarity_key,
 )
-from helpers import brute_product, random_form, random_ideal
+from sps.forms import pair_common
+from helpers import CountedKey, brute_product, random_form, random_ideal, reference_pair_common
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -156,3 +157,30 @@ def test_messages_print_extension_coefficients_as_digit_tuples():
     assert repr(Term(F9, (2, 1), [f, g])) == "(2, 1)*(x1 + (0, 1)*x2)*((2, 1)*x2)"
     assert repr(FormIdeal(F9, 2, [f])) == "FormIdeal(['x1 + (0, 1)*x2'])"
     assert str(LinearForm(F5, [0, 3])) == "3*x2"
+
+
+def _key_lists(rng):
+    """1-5 lists of 0-12 class keys from a small alphabet, so keys repeat
+    within and across lists; every key is a fresh tuple object, so equal
+    keys are never the same object."""
+    alphabet = [(1, rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(1, 6))]
+    return [[tuple(list(rng.choice(alphabet))) for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(1, 5))]
+
+
+def test_pair_common_matches_the_pairing_on_the_keys_themselves():
+    rng = random.Random(28)
+    for _ in range(500):
+        key_lists = _key_lists(rng)
+        assert pair_common(key_lists) == reference_pair_common(key_lists)
+    assert pair_common([[]]) == ([[]], [()])
+    assert pair_common([[(1,)], []]) == reference_pair_common([[(1,)], []]) == ([[], []], [(), ()])
+
+
+def test_pair_common_hashes_each_key_at_most_once():
+    rng = random.Random(29)
+    for _ in range(100):
+        key_lists = _key_lists(rng)
+        counted = [[CountedKey(k) for k in keys] for keys in key_lists]
+        assert pair_common(counted) == reference_pair_common(key_lists)
+        assert max((k.hashes for keys in counted for k in keys), default=0) <= 1
