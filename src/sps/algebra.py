@@ -13,7 +13,9 @@ reads the tables: ``Field.product`` and ``Field.mul_by_form`` are the batch
 kernels of the random and the exact oracle.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
 Linear algebra has one echelon format, ``SpanBasis``: rows in insertion
-order, appended and never rewritten, reduced by the one kernel ``eliminate``.
+order, appended and never rewritten, each kept dense and as a sparse row
+(pivot, nonzero entries after it). The one kernel ``eliminate`` reduces a
+batch of vectors by the sparse rows, visiting only their nonzero entries.
 ``SpanBasis.from_vectors`` tests each vector for membership by one
 ``Field.dot`` per free (non-pivot) coordinate against that column of the
 reduced row-echelon form, so only vectors that insert are eliminated.
@@ -428,25 +430,31 @@ def gf2_mulmod(a: int, b: int, mod: int, deg: int) -> int:
 
 # -- echelon span bases --
 
-def eliminate(field: Field, rows, pivots, v):
-    """Clear each row's pivot from v, in row order: (multipliers, remainder).
+def eliminate(field: Field, rows, vectors):
+    """Clear each row's pivot from each vector, in row order, yielding one
+    (multipliers, remainder) pair of lists per vector as it is read.
 
-    Each row must be zero before its pivot, 1 at it, and zero at the pivots
-    of the rows before it. Then v = sum(multipliers[i] * rows[i]) + remainder
-    and the remainder is zero at every pivot, which makes it the unique such
-    representative of v modulo the rows' span. Both results are lists.
+    rows are sparse echelon rows (pivot, ((column, entry), ...)): the row is
+    1 at its pivot, the pairs are its nonzero entries after the pivot, and
+    it is zero before the pivot and at the pivots of the rows before it.
+    Then v = sum(multipliers[i] * row i) + remainder and the remainder is
+    zero at every pivot, which makes it the unique such representative of v
+    modulo the rows' span. Only the rows' nonzero entries are visited: a
+    pivot is cleared by setting it to 0, and each entry after it costs one
+    Field.mul and one Field.sub when its multiplier is nonzero.
     """
-    out = list(v)
-    mults = []
-    for row, piv in zip(rows, pivots):
-        c = out[piv]
-        mults.append(c)
-        if c:
-            for j in range(piv, len(out)):
-                rj = row[j]
-                if rj:
-                    out[j] = field.sub(out[j], field.mul(c, rj))
-    return mults, out
+    sub, mul = field.sub, field.mul
+    for v in vectors:
+        out = list(v)
+        mults = []
+        for piv, entries in rows:
+            c = out[piv]
+            mults.append(c)
+            if c:
+                out[piv] = 0
+                for j, r in entries:
+                    out[j] = sub(out[j], mul(c, r))
+        yield mults, out
 
 
 class SpanBasis:
@@ -454,7 +462,10 @@ class SpanBasis:
 
     Each row is zero before its pivot and at the pivots of earlier rows, and
     is 1 at its own pivot, which is what ``eliminate`` requires; ``insert``
-    appends one row in place and never rewrites an earlier one. ``reduce``
+    appends one row in place and never rewrites an earlier one. It records
+    the row twice: dense in ``rows`` (with its pivot in ``pivots``), and as
+    the sparse row (pivot, nonzero entries after it) in ``sparse_rows``,
+    which is what every elimination by the basis walks. ``reduce``
     and ``contains`` depend on the span alone: the pivots are the leading
     positions of the span's nonzero vectors (a combination leads where its
     row of least pivot does), and the remainder of v that is zero at every
@@ -463,13 +474,14 @@ class SpanBasis:
     append-only; only its builder appends, so a basis handed out is complete.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "_rest")
+    __slots__ = ("field", "n", "rows", "pivots", "sparse_rows", "_rest")
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
         self.rows = ()
         self.pivots = ()
+        self.sparse_rows = ()
         self._rest = {}  # vector -> [its remainder, the rows eliminated from it]
 
     @classmethod
@@ -526,8 +538,8 @@ class SpanBasis:
             self._check(v)
             rec = self._rest[v] = [v, 0]
         if rec[1] < len(self.rows):
-            rec[0] = tuple(eliminate(self.field, self.rows[rec[1]:], self.pivots[rec[1]:],
-                                     rec[0])[1])
+            [(_, rest)] = eliminate(self.field, self.sparse_rows[rec[1]:], (rec[0],))
+            rec[0] = tuple(rest)
             rec[1] = len(self.rows)
         return rec[0]
 
@@ -537,7 +549,7 @@ class SpanBasis:
     def coordinates(self, v):
         """Coefficients of v over the basis rows, or None if v is outside the span."""
         self._check(v)
-        coords, rest = eliminate(self.field, self.rows, self.pivots, v)
+        [(coords, rest)] = eliminate(self.field, self.sparse_rows, (v,))
         if any(rest):
             return None
         return tuple(coords)
@@ -549,9 +561,12 @@ class SpanBasis:
         piv = next((j for j, c in enumerate(rest) if c), None)
         if piv is None:
             return False
-        inv = self.field.inv(rest[piv])
-        self.rows += (tuple(self.field.mul(inv, c) for c in rest),)
+        inv, mul = self.field.inv(rest[piv]), self.field.mul
+        row = tuple(mul(inv, c) if c else 0 for c in rest)
+        self.rows += (row,)
         self.pivots += (piv,)
+        entries = tuple((j, row[j]) for j in range(piv + 1, self.n) if row[j])
+        self.sparse_rows += ((piv, entries),)
         return True
 
     def __repr__(self):

@@ -215,10 +215,11 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
         ell = first_unspanned()
 
     # the final ideal's records of the forms paired at earlier iterations
-    for q, pos in [*v_slots, *((q, p) for q in survivors for p in vq_pos[q])]:
-        rq = recs.setdefault(q, {})
-        if pos not in rq:
-            rq[pos] = ideal.reduction(circuit.terms[q].forms[pos])
+    paired = dict.fromkeys([*v_slots, *((q, p) for q in survivors for p in vq_pos[q])])
+    missing = [(q, pos) for q, pos in paired if pos not in recs.get(q, ())]
+    forms = [circuit.terms[q].forms[pos] for q, pos in missing]
+    for (q, pos), rec in zip(missing, ideal.reductions(forms)):
+        recs.setdefault(q, {})[pos] = rec
 
     keep, v0, v1 = [], [], []
     for t, (q, pos) in enumerate(v_slots):

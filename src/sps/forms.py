@@ -155,13 +155,18 @@ def similar(f: LinearForm, g: LinearForm):
 def pair_by_key(keys_u, keys_v):
     """Bijection sigma with keys_v[sigma[i]] == keys_u[i], pairing equal keys
     in list order on both sides; None unless both lists hold the same keys."""
+    if len(keys_u) != len(keys_v):
+        return None
     slots: dict = {}
     for j in reversed(range(len(keys_v))):
         slots.setdefault(keys_v[j], []).append(j)
-    sigma = tuple(slots[k].pop() if slots.get(k) else None for k in keys_u)
-    if len(keys_u) != len(keys_v) or None in sigma:
-        return None
-    return sigma
+    sigma = []
+    for k in keys_u:  # one lookup, so one hash, per key
+        js = slots.get(k)
+        if not js:
+            return None
+        sigma.append(js.pop())
+    return tuple(sigma)
 
 
 def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:

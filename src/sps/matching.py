@@ -112,7 +112,9 @@ def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
 
 
 def _records(ideal, domain, codomain):
-    return ([ideal.reduction(f) for f in domain], [ideal.reduction(g) for g in codomain])
+    """The (domain, codomain) records, both lists reduced in one call."""
+    recs = list(ideal.reductions((*domain, *codomain)))
+    return recs[:len(domain)], recs[len(domain):]
 
 
 class OrderedMatching:
@@ -420,9 +422,9 @@ def doubling_check(u, v, ideals) -> DoublingReport:
 
     def greens():
         nonlocal done
-        rows, pivots, done = basis.rows[done:], basis.pivots[done:], basis.rank
+        rows, done = basis.sparse_rows[done:], basis.rank
         for side in pending:
-            side[:] = [w for x in side if any(w := eliminate(field, rows, pivots, x)[1])]
+            side[:] = [w for _, w in eliminate(field, rows, side) if any(w)]
         return d_prime - len(pending[0]), d_prime - len(pending[1])
 
     prev_u, _ = greens()

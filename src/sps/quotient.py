@@ -8,10 +8,12 @@ modulo the ideal. The ideal is its generators plus the append-only
 ``SpanBasis`` they insert into, so its first j rows span the first j
 generators and one elimination pass writes a form in coordinates over every
 generator prefix at once: ``FormIdeal.reduction``, the one record of a form
-modulo the ideal that every later decision about the form reads. A linear
-factor q of a circuit is a form with C = 0 mod (q), tested by reduction
-modulo the one-generator ideal. The zero ideal is the same type with no
-generators, and every operation treats it uniformly as "span is {0}".
+modulo the ideal that every later decision about the form reads;
+``FormIdeal.reductions`` gives the records of a whole form list from one
+elimination call. A linear factor q of a circuit is a form with C = 0 mod
+(q), tested by reduction modulo the one-generator ideal. The zero ideal is
+the same type with no generators, and every operation treats it uniformly as
+"span is {0}".
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class FormIdeal:
     matching certificates quantify over. Elimination by those rows leaves
     the representative that is zero at their pivots, a set fixed by the
     span alone, so it equals reduction by any echelon basis of prefix(j).
-    ``reduction`` computes a record afresh on every call and keeps none.
+    ``reductions`` computes records afresh on every call and keeps none.
     Generators must be nonzero and linearly independent; an empty generator
     list is the distinguished zero ideal.
     """
@@ -65,25 +67,32 @@ class FormIdeal:
     def r(self) -> int:
         return len(self.generators)
 
-    def reduction(self, f: LinearForm) -> Reduction:
-        """f's record (a, rest, key, lead): f = sum(a[i] * row i) + rest with
-        rest zero at every pivot, and rest = lead * key with key's first
-        nonzero entry 1 (f's similarity class modulo the ideal), or key =
-        lead = None when rest is zero. f lies in prefix(j) iff rest and a[j:]
-        are zero."""
+    def reductions(self, forms):
+        """The records of the forms, yielded in order as each is reduced, all
+        by one elimination pass over the span's sparse rows. A form f's record
+        is (a, rest, key, lead): f = sum(a[i] * row i) + rest with rest zero
+        at every pivot, and rest = lead * key with key's first nonzero entry
+        1 (f's similarity class modulo the ideal), or key = lead = None when
+        rest is zero. f lies in prefix(j) iff rest and a[j:] are zero."""
         field = self.field
-        a, rest = eliminate(field, self.rows, self.pivots, f.coeffs)
-        lead = next(filter(None, rest), None)
-        if lead is None:
-            return Reduction(a, rest, None, None)
-        if lead == 1:  # rest is its own key: hold one tuple for both
-            rest = tuple(rest)
-            return Reduction(a, rest, rest, lead)
-        inv = field.inv(lead)
-        return Reduction(a, rest, tuple(field.mul(inv, x) if x else 0 for x in rest), lead)
+        inv, mul = field.inv, field.mul
+        for a, rest in eliminate(field, self.span.sparse_rows, (f.coeffs for f in forms)):
+            lead = next(filter(None, rest), None)
+            if lead is None:
+                yield Reduction(a, rest, None, None)
+            elif lead == 1:  # rest is its own key: hold one tuple for both
+                rest = tuple(rest)
+                yield Reduction(a, rest, rest, lead)
+            else:
+                c = inv(lead)
+                yield Reduction(a, rest, tuple(mul(c, x) if x else 0 for x in rest), lead)
+
+    def reduction(self, f: LinearForm) -> Reduction:
+        """f's record, as ``reductions`` gives it."""
+        return next(self.reductions((f,)))
 
     def reduce_prefix(self, j: int, f: LinearForm) -> LinearForm:
-        rest = eliminate(self.field, self.rows[:j], self.pivots[:j], f.coeffs)[1]
+        [(_, rest)] = eliminate(self.field, self.span.sparse_rows[:j], (f.coeffs,))
         return LinearForm._wrap(self.field, tuple(rest))
 
     def __eq__(self, other):
@@ -108,13 +117,14 @@ def reduced_class_key(f: LinearForm, ideal: FormIdeal):
 
 
 def reductions(forms, ideal: FormIdeal):
-    """ideal.reduction of each form, or None as soon as one form lies in the
-    span (a term with that form vanishes mod the ideal)."""
+    """The ideal's records of the forms, or None as soon as one form lies in
+    the span (a term with that form vanishes mod the ideal): the forms after
+    it are not reduced."""
     out = []
-    for f in forms:
-        out.append(ideal.reduction(f))
-        if out[-1].key is None:
+    for rec in ideal.reductions(forms):
+        if rec.key is None:
             return None
+        out.append(rec)
     return out
 
 
@@ -153,7 +163,8 @@ def pair_is_zero_mod(field: Field, pair) -> bool:
     gone1, gone2 = (any(x.key is None for x in recs) for recs in (recs1, recs2))
     if gone1 or gone2:
         return gone1 and gone2
-    if Counter(x.key for x in recs1) != Counter(x.key for x in recs2):
+    # plain dicts compare by the hashes they hold; Counter's == looks each key up again
+    if dict(Counter(x.key for x in recs1)) != dict(Counter(x.key for x in recs2)):
         return False
     return not field.add(field.mul(c1, field.product([x.lead for x in recs1])),
                          field.mul(c2, field.product([x.lead for x in recs2])))

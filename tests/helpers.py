@@ -25,6 +25,7 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
+from sps.algebra import eliminate
 from sps.circuit import form_basis
 from sps.forms import common_positions, pair_by_key
 from sps.matching import MatchEdge
@@ -430,6 +431,37 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(sps.circuit, name, counted)
     return calls
+
+
+def counting_eliminate(record):
+    """eliminate, calling record(rows, v) on each vector as the kernel reads
+    it: patched in where a module reads the kernel by name, it counts the
+    vectors eliminated and the rows each one meets."""
+    def counted(field, rows, vectors):
+        def read():
+            for v in vectors:
+                record(rows, v)
+                yield v
+        return eliminate(field, rows, read())
+
+    return counted
+
+
+def dense_eliminate(field, rows, pivots, v):
+    """The dense elimination the sparse kernel replaced: clear each dense
+    row's pivot from v in row order, walking every column from the pivot on.
+    Returns (multipliers, remainder), both lists."""
+    out = list(v)
+    mults = []
+    for row, piv in zip(rows, pivots):
+        c = out[piv]
+        mults.append(c)
+        if c:
+            for j in range(piv, len(out)):
+                rj = row[j]
+                if rj:
+                    out[j] = field.sub(out[j], field.mul(c, rj))
+    return mults, out
 
 
 def count_trials(monkeypatch):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sps import SpanBasis, field_make, spans_orthogonal
-from sps.algebra import Field, is_prime
+from sps import FormIdeal, LinearForm, SpanBasis, field_make, spans_orthogonal
+from sps.algebra import Field, eliminate, is_prime
 from sps.errors import BudgetExceededError
-from helpers import reference_from_vectors
+from helpers import dense_eliminate, reference_from_vectors
 
 
 def test_prime_fields():
@@ -354,6 +354,124 @@ def test_span_insertion_order_invariance_f5(vecs, data):
     b = SpanBasis.from_vectors(F, 4, perm)
     assert same_span(a, b)
     assert all(a.reduce(v) == b.reduce(v) for v in vecs + [(1, 2, 3, 4)])
+
+
+KERNEL_FIELDS = [(2, 1), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def span_cases(draw):
+    """(field, n, generators, probes): generators in F^n, often sparse, the n
+    unit vectors added (shuffled) for a full-rank basis half the time; probes
+    are the zero vector, random vectors and combinations of generators."""
+    F = field_make(*draw(st.sampled_from(KERNEL_FIELDS)))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    vector = st.tuples(*[entry] * n)
+    gens = draw(st.lists(vector, max_size=n + 2))
+    if draw(st.booleans()):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        gens += draw(st.permutations(units))
+    probes = [(0,) * n] + draw(st.lists(vector, max_size=4))
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        out = (0,) * n
+        for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+            c = draw(st.integers(0, F.order - 1))
+            out = tuple(F.add(x, F.mul(c, y)) for x, y in zip(out, g))
+        probes.append(out)
+    return F, n, gens, probes
+
+
+def _dense_record(F, ideal, f):
+    """FormIdeal's record of f from the dense reference elimination, with the
+    remainder as a tuple."""
+    a, rest = dense_eliminate(F, ideal.rows, ideal.pivots, f.coeffs)
+    lead = next(filter(None, rest), None)
+    key = None if lead is None else tuple(F.mul(F.inv(lead), x) for x in rest)
+    return a, tuple(rest), key, lead
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=span_cases())
+def test_sparse_kernel_matches_dense_elimination(case):
+    F, n, gens, probes = case
+    basis = SpanBasis.from_vectors(F, n, gens)
+    assert basis.sparse_rows == tuple(
+        (piv, tuple((j, row[j]) for j in range(piv + 1, n) if row[j]))
+        for row, piv in zip(basis.rows, basis.pivots))
+    got = list(eliminate(F, basis.sparse_rows, probes))
+    assert got == [dense_eliminate(F, basis.rows, basis.pivots, v) for v in probes]
+
+    ideal = FormIdeal(F, n, [LinearForm(F, row) for row in basis.rows])
+    forms = [LinearForm(F, v) for v in probes + gens]
+    recs = list(ideal.reductions(forms))
+    assert recs == [ideal.reduction(f) for f in forms]
+    assert [(a, tuple(rest), key, lead) for a, rest, key, lead in recs] == [
+        _dense_record(F, ideal, f) for f in forms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=span_cases(), data=st.data())
+def test_span_basis_matches_dense_reference_under_interleaving(case, data):
+    # rows, pivots, running remainders and coordinates after inserts and
+    # reads in any order equal those of dense elimination from scratch
+    F, n, gens, probes = case
+    pool = gens + probes
+    basis, rows, pivots = SpanBasis(F, n), [], []
+    ops = st.sampled_from(("insert", "reduce", "contains", "coordinates"))
+    for op, v in data.draw(st.lists(st.tuples(ops, st.sampled_from(pool)), max_size=30)):
+        mults, rest = dense_eliminate(F, rows, pivots, v)
+        if op == "insert":
+            piv = next((j for j, c in enumerate(rest) if c), None)
+            assert basis.insert(v) == (piv is not None)
+            if piv is not None:
+                inv = F.inv(rest[piv])
+                rows.append(tuple(F.mul(inv, c) for c in rest))
+                pivots.append(piv)
+            assert (basis.rows, basis.pivots) == (tuple(rows), tuple(pivots))
+        elif op == "reduce":
+            assert basis.reduce(v) == tuple(rest)
+        elif op == "contains":
+            assert basis.contains(v) == (not any(rest))
+        else:
+            assert basis.coordinates(v) == (None if any(rest) else tuple(mults))
+    for v in pool:
+        assert basis.reduce(v) == tuple(dense_eliminate(F, rows, pivots, v)[1])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_kernel_multiplies_only_nonzero_row_entries(p, e, monkeypatch):
+    # one Field.mul per nonzero multiplier and nonzero row entry after its
+    # pivot (the pivot itself is set to 0), none for the zeros of a row
+    F = field_make(p, e)
+    rng = random.Random(31 * p + e)
+    n = 12
+
+    def sparse_vector():
+        return tuple(F.rand_element(rng) if rng.random() < 0.25 else 0 for _ in range(n))
+
+    basis = SpanBasis.from_vectors(F, n, [sparse_vector() for _ in range(8)])
+    probes = [sparse_vector() for _ in range(10)] + [tuple(F.rand_element(rng)
+                                                          for _ in range(n))]
+    pairs = dense_walk = 0
+    for v in probes:
+        mults = dense_eliminate(F, basis.rows, basis.pivots, v)[0]
+        for c, row, piv in zip(mults, basis.rows, basis.pivots):
+            if c:
+                pairs += sum(1 for x in row[piv + 1:] if x)
+                dense_walk += n - piv - 1
+    assert 0 < pairs < dense_walk  # the basis really is sparse
+
+    calls = []
+    mul = Field.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    list(eliminate(F, basis.sparse_rows, probes))
+    assert len(calls) == pairs
 
 
 def test_rank_never_exceeds_dimension():

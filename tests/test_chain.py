@@ -39,6 +39,7 @@ from sps.chain import MatchingData
 from sps.circuit import form_basis, form_keys
 from helpers import (
     CountedKey,
+    counting_eliminate,
     form_sub,
     load_bench,
     refuse_oracle_work,
@@ -452,17 +453,16 @@ def _round_facts(ideal, md):
 
 
 def _count_span_rows(monkeypatch, skip=None):
-    """The number of rows each elimination by a SpanBasis receives, one
-    entry per call; eliminations by the row tuple skip are left out."""
+    """The number of rows each vector eliminated by a SpanBasis meets, one
+    entry per vector; eliminations by the sparse row tuple skip are left
+    out."""
     counts = []
 
-    def counted(field, rows, pivots, v):
+    def record(rows, v):
         if rows is not skip:
             counts.append(len(rows))
-        return eliminate(field, rows, pivots, v)
 
-    eliminate = sps.algebra.eliminate
-    monkeypatch.setattr(sps.algebra, "eliminate", counted)
+    monkeypatch.setattr(sps.algebra, "eliminate", counting_eliminate(record))
     return counts
 
 
@@ -493,7 +493,7 @@ def test_build_chain_makes_no_membership_test(monkeypatch):
     for circuit in (gen_ks(6), gen_family(3, 2)):
         want = build_chain(circuit)
         with monkeypatch.context() as patched:
-            rows = _count_span_rows(patched, skip=form_basis(circuit).rows)
+            rows = _count_span_rows(patched, skip=form_basis(circuit).sparse_rows)
             got = build_chain(circuit)
         assert (got.trace_rounds(), got.summary()) == (want.trace_rounds(), want.summary())
         distinct = len({f.coeffs for f in circuit.all_forms()})

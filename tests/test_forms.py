@@ -13,7 +13,7 @@ from sps import (
     similar,
     similarity_key,
 )
-from sps.forms import pair_common
+from sps.forms import pair_by_key, pair_common
 from helpers import CountedKey, brute_product, random_form, random_ideal, reference_pair_common
 
 F2 = field_make(2)
@@ -184,3 +184,36 @@ def test_pair_common_hashes_each_key_at_most_once():
         counted = [[CountedKey(k) for k in keys] for keys in key_lists]
         assert pair_common(counted) == reference_pair_common(key_lists)
         assert max((k.hashes for keys in counted for k in keys), default=0) <= 1
+
+
+def _brute_pairing(keys_u, keys_v):
+    """Each key of u, in order, takes the first unused equal key of v; None
+    when some key finds none or the lengths differ."""
+    if len(keys_u) != len(keys_v):
+        return None
+    used, sigma = set(), []
+    for k in keys_u:
+        j = next((j for j, kv in enumerate(keys_v) if j not in used and kv == k), None)
+        if j is None:
+            return None
+        used.add(j)
+        sigma.append(j)
+    return tuple(sigma)
+
+
+def test_pair_by_key_hashes_each_key_at_most_once_per_side():
+    rng = random.Random(30)
+    paired = 0
+    for _ in range(300):
+        keys_u = _key_lists(rng)[0]
+        if rng.random() < 0.5:  # the same keys in another order: a pairing exists
+            keys_v = rng.sample(keys_u, len(keys_u))
+        else:
+            keys_v = _key_lists(rng)[0]
+        counted_u, counted_v = [CountedKey(k) for k in keys_u], [CountedKey(k) for k in keys_v]
+        sigma = pair_by_key(counted_u, counted_v)
+        assert sigma == _brute_pairing(keys_u, keys_v)
+        paired += sigma is not None and len(sigma) > 0
+        for side in (counted_u, counted_v):
+            assert max((k.hashes for k in side), default=0) <= 1
+    assert paired >= 100

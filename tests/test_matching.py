@@ -27,6 +27,7 @@ from sps import (
 )
 from helpers import (
     brute_product,
+    counting_eliminate,
     doubling_corpus,
     form_add,
     form_sub,
@@ -38,7 +39,6 @@ from helpers import (
     reference_derive_edge,
     scan_edge,
 )
-from sps.algebra import eliminate
 from sps.forms import common_positions
 from sps.matching import MatchEdge, _check_edge, _derive_edge
 
@@ -568,11 +568,7 @@ def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
     its class key, edge derivation and edge check all read that record."""
     t = gen_tight_lists(6)
     calls = []
-
-    def counted(field, rows, pivots, v):
-        calls.append(v)
-        return eliminate(field, rows, pivots, v)
-
+    counted = counting_eliminate(lambda rows, v: calls.append(v))
     for module in (sps.quotient, sps.matching):  # FormIdeal's and the checker's
         monkeypatch.setattr(module, "eliminate", counted)
     for ideal_ in t.ideals:
@@ -583,23 +579,20 @@ def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
 
 def test_doubling_check_keeps_running_remainders(monkeypatch):
     """Each pending form meets each basis row at most once: the membership
-    tests of doubling_check (eliminate calls in its module) pass at most
-    2 * d' * rank(final basis) rows, no SpanBasis.contains call runs (i0 is
-    read off the insert flag), and the green counts equal a from-scratch
-    SpanBasis.contains recount."""
+    tests of doubling_check (eliminations in its module) pass its vectors at
+    most 2 * d' * rank(final basis) rows in all, no SpanBasis.contains call
+    runs (i0 is read off the insert flag), and the green counts equal a
+    from-scratch SpanBasis.contains recount."""
     t = gen_tight_lists(8, p=5)
     rows, contains_calls = [], []
-
-    def counted(field, rows_, pivots, v):
-        rows.append(len(rows_))
-        return eliminate(field, rows_, pivots, v)
 
     def counted_contains(self, v):
         contains_calls.append(v)
         return contains(self, v)
 
     contains = SpanBasis.contains
-    monkeypatch.setattr(sps.matching, "eliminate", counted)
+    monkeypatch.setattr(sps.matching, "eliminate",
+                        counting_eliminate(lambda rows_, v: rows.append(len(rows_))))
     monkeypatch.setattr(SpanBasis, "contains", counted_contains)
     rep = doubling_check(t.u, t.v, list(t.ideals))
     monkeypatch.undo()

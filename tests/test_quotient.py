@@ -26,11 +26,12 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
-from sps.algebra import eliminate
 from sps.quotient import is_zero_mod, pair_is_zero_mod, reduce_circuit, reductions
 from helpers import (
+    CountedKey,
     brute_expand,
     brute_product,
+    counting_eliminate,
     form_add,
     form_sub,
     gcd_term,
@@ -334,11 +335,7 @@ def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
     rng = random.Random(5)
     instances = [_random_regular_instance(rng) for _ in range(10)]
     calls = []
-
-    def counted(field, rows, pivots, v):
-        calls.append(v)
-        return eliminate(field, rows, pivots, v)
-
+    counted = counting_eliminate(lambda rows, v: calls.append(v))
     for module in (sps.algebra, sps.quotient, sps.matching):
         monkeypatch.setattr(module, "eliminate", counted)
     for c, ideal_ in instances:
@@ -380,6 +377,22 @@ def _two_term_corpus(rng):
                 ideals.append(FormIdeal(field, n, gens))
             out += [(c, i) for c in changed for i in ideals]
     return out
+
+
+def test_two_term_verdict_hashes_each_key_once_per_side():
+    # the key multisets are compared as plain dicts, which read the hashes
+    # they hold; Counter's == looked every key up again
+    checked = 0
+    for c, ideal_ in _two_term_corpus(random.Random(2009))[:400]:
+        recs = [[ideal_.reduction(f) for f in t.forms] for t in c.terms]
+        if any(x.key is None for r in recs for x in r):
+            continue
+        counted = [[x._replace(key=CountedKey(x.key)) for x in r] for r in recs]
+        pairs = [[(t.coef, r) for t, r in zip(c.terms, rs)] for rs in (recs, counted)]
+        assert pair_is_zero_mod(c.field, pairs[1]) == pair_is_zero_mod(c.field, pairs[0])
+        assert max(x.key.hashes for r in counted for x in r) <= 1
+        checked += 1
+    assert checked >= 100
 
 
 def test_two_term_verdict_by_factorization_equals_expansion():
