@@ -470,11 +470,15 @@ class SpanBasis:
     positions of the span's nonzero vectors (a combination leads where its
     row of least pivot does), and the remainder of v that is zero at every
     pivot is unique (two differ by a span vector leading at no pivot, so by
-    0). ``coordinates`` are over the rows in insertion order. A basis is
+    0). ``coordinates`` are over the rows in insertion order. ``sources``
+    holds the vectors that inserted, as given and in insertion order: a
+    basis of the same span whose vectors are not mixed with each other by
+    elimination (the exact oracle expands over a circuit's sources). Source
+    i's coordinates are zero after row i and nonzero at row i. A basis is
     append-only; only its builder appends, so a basis handed out is complete.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "sparse_rows", "_rest")
+    __slots__ = ("field", "n", "rows", "pivots", "sparse_rows", "sources", "_rest")
 
     def __init__(self, field: Field, n: int):
         self.field = field
@@ -482,6 +486,7 @@ class SpanBasis:
         self.rows = ()
         self.pivots = ()
         self.sparse_rows = ()
+        self.sources = ()
         self._rest = {}  # vector -> [its remainder, the rows eliminated from it]
 
     @classmethod
@@ -567,6 +572,7 @@ class SpanBasis:
         self.pivots += (piv,)
         entries = tuple((j, row[j]) for j in range(piv + 1, self.n) if row[j])
         self.sparse_rows += ((piv, entries),)
+        self.sources += (v,)
         return True
 
     def __repr__(self):

@@ -5,6 +5,11 @@ product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
 verdict of one of the two oracles below (exact sparse expansion after rank
 compression, or seeded random evaluation over a large enough field).
+Rank compression rewrites each form over the circuit's first rank(C)
+independent forms (its form basis's sources), not over the echelon rows
+they became: a form then reads only the sources it depends on, which on a
+join on fresh variables are its own block's. exact_cost_bound, the budget
+and auto's choice read the rank alone and are the same over any basis.
 Over GF(2) a term is expanded as a balanced tree of pairwise products of its
 forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere
 Field.mul_by_form multiplies the forms into one coefficient dict, one at a
@@ -144,18 +149,46 @@ def exact_cost_bound(circuit: Circuit) -> int:
 def zero_test_exact(circuit: Circuit) -> bool:
     """Deterministic zero test by sparse expansion in rank-many variables.
 
-    Forms are rewritten in coordinates over an echelon basis of their span, so
-    the expansion cost depends on rank(C), not on n. Raises
-    BudgetExceededError instead of attempting an oversized expansion; the
-    budget is the summed bound C(d + r - 1, r - 1) per term, capped at
-    EXPANSION_BUDGET (10^7).
+    Forms are rewritten in coordinates over the circuit's first rank(C)
+    independent forms (_source_coordinates), so the expansion cost depends on
+    rank(C), not on n. Raises BudgetExceededError instead of attempting an
+    oversized expansion; the budget is the summed bound C(d + r - 1, r - 1)
+    per term (the same over any basis), capped at EXPANSION_BUDGET (10^7).
     """
     return _sums_to_zero(circuit.field, _expand_terms(circuit), range(circuit.k))
 
 
+def _source_coordinates(circuit: Circuit) -> dict:
+    """Each distinct form's coefficients -> its coordinates over the sources
+    of form_basis(circuit), the circuit's first rank(C) independent forms.
+    Row i of the lower-triangular L is basis.coordinates(source i), nonzero
+    at i, and a form's coordinates b solve b L = basis.coordinates(form) by
+    back-substitution from the last source. Over the echelon rows, which
+    elimination mixes, a form of a join on fresh variables would be dense.
+    """
+    basis = form_basis(circuit)
+    field = circuit.field
+    sub, mul = field.sub, field.mul
+    coords = dict.fromkeys(map(attrgetter("coeffs"), circuit.all_forms()))
+    for v in coords:
+        coords[v] = list(basis.coordinates(v))
+    # per source i (itself a circuit form), 1 / L_ii and the nonzero L_ij, j < i
+    lower = [(field.inv(row[i]), [(j, x) for j, x in enumerate(row[:i]) if x])
+             for i, row in enumerate(map(coords.get, basis.sources))]
+    for a in coords.values():
+        for i in range(len(lower) - 1, -1, -1):
+            if a[i]:
+                b = a[i] = mul(a[i], lower[i][0])
+                for j, x in lower[i][1]:
+                    a[j] = sub(a[j], mul(b, x))
+    return coords
+
+
 def _expand_terms(circuit: Circuit) -> list:
-    """Each term expanded over a basis of the circuit's span, exponents packed
-    into ints: a set of monomials over GF(2), else a dict monomial -> coef.
+    """Each term expanded over the circuit's sources (_source_coordinates),
+    exponents packed into ints: a set of monomials over GF(2), else a dict
+    monomial -> coef. On a join a form reads only its own block's sources,
+    so a term expands as a product of small per-block expansions.
 
     Over GF(2) each form starts as its set of monomials and neighbouring sets
     are multiplied pairwise (_gf2_product) until one is left, so cancellation
@@ -163,26 +196,17 @@ def _expand_terms(circuit: Circuit) -> list:
     dict path multiplies the forms into the running polynomial one at a time
     (Field.mul_by_form).
     """
-    field = circuit.field
-    basis = form_basis(circuit)
-    r = basis.rank
-    if r:
-        bound = exact_cost_bound(circuit)
-        if bound > EXPANSION_BUDGET:
-            raise BudgetExceededError(
-                f"exact expansion bound {bound} exceeds budget {EXPANSION_BUDGET}"
-            )
+    field, budget = circuit.field, EXPANSION_BUDGET
+    if circuit_rank(circuit) and (bound := exact_cost_bound(circuit)) > budget:
+        raise BudgetExceededError(f"exact expansion bound {bound} exceeds budget {budget}")
 
     # pack exponent vectors into ints: degree <= d fits in shift-sized fields,
-    # so a form's variable j multiplies a monomial by adding 1 << (shift * j)
+    # so a form's variable j multiplies a monomial by adding 1 << (shift * j);
+    # each distinct form is converted once
     shift_bits = max(1, circuit.degree.bit_length())
-    compressed = []
-    for t in circuit.terms:
-        forms = []
-        for f in t.forms:
-            coords = basis.coordinates(f.coeffs)
-            forms.append([(1 << (shift_bits * j), coords[j]) for j in range(r) if coords[j]])
-        compressed.append((t.coef, forms))
+    packed = {coeffs: [(1 << (shift_bits * j), c) for j, c in enumerate(coords) if c]
+              for coeffs, coords in _source_coordinates(circuit).items()}
+    compressed = [(t.coef, [packed[f.coeffs] for f in t.forms]) for t in circuit.terms]
 
     if field.p == 2 and field.e == 1:
         polys = []

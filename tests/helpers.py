@@ -26,7 +26,7 @@ from sps import (
     zero_test_exact,
 )
 from sps.algebra import eliminate
-from sps.circuit import form_basis
+from sps.circuit import _source_coordinates, form_basis
 from sps.forms import common_positions, pair_by_key
 from sps.matching import MatchEdge
 from sps.quotient import is_zero_mod
@@ -58,21 +58,21 @@ def brute_expand(circuit):
     return total
 
 
-def sequential_gf2_expand(circuit):
+def sequential_gf2_expand(circuit, coordinates=None):
     """The former GF(2) expansion kernel: each term's forms multiplied into
-    the running set of monomials one form at a time, over the coordinates of
-    the circuit's form basis, with exponents packed as _expand_terms packs
-    them (shift-sized fields, coordinate j at bit shift * j)."""
-    basis = form_basis(circuit)
+    the running set of monomials one form at a time, with exponents packed
+    as _expand_terms packs them (shift-sized fields, coordinate j at bit
+    shift * j). A form's coordinates are coordinates(coeffs), by default the
+    source coordinates that _expand_terms reads."""
+    coordinates = coordinates or _source_coordinates(circuit).__getitem__
     shift_bits = max(1, circuit.degree.bit_length())
     polys = []
     for t in circuit.terms:
         cur = {0}
         for f in t.forms:
-            coords = basis.coordinates(f.coeffs)
             nxt = set()
-            for j in range(basis.rank):
-                if coords[j]:
+            for j, c in enumerate(coordinates(f.coeffs)):
+                if c:
                     shift = 1 << (shift_bits * j)
                     nxt.symmetric_difference_update(k + shift for k in cur)
             cur = nxt
@@ -80,25 +80,26 @@ def sequential_gf2_expand(circuit):
     return polys
 
 
-def sequential_dict_expand(circuit):
+def sequential_dict_expand(circuit, coordinates=None):
     """The former expansion kernel outside GF(2): each term's forms multiplied
     into the running coefficient dict one form at a time, one Field.mul and
-    one Field.add per product, over the coordinates of the circuit's form
-    basis, with exponents packed as _expand_terms packs them."""
+    one Field.add per product, with exponents packed as _expand_terms packs
+    them. A form's coordinates are coordinates(coeffs), by default the source
+    coordinates that _expand_terms reads."""
     field = circuit.field
-    basis = form_basis(circuit)
+    coordinates = coordinates or _source_coordinates(circuit).__getitem__
     shift_bits = max(1, circuit.degree.bit_length())
     polys = []
     for t in circuit.terms:
         cur = {0: t.coef}
         for f in t.forms:
-            coords = basis.coordinates(f.coeffs)
+            coords = coordinates(f.coeffs)
             nxt = {}
             for key, c in cur.items():
-                for j in range(basis.rank):
-                    if coords[j]:
+                for j, cj in enumerate(coords):
+                    if cj:
                         kk = key + (1 << (shift_bits * j))
-                        v = field.add(nxt.get(kk, 0), field.mul(c, coords[j]))
+                        v = field.add(nxt.get(kk, 0), field.mul(c, cj))
                         if v:
                             nxt[kk] = v
                         else:
@@ -106,6 +107,14 @@ def sequential_dict_expand(circuit):
             cur = nxt
         polys.append(cur)
     return polys
+
+
+def echelon_expand(circuit):
+    """The former exact expansion, over the echelon rows of the circuit's form
+    basis instead of its sources: the same verdicts for every subset of terms
+    (the two bases differ by an invertible change of variables)."""
+    expand = sequential_gf2_expand if circuit.field.order == 2 else sequential_dict_expand
+    return expand(circuit, form_basis(circuit).coordinates)
 
 
 def sequential_sums_to_zero(field, polys, q):

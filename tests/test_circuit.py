@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -10,12 +11,14 @@ from sps import (
     BudgetExceededError,
     Circuit,
     LinearForm,
+    SpanBasis,
     Term,
     ZeroOracle,
     circuit_rank,
     dumps_circuit,
     field_make,
     gen_family,
+    gen_joined,
     gen_ks,
     is_minimal,
     is_simple,
@@ -31,6 +34,7 @@ from sps.algebra import Field
 from sps.circuit import (
     _EvalPlan,
     _expand_terms,
+    _source_coordinates,
     MAX_TRIALS,
     _point_term_values,
     _sums_to_zero,
@@ -41,9 +45,11 @@ from sps.circuit import (
 from helpers import (
     brute_expand,
     count_trials,
+    echelon_expand,
     form_add,
     random_circuit,
     random_form,
+    random_invertible,
     random_pair_identity,
     random_unit,
     reference_term_values,
@@ -53,6 +59,7 @@ from helpers import (
     sequential_gf2_expand,
     sequential_sums_to_zero,
     subset_reference,
+    substitute,
 )
 
 F2 = field_make(2)
@@ -267,6 +274,86 @@ def test_subset_sums_equal_sequential_reference(field):
                 assert got == sequential_sums_to_zero(field, polys, q)
                 verdicts[got] += 1
     assert verdicts[True] >= 60 and verdicts[False] >= 1000
+
+
+SOURCE_FIELDS = [F2, F5, F7, F8, F9]
+
+
+def _joined_image(rng, field):
+    """A 3-term planted identity joined with another on fresh variables, under
+    a random invertible change of variables, and the coefficient vectors of
+    its base forms (the first forms of each term, before the block's)."""
+    n0, n1 = rng.randrange(2, 4), rng.randrange(2, 4)  # over GF(2), n = 1 plants no triple
+    base = _planted(rng, field, n0, 3, rng.randrange(1, 4), 3)
+    block = _planted(rng, field, n1, 3, rng.randrange(1, 3), 3)
+    c = substitute(gen_joined(base, block, verify=False),
+                   random_invertible(rng, field, n0 + n1))
+    base_degrees = [t.degree for t in base.terms]
+    base_degrees.insert(2, base_degrees[2])  # the last base term is joined twice
+    return c, {f.coeffs for t, d in zip(c.terms, base_degrees) for f in t.forms[:d]}
+
+
+def _source_corpus(rng, field):
+    """Random circuits (repeats, single coordinates and degree-0 terms among
+    them), joined identities after a change of variables, one-constant
+    perturbations of both, and a circuit of rank 0; each joined image comes
+    with its base forms, any other circuit with None."""
+    corpus = [(make_circuit(field, 2, [(1, []), (field.neg(1), [])]), None)]
+    for _ in range(30):
+        corpus.append((_random_dict_circuit(rng, field, rng.randrange(1, 5),
+                                            rng.randrange(1, 5), 4), None))
+        corpus.append(_joined_image(rng, field))
+    for c, base_forms in corpus[1:]:
+        i = rng.randrange(c.k)
+        t = c.terms[i]
+        coef = field.add(t.coef, random_unit(rng, field)) or t.coef
+        terms = [*c.terms[:i], Term(field, coef, t.forms), *c.terms[i + 1:]]
+        corpus.append((Circuit(field, c.n, terms), base_forms))
+    return corpus
+
+
+@pytest.mark.parametrize("field", SOURCE_FIELDS, ids=repr)
+def test_expansion_over_sources_keeps_every_subset_verdict(field):
+    rng = random.Random(f"sources:{field!r}")
+    verdicts, brute, ranks, sparse = {True: 0, False: 0}, 0, set(), 0
+    for c, base_forms in _source_corpus(rng, field):
+        basis = sps.circuit.form_basis(c)
+        sources, r = basis.sources, basis.rank
+        ranks.add(r)
+        # the sources are the circuit's first r independent forms, in order
+        forms = [f.coeffs for f in c.all_forms()]
+        assert len(sources) == r == SpanBasis.from_vectors(field, c.n, sources).rank
+        picked = []
+        for v in forms:
+            if SpanBasis.from_vectors(field, c.n, picked + [v]).rank > len(picked):
+                picked.append(v)
+        assert list(sources) == picked
+        # sum_j b_j * source_j is every form, in plain Field arithmetic
+        coords = _source_coordinates(c)
+        assert coords.keys() == set(forms)
+        for v, b in coords.items():
+            assert len(b) == r
+            got = [0] * c.n
+            for bj, src in zip(b, sources):
+                got = [field.add(x, field.mul(bj, s)) for x, s in zip(got, src)]
+            assert tuple(got) == v
+        if base_forms is not None:  # a form reads only its own block's sources
+            on_base = [s in base_forms for s in sources]
+            for v, b in coords.items():
+                assert all(on_base[j] == (v in base_forms) for j, x in enumerate(b) if x)
+            sparse += 1
+        polys, former = _expand_terms(c), echelon_expand(c)
+        small = math.prod(sum(map(bool, f.coeffs)) for f in c.all_forms()) <= 2000
+        brute += small
+        for m in range(1, 1 << c.k):
+            q = [j for j in range(c.k) if m >> j & 1]
+            got = _sums_to_zero(field, polys, q)
+            assert got == _sums_to_zero(field, former, q)
+            if small:
+                assert got == (not brute_expand(subcircuit(c, q)))
+            verdicts[got] += 1
+    assert 0 in ranks and verdicts[True] >= 31 and verdicts[False] >= 1000
+    assert brute >= 50 and sparse == 60
 
 
 def test_exact_budget_refusal(monkeypatch):

@@ -706,6 +706,35 @@ def test_stdout_bytes_pinned_on_extension_fields(tmp_path, capsys):
         assert run_cli(["chain", path, "--trace"], capsys)[:2] == (0, expected)
 
 
+# check --exact on vanishing-product identities joined on fresh variables,
+# after a seeded change of variables: (p, e, joins) -> (digest16 of stdout,
+# summed monomials of the expanded terms). The stdout is what the expansion
+# over echelon rows printed, whose terms held 256,642, 43,491, 49,709 and
+# 101,484 monomials; over the circuit's own forms a term is a product of
+# per-block expansions.
+PINNED_EXACT_JOINED = {
+    (5, 1, 3): ("c0668ca302f77d1f", 2066),
+    (7, 1, 2): ("c0e46108c830bf32", 1058),
+    (2, 3, 2): ("c020c095fadc28c0", 1912),
+    (3, 2, 2): ("de8ee53d392233c2", 1990),
+}
+
+
+@pytest.mark.parametrize("p, e, joins", PINNED_EXACT_JOINED)
+def test_check_exact_on_joined_identities_bytes_and_work_pinned(p, e, joins, tmp_path,
+                                                               capsys):
+    bench = load_bench("instances")
+    rng = random.Random(f"exact-pin:{p}^{e}-j{joins}")
+    text = bench.canon(bench.change_variables(bench.joined_identity(sps, p, e, joins), rng))
+    path = tmp_path / "joined.json"
+    path.write_text(text)
+    code, out, _ = run_cli(["check", str(path), "--exact"], capsys)
+    digest, monomials = PINNED_EXACT_JOINED[p, e, joins]
+    assert (code, bench.digest16(out)) == (0, digest)
+    assert json.loads(out)["zero"] is True
+    assert sum(map(len, sps.circuit._expand_terms(loads_circuit(text)))) == monomials
+
+
 def test_joined_extension_identity_bytes_pinned():
     bench = load_bench("instances")
     base = loads_circuit(bench.canon(bench.vanishing_identity(3, 2)))
