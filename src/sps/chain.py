@@ -32,9 +32,9 @@ from .circuit import (
     is_simple,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import LinearForm, pair_common
+from .forms import LinearForm, pair_common, pair_is_zero_mod
 from .matching import OrderedMatching, split_term
-from .quotient import FormIdeal, is_zero_mod, pair_is_zero_mod, reductions
+from .quotient import FormIdeal, is_zero_mod, reductions
 
 
 @dataclass
@@ -141,7 +141,7 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     final matchings' edges. The final I's first j echelon rows are the rows
     of iteration j's ideal, so a slot paired at iteration j gets the same
     (c, level) as it would under that ideal. A two-term residual is
-    decided exactly from its forms' records (quotient.pair_is_zero_mod, by
+    decided exactly from its forms' records (forms.pair_is_zero_mod, by
     unique factorization), with no oracle call; a longer one goes to
     is_zero_mod and ZeroOracle(). Returns the useful ideal and the verified
     matching data, whose q_set is the blocking subset.

@@ -3,23 +3,52 @@
 A circuit is a sum of multiplication terms, each a nonzero constant times a
 product of nonzero linear forms. Zero-ness is never structural: a circuit
 value is a syntax tree, and "computes the zero polynomial" is always the
-verdict of one of the two oracles below (exact sparse expansion after rank
-compression, or seeded random evaluation over a large enough field).
-Rank compression rewrites each form over the circuit's first rank(C)
-independent forms (its form basis's sources), not over the echelon rows
-they became: a form then reads only the sources it depends on, which on a
-join on fresh variables are its own block's. exact_cost_bound, the budget
-and auto's choice read the rank alone and are the same over any basis.
-Over GF(2) a term is expanded as a balanced tree of pairwise products of its
-forms' monomial sets, so cancellation mod 2 shrinks them early; elsewhere
-Field.mul_by_form multiplies the forms into one coefficient dict, one at a
-time, with no Field call per product: GF(p) sums int products and reduces
-once per form, GF(p^e) multiplies through the field's log tables.
-One ZeroOracle method (_sums) picks the oracle for is_zero and term_values alike.
+verdict of one of the two oracles below, an exact one or a seeded random
+evaluation over a large enough field. One ZeroOracle method (_sums) picks
+the oracle once per circuit, for is_zero and term_values alike.
+
+The exact oracle has two rungs (_exact_sums) and takes the one with the
+lower price; when both prices exceed EXPANSION_BUDGET it refuses.
+- Divisibility (_divisibility_rung) decides two terms, and three terms of
+  one degree d >= 1 with a squarefree term and a witness form, by unique
+  factorization modulo one form at a time (forms.pair_cancels_mod): d + 1
+  one-form ideals, priced (d + 1) * sum of degrees * n. Nothing is expanded.
+- Expansion (_expand_terms) rewrites each form over the circuit's first
+  rank(C) independent forms (its form basis's sources), not over the
+  echelon rows they became: a form then reads only the sources it depends
+  on, which on a join on fresh variables are its own block's, so a term
+  expands as a product of small per-block expansions (check --exact on the
+  GF(5) vanishing identity joined 3 times: 0.013 s, against 0.79 s over
+  echelon rows). exact_cost_bound, its price, and auto's choice read the
+  rank alone and are the same over any basis. Over GF(2) a term is expanded
+  as a balanced tree of pairwise products of its forms' monomial sets, so
+  cancellation mod 2 shrinks them early; elsewhere Field.mul_by_form
+  multiplies the forms into one coefficient dict, one at a time, with no
+  Field call per product: GF(p) sums int products and reduces once per
+  form, GF(p^e) multiplies through the field's log tables.
+The rank's echelon basis (form_basis, SpanBasis.from_vectors) tests each
+form for membership by one Field.dot per free coordinate, so only the forms
+that raise the rank are eliminated.
+
 The random oracle compiles the circuit's forms once (_EvalPlan): a pass
 evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
-then forms and terms, equal to evaluating coordinate by coordinate; over
-characteristic 2 one pass serves many trials, each in a lane of packed ints.
+then forms and terms, equal to evaluating coordinate by coordinate. Each
+point coordinate is one randrange(q) draw over the evaluation field GF(q);
+for prime fields and GF(2^m) lifts these are the points earlier releases
+drew, while an odd-p extension field (GF(3^2) circuits, or GF(5) lifted to
+GF(5^3)) draws other points under the same error bound. A trial is computed
+at most once, when a subset first needs it: trial 0 alone, so a nonzero
+circuit pays for one trial, then over characteristic 2 every remaining
+trial in one pass. There xor cannot carry from one 32-bit lane of an int
+into the next, so each coordinate's values are packed one lane per trial:
+a slice or a form costs one xor for all trials, and each term's form lanes
+are unpacked once into an array whose strided slices are the trials (gen ks
+--r 13's 40-trial verdicts: 41-49 ms in process, against 70-77 ms trial by
+trial). In odd characteristic each trial is evaluated on its own, forms
+with Field.add_vectors.
+
+The loader checks a prime-field vector as a whole and goes element by
+element only to name a bad one.
 """
 
 from __future__ import annotations
@@ -36,7 +65,7 @@ from operator import attrgetter
 
 from .algebra import Field, SpanBasis, field_make, pack_digits
 from .errors import BudgetExceededError
-from .forms import LinearForm, Term, similarity_key
+from .forms import LinearForm, Term, pair_cancels_mod, similarity_key
 
 EXPANSION_BUDGET = 10_000_000  # read at call time, like ZeroOracle.auto_budget
 MAX_TRIALS = 128  # every evaluation field has |E| > 2d: 128 trials err below 2^-128
@@ -147,7 +176,8 @@ def exact_cost_bound(circuit: Circuit) -> int:
 
 
 def zero_test_exact(circuit: Circuit) -> bool:
-    """Deterministic zero test by sparse expansion in rank-many variables.
+    """Deterministic zero test by sparse expansion in rank-many variables:
+    the exact oracle's expansion rung alone (see _exact_sums).
 
     Forms are rewritten in coordinates over the circuit's first rank(C)
     independent forms (_source_coordinates), so the expansion cost depends on
@@ -256,6 +286,68 @@ def _sums_to_zero(field: Field, polys: list, q) -> bool:
                 return False
         done.update(poly)
     return True
+
+
+# -- exact zero test by divisibility (unique factorization modulo one form) --
+
+def _divisibility_rung(circuit: Circuit):
+    """(price, sums) of the zero test by divisibility (Kayal and Saxena,
+    Computational Complexity 16, 2007), or None where it does not apply.
+
+    sums(q) decides a pair of terms over the zero ideal, and for k = 3 the
+    whole circuit C = c1*M1 + c2*M2 + c3*M3 when its terms have one degree
+    d >= 1, some term M1 is squarefree (pairwise non-similar forms) and a
+    form w of M2 or M3 is similar to no form of M1. Then C = 0 iff (i)
+    c2*M2 + c3*M3 = 0 modulo (l) for every form l of M1, which makes M1
+    divide C, so C = c*M1, and (ii) C = 0 modulo (w), where M1 is not 0, so
+    c = 0. Every check is a pair modulo one form (forms.pair_cancels_mod);
+    nothing is expanded. price is (d + 1) * sum of degrees * n, the
+    coefficient operations of reducing every form modulo d + 1 forms.
+    """
+    terms, degrees, d = circuit.terms, circuit.degrees, circuit.degree
+
+    def cancel(q, form=None):  # whether the two terms indexed by q cancel modulo (form)
+        return pair_cancels_mod(circuit.field, [terms[i] for i in q], form)
+
+    if circuit.k == 2:
+        return sum(degrees) * circuit.n, cancel
+    if circuit.k != 3 or d == 0 or len(set(degrees)) != 1:
+        return None
+    keys = form_keys(circuit)
+    m = next((i for i in range(3) if len(set(keys[i])) == d), None)
+    if m is None:
+        return None
+    classes = set(keys[m])
+    w = next(((i, f) for i in range(3) if i != m
+              for f, key in zip(terms[i].forms, keys[i]) if key not in classes), None)
+    if w is None:
+        return None
+
+    def sums(q) -> bool:
+        if len(q) == 2:
+            return cancel(q)
+        return (all(cancel([j for j in range(3) if j != m], f) for f in terms[m].forms)
+                and cancel([j for j in range(3) if j != w[0]], w[1]))
+
+    return (d + 1) * 3 * d * circuit.n, sums
+
+
+def _exact_sums(circuit: Circuit):
+    """Whether the terms indexed by q sum to zero, for any subset q, exactly:
+    by _divisibility_rung where it applies and its price is at most
+    exact_cost_bound, else off one expansion of each term (_expand_terms).
+    Raises BudgetExceededError, naming both prices, when both exceed
+    EXPANSION_BUDGET."""
+    rung = _divisibility_rung(circuit)
+    if rung is not None:
+        price, sums = rung
+        bound, budget = exact_cost_bound(circuit), EXPANSION_BUDGET
+        if min(price, bound) > budget:
+            raise BudgetExceededError(f"exact expansion bound {bound} and divisibility "
+                                      f"price {price} exceed budget {budget}")
+        if price <= bound:
+            return sums
+    return partial(_sums_to_zero, circuit.field, _expand_terms(circuit))
 
 
 # -- randomized zero test (seeded evaluation, lifted to a large field) --
@@ -428,10 +520,10 @@ class ZeroOracle:
                                         and exact_cost_bound(circuit) <= self.auto_budget)
 
     def _sums(self, circuit: Circuit):
-        """Whether the terms indexed by q sum to zero, for any subset q: read off
-        one expansion of each term, or one evaluation of each term per trial."""
+        """Whether the terms indexed by q sum to zero, for any subset q: by an
+        exact rung (_exact_sums), or off one evaluation of each term per trial."""
         if self.answers_exactly(circuit):
-            return partial(_sums_to_zero, circuit.field, _expand_terms(circuit))
+            return _exact_sums(circuit)
         return _random_sums(circuit, self.trials, self.seed)
 
     def is_zero(self, circuit: Circuit) -> bool:

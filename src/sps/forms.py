@@ -1,4 +1,5 @@
-"""Linear forms, ordered form lists, multiplication terms, and similarity.
+"""Linear forms, ordered form lists, multiplication terms, similarity, and
+two terms compared modulo a form-ideal.
 
 A linear form is a homogeneous degree-1 polynomial, stored as its coefficient
 vector. Lists of forms are ordinary tuples: the order is semantically
@@ -10,11 +11,19 @@ between lists well defined. Everything here is immutable.
 loader, the generators, ``--ideal``). Results of field arithmetic are
 already canonical, so ``scale`` and ideal reduction wrap their tuples with
 the private ``LinearForm._wrap`` instead.
+
+Modulo a form-ideal I, F[x]/I is again a polynomial ring, so two terms
+cancel iff their forms' classes modulo I agree as multisets and their
+constants times leading coefficients cancel (``pair_is_zero_mod``). The
+records it reads (``reduction_records``) come from any reduction that
+leaves remainders zero at the pivots: ``FormIdeal.reductions`` in the
+quotient module, or one form's in ``pair_cancels_mod``, the check of the
+exact oracle's divisibility rung.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .algebra import Field
 
@@ -213,3 +222,69 @@ def lists_similar(u, v):
     """
     return pair_by_key([similarity_key(f) for f in u], [similarity_key(g) for g in v])
 
+
+# -- two terms modulo a form-ideal, by unique factorization --
+
+Reduction = namedtuple("Reduction", "a rest key lead")  # see reduction_records
+
+
+def reduction_records(field: Field, pairs):
+    """The record of each form f given as a pair (a, rest) with f = sum(a[i]
+    * row i) + rest modulo a span, rest zero at the pivots of its echelon
+    rows, yielded in order: rest = lead * key with key's first nonzero entry
+    1 (f's similarity class modulo the span), or key = lead = None when rest
+    is zero."""
+    inv, mul = field.inv, field.mul
+    for a, rest in pairs:
+        lead = next(filter(None, rest), None)
+        if lead is None:
+            yield Reduction(a, rest, None, None)
+        elif lead == 1:  # rest is its own key: hold one tuple for both
+            rest = tuple(rest)
+            yield Reduction(a, rest, rest, lead)
+        else:
+            c = inv(lead)
+            yield Reduction(a, rest, tuple(mul(c, x) if x else 0 for x in rest), lead)
+
+
+def pair_is_zero_mod(field: Field, pair) -> bool:
+    """Whether c1*M1 + c2*M2 is zero modulo an ideal I, exactly, for the pair
+    ((c1, recs1), (c2, recs2)) of constants and reductions of each term's
+    forms. A term with a form in sp(I) vanishes. F[x]/I is a polynomial ring,
+    so by unique factorization two terms with no form in sp(I) cancel iff
+    their keys agree as multisets and c1 * prod(leads1) + c2 * prod(leads2)
+    = 0."""
+    (c1, recs1), (c2, recs2) = pair
+    gone1, gone2 = (any(x.key is None for x in recs) for recs in (recs1, recs2))
+    if gone1 or gone2:
+        return gone1 and gone2
+    # plain dicts compare by the hashes they hold; Counter's == looks each key up again
+    if dict(Counter(x.key for x in recs1)) != dict(Counter(x.key for x in recs2)):
+        return False
+    return not field.add(field.mul(c1, field.product([x.lead for x in recs1])),
+                         field.mul(c2, field.product([x.lead for x in recs2])))
+
+
+def pair_cancels_mod(field: Field, terms, form) -> bool:
+    """Whether the two terms sum to zero modulo (form), or over the zero
+    ideal when form is None (pair_is_zero_mod). A form v is reduced to
+    v - (v[j] / form[j]) * form, j form's first nonzero coordinate: the
+    remainder zero at j that SpanBasis.reduce would give."""
+    remainder = tuple  # over the zero ideal, v itself
+    if form is not None:
+        j = next(j for j, x in enumerate(form.coeffs) if x)
+        s, sub, mul = field.inv(form.coeffs[j]), field.sub, field.mul
+        entries = [(i, mul(s, x)) for i, x in enumerate(form.coeffs) if x]
+
+        def remainder(v):
+            c = v[j]
+            if not c:
+                return v
+            out = list(v)
+            for i, x in entries:
+                out[i] = sub(out[i], mul(c, x))
+            return out
+
+    return pair_is_zero_mod(field, [
+        (t.coef, list(reduction_records(field, ((None, remainder(f.coeffs)) for f in t.forms))))
+        for t in terms])

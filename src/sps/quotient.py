@@ -19,18 +19,14 @@ the same type with no generators, and every operation treats it uniformly as
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
 
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle
 from .errors import BudgetExceededError
-from .forms import LinearForm, Term, pair_common
+from .forms import LinearForm, Reduction, Term, pair_common, reduction_records
 from .matching import split_term
 
 FACTOR_BUDGET = 1_000_000
-
-
-Reduction = namedtuple("Reduction", "a rest key lead")  # see FormIdeal.reduction
 
 
 class FormIdeal:
@@ -73,19 +69,11 @@ class FormIdeal:
         is (a, rest, key, lead): f = sum(a[i] * row i) + rest with rest zero
         at every pivot, and rest = lead * key with key's first nonzero entry
         1 (f's similarity class modulo the ideal), or key = lead = None when
-        rest is zero. f lies in prefix(j) iff rest and a[j:] are zero."""
+        rest is zero (forms.reduction_records). f lies in prefix(j) iff rest
+        and a[j:] are zero."""
         field = self.field
-        inv, mul = field.inv, field.mul
-        for a, rest in eliminate(field, self.span.sparse_rows, (f.coeffs for f in forms)):
-            lead = next(filter(None, rest), None)
-            if lead is None:
-                yield Reduction(a, rest, None, None)
-            elif lead == 1:  # rest is its own key: hold one tuple for both
-                rest = tuple(rest)
-                yield Reduction(a, rest, rest, lead)
-            else:
-                c = inv(lead)
-                yield Reduction(a, rest, tuple(mul(c, x) if x else 0 for x in rest), lead)
+        return reduction_records(field, eliminate(field, self.span.sparse_rows,
+                                                  (f.coeffs for f in forms)))
 
     def reduction(self, f: LinearForm) -> Reduction:
         """f's record, as ``reductions`` gives it."""
@@ -150,24 +138,6 @@ def is_zero_mod(circuit: Circuit, ideal: FormIdeal) -> bool:
     reduction."""
     reduced = reduce_circuit(circuit, ideal)
     return reduced is None or ZeroOracle().is_zero(reduced)
-
-
-def pair_is_zero_mod(field: Field, pair) -> bool:
-    """Whether c1*M1 + c2*M2 is zero modulo an ideal I, exactly, for the pair
-    ((c1, recs1), (c2, recs2)) of constants and reductions of each term's
-    forms. A term with a form in sp(I) vanishes. F[x]/I is a polynomial ring,
-    so by unique factorization two terms with no form in sp(I) cancel iff
-    their keys agree as multisets and c1 * prod(leads1) + c2 * prod(leads2)
-    = 0."""
-    (c1, recs1), (c2, recs2) = pair
-    gone1, gone2 = (any(x.key is None for x in recs) for recs in (recs1, recs2))
-    if gone1 or gone2:
-        return gone1 and gone2
-    # plain dicts compare by the hashes they hold; Counter's == looks each key up again
-    if dict(Counter(x.key for x in recs1)) != dict(Counter(x.key for x in recs2)):
-        return False
-    return not field.add(field.mul(c1, field.product([x.lead for x in recs1])),
-                         field.mul(c2, field.product([x.lead for x in recs2])))
 
 
 def linear_factors(circuit: Circuit) -> tuple[LinearForm, ...]:

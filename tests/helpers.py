@@ -541,6 +541,70 @@ def random_pair_identity(rng, field, n, d):
     )
 
 
+def vanishing_identity(rng, field, n):
+    """The vanishing-product identity prod_{a != 0} (x - a*y) - x^(q-1) +
+    y^(q-1) = 0 over GF(q), built on two variables and moved into n >= 2 by
+    a random injective change of variables (random_embedding)."""
+    x, y = LinearForm(field, (1, 0)), LinearForm(field, (0, 1))
+    q1 = field.order - 1
+    base = Circuit(field, 2, [
+        Term(field, field.one, [LinearForm(field, (1, field.neg(a))) for a in range(1, q1 + 1)]),
+        Term(field, field.neg(field.one), [x] * q1),
+        Term(field, field.one, [y] * q1),
+    ])
+    return substitute(base, random_embedding(rng, field, 2, n), n)
+
+
+def planted_triple(rng, field, n, d, repeat=False):
+    """The three-term identity c(a + b)P - caP - cbP of degree d >= 1 for
+    random forms a, b and a product P of d - 1 random forms; with repeat, P
+    is h^(d - 1) for one form h, so for d >= 3 no term is squarefree."""
+    a = random_form(rng, field, n, any_element=True)
+    b = random_form(rng, field, n, any_element=True)
+    while form_add(a, b).is_zero:
+        b = random_form(rng, field, n, any_element=True)
+    h = random_form(rng, field, n, any_element=True)
+    prod = [h] * (d - 1) if repeat else [random_form(rng, field, n, any_element=True)
+                                         for _ in range(d - 1)]
+    c = random_unit(rng, field)
+    return Circuit(field, n, [Term(field, c, [form_add(a, b), *prod]),
+                              Term(field, field.neg(c), [a, *prod]),
+                              Term(field, field.neg(c), [b, *prod])])
+
+
+def rescaled(rng, circuit):
+    """The same polynomial with every form times a random unit, each
+    constant divided by its term's units, and every term's forms and the
+    terms themselves shuffled."""
+    field = circuit.field
+    terms = []
+    for t in circuit.terms:
+        units = [random_unit(rng, field) for _ in t.forms]
+        forms = [f.scale(u) for f, u in zip(t.forms, units)]
+        rng.shuffle(forms)
+        terms.append(Term(field, field.div(t.coef, field.product(units)), forms))
+    rng.shuffle(terms)
+    return Circuit(field, circuit.n, terms)
+
+
+def perturbed(rng, circuit):
+    """circuit with one change: a term's constant plus a random unit, or
+    where that sum is 0 (always over GF(2)) one form plus a random form."""
+    field = circuit.field
+    i = rng.randrange(circuit.k)
+    t = circuit.terms[i]
+    coef, forms = field.add(t.coef, random_unit(rng, field)), list(t.forms)
+    if not coef and forms:
+        coef, j = t.coef, rng.randrange(len(forms))
+        while (f := form_add(forms[j], random_form(rng, field, circuit.n))).is_zero:
+            pass
+        forms[j] = f
+    coef = coef or t.coef  # a degree-0 term over GF(2) keeps its constant
+    terms = list(circuit.terms)
+    terms[i] = Term(field, coef, forms)
+    return Circuit(field, circuit.n, terms)
+
+
 def random_invertible(rng, field, n):
     """Random invertible n x n matrix over the field (rows as tuples)."""
     while True:

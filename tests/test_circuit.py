@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -41,17 +43,21 @@ from sps.circuit import (
     _term_values,
     circuit_from_dict,
     exact_cost_bound,
+    form_keys,
 )
 from helpers import (
     brute_expand,
     count_trials,
     echelon_expand,
     form_add,
+    perturbed,
+    planted_triple,
     random_circuit,
     random_form,
     random_invertible,
     random_pair_identity,
     random_unit,
+    rescaled,
     reference_term_values,
     reference_vectors_from_json,
     refuse_oracle_work,
@@ -60,6 +66,7 @@ from helpers import (
     sequential_sums_to_zero,
     subset_reference,
     substitute,
+    vanishing_identity,
 )
 
 F2 = field_make(2)
@@ -373,6 +380,81 @@ def test_budget_ignores_the_environment(monkeypatch):
     monkeypatch.setattr(sps.circuit, "EXPANSION_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="budget 1$"):
         zero_test_exact(gen_ks(4))
+
+
+def _divisibility_applies(c):
+    """Whether the divisibility rung should decide c: k = 2, or k = 3 terms
+    of one degree d >= 1 with a squarefree term whose classes miss some
+    form of the others."""
+    keys = form_keys(c)
+    classes = [set(ks) for ks in keys]
+    if c.k == 2:
+        return True
+    return (c.k == 3 and len(set(c.degrees)) == 1 and c.degree >= 1
+            and any(len(cl) == len(ks) and set().union(*classes) - cl
+                    for cl, ks in zip(classes, keys)))
+
+
+def _divisibility_corpus(rng, field):
+    """(circuits, fallbacks) over the field. circuits: planted three-term
+    identities, the vanishing-product identity, k = 2 pairs and random
+    triples, each rescaled and with a perturbed copy, and triples where a
+    term vanishes mod a form of the squarefree term. fallbacks: one circuit
+    per case the rung leaves to expansion."""
+    one = field.one
+    circuits, fallbacks = [], []
+    for _ in range(6):
+        n = rng.randrange(2, 5)
+        for c in (planted_triple(rng, field, n, rng.randrange(1, 4)),
+                  vanishing_identity(rng, field, n),
+                  random_pair_identity(rng, field, n, rng.randrange(0, 4)),
+                  random_circuit(rng, field, n, 2, rng.randrange(1, 3), any_element=True),
+                  random_circuit(rng, field, n, 3, rng.randrange(1, 3), any_element=True)):
+            circuits += [c, rescaled(rng, c), perturbed(rng, c)]
+        x, y = random_form(rng, field, n), random_form(rng, field, n)
+        while similarity_key(x) == similarity_key(y):
+            y = random_form(rng, field, n)
+        u, v = random_unit(rng, field), random_unit(rng, field)
+        # a term vanishing mod the form x of the squarefree term x*y
+        circuits.append(Circuit(field, n, [Term(field, one, [x, y]), Term(field, u, [x, x]),
+                                           Term(field, v, [y, y])]))
+        # no squarefree term: P = h^2 in every term of a planted identity
+        repeated = planted_triple(rng, field, n, 3, repeat=True)
+        # mixed degrees, and three constants summing to zero (degree 0)
+        mixed = Circuit(field, n, [Term(field, one, [x, y]), Term(field, field.neg(one), [y, x]),
+                                   Term(field, one, [x])])
+        constants = Circuit(field, n, [Term(field, u, []), Term(field, v, []),
+                                       Term(field, field.neg(field.add(u, v)) or one, [])])
+        # no witness: every form of the others is similar to one of x*y's;
+        # (1 + u*v + 1) * x*y is zero when u*v = -2
+        witnessless = Circuit(field, n, [Term(field, one, [x, y]),
+                                         Term(field, one, [x.scale(u), y.scale(v)]),
+                                         Term(field, one, [y, x])])
+        fallbacks += [repeated, mixed, constants, witnessless]
+    return circuits, fallbacks
+
+
+@pytest.mark.parametrize("field", [F2, F5, F7, F8, F9], ids=repr)
+def test_divisibility_rung_agrees_with_expansion(field):
+    rng = random.Random(f"divisibility:{field!r}")
+    expand_subsets = SimpleNamespace(is_zero=zero_test_exact)
+    circuits, fallbacks = _divisibility_corpus(rng, field)
+    assert not any(map(_divisibility_applies, fallbacks))
+    verdicts = Counter()  # (k, zero) over the circuits the rung decides
+    for c in circuits + fallbacks:
+        rung = sps.circuit._divisibility_rung(c)
+        assert (rung is not None) == _divisibility_applies(c), c
+        polys = _expand_terms(c)
+        values = ZeroOracle("exact").term_values(c)
+        zero = _sums_to_zero(field, polys, range(c.k))
+        assert values.is_zero() == zero == zero_test_exact(c)
+        assert values.is_minimal() == subset_reference(c, expand_subsets)
+        if rung is not None:
+            _, sums = rung
+            for q in (q for size in (2, 3) for q in itertools.combinations(range(c.k), size)):
+                assert sums(q) == _sums_to_zero(field, polys, q), (c, q)
+            verdicts[c.k, zero] += 1
+    assert min(verdicts[k, zero] for k in (2, 3) for zero in (True, False)) >= 10, verdicts
 
 
 def test_zero_test_random_soundness_and_agreement():

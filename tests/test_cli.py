@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sps import (
-    Field, SpanBasis, dumps_circuit, field_make, gen_joined, gen_ks, loads_circuit, make_circuit,
+    Field, SpanBasis, build_chain, dumps_circuit, field_make, gen_family, gen_joined, gen_ks,
+    loads_circuit, make_circuit,
 )
 from sps.cli import _build_parser, _digest, _load_circuit, main
 import sps.circuit
@@ -389,13 +390,57 @@ def test_stdout_bytes_pinned_on_files(tmp_path, capsys):
         assert run_cli(["check", path], capsys)[:2] == (0, auto)
 
 
-def test_check_exact_answers_ks7_and_refuses_ks8(tmp_path, capsys):
+# check --exact on gen ks --r 8..11, (d, digest): answered by the
+# divisibility rung, with check --random's bytes but for "mode"
+PINNED_CHECK_KS_EXACT = {
+    8: (64, "42322e243aa1920c"),
+    9: (128, "f572d8a03c28222a"),
+    10: (256, "2aa9e8ea3ba2967c"),
+    11: (512, "6bbc1539ee6fdad2"),
+}
+
+
+def test_check_exact_answers_ks7_to_ks11_and_refuses_ks12(tmp_path, capsys):
     ks7 = _gen_file(tmp_path, capsys, ["ks", "--r", "7"], "ks7.json")
     assert run_cli(["check", ks7, "--exact"], capsys)[:2] == (0, PINNED_CHECK_KS7)
-    ks8 = _gen_file(tmp_path, capsys, ["ks", "--r", "8"], "ks8.json")
-    code, out, err = run_cli(["check", ks8, "--exact"], capsys)
+    for r, (d, digest) in PINNED_CHECK_KS_EXACT.items():
+        path = _gen_file(tmp_path, capsys, ["ks", "--r", str(r)], f"ks{r}.json")
+        expected = PINNED_CHECK_KS7.replace('"d":32', f'"d":{d}').replace(
+            "1b7b4f4c2d0a16e0", digest).replace('"n":7', f'"n":{r}').replace(
+            '"rank":7', f'"rank":{r}')
+        assert run_cli(["check", path, "--exact"], capsys)[:2] == (0, expected)
+        rand = expected.replace('"mode":"exact"', '"mode":"random"')
+        assert run_cli(["check", path, "--random"], capsys)[:2] == (0, rand)
+    # ks12: expansion bound ~1.0e26 and divisibility price 1025 * 3072 * 12
+    ks12 = _gen_file(tmp_path, capsys, ["ks", "--r", "12"], "ks12.json")
+    code, out, err = run_cli(["check", ks12, "--exact"], capsys)
     assert (code, out) == (2, "")
-    assert "exact expansion bound" in err
+    assert "exact expansion bound" in err and "divisibility price 37785600" in err
+
+
+def test_divisibility_rung_reduces_modulo_d_plus_1_forms(tmp_path, capsys, monkeypatch):
+    # check --exact on ks6 (d = 16): 17 one-form ideals and the three pairs
+    # over the zero ideal, no expansion
+    ks6 = _gen_file(tmp_path, capsys, ["ks", "--r", "6"], "ks6.json")
+    expansions = count_calls(monkeypatch, "_expand_terms")
+    pairs = count_calls(monkeypatch, "pair_cancels_mod")
+    code, out, _ = run_cli(["check", ks6, "--exact"], capsys)
+    assert code == 0 and json.loads(out)["zero"] and json.loads(out)["minimal"]
+    assert expansions == []
+    assert len([form for _, _, form in pairs if form is not None]) == 17
+    assert len([form for _, _, form in pairs if form is None]) == 3
+    # the random and auto-random paths, and the chain-ks chains, never enter it
+    paths = [_gen_file(tmp_path, capsys, ["ks", "--r", str(r)], f"ks{r}.json")
+             for r in (9, 10, 12)]
+    chains = [*map(gen_ks, (9, 10, 11)),
+              *(gen_family(r, i, verify=False) for r in (4, 5) for i in (3, 4, 5))]
+    rungs = count_calls(monkeypatch, "_divisibility_rung")
+    for path in paths:
+        assert run_cli(["check", path, "--random"], capsys)[0] == 0
+        assert run_cli(["check", path], capsys)[0] == 0
+    for circuit in chains:
+        build_chain(circuit)
+    assert rungs == []
 
 
 def test_check_reads_both_verdicts_off_one_set_of_term_values(tmp_path, capsys,

@@ -26,7 +26,8 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
-from sps.quotient import is_zero_mod, pair_is_zero_mod, reduce_circuit, reductions
+from sps.forms import pair_is_zero_mod
+from sps.quotient import is_zero_mod, reduce_circuit, reductions
 from helpers import (
     CountedKey,
     brute_expand,
