@@ -12,13 +12,10 @@ per field in O(q) time and at most 16 bytes per element. Only this module
 reads the tables: ``Field.product`` and ``Field.mul_by_form`` are the batch
 kernels of the random and the exact oracle.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
-Linear algebra has one echelon format, ``SpanBasis``: rows in insertion
-order, appended and never rewritten, each kept dense and as a sparse row
-(pivot, nonzero entries after it). The one kernel ``eliminate`` reduces a
-batch of vectors by the sparse rows, visiting only their nonzero entries.
-``SpanBasis.from_vectors`` tests each vector for membership by one
-``Field.dot`` per free (non-pivot) coordinate against that column of the
-reduced row-echelon form, so only vectors that insert are eliminated.
+Linear algebra has one echelon format, ``SpanBasis``: sparse rows (pivot,
+nonzero entries after it) in insertion order, appended and never rewritten.
+The one kernel ``eliminate`` reduces a batch of vectors by the sparse rows,
+visiting only their nonzero entries.
 Elements are canonical and hashable. A ``Field`` is immutable after
 construction; a ``SpanBasis`` is append-only, and only its builder appends,
 so what either hands out is safe to share between concurrent tasks.
@@ -29,7 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 
@@ -392,12 +389,6 @@ class Field:
                     out[k] = (prev + z) % m if z >= 0 else -1
         return {k: exp[v] for k, v in out.items() if v >= 0}
 
-    def dot(self, u, v):
-        """The sum of the products u[i] * v[i] of two equally long sequences."""
-        if self.e == 1:
-            return sum(map(operator.mul, u, v)) % self.p
-        return reduce(operator.xor if self.p == 2 else self.add, map(self.mul, u, v), 0)
-
 
 def pack_digits(p: int, digits) -> int:
     """The element sum(c_i * p^i) of GF(p^e) with digits c_i in [0, p),
@@ -458,67 +449,44 @@ def eliminate(field: Field, rows, vectors):
 
 
 class SpanBasis:
-    """Echelon basis of a subspace of F^n, rows in insertion order.
-
-    Each row is zero before its pivot and at the pivots of earlier rows, and
-    is 1 at its own pivot, which is what ``eliminate`` requires; ``insert``
-    appends one row in place and never rewrites an earlier one. It records
-    the row twice: dense in ``rows`` (with its pivot in ``pivots``), and as
-    the sparse row (pivot, nonzero entries after it) in ``sparse_rows``,
-    which is what every elimination by the basis walks. ``reduce``
-    and ``contains`` depend on the span alone: the pivots are the leading
-    positions of the span's nonzero vectors (a combination leads where its
-    row of least pivot does), and the remainder of v that is zero at every
-    pivot is unique (two differ by a span vector leading at no pivot, so by
-    0). ``coordinates`` are over the rows in insertion order. ``sources``
-    holds the vectors that inserted, as given and in insertion order: a
-    basis of the same span whose vectors are not mixed with each other by
-    elimination (the exact oracle expands over a circuit's sources). Source
-    i's coordinates are zero after row i and nonzero at row i. A basis is
-    append-only; only its builder appends, so a basis handed out is complete.
+    """Echelon basis of a subspace of F^n: sparse rows (pivot, nonzero
+    entries after it) in insertion order, each zero before its pivot and at
+    the earlier rows' pivots and 1 at its own, as ``eliminate`` requires.
+    ``insert`` appends one row and never rewrites one. ``reduce`` and
+    ``contains`` depend on the span alone: the pivots are the leading
+    positions of the span's nonzero vectors, and the remainder of v that is
+    zero at every pivot is unique (two differ by a span vector leading at no
+    pivot, so by 0). ``sources`` holds the vectors that inserted, as given:
+    a basis of the same span that elimination does not mix (the exact oracle
+    expands over a circuit's sources), and ``coordinates`` are over it. A
+    basis is append-only; only its builder appends, so one handed out is
+    complete.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots", "sparse_rows", "sources", "_rest")
+    __slots__ = ("field", "n", "sparse_rows", "sources", "_lower", "_rest")
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
-        self.rows = ()
-        self.pivots = ()
         self.sparse_rows = ()
         self.sources = ()
-        self._rest = {}  # vector -> [its remainder, the rows eliminated from it]
+        # per source i, (inv, ((j, x), ...)): source i = row i / inv + sum of x * row j
+        self._lower = ()
+        self._rest = {}  # vector -> [its remainder, its multipliers of the rows eliminated]
 
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
-        """The insertions of vectors in order, eliminating only the vectors
-        that insert. v lies in the span iff at every free (non-pivot)
-        coordinate j, v[j] is the dot product of v's pivot entries with
-        column j of the span's reduced row-echelon form; those columns are
-        kept from the first vector on and updated by each inserted row, so
-        rows and pivots are those of inserting every vector. Once the rank is
-        n, the later vectors are only checked for length, all in one pass."""
+        """The insertions of vectors in order, each vector eliminated by the
+        rows so far and none of them recorded. Once the rank is n, the later
+        vectors are only checked for length, all in one pass."""
         basis = cls(field, n)
-        cols = None  # free coordinate -> its RREF column, one entry per pivot
-        sub, mul, dot = field.sub, field.mul, field.dot
         vectors = iter(vectors)
         for v in vectors:
             basis._check(v)
-            if basis.rank == n:
+            if len(basis.sparse_rows) == n:
                 break
-            if cols is None:
-                cols = {j: [] for j in range(n)}
-            at_pivots = [v[p] for p in basis.pivots]
-            if all(v[j] == dot(col, at_pivots) for j, col in cols.items()):
-                continue
-            basis.insert(v)
-            row, piv = basis.rows[-1], basis.pivots[-1]
-            # the new RREF row is the inserted row; it is cleared from the others at piv
-            col_piv = cols.pop(piv)
-            for j, col in cols.items():
-                if row[j]:
-                    col[:] = [sub(c, mul(row[j], cp)) for c, cp in zip(col, col_piv)]
-                col.append(row[j])
+            [(mults, rest)] = eliminate(field, basis.sparse_rows, (v,))
+            basis._append(v, mults, rest)
         bad = set(map(len, vectors)) - {n}  # of the vectors left at full rank
         if bad:
             raise ValueError(f"vector has dimension {min(bad)}, basis ambient is {n}")
@@ -526,7 +494,7 @@ class SpanBasis:
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
     def _check(self, v):
         if len(v) != self.n:
@@ -541,37 +509,50 @@ class SpanBasis:
         rec = self._rest.get(v)
         if rec is None:
             self._check(v)
-            rec = self._rest[v] = [v, 0]
-        if rec[1] < len(self.rows):
-            [(_, rest)] = eliminate(self.field, self.sparse_rows[rec[1]:], (rec[0],))
+            rec = self._rest[v] = [v, []]
+        done = len(rec[1])
+        if done < len(self.sparse_rows):
+            [(mults, rest)] = eliminate(self.field, self.sparse_rows[done:], (rec[0],))
             rec[0] = tuple(rest)
-            rec[1] = len(self.rows)
+            rec[1] += mults
         return rec[0]
 
     def contains(self, v: tuple) -> bool:
         return not any(self.reduce(v))
 
     def coordinates(self, v):
-        """Coefficients of v over the basis rows, or None if v is outside the span."""
+        """Coefficients of v over ``sources``, or None if v is outside the
+        span: its multipliers of the rows, back-substituted through the
+        lower-triangular entries from the last source."""
         self._check(v)
-        [(coords, rest)] = eliminate(self.field, self.sparse_rows, (v,))
+        [(a, rest)] = eliminate(self.field, self.sparse_rows, (v,))
         if any(rest):
             return None
-        return tuple(coords)
+        sub, mul = self.field.sub, self.field.mul
+        for i in range(len(a) - 1, -1, -1):
+            if a[i]:
+                inv, earlier = self._lower[i]
+                b = a[i] = mul(a[i], inv)
+                for j, x in earlier:
+                    a[j] = sub(a[j], mul(b, x))
+        return tuple(a)
 
     def insert(self, v: tuple) -> bool:
         """Append v's remainder, scaled to 1 at its first nonzero entry, as
         the last row; False (and no row) when v lies in the span."""
         rest = self.reduce(v)
-        piv = next((j for j, c in enumerate(rest) if c), None)
-        if piv is None:
+        return self._append(v, self._rest[v][1], rest)
+
+    def _append(self, v, mults, rest) -> bool:
+        """The one insertion path: v's remainder rest and multipliers mults
+        of every row become a row and a lower-triangular entry."""
+        if not any(rest):
             return False
+        piv = next(j for j, c in enumerate(rest) if c)
         inv, mul = self.field.inv(rest[piv]), self.field.mul
-        row = tuple(mul(inv, c) if c else 0 for c in rest)
-        self.rows += (row,)
-        self.pivots += (piv,)
-        entries = tuple((j, row[j]) for j in range(piv + 1, self.n) if row[j])
+        entries = tuple((j, mul(inv, rest[j])) for j in range(piv + 1, self.n) if rest[j])
         self.sparse_rows += ((piv, entries),)
+        self._lower += ((inv, tuple((j, x) for j, x in enumerate(mults) if x)),)
         self.sources += (v,)
         return True
 
@@ -580,19 +561,13 @@ class SpanBasis:
 
 
 def spans_orthogonal(bases: list[SpanBasis]) -> bool:
-    """True iff each basis meets the span of its predecessors only in 0.
-
-    Equivalently, the rank of the union equals the sum of the ranks; checked
-    by cumulative insertion.
-    """
+    """True iff each basis meets the span of its predecessors only in 0:
+    equivalently, the rank of the union of their sources is the sum of
+    their ranks."""
     if not bases:
         return True
     field, n = bases[0].field, bases[0].n
-    acc = SpanBasis(field, n)
-    for b in bases:
-        if b.field != field or b.n != n:
-            raise ValueError("orthogonality check needs a common field and dimension")
-        for row in b.rows:
-            if not acc.insert(row):
-                return False
-    return True
+    if any(b.field != field or b.n != n for b in bases):
+        raise ValueError("orthogonality check needs a common field and dimension")
+    union = SpanBasis.from_vectors(field, n, [v for b in bases for v in b.sources])
+    return union.rank == sum(b.rank for b in bases)

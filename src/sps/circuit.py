@@ -26,9 +26,6 @@ lower price; when both prices exceed EXPANSION_BUDGET it refuses.
   multiplies the forms into one coefficient dict, one at a time, with no
   Field call per product: GF(p) sums int products and reduces once per
   form, GF(p^e) multiplies through the field's log tables.
-The rank's echelon basis (form_basis, SpanBasis.from_vectors) tests each
-form for membership by one Field.dot per free coordinate, so only the forms
-that raise the rank are eliminated.
 
 The random oracle compiles the circuit's forms once (_EvalPlan): a pass
 evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
@@ -191,27 +188,12 @@ def zero_test_exact(circuit: Circuit) -> bool:
 def _source_coordinates(circuit: Circuit) -> dict:
     """Each distinct form's coefficients -> its coordinates over the sources
     of form_basis(circuit), the circuit's first rank(C) independent forms.
-    Row i of the lower-triangular L is basis.coordinates(source i), nonzero
-    at i, and a form's coordinates b solve b L = basis.coordinates(form) by
-    back-substitution from the last source. Over the echelon rows, which
-    elimination mixes, a form of a join on fresh variables would be dense.
+    Over the echelon rows, which elimination mixes, a form of a join on
+    fresh variables would be dense.
     """
-    basis = form_basis(circuit)
-    field = circuit.field
-    sub, mul = field.sub, field.mul
-    coords = dict.fromkeys(map(attrgetter("coeffs"), circuit.all_forms()))
-    for v in coords:
-        coords[v] = list(basis.coordinates(v))
-    # per source i (itself a circuit form), 1 / L_ii and the nonzero L_ij, j < i
-    lower = [(field.inv(row[i]), [(j, x) for j, x in enumerate(row[:i]) if x])
-             for i, row in enumerate(map(coords.get, basis.sources))]
-    for a in coords.values():
-        for i in range(len(lower) - 1, -1, -1):
-            if a[i]:
-                b = a[i] = mul(a[i], lower[i][0])
-                for j, x in lower[i][1]:
-                    a[j] = sub(a[j], mul(b, x))
-    return coords
+    coordinates = form_basis(circuit).coordinates
+    distinct = dict.fromkeys(map(attrgetter("coeffs"), circuit.all_forms()))
+    return {v: coordinates(v) for v in distinct}
 
 
 def _expand_terms(circuit: Circuit) -> list:

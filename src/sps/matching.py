@@ -413,7 +413,8 @@ def doubling_check(u, v, ideals) -> DoublingReport:
         return report("SIMILAR")
 
     field = u[0].field
-    basis = SpanBasis.from_vectors(field, u[0].n, [u[rest_u[0]].coeffs])
+    basis = SpanBasis(field, u[0].n)
+    basis.insert(u[rest_u[0]].coeffs)
     # remainders of the forms not yet green, modulo the first `done` basis
     # rows; the basis only appends rows, so eliminating by the new rows alone
     # continues the same elimination, and a green form stays green

@@ -43,7 +43,7 @@ class FormIdeal:
     list is the distinguished zero ideal.
     """
 
-    __slots__ = ("field", "n", "generators", "span", "rows", "pivots")
+    __slots__ = ("field", "n", "generators", "span")
 
     def __init__(self, field: Field, n: int, generators):
         self.field = field
@@ -57,7 +57,6 @@ class FormIdeal:
                 raise ValueError("ideal generators must be nonzero")
             if not span.insert(g.coeffs):
                 raise ValueError("ideal generators must be linearly independent")
-        self.rows, self.pivots = span.rows, span.pivots
 
     @property
     def r(self) -> int:

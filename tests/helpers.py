@@ -114,7 +114,13 @@ def echelon_expand(circuit):
     basis instead of its sources: the same verdicts for every subset of terms
     (the two bases differ by an invertible change of variables)."""
     expand = sequential_gf2_expand if circuit.field.order == 2 else sequential_dict_expand
-    return expand(circuit, form_basis(circuit).coordinates)
+    rows = form_basis(circuit).sparse_rows
+
+    def over_rows(v):
+        [(mults, _)] = eliminate(circuit.field, rows, (v,))
+        return mults
+
+    return expand(circuit, over_rows)
 
 
 def sequential_sums_to_zero(field, polys, q):
@@ -401,6 +407,19 @@ def reference_vectors_from_json(p, e, n, vectors, name):
         if all(c == 0 for c in vec):
             raise ValueError(f"every form of {name} must be nonzero")
     return out
+
+
+def dense_rows(basis):
+    """(rows, pivots) of a SpanBasis as tuples, each row dense, rebuilt from
+    its sparse rows: 1 at the pivot, the listed entries after it, 0 elsewhere."""
+    rows = []
+    for piv, entries in basis.sparse_rows:
+        row = [0] * basis.n
+        row[piv] = 1
+        for j, x in entries:
+            row[j] = x
+        rows.append(tuple(row))
+    return tuple(rows), tuple(piv for piv, _ in basis.sparse_rows)
 
 
 def reference_from_vectors(field, n, vectors):

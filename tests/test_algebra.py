@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sps import FormIdeal, LinearForm, SpanBasis, field_make, spans_orthogonal
 from sps.algebra import Field, eliminate, is_prime
 from sps.errors import BudgetExceededError
-from helpers import dense_eliminate, reference_from_vectors
+from helpers import dense_eliminate, dense_rows, reference_from_vectors
 
 
 def test_prime_fields():
@@ -114,10 +114,6 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
         for x in u:
             want = F.mul(want, x)
         assert F.product(u) == want
-        want = 0
-        for a, b in zip(u, v):
-            want = F.add(want, F.mul(a, b))
-        assert F.dot(u, v) == want
         poly = {rng.randrange(8): F.rand_element(rng) or 1 for _ in range(length)}
         form = [(1 << j, F.rand_element(rng) or 1) for j in range(3)]
         want = {}
@@ -200,7 +196,7 @@ def test_from_vectors_stops_eliminating_at_full_rank():
             plain.insert(v)
         fast = SpanBasis.from_vectors(F, 4, vecs)
         assert fast.rank == 4
-        assert (fast.rows, fast.pivots) == (plain.rows, plain.pivots)
+        assert dense_rows(fast) == dense_rows(plain)
         with pytest.raises(ValueError, match="dimension"):
             SpanBasis.from_vectors(F, 4, vecs + [(1, 0, 0)])
 
@@ -242,7 +238,7 @@ def test_from_vectors_matches_inserting_every_vector(p, e):
         for vecs in _from_vectors_corpus(rng, F, n):
             want = reference_from_vectors(F, n, vecs)
             got = SpanBasis.from_vectors(F, n, vecs)
-            assert (got.rows, got.pivots) == (want.rows, want.pivots)
+            assert dense_rows(got) == dense_rows(want)
 
 
 def test_span_insert_appends_one_row():
@@ -254,16 +250,18 @@ def test_span_insert_appends_one_row():
         b = SpanBasis(F, 5)
         for _ in range(8):
             v = tuple(F.rand_element(rng) for _ in range(5))
-            rows, pivots = b.rows, b.pivots
+            before = b.rank
+            earlier = dense_rows(b)
             ins = b.insert(v)
-            assert b.rows[:len(rows)] == rows and b.pivots[:len(rows)] == pivots
-            assert b.rank == len(rows) + ins and b.contains(v)
-        for i, (row, piv) in enumerate(zip(b.rows, b.pivots)):
+            rows, pivots = dense_rows(b)
+            assert (rows[:before], pivots[:before]) == earlier
+            assert b.rank == before + ins and b.contains(v)
+        for i, (row, piv) in enumerate(zip(rows, pivots)):
             assert not any(row[:piv]) and row[piv] == 1
-            assert not any(row[q] for q in b.pivots[:i])
+            assert not any(row[q] for q in pivots[:i])
     b = SpanBasis.from_vectors(field_make(5), 3, [(1, 2, 0), (0, 0, 1)])
     assert not same_span(b, SpanBasis.from_vectors(field_make(5), 3, [(1, 0, 0), (0, 0, 1)]))
-    assert b.insert((0, 3, 0)) and b.rows == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
+    assert b.insert((0, 3, 0)) and dense_rows(b)[0] == ((1, 2, 0), (0, 0, 1), (0, 1, 0))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2)])
@@ -288,7 +286,7 @@ def test_running_remainders_answer_as_a_basis_built_from_scratch(p, e):
             assert basis.insert(v) == (not want.contains(v))
             inserted.append(v)
             want = reference_from_vectors(F, n, inserted)
-            assert (basis.rows, basis.pivots) == (want.rows, want.pivots)
+            assert dense_rows(basis) == dense_rows(want)
         elif op == "contains":
             assert basis.contains(v) == want.contains(v)
         else:
@@ -322,7 +320,7 @@ def test_spans_orthogonal_examples():
 def same_span(a, b):
     """Whether two bases of the same space span the same subspace: equal
     ranks, and every row of one lies in the span of the other."""
-    return a.rank == b.rank and all(b.contains(row) for row in a.rows)
+    return a.rank == b.rank and all(b.contains(row) for row in dense_rows(a)[0])
 
 
 vectors_f2 = st.lists(
@@ -385,7 +383,7 @@ def span_cases(draw):
 def _dense_record(F, ideal, f):
     """FormIdeal's record of f from the dense reference elimination, with the
     remainder as a tuple."""
-    a, rest = dense_eliminate(F, ideal.rows, ideal.pivots, f.coeffs)
+    a, rest = dense_eliminate(F, *dense_rows(ideal.span), f.coeffs)
     lead = next(filter(None, rest), None)
     key = None if lead is None else tuple(F.mul(F.inv(lead), x) for x in rest)
     return a, tuple(rest), key, lead
@@ -396,13 +394,15 @@ def _dense_record(F, ideal, f):
 def test_sparse_kernel_matches_dense_elimination(case):
     F, n, gens, probes = case
     basis = SpanBasis.from_vectors(F, n, gens)
-    assert basis.sparse_rows == tuple(
-        (piv, tuple((j, row[j]) for j in range(piv + 1, n) if row[j]))
-        for row, piv in zip(basis.rows, basis.pivots))
+    # a sparse row lists its nonzero entries after the pivot, by column
+    for piv, entries in basis.sparse_rows:
+        columns = [j for j, _ in entries]
+        assert columns == sorted(set(columns)) and all(j > piv and x for j, x in entries)
+    rows, pivots = dense_rows(basis)
     got = list(eliminate(F, basis.sparse_rows, probes))
-    assert got == [dense_eliminate(F, basis.rows, basis.pivots, v) for v in probes]
+    assert got == [dense_eliminate(F, rows, pivots, v) for v in probes]
 
-    ideal = FormIdeal(F, n, [LinearForm(F, row) for row in basis.rows])
+    ideal = FormIdeal(F, n, [LinearForm(F, row) for row in rows])
     forms = [LinearForm(F, v) for v in probes + gens]
     recs = list(ideal.reductions(forms))
     assert recs == [ideal.reduction(f) for f in forms]
@@ -413,14 +413,15 @@ def test_sparse_kernel_matches_dense_elimination(case):
 @settings(max_examples=100, deadline=None)
 @given(case=span_cases(), data=st.data())
 def test_span_basis_matches_dense_reference_under_interleaving(case, data):
-    # rows, pivots, running remainders and coordinates after inserts and
-    # reads in any order equal those of dense elimination from scratch
+    # rows, pivots and running remainders after inserts and reads in any
+    # order equal those of dense elimination from scratch; coordinates are
+    # over the sources, None exactly where the dense remainder is nonzero
     F, n, gens, probes = case
     pool = gens + probes
     basis, rows, pivots = SpanBasis(F, n), [], []
     ops = st.sampled_from(("insert", "reduce", "contains", "coordinates"))
     for op, v in data.draw(st.lists(st.tuples(ops, st.sampled_from(pool)), max_size=30)):
-        mults, rest = dense_eliminate(F, rows, pivots, v)
+        rest = dense_eliminate(F, rows, pivots, v)[1]
         if op == "insert":
             piv = next((j for j, c in enumerate(rest) if c), None)
             assert basis.insert(v) == (piv is not None)
@@ -428,13 +429,20 @@ def test_span_basis_matches_dense_reference_under_interleaving(case, data):
                 inv = F.inv(rest[piv])
                 rows.append(tuple(F.mul(inv, c) for c in rest))
                 pivots.append(piv)
-            assert (basis.rows, basis.pivots) == (tuple(rows), tuple(pivots))
+            assert dense_rows(basis) == (tuple(rows), tuple(pivots))
         elif op == "reduce":
             assert basis.reduce(v) == tuple(rest)
         elif op == "contains":
             assert basis.contains(v) == (not any(rest))
         else:
-            assert basis.coordinates(v) == (None if any(rest) else tuple(mults))
+            coords = basis.coordinates(v)
+            assert (coords is None) == any(rest)
+            if coords is not None:
+                assert len(coords) == len(basis.sources)
+                total = (0,) * n
+                for c, source in zip(coords, basis.sources):
+                    total = tuple(F.add(t, F.mul(c, x)) for t, x in zip(total, source))
+                assert total == tuple(v)
     for v in pool:
         assert basis.reduce(v) == tuple(dense_eliminate(F, rows, pivots, v)[1])
 
@@ -454,9 +462,10 @@ def test_kernel_multiplies_only_nonzero_row_entries(p, e, monkeypatch):
     probes = [sparse_vector() for _ in range(10)] + [tuple(F.rand_element(rng)
                                                           for _ in range(n))]
     pairs = dense_walk = 0
+    rows, pivots = dense_rows(basis)
     for v in probes:
-        mults = dense_eliminate(F, basis.rows, basis.pivots, v)[0]
-        for c, row, piv in zip(mults, basis.rows, basis.pivots):
+        mults = dense_eliminate(F, rows, pivots, v)[0]
+        for c, row, piv in zip(mults, rows, pivots):
             if c:
                 pairs += sum(1 for x in row[piv + 1:] if x)
                 dense_walk += n - piv - 1

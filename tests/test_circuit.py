@@ -50,6 +50,7 @@ from helpers import (
     count_trials,
     echelon_expand,
     form_add,
+    load_bench,
     perturbed,
     planted_triple,
     random_circuit,
@@ -361,6 +362,21 @@ def test_expansion_over_sources_keeps_every_subset_verdict(field):
             verdicts[got] += 1
     assert 0 in ranks and verdicts[True] >= 31 and verdicts[False] >= 1000
     assert brute >= 50 and sparse == 60
+
+
+def test_form_basis_keeps_no_record_per_vector():
+    # a circuit's cached form basis lives as long as the circuit: building it
+    # from every form, and the verdicts and coordinates that read it, leave
+    # no running remainder of any vector on it
+    ks = gen_ks(13)
+    values = ZeroOracle().term_values(ks)
+    assert values.is_zero() and values.is_minimal()
+    bench = load_bench("instances")
+    obj = bench.change_variables(bench.joined_identity(sps, 5, 1, 2), random.Random(1))
+    vp = loads_circuit(bench.canon(obj))
+    assert zero_test_exact(vp)
+    for c in (ks, vp):
+        assert sps.circuit.form_basis(c)._rest == {}
 
 
 def test_exact_budget_refusal(monkeypatch):

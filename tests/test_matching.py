@@ -616,7 +616,7 @@ def test_reduction_records_live_on_no_long_lived_object():
     # the benchmark's peak memory by 9 to 15 %, so neither class may grow a
     # slot (or a __dict__) to hold them, and an ideal's span keeps the running
     # remainders of its generators alone
-    assert FormIdeal.__slots__ == ("field", "n", "generators", "span", "rows", "pivots")
+    assert FormIdeal.__slots__ == ("field", "n", "generators", "span")
     assert OrderedMatching.__slots__ == ("ideal", "domain", "codomain", "sigma", "edges")
     pi = find_matching((LinearForm(F5, [1, 0]),), (LinearForm(F5, [2, 1]),),
                        ideal(F5, 2, [0, 1]))
