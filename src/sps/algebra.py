@@ -458,21 +458,20 @@ class SpanBasis:
     zero at every pivot is unique (two differ by a span vector leading at no
     pivot, so by 0). ``sources`` holds the vectors that inserted, as given:
     a basis of the same span that elimination does not mix (the exact oracle
-    expands over a circuit's sources), and ``coordinates`` are over it. A
-    basis is append-only; only its builder appends, so one handed out is
-    complete.
+    expands over a circuit's sources), and ``coordinates`` are over it,
+    derived from the sources on each call. The basis keeps nothing else but
+    the running remainders of the vectors ``reduce`` read. A basis is
+    append-only; only its builder appends, so one handed out is complete.
     """
 
-    __slots__ = ("field", "n", "sparse_rows", "sources", "_lower", "_rest")
+    __slots__ = ("field", "n", "sparse_rows", "sources", "_rest")
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
         self.sparse_rows = ()
         self.sources = ()
-        # per source i, (inv, ((j, x), ...)): source i = row i / inv + sum of x * row j
-        self._lower = ()
-        self._rest = {}  # vector -> [its remainder, its multipliers of the rows eliminated]
+        self._rest = {}  # vector -> [its remainder, the number of rows it is reduced by]
 
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
@@ -485,8 +484,8 @@ class SpanBasis:
             basis._check(v)
             if len(basis.sparse_rows) == n:
                 break
-            [(mults, rest)] = eliminate(field, basis.sparse_rows, (v,))
-            basis._append(v, mults, rest)
+            [(_, rest)] = eliminate(field, basis.sparse_rows, (v,))
+            basis._append(v, rest)
         bad = set(map(len, vectors)) - {n}  # of the vectors left at full rank
         if bad:
             raise ValueError(f"vector has dimension {min(bad)}, basis ambient is {n}")
@@ -499,6 +498,7 @@ class SpanBasis:
     def _check(self, v):
         if len(v) != self.n:
             raise ValueError(f"vector has dimension {len(v)}, basis ambient is {self.n}")
+        return v
 
     def reduce(self, v: tuple) -> tuple:
         """Canonical representative of v modulo the span (pivot coords
@@ -508,51 +508,53 @@ class SpanBasis:
         operation for operation."""
         rec = self._rest.get(v)
         if rec is None:
-            self._check(v)
-            rec = self._rest[v] = [v, []]
-        done = len(rec[1])
-        if done < len(self.sparse_rows):
-            [(mults, rest)] = eliminate(self.field, self.sparse_rows[done:], (rec[0],))
-            rec[0] = tuple(rest)
-            rec[1] += mults
+            rec = self._rest[v] = [self._check(v), 0]
+        rows = self.sparse_rows
+        if rec[1] < len(rows):
+            [(_, rest)] = eliminate(self.field, rows[rec[1]:], (rec[0],))
+            rec[:] = tuple(rest), len(rows)
         return rec[0]
 
     def contains(self, v: tuple) -> bool:
         return not any(self.reduce(v))
 
-    def coordinates(self, v):
-        """Coefficients of v over ``sources``, or None if v is outside the
-        span: its multipliers of the rows, back-substituted through the
-        lower-triangular entries from the last source."""
-        self._check(v)
-        [(a, rest)] = eliminate(self.field, self.sparse_rows, (v,))
-        if any(rest):
-            return None
-        sub, mul = self.field.sub, self.field.mul
-        for i in range(len(a) - 1, -1, -1):
-            if a[i]:
-                inv, earlier = self._lower[i]
-                b = a[i] = mul(a[i], inv)
-                for j, x in earlier:
-                    a[j] = sub(a[j], mul(b, x))
-        return tuple(a)
+    def coordinates(self, vectors) -> list:
+        """Per vector, its coefficients over ``sources``, or None if it is
+        outside the span. The sources' multipliers of the rows are lower
+        triangular, source i's own entry being its multiple of row i; each
+        vector's multipliers are back-substituted through them from the
+        last source."""
+        field = self.field
+        sub, mul = field.sub, field.mul
+        lower = [(field.inv(m[i]), [(j, x) for j, x in enumerate(m[:i]) if x])
+                 for i, (m, _) in enumerate(eliminate(field, self.sparse_rows, self.sources))]
+        out = []
+        for a, rest in eliminate(field, self.sparse_rows, map(self._check, vectors)):
+            if any(rest):
+                out.append(None)
+                continue
+            for i in range(len(a) - 1, -1, -1):
+                if a[i]:
+                    inv, earlier = lower[i]
+                    b = a[i] = mul(a[i], inv)
+                    for j, x in earlier:
+                        a[j] = sub(a[j], mul(b, x))
+            out.append(tuple(a))
+        return out
 
     def insert(self, v: tuple) -> bool:
         """Append v's remainder, scaled to 1 at its first nonzero entry, as
         the last row; False (and no row) when v lies in the span."""
-        rest = self.reduce(v)
-        return self._append(v, self._rest[v][1], rest)
+        return self._append(v, self.reduce(v))
 
-    def _append(self, v, mults, rest) -> bool:
-        """The one insertion path: v's remainder rest and multipliers mults
-        of every row become a row and a lower-triangular entry."""
+    def _append(self, v, rest) -> bool:
+        """The one insertion path: v's remainder rest becomes a row."""
         if not any(rest):
             return False
         piv = next(j for j, c in enumerate(rest) if c)
         inv, mul = self.field.inv(rest[piv]), self.field.mul
         entries = tuple((j, mul(inv, rest[j])) for j in range(piv + 1, self.n) if rest[j])
         self.sparse_rows += ((piv, entries),)
-        self._lower += ((inv, tuple((j, x) for j, x in enumerate(mults) if x)),)
         self.sources += (v,)
         return True
 

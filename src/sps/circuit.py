@@ -17,31 +17,26 @@ lower price; when both prices exceed EXPANSION_BUDGET it refuses.
   rank(C) independent forms (its form basis's sources), not over the
   echelon rows they became: a form then reads only the sources it depends
   on, which on a join on fresh variables are its own block's, so a term
-  expands as a product of small per-block expansions (check --exact on the
-  GF(5) vanishing identity joined 3 times: 0.013 s, against 0.79 s over
-  echelon rows). exact_cost_bound, its price, and auto's choice read the
-  rank alone and are the same over any basis. Over GF(2) a term is expanded
-  as a balanced tree of pairwise products of its forms' monomial sets, so
-  cancellation mod 2 shrinks them early; elsewhere Field.mul_by_form
-  multiplies the forms into one coefficient dict, one at a time, with no
-  Field call per product: GF(p) sums int products and reduces once per
-  form, GF(p^e) multiplies through the field's log tables.
+  expands as a product of small per-block expansions. exact_cost_bound, its
+  price, and auto's choice read the rank alone and are the same over any
+  basis. Over GF(2) a term is expanded as a balanced tree of pairwise
+  products of its forms' monomial sets, so cancellation mod 2 shrinks them
+  early; elsewhere Field.mul_by_form multiplies the forms into one
+  coefficient dict, one at a time, with no Field call per product: GF(p)
+  sums int products and reduces once per form, GF(p^e) multiplies through
+  the field's log tables.
 
 The random oracle compiles the circuit's forms once (_EvalPlan): a pass
 evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
 then forms and terms, equal to evaluating coordinate by coordinate. Each
-point coordinate is one randrange(q) draw over the evaluation field GF(q);
-for prime fields and GF(2^m) lifts these are the points earlier releases
-drew, while an odd-p extension field (GF(3^2) circuits, or GF(5) lifted to
-GF(5^3)) draws other points under the same error bound. A trial is computed
-at most once, when a subset first needs it: trial 0 alone, so a nonzero
-circuit pays for one trial, then over characteristic 2 every remaining
-trial in one pass. There xor cannot carry from one 32-bit lane of an int
-into the next, so each coordinate's values are packed one lane per trial:
-a slice or a form costs one xor for all trials, and each term's form lanes
-are unpacked once into an array whose strided slices are the trials (gen ks
---r 13's 40-trial verdicts: 41-49 ms in process, against 70-77 ms trial by
-trial). In odd characteristic each trial is evaluated on its own, forms
+point coordinate is one randrange(q) draw over the evaluation field GF(q).
+A trial is computed at most once, when a subset first needs it: trial 0
+alone, so a nonzero circuit pays for one trial, then over characteristic 2
+every remaining trial in one pass. There xor cannot carry from one 32-bit
+lane of an int into the next, so each coordinate's values are packed one
+lane per trial: a slice or a form costs one xor for all trials, and each
+term's form lanes are unpacked once into an array whose strided slices are
+the trials. In odd characteristic each trial is evaluated on its own, forms
 with Field.add_vectors.
 
 The loader checks a prime-field vector as a whole and goes element by
@@ -191,9 +186,8 @@ def _source_coordinates(circuit: Circuit) -> dict:
     Over the echelon rows, which elimination mixes, a form of a join on
     fresh variables would be dense.
     """
-    coordinates = form_basis(circuit).coordinates
     distinct = dict.fromkeys(map(attrgetter("coeffs"), circuit.all_forms()))
-    return {v: coordinates(v) for v in distinct}
+    return dict(zip(distinct, form_basis(circuit).coordinates(distinct)))
 
 
 def _expand_terms(circuit: Circuit) -> list:

@@ -4,16 +4,16 @@ decomposition.
 A form-ideal is generated by linearly independent nonzero linear forms; the
 quotient by it is again a polynomial ring, so reduction is plain Gaussian
 elimination on coefficient vectors and products of forms factor uniquely
-modulo the ideal. The ideal is its generators plus the append-only
-``SpanBasis`` they insert into, so its first j rows span the first j
-generators and one elimination pass writes a form in coordinates over every
-generator prefix at once: ``FormIdeal.reduction``, the one record of a form
-modulo the ideal that every later decision about the form reads;
-``FormIdeal.reductions`` gives the records of a whole form list from one
-elimination call. A linear factor q of a circuit is a form with C = 0 mod
-(q), tested by reduction modulo the one-generator ideal. The zero ideal is
-the same type with no generators, and every operation treats it uniformly as
-"span is {0}".
+modulo the ideal. The ideal is its generators plus the ``SpanBasis`` that
+``SpanBasis.from_vectors`` builds from them in order, so its first j rows
+span the first j generators and one elimination pass writes a form in
+coordinates over every generator prefix at once: ``FormIdeal.reduction``,
+the one record of a form modulo the ideal that every later decision about
+the form reads; ``FormIdeal.reductions`` gives the records of a whole form
+list from one elimination call. A linear factor q of a circuit is a form
+with C = 0 mod (q), tested by reduction modulo the one-generator ideal. The
+zero ideal is the same type with no generators, and every operation treats
+it uniformly as "span is {0}".
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ FACTOR_BUDGET = 1_000_000
 
 
 class FormIdeal:
-    """Ordered form-ideal: its generators and the SpanBasis they insert into.
+    """Ordered form-ideal: its generators and their span, built by
+    ``SpanBasis.from_vectors`` and so keeping no running remainder.
 
     Row j is generator j with the earlier rows' pivots cleared and its own
     pivot (first nonzero column) scaled to 1, so the first j rows span
@@ -49,14 +50,14 @@ class FormIdeal:
         self.field = field
         self.n = n
         self.generators = tuple(generators)
-        self.span = span = SpanBasis(field, n)
         for g in self.generators:
             if not isinstance(g, LinearForm) or g.field != field or g.n != n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
-            if not span.insert(g.coeffs):
-                raise ValueError("ideal generators must be linearly independent")
+        self.span = SpanBasis.from_vectors(field, n, (g.coeffs for g in self.generators))
+        if self.span.rank < self.r:
+            raise ValueError("ideal generators must be linearly independent")
 
     @property
     def r(self) -> int:

@@ -299,10 +299,11 @@ def test_span_membership_and_coordinates():
     b = SpanBasis.from_vectors(F5, 4, [(1, 2, 0, 0), (0, 0, 1, 3)])
     v = (2, 4, 3, 9 % 5)
     assert b.contains(v)
-    coords = b.coordinates(v)
-    assert coords == (2, 3)
     assert not b.contains((1, 0, 0, 0))
-    assert b.coordinates((1, 0, 0, 0)) is None
+    assert b.coordinates([v, (1, 0, 0, 0), (0, 0, 0, 0)]) == [(2, 3), None, (0, 0)]
+    assert b.coordinates([]) == []
+    with pytest.raises(ValueError, match="dimension 3"):
+        b.coordinates([v, (1, 2, 0)])
 
 
 def test_spans_orthogonal_examples():
@@ -414,8 +415,9 @@ def test_sparse_kernel_matches_dense_elimination(case):
 @given(case=span_cases(), data=st.data())
 def test_span_basis_matches_dense_reference_under_interleaving(case, data):
     # rows, pivots and running remainders after inserts and reads in any
-    # order equal those of dense elimination from scratch; coordinates are
-    # over the sources, None exactly where the dense remainder is nonzero
+    # order equal those of dense elimination from scratch; a batch of
+    # coordinates, mixing vectors in and outside the span, is over the
+    # sources, None exactly where the dense remainder is nonzero
     F, n, gens, probes = case
     pool = gens + probes
     basis, rows, pivots = SpanBasis(F, n), [], []
@@ -435,14 +437,15 @@ def test_span_basis_matches_dense_reference_under_interleaving(case, data):
         elif op == "contains":
             assert basis.contains(v) == (not any(rest))
         else:
-            coords = basis.coordinates(v)
-            assert (coords is None) == any(rest)
-            if coords is not None:
-                assert len(coords) == len(basis.sources)
-                total = (0,) * n
-                for c, source in zip(coords, basis.sources):
-                    total = tuple(F.add(t, F.mul(c, x)) for t, x in zip(total, source))
-                assert total == tuple(v)
+            batch = [v, (0,) * n, *data.draw(st.lists(st.sampled_from(pool), max_size=6))]
+            for w, coords in zip(batch, basis.coordinates(batch), strict=True):
+                assert (coords is None) == any(dense_eliminate(F, rows, pivots, w)[1])
+                if coords is not None:
+                    assert len(coords) == len(basis.sources)
+                    total = (0,) * n
+                    for c, source in zip(coords, basis.sources):
+                        total = tuple(F.add(t, F.mul(c, x)) for t, x in zip(total, source))
+                    assert total == tuple(w)
     for v in pool:
         assert basis.reduce(v) == tuple(dense_eliminate(F, rows, pivots, v)[1])
 

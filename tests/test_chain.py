@@ -489,8 +489,8 @@ def test_k3_rounds_run_on_remainders_and_factorization_alone(pinned_chains, monk
 
 def test_build_chain_makes_no_membership_test(monkeypatch):
     # no membership test from scratch: each distinct form meets each row of
-    # the chain's span at most once. Besides, each iteration's ideal inserts
-    # its j generators into a span of its own (j(j - 1) / 2 rows), and the
+    # the chain's span at most once. Besides, each iteration's ideal builds
+    # a span of its own from its j generators (j(j - 1) / 2 rows), and the
     # exact oracle's coordinates are over the circuit's cached form basis
     for circuit in (gen_ks(6), gen_family(3, 2)):
         want = build_chain(circuit)
@@ -501,6 +501,27 @@ def test_build_chain_makes_no_membership_test(monkeypatch):
         distinct = len({f.coeffs for f in circuit.all_forms()})
         ideals = sum(j * (j - 1) // 2 for link in got.links for j in range(1, link.ideal.r + 1))
         assert sum(rows) <= distinct * got.rank + ideals
+
+
+def test_chain_spans_keep_remainders_and_row_counts_only(monkeypatch):
+    # the chain's running span records, per form it reduced, the remainder
+    # and the number of rows it is reduced by, and no multipliers; the
+    # links' ideals are built in one pass and record nothing
+    spans = []
+    original = sps.chain.single_round
+
+    def capturing(circuit, su_span):
+        spans.append(su_span)
+        return original(circuit, su_span)
+
+    monkeypatch.setattr(sps.chain, "single_round", capturing)
+    chain = build_chain(gen_ks(9))
+    span = spans[0]
+    assert all(s is span for s in spans) and span.rank == chain.rank
+    records = list(span._rest.values())
+    assert records and all(len(rec) == 2 and type(rec[0]) is tuple and type(rec[1]) is int
+                           and rec[1] <= span.rank for rec in records)
+    assert all(link.ideal.span._rest == {} for link in chain.links)
 
 
 def test_handed_out_bases_keep_their_rank():

@@ -614,11 +614,13 @@ def test_doubling_check_keeps_running_remainders(monkeypatch):
 def test_reduction_records_live_on_no_long_lived_object():
     # a reduction record lives for one call: records kept on ideals raised
     # the benchmark's peak memory by 9 to 15 %, so neither class may grow a
-    # slot (or a __dict__) to hold them, and an ideal's span keeps the running
-    # remainders of its generators alone
+    # slot (or a __dict__) to hold them, an ideal's span keeps no running
+    # remainder, and the span kernel keeps no state beyond its rows, its
+    # sources and the running remainders of the spans that grow
     assert FormIdeal.__slots__ == ("field", "n", "generators", "span")
+    assert SpanBasis.__slots__ == ("field", "n", "sparse_rows", "sources", "_rest")
     assert OrderedMatching.__slots__ == ("ideal", "domain", "codomain", "sigma", "edges")
     pi = find_matching((LinearForm(F5, [1, 0]),), (LinearForm(F5, [2, 1]),),
                        ideal(F5, 2, [0, 1]))
     assert not hasattr(pi, "__dict__") and not hasattr(pi.ideal, "__dict__")
-    assert set(pi.ideal.span._rest) == {g.coeffs for g in pi.ideal.generators}
+    assert pi.ideal.span._rest == {}

@@ -58,10 +58,17 @@ def ideal(field, n, *gens):
 
 
 def test_form_ideal_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         ideal(F5, 2, [0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="linearly independent"):
         ideal(F5, 2, [1, 0], [2, 0])  # dependent generators
+    # every generator is checked before the span is built, so a zero or a
+    # foreign generator is reported ahead of a dependence among the others
+    with pytest.raises(ValueError, match="nonzero"):
+        ideal(F5, 2, [1, 0], [2, 0], [0, 0])
+    with pytest.raises(ValueError, match="over the ideal's space"):
+        FormIdeal(F5, 2, [LinearForm(F5, [1, 0]), LinearForm(F5, [2, 0]),
+                          LinearForm(F5, [1, 0, 0])])
     z = FormIdeal(F5, 2, ())  # no generators: the zero ideal
     assert is_zero_ideal(z) and z.r == 0
     assert z.reduce_prefix(z.r, LinearForm(F5, [1, 2])).coeffs == (1, 2)
