@@ -351,7 +351,9 @@ class Field:
 
         poly maps monomials to nonzero elements, and form is a sequence of
         (step, nonzero coefficient) pairs, one per variable of the form, where
-        a monomial times that variable is the int monomial + step. GF(p) sums
+        a monomial times that variable is the int monomial + step. Any sparse
+        polynomial given as (monomial, coefficient) pairs serves as form:
+        _expand_terms multiplies its block polynomials so. GF(p) sums
         the int products unreduced and reduces each sum once. GF(p^e) takes
         one log per monomial of poly and multiplies by adding logs. GF(2^e)
         adds the products by xor where two meet; odd p keeps each sum as its

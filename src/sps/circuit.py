@@ -16,15 +16,19 @@ lower price; when both prices exceed EXPANSION_BUDGET it refuses.
 - Expansion (_expand_terms) rewrites each form over the circuit's first
   rank(C) independent forms (its form basis's sources), not over the
   echelon rows they became: a form then reads only the sources it depends
-  on, which on a join on fresh variables are its own block's, so a term
-  expands as a product of small per-block expansions. exact_cost_bound, its
-  price, and auto's choice read the rank alone and are the same over any
-  basis. Over GF(2) a term is expanded as a balanced tree of pairwise
-  products of its forms' monomial sets, so cancellation mod 2 shrinks them
-  early; elsewhere Field.mul_by_form multiplies the forms into one
-  coefficient dict, one at a time, with no Field call per product: GF(p)
-  sums int products and reduces once per form, GF(p^e) multiplies through
-  the field's log tables.
+  on, which on a join on fresh variables are its own block's. A block is a
+  connected component of the sources, two sources joined when one form
+  reads both (_source_blocks). Each term's forms are expanded block by
+  block, and the block polynomials, which share no variable, are multiplied
+  last, so no form of one block is multiplied by another block's expansion.
+  exact_cost_bound, its price, and auto's choice read the rank alone and
+  are the same over any basis and any blocks. Over GF(2) a block is
+  expanded as a balanced tree of pairwise products of its forms' monomial
+  sets (_gf2_product), so cancellation mod 2 shrinks them early; elsewhere
+  Field.mul_by_form multiplies the block's forms into one coefficient dict,
+  one at a time, with no Field call per product: GF(p) sums int products
+  and reduces once per form, GF(p^e) multiplies through the field's log
+  tables. The last products go through the same two kernels.
 
 The random oracle compiles the circuit's forms once (_EvalPlan): a pass
 evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
@@ -39,8 +43,9 @@ term's form lanes are unpacked once into an array whose strided slices are
 the trials. In odd characteristic each trial is evaluated on its own, forms
 with Field.add_vectors.
 
-The loader checks a prime-field vector as a whole and goes element by
-element only to name a bad one.
+The loader checks a term's vectors as one array of digits, over GF(p^e)
+packing each digit column at once, and goes element by element only to name
+a bad one.
 """
 
 from __future__ import annotations
@@ -193,14 +198,16 @@ def _source_coordinates(circuit: Circuit) -> dict:
 def _expand_terms(circuit: Circuit) -> list:
     """Each term expanded over the circuit's sources (_source_coordinates),
     exponents packed into ints: a set of monomials over GF(2), else a dict
-    monomial -> coef. On a join a form reads only its own block's sources,
-    so a term expands as a product of small per-block expansions.
+    monomial -> coef.
 
-    Over GF(2) each form starts as its set of monomials and neighbouring sets
-    are multiplied pairwise (_gf2_product) until one is left, so cancellation
-    mod 2 shrinks the partial products early; a term of degree 0 is {0}. The
-    dict path multiplies the forms into the running polynomial one at a time
-    (Field.mul_by_form).
+    A term's forms are grouped by block (_source_blocks) and each block is
+    expanded on its own. Over GF(2) each form starts as its set of monomials
+    and neighbouring sets are multiplied pairwise (_gf2_product) until one is
+    left, so cancellation mod 2 shrinks the partial products early; the dict
+    path multiplies the block's forms into a running polynomial one at a time
+    (Field.mul_by_form). The block polynomials share no variable, so their
+    product, taken last by the same two kernels, cancels nothing and costs
+    only its own size; a term of degree 0 is {0} or {0: coef}.
     """
     field, budget = circuit.field, EXPANSION_BUDGET
     if circuit_rank(circuit) and (bound := exact_cost_bound(circuit)) > budget:
@@ -210,19 +217,53 @@ def _expand_terms(circuit: Circuit) -> list:
     # so a form's variable j multiplies a monomial by adding 1 << (shift * j);
     # each distinct form is converted once
     shift_bits = max(1, circuit.degree.bit_length())
+    coordinates = _source_coordinates(circuit)
+    block_of = _source_blocks(coordinates)
     packed = {coeffs: [(1 << (shift_bits * j), c) for j, c in enumerate(coords) if c]
-              for coeffs, coords in _source_coordinates(circuit).items()}
-    compressed = [(t.coef, [packed[f.coeffs] for f in t.forms]) for t in circuit.terms]
+              for coeffs, coords in coordinates.items()}
+    gf2 = field.p == 2 and field.e == 1
+    polys = []
+    for t in circuit.terms:
+        blocks: dict = {}  # block -> the term's forms there, in term order
+        for f in t.forms:
+            blocks.setdefault(block_of[f.coeffs], []).append(packed[f.coeffs])
+        if gf2:
+            parts = []
+            for forms in blocks.values():
+                sets = [{step for step, _c in form} for form in forms]
+                while len(sets) > 1:  # neighbours multiplied, an odd last set carried over
+                    sets = [*map(_gf2_product, sets[::2], sets[1::2]),
+                            *sets[len(sets) // 2 * 2:]]
+                parts.append(sets[0])
+            polys.append(reduce(_gf2_product, parts or [{0}]))
+        else:
+            parts = [reduce(field.mul_by_form, forms, {0: 1}) for forms in blocks.values()]
+            poly = {0: t.coef}
+            for part in parts:
+                poly = field.mul_by_form(poly, list(part.items()))
+            polys.append(poly)
+    return polys
 
-    if field.p == 2 and field.e == 1:
-        polys = []
-        for _, forms in compressed:
-            sets = [{step for step, _c in form} for form in forms] or [{0}]
-            while len(sets) > 1:  # neighbours multiplied, an odd last set carried over
-                sets = [*map(_gf2_product, sets[::2], sets[1::2]), *sets[len(sets) // 2 * 2:]]
-            polys.append(sets[0])
-        return polys
-    return [reduce(field.mul_by_form, forms, {0: coef}) for coef, forms in compressed]
+
+def _source_blocks(coordinates: dict) -> dict:
+    """Each form of _source_coordinates -> its block, the least source index
+    of a connected component of the graph on sources in which the sources
+    one form reads are joined (union-find over their nonzero coordinates)."""
+    supports = {coeffs: [j for j, c in enumerate(coords) if c]
+                for coeffs, coords in coordinates.items()}
+    parent = {j: j for support in supports.values() for j in support}
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for first, *rest in supports.values():
+        for j in rest:
+            a, b = find(first), find(j)
+            parent[max(a, b)] = min(a, b)
+    return {coeffs: find(support[0]) for coeffs, support in supports.items()}
 
 
 def _gf2_product(a: set, b: set) -> set:
@@ -616,18 +657,31 @@ def _element_from_json(p: int, e: int, obj):
 
 def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
     """The nonzero coefficient vectors in the JSON array vectors (called name
-    in messages), checked against GF(p^e) and n. Prime-field vectors of ints
-    in [0, p) all pass in one pass over the whole array (type() is not
-    isinstance(): bools fail it); anything else goes element by element,
-    which names the first bad one."""
+    in messages), checked against GF(p^e) and n. Vectors of length n whose
+    digits (over GF(p^e), each element a list of e of them) are all ints in
+    [0, p) pass in one pass over the whole array (type() is not isinstance():
+    bools fail it), and extension elements are packed a digit column at a
+    time; anything else goes element by element, which names the first bad
+    one."""
     if type(vectors) is not list or set(map(type, vectors)) - {list}:
         raise ValueError(f"{name} must be an array of arrays")
     flat = itertools.chain.from_iterable
-    out = None
-    if e == 1 and set(map(len, vectors)) <= {n} and set(map(type, flat(vectors))) <= {int}:
-        values = set(flat(vectors)) or {0}  # ints only, so no bool or float hides in the set
+    out = digits = None
+    if set(map(len, vectors)) <= {n}:
+        digits = list(flat(vectors))
+        if e > 1:  # every element a list of e digits, or the element loop names one
+            lists = set(map(type, digits)) <= {list} and set(map(len, digits)) <= {e}
+            digits = list(flat(digits)) if lists else None
+    if digits is not None and set(map(type, digits)) <= {int}:
+        values = set(digits) or {0}  # ints only, so no bool or float hides in the set
         if min(values) >= 0 and max(values) < p:
-            out = list(map(tuple, vectors))
+            if e == 1:
+                out = list(map(tuple, vectors))
+            else:
+                packed = digits[e - 1::e]  # digits go constant first: the top column leads
+                for i in range(e - 2, -1, -1):
+                    packed = [a * p + c for a, c in zip(packed, digits[i::e])]
+                out = [tuple(packed[j:j + n]) for j in range(0, len(packed), n)]
     if out is None:
         out = []
         for vec in vectors:

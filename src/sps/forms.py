@@ -145,9 +145,19 @@ def normalize(f: LinearForm) -> tuple[LinearForm, object]:
 
 def similarity_key(f: LinearForm) -> tuple:
     """Canonical coefficient vector of the similarity class of a nonzero form:
-    its own when its leading coefficient is already 1."""
+    its own when its leading coefficient is already 1, else scaled by _monic."""
     lead = next(filter(None, f.coeffs), 0)
-    return f.coeffs if lead == 1 else normalize(f)[0].coeffs
+    if lead == 1:
+        return f.coeffs
+    if not lead:
+        raise ValueError("cannot normalize the zero form")
+    return _monic(f.field, f.coeffs, lead)
+
+
+def _monic(field: Field, v, lead) -> tuple:
+    """v divided by lead, its first nonzero entry: v's similarity-class key."""
+    c, mul = field.inv(lead), field.mul
+    return tuple(mul(c, x) if x else 0 for x in v)
 
 
 def similar(f: LinearForm, g: LinearForm):
@@ -234,7 +244,6 @@ def reduction_records(field: Field, pairs):
     rows, yielded in order: rest = lead * key with key's first nonzero entry
     1 (f's similarity class modulo the span), or key = lead = None when rest
     is zero."""
-    inv, mul = field.inv, field.mul
     for a, rest in pairs:
         lead = next(filter(None, rest), None)
         if lead is None:
@@ -243,8 +252,7 @@ def reduction_records(field: Field, pairs):
             rest = tuple(rest)
             yield Reduction(a, rest, rest, lead)
         else:
-            c = inv(lead)
-            yield Reduction(a, rest, tuple(mul(c, x) if x else 0 for x in rest), lead)
+            yield Reduction(a, rest, _monic(field, rest, lead), lead)
 
 
 def pair_is_zero_mod(field: Field, pair) -> bool:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -38,6 +39,7 @@ from sps.circuit import (
     _expand_terms,
     _source_coordinates,
     MAX_TRIALS,
+    TermValues,
     _point_term_values,
     _sums_to_zero,
     _term_values,
@@ -362,6 +364,89 @@ def test_expansion_over_sources_keeps_every_subset_verdict(field):
             verdicts[got] += 1
     assert 0 in ranks and verdicts[True] >= 31 and verdicts[False] >= 1000
     assert brute >= 50 and sparse == 60
+
+
+def _join_corpus(rng, field):
+    """(circuit, zero) pairs over the field, zero True where the construction
+    makes the circuit an identity and None where it says nothing: a pair
+    identity, a planted triple or the vanishing-product identity joined once or twice with planted triples, under a random
+    invertible change of variables, each also with a degree-0 term, a term
+    holding some of a term's forms (so reading some of the blocks), a term
+    repeating a form, and a term whose one form reads two blocks, which
+    merges them; over GF(2) also the single-block gen_ks(3..5)."""
+    corpus = [(gen_ks(r), True) for r in (3, 4, 5)] if field is F2 else []
+    bases = [partial(random_pair_identity, d=2), partial(planted_triple, d=2),
+             vanishing_identity]
+    for _ in range(4):
+        for base in bases:
+            c = base(rng, field, rng.randrange(2, 4))
+            for _ in range(rng.randrange(1, 3)):
+                c = gen_joined(c, planted_triple(rng, field, 2, rng.randrange(1, 3)),
+                               verify=False)
+            c = substitute(c, random_invertible(rng, field, c.n))
+            forms = c.terms[0].forms  # its first form is the base's, its last a block's
+            unit = partial(random_unit, rng, field)
+            extra = [Term(field, unit(), []),
+                     Term(field, unit(), rng.sample(forms, rng.randrange(1, len(forms)))),
+                     Term(field, unit(), [forms[0], forms[0], forms[-1]]),
+                     Term(field, unit(), [form_add(forms[0], forms[-1])])]
+            corpus.append((c, True))
+            corpus += [(Circuit(field, c.n, [*c.terms, t]), None) for t in extra]
+    return corpus
+
+
+@pytest.mark.parametrize("field", SOURCE_FIELDS, ids=repr)
+def test_block_expansion_equals_sequential_reference_on_joins(field):
+    rng = random.Random(f"blocks:{field!r}")
+    sequential = sequential_gf2_expand if field is F2 else sequential_dict_expand
+    exact = ZeroOracle("exact")
+    counts = Counter()
+    for c, zero in _join_corpus(rng, field):
+        blocks = len(set(sps.circuit._source_blocks(_source_coordinates(c)).values()))
+        counts[f"blocks {min(blocks, 3)}"] += 1
+        polys = _expand_terms(c)
+        assert polys == sequential(c)
+        values = TermValues(c.k, partial(_sums_to_zero, field, polys))
+        if zero is not None:
+            assert values.is_zero() is zero
+        minimal = values.is_minimal()
+        assert minimal == subset_reference(c, exact)
+        counts[minimal] += 1
+        if zero and blocks > 1:  # a form reading a join's two blocks merges them
+            merged = Circuit(field, c.n, [*c.terms, Term(field, 1, [
+                form_add(c.terms[0].forms[0], c.terms[0].forms[-1])])])
+            coordinates = _source_coordinates(merged)
+            assert len(set(sps.circuit._source_blocks(coordinates).values())) < blocks
+    assert counts["blocks 3"] >= 25 and counts["blocks 2"] + counts["blocks 3"] >= 50
+    assert counts[True] >= 10 and counts[False] >= 30
+    if field is F2:  # gen_ks is one block
+        assert counts["blocks 1"] >= 3
+
+
+@pytest.mark.parametrize("p, e, joins, most", [(5, 1, 2, 747), (3, 2, 1, 635)])
+def test_block_expansion_work_on_joins(p, e, joins, most, monkeypatch):
+    # coefficient products of the dict kernel, len(poly) * len(form) per
+    # Field.mul_by_form call, on check-exact's dense joins: expanding each
+    # block on its own and multiplying the block polynomials last does at
+    # most this; one running product over all forms did 1844 and 1694
+    bench = load_bench("instances")
+    work = []
+    mul_by_form = Field.mul_by_form
+
+    def counted(self, poly, form):
+        work.append(len(poly) * len(form))
+        return mul_by_form(self, poly, form)
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        c = loads_circuit(bench.canon(
+            bench.change_variables(bench.joined_identity(sps, p, e, joins), rng)))
+        with monkeypatch.context() as m:
+            m.setattr(Field, "mul_by_form", counted)
+            polys = _expand_terms(c)
+        assert sum(work) <= most
+        assert polys == sequential_dict_expand(c)
+        work.clear()
 
 
 def test_form_basis_keeps_no_record_per_vector():

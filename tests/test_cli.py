@@ -860,6 +860,50 @@ def test_malformed_structure_is_named_not_leaked(argv, text, message, tmp_path, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# GF(3^2) and GF(2^3) bodies with one fault in the second form of the second
+# term; the whole-array check of the loader fails on each, and the element
+# loop names the first bad element as it always did
+_EXT_BODIES = {
+    (3, 2): {"p": 3, "e": 2, "n": 2, "terms": [
+        {"coef": [1, 0], "forms": [[[1, 0], [0, 1]], [[2, 1], [1, 1]]]},
+        {"coef": [2, 0], "forms": [[[0, 1], [1, 0]], [[1, 2], [2, 0]]]}]},
+    (2, 3): {"p": 2, "e": 3, "n": 2, "terms": [
+        {"coef": [1, 0, 0], "forms": [[[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 0, 1]]]},
+        {"coef": [1, 0, 0], "forms": [[[0, 1, 1], [1, 0, 0]], [[1, 0, 1], [1, 1, 1]]]}]},
+}
+_DIGITS = "extension element coefficients out of range"
+_EXT_FAULTS = {  # name: (edit of the faulty form, message without "length-e")
+    "bool-digit": (lambda f, p, e: f[0].__setitem__(0, True), _DIGITS),
+    "float-digit": (lambda f, p, e: f[0].__setitem__(0, 1.0), _DIGITS),
+    "digit-p": (lambda f, p, e: f[1].__setitem__(e - 1, p), _DIGITS),
+    "negative-digit": (lambda f, p, e: f[1].__setitem__(0, -1), _DIGITS),
+    "digit-count": (lambda f, p, e: f[0].append(0), None),
+    "int-element": (lambda f, p, e: f.__setitem__(1, 1), None),
+    "form-length": (lambda f, p, e: f.append([1] + [0] * (e - 1)),
+                    "form has 3 coordinates, expected 2"),
+    "zero-form": (lambda f, p, e: f.__setitem__(slice(None), [[0] * e] * 2),
+                  'every form of terms[1]["forms"] must be nonzero'),
+    # two faults: the element loop names the first, a digit count
+    "two-faults": (lambda f, p, e: f.__setitem__(slice(None), [[1] * (e + 1), [p] * e]), None),
+}
+
+
+@pytest.mark.parametrize("p, e", _EXT_BODIES, ids=["3^2", "2^3"])
+@pytest.mark.parametrize("fault", _EXT_FAULTS)
+def test_malformed_extension_bodies_exit_2_with_the_element_message(fault, p, e, tmp_path,
+                                                                    capsys):
+    text = json.dumps(_EXT_BODIES[p, e])
+    assert loads_circuit(text).k == 2  # the body as given loads
+    obj = json.loads(text)
+    edit, message = _EXT_FAULTS[fault]
+    edit(obj["terms"][1]["forms"][1], p, e)
+    message = message or f"extension elements serialize as length-{e} arrays"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", str(path), "--exact"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # -- the digest: hashed from the input text when it is the canonical dump --
 
 def _stdin_digest(text):
