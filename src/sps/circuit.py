@@ -35,13 +35,19 @@ evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
 then forms and terms, equal to evaluating coordinate by coordinate. Each
 point coordinate is one randrange(q) draw over the evaluation field GF(q).
 A trial is computed at most once, when a subset first needs it: trial 0
-alone, so a nonzero circuit pays for one trial, then over characteristic 2
-every remaining trial in one pass. There xor cannot carry from one 32-bit
-lane of an int into the next, so each coordinate's values are packed one
-lane per trial: a slice or a form costs one xor for all trials, and each
-term's form lanes are unpacked once into an array whose strided slices are
-the trials. In odd characteristic each trial is evaluated on its own, forms
-with Field.add_vectors.
+alone, so a nonzero circuit pays for one trial, then every remaining trial
+in one pass, in any characteristic. The pass packs each coordinate's values
+into one int, one lane per trial (_lanes), so a slice or a form costs one
+int sum for all trials. Over characteristic 2 a lane is the element and
+lanes add by xor, which cannot carry. Over odd p a lane is the element's e
+digits, each in a field wide enough for n(p - 1)^2, the largest sum of a
+form's coefficient x digit products, so lanes add with + and no field
+carries into the next; each field is reduced mod p when a form is unpacked.
+A coefficient of GF(p) multiplies a whole int; any other one, which occurs
+only when the evaluation field is the circuit's own extension field,
+multiplies each lane through Field.mul. Each distinct form is unpacked once,
+and a term's value in one trial is the product of a strided slice of its
+forms' lanes.
 
 The loader checks a term's vectors as one array of digits, over GF(p^e)
 packing each digit column at once, and goes element by element only to name
@@ -381,7 +387,7 @@ def zero_test_random(circuit: Circuit) -> bool:
 def _random_sums(circuit: Circuit, trials: int, seed: int):
     """Whether the terms indexed by q sum to zero, for any subset q, over the
     evaluation field E; each subset stops at its first nonzero trial. Trials are
-    kept once evaluated: trial 0 alone, then in characteristic 2 all the rest.
+    kept once evaluated: trial 0 alone, then all the rest in one packed pass.
     False is always correct; True errs with probability at most (d/|E|)**trials.
     E is F if |F| > 2d, else for prime F the least GF(p^m) with p^m > 4d (any
     other F is refused); points derive from (seed, trial) alone."""
@@ -399,7 +405,7 @@ def _random_sums(circuit: Circuit, trials: int, seed: int):
 
     def trial_values(t: int) -> list:
         if t == len(values):  # subsets read trials in order: t is the next
-            stop = trials if t and ev.p == 2 else t + 1
+            stop = trials if t else t + 1
             values.extend(_term_values(plan, ev, seed, range(t, stop)))
         return values[t]
 
@@ -462,33 +468,94 @@ class _EvalPlan:
 def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
     """Per trial t in trials, each term's value over ev (the circuit's field or
     a lift) at the point of n ev.rand_element draws on random.Random(f"{seed}:{t}").
-    Over characteristic 2 xor cannot carry, so one pass serves 2+ trials: each
-    coordinate's values are lanes of one int, slices and forms xor such ints,
-    and each trial is a strided slice of a term's lanes. Draws go chunk by chunk."""
+    One trial goes through _point_term_values; two or more share one pass in
+    any characteristic: each coordinate's values over all trials are packed
+    into one int (_lanes), a slice or a form is a sum of such ints, a
+    coefficient of GF(p) multiplies a whole int and any other one each lane
+    through Field.mul, and each trial is a strided slice of a term's unpacked
+    form lanes. Draws go chunk by chunk, each trial's in coordinate order."""
     rngs = [random.Random(f"{seed}:{t}") for t in trials]
-    if ev.p != 2 or len(rngs) == 1:
-        return [_point_term_values(plan, ev, rng) for rng in rngs]
-    rand, mul, order, count = ev.rand_element, ev.mul, sys.byteorder, len(rngs)
-    width = count * array("I").itemsize  # bytes per packed int: every char-2 q < 2^20
+    if len(rngs) == 1:
+        return [_point_term_values(plan, ev, rngs[0])]
+    count = len(rngs)
+    pack, unpack, add, code = _lanes(ev, plan.n, count)
+    rand, mul, p = ev.rand_element, ev.mul, ev.p
     slice_values, chunk = [], -1
     for j, a, rest in plan.slices:  # in chunk order
         while chunk < j // _CHUNK:  # draw the next chunk of every trial's point
             chunk += 1
             start, size = chunk * _CHUNK, min(_CHUNK, plan.n - chunk * _CHUNK)
-            drawn = array("I", [rand(rng) for rng in rngs for _ in range(size)])
+            drawn = [rand(rng) for rng in rngs for _ in range(size)]
             cols = [drawn[i::size] for i in range(size)]  # per coordinate, its lanes
-            packed = [int.from_bytes(col.tobytes(), order) for col in cols]
+            packed = list(map(pack, cols))
         s = 0
         for j, a in ((j, a), *rest):
-            s ^= packed[j - start] if a == 1 else int.from_bytes(
-                array("I", map(partial(mul, a), cols[j - start])).tobytes(), order)
+            x = packed[j - start]
+            s = add(s, x if a == 1 else a * x if a < p
+                    else pack(map(partial(mul, a), cols[j - start])))
         slice_values.append(s)
-    form_values = _form_values(plan.columns, slice_values, partial(map, int.__xor__))
-    per_term = []  # one term's lanes are held at a time
+    form_values = _form_values(plan.columns, slice_values, partial(map, add))
+    form_lanes = list(map(unpack, form_values))  # each distinct form unpacked once
+    per_term = []
     for coef, forms in plan.terms:
-        lanes = array("I", b"".join(form_values[f].to_bytes(width, order) for f in forms))
+        lanes = array(code, b"".join(map(form_lanes.__getitem__, forms)))
         per_term.append([mul(coef, ev.product(lanes[t::count])) for t in range(count)])
     return list(map(list, zip(*per_term)))
+
+
+_TYPECODES = {array(code).itemsize: code for code in "QIHB"}  # bytes -> unsigned typecode
+
+
+def _field_bytes(bits: int) -> int:
+    """Bytes per packed field of the given bits: 1, 2, 4 or 8, which an array
+    typecode holds, else the least number of bytes."""
+    size = max(1, (bits + 7) // 8)
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _lanes(ev: Field, n: int, count: int):
+    """(pack, unpack, add, code): the lane layout of _term_values' pass over
+    ev for count trials at points of n coordinates.
+
+    A packed int holds one lane per trial, in trial order, and a lane holds
+    fields of equal width. Over characteristic 2 a lane is one field, the
+    element itself, and lanes add by xor, which never carries. Over odd p a
+    lane holds the element's e digits, one per field, and lanes add with +:
+    a field wide enough for n(p - 1)^2, the largest sum of n coefficient x
+    digit products, never carries into the next. pack(xs) is the int whose
+    lanes hold the elements xs; unpack(v) reduces each field of v mod p,
+    recombines each lane's digits and returns the elements as the bytes of
+    an array of typecode code; add adds two packed ints lane by lane.
+    """
+    p, e, order = ev.p, ev.e, sys.byteorder
+    if p == 2:
+        fields, add, size = 1, operator.xor, _field_bytes(e)
+    else:
+        fields, add, size = e, operator.add, _field_bytes((max(n, 1) * (p - 1) ** 2).bit_length())
+    field_code = _TYPECODES.get(size)  # None for fields wider than 8 bytes (large p)
+    length = count * fields * size  # bytes of a packed int
+    code = _TYPECODES[_field_bytes((ev.order - 1).bit_length())]  # every ev has q <= 2^64
+    powers = [p**i for i in range(fields)]
+
+    def pack(xs) -> int:
+        if fields > 1:  # each element's digits, constant first
+            xs = [x // power % p for x in xs for power in powers]
+        if field_code:
+            return int.from_bytes(array(field_code, xs).tobytes(), order)
+        return int.from_bytes(b"".join(x.to_bytes(size, order) for x in xs), order)
+
+    def unpack(v: int) -> bytes:
+        raw = v.to_bytes(length, order)
+        if p == 2:
+            return raw
+        items = array(field_code, raw) if field_code else [
+            int.from_bytes(raw[i:i + size], order) for i in range(0, length, size)]
+        xs = [x % p for x in items[fields - 1::fields]]
+        for i in range(fields - 2, -1, -1):
+            xs = [a * p + x % p for a, x in zip(xs, items[i::fields])]
+        return array(code, xs).tobytes()
+
+    return pack, unpack, add, code
 
 
 def _point_term_values(plan: _EvalPlan, ev: Field, rng) -> list:

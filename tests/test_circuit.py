@@ -21,6 +21,7 @@ from sps import (
     dumps_circuit,
     field_make,
     gen_family,
+    gen_intro_counterexamples,
     gen_joined,
     gen_ks,
     is_minimal,
@@ -612,6 +613,40 @@ def test_random_oracle_lifts_prime_fields_and_refuses_extension_fields():
         ZeroOracle("random").is_zero(c)
 
 
+def _odd_characteristic_corpus(rng):
+    """The vanishing-product identity over GF(5) and GF(7), whose degree
+    q - 1 makes the random oracle lift it, joined 0-2 times with copies of
+    itself, each also under a random change of variables, and a perturbed
+    copy of each; then the non-simple and non-minimal counterexamples over
+    GF(1009) and GF(65521)."""
+    corpus = []
+    for field in (F5, F7):
+        for joins in range(3):
+            c = vanishing_identity(rng, field, 2)
+            for _ in range(joins):
+                c = gen_joined(c, vanishing_identity(rng, field, 2), verify=False)
+            corpus += [c, substitute(c, random_invertible(rng, field, c.n))]
+    corpus += [perturbed(rng, c) for c in corpus]
+    for p in (1009, 65521):
+        for d in (2, 3):
+            corpus += gen_intro_counterexamples(d, p)
+    return corpus
+
+
+def test_random_oracle_agrees_with_exact_beyond_gf2():
+    # every packed pass here is in odd characteristic, over a lift GF(5^m),
+    # GF(7^m) or a large prime field, with 39 or 127 trials after trial 0
+    verdicts = Counter()
+    for c in _odd_characteristic_corpus(random.Random(35)):
+        exact = ZeroOracle("exact").term_values(c)
+        want = exact.is_zero(), exact.is_minimal()
+        verdicts[want] += 1
+        for trials, seed in itertools.product((40, MAX_TRIALS), (0, 7)):
+            got = ZeroOracle("random", trials=trials, seed=seed).term_values(c)
+            assert (got.is_zero(), got.is_minimal()) == want, (c, trials, seed)
+    assert verdicts[True, True] and verdicts[True, False] and verdicts[False, True], verdicts
+
+
 def _chunky_circuit(rng, field, n, k, d):
     """k terms of degree d whose forms are zero on whole chunks of 8
     coordinates with probability 1/2 each, repeat an earlier form with
@@ -635,19 +670,23 @@ def _chunky_circuit(rng, field, n, k, d):
     return Circuit(field, n, terms)
 
 
-# (circuit field, evaluation field): each field in itself, three lifts, and
-# two evaluation fields small enough that forms and products vanish often
+# (circuit field, evaluation field): each field in itself, GF(2^64 - 59)
+# among them, whose lane fields are wider than 64 bits; lifts, one to GF(3^5)
+# with five digits a lane; and two evaluation fields small enough that forms
+# and products vanish often
 EVALUATIONS = [(F2, F2), (F5, F5), (F7, F7), (F8, F8), (F9, F9),
                (field_make(1009), field_make(1009)),
                (F2, field_make(2, 9)), (F5, field_make(5, 3)), (F7, field_make(7, 3)),
                (F2, field_make(2, 2)), (field_make(3), field_make(3)),
-               (F2, field_make(2, 17))]
+               (F2, field_make(2, 17)), (field_make(2**64 - 59), field_make(2**64 - 59)),
+               (field_make(3), field_make(3, 5))]
 
 
 def test_term_values_match_reference():
-    # trial 0 alone, then trials 1..T-1 in one call: over characteristic 2
-    # the packed-lane pass, with T up to MAX_TRIALS; GF(2^17) fills lanes
-    # above 16 bits, and GF(2), GF(2^2) make forms and products vanish
+    # trial 0 alone, then trials 1..T-1 in one call: the packed-lane pass in
+    # every characteristic, with T up to MAX_TRIALS; GF(2^17) fills lanes
+    # above 16 bits, GF(2^64 - 59) needs fields wider than 64 bits, GF(3^5)
+    # packs 5 digits a lane, and GF(2), GF(2^2) make forms and products vanish
     rng = random.Random(1970)
     zeros = {2: 0, "odd": 0}
     for field, ev in EVALUATIONS:
@@ -736,7 +775,9 @@ def test_term_values_do_less_field_work_than_reference(monkeypatch):
     c = Circuit(F9, 64, terms)
     alone, batched, ref = _field_work(monkeypatch, c, _EvalPlan(c), F9, 10)
     assert all(a <= b for a, b in zip(alone, ref)), (alone, ref)
-    assert batched == sum(alone) <= sum(ref), (batched, alone, ref)
+    # the packed pass multiplies lanes through Field.mul only for coefficients
+    # outside GF(3), and adds no lanes through Field.add
+    assert batched < sum(alone) <= sum(ref), (batched, alone, ref)
 
 
 def test_is_simple_examples():
