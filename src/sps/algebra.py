@@ -462,8 +462,9 @@ class SpanBasis:
     a basis of the same span that elimination does not mix (the exact oracle
     expands over a circuit's sources), and ``coordinates`` are over it,
     derived from the sources on each call. The basis keeps nothing else but
-    the running remainders of the vectors ``reduce`` read. A basis is
-    append-only; only its builder appends, so one handed out is complete.
+    the running remainders of the vectors ``reduce`` and ``outside`` read. A
+    basis is append-only; only its builder appends, so one handed out is
+    complete.
     """
 
     __slots__ = ("field", "n", "sparse_rows", "sources", "_rest")
@@ -519,6 +520,27 @@ class SpanBasis:
 
     def contains(self, v: tuple) -> bool:
         return not any(self.reduce(v))
+
+    def outside(self, vectors) -> list[bool]:
+        """Per vector, not contains(v), in one pass: each distinct vector's
+        stale running remainder is extended and kept as ``reduce`` does it,
+        by one eliminate call per distinct number of rows already read."""
+        rows, rest = self.sparse_rows, self._rest
+        n = len(rows)
+        recs, stale = [], {}
+        for v in vectors:
+            rec = rest.get(v)
+            if rec is None:
+                rec = rest[v] = [self._check(v), 0]
+            if rec[1] < n:
+                stale.setdefault(rec[1], []).append(rec)
+                rec[1] = n
+            recs.append(rec)
+        for done, group in stale.items():
+            reduced = eliminate(self.field, rows[done:], [rec[0] for rec in group])
+            for rec, (_, r) in zip(group, reduced):
+                rec[0] = tuple(r)
+        return [any(rec[0]) for rec in recs]
 
     def coordinates(self, vectors) -> list:
         """Per vector, its coefficients over ``sources``, or None if it is

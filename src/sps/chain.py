@@ -130,21 +130,23 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     starts a round only while some form lies outside sp(S) (asserted). Each
     iteration picks the first remaining form outside sp(S u I) (terms in
     index order, forms in list order), extends I by it, and reduces each
-    remaining form of the survivors once mod I: a term survives iff no form
-    lies in sp(I), and the survivors' class keys give the gcd pairing
-    (forms.pair_common) folded into the accumulated V / V_q lists. The round
-    stops when the surviving fanin is 2 or when every leftover form lies in
-    sp(S u I). One record per form of V and of each V_q under the final I
-    (the last iteration's, or one new reduction filled in after the loop),
-    held per term by position, places V (trimmed from sp(S u I) \\ sp(I),
-    else kept in sp(I) or outside sp(S u I)) and derives and checks the
-    final matchings' edges. The final I's first j echelon rows are the rows
-    of iteration j's ideal, so a slot paired at iteration j gets the same
-    (c, level) as it would under that ideal. A two-term residual is
-    decided exactly from its forms' records (forms.pair_is_zero_mod, by
-    unique factorization), with no oracle call; a longer one goes to
-    is_zero_mod and ZeroOracle(). Returns the useful ideal and the verified
-    matching data, whose q_set is the blocking subset.
+    remaining form of the other survivors once mod I (the pick's term dies
+    unreduced): a term survives iff no form lies in sp(I), and the
+    survivors' class keys give the gcd pairing (forms.pair_common) folded
+    into the accumulated V / V_q lists. The round stops when the surviving
+    fanin is 2 or when every leftover form lies in sp(S u I). One record
+    per form of V and of each V_q under the final I (the last iteration's,
+    or one new reduction filled in after the loop), held per term by
+    position, places V (trimmed from sp(S u I) \\ sp(I), else kept in sp(I)
+    or outside sp(S u I), read by one SpanBasis.outside query) and derives
+    and checks the final matchings' edges. The final I's first j echelon
+    rows are the rows of iteration j's ideal, so a slot paired at iteration
+    j gets the same (c, level) as it would under that ideal. A two-term
+    residual is decided exactly from its forms' records
+    (forms.pair_is_zero_mod, by unique factorization), with no oracle call;
+    a longer one goes to is_zero_mod and ZeroOracle(). Returns the useful
+    ideal and the verified matching data, whose q_set is the blocking
+    subset.
 
     Checked here: at least two terms survive each iteration, the fanin-2
     stop leaves no form unmatched, and the residual is an identity mod I.
@@ -173,18 +175,22 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
             for pos in remaining[q]:
                 f = circuit.terms[q].forms[pos]
                 if not su_span.contains(f.coeffs):
-                    return f
+                    return q, f
         return None
 
     ell = first_unspanned()
     assert ell is not None, "build_chain starts a round only for a form outside sp(S)"
     while ell is not None:
-        gens.append(ell)
-        su_span.insert(ell.coeffs)
+        before = len(v_slots)  # the slots of V and of each V_q from earlier iterations
+        owner, form = ell
+        gens.append(form)
+        su_span.insert(form.coeffs)
         ideal = FormIdeal(field, n, gens)
 
         recs = {}  # term -> position -> its reduction mod this ideal
         for q in survivors:
+            if q == owner:  # form lies in sp(I): the owner term dies, unreduced
+                continue
             rq = reductions([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
             if rq is not None:
                 recs[q] = dict(zip(remaining[q], rq))
@@ -215,17 +221,18 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
         ell = first_unspanned()
 
     # the final ideal's records of the forms paired at earlier iterations
-    paired = dict.fromkeys([*v_slots, *((q, p) for q in survivors for p in vq_pos[q])])
-    missing = [(q, pos) for q, pos in paired if pos not in recs.get(q, ())]
+    missing = dict.fromkeys([*v_slots[:before],
+                             *((q, p) for q in survivors for p in vq_pos[q][:before])])
     forms = [circuit.terms[q].forms[pos] for q, pos in missing]
     for (q, pos), rec in zip(missing, ideal.reductions(forms)):
         recs.setdefault(q, {})[pos] = rec
 
+    outside = su_span.outside([circuit.terms[q].forms[pos].coeffs for q, pos in v_slots])
     keep, v0, v1 = [], [], []
     for t, (q, pos) in enumerate(v_slots):
         if recs[q][pos].key is None:
             v0.append(len(keep))
-        elif not su_span.contains(circuit.terms[q].forms[pos].coeffs):
+        elif outside[t]:
             v1.append(len(keep))
         else:
             continue
@@ -301,10 +308,10 @@ def build_chain(circuit: Circuit) -> Chain:
     every bound along the way.
 
     Verifies first (k >= 3, d >= 1, equal degrees; simple, then zero and
-    minimal under ZeroOracle(): auto, 20 trials, seed 0), then
-    repeats single_round with S growing by each round's ideal until all forms
-    of the circuit are spanned. Asserts rank <= (k - 2) * m always, and for
-    d >= 2 the chain-length and per-type counts:
+    minimal under ZeroOracle(): auto, 20 trials, seed 0), then repeats
+    single_round with S growing by each round's ideal until S has the
+    circuit's rank, so spans all its forms. Asserts rank <= (k - 2) * m
+    always, and for d >= 2 the chain-length and per-type counts:
     m <= C(k,2)(log2 d + 3) + (k - 1), N1 <= C(k,2)(log2 d + 2),
     N2 <= C(k,2), N3 <= k - 1, no internal trivial links. Violations raise
     BoundViolationError.
@@ -326,16 +333,13 @@ def build_chain(circuit: Circuit) -> Chain:
         raise ValueError("chains require a minimal circuit")
 
     s_span = SpanBasis(circuit.field, circuit.n)
+    rank = circuit_rank(circuit)
     links: list[ChainLink] = []
-    for f in circuit.all_forms():  # S only grows: a form in S is not tested again
-        while not s_span.contains(f.coeffs):
-            if len(links) > circuit.n:  # each round grows the span rank by >= 1
-                raise VerificationError("chain failed to terminate")
-            ideal, md = single_round(circuit, s_span)
-            links.append(ChainLink(ideal, md))
+    while s_span.rank < rank:  # S lies in the forms' span: some form is outside it
+        links.append(ChainLink(*single_round(circuit, s_span)))  # S grows by >= 1
 
     build_forest(links, k)
-    chain = Chain(circuit, links, chain_length_bound(k, d), circuit_rank(circuit))
+    chain = Chain(circuit, links, chain_length_bound(k, d), rank)
 
     if chain.rank > (k - 2) * chain.m:
         raise BoundViolationError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import math
 import re
@@ -371,6 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command builds no reference cycles: the cyclic collector only costs time
     try:
         return args.func(args)
     except BoundViolationError as exc:
@@ -385,6 +388,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
         _note(f"error: {exc}")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

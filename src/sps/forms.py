@@ -193,16 +193,29 @@ def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     bijection sigma pairing the first list's common keys with its own, equal
     keys in list order (sigma[i] indexes that list's common positions).
 
-    Each key is read once, as it is numbered by first appearance; the
-    pairing runs on those small ints, and positions and sigmas depend only
-    on which keys are equal, so they are the keys' own."""
+    Each key is read once, as it is numbered by first appearance. One pass
+    per list ranks each position among its equal keys and counts keys in a
+    list; a position is common when its rank is below its key's least count.
+    A stable sort by key lines up equal (key, rank) slots across the lists."""
     ids: dict = {}
     key_lists = [[ids.setdefault(k, len(ids)) for k in keys] for keys in key_lists]
-    positions = common_positions(key_lists)
-    u_keys = [key_lists[0][p] for p in positions[0]]
-    sigmas = [pair_by_key(u_keys, [keys[p] for p in pos])
-              for keys, pos in zip(key_lists, positions)]
-    return positions, sigmas
+    ranks, counts = [], []
+    for keys in key_lists:
+        seen, rank = [0] * len(ids), []
+        for k in keys:
+            rank.append(seen[k])
+            seen[k] += 1
+        ranks.append(rank)
+        counts.append(seen)
+    least = [min(col) for col in zip(*counts)]
+    positions, orders = [], []
+    for keys, rank in zip(key_lists, ranks):
+        pos = [p for p, (k, r) in enumerate(zip(keys, rank)) if r < least[k]]
+        common = [keys[p] for p in pos]
+        positions.append(pos)
+        orders.append(sorted(range(len(pos)), key=common.__getitem__))
+    back = sorted(range(len(orders[0])), key=orders[0].__getitem__)  # list 0's order, inverted
+    return positions, [tuple(map(order.__getitem__, back)) for order in orders]
 
 
 def common_positions(key_lists) -> list[list[int]]:
@@ -244,15 +257,16 @@ def reduction_records(field: Field, pairs):
     rows, yielded in order: rest = lead * key with key's first nonzero entry
     1 (f's similarity class modulo the span), or key = lead = None when rest
     is zero."""
+    new = tuple.__new__  # skips the namedtuple's Python-level __new__
     for a, rest in pairs:
         lead = next(filter(None, rest), None)
         if lead is None:
-            yield Reduction(a, rest, None, None)
+            yield new(Reduction, (a, rest, None, None))
         elif lead == 1:  # rest is its own key: hold one tuple for both
             rest = tuple(rest)
-            yield Reduction(a, rest, rest, lead)
+            yield new(Reduction, (a, rest, rest, lead))
         else:
-            yield Reduction(a, rest, _monic(field, rest, lead), lead)
+            yield new(Reduction, (a, rest, _monic(field, rest, lead), lead))
 
 
 def pair_is_zero_mod(field: Field, pair) -> bool:

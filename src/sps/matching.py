@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
@@ -92,10 +94,10 @@ def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
     span forms with no ordered edge: src is zero, or b is zero at a's last
     nonzero coordinate, or nonzero above it. A nonzero record given as both
     s and d passes (1, 0, True) alone."""
-    field, (c, level, ordered) = ideal.field, e
+    field, r, (c, level, ordered) = ideal.field, ideal.r, e
     if not (type(c) is int and 0 < c < field.order and type(level) is int
-            and 0 <= level <= ideal.r and type(ordered) is bool
-            and (ordered or (c, level) == (1, ideal.r))):
+            and 0 <= level <= r and type(ordered) is bool
+            and (ordered or (c, level) == (1, r))):
         return False
     a, _, key_s, lead_s = s
     if s is d and (key_s is not None or any(a)):
@@ -140,35 +142,37 @@ class OrderedMatching:
     @classmethod
     def build(cls, ideal, domain, codomain, sigma, reductions=None) -> "OrderedMatching":
         """Derive minimal-level certificates for the given position bijection
-        from the (domain, codomain) records, reduced here when not given."""
+        from the (domain, codomain) records, reduced here when not given, by
+        one map of _derive_edge; the failing slot is looked for only on failure."""
         domain, codomain, sigma = tuple(domain), tuple(codomain), tuple(sigma)
         src, dst = reductions or _records(ideal, domain, codomain)
-        edges = []
-        for i, f in enumerate(domain):
-            e = _derive_edge(ideal, src[i], dst[sigma[i]])
-            if e is None:
-                raise VerificationError(
-                    f"no matching certificate for slot {i}: {f} -> {codomain[sigma[i]]}"
-                )
-            edges.append(e)
+        edges = list(map(_derive_edge, repeat(ideal), src, map(dst.__getitem__, sigma)))
+        if not all(edges):
+            i = edges.index(None)
+            raise VerificationError(
+                f"no matching certificate for slot {i}: {domain[i]} -> {codomain[sigma[i]]}"
+            )
         return cls(ideal, domain, codomain, sigma, edges, (src, dst))
 
     def verify(self, reductions=None) -> None:
         """Check every edge from the (domain, codomain) records, reduced here
-        when not given; they depend on the ideal and forms, not the edges."""
+        when not given; they depend on the ideal and forms, not the edges.
+        One map of _check_edge, the failing slot looked for only on failure."""
         d = len(self.domain)
         if len(self.codomain) != d or len(self.sigma) != d or len(self.edges) != d:
             raise VerificationError("matching arity mismatch")
         if sorted(self.sigma) != list(range(d)):
             raise VerificationError("sigma is not a bijection")
         src, dst = reductions or _records(self.ideal, self.domain, self.codomain)
-        for i in range(d):
-            if not _check_edge(self.ideal, src[i], dst[self.sigma[i]], self.edges[i]):
-                raise VerificationError(f"edge certificate {i} failed verification")
+        cases = (src, [dst[j] for j in self.sigma], self.edges)
+        if not all(map(_check_edge, repeat(self.ideal), *cases)):
+            i = next(i for i, case in enumerate(zip(*cases))
+                     if not _check_edge(self.ideal, *case))
+            raise VerificationError(f"edge certificate {i} failed verification")
 
     @property
     def is_ordered(self) -> bool:
-        return all(e.ordered for e in self.edges)
+        return all(map(attrgetter("ordered"), self.edges))
 
     def __len__(self):
         return len(self.domain)
@@ -177,11 +181,7 @@ class OrderedMatching:
         """Product of the unique per-edge scalars (1 for the empty matching)."""
         if not self.is_ordered:
             raise ValueError("scaling factor requires a matching validated as ordered")
-        field = self.ideal.field
-        out = 1
-        for e in self.edges:
-            out = field.mul(out, e.c)
-        return out
+        return self.ideal.field.product(map(attrgetter("c"), self.edges))
 
     def __repr__(self):
         kind = "ordered" if self.is_ordered else "plain"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sps.algebra
 from sps import FormIdeal, LinearForm, SpanBasis, field_make, spans_orthogonal
 from sps.algebra import Field, eliminate, is_prime
 from sps.errors import BudgetExceededError
-from helpers import dense_eliminate, dense_rows, reference_from_vectors
+from helpers import counting_eliminate, dense_eliminate, dense_rows, reference_from_vectors
 
 
 def test_prime_fields():
@@ -292,6 +293,46 @@ def test_running_remainders_answer_as_a_basis_built_from_scratch(p, e):
         else:
             assert basis.reduce(v) == want.reduce(v)
     assert 0 < basis.rank < n
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2)])
+def test_outside_answers_every_vector_in_one_pass(p, e, monkeypatch):
+    # one batch holds vectors read before more rows were appended (stale
+    # remainders, read at two different ranks), vectors never read, span
+    # vectors and a repeated vector; each answer is not contains(v) of a
+    # basis built from the same sources, each distinct vector is eliminated
+    # once, by the rows it had not met, and reduce then agrees with that basis
+    F = field_make(p, e)
+    rng = random.Random(20 * p + e)
+    n = 7
+    rand = [tuple(F.rand_element(rng) for _ in range(n)) for _ in range(10)]
+    rows = [(0,) * i + (1,) + v[i + 1:] for i, v in enumerate(rand[:3])]  # independent
+    basis = SpanBasis(F, n)
+    basis.insert(rows[0])
+    for v in rand[3:6]:
+        basis.contains(v)
+    basis.insert(rows[1])
+    for v in rand[6:8]:
+        basis.contains(v)
+    basis.insert(rows[2])
+    c = F.rand_element(rng) or 1
+    in_span = tuple(F.add(F.mul(c, a), b) for a, b in zip(rows[0], rows[2]))
+    batch = [*rand[3:], in_span, rand[4], rand[8], (0,) * n]
+    read = {v: basis._rest[v][1] for v in batch if v in basis._rest}
+    assert sorted(set(read.values())) == [1, 2]
+
+    met = []  # the number of rows each eliminated remainder meets
+    monkeypatch.setattr(sps.algebra, "eliminate",
+                        counting_eliminate(lambda rows, v: met.append(len(rows))))
+    got = basis.outside(batch)
+    monkeypatch.undo()
+    fresh = SpanBasis.from_vectors(F, n, basis.sources)
+    assert got == [not fresh.contains(v) for v in batch]
+    assert not got[batch.index(in_span)] and got.count(True) >= 5
+    assert sorted(met) == sorted(basis.rank - read.get(v, 0) for v in set(batch))
+    for v in batch:
+        assert basis._rest[v][1] == basis.rank
+        assert basis.reduce(v) == fresh.reduce(v)
 
 
 def test_span_membership_and_coordinates():

@@ -19,6 +19,7 @@ from sps import (
     circuit_rank,
     classify_matching_data,
     doubling_check,
+    dumps_circuit,
     field_make,
     gen_family,
     gen_intro_counterexamples,
@@ -452,6 +453,58 @@ def _round_facts(ideal, md):
     """Everything a round returns, as comparable values."""
     return (ideal, md.q_set, md.v_positions, md.v0, md.v1, md.mtype,
             {q: (m.domain, m.codomain, m.sigma, m.edges) for q, m in md.matchings.items()})
+
+
+# _round_facts of every link, as repr text, recorded when each iteration
+# still reduced the forms of the term that supplied its picked form
+PINNED_ROUND_FACTS = {
+    "ks3": "6a8f251ce40508b2",
+    "ks4": "7beaae1f42710d35",
+    "ks5": "47d2caf638c3f7a6",
+    "ks6": "0ec405e2eacac12f",
+    "ks7": "e5db50f0e7d3598e",
+    "ks8": "eae5508f21450317",
+    "ks9": "cf33d8b1c5b51c96",
+    "family-3-1": "cf0976bc280f86fa",
+    "family-3-2": "52df7bd470a8fb31",
+    "family-3-3": "d23b0848278fe2ea",
+    "family-4-1": "0720134e9039dea9",
+    "family-4-2": "0fb23f08a03880c6",
+    "family-4-3": "5afcf084c999101a",
+}
+
+
+def test_rounds_never_reduce_the_term_that_owns_the_picked_form(monkeypatch):
+    # the picked form lies in sp(I), so its term dies in that iteration and
+    # none of its forms is reduced; the rounds stay those pinned above. The
+    # circuits are reloaded so that no form object is shared by two terms
+    calls = []
+    original = sps.chain.reductions
+
+    def spied(forms, ideal):
+        forms = list(forms)
+        calls.append((forms, ideal.generators[-1]))
+        return original(forms, ideal)
+
+    monkeypatch.setattr(sps.chain, "reductions", spied)
+    cases = {f"ks{r}": gen_ks(r) for r in range(3, 10)}
+    for r in (3, 4):
+        for i in (1, 2, 3):
+            cases[f"family-{r}-{i}"] = gen_family(r, i)
+    digests = {}
+    for name, circuit in cases.items():
+        circuit = loads_circuit(dumps_circuit(circuit))
+        term_of = {id(f): q for q, t in enumerate(circuit.terms) for f in t.forms}
+        assert len(term_of) == sum(circuit.degrees), name
+        calls.clear()
+        chain = build_chain(circuit)
+        assert calls, name
+        for forms, picked in calls:
+            terms = {term_of[id(f)] for f in forms}
+            assert len(terms) == 1 and term_of[id(picked)] not in terms, name
+        text = repr([_round_facts(link.ideal, link.mdata) for link in chain.links])
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == PINNED_ROUND_FACTS
 
 
 def _count_span_rows(monkeypatch, skip=None):

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -17,6 +18,7 @@ from sps import (
     loads_circuit, make_circuit,
 )
 from sps.cli import _build_parser, _digest, _load_circuit, main
+from sps.errors import BoundViolationError
 import sps.circuit
 import sps.cli
 import sps.matching
@@ -255,6 +257,67 @@ def test_bound_violation_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["ok"] is False
     assert "BOUND VIOLATION" in err
+
+
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch):
+    # the command runs with the cyclic collector paused; main leaves it as the
+    # caller had it on every exit code, and on an exception main lets through
+    ks3 = _gen_file(tmp_path, capsys, ["ks", "--r", "3"], "ks3.json")
+    nz = tmp_path / "nz.json"
+    nz.write_text(dumps_circuit(make_circuit(
+        field_make(2), 3, [(1, [[1, 0, 0]]), (1, [[0, 1, 0]]), (1, [[0, 0, 1]])])))
+    during = []
+
+    def chain_with(error):
+        def chain(circuit):
+            during.append(gc.isenabled())
+            raise error
+        return chain
+
+    runs = [(["bound", "--k", "3", "--d", "4"], 0, None), (["chain", str(nz)], 1, None),
+            (["check", str(tmp_path / "missing.json")], 2, None),
+            (["chain", ks3], 3, BoundViolationError("synthetic violation")),
+            (["chain", ks3], None, RuntimeError("unexpected"))]
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code, error in runs:
+                if error is not None:
+                    monkeypatch.setattr(sps.cli, "build_chain", chain_with(error))
+                if code is None:
+                    with pytest.raises(RuntimeError):
+                        main(argv)
+                else:
+                    assert main(argv) == code
+                monkeypatch.undo()
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    capsys.readouterr()
+    assert during == [False] * 4
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # the premise of the collector pause: a command, run after the cached
+    # parser is built, leaves nothing for the cyclic collector to free
+    ks4 = _gen_file(tmp_path, capsys, ["ks", "--r", "4"], "ks4.json")
+    lists = _gen_file(tmp_path, capsys, ["tight", "--s", "4"], "tight4.json")
+    runs = [["check", "--exact", ks4], ["check", "--random", ks4], ["check", ks4],
+            ["chain", "--trace", ks4], ["doubling", "--lists", lists, "--trace"],
+            ["match", ks4, "--ideal", "1,0,0,0"], ["gen", "ks", "--r", "4"]]
+    assert main(["bound", "--k", "3", "--d", "4"]) == 0  # builds the cached parser
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in runs:
+            gc.collect()
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_cli_subprocess_pipe():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -168,19 +169,46 @@ def _key_lists(rng):
             for _ in range(rng.randint(1, 5))]
 
 
+def _pairing_corpus(rng):
+    """1-6 lists over a shared alphabet of 1-6 class keys: each list holds
+    each key 0-4 times, in a shuffled order, so keys repeat within a list
+    and are missing from some lists, and about one list in eight is empty.
+    Every key is a fresh tuple object, so equal keys are never the same
+    object."""
+    alphabet = [(1, i, rng.randrange(3)) for i in range(rng.randint(1, 6))]
+    lists = []
+    for _ in range(rng.randint(1, 6)):
+        keys = [] if rng.random() < 0.125 else [
+            k for k in alphabet for _ in range(rng.randint(0, 4))]
+        rng.shuffle(keys)
+        lists.append([tuple(list(k)) for k in keys])
+    return lists
+
+
 def test_pair_common_matches_the_pairing_on_the_keys_themselves():
+    # the reference pairs by common_positions and pair_by_key on the keys,
+    # sharing no code with the count-list pairing
     rng = random.Random(28)
-    for _ in range(500):
-        key_lists = _key_lists(rng)
+    seen = set()
+    for _ in range(3000):
+        key_lists = _pairing_corpus(rng)
         assert pair_common(key_lists) == reference_pair_common(key_lists)
+        counts = [Counter(keys) for keys in key_lists]
+        keys = set().union(*counts)
+        seen.add(("lists", len(key_lists)))
+        seen.add(("empty", any(not k for k in key_lists)))
+        seen.add(("missing", any(k not in c for k in keys for c in counts)))
+        seen.add(("repeats", max((max(c.values(), default=0) for c in counts))))
+    assert seen >= {*(("lists", m) for m in range(1, 7)), ("empty", True),
+                    ("missing", True), *(("repeats", r) for r in range(1, 5))}
     assert pair_common([[]]) == ([[]], [()])
     assert pair_common([[(1,)], []]) == reference_pair_common([[(1,)], []]) == ([[], []], [(), ()])
 
 
 def test_pair_common_hashes_each_key_at_most_once():
     rng = random.Random(29)
-    for _ in range(100):
-        key_lists = _key_lists(rng)
+    for _ in range(300):
+        key_lists = _pairing_corpus(rng)
         counted = [[CountedKey(k) for k in keys] for keys in key_lists]
         assert pair_common(counted) == reference_pair_common(key_lists)
         assert max((k.hashes for keys in counted for k in keys), default=0) <= 1
