@@ -314,14 +314,7 @@ class Field:
     def rand_element(self, rng):
         return rng.randrange(self.order)
 
-    # -- batch arithmetic, one call per vector: the random oracle's inner loops --
-
-    def add_vectors(self, u, v) -> list:
-        """The element-wise sums u[i] + v[i] of two equally long sequences."""
-        if self.e == 1:
-            p = self.p
-            return [(a + b) % p for a, b in zip(u, v)]
-        return list(map(operator.xor if self.p == 2 else self.add, u, v))
+    # -- batch arithmetic, one call per sequence: the oracles' inner loops --
 
     def product(self, xs):
         """The product of the elements xs yields (1 when there are none); in an
@@ -353,12 +346,13 @@ class Field:
         (step, nonzero coefficient) pairs, one per variable of the form, where
         a monomial times that variable is the int monomial + step. Any sparse
         polynomial given as (monomial, coefficient) pairs serves as form:
-        _expand_terms multiplies its block polynomials so. GF(p) sums
-        the int products unreduced and reduces each sum once. GF(p^e) takes
-        one log per monomial of poly and multiplies by adding logs. GF(2^e)
-        adds the products by xor where two meet; odd p keeps each sum as its
-        log, adds through the Zech table (-1 marks a sum that cancelled) and
-        maps every sum back through the antilog table once, at the end.
+        _expand_terms multiplies its block polynomials so, and over GF(2) its
+        pairs of partial products. GF(p) sums the int products unreduced and
+        reduces each sum once. GF(p^e) takes one log per monomial of poly and
+        multiplies by adding logs. GF(2^e) adds the products by xor where two
+        meet; odd p keeps each sum as its log, adds through the Zech table
+        (-1 marks a sum that cancelled) and maps every sum back through the
+        antilog table once, at the end.
         """
         out: dict = {}
         get = out.get

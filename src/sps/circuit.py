@@ -1,57 +1,36 @@
 """Depth-3 circuits: evaluation, zero testing, structure checks, file format.
 
 A circuit is a sum of multiplication terms, each a nonzero constant times a
-product of nonzero linear forms. Zero-ness is never structural: a circuit
-value is a syntax tree, and "computes the zero polynomial" is always the
-verdict of one of the two oracles below, an exact one or a seeded random
-evaluation over a large enough field. One ZeroOracle method (_sums) picks
-the oracle once per circuit, for is_zero and term_values alike.
+product of nonzero linear forms. Whether it computes the zero polynomial is
+always the verdict of an oracle, exact or a seeded random evaluation over a
+large enough field; one ZeroOracle method (_sums) picks the oracle once per
+circuit, for is_zero and term_values alike.
 
-The exact oracle has two rungs (_exact_sums) and takes the one with the
-lower price; when both prices exceed EXPANSION_BUDGET it refuses.
+The exact oracle (_exact_sums) takes the cheaper of two rungs and refuses
+when both prices exceed EXPANSION_BUDGET.
 - Divisibility (_divisibility_rung) decides two terms, and three terms of
-  one degree d >= 1 with a squarefree term and a witness form, by unique
-  factorization modulo one form at a time (forms.pair_cancels_mod): d + 1
-  one-form ideals, priced (d + 1) * sum of degrees * n. Nothing is expanded.
+  one degree with a squarefree term and a witness form, by unique
+  factorization modulo one form at a time. Nothing is expanded.
 - Expansion (_expand_terms) rewrites each form over the circuit's first
-  rank(C) independent forms (its form basis's sources), not over the
-  echelon rows they became: a form then reads only the sources it depends
-  on, which on a join on fresh variables are its own block's. A block is a
-  connected component of the sources, two sources joined when one form
-  reads both (_source_blocks). Each term's forms are expanded block by
-  block, and the block polynomials, which share no variable, are multiplied
-  last, so no form of one block is multiplied by another block's expansion.
-  exact_cost_bound, its price, and auto's choice read the rank alone and
-  are the same over any basis and any blocks. Over GF(2) a block is
-  expanded as a balanced tree of pairwise products of its forms' monomial
-  sets (_gf2_product), so cancellation mod 2 shrinks them early; elsewhere
-  Field.mul_by_form multiplies the block's forms into one coefficient dict,
-  one at a time, with no Field call per product: GF(p) sums int products
-  and reduces once per form, GF(p^e) multiplies through the field's log
-  tables. The last products go through the same two kernels.
+  rank(C) independent forms, so a form of a join on fresh variables reads
+  only its own block of them (_source_blocks). One kernel, Field.mul_by_form,
+  multiplies dicts monomial -> coefficient, exponents packed into ints, over
+  every field. A term's blocks are expanded one by one and multiplied last:
+  over GF(2) a block's forms in a tree of neighbour pairs, so cancellation
+  mod 2 shrinks the products early, elsewhere folded in one at a time.
 
-The random oracle compiles the circuit's forms once (_EvalPlan): a pass
-evaluates each distinct coefficient slice of a chunk of 8 coordinates once,
-then forms and terms, equal to evaluating coordinate by coordinate. Each
-point coordinate is one randrange(q) draw over the evaluation field GF(q).
-A trial is computed at most once, when a subset first needs it: trial 0
-alone, so a nonzero circuit pays for one trial, then every remaining trial
-in one pass, in any characteristic. The pass packs each coordinate's values
-into one int, one lane per trial (_lanes), so a slice or a form costs one
-int sum for all trials. Over characteristic 2 a lane is the element and
-lanes add by xor, which cannot carry. Over odd p a lane is the element's e
-digits, each in a field wide enough for n(p - 1)^2, the largest sum of a
-form's coefficient x digit products, so lanes add with + and no field
-carries into the next; each field is reduced mod p when a form is unpacked.
-A coefficient of GF(p) multiplies a whole int; any other one, which occurs
-only when the evaluation field is the circuit's own extension field,
-multiplies each lane through Field.mul. Each distinct form is unpacked once,
-and a term's value in one trial is the product of a strided slice of its
-forms' lanes.
+The random oracle compiles the circuit's forms once (_EvalPlan) and has one
+pass (_term_values) for any number of trials. Each point coordinate is one
+randrange(q) draw over the evaluation field GF(q), and its values in all
+trials are packed into one int, one lane per trial (_lanes), so a slice of
+_CHUNK coordinates or a form costs one int sum for every trial. Over
+characteristic 2 lanes add by xor; over odd p a lane holds the element's
+digits in fields too wide to carry, each reduced mod p once per form. Trial
+0 is a pass of one lane, so a nonzero circuit pays for one point, and every
+later trial shares a second pass.
 
-The loader checks a term's vectors as one array of digits, over GF(p^e)
-packing each digit column at once, and goes element by element only to name
-a bad one.
+The loader checks a term's vectors as one array of digits and goes element
+by element only to name a bad one.
 """
 
 from __future__ import annotations
@@ -202,18 +181,17 @@ def _source_coordinates(circuit: Circuit) -> dict:
 
 
 def _expand_terms(circuit: Circuit) -> list:
-    """Each term expanded over the circuit's sources (_source_coordinates),
-    exponents packed into ints: a set of monomials over GF(2), else a dict
-    monomial -> coef.
+    """Each term expanded over the circuit's sources (_source_coordinates)
+    as a dict monomial -> nonzero coefficient, exponents packed into ints.
 
     A term's forms are grouped by block (_source_blocks) and each block is
-    expanded on its own. Over GF(2) each form starts as its set of monomials
-    and neighbouring sets are multiplied pairwise (_gf2_product) until one is
-    left, so cancellation mod 2 shrinks the partial products early; the dict
-    path multiplies the block's forms into a running polynomial one at a time
-    (Field.mul_by_form). The block polynomials share no variable, so their
-    product, taken last by the same two kernels, cancels nothing and costs
-    only its own size; a term of degree 0 is {0} or {0: coef}.
+    expanded on its own by Field.mul_by_form. Over GF(2) neighbouring forms
+    are multiplied pairwise until one polynomial is left, so cancellation mod
+    2 shrinks the partial products early (on gen_ks(6) a third of the
+    coefficient products of a fold); elsewhere the block's forms are folded
+    into a running polynomial one at a time. The block polynomials share no
+    variable, so their product, taken last, cancels nothing and costs only
+    its own size; a term of degree 0 is {0: coef}.
     """
     field, budget = circuit.field, EXPANSION_BUDGET
     if circuit_rank(circuit) and (bound := exact_cost_bound(circuit)) > budget:
@@ -227,27 +205,25 @@ def _expand_terms(circuit: Circuit) -> list:
     block_of = _source_blocks(coordinates)
     packed = {coeffs: [(1 << (shift_bits * j), c) for j, c in enumerate(coords) if c]
               for coeffs, coords in coordinates.items()}
-    gf2 = field.p == 2 and field.e == 1
+    mul = field.mul_by_form
+    pairwise = field.p == 2 and field.e == 1  # cancellation mod 2 shrinks pair products early
     polys = []
     for t in circuit.terms:
         blocks: dict = {}  # block -> the term's forms there, in term order
         for f in t.forms:
             blocks.setdefault(block_of[f.coeffs], []).append(packed[f.coeffs])
-        if gf2:
-            parts = []
-            for forms in blocks.values():
-                sets = [{step for step, _c in form} for form in forms]
-                while len(sets) > 1:  # neighbours multiplied, an odd last set carried over
-                    sets = [*map(_gf2_product, sets[::2], sets[1::2]),
-                            *sets[len(sets) // 2 * 2:]]
-                parts.append(sets[0])
-            polys.append(reduce(_gf2_product, parts or [{0}]))
-        else:
-            parts = [reduce(field.mul_by_form, forms, {0: 1}) for forms in blocks.values()]
-            poly = {0: t.coef}
-            for part in parts:
-                poly = field.mul_by_form(poly, list(part.items()))
-            polys.append(poly)
+        poly = {0: t.coef}
+        for forms in blocks.values():
+            if pairwise:
+                parts = list(map(dict, forms))
+                while len(parts) > 1:  # neighbours multiplied, an odd last part carried over
+                    parts = [*(mul(a, list(b.items())) for a, b in zip(parts[::2], parts[1::2])),
+                             *parts[len(parts) // 2 * 2:]]
+                part = parts[0]
+            else:
+                part = reduce(mul, forms, {0: 1})
+            poly = mul(poly, list(part.items()))
+        polys.append(poly)
     return polys
 
 
@@ -272,27 +248,11 @@ def _source_blocks(coordinates: dict) -> dict:
     return {coeffs: find(support[0]) for coeffs, support in supports.items()}
 
 
-def _gf2_product(a: set, b: set) -> set:
-    """Product of two GF(2) polynomials as sets of packed monomials: one set
-    xor per monomial of the smaller factor (packed keys add without carry)."""
-    if len(a) > len(b):
-        a, b = b, a
-    out: set[int] = set()
-    for m in a:
-        out.symmetric_difference_update(map(m.__add__, b))
-    return out
-
-
 def _sums_to_zero(field: Field, polys: list, q) -> bool:
     """Whether the polynomials of _expand_terms indexed by q sum to zero;
-    outside GF(2), stops at the first monomial whose coefficients do not cancel.
-    Each monomial is summed once, from the first polynomial that holds it; the
+    stops at the first monomial whose coefficients do not cancel. Each
+    monomial is summed once, from the first polynomial that holds it; the
     first polynomial needs no set difference, and most subsets stop there."""
-    if field.p == 2 and field.e == 1:
-        acc: set[int] = set()
-        for i in q:
-            acc.symmetric_difference_update(polys[i])
-        return not acc
     chosen = [polys[i] for i in q]
     # GF(p) adds ints and reduces each sum once; an element of GF(p^e) is
     # already below the order p^e, so one test mod the order serves every field
@@ -387,7 +347,8 @@ def zero_test_random(circuit: Circuit) -> bool:
 def _random_sums(circuit: Circuit, trials: int, seed: int):
     """Whether the terms indexed by q sum to zero, for any subset q, over the
     evaluation field E; each subset stops at its first nonzero trial. Trials are
-    kept once evaluated: trial 0 alone, then all the rest in one packed pass.
+    kept once evaluated: trial 0 in one _term_values pass, then all the rest in
+    a second.
     False is always correct; True errs with probability at most (d/|E|)**trials.
     E is F if |F| > 2d, else for prime F the least GF(p^m) with p^m > 4d (any
     other F is refused); points derive from (seed, trial) alone."""
@@ -468,15 +429,13 @@ class _EvalPlan:
 def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
     """Per trial t in trials, each term's value over ev (the circuit's field or
     a lift) at the point of n ev.rand_element draws on random.Random(f"{seed}:{t}").
-    One trial goes through _point_term_values; two or more share one pass in
-    any characteristic: each coordinate's values over all trials are packed
-    into one int (_lanes), a slice or a form is a sum of such ints, a
-    coefficient of GF(p) multiplies a whole int and any other one each lane
-    through Field.mul, and each trial is a strided slice of a term's unpacked
-    form lanes. Draws go chunk by chunk, each trial's in coordinate order."""
+    All trials share one pass in any characteristic: each coordinate's values
+    over the trials are packed into one int (_lanes), a slice or a form is a
+    sum of such ints, a coefficient of GF(p) multiplies a whole int and any
+    other one each lane through Field.mul, and each trial is a strided slice
+    of a term's unpacked form lanes. Draws go chunk by chunk, each trial's in
+    coordinate order."""
     rngs = [random.Random(f"{seed}:{t}") for t in trials]
-    if len(rngs) == 1:
-        return [_point_term_values(plan, ev, rngs[0])]
     count = len(rngs)
     pack, unpack, add, code = _lanes(ev, plan.n, count)
     rand, mul, p = ev.rand_element, ev.mul, ev.p
@@ -494,8 +453,8 @@ def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
             s = add(s, x if a == 1 else a * x if a < p
                     else pack(map(partial(mul, a), cols[j - start])))
         slice_values.append(s)
-    form_values = _form_values(plan.columns, slice_values, partial(map, add))
-    form_lanes = list(map(unpack, form_values))  # each distinct form unpacked once
+    form_values = _form_values(plan.columns, slice_values, add)
+    form_lanes = unpack(form_values)  # each distinct form unpacked once
     per_term = []
     for coef, forms in plan.terms:
         lanes = array(code, b"".join(map(form_lanes.__getitem__, forms)))
@@ -523,9 +482,10 @@ def _lanes(ev: Field, n: int, count: int):
     lane holds the element's e digits, one per field, and lanes add with +:
     a field wide enough for n(p - 1)^2, the largest sum of n coefficient x
     digit products, never carries into the next. pack(xs) is the int whose
-    lanes hold the elements xs; unpack(v) reduces each field of v mod p,
-    recombines each lane's digits and returns the elements as the bytes of
-    an array of typecode code; add adds two packed ints lane by lane.
+    lanes hold the elements xs; unpack(vs) reduces each field of the packed
+    ints vs mod p, all at once, recombines each lane's digits and returns,
+    per int, its elements as the bytes of an array of typecode code; add
+    adds two packed ints lane by lane.
     """
     p, e, order = ev.p, ev.e, sys.byteorder
     if p == 2:
@@ -544,41 +504,29 @@ def _lanes(ev: Field, n: int, count: int):
             return int.from_bytes(array(field_code, xs).tobytes(), order)
         return int.from_bytes(b"".join(x.to_bytes(size, order) for x in xs), order)
 
-    def unpack(v: int) -> bytes:
-        raw = v.to_bytes(length, order)
+    def unpack(vs) -> list:
+        raws = [v.to_bytes(length, order) for v in vs]
         if p == 2:
-            return raw
+            return raws
+        raw = b"".join(raws)
         items = array(field_code, raw) if field_code else [
-            int.from_bytes(raw[i:i + size], order) for i in range(0, length, size)]
+            int.from_bytes(raw[i:i + size], order) for i in range(0, len(raw), size)]
         xs = [x % p for x in items[fields - 1::fields]]
         for i in range(fields - 2, -1, -1):
             xs = [a * p + x % p for a, x in zip(xs, items[i::fields])]
-        return array(code, xs).tobytes()
+        out, step = array(code, xs).tobytes(), count * array(code).itemsize
+        return [out[i:i + step] for i in range(0, len(out), step)]
 
     return pack, unpack, add, code
 
 
-def _point_term_values(plan: _EvalPlan, ev: Field, rng) -> list:
-    """Each term's value over ev at the point of n ev.rand_element(rng) draws."""
-    point = [ev.rand_element(rng) for _ in range(plan.n)]
-    add, mul = ev.add, ev.mul
-    slice_values = []
-    for j, a, rest in plan.slices:
-        s = point[j] if a == 1 else mul(a, point[j])
-        for j, a in rest:  # unit coefficients, all of a GF(2) circuit's, need no mul
-            s = add(s, point[j] if a == 1 else mul(a, point[j]))
-        slice_values.append(s)
-    get = _form_values(plan.columns, slice_values, ev.add_vectors).__getitem__
-    return [mul(coef, ev.product(map(get, forms))) for coef, forms in plan.terms]
-
-
-def _form_values(columns: list, slice_values: list, add_vectors) -> list:
+def _form_values(columns: list, slice_values: list, add) -> list:
     """Each distinct form's value, its slices' sum, added a column at a time."""
     get = slice_values.__getitem__
     form_values = list(map(get, columns[0]))
     for col in columns[1:]:
         m = len(col)
-        form_values[:m] = add_vectors(form_values[:m], map(get, col))
+        form_values[:m] = map(add, form_values[:m], map(get, col))
     return form_values
 
 

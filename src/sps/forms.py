@@ -189,9 +189,11 @@ def pair_by_key(keys_u, keys_v):
 
 
 def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """The gcd pairing of key lists: common_positions, and per list the
-    bijection sigma pairing the first list's common keys with its own, equal
-    keys in list order (sigma[i] indexes that list's common positions).
+    """The gcd pairing of key lists: per list, the ascending positions of
+    the keys common to all lists, each key keeping its first m occurrences
+    for m its least count over the lists; and per list the bijection sigma
+    pairing the first list's common keys with its own, equal keys in list
+    order (sigma[i] indexes that list's common positions).
 
     Each key is read once, as it is numbered by first appearance. One pass
     per list ranks each position among its equal keys and counts keys in a
@@ -216,24 +218,6 @@ def pair_common(key_lists) -> tuple[list[list[int]], list[tuple[int, ...]]]:
         orders.append(sorted(range(len(pos)), key=common.__getitem__))
     back = sorted(range(len(orders[0])), key=orders[0].__getitem__)  # list 0's order, inverted
     return positions, [tuple(map(order.__getitem__, back)) for order in orders]
-
-
-def common_positions(key_lists) -> list[list[int]]:
-    """Per key list, the ascending positions of the keys common to all lists:
-    each key keeps its first m occurrences, m its least count over the lists."""
-    common = Counter(key_lists[0])
-    for keys in key_lists[1:]:
-        common &= Counter(keys)
-    out = []
-    for keys in key_lists:
-        left = Counter(common)
-        picked = []
-        for pos, k in enumerate(keys):
-            if left[k] > 0:
-                left[k] -= 1
-                picked.append(pos)
-        out.append(picked)
-    return out
 
 
 def lists_similar(u, v):

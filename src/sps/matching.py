@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
 from .errors import VerificationError
-from .forms import Term, common_positions, lists_similar
-from .forms import pair_by_key, similarity_key
+from .forms import Term, lists_similar, pair_by_key, pair_common, similarity_key
 
 
 class MatchEdge(NamedTuple):
@@ -371,8 +370,8 @@ def doubling_check(u, v, ideals) -> DoublingReport:
     What the argument also uses follows from the steps and is not checked
     again:
 
-    - the remainders are coprime, since common_positions keeps each class
-      shared by u and v at its least count;
+    - the remainders are coprime, since pair_common's positions keep each
+      class shared by u and v at its least count;
     - every matching restricts to the remainders once unscrambled by the
       similar sublists: unscramble gives each slot of sim_u a distinct
       target in sim_v that no later flip takes, so rest_u lands in rest_v,
@@ -395,8 +394,8 @@ def doubling_check(u, v, ideals) -> DoublingReport:
     r = len(ideals)
 
     # maximal similar sublists; the remainders are coprime
-    sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
-                                     [similarity_key(g) for g in v]])
+    sim_u, sim_v = pair_common([[similarity_key(f) for f in u],
+                                [similarity_key(g) for g in v]])[0]
     sim_u_set, sim_v_set = set(sim_u), set(sim_v)
     rest_u = [i for i in range(d) if i not in sim_u_set]
     rest_v = [j for j in range(d) if j not in sim_v_set]

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from sps import (
 )
 from sps.algebra import eliminate
 from sps.circuit import _source_coordinates, form_basis
-from sps.forms import common_positions, pair_by_key
+from sps.forms import pair_by_key
 from sps.matching import MatchEdge
 from sps.quotient import is_zero_mod
 
@@ -59,11 +60,13 @@ def brute_expand(circuit):
 
 
 def sequential_gf2_expand(circuit, coordinates=None):
-    """The former GF(2) expansion kernel: each term's forms multiplied into
-    the running set of monomials one form at a time, with exponents packed
-    as _expand_terms packs them (shift-sized fields, coordinate j at bit
-    shift * j). A form's coordinates are coordinates(coeffs), by default the
-    source coordinates that _expand_terms reads."""
+    """An expansion kernel of its own for GF(2): each term's forms multiplied
+    into the running set of monomials one form at a time by set xor, with
+    exponents packed as _expand_terms packs them (shift-sized fields,
+    coordinate j at bit shift * j), each term returned as the dict
+    _expand_terms returns, every monomial's coefficient 1. A form's
+    coordinates are coordinates(coeffs), by default the source coordinates
+    that _expand_terms reads."""
     coordinates = coordinates or _source_coordinates(circuit).__getitem__
     shift_bits = max(1, circuit.degree.bit_length())
     polys = []
@@ -76,7 +79,7 @@ def sequential_gf2_expand(circuit, coordinates=None):
                     shift = 1 << (shift_bits * j)
                     nxt.symmetric_difference_update(k + shift for k in cur)
             cur = nxt
-        polys.append(cur)
+        polys.append(dict.fromkeys(cur, 1))
     return polys
 
 
@@ -382,10 +385,29 @@ class CountedKey:
         return hash(self.value)
 
 
+def reference_common_positions(key_lists):
+    """Per key list, the ascending positions of the keys common to all lists:
+    each key keeps its first m occurrences, m its least count over the lists
+    (multiset intersection by Counter)."""
+    common = Counter(key_lists[0])
+    for keys in key_lists[1:]:
+        common &= Counter(keys)
+    out = []
+    for keys in key_lists:
+        left = Counter(common)
+        picked = []
+        for pos, k in enumerate(keys):
+            if left[k] > 0:
+                left[k] -= 1
+                picked.append(pos)
+        out.append(picked)
+    return out
+
+
 def reference_pair_common(key_lists):
     """The gcd pairing of forms.pair_common run on the keys themselves, not
     on their numbers: the reference its output must equal."""
-    positions = common_positions(key_lists)
+    positions = reference_common_positions(key_lists)
     u_keys = [key_lists[0][p] for p in positions[0]]
     sigmas = [pair_by_key(u_keys, [keys[p] for p in pos])
               for keys, pos in zip(key_lists, positions)]

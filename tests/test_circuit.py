@@ -41,7 +41,6 @@ from sps.circuit import (
     _source_coordinates,
     MAX_TRIALS,
     TermValues,
-    _point_term_values,
     _sums_to_zero,
     _term_values,
     circuit_from_dict,
@@ -232,6 +231,38 @@ def _random_dict_circuit(rng, field, n, k, max_degree):
             seen.append(f)
         terms.append(Term(field, random_unit(rng, field), forms))
     return Circuit(field, n, terms)
+
+
+def test_gf2_expansion_multiplies_neighbours_pairwise(monkeypatch):
+    # ks6 costs 31,952 coefficient products when each block's forms are
+    # multiplied in a tree of neighbour pairs, and 93,840 when they are folded
+    # into one running polynomial a form at a time
+    products = []
+    original = Field.mul_by_form
+
+    def counted(self, poly, form):
+        form = list(form)
+        products.append(len(poly) * len(form))
+        return original(self, poly, form)
+
+    monkeypatch.setattr(Field, "mul_by_form", counted)
+    c = gen_ks(6)
+    polys = _expand_terms(c)
+    monkeypatch.undo()
+    assert sum(products) <= 31_952, sum(products)
+    assert polys == sequential_gf2_expand(c)
+
+
+def test_expansion_returns_dicts_of_nonzero_coefficients_over_every_field():
+    rng = random.Random(38)
+    for field in (F2, *DICT_FIELDS):
+        for _ in range(20):
+            if field is F2:
+                c = _random_gf2_circuit(rng, rng.randrange(1, 5), rng.randrange(1, 4), 6)
+            else:
+                c = _random_dict_circuit(rng, field, rng.randrange(1, 5), rng.randrange(1, 4), 4)
+            for poly in _expand_terms(c):
+                assert type(poly) is dict and all(poly.values()), (field, poly)
 
 
 @pytest.mark.parametrize("field", DICT_FIELDS, ids=repr)
@@ -711,7 +742,7 @@ def test_packed_products_of_zero_lanes_match_one_point_at_a_time():
                              (1, [[1, 0, 1], [0, 1, 0]])])
     plan, ev = _EvalPlan(c), field_make(2, 4)
     got = _term_values(plan, ev, 5, range(1, 40))
-    assert got == [_point_term_values(plan, ev, random.Random(f"5:{t}")) for t in range(1, 40)]
+    assert got == [reference_term_values(c, ev, random.Random(f"5:{t}")) for t in range(1, 40)]
     assert [sum(v == 0 for v in term) for term in zip(*got)] == [2, 4, 4]
 
 
@@ -720,7 +751,7 @@ def test_degree_0_gf2_products_take_no_log():
     c = make_circuit(F2, 2, [(1, []), (1, [])])
     plan = _EvalPlan(c)
     assert _term_values(plan, F2, 0, range(1, 40)) == [[1, 1]] * 39
-    assert _point_term_values(plan, F2, random.Random("0:0")) == [1, 1]
+    assert _term_values(plan, F2, 0, range(0, 1)) == [[1, 1]]
     assert ZeroOracle("random", trials=40).is_zero(c)
 
 
@@ -776,8 +807,8 @@ def test_term_values_do_less_field_work_than_reference(monkeypatch):
     alone, batched, ref = _field_work(monkeypatch, c, _EvalPlan(c), F9, 10)
     assert all(a <= b for a, b in zip(alone, ref)), (alone, ref)
     # the packed pass multiplies lanes through Field.mul only for coefficients
-    # outside GF(3), and adds no lanes through Field.add
-    assert batched < sum(alone) <= sum(ref), (batched, alone, ref)
+    # outside GF(3), and adds no lanes through Field.add, however many lanes
+    assert batched == sum(alone) < sum(ref), (batched, alone, ref)
 
 
 def test_is_simple_examples():

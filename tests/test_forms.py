@@ -186,8 +186,8 @@ def _pairing_corpus(rng):
 
 
 def test_pair_common_matches_the_pairing_on_the_keys_themselves():
-    # the reference pairs by common_positions and pair_by_key on the keys,
-    # sharing no code with the count-list pairing
+    # the reference pairs by reference_common_positions and pair_by_key on
+    # the keys, sharing no code with the count-list pairing
     rng = random.Random(28)
     seen = set()
     for _ in range(3000):

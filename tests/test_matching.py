@@ -36,10 +36,10 @@ from helpers import (
     random_span_element,
     random_unit,
     reference_check_edge,
+    reference_common_positions,
     reference_derive_edge,
     scan_edge,
 )
-from sps.forms import common_positions
 from sps.matching import MatchEdge, _check_edge, _derive_edge
 
 F2 = field_make(2)
@@ -542,8 +542,8 @@ def test_doubling_check_implied_facts_on_corpus():
     for u, v, ideals, pis in doubling_corpus(random.Random(2008), 2000):
         rep = doubling_check(u, v, ideals)
         digest.update(json.dumps(asdict(rep)).encode() + b"\n")
-        sim_u, sim_v = common_positions([[similarity_key(f) for f in u],
-                                         [similarity_key(g) for g in v]])
+        sim_u, sim_v = reference_common_positions([[similarity_key(f) for f in u],
+                                                   [similarity_key(g) for g in v]])
         rest_u = [i for i in range(len(u)) if i not in sim_u]
         rest_v = [j for j in range(len(v)) if j not in sim_v]
         assert all(similar(u[i], v[j]) is None for i in rest_u for j in rest_v)
