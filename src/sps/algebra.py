@@ -8,7 +8,11 @@ modulus is the int sum(c_i * p^i), so the prime subfield is [0, p), zero is
 Prime fields compute mod p. Extension fields multiply through antilog/log
 tables of their least primitive element and add by xor (p = 2) or through a
 Zech logarithm table (odd p; Huber, IEEE Trans. IT 36(4), 1990), built once
-per field in O(q) time and at most 16 bytes per element. Only this module
+per field in O(q) time and at most 16 bytes per element. The modulus search
+(Rabin's test, SIAM J. Comput. 9, 1980) skips every candidate with constant
+term 0, which x divides. Over GF(2) it and the primitive-element search run
+on bit-packed ints, and each step of the antilog table is two lookups in
+tables of g times each half of an element's bits. Only this module
 reads the tables: ``Field.product`` and ``Field.mul_by_form`` are the batch
 kernels of the random and the exact oracle.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
@@ -126,13 +130,45 @@ def _prime_factors(m):
     return out
 
 
+def _gf2_powmod(a, k, mod, e):
+    """a^k in GF(2)[x]/(mod) by square-and-multiply, on bit-packed
+    polynomials: a has degree below e, the degree of mod."""
+    result = 1
+    while k:
+        if k & 1:
+            result = gf2_mulmod(result, a, mod, e)
+        a = gf2_mulmod(a, a, mod, e)
+        k >>= 1
+    return result
+
+
+def _gf2_is_irreducible(mod, e):
+    """Rabin test for a bit-packed monic polynomial of degree e >= 2 over
+    GF(2): the e squarings x^(2^j), then a gcd by xors of shifted copies."""
+    powers = [2]  # x^(2^j) mod (mod), j = 0..e
+    for _ in range(e):
+        powers.append(gf2_mulmod(powers[-1], powers[-1], mod, e))
+    if powers[e] != 2:
+        return False
+    for r in _prime_factors(e):
+        a, b = mod, powers[e // r] ^ 2  # gcd(mod, x^(2^(e/r)) - x)
+        while b:
+            while a.bit_length() >= b.bit_length():  # a mod b
+                a ^= b << (a.bit_length() - b.bit_length())
+            a, b = b, a
+        if a != 1:
+            return False
+    return True
+
+
 def _is_irreducible(mod, p):
-    """Rabin test for a monic polynomial of degree e >= 1 over GF(p)."""
+    """Rabin test for a monic polynomial of degree e >= 1 over GF(p), on
+    bit-packed ints when p = 2."""
     e = len(mod) - 1
     if e == 1:
         return True
-    if mod[0] == 0:  # divisible by x
-        return False
+    if p == 2:
+        return _gf2_is_irreducible(pack_digits(2, mod), e)
     if _poly_powmod([0, 1], p**e, mod, p) != [0, 1]:
         return False
     for r in _prime_factors(e):
@@ -181,8 +217,10 @@ class Field:
 
     @staticmethod
     def _find_modulus(p, e):
-        for tail in itertools.product(range(p), repeat=e):
-            cand = list(tail) + [1]
+        # e > 1, so every tail with c_0 = 0 is divisible by x: the search
+        # starts at c_0 = 1, in the same order
+        for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+            cand = [*tail, 1]
             if _is_irreducible(cand, p):
                 return tuple(cand)
         raise ValueError(f"no irreducible polynomial of degree {e} over GF({p})")  # unreachable
@@ -191,19 +229,36 @@ class Field:
         """(exp, log, zech) with g the least primitive element: exp[i] = g^i for
         i < 2(q - 1), so a sum of two logs indexes it directly; log[g^i] = i;
         for odd p, zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0 (None for
-        p = 2, where addition is xor)."""
+        p = 2, where addition is xor). Multiplication by g is GF(p)-linear, so
+        exp steps by one fixed map: over GF(2) the xor of two table lookups,
+        the images of g times an element's low and high halves of bits, each
+        table built by xors from the e products g*x^j; over odd p, one dot
+        product of the digits per digit. log is filled in the same pass."""
         p, e, q, mod = self.p, self.e, self.order, list(self.modulus)
-        factors = _prime_factors(q - 1)
+        mod_bits = pack_digits(p, mod)  # for p = 2, the modulus as a bit vector
+
+        def is_one(c, k):  # c^k = 1, on bit-packed ints when p = 2
+            if p == 2:
+                return _gf2_powmod(c, k, mod_bits, e) == 1
+            return _poly_powmod(self.digits(c), k, mod, p) == [1]
+
         # g is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1
-        g = next(c for c in range(p, q)
-                 if all(_poly_powmod(self.digits(c), (q - 1) // r, mod, p) != [1]
-                        for r in factors))
-        exp = array("i", [0]) * (2 * (q - 1))
+        factors = _prime_factors(q - 1)
+        g = next(c for c in range(p, q) if not any(is_one(c, (q - 1) // r) for r in factors))
+        exp, log = array("i", [0]) * (2 * (q - 1)), array("i", [0]) * q
         if p == 2:
-            cur, mod_bits = 1, sum(c << i for i, c in enumerate(mod))
+            # g*a is the xor of g times a's low h bits and g times its high bits
+            h = (e + 1) // 2
+            low, high = [0], [0]
+            for images, bits in ((low, range(h)), (high, range(h, e))):
+                for j in bits:
+                    image = gf2_mulmod(1 << j, g, mod_bits, e)
+                    images += [x ^ image for x in images]
+            cur, mask = 1, (1 << h) - 1
             for i in range(q - 1):
                 exp[i] = cur
-                cur = gf2_mulmod(cur, g, mod_bits, e)
+                log[cur] = i
+                cur = low[cur & mask] ^ high[cur >> h]
         else:
             # multiplication by g is GF(p)-linear: digit j of g*a is a . cols[j]
             g_times_x = [_poly_mulmod(self.digits(g), [0] * i + [1], mod, p) for i in range(e)]
@@ -211,12 +266,10 @@ class Field:
             powers = [p**j for j in range(e)]
             cur = [1] + [0] * (e - 1)
             for i in range(q - 1):
-                exp[i] = sum(map(operator.mul, cur, powers))
+                exp[i] = a = sum(map(operator.mul, cur, powers))
+                log[a] = i
                 cur = [sum(map(operator.mul, cur, col)) % p for col in cols]
         exp[q - 1:] = exp[:q - 1]
-        log = array("i", [0]) * q
-        for i in range(q - 1):
-            log[exp[i]] = i
         if p == 2:
             return exp, log, None
         zech = array("i", [0]) * (q - 1)

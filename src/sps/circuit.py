@@ -384,45 +384,34 @@ _CHUNK = 8  # coordinates per chunk of an _EvalPlan
 class _EvalPlan:
     """A circuit's forms compiled once for evaluation at many points.
 
-    The coordinates fall into chunks of _CHUNK. ``slices`` holds each distinct
-    nonzero coefficient slice of a chunk that some form has, as its first
-    (coordinate, coefficient) pair and a list of the others. The distinct
-    forms are ordered by how many nonzero slices they have, most first;
-    ``columns[i]`` holds the i-th slice id of every form that has more than i
-    of them, so it covers a prefix of that order and no form pays for a chunk
-    where it is zero. ``terms`` holds each term's constant and the positions
-    of its forms.
+    The coordinates fall into chunks of _CHUNK. ``chunks`` holds, per chunk,
+    the distinct coefficient slices the forms have there, each as its list
+    of nonzero (coordinate in the chunk, coefficient) pairs, and each
+    distinct form's slice id; a zero slice has no pairs. ``terms`` holds
+    each term's constant and the ids of its distinct forms.
     """
 
-    __slots__ = ("n", "slices", "columns", "terms")
+    __slots__ = ("n", "chunks", "terms")
 
     def __init__(self, circuit: Circuit):
         distinct: dict = {}  # coefficient vector -> distinct-form id, first seen first
         form_ids = [distinct.setdefault(f.coeffs, len(distinct)) for f in circuit.all_forms()]
         # with no form no coordinate is read, so the point is empty, whatever n says
         n = self.n = circuit.n if form_ids else 0
-        self.slices = []
-        chunk_ids = []  # per chunk, each distinct form's slice id there (-1: zero)
+        self.chunks = []
         for start in range(0, n, _CHUNK):
-            ids = {(0,) * min(_CHUNK, n - start): -1}
-            col = []
+            ids: dict = {}  # slice -> its id in this chunk
+            slices, col = [], []
             for coeffs in distinct:
                 chunk = coeffs[start:start + _CHUNK]
                 i = ids.get(chunk)
                 if i is None:
-                    i = ids[chunk] = len(self.slices)
-                    (j, a), *rest = [(start + j, a) for j, a in enumerate(chunk) if a]
-                    self.slices.append((j, a, rest))
+                    i = ids[chunk] = len(slices)
+                    slices.append([(j, a) for j, a in enumerate(chunk) if a])
                 col.append(i)
-            chunk_ids.append(col)
-        form_slices = [[i for i in row if i >= 0] for row in zip(*chunk_ids)]
-        order = sorted(range(len(distinct)), key=lambda f: len(form_slices[f]), reverse=True)
-        depth = max(map(len, form_slices), default=1)  # columns[0] exists, maybe empty
-        self.columns = [[form_slices[f][c] for f in order if len(form_slices[f]) > c]
-                        for c in range(depth)]
-        position = {f: pos for pos, f in enumerate(order)}
+            self.chunks.append((slices, col))
         remaining = iter(form_ids)
-        self.terms = [(t.coef, [position[f] for f in itertools.islice(remaining, t.degree)])
+        self.terms = [(t.coef, list(itertools.islice(remaining, t.degree)))
                       for t in circuit.terms]
 
 
@@ -433,27 +422,28 @@ def _term_values(plan: _EvalPlan, ev: Field, seed, trials: range) -> list:
     over the trials are packed into one int (_lanes), a slice or a form is a
     sum of such ints, a coefficient of GF(p) multiplies a whole int and any
     other one each lane through Field.mul, and each trial is a strided slice
-    of a term's unpacked form lanes. Draws go chunk by chunk, each trial's in
-    coordinate order."""
+    of a term's unpacked form lanes. Draws go chunk by chunk over all n
+    coordinates, each trial's in coordinate order."""
     rngs = [random.Random(f"{seed}:{t}") for t in trials]
     count = len(rngs)
     pack, unpack, add, code = _lanes(ev, plan.n, count)
     rand, mul, p = ev.rand_element, ev.mul, ev.p
-    slice_values, chunk = [], -1
-    for j, a, rest in plan.slices:  # in chunk order
-        while chunk < j // _CHUNK:  # draw the next chunk of every trial's point
-            chunk += 1
-            start, size = chunk * _CHUNK, min(_CHUNK, plan.n - chunk * _CHUNK)
-            drawn = [rand(rng) for rng in rngs for _ in range(size)]
-            cols = [drawn[i::size] for i in range(size)]  # per coordinate, its lanes
-            packed = list(map(pack, cols))
-        s = 0
-        for j, a in ((j, a), *rest):
-            x = packed[j - start]
-            s = add(s, x if a == 1 else a * x if a < p
-                    else pack(map(partial(mul, a), cols[j - start])))
-        slice_values.append(s)
-    form_values = _form_values(plan.columns, slice_values, add)
+    form_values = []
+    for start, (slices, col) in zip(range(0, plan.n, _CHUNK), plan.chunks):
+        size = min(_CHUNK, plan.n - start)  # draw this chunk of every trial's point
+        drawn = [rand(rng) for rng in rngs for _ in range(size)]
+        cols = [drawn[i::size] for i in range(size)]  # per coordinate, its lanes
+        packed = list(map(pack, cols))
+        slice_values = []
+        for pairs in slices:
+            s = 0
+            for j, a in pairs:
+                x = packed[j]
+                s = add(s, x if a == 1 else a * x if a < p
+                        else pack(map(partial(mul, a), cols[j])))
+            slice_values.append(s)
+        values = map(slice_values.__getitem__, col)
+        form_values = list(map(add, form_values, values) if form_values else values)
     form_lanes = unpack(form_values)  # each distinct form unpacked once
     per_term = []
     for coef, forms in plan.terms:
@@ -518,16 +508,6 @@ def _lanes(ev: Field, n: int, count: int):
         return [out[i:i + step] for i in range(0, len(out), step)]
 
     return pack, unpack, add, code
-
-
-def _form_values(columns: list, slice_values: list, add) -> list:
-    """Each distinct form's value, its slices' sum, added a column at a time."""
-    get = slice_values.__getitem__
-    form_values = list(map(get, columns[0]))
-    for col in columns[1:]:
-        m = len(col)
-        form_values[:m] = map(add, form_values[:m], map(get, col))
-    return form_values
 
 
 class ZeroOracle:

@@ -12,6 +12,7 @@ is over it, so an oversized request is refused in constant time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,21 +40,13 @@ def _check_budget(what: str, size: int, unit: str = "forms") -> None:
         )
 
 
-def _parity_forms(field: Field, n: int, r: int, parity: int, with_last: bool):
-    """Forms b_1 x_1 + ... + b_{r-1} x_{r-1} (+ x_r), b ranging over bit
-    vectors of the given parity, enumerated with b_1 as the low bit."""
-    out = []
-    for bits in range(1 << (r - 1)):
-        if bits.bit_count() % 2 != parity:
-            continue
-        coeffs = [0] * n
-        for j in range(r - 1):
-            if bits >> j & 1:
-                coeffs[j] = 1
-        if with_last:
-            coeffs[r - 1] = 1
-        out.append(LinearForm(field, coeffs))
-    return out
+def _parity_forms(field: Field, r: int, parity: int, with_last: bool):
+    """Forms b_1 x_1 + ... + b_{r-1} x_{r-1} (+ x_r) in r variables, b ranging
+    over bit vectors of the given parity, enumerated with b_1 as the low bit.
+    0 and 1 are canonical in every field, so the tuples are wrapped as they are."""
+    last = (int(with_last),)
+    return [LinearForm._wrap(field, bits[::-1] + last)
+            for bits in itertools.product((0, 1), repeat=r - 1) if sum(bits) % 2 == parity]
 
 
 def gen_ks(r: int) -> Circuit:
@@ -66,16 +59,18 @@ def gen_ks(r: int) -> Circuit:
         raise ValueError("the parity family needs r >= 2")
     _check_budget(f"gen_ks({r})", 3 * _parity_degree(r))
     field = field_make(2)
-    t1 = Term(field, 1, _parity_forms(field, r, r, 1, with_last=False))
-    t2 = Term(field, 1, _parity_forms(field, r, r, 0, with_last=True))
-    t3 = Term(field, 1, _parity_forms(field, r, r, 1, with_last=True))
+    t1 = Term(field, 1, _parity_forms(field, r, 1, with_last=False))
+    t2 = Term(field, 1, _parity_forms(field, r, 0, with_last=True))
+    t3 = Term(field, 1, _parity_forms(field, r, 1, with_last=True))
     return Circuit(field, r, [t1, t2, t3])
 
 
 def _shift_forms(term: Term, n_total: int, offset: int) -> Term:
+    """term with its forms' already canonical coefficients moved to start at
+    variable offset of n_total."""
     field = term.field
     forms = [
-        LinearForm(field, (0,) * offset + f.coeffs + (0,) * (n_total - offset - f.n))
+        LinearForm._wrap(field, (0,) * offset + f.coeffs + (0,) * (n_total - offset - f.n))
         for f in term.forms
     ]
     return Term(field, term.coef, forms)
@@ -182,8 +177,8 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
         raise ValueError("tight lists need a prime p >= 5")
     _check_budget(f"tight lists ({s})", 2 * _parity_degree(s))
     field = field_make(p)
-    u = tuple(_parity_forms(field, s, s, 0, with_last=True))
-    v = tuple(_parity_forms(field, s, s, 1, with_last=True))
+    u = tuple(_parity_forms(field, s, 0, with_last=True))
+    v = tuple(_parity_forms(field, s, 1, with_last=True))
 
     candidates = [
         FormIdeal(field, s, (LinearForm(field, [1 if j == i else 0 for j in range(s)]),))

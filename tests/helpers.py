@@ -26,7 +26,15 @@ from sps import (
     subcircuit,
     zero_test_exact,
 )
-from sps.algebra import eliminate
+from sps.algebra import (
+    _poly_gcd,
+    _poly_mulmod,
+    _poly_powmod,
+    _poly_trim,
+    _prime_factors,
+    eliminate,
+    gf2_mulmod,
+)
 from sps.circuit import _source_coordinates, form_basis
 from sps.forms import pair_by_key
 from sps.matching import MatchEdge
@@ -527,6 +535,102 @@ def count_trials(monkeypatch):
 
     monkeypatch.setattr(sps.circuit, "random", SimpleNamespace(Random=Recorded))
     return trials
+
+
+def reference_is_irreducible(mod, p):
+    """Rabin's test on coefficient lists, constant first, for every p."""
+    e = len(mod) - 1
+    if e == 1:
+        return True
+    if mod[0] == 0:  # divisible by x
+        return False
+    if _poly_powmod([0, 1], p**e, mod, p) != [0, 1]:
+        return False
+    for r in _prime_factors(e):
+        h = _poly_powmod([0, 1], p ** (e // r), mod, p)
+        h = list(h) + [0] * max(0, 2 - len(h))
+        h[1] = (h[1] - 1) % p
+        if len(_poly_gcd(list(mod), _poly_trim(h), p)) != 1:
+            return False
+    return True
+
+
+def reference_field_tables(p, e):
+    """(modulus, exp, log, zech) of GF(p^e), e > 1, built the direct way: the
+    least monic irreducible found by testing every tail (c_0, ..., c_{e-1})
+    in lexicographic order on lists; the least primitive element g by list
+    powers; exp[i] = g^i for i < 2(q - 1), one gf2_mulmod (p = 2) or one
+    list product (odd p) per step; log and, for odd p, zech[n] = log(1 + g^n)
+    or -1 read off exp afterwards."""
+    modulus = next(tail + (1,) for tail in itertools.product(range(p), repeat=e)
+                   if reference_is_irreducible(list(tail) + [1], p))
+    q, mod = p**e, list(modulus)
+
+    def digits(a):
+        return [a // p**j % p for j in range(e)]
+
+    def packed(poly):
+        return sum(c * p**j for j, c in enumerate(poly))
+
+    g = next(c for c in range(p, q)
+             if all(_poly_powmod(digits(c), (q - 1) // r, mod, p) != [1]
+                    for r in _prime_factors(q - 1)))
+    exp, cur = [], 1
+    for _ in range(q - 1):
+        exp.append(cur)
+        if p == 2:
+            cur = gf2_mulmod(cur, g, packed(mod), e)
+        else:
+            cur = packed(_poly_mulmod(digits(cur), digits(g), mod, p))
+    exp += exp
+    log = [0] * q
+    for i in range(q - 1):
+        log[exp[i]] = i
+    if p == 2:
+        return modulus, exp, log, None
+    zech = []
+    for n in range(q - 1):
+        a = exp[n]
+        one_plus = a - a % p + (a + 1) % p  # add 1 to the constant digit
+        zech.append(log[one_plus] if one_plus else -1)
+    return modulus, exp, log, zech
+
+
+def reference_gen_ks(r):
+    """gen_ks(r) with every form built by LinearForm from its integer b:
+    b_1 x_1 + ... + b_{r-1} x_{r-1} (+ x_r), b_1 the low bit of b."""
+    field = field_make(2)
+
+    def forms(parity, last):
+        return [LinearForm(field, [b >> j & 1 for j in range(r - 1)] + [last])
+                for b in range(1 << (r - 1)) if bin(b).count("1") % 2 == parity]
+
+    return Circuit(field, r, [Term(field, 1, forms(1, 0)), Term(field, 1, forms(0, 1)),
+                              Term(field, 1, forms(1, 1))])
+
+
+def reference_gen_family(r, i):
+    """gen_family(r, i, verify=False), each joined form rebuilt by LinearForm:
+    (T_1 + .. + T_{k-1}) S_1 - T_k S_2 - T_k S_3 with S on fresh variables."""
+    member = reference_gen_ks(r)
+    for _ in range(i):
+        field, block = member.field, reference_gen_ks(r)
+        n = member.n + block.n
+
+        def shifted(term, offset):
+            return [LinearForm(field, [0] * offset + list(f.coeffs) + [0] * (n - offset - f.n))
+                    for f in term.forms]
+
+        def merge(t, s, sign):
+            coef = field.mul(t.coef, s.coef)
+            return Term(field, field.neg(coef) if sign < 0 else coef,
+                        shifted(t, 0) + shifted(s, member.n))
+
+        *rest, last = member.terms
+        s1, s2, s3 = block.terms
+        member = Circuit(field, n, [merge(t, s1, 1) for t in rest]
+                         + [merge(last, s2, -1), merge(last, s3, -1)])
+    return member
 
 
 def refuse_oracle_work(monkeypatch):

@@ -11,7 +11,13 @@ import sps.algebra
 from sps import FormIdeal, LinearForm, SpanBasis, field_make, spans_orthogonal
 from sps.algebra import Field, eliminate, is_prime
 from sps.errors import BudgetExceededError
-from helpers import counting_eliminate, dense_eliminate, dense_rows, reference_from_vectors
+from helpers import (
+    counting_eliminate,
+    dense_eliminate,
+    dense_rows,
+    reference_field_tables,
+    reference_from_vectors,
+)
 
 
 def test_prime_fields():
@@ -76,6 +82,54 @@ def test_modulus_is_deterministic_and_monic():
     assert len(F.modulus) == 11
     # the canonical degree-2 modulus over GF(2) is x^2 + x + 1
     assert Field(2, 2).modulus == (1, 1, 1)
+
+
+# GF(2^e) for e = 2..16, and odd characteristic up to q = 961
+TABLE_GRID = ([(2, e) for e in range(2, 17)] + [(3, e) for e in range(2, 7)]
+              + [(5, 2), (5, 3), (7, 3), (31, 2)])
+
+
+def test_field_tables_match_direct_construction():
+    # the search from c_0 = 1, the packed GF(2) Rabin and primitive-element
+    # tests and the half-bit image tables give the direct construction's
+    # modulus and tables
+    for p, e in TABLE_GRID:
+        F = Field(p, e)
+        modulus, exp, log, zech = reference_field_tables(p, e)
+        assert F.modulus == modulus, (p, e)
+        assert list(F._exp) == exp and list(F._log) == log, (p, e)
+        assert (F._zech is None) if p == 2 else list(F._zech) == zech, (p, e)
+
+
+def test_modulus_search_skips_constant_term_0(monkeypatch):
+    tested = []
+    is_irreducible = sps.algebra._is_irreducible
+
+    def spy(mod, p):
+        tested.append(mod[0])
+        return is_irreducible(mod, p)
+
+    monkeypatch.setattr(sps.algebra, "_is_irreducible", spy)
+    for p, e in TABLE_GRID + [(2, 19), (3, 12), (31, 4)]:
+        tested.clear()
+        Field._find_modulus(p, e)
+        assert tested and 0 not in tested, (p, e)
+
+
+def test_gf2_tables_make_no_product_per_element(monkeypatch):
+    # GF(2^14)'s exp table has 16,383 steps, so one gf2_mulmod per step
+    # would break the bound; the search, the primitive element and the 14
+    # image products take a few hundred
+    calls = []
+    mulmod = sps.algebra.gf2_mulmod
+
+    def counted(*args):
+        calls.append(None)
+        return mulmod(*args)
+
+    monkeypatch.setattr(sps.algebra, "gf2_mulmod", counted)
+    Field(2, 14)
+    assert 0 < len(calls) <= 1000
 
 
 def test_irreducible_search_budget():

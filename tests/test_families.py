@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import sps.forms
 from sps import (
     BudgetExceededError,
     ZeroOracle,
     circuit_rank,
+    dumps_circuit,
     field_make,
     find_matching,
     gen_family,
@@ -18,7 +20,13 @@ from sps import (
     lists_similar,
     zero_test_exact,
 )
-from helpers import refuse_generator_work, tight_lists_orthogonal
+from sps.algebra import Field
+from helpers import (
+    reference_gen_family,
+    reference_gen_ks,
+    refuse_generator_work,
+    tight_lists_orthogonal,
+)
 
 F2 = field_make(2)
 
@@ -99,6 +107,36 @@ def test_gen_family_members():
 
     with pytest.raises(BudgetExceededError):
         gen_family(4, 400)  # 403 * 401 * 4 forms, over the 250,000 cap
+
+
+def test_generated_forms_match_forms_built_one_coefficient_at_a_time():
+    for r in range(2, 14):
+        assert dumps_circuit(gen_ks(r)) == dumps_circuit(reference_gen_ks(r)), r
+    for r in (4, 5):
+        for i in range(6):
+            got = dumps_circuit(gen_family(r, i, verify=False))
+            assert got == dumps_circuit(reference_gen_family(r, i)), (r, i)
+
+
+def test_gen_ks_canonicalizes_only_the_term_constants(monkeypatch):
+    # the parity forms' 0/1 coefficients are wrapped as they are: no form goes
+    # through LinearForm.__init__, and Field.element sees the 3 constants only
+    made, canonicalized = [], []
+    init, element = sps.forms.LinearForm.__init__, Field.element
+
+    def counted_init(self, *args):
+        made.append(None)
+        init(self, *args)
+
+    def counted_element(self, x):
+        canonicalized.append(x)
+        return element(self, x)
+
+    monkeypatch.setattr(sps.forms.LinearForm, "__init__", counted_init)
+    monkeypatch.setattr(Field, "element", counted_element)
+    c = gen_ks(12)
+    assert made == [] and canonicalized == [1, 1, 1]
+    assert len(c.all_forms()) == 3 * 2**10
 
 
 def test_generators_refuse_oversized_output_before_any_work(monkeypatch):
