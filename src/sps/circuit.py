@@ -138,9 +138,16 @@ def form_basis(circuit: Circuit) -> SpanBasis:
 def form_keys(circuit: Circuit) -> tuple[tuple, ...]:
     """Per term, the similarity key of each form, computed once per
     (immutable) circuit and shared by is_simple and the chain's type
-    classification."""
+    classification: once per distinct coefficient vector, but over GF(2),
+    where a nonzero form is its own key, once per form."""
     if circuit._keys is None:
-        circuit._keys = tuple(tuple(map(similarity_key, t.forms)) for t in circuit.terms)
+        terms = circuit.terms
+        if circuit.field.order == 2:
+            circuit._keys = tuple(tuple(map(similarity_key, t.forms)) for t in terms)
+        else:
+            first = {f.coeffs: f for t in terms for f in t.forms}
+            key = {v: similarity_key(f) for v, f in first.items()}
+            circuit._keys = tuple(tuple(key[f.coeffs] for f in t.forms) for t in terms)
     return circuit._keys
 
 

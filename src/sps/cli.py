@@ -79,21 +79,44 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-_CANONICAL_CHARS = re.compile(r'[0-9\[\],{}":a-z]*')  # one loop, keeps no backtracking state
+_BETWEEN_KEYS = re.compile(r'[0-9\[\],{}:]*')  # one loop, keeps no backtracking state
+
+
+def _canonical_text(text: str, keys) -> str | None:
+    """text, but for one final newline, when it is already the canonical
+    dump (_dumps) of the JSON it holds, given the keys that dump writes, in
+    order; None when it may not be. It is when it is ASCII, its quoted
+    strings are those keys, and every letter lies inside one: outside them
+    there are only digits, brackets, braces, commas and colons, so no
+    whitespace, sign, point, exponent or literal."""
+    text = text[:-1] if text.endswith("\n") else text
+    parts = text.split('"')
+    if text.isascii() and parts[1::2] == keys and all(map(_BETWEEN_KEYS.fullmatch, parts[::2])):
+        return text
+    return None
+
+
+def _dump_keys(obj) -> list:
+    """The keys a sorted-key dump of obj writes, in order, descending into
+    objects held by objects; a text with a key inside an array is not taken
+    as canonical by _canonical_text, so it is re-encoded."""
+    keys = []
+    for key in sorted(obj):
+        keys.append(key)
+        if type(obj[key]) is dict:
+            keys += _dump_keys(obj[key])
+    return keys
 
 
 def _load_circuit(path: str) -> tuple[Circuit, str]:
-    """The circuit in a file ("-": stdin) and the digest of its canonical dump:
-    of the text itself (but for one final newline) if it has no whitespace,
-    escape, sign or point, and its strings are the dump's keys in order; any
-    other text is re-encoded. The loader has checked every value as an int."""
+    """The circuit in a file ("-": stdin) and the digest of its canonical
+    dump: of the text itself when it is canonical (_canonical_text), which
+    the dump's keys decide, since the loader has checked every value as an
+    int; any other text is re-encoded."""
     text = _read_text(path)
     circuit = loads_circuit(text)
-    text = text[:-1] if text.endswith("\n") else text
     keys = ["e", "n", "p", "terms", *["coef", "forms"] * circuit.k]
-    if _CANONICAL_CHARS.fullmatch(text) is None or text.split('"')[1::2] != keys:
-        text = dumps_circuit(circuit)
-    return circuit, _digest(text)
+    return circuit, _digest(_canonical_text(text, keys) or dumps_circuit(circuit))
 
 
 def _int_in(name: str, low: int, high: int | None = None):
@@ -260,7 +283,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    obj = _json_loads(_read_text(args.lists))
+    text = _read_text(args.lists)
+    obj = _json_loads(text)
     p, e, n = _header_from_json({"e": 1, **obj} if type(obj) is dict else obj)
     if type(obj["ideals"]) is not list:
         raise ValueError('"ideals" must be an array')
@@ -278,7 +302,8 @@ def cmd_doubling(args) -> int:
     if args.trace:
         for line in report.transcript_lines():
             _note(line)
-    out = {"command": "doubling", "digest": _digest(_dumps(obj))}
+    out = {"command": "doubling", "digest": _digest(_canonical_text(text, _dump_keys(obj))
+                                                    or _dumps(obj))}
     out.update(asdict(report))
     out["bound"] = _json_number(out["bound"])
     _emit(out)

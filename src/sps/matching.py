@@ -10,15 +10,20 @@ that scalar c and the minimal valid prefix level, and the constructor accepts
 no other, so certificates are canonical. Both are read off the two forms'
 reductions modulo the ideal (``FormIdeal.reduction``), never from an offset:
 ``build`` reduces each form once and derives and checks every edge from those
-records, which depend on the ideal and the form alone. One nonzero record on
-both sides of an edge admits (1, 0, True) alone, which is derived and checked
-with no level scan.
+records, which depend on the ideal and the form alone. Derivation and
+checking are one pass per matching each (``_derive_edges``,
+``_check_edges``) over its aligned record lists. One nonzero record on both
+sides of an edge admits (1, 0, True) alone.
 
-Every ``OrderedMatching`` is checked exactly once, by its constructor, which
-verifies each edge it is given; an instance that exists is a verified
-certificate (instances are immutable). ``doubling_check`` finds the
-matching by each ideal itself, with ``find_matching``, so no matching it
-uses needs its ideal, domain or codomain checked.
+Every ``OrderedMatching`` is checked exactly once: by its constructor, which
+verifies each edge it is given in one ``_check_edges`` pass, or, for a list
+matched onto itself slot for slot with one record object per slot (a chain
+round's first survivor, gcd_data's first term), by ``identity``, which
+derives no edge and checks the self-edge rule on the whole list at once. An
+instance that exists is a verified certificate (instances are immutable).
+``doubling_check`` finds the matching by each ideal itself, with
+``find_matching``, so no matching it uses needs its ideal, domain or
+codomain checked.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 from .algebra import SpanBasis, eliminate, spans_orthogonal
@@ -44,72 +48,77 @@ class MatchEdge(NamedTuple):
 _SELF_EDGE = MatchEdge(1, 0, True)
 
 
-def _level(field, c, a, b) -> int:
+def _level(mul, c, a, b) -> int:
     """1 + max{i : b[i] != c*a[i]}, or 0 if none, scanned from the end."""
-    level, mul = len(a), field.mul
+    level = len(a)
     while level and b[level - 1] == (a[level - 1] if c == 1 else mul(c, a[level - 1])):
         level -= 1
     return level
 
 
-def _derive_edge(ideal, s, d) -> MatchEdge | None:
-    """Minimal-level certificate for dst = c*src + w, or None, from the
-    reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
+def _derive_edges(ideal, src, dst) -> list:
+    """Minimal-level certificates for dst[i] = c*src[i] + w_i, one per slot
+    (None where there is none), from the aligned records s = (a, rest, key,
+    lead) of the sources and d = (b, ...) of the images.
 
     w lies in prefix(j) iff rest_d = c*rest_s and b[i] = c*a[i] for i >= j,
     so the level is 1 + max{i : b[i] != c*a[i]} (0 if none). Outside the
     span c = lead_d/lead_s; inside it, c = b[top]/a[top] at a's last nonzero
     coordinate, and a level above top (src in the prefix) leaves only a
-    plain edge (1, r) between span forms. A nonzero record given as both s
-    and d (one object) has the edge (1, 0) at once.
+    plain edge (1, r) between span forms.
     """
-    a, _, key_s, lead_s = s
-    if s is d and (key_s is not None or any(a)):
-        return _SELF_EDGE
-    b, _, key_d, lead_d = d
-    if key_s != key_d:
-        return None
-    field = ideal.field
-    if key_s is not None:
-        c = 1 if lead_d == lead_s else field.div(lead_d, lead_s)
-        return MatchEdge(c, _level(field, c, a, b), True)
-    top = len(a) - 1
-    while top >= 0 and not a[top]:
-        top -= 1
-    if top >= 0 and b[top]:
-        c = 1 if b[top] == a[top] else field.div(b[top], a[top])
-        level = _level(field, c, a, b)
-        if level <= top:
-            return MatchEdge(c, level, True)
-    return MatchEdge(1, ideal.r, False)
+    field, plain = ideal.field, MatchEdge(1, ideal.r, False)
+    mul, div = field.mul, field.div
+    edges = []
+    for (a, _, key_s, lead_s), (b, _, key_d, lead_d) in zip(src, dst):
+        if key_s != key_d:
+            edges.append(None)
+        elif key_s is not None:
+            c = 1 if lead_d == lead_s else div(lead_d, lead_s)
+            edges.append(MatchEdge(c, _level(mul, c, a, b), True))
+        else:
+            top = len(a) - 1
+            while top >= 0 and not a[top]:
+                top -= 1
+            edge = plain
+            if top >= 0 and b[top]:
+                c = 1 if b[top] == a[top] else div(b[top], a[top])
+                level = _level(mul, c, a, b)
+                if level <= top:
+                    edge = MatchEdge(c, level, True)
+            edges.append(edge)
+    return edges
 
 
-def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
-    """Whether e is the certificate _derive_edge gives for the forms reduced
-    to s and d, the only one that passes: c in [1, q), level in [0, r],
-    ordered a bool, and w = dst - c*src in prefix(level) (read as in
-    _derive_edge). An ordered edge has src outside prefix(level), which pins
-    c, and w outside prefix(level - 1). An unordered edge is (1, r) between
-    span forms with no ordered edge: src is zero, or b is zero at a's last
-    nonzero coordinate, or nonzero above it. A nonzero record given as both
-    s and d passes (1, 0, True) alone."""
-    field, r, (c, level, ordered) = ideal.field, ideal.r, e
-    if not (type(c) is int and 0 < c < field.order and type(level) is int
-            and 0 <= level <= r and type(ordered) is bool
-            and (ordered or (c, level) == (1, r))):
-        return False
-    a, _, key_s, lead_s = s
-    if s is d and (key_s is not None or any(a)):
-        return c == 1 and level == 0 and ordered
-    b, _, key_d, lead_d = d
-    if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
-        return False
-    if ordered:
-        return _level(field, c, a, b) == level and (key_s is not None or any(a[level:]))
-    top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
-    while top >= 0 and not a[top]:
-        top -= 1
-    return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
+def _check_edges(ideal, src, dst, edges) -> int | None:
+    """The first slot whose edge e is not the certificate _derive_edges gives
+    for the aligned records, or None when every edge is: the only one that
+    passes has c in [1, q), level in [0, r], ordered a bool, and w = dst -
+    c*src in prefix(level) (read as in _derive_edges). An ordered edge has
+    src outside prefix(level), which pins c, and w outside prefix(level - 1).
+    An unordered edge is (1, r) between span forms with no ordered edge: src
+    is zero, or b is zero at a's last nonzero coordinate, or nonzero above
+    it."""
+    field, r = ideal.field, ideal.r
+    order, mul = field.order, field.mul
+    for i, (s, d, (c, level, ordered)) in enumerate(zip(src, dst, edges)):
+        if not (type(c) is int and 0 < c < order and type(level) is int
+                and 0 <= level <= r and type(ordered) is bool
+                and (ordered or (c, level) == (1, r))):
+            return i
+        (a, _, key_s, lead_s), (b, _, key_d, lead_d) = s, d
+        if key_s != key_d or (key_s is not None and lead_d != mul(c, lead_s)):
+            return i
+        if ordered:
+            if _level(mul, c, a, b) != level or (key_s is None and not any(a[level:])):
+                return i
+            continue
+        top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
+        while top >= 0 and not a[top]:
+            top -= 1
+        if key_s is not None or (top >= 0 and b[top] and not any(b[top + 1:])):
+            return i
+    return None
 
 
 def _records(ideal, domain, codomain):
@@ -141,11 +150,11 @@ class OrderedMatching:
     @classmethod
     def build(cls, ideal, domain, codomain, sigma, reductions=None) -> "OrderedMatching":
         """Derive minimal-level certificates for the given position bijection
-        from the (domain, codomain) records, reduced here when not given, by
-        one map of _derive_edge; the failing slot is looked for only on failure."""
+        from the (domain, codomain) records, reduced here when not given, in
+        one _derive_edges pass; the failing slot is looked for only on failure."""
         domain, codomain, sigma = tuple(domain), tuple(codomain), tuple(sigma)
         src, dst = reductions or _records(ideal, domain, codomain)
-        edges = list(map(_derive_edge, repeat(ideal), src, map(dst.__getitem__, sigma)))
+        edges = _derive_edges(ideal, src, map(dst.__getitem__, sigma))
         if not all(edges):
             i = edges.index(None)
             raise VerificationError(
@@ -153,20 +162,41 @@ class OrderedMatching:
             )
         return cls(ideal, domain, codomain, sigma, edges, (src, dst))
 
+    @classmethod
+    def identity(cls, ideal, domain, codomain, reductions) -> "OrderedMatching":
+        """The matching of a list onto an equal list slot for slot, given the
+        (domain, codomain) records with one record object per slot on both
+        sides: sigma is the identity and every edge (1, 0, True), which is
+        what build gives, field for field, with no edge derived. Checked as a
+        whole by the self-edge rule, one nonzero record on both sides of an
+        edge admitting (1, 0, True) alone: domain equals codomain, each source
+        record is its target record, and every record is nonzero (a key, or
+        some nonzero multiplier). The scaling factor is 1."""
+        pi = object.__new__(cls)
+        pi.ideal, pi.domain, pi.codomain = ideal, tuple(domain), tuple(codomain)
+        d = len(pi.domain)
+        pi.sigma, pi.edges = tuple(range(d)), (_SELF_EDGE,) * d
+        src, dst = reductions
+        if not (pi.codomain == pi.domain and len(src) == len(dst) == d
+                and all(map(is_, src, dst))):
+            raise VerificationError("an identity matching needs one record per slot on both sides")
+        for i, (a, _, key, _) in enumerate(src):
+            if key is None and not any(a):
+                raise VerificationError(f"edge certificate {i} failed verification")
+        return pi
+
     def verify(self, reductions=None) -> None:
         """Check every edge from the (domain, codomain) records, reduced here
         when not given; they depend on the ideal and forms, not the edges.
-        One map of _check_edge, the failing slot looked for only on failure."""
+        One _check_edges pass, which names the first failing slot."""
         d = len(self.domain)
         if len(self.codomain) != d or len(self.sigma) != d or len(self.edges) != d:
             raise VerificationError("matching arity mismatch")
         if sorted(self.sigma) != list(range(d)):
             raise VerificationError("sigma is not a bijection")
         src, dst = reductions or _records(self.ideal, self.domain, self.codomain)
-        cases = (src, [dst[j] for j in self.sigma], self.edges)
-        if not all(map(_check_edge, repeat(self.ideal), *cases)):
-            i = next(i for i, case in enumerate(zip(*cases))
-                     if not _check_edge(self.ideal, *case))
+        i = _check_edges(self.ideal, src, map(dst.__getitem__, self.sigma), self.edges)
+        if i is not None:
             raise VerificationError(f"edge certificate {i} failed verification")
 
     @property
@@ -206,14 +236,18 @@ def split_term(ideal, u, term: Term, positions, sigma, reductions):
     """Split a term against the common list u modulo the ideal: the ordered
     matching pi from u to the sublist at positions (its codomain) by sigma,
     and the residual term sc(pi) * coef * (the other forms), so
-    term = M(u) * residual mod I; reductions are (u's, the sublist's)."""
-    field = term.field
-    pi = OrderedMatching.build(ideal, u, (term.forms[p] for p in positions), sigma,
-                               reductions)
-    if not pi.is_ordered:
-        raise VerificationError("common-factor matching failed to validate as ordered")
+    term = M(u) * residual mod I; reductions are (u's, the sublist's). When
+    the two record lists hold the same objects slot for slot and sigma is
+    the identity, pi is OrderedMatching.identity, whose scaling factor is 1."""
+    field, (src, dst) = term.field, reductions
+    sublist = [term.forms[p] for p in positions]
     taken = set(positions)
     rest = [f for p, f in enumerate(term.forms) if p not in taken]
+    if tuple(sigma) == tuple(range(len(src))) and all(map(is_, src, dst)):
+        return OrderedMatching.identity(ideal, u, sublist, reductions), Term(field, term.coef, rest)
+    pi = OrderedMatching.build(ideal, u, sublist, sigma, reductions)
+    if not pi.is_ordered:
+        raise VerificationError("common-factor matching failed to validate as ordered")
     return pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import sps.circuit
+import sps.matching
 from sps import (
     Circuit,
     FormIdeal,
@@ -295,6 +296,78 @@ def reference_check_edge(ideal, s, d, e: MatchEdge) -> bool:
     return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
 
 
+# The per-edge kernel that sps.matching's per-matching passes replaced, kept
+# as their reference: one call per edge, each reading the field and r off
+# the ideal.
+
+def _level(field, c, a, b) -> int:
+    """1 + max{i : b[i] != c*a[i]}, or 0 if none, scanned from the end."""
+    level, mul = len(a), field.mul
+    while level and b[level - 1] == (a[level - 1] if c == 1 else mul(c, a[level - 1])):
+        level -= 1
+    return level
+
+
+def _derive_edge(ideal, s, d) -> MatchEdge | None:
+    """Minimal-level certificate for dst = c*src + w, or None, from the
+    reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
+
+    w lies in prefix(j) iff rest_d = c*rest_s and b[i] = c*a[i] for i >= j,
+    so the level is 1 + max{i : b[i] != c*a[i]} (0 if none). Outside the
+    span c = lead_d/lead_s; inside it, c = b[top]/a[top] at a's last nonzero
+    coordinate, and a level above top (src in the prefix) leaves only a
+    plain edge (1, r) between span forms. A nonzero record given as both s
+    and d (one object) has the edge (1, 0) at once.
+    """
+    a, _, key_s, lead_s = s
+    if s is d and (key_s is not None or any(a)):
+        return MatchEdge(1, 0, True)
+    b, _, key_d, lead_d = d
+    if key_s != key_d:
+        return None
+    field = ideal.field
+    if key_s is not None:
+        c = 1 if lead_d == lead_s else field.div(lead_d, lead_s)
+        return MatchEdge(c, _level(field, c, a, b), True)
+    top = len(a) - 1
+    while top >= 0 and not a[top]:
+        top -= 1
+    if top >= 0 and b[top]:
+        c = 1 if b[top] == a[top] else field.div(b[top], a[top])
+        level = _level(field, c, a, b)
+        if level <= top:
+            return MatchEdge(c, level, True)
+    return MatchEdge(1, ideal.r, False)
+
+
+def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
+    """Whether e is the certificate _derive_edge gives for the forms reduced
+    to s and d, the only one that passes: c in [1, q), level in [0, r],
+    ordered a bool, and w = dst - c*src in prefix(level) (read as in
+    _derive_edge). An ordered edge has src outside prefix(level), which pins
+    c, and w outside prefix(level - 1). An unordered edge is (1, r) between
+    span forms with no ordered edge: src is zero, or b is zero at a's last
+    nonzero coordinate, or nonzero above it. A nonzero record given as both
+    s and d passes (1, 0, True) alone."""
+    field, r, (c, level, ordered) = ideal.field, ideal.r, e
+    if not (type(c) is int and 0 < c < field.order and type(level) is int
+            and 0 <= level <= r and type(ordered) is bool
+            and (ordered or (c, level) == (1, r))):
+        return False
+    a, _, key_s, lead_s = s
+    if s is d and (key_s is not None or any(a)):
+        return c == 1 and level == 0 and ordered
+    b, _, key_d, lead_d = d
+    if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
+        return False
+    if ordered:
+        return _level(field, c, a, b) == level and (key_s is not None or any(a[level:]))
+    top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
+    while top >= 0 and not a[top]:
+        top -= 1
+    return key_s is None and (top < 0 or not b[top] or any(b[top + 1:]))
+
+
 def random_circuit(rng, field, n, k, d, any_element=False):
     """Random circuit with k terms of degree d (forms nonzero, coefs nonzero);
     any_element as in random_form."""
@@ -503,6 +576,57 @@ def counting_eliminate(record):
         return eliminate(field, rows, read())
 
     return counted
+
+
+def counting_reductions(record):
+    """FormIdeal.reductions, calling record(f) on each form as the record
+    pass reads it: patched onto FormIdeal, it counts the forms reduced
+    modulo an ideal, as counting_eliminate counts the vectors the kernel
+    reads."""
+    reductions = FormIdeal.reductions
+
+    def counted(ideal, forms):
+        def read():
+            for f in forms:
+                record(f)
+                yield f
+        return reductions(ideal, read())
+
+    return counted
+
+
+def spy_edge_passes(monkeypatch):
+    """Patch sps.matching's per-matching passes to record every slot they
+    certify, as (source record, image record, edge): derived gets each slot
+    of _derive_edges and of OrderedMatching.identity, checked each slot of
+    _check_edges and of the identity path's whole-list check. Returns
+    (derived, checked)."""
+    derived, checked = [], []
+    derive, check = sps.matching._derive_edges, sps.matching._check_edges
+    identity = sps.matching.OrderedMatching.identity
+
+    def counted_derive(ideal, src, dst):
+        src, dst = list(src), list(dst)
+        edges = derive(ideal, src, dst)
+        derived.extend(zip(src, dst, edges))
+        return edges
+
+    def counted_check(ideal, src, dst, edges):
+        src, dst, edges = list(src), list(dst), list(edges)
+        checked.extend(zip(src, dst, edges))
+        return check(ideal, src, dst, edges)
+
+    def counted_identity(cls, ideal, domain, codomain, reductions):
+        pi = identity(ideal, domain, codomain, reductions)
+        slots = list(zip(*reductions, pi.edges))
+        derived.extend(slots)
+        checked.extend(slots)
+        return pi
+
+    monkeypatch.setattr(sps.matching, "_derive_edges", counted_derive)
+    monkeypatch.setattr(sps.matching, "_check_edges", counted_check)
+    monkeypatch.setattr(sps.matching.OrderedMatching, "identity", classmethod(counted_identity))
+    return derived, checked
 
 
 def dense_eliminate(field, rows, pivots, v):

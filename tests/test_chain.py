@@ -46,6 +46,7 @@ from helpers import (
     form_sub,
     load_bench,
     refuse_oracle_work,
+    spy_edge_passes,
     trivial_link_simple_part_check,
 )
 
@@ -400,23 +401,13 @@ def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatc
 def test_each_round_derives_each_edge_once(monkeypatch):
     # a round pairs forms by their class keys alone; only its final matchings
     # derive edges, one per slot of V for every term of Q, and check each
-    derived, checked, gcd_calls = [], [], []
-    derive, check = sps.matching._derive_edge, sps.matching._check_edge
-
-    def counted_derive(*args):
-        derived.append(args)
-        return derive(*args)
-
-    def counted_check(*args):
-        checked.append(args)
-        return check(*args)
+    gcd_calls = []
+    derived, checked = spy_edge_passes(monkeypatch)
 
     def refused_gcd(*args, **kwargs):
         gcd_calls.append(args)
         raise AssertionError("a chain round ran gcd_data")
 
-    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
-    monkeypatch.setattr(sps.matching, "_check_edge", counted_check)
     for mod in (sps.quotient, sps.chain):
         monkeypatch.setattr(mod, "gcd_data", refused_gcd, raising=False)
     for circuit in (gen_ks(6), gen_family(3, 2)):
@@ -434,15 +425,9 @@ def test_first_survivor_edges_come_from_shared_records(monkeypatch):
     # V is a sublist of the first survivor's term, so that survivor's
     # matching pairs each slot with one record object: half of gen_ks(9)'s
     # edges, each the identity certificate
-    shared = []
-    derive = sps.matching._derive_edge
-
-    def counted_derive(ideal, s, d):
-        shared.append(s is d)
-        return derive(ideal, s, d)
-
-    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
+    derived, _ = spy_edge_passes(monkeypatch)
     chain = build_chain(gen_ks(9))
+    shared = [s is d for s, d, _ in derived]
     assert (len(shared), sum(shared)) == (2048, 1024)
     for link in chain.links:
         md = link.mdata

@@ -496,6 +496,27 @@ def test_form_basis_keeps_no_record_per_vector():
         assert sps.circuit.form_basis(c)._rest == {}
 
 
+@pytest.mark.parametrize("workload, kind, distinct", [
+    ("check-random", "vp-7^1-j3", 32), ("check-random", "vp-5^1-j3", None),
+    ("check-exact", "vp-2^3-j1", None), ("check-exact", "vp-3^2-j1", None),
+])
+def test_form_keys_keys_each_distinct_vector_once(workload, kind, distinct, monkeypatch):
+    # over a field with more than two elements a repeated coefficient vector
+    # is keyed once (vp-7^1-j3: 144 forms, 32 vectors), and the keys are
+    # those of keying every form on its own
+    bench = load_bench("instances")
+    instance = bench.kinds(workload)[kind][1](sps, random.Random(7), None)
+    c = loads_circuit(instance.stdin)
+    vectors = {f.coeffs for f in c.all_forms()}
+    calls = []
+    original = sps.circuit.similarity_key
+    monkeypatch.setattr(sps.circuit, "similarity_key", lambda f: calls.append(f) or original(f))
+    keys = form_keys(c)
+    assert len(calls) == len(vectors) < len(c.all_forms())
+    assert distinct is None or len(calls) == distinct
+    assert keys == tuple(tuple(map(original, t.forms)) for t in c.terms)
+
+
 def test_exact_budget_refusal(monkeypatch):
     monkeypatch.setattr(sps.circuit, "EXPANSION_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):

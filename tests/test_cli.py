@@ -21,10 +21,9 @@ from sps.cli import _build_parser, _digest, _load_circuit, main
 from sps.errors import BoundViolationError
 import sps.circuit
 import sps.cli
-import sps.matching
 from helpers import (
     count_calls, count_trials, load_bench, random_circuit, refuse_field_work,
-    refuse_generator_work, refuse_oracle_work,
+    refuse_generator_work, refuse_oracle_work, spy_edge_passes,
 )
 
 
@@ -173,21 +172,9 @@ def test_doubling_command(tmp_path, capsys):
 def test_doubling_checks_each_derived_edge_once(tmp_path, capsys, monkeypatch):
     lists = tmp_path / "tight6.json"
     assert run_cli(["gen", "tight", "--s", "6", "-o", str(lists)], capsys)[0] == 0
-    derived, checked = [], []
-    derive, check = sps.matching._derive_edge, sps.matching._check_edge
-
-    def counted_derive(*args):
-        edge = derive(*args)
-        derived.append(edge)
-        return edge
-
-    def counted_check(*args):
-        checked.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(sps.matching, "_derive_edge", counted_derive)
-    monkeypatch.setattr(sps.matching, "_check_edge", counted_check)
+    slots, checked = spy_edge_passes(monkeypatch)
     code, out, _ = run_cli(["doubling", "--lists", str(lists)], capsys)
+    derived = [edge for _, _, edge in slots]
     assert code == 0 and json.loads(out)["verdict"] == "BOUND_OK"
     assert None not in derived
     assert len(derived) == 6 * 16  # six matchings of 2^(6-2) edges each
@@ -1064,6 +1051,35 @@ def test_canonical_texts_are_hashed_without_reencoding(monkeypatch):
         text = dumps_circuit(c)
         assert _stdin_digest(text + "\n\n") == _digest(text)
     assert calls == circuits
+
+
+def test_doubling_digest_is_that_of_the_canonical_lists_dump(tmp_path, capsys, monkeypatch):
+    # doubling hashes its lists text as it stands when it is the canonical
+    # dump, the rule check, chain and match use; "claimed" and "verified"
+    # are checked by nothing, so a 1e5 or a true there must be re-encoded
+    path = tmp_path / "tight5.json"
+    assert run_cli(["gen", "tight", "--s", "5", "-o", str(path)], capsys)[0] == 0
+    text = path.read_text()
+    obj = json.loads(text)
+    claimed = '"claimed":%d' % obj["claimed"]
+    variants = {
+        "canonical": text,
+        "padded": json.dumps(obj, indent=1, sort_keys=True) + "\n",
+        "1e5": text.replace(claimed, '"claimed":1e5'),
+        "true": text.replace(claimed, '"claimed":true'),
+    }
+    lists_dumps = []
+    dumps = sps.cli._dumps
+    monkeypatch.setattr(sps.cli, "_dumps",
+                        lambda o: lists_dumps.append("U" in o) or dumps(o))
+    for name, variant in variants.items():
+        assert variant != text or name == "canonical"
+        path.write_text(variant)
+        lists_dumps.clear()
+        code, out, _ = run_cli(["doubling", "--lists", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["digest"] == _digest(dumps(json.loads(variant)))
+        assert any(lists_dumps) == (name != "canonical")
 
 
 _KS3 = dumps_circuit(gen_ks(3))

@@ -26,8 +26,11 @@ from sps import (
     unscramble,
 )
 from helpers import (
+    _check_edge,
+    _derive_edge,
     brute_product,
     counting_eliminate,
+    counting_reductions,
     doubling_corpus,
     form_add,
     form_sub,
@@ -40,7 +43,7 @@ from helpers import (
     reference_derive_edge,
     scan_edge,
 )
-from sps.matching import MatchEdge, _check_edge, _derive_edge
+from sps.matching import MatchEdge
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -382,6 +385,163 @@ def test_edge_kernel_matches_reference():
     assert kinds == {"outside", "inside", "zero"} and 3 * shared_cases >= cases
 
 
+def test_matching_passes_match_the_per_edge_reference():
+    """_derive_edges and _check_edges, one pass per matching, give the
+    per-edge reference's certificate at every slot and reject exactly the
+    slots it rejects: on seeded batches of record pairs over GF(2), GF(5),
+    GF(7), GF(2^3) and GF(3^2), under ideals of 1-4 generators, with sources
+    outside the span, inside it at every level 0..r and shared as one record
+    on both sides, and each slot's edge derived, corrupted or drawn at
+    random."""
+    rng = random.Random(40)
+    kinds, rejected, slots = set(), 0, 0
+    for field in (F2, F5, field_make(7), field_make(2, 3), field_make(3, 2)):
+        for _ in range(60):
+            n = rng.randrange(2, 6)
+            ideal_ = random_ideal(rng, field, n, rng.randrange(1, min(4, n) + 1))
+            r = ideal_.r
+            src, dst = [], []
+            for _ in range(rng.randrange(1, 7)):
+                if rng.random() < 0.5 and r < n:
+                    kind, f = "outside", random_form(rng, field, n, avoid_span=ideal_.span)
+                else:
+                    level = rng.randrange(r + 1)
+                    kind, f = f"level {level}", random_span_element(rng, field, ideal_, level)
+                kinds.add("inside" if kind.startswith("level") else kind)
+                s = ideal_.reduction(f)
+                if rng.random() < 0.3:
+                    d = s
+                    kinds.add("shared")
+                else:
+                    g = random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+                    if rng.random() < 0.7:
+                        g = form_add(g, f.scale(field.rand_element(rng)))
+                    d = ideal_.reduction(g)
+                src.append(s)
+                dst.append(d)
+            reference = [_derive_edge(ideal_, s, d) for s, d in zip(src, dst)]
+            assert sps.matching._derive_edges(ideal_, src, dst) == reference
+            edges = []
+            for e in reference:
+                roll = rng.random()
+                if e is not None and roll < 0.5:
+                    edges.append(e)
+                elif e is not None and roll < 0.75:
+                    edges.append(e._replace(level=e.level + rng.choice((-1, 1))))
+                else:
+                    edges.append(MatchEdge(rng.randrange(field.order + 1),
+                                           rng.randrange(-1, r + 2), rng.random() < 0.5))
+            bad = [not _check_edge(ideal_, *case) for case in zip(src, dst, edges)]
+            for i, case in enumerate(zip(src, dst, edges)):
+                assert (sps.matching._check_edges(ideal_, *map(list, zip(case))) is not None) == bad[i]
+            first = bad.index(True) if any(bad) else None
+            assert sps.matching._check_edges(ideal_, src, dst, edges) == first
+            rejected += sum(bad)
+            slots += len(bad)
+    assert kinds == {"outside", "inside", "shared"} and 0.2 * slots < rejected < 0.8 * slots
+
+
+def _distinct_class_lists(rng, field, ideal_, size):
+    """size forms outside the ideal's span with pairwise distinct class keys
+    modulo it, and an image list reached by random valid edges: no two slots
+    admit each other's images, so every swap of sigma entries is refused."""
+    forms, keys = [], set()
+    while len(forms) < size:
+        f = random_form(rng, field, ideal_.n, avoid_span=ideal_.span)
+        key = ideal_.reduction(f).key
+        if key not in keys:
+            keys.add(key)
+            forms.append(f)
+    images = [form_add(f.scale(random_unit(rng, field)),
+                       random_span_element(rng, field, ideal_, rng.randrange(ideal_.r + 1)))
+              for f in forms]
+    return tuple(forms), tuple(images)
+
+
+def test_constructor_refuses_every_single_field_corruption():
+    """Matchings from build, from the identity path and from invert and
+    compose: the constructor refuses each edge with c + 1, c - 1, level + 1,
+    level - 1 or the ordered flag flipped, and c given as a float or as
+    True, and every swap of two sigma entries; with the records reduced
+    afresh, and for identity matchings also with one shared record list."""
+    rng = random.Random(41)
+    sources = set()
+    for field in (F2, F5, field_make(7), field_make(2, 3), field_make(3, 2)):
+        for _ in range(8):
+            n = rng.randrange(4, 6)  # n - r >= 3: at least 7 classes outside the span
+            ideal_ = random_ideal(rng, field, n, rng.randrange(1, n - 2))
+            u, v = _distinct_class_lists(rng, field, ideal_, rng.randrange(2, 5))
+            sigma = list(range(len(u)))
+            rng.shuffle(sigma)
+            codomain = [None] * len(u)
+            for i, j in enumerate(sigma):
+                codomain[j] = v[i]
+            built = OrderedMatching.build(ideal_, u, codomain, sigma)
+            recs = list(ideal_.reductions(u))
+            same = OrderedMatching.identity(ideal_, u, u, (recs, recs))
+            cases = [("build", built, None), ("identity", same, None),
+                     ("identity", same, (recs, recs)), ("invert", invert(built), None),
+                     ("compose", compose(invert(built), built), None)]
+            for source, pi, reductions in cases:
+                sources.add(source)
+                for i, e in enumerate(pi.edges):
+                    mutants = [e._replace(c=e.c + 1), e._replace(c=e.c - 1),
+                               e._replace(level=e.level + 1), e._replace(level=e.level - 1),
+                               e._replace(ordered=not e.ordered),
+                               e._replace(c=float(e.c)), e._replace(c=True)]
+                    for bad in mutants:
+                        edges = pi.edges[:i] + (bad,) + pi.edges[i + 1:]
+                        with pytest.raises(VerificationError):
+                            OrderedMatching(pi.ideal, pi.domain, pi.codomain, pi.sigma,
+                                            edges, reductions)
+                for i in range(len(pi)):
+                    for j in range(i + 1, len(pi)):
+                        swapped = list(pi.sigma)
+                        swapped[i], swapped[j] = swapped[j], swapped[i]
+                        with pytest.raises(VerificationError):
+                            OrderedMatching(pi.ideal, pi.domain, pi.codomain, swapped,
+                                            pi.edges, reductions)
+                OrderedMatching(pi.ideal, pi.domain, pi.codomain, pi.sigma, pi.edges, reductions)
+    assert sources == {"build", "identity", "invert", "compose"}
+
+
+def test_identity_path_equals_build_and_refuses_what_build_refuses():
+    """OrderedMatching.identity gives build's matching field for field on
+    lists with forms outside and inside the span, and refuses the zero
+    form's record (the one form in prefix(0), which admits no self edge),
+    records that are not shared slot for slot, and unequal lists."""
+    rng = random.Random(42)
+    for field in (F2, F5, field_make(2, 3), field_make(3, 2)):
+        for _ in range(20):
+            n = rng.randrange(2, 6)
+            ideal_ = random_ideal(rng, field, n, rng.randrange(1, n + 1))
+            forms = []
+            for _ in range(rng.randrange(1, 6)):
+                f = random_span_element(rng, field, ideal_, rng.randrange(1, ideal_.r + 1))
+                if f.is_zero or rng.random() < 0.5:
+                    f = random_form(rng, field, n)
+                forms.append(f)
+            recs = list(ideal_.reductions(forms))
+            pi = OrderedMatching.identity(ideal_, forms, list(forms), (recs, recs))
+            built = OrderedMatching.build(ideal_, forms, forms, range(len(forms)), (recs, recs))
+            assert (pi.ideal, pi.domain, pi.codomain, pi.sigma, pi.edges) == \
+                (built.ideal, built.domain, built.codomain, built.sigma, built.edges)
+            assert pi.scaling_factor() == 1
+            zero = LinearForm(field, [0] * n)
+            with_zero = forms[:]
+            with_zero.insert(rng.randrange(len(forms) + 1), zero)
+            zrecs = list(ideal_.reductions(with_zero))
+            with pytest.raises(VerificationError, match="edge certificate"):
+                OrderedMatching.identity(ideal_, with_zero, with_zero, (zrecs, zrecs))
+            fresh = list(ideal_.reductions(forms))
+            with pytest.raises(VerificationError):
+                OrderedMatching.identity(ideal_, forms, forms, (recs, fresh))
+            other = forms[:-1] + [random_form(rng, field, n)]
+            if other != forms:
+                with pytest.raises(VerificationError):
+                    OrderedMatching.identity(ideal_, forms, other, (recs, recs))
+
+
 def test_edge_scalar_must_be_a_canonical_element():
     i1 = ideal(F5, 3, [0, 0, 1])
     u, v = (LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 0]),)
@@ -571,6 +731,7 @@ def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
     counted = counting_eliminate(lambda rows, v: calls.append(v))
     for module in (sps.quotient, sps.matching):  # FormIdeal's and the checker's
         monkeypatch.setattr(module, "eliminate", counted)
+    monkeypatch.setattr(FormIdeal, "reductions", counting_reductions(lambda f: calls.append(f)))
     for ideal_ in t.ideals:
         calls.clear()
         assert find_matching(t.u, t.v, ideal_) is not None
