@@ -18,9 +18,8 @@ kernels of the random and the exact oracle.
 IRREDUCIBLE_SEARCH_BUDGET caps q = p^e at 10^6 and so bounds the tables too.
 Linear algebra has one echelon format, ``SpanBasis``: sparse rows (pivot,
 nonzero entries after it) in insertion order, appended and never rewritten.
-The kernel ``eliminate`` reduces a batch of vectors by the sparse rows,
-visiting only their nonzero entries; ``FormIdeal.reductions`` (quotient)
-runs the same row loop and builds each form's record in it.
+The one kernel ``eliminate`` reduces a batch of vectors by the sparse rows,
+visiting only their nonzero entries.
 Elements are canonical and hashable. A ``Field`` is immutable after
 construction; a ``SpanBasis`` is append-only, and only its builder appends,
 so what either hands out is safe to share between concurrent tasks.

@@ -139,7 +139,8 @@ def form_keys(circuit: Circuit) -> tuple[tuple, ...]:
     """Per term, the similarity key of each form, computed once per
     (immutable) circuit and shared by is_simple and the chain's type
     classification: once per distinct coefficient vector, but over GF(2),
-    where a nonzero form is its own key, once per form."""
+    where every nonzero form is its own key and hashing the vectors would
+    cost more than keying each form, once per form."""
     if circuit._keys is None:
         terms = circuit.terms
         if circuit.field.order == 2:

@@ -15,11 +15,10 @@ the private ``LinearForm._wrap`` instead.
 Modulo a form-ideal I, F[x]/I is again a polynomial ring, so two terms
 cancel iff their forms' classes modulo I agree as multisets and their
 constants times leading coefficients cancel (``pair_is_zero_mod``). The
-records it reads come from any reduction that leaves remainders zero at the
-pivots: ``FormIdeal.reductions`` in the quotient module, which builds each
-record as it eliminates, or ``reduction_records`` over one form's
-remainders in ``pair_cancels_mod``, the check of the exact oracle's
-divisibility rung.
+records it reads (``reduction_records``) come from any reduction that
+leaves remainders zero at the pivots: ``FormIdeal.reductions`` in the
+quotient module, or one form's in ``pair_cancels_mod``, the check of the
+exact oracle's divisibility rung.
 """
 
 from __future__ import annotations

@@ -12,18 +12,17 @@ reductions modulo the ideal (``FormIdeal.reduction``), never from an offset:
 ``build`` reduces each form once and derives and checks every edge from those
 records, which depend on the ideal and the form alone. Derivation and
 checking are one pass per matching each (``_derive_edges``,
-``_check_edges``) over its aligned record lists. One nonzero record on both
-sides of an edge admits (1, 0, True) alone.
+``_check_edges``) over its aligned record lists.
 
 Every ``OrderedMatching`` is checked exactly once: by its constructor, which
 verifies each edge it is given in one ``_check_edges`` pass, or, for a list
-matched onto itself slot for slot with one record object per slot (a chain
-round's first survivor, gcd_data's first term), by ``identity``, which
-derives no edge and checks the self-edge rule on the whole list at once. An
-instance that exists is a verified certificate (instances are immutable).
-``doubling_check`` finds the matching by each ideal itself, with
-``find_matching``, so no matching it uses needs its ideal, domain or
-codomain checked.
+matched onto itself slot for slot (a chain round's first survivor,
+gcd_data's first term), by ``identity``, which derives no edge and checks
+the self-edge rule, a nonzero form matched to itself admitting (1, 0, True)
+alone, on the whole list at once. An instance that exists is a verified
+certificate (instances are immutable). ``doubling_check`` finds the matching
+by each ideal itself, with ``find_matching``, so no matching it uses needs
+its ideal, domain or codomain checked.
 """
 
 from __future__ import annotations
@@ -163,26 +162,22 @@ class OrderedMatching:
         return cls(ideal, domain, codomain, sigma, edges, (src, dst))
 
     @classmethod
-    def identity(cls, ideal, domain, codomain, reductions) -> "OrderedMatching":
-        """The matching of a list onto an equal list slot for slot, given the
-        (domain, codomain) records with one record object per slot on both
-        sides: sigma is the identity and every edge (1, 0, True), which is
-        what build gives, field for field, with no edge derived. Checked as a
-        whole by the self-edge rule, one nonzero record on both sides of an
-        edge admitting (1, 0, True) alone: domain equals codomain, each source
-        record is its target record, and every record is nonzero (a key, or
-        some nonzero multiplier). The scaling factor is 1."""
+    def identity(cls, ideal, domain, codomain) -> "OrderedMatching":
+        """The matching of a list onto an equal list slot for slot: sigma is
+        the identity and every edge (1, 0, True), which is what build gives,
+        field for field, with no edge derived or reduction read. Checked as a
+        whole by the self-edge rule: w = f - 1*f = 0 lies in prefix(0), and
+        f lies outside it iff f is nonzero, so the edge is valid iff domain
+        equals codomain and no form is zero. The scaling factor is 1."""
         pi = object.__new__(cls)
         pi.ideal, pi.domain, pi.codomain = ideal, tuple(domain), tuple(codomain)
+        if pi.codomain != pi.domain:
+            raise VerificationError("an identity matching needs equal domain and codomain")
+        for i, f in enumerate(pi.domain):
+            if f.is_zero:
+                raise VerificationError(f"edge certificate {i} failed verification")
         d = len(pi.domain)
         pi.sigma, pi.edges = tuple(range(d)), (_SELF_EDGE,) * d
-        src, dst = reductions
-        if not (pi.codomain == pi.domain and len(src) == len(dst) == d
-                and all(map(is_, src, dst))):
-            raise VerificationError("an identity matching needs one record per slot on both sides")
-        for i, (a, _, key, _) in enumerate(src):
-            if key is None and not any(a):
-                raise VerificationError(f"edge certificate {i} failed verification")
         return pi
 
     def verify(self, reductions=None) -> None:
@@ -238,13 +233,14 @@ def split_term(ideal, u, term: Term, positions, sigma, reductions):
     and the residual term sc(pi) * coef * (the other forms), so
     term = M(u) * residual mod I; reductions are (u's, the sublist's). When
     the two record lists hold the same objects slot for slot and sigma is
-    the identity, pi is OrderedMatching.identity, whose scaling factor is 1."""
+    the identity, the sublist is u itself, and pi is OrderedMatching.identity,
+    whose scaling factor is 1."""
     field, (src, dst) = term.field, reductions
     sublist = [term.forms[p] for p in positions]
     taken = set(positions)
     rest = [f for p, f in enumerate(term.forms) if p not in taken]
     if tuple(sigma) == tuple(range(len(src))) and all(map(is_, src, dst)):
-        return OrderedMatching.identity(ideal, u, sublist, reductions), Term(field, term.coef, rest)
+        return OrderedMatching.identity(ideal, u, sublist), Term(field, term.coef, rest)
     pi = OrderedMatching.build(ideal, u, sublist, sigma, reductions)
     if not pi.is_ordered:
         raise VerificationError("common-factor matching failed to validate as ordered")

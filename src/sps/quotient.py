@@ -10,11 +10,10 @@ span the first j generators and one elimination pass writes a form in
 coordinates over every generator prefix at once: ``FormIdeal.reduction``,
 the one record of a form modulo the ideal that every later decision about
 the form reads; ``FormIdeal.reductions`` gives the records of a whole form
-list from one pass, which clears the rows from each form as ``eliminate``
-does and builds its record in the same loop. A linear factor q of a circuit
-is a form with C = 0 mod (q), tested by reduction modulo the one-generator
-ideal. The zero ideal is the same type with no generators, and every
-operation treats it uniformly as "span is {0}".
+list from one elimination call. A linear factor q of a circuit is a form
+with C = 0 mod (q), tested by reduction modulo the one-generator ideal. The
+zero ideal is the same type with no generators, and every operation treats
+it uniformly as "span is {0}".
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import itertools
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle
 from .errors import BudgetExceededError
-from .forms import LinearForm, Reduction, Term, _monic, pair_common
+from .forms import LinearForm, Reduction, Term, pair_common, reduction_records
 from .matching import split_term
 
 FACTOR_BUDGET = 1_000_000
@@ -65,33 +64,16 @@ class FormIdeal:
         return len(self.generators)
 
     def reductions(self, forms):
-        """The records of the forms, yielded in order as each is reduced, each
-        built in the loop that clears the span's sparse rows from the form,
-        as ``eliminate`` clears them. A form f's record is (a, rest, key,
-        lead): f = sum(a[i] * row i) + rest with rest zero at every pivot,
-        and rest = lead * key with key's first nonzero entry 1 (f's
-        similarity class modulo the ideal), or key = lead = None when rest is
-        zero (the format of forms.reduction_records). f lies in prefix(j) iff
-        rest and a[j:] are zero."""
-        field, rows, new = self.field, self.span.sparse_rows, tuple.__new__
-        sub, mul = field.sub, field.mul
-        for f in forms:
-            rest, a = list(f.coeffs), []
-            for piv, entries in rows:
-                c = rest[piv]
-                a.append(c)
-                if c:
-                    rest[piv] = 0
-                    for j, x in entries:
-                        rest[j] = sub(rest[j], mul(c, x))
-            lead = next(filter(None, rest), None)
-            if lead is None:
-                yield new(Reduction, (a, rest, None, None))
-            elif lead == 1:  # rest is its own key: hold one tuple for both
-                rest = tuple(rest)
-                yield new(Reduction, (a, rest, rest, lead))
-            else:
-                yield new(Reduction, (a, rest, _monic(field, rest, lead), lead))
+        """The records of the forms, yielded in order as each is reduced, all
+        by one elimination pass over the span's sparse rows. A form f's record
+        is (a, rest, key, lead): f = sum(a[i] * row i) + rest with rest zero
+        at every pivot, and rest = lead * key with key's first nonzero entry
+        1 (f's similarity class modulo the ideal), or key = lead = None when
+        rest is zero (forms.reduction_records). f lies in prefix(j) iff rest
+        and a[j:] are zero."""
+        field = self.field
+        return reduction_records(field, eliminate(field, self.span.sparse_rows,
+                                                  (f.coeffs for f in forms)))
 
     def reduction(self, f: LinearForm) -> Reduction:
         """f's record, as ``reductions`` gives it."""

@@ -272,9 +272,9 @@ def reference_derive_edge(ideal, s, d) -> MatchEdge | None:
 
 
 def reference_check_edge(ideal, s, d, e: MatchEdge) -> bool:
-    """Whether e is the certificate _derive_edge gives for the forms reduced
+    """Whether e is the certificate per_edge_derive gives for the forms reduced
     to s and d, the only one that passes: c in [1, q), level in [0, r], and
-    w = dst - c*src in prefix(level) (read as in _derive_edge). An ordered
+    w = dst - c*src in prefix(level) (read as in per_edge_derive). An ordered
     edge has src outside prefix(level), which pins c, and w outside
     prefix(level - 1). An unordered edge is (1, r) between span forms with
     no ordered edge: src is zero, or b is zero at a's last nonzero
@@ -300,7 +300,7 @@ def reference_check_edge(ideal, s, d, e: MatchEdge) -> bool:
 # as their reference: one call per edge, each reading the field and r off
 # the ideal.
 
-def _level(field, c, a, b) -> int:
+def per_edge_level(field, c, a, b) -> int:
     """1 + max{i : b[i] != c*a[i]}, or 0 if none, scanned from the end."""
     level, mul = len(a), field.mul
     while level and b[level - 1] == (a[level - 1] if c == 1 else mul(c, a[level - 1])):
@@ -308,7 +308,7 @@ def _level(field, c, a, b) -> int:
     return level
 
 
-def _derive_edge(ideal, s, d) -> MatchEdge | None:
+def per_edge_derive(ideal, s, d) -> MatchEdge | None:
     """Minimal-level certificate for dst = c*src + w, or None, from the
     reductions s = (a, rest, key, lead) of src and d = (b, ...) of dst.
 
@@ -328,27 +328,27 @@ def _derive_edge(ideal, s, d) -> MatchEdge | None:
     field = ideal.field
     if key_s is not None:
         c = 1 if lead_d == lead_s else field.div(lead_d, lead_s)
-        return MatchEdge(c, _level(field, c, a, b), True)
+        return MatchEdge(c, per_edge_level(field, c, a, b), True)
     top = len(a) - 1
     while top >= 0 and not a[top]:
         top -= 1
     if top >= 0 and b[top]:
         c = 1 if b[top] == a[top] else field.div(b[top], a[top])
-        level = _level(field, c, a, b)
+        level = per_edge_level(field, c, a, b)
         if level <= top:
             return MatchEdge(c, level, True)
     return MatchEdge(1, ideal.r, False)
 
 
-def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
-    """Whether e is the certificate _derive_edge gives for the forms reduced
-    to s and d, the only one that passes: c in [1, q), level in [0, r],
-    ordered a bool, and w = dst - c*src in prefix(level) (read as in
-    _derive_edge). An ordered edge has src outside prefix(level), which pins
-    c, and w outside prefix(level - 1). An unordered edge is (1, r) between
-    span forms with no ordered edge: src is zero, or b is zero at a's last
-    nonzero coordinate, or nonzero above it. A nonzero record given as both
-    s and d passes (1, 0, True) alone."""
+def per_edge_check(ideal, s, d, e: MatchEdge) -> bool:
+    """Whether e is the certificate per_edge_derive gives for the forms
+    reduced to s and d, the only one that passes: c in [1, q), level in
+    [0, r], ordered a bool, and w = dst - c*src in prefix(level) (read as in
+    per_edge_derive). An ordered edge has src outside prefix(level), which
+    pins c, and w outside prefix(level - 1). An unordered edge is (1, r)
+    between span forms with no ordered edge: src is zero, or b is zero at
+    a's last nonzero coordinate, or nonzero above it. A nonzero record given
+    as both s and d passes (1, 0, True) alone."""
     field, r, (c, level, ordered) = ideal.field, ideal.r, e
     if not (type(c) is int and 0 < c < field.order and type(level) is int
             and 0 <= level <= r and type(ordered) is bool
@@ -361,7 +361,7 @@ def _check_edge(ideal, s, d, e: MatchEdge) -> bool:
     if key_s != key_d or (key_s is not None and lead_d != field.mul(c, lead_s)):
         return False
     if ordered:
-        return _level(field, c, a, b) == level and (key_s is not None or any(a[level:]))
+        return per_edge_level(field, c, a, b) == level and (key_s is not None or any(a[level:]))
     top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
     while top >= 0 and not a[top]:
         top -= 1
@@ -578,29 +578,12 @@ def counting_eliminate(record):
     return counted
 
 
-def counting_reductions(record):
-    """FormIdeal.reductions, calling record(f) on each form as the record
-    pass reads it: patched onto FormIdeal, it counts the forms reduced
-    modulo an ideal, as counting_eliminate counts the vectors the kernel
-    reads."""
-    reductions = FormIdeal.reductions
-
-    def counted(ideal, forms):
-        def read():
-            for f in forms:
-                record(f)
-                yield f
-        return reductions(ideal, read())
-
-    return counted
-
-
 def spy_edge_passes(monkeypatch):
     """Patch sps.matching's per-matching passes to record every slot they
-    certify, as (source record, image record, edge): derived gets each slot
-    of _derive_edges and of OrderedMatching.identity, checked each slot of
-    _check_edges and of the identity path's whole-list check. Returns
-    (derived, checked)."""
+    certify, as (source, image, edge): the two records for each slot of
+    _derive_edges (derived) and of _check_edges (checked), and the two forms
+    for each slot of OrderedMatching.identity, whose whole-list check both
+    derives and checks it. Returns (derived, checked)."""
     derived, checked = [], []
     derive, check = sps.matching._derive_edges, sps.matching._check_edges
     identity = sps.matching.OrderedMatching.identity
@@ -616,9 +599,9 @@ def spy_edge_passes(monkeypatch):
         checked.extend(zip(src, dst, edges))
         return check(ideal, src, dst, edges)
 
-    def counted_identity(cls, ideal, domain, codomain, reductions):
-        pi = identity(ideal, domain, codomain, reductions)
-        slots = list(zip(*reductions, pi.edges))
+    def counted_identity(cls, ideal, domain, codomain):
+        pi = identity(ideal, domain, codomain)
+        slots = list(zip(pi.domain, pi.codomain, pi.edges))
         derived.extend(slots)
         checked.extend(slots)
         return pi

@@ -26,14 +26,13 @@ from sps import (
     unscramble,
 )
 from helpers import (
-    _check_edge,
-    _derive_edge,
     brute_product,
     counting_eliminate,
-    counting_reductions,
     doubling_corpus,
     form_add,
     form_sub,
+    per_edge_check,
+    per_edge_derive,
     random_form,
     random_ideal,
     random_span_element,
@@ -51,6 +50,16 @@ F5 = field_make(5)
 
 def ideal(field, n, *gens):
     return FormIdeal(field, n, [LinearForm(field, g) for g in gens])
+
+
+def _derive_edge(ideal_, s, d):
+    """The shipped derive pass on a one-slot matching."""
+    return sps.matching._derive_edges(ideal_, [s], [d])[0]
+
+
+def _check_edge(ideal_, s, d, edge) -> bool:
+    """Whether the shipped check pass accepts edge on a one-slot matching."""
+    return sps.matching._check_edges(ideal_, [s], [d], [edge]) is None
 
 
 def offsets(pi):
@@ -389,25 +398,27 @@ def test_matching_passes_match_the_per_edge_reference():
     """_derive_edges and _check_edges, one pass per matching, give the
     per-edge reference's certificate at every slot and reject exactly the
     slots it rejects: on seeded batches of record pairs over GF(2), GF(5),
-    GF(7), GF(2^3) and GF(3^2), under ideals of 1-4 generators, with sources
-    outside the span, inside it at every level 0..r and shared as one record
-    on both sides, and each slot's edge derived, corrupted or drawn at
-    random."""
+    GF(7), GF(2^2), GF(2^3) and GF(3^2), in 1-5 variables under ideals of 0-4
+    generators, with sources outside the span, inside it at every level
+    0..r (zero among them) and shared as one record on both sides, and each
+    slot's edge derived, corrupted or drawn at random. On each slot alone,
+    _check_edges accepts exactly the candidate edges the reference accepts,
+    c in 0..q, level in -1..r+1, both flags."""
     rng = random.Random(40)
     kinds, rejected, slots = set(), 0, 0
-    for field in (F2, F5, field_make(7), field_make(2, 3), field_make(3, 2)):
+    for field in (F2, F5, field_make(7), field_make(2, 2), field_make(2, 3), field_make(3, 2)):
         for _ in range(60):
-            n = rng.randrange(2, 6)
-            ideal_ = random_ideal(rng, field, n, rng.randrange(1, min(4, n) + 1))
+            n = rng.randrange(1, 6)
+            ideal_ = random_ideal(rng, field, n, rng.randrange(0, min(4, n) + 1))
             r = ideal_.r
+            kinds.add(f"r {min(r, 1)}")
             src, dst = [], []
             for _ in range(rng.randrange(1, 7)):
                 if rng.random() < 0.5 and r < n:
                     kind, f = "outside", random_form(rng, field, n, avoid_span=ideal_.span)
                 else:
-                    level = rng.randrange(r + 1)
-                    kind, f = f"level {level}", random_span_element(rng, field, ideal_, level)
-                kinds.add("inside" if kind.startswith("level") else kind)
+                    kind, f = "inside", random_span_element(rng, field, ideal_, rng.randrange(r + 1))
+                kinds.add("zero" if f.is_zero else kind)
                 s = ideal_.reduction(f)
                 if rng.random() < 0.3:
                     d = s
@@ -419,7 +430,7 @@ def test_matching_passes_match_the_per_edge_reference():
                     d = ideal_.reduction(g)
                 src.append(s)
                 dst.append(d)
-            reference = [_derive_edge(ideal_, s, d) for s, d in zip(src, dst)]
+            reference = [per_edge_derive(ideal_, s, d) for s, d in zip(src, dst)]
             assert sps.matching._derive_edges(ideal_, src, dst) == reference
             edges = []
             for e in reference:
@@ -431,14 +442,17 @@ def test_matching_passes_match_the_per_edge_reference():
                 else:
                     edges.append(MatchEdge(rng.randrange(field.order + 1),
                                            rng.randrange(-1, r + 2), rng.random() < 0.5))
-            bad = [not _check_edge(ideal_, *case) for case in zip(src, dst, edges)]
-            for i, case in enumerate(zip(src, dst, edges)):
-                assert (sps.matching._check_edges(ideal_, *map(list, zip(case))) is not None) == bad[i]
+            bad = [not per_edge_check(ideal_, *case) for case in zip(src, dst, edges)]
             first = bad.index(True) if any(bad) else None
             assert sps.matching._check_edges(ideal_, src, dst, edges) == first
             rejected += sum(bad)
             slots += len(bad)
-    assert kinds == {"outside", "inside", "shared"} and 0.2 * slots < rejected < 0.8 * slots
+            for s, d in zip(src, dst):
+                for edge in (MatchEdge(c, level, ordered) for c in range(field.order + 1)
+                             for level in range(-1, r + 2) for ordered in (True, False)):
+                    assert _check_edge(ideal_, s, d, edge) == per_edge_check(ideal_, s, d, edge)
+    assert kinds == {"outside", "inside", "zero", "shared", "r 0", "r 1"}
+    assert 0.2 * slots < rejected < 0.8 * slots
 
 
 def _distinct_class_lists(rng, field, ideal_, size):
@@ -478,7 +492,7 @@ def test_constructor_refuses_every_single_field_corruption():
                 codomain[j] = v[i]
             built = OrderedMatching.build(ideal_, u, codomain, sigma)
             recs = list(ideal_.reductions(u))
-            same = OrderedMatching.identity(ideal_, u, u, (recs, recs))
+            same = OrderedMatching.identity(ideal_, u, u)
             cases = [("build", built, None), ("identity", same, None),
                      ("identity", same, (recs, recs)), ("invert", invert(built), None),
                      ("compose", compose(invert(built), built), None)]
@@ -507,9 +521,9 @@ def test_constructor_refuses_every_single_field_corruption():
 
 def test_identity_path_equals_build_and_refuses_what_build_refuses():
     """OrderedMatching.identity gives build's matching field for field on
-    lists with forms outside and inside the span, and refuses the zero
-    form's record (the one form in prefix(0), which admits no self edge),
-    records that are not shared slot for slot, and unequal lists."""
+    lists with forms outside and inside the span, and refuses the zero form
+    (the one form in prefix(0), which admits no self edge) and unequal
+    lists."""
     rng = random.Random(42)
     for field in (F2, F5, field_make(2, 3), field_make(3, 2)):
         for _ in range(20):
@@ -521,25 +535,20 @@ def test_identity_path_equals_build_and_refuses_what_build_refuses():
                 if f.is_zero or rng.random() < 0.5:
                     f = random_form(rng, field, n)
                 forms.append(f)
-            recs = list(ideal_.reductions(forms))
-            pi = OrderedMatching.identity(ideal_, forms, list(forms), (recs, recs))
-            built = OrderedMatching.build(ideal_, forms, forms, range(len(forms)), (recs, recs))
+            pi = OrderedMatching.identity(ideal_, forms, list(forms))
+            built = OrderedMatching.build(ideal_, forms, forms, range(len(forms)))
             assert (pi.ideal, pi.domain, pi.codomain, pi.sigma, pi.edges) == \
                 (built.ideal, built.domain, built.codomain, built.sigma, built.edges)
             assert pi.scaling_factor() == 1
             zero = LinearForm(field, [0] * n)
             with_zero = forms[:]
             with_zero.insert(rng.randrange(len(forms) + 1), zero)
-            zrecs = list(ideal_.reductions(with_zero))
             with pytest.raises(VerificationError, match="edge certificate"):
-                OrderedMatching.identity(ideal_, with_zero, with_zero, (zrecs, zrecs))
-            fresh = list(ideal_.reductions(forms))
-            with pytest.raises(VerificationError):
-                OrderedMatching.identity(ideal_, forms, forms, (recs, fresh))
+                OrderedMatching.identity(ideal_, with_zero, with_zero)
             other = forms[:-1] + [random_form(rng, field, n)]
             if other != forms:
                 with pytest.raises(VerificationError):
-                    OrderedMatching.identity(ideal_, forms, other, (recs, recs))
+                    OrderedMatching.identity(ideal_, forms, other)
 
 
 def test_edge_scalar_must_be_a_canonical_element():
@@ -731,7 +740,6 @@ def test_find_matching_reduces_each_form_once_per_ideal(monkeypatch):
     counted = counting_eliminate(lambda rows, v: calls.append(v))
     for module in (sps.quotient, sps.matching):  # FormIdeal's and the checker's
         monkeypatch.setattr(module, "eliminate", counted)
-    monkeypatch.setattr(FormIdeal, "reductions", counting_reductions(lambda f: calls.append(f)))
     for ideal_ in t.ideals:
         calls.clear()
         assert find_matching(t.u, t.v, ideal_) is not None

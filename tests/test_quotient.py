@@ -33,7 +33,6 @@ from helpers import (
     brute_expand,
     brute_product,
     counting_eliminate,
-    counting_reductions,
     dense_rows,
     form_add,
     form_sub,
@@ -346,7 +345,6 @@ def test_gcd_data_reads_regularity_off_its_class_keys(monkeypatch):
     counted = counting_eliminate(lambda rows, v: calls.append(v))
     for module in (sps.algebra, sps.quotient, sps.matching):
         monkeypatch.setattr(module, "eliminate", counted)
-    monkeypatch.setattr(FormIdeal, "reductions", counting_reductions(lambda f: calls.append(f)))
     for c, ideal_ in instances:
         calls.clear()
         gcd_data(c, ideal_)
