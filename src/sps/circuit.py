@@ -2,12 +2,10 @@
 
 A circuit is a sum of multiplication terms, each a nonzero constant times a
 product of nonzero linear forms. Whether it computes the zero polynomial is
-always the verdict of an oracle, exact or a seeded random evaluation over a
-large enough field; one ZeroOracle method (_sums) picks the oracle once per
-circuit, for is_zero and term_values alike.
-
-The exact oracle (_exact_sums) takes the cheaper of two rungs and refuses
-when both prices exceed EXPANSION_BUDGET.
+always the verdict of one rung of an oracle ladder, picked once per circuit
+for is_zero and term_values alike by ZeroOracle.rung: each rung tried gets a
+Rung record, built when reached, the first that accepts answers, and where
+none does one refusal names them all. Exact rungs, the cheaper first:
 - Divisibility (_divisibility_rung) decides two terms, and three terms of
   one degree with a squarefree term and a witness form, by unique
   factorization modulo one form at a time. Nothing is expanded.
@@ -19,7 +17,7 @@ when both prices exceed EXPANSION_BUDGET.
   over GF(2) a block's forms in a tree of neighbour pairs, so cancellation
   mod 2 shrinks the products early, elsewhere folded in one at a time.
 
-The random oracle compiles the circuit's forms once (_EvalPlan) and has one
+The random rung compiles the circuit's forms once (_EvalPlan) and has one
 pass (_term_values) for any number of trials. Each point coordinate is one
 randrange(q) draw over the evaluation field GF(q), and its values in all
 trials are packed into one int, one lane per trial (_lanes), so a slice of
@@ -42,6 +40,7 @@ import operator
 import random
 import sys
 from array import array
+from collections import namedtuple
 from functools import partial, reduce
 from operator import attrgetter
 
@@ -166,16 +165,11 @@ def exact_cost_bound(circuit: Circuit) -> int:
 
 
 def zero_test_exact(circuit: Circuit) -> bool:
-    """Deterministic zero test by sparse expansion in rank-many variables:
-    the exact oracle's expansion rung alone (see _exact_sums).
-
-    Forms are rewritten in coordinates over the circuit's first rank(C)
-    independent forms (_source_coordinates), so the expansion cost depends on
-    rank(C), not on n. Raises BudgetExceededError instead of attempting an
-    oversized expansion; the budget is the summed bound C(d + r - 1, r - 1)
-    per term (the same over any basis), capped at EXPANSION_BUDGET (10^7).
-    """
-    return _sums_to_zero(circuit.field, _expand_terms(circuit), range(circuit.k))
+    """Deterministic zero test by sparse expansion over the circuit's first
+    rank(C) independent forms (_source_coordinates), so its cost depends on
+    rank(C), not on n: the expansion rung alone, refused (OracleRefusalError)
+    when exact_cost_bound exceeds EXPANSION_BUDGET (10^7)."""
+    return _pick([_expansion(circuit, EXPANSION_BUDGET)]).factory()(range(circuit.k))
 
 
 def _source_coordinates(circuit: Circuit) -> dict:
@@ -201,10 +195,7 @@ def _expand_terms(circuit: Circuit) -> list:
     variable, so their product, taken last, cancels nothing and costs only
     its own size; a term of degree 0 is {0: coef}.
     """
-    field, budget = circuit.field, EXPANSION_BUDGET
-    if circuit_rank(circuit) and (bound := exact_cost_bound(circuit)) > budget:
-        raise BudgetExceededError(f"exact expansion bound {bound} exceeds budget {budget}")
-
+    field = circuit.field
     # pack exponent vectors into ints: degree <= d fits in shift-sized fields,
     # so a form's variable j multiplies a monomial by adding 1 << (shift * j);
     # each distinct form is converted once
@@ -323,52 +314,78 @@ def _divisibility_rung(circuit: Circuit):
     return (d + 1) * 3 * d * circuit.n, sums
 
 
-def _exact_sums(circuit: Circuit):
-    """Whether the terms indexed by q sum to zero, for any subset q, exactly:
-    by _divisibility_rung where it applies and its price is at most
-    exact_cost_bound, else off one expansion of each term (_expand_terms).
-    Raises BudgetExceededError, naming both prices, when both exceed
-    EXPANSION_BUDGET."""
-    rung = _divisibility_rung(circuit)
-    if rung is not None:
-        price, sums = rung
-        bound, budget = exact_cost_bound(circuit), EXPANSION_BUDGET
-        if min(price, bound) > budget:
-            raise BudgetExceededError(f"exact expansion bound {bound} and divisibility "
-                                      f"price {price} exceed budget {budget}")
-        if price <= bound:
-            return sums
-    return partial(_sums_to_zero, circuit.field, _expand_terms(circuit))
+# -- the oracle ladder: one record per rung, one pick --
+
+# one rung's record: price and limit are None for random, factory None if refused
+Rung = namedtuple("Rung", "name price limit factory refusal")
+
+
+class OracleRefusalError(BudgetExceededError, ValueError):
+    """No rung of the oracle ladder answers the circuit, and the message
+    names each rung tried and why; or term_values' k <= 16 cap: exit 2."""
+
+
+def _pick(rungs) -> Rung:
+    """The first of the rungs, records built as they are reached, that
+    accepts; else one refusal naming every rung tried."""
+    refusals = []
+    for rung in rungs:
+        if rung.factory:
+            return rung
+        refusals.append(rung.refusal)
+    raise OracleRefusalError("no oracle answers: " + "; ".join(refusals))
+
+
+def _priced(name: str, price, limit: int, factory, label: str) -> Rung:
+    """A rung's record, refused where the rung does not apply (price None)
+    or its price, called label, exceeds limit."""
+    if price is not None and price <= limit:
+        return Rung(name, price, limit, factory, None)
+    return Rung(name, price, limit, None, f"{name} does not apply" if price is None
+                else f"{label} {price} exceeds budget {limit}")
+
+
+def _expansion(circuit: Circuit, limit: int) -> Rung:
+    """The expansion rung's record, priced by exact_cost_bound."""
+    return _priced("expansion", exact_cost_bound(circuit), limit,
+                   lambda: partial(_sums_to_zero, circuit.field, _expand_terms(circuit)),
+                   "exact expansion bound")
+
+
+def _exact_rungs(circuit: Circuit, expansion: Rung) -> list:
+    """The records of divisibility (_divisibility_rung), within expansion's
+    limit, and of expansion, the cheaper first (divisibility on a tie)."""
+    price, sums = _divisibility_rung(circuit) or (None, None)
+    divisibility = _priced("divisibility", price, expansion.limit, lambda: sums,
+                           "divisibility price")
+    return sorted([divisibility, expansion], key=lambda rung: rung.price or 0)
 
 
 # -- randomized zero test (seeded evaluation, lifted to a large field) --
 
-class OracleRefusalError(ValueError):
-    """The zero oracle refuses the circuit (k > 16 subsets, or no lift field): exit 2."""
-
-
 def zero_test_random(circuit: Circuit) -> bool:
-    """ZeroOracle("random").is_zero: 20 trials from seed 0 (see _random_sums)."""
+    """ZeroOracle("random").is_zero: 20 trials from seed 0 (see _random_rung)."""
     return ZeroOracle("random").is_zero(circuit)
 
 
-def _random_sums(circuit: Circuit, trials: int, seed: int):
-    """Whether the terms indexed by q sum to zero, for any subset q, over the
-    evaluation field E; each subset stops at its first nonzero trial. Trials are
-    kept once evaluated: trial 0 in one _term_values pass, then all the rest in
-    a second.
-    False is always correct; True errs with probability at most (d/|E|)**trials.
-    E is F if |F| > 2d, else for prime F the least GF(p^m) with p^m > 4d (any
-    other F is refused); points derive from (seed, trial) alone."""
-    field = circuit.field
-    d = circuit.degree
-    if field.order > 2 * d:
-        ev = field
-    elif field.e == 1:
-        ev = field_make(field.p, next(m for m in itertools.count(1) if field.p**m > 4 * d))
-    else:
-        raise OracleRefusalError("cannot lift an extension-field circuit")
+def _random_rung(circuit: Circuit, trials: int, seed: int) -> Rung:
+    """The random rung's record: evaluation over E = F if |F| > 2d, else for
+    prime F the least GF(p^m) with p^m > 4d; any other F is refused."""
+    field, d = circuit.field, circuit.degree
+    if field.order <= 2 * d and field.e > 1:
+        return Rung("random", None, None, None,
+                    "random evaluation cannot lift an extension-field circuit")
+    ev = field if field.order > 2 * d else field_make(
+        field.p, next(m for m in itertools.count(1) if field.p**m > 4 * d))
+    return Rung("random", None, None, partial(_random_sums, circuit, ev, trials, seed), None)
 
+
+def _random_sums(circuit: Circuit, ev: Field, trials: int, seed: int):
+    """Whether the terms indexed by q sum to zero, for any subset q, over the
+    evaluation field ev; each subset stops at its first nonzero trial. Trials
+    are kept once evaluated: trial 0 in one _term_values pass, then all the
+    rest in a second. False is always correct; True errs with probability at
+    most (d/|E|)**trials. Points derive from (seed, trial) alone."""
     plan = _EvalPlan(circuit)
     values: list = []  # per trial evaluated so far, its term values
 
@@ -519,10 +536,10 @@ def _lanes(ev: Field, n: int, count: int):
 
 
 class ZeroOracle:
-    """Zero-test strategy: exact, random, or auto (exact within a size cap)."""
+    """Zero-test strategy: exact, random, or auto, each a ladder (_ladder)."""
 
     __slots__ = ("mode", "trials", "seed")
-    auto_budget = 200_000  # mode auto expands while exact_cost_bound is within it
+    auto_budget = 200_000  # mode auto goes exact first while exact_cost_bound is within it
 
     def __init__(self, mode="auto", trials=20, seed=0):
         if mode not in ("exact", "random", "auto"):
@@ -533,28 +550,33 @@ class ZeroOracle:
         self.trials = trials
         self.seed = seed
 
-    def answers_exactly(self, circuit: Circuit) -> bool:
-        """The one exact-vs-random decision, made once per circuit: exact in mode
-        exact, and in mode auto while exact_cost_bound is within auto_budget."""
-        return self.mode == "exact" or (self.mode == "auto"
-                                        and exact_cost_bound(circuit) <= self.auto_budget)
+    def _ladder(self, circuit: Circuit):
+        """The rungs for the circuit in the order this mode tries them, each
+        stage built when reached: exact, the cheaper exact rung within
+        EXPANSION_BUDGET; random, random; auto, the cheaper exact rung where
+        exact_cost_bound is within auto_budget, else random, else exact as
+        in mode exact."""
+        if self.mode == "auto":
+            auto = _expansion(circuit, self.auto_budget)
+            yield from _exact_rungs(circuit, auto) if auto.factory else [auto]
+        if self.mode != "exact":
+            yield _random_rung(circuit, self.trials, self.seed)
+        if self.mode != "random":
+            yield from _exact_rungs(circuit, _expansion(circuit, EXPANSION_BUDGET))
 
-    def _sums(self, circuit: Circuit):
-        """Whether the terms indexed by q sum to zero, for any subset q: by an
-        exact rung (_exact_sums), or off one evaluation of each term per trial."""
-        if self.answers_exactly(circuit):
-            return _exact_sums(circuit)
-        return _random_sums(circuit, self.trials, self.seed)
+    def rung(self, circuit: Circuit) -> Rung:
+        """The record of the rung that answers the circuit (_pick)."""
+        return _pick(self._ladder(circuit))
 
     def is_zero(self, circuit: Circuit) -> bool:
-        return self._sums(circuit)(range(circuit.k))
+        return self.rung(circuit).factory()(range(circuit.k))
 
     def term_values(self, circuit: Circuit) -> TermValues:
         """Zero and minimality verdicts from one set of term values; k > 16
         (2^k - k - 2 subsets) is refused before any oracle work."""
         if circuit.k > 16:
             raise OracleRefusalError("minimality testing is capped at k <= 16 terms")
-        return TermValues(circuit.k, self._sums(circuit))
+        return TermValues(circuit.k, self.rung(circuit).factory())
 
     def __repr__(self):
         return f"ZeroOracle({self.mode}, trials={self.trials}, seed={self.seed})"

@@ -407,11 +407,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         _note(f"verification failed: {exc}")
         return 1
-    except BudgetExceededError as exc:
-        _note(f"budget exceeded: {exc}")
-        return 2
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
-        _note(f"error: {exc}")
+    except (OSError, ValueError, KeyError, TypeError, BudgetExceededError) as exc:
+        _note(f"error: {exc}")  # JSON errors are ValueErrors
         return 2
     finally:
         if collecting:

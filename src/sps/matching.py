@@ -187,8 +187,8 @@ class OrderedMatching:
         d = len(self.domain)
         if len(self.codomain) != d or len(self.sigma) != d or len(self.edges) != d:
             raise VerificationError("matching arity mismatch")
-        if sorted(self.sigma) != list(range(d)):
-            raise VerificationError("sigma is not a bijection")
+        if set(map(type, self.sigma)) - {int} or sorted(self.sigma) != list(range(d)):
+            raise VerificationError("sigma is not a bijection of int slots")  # bools fail too
         src, dst = reductions or _records(self.ideal, self.domain, self.codomain)
         i = _check_edges(self.ideal, src, map(dst.__getitem__, self.sigma), self.edges)
         if i is not None:

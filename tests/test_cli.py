@@ -14,16 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sps import (
-    Field, SpanBasis, build_chain, dumps_circuit, field_make, gen_family, gen_joined, gen_ks,
-    loads_circuit, make_circuit,
+    Circuit, Field, SpanBasis, ZeroOracle, build_chain, dumps_circuit, field_make, gen_family,
+    gen_joined, gen_ks, loads_circuit, make_circuit,
 )
 from sps.cli import _build_parser, _digest, _load_circuit, main
 from sps.errors import BoundViolationError
 import sps.circuit
 import sps.cli
 from helpers import (
-    count_calls, count_trials, load_bench, random_circuit, refuse_field_work,
-    refuse_generator_work, refuse_oracle_work, spy_edge_passes,
+    count_calls, count_trials, load_bench, planted_triple, random_circuit, random_pair_identity,
+    refuse_field_work, refuse_generator_work, refuse_oracle_work, spy_edge_passes,
 )
 
 
@@ -125,6 +125,8 @@ def test_chain_exits_2_on_the_oracle_refusals_as_check_does(tmp_path, capsys):
         for command in ("check", "chain"):
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out) == (2, "") and message in err
+            if name == "gf9":  # one refusal names every rung auto tried
+                assert all(rung in err for rung in ("divisibility", "expansion", "random"))
     path = tmp_path / "nonsimple.json"
     path.write_text(dumps_circuit(nonsimple))
     code, out, _ = run_cli(["check", str(path)], capsys)
@@ -770,14 +772,20 @@ PINNED_CHAIN_VP_3_2 = (
 )
 
 
-def test_stdout_bytes_pinned_on_extension_fields(tmp_path, capsys):
-    bench = load_bench("instances")
+def _extension_objs(bench) -> dict:
+    """The circuits of PINNED_EXTENSION_CHECKS, by name, as JSON objects."""
     objs = {}
     for p, e in ((2, 3), (3, 2)):
         objs[f"vp-{p}^{e}"] = bench.change_variables(bench.vanishing_identity(p, e),
                                                      random.Random(1))
         objs[f"sq-{p}^{e}"] = _square_identity(bench, p, e)
         objs[f"sq-{p}^{e}-scaled"] = _square_identity(bench, p, e, coef_is_generator=True)
+    return objs
+
+
+def test_stdout_bytes_pinned_on_extension_fields(tmp_path, capsys):
+    bench = load_bench("instances")
+    objs = _extension_objs(bench)
     for name, (d, digest, e, p, zero) in PINNED_EXTENSION_CHECKS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(bench.canon(objs[name]))
@@ -799,6 +807,58 @@ def test_stdout_bytes_pinned_on_extension_fields(tmp_path, capsys):
     for name, expected in (("vp-2^3", PINNED_CHAIN_VP_2_3), ("vp-3^2", PINNED_CHAIN_VP_3_2)):
         path = str(tmp_path / f"{name}.json")
         assert run_cli(["chain", path, "--trace"], capsys)[:2] == (0, expected)
+
+
+def _verdicts(oracle, circuit):
+    """(zero, minimal) under the oracle, or None where it refuses."""
+    try:
+        values = oracle.term_values(circuit)
+    except sps.circuit.OracleRefusalError:
+        return None
+    return values.is_zero(), values.is_minimal()
+
+
+def test_auto_answers_whatever_one_mode_answers(tmp_path, capsys, monkeypatch):
+    # the vanishing-product identity over GF(3^2) and GF(2^3) joined twice
+    # (bounds 593,775 and 328,900: over auto_budget, within EXPANSION_BUDGET,
+    # and random cannot lift them), PINNED_EXTENSION_CHECKS, and seeded
+    # circuits over five fields with degrees up to 6, so random cannot lift
+    # GF(2^3) or GF(3^2) at the top degrees; auto_budget 0 sends every circuit
+    # past auto's first rung
+    bench = load_bench("instances")
+    joins = {f"vp-{p}^{e}-j2": bench.change_variables(bench.joined_identity(sps, p, e, 2),
+                                                      random.Random(1))
+             for p, e in ((3, 2), (2, 3))}
+    corpus = [loads_circuit(bench.canon(obj))
+              for obj in [*joins.values(), *_extension_objs(bench).values()]]
+    rng = random.Random(20)
+    for field in map(field_make, (2, 5, 7, 2, 3), (1, 1, 1, 3, 2)):
+        for _ in range(6):
+            n, d = rng.randrange(2, 4), rng.randrange(1, 7)
+            pairs = [random_pair_identity(rng, field, n, d) for _ in range(2)]
+            corpus += [random_circuit(rng, field, n, rng.randrange(2, 5), d, any_element=True),
+                       planted_triple(rng, field, n, d),
+                       Circuit(field, n, pairs[0].terms + pairs[1].terms)]
+    fallbacks, seen = 0, set()
+    for budget in (ZeroOracle.auto_budget, 0):
+        monkeypatch.setattr(ZeroOracle, "auto_budget", budget)
+        for seed, c in enumerate(corpus):
+            exact = _verdicts(ZeroOracle("exact"), c)
+            rand = _verdicts(ZeroOracle("random", seed=seed), c)
+            answered = {exact, rand} - {None}
+            assert len(answered) <= 1, c  # the modes that answer agree
+            auto = _verdicts(ZeroOracle(seed=seed), c)
+            assert auto == (answered.pop() if answered else None), c
+            fallbacks += rand is None and exact is not None
+            seen.add(auto)
+    assert fallbacks >= 20 and {(True, True), (True, False), (False, True)} <= seen
+    for name, obj in joins.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(bench.canon(obj))
+        code, out, _ = run_cli(["check", str(path), "--exact"], capsys)
+        auto = out.replace('"mode":"exact"', '"mode":"auto"')
+        assert code == 0 and run_cli(["check", str(path)], capsys)[:2] == (0, auto)
+        assert run_cli(["chain", str(path)], capsys)[0] == 0
 
 
 # check --exact on vanishing-product identities joined on fresh variables,

@@ -476,8 +476,9 @@ def test_constructor_refuses_every_single_field_corruption():
     """Matchings from build, from the identity path and from invert and
     compose: the constructor refuses each edge with c + 1, c - 1, level + 1,
     level - 1 or the ordered flag flipped, and c given as a float or as
-    True, and every swap of two sigma entries; with the records reduced
-    afresh, and for identity matchings also with one shared record list."""
+    True, every swap of two sigma entries and sigma's entries 0 and 1 given
+    as bools; with the records reduced afresh, and for identity matchings
+    also with one shared record list."""
     rng = random.Random(41)
     sources = set()
     for field in (F2, F5, field_make(7), field_make(2, 3), field_make(3, 2)):
@@ -515,6 +516,9 @@ def test_constructor_refuses_every_single_field_corruption():
                         with pytest.raises(VerificationError):
                             OrderedMatching(pi.ideal, pi.domain, pi.codomain, swapped,
                                             pi.edges, reductions)
+                bools = [bool(s) if s < 2 else s for s in pi.sigma]  # 0, 1 as False, True
+                with pytest.raises(VerificationError):
+                    OrderedMatching(pi.ideal, pi.domain, pi.codomain, bools, pi.edges, reductions)
                 OrderedMatching(pi.ideal, pi.domain, pi.codomain, pi.sigma, pi.edges, reductions)
     assert sources == {"build", "identity", "invert", "compose"}
 

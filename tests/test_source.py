@@ -45,6 +45,24 @@ def test_elimination_stays_behind_its_modules():
     assert readers == {"algebra.py", "quotient.py", "matching.py"}
 
 
+def test_oracle_refusals_stay_behind_the_ladder():
+    # in circuit.py the oracle refuses only through the ladder's one pick and
+    # term_values' k <= 16 cap: a rung refuses by its record, so no rung adds
+    # a decision site of its own
+    refusals = {"OracleRefusalError", "BudgetExceededError"}
+    tree = ast.parse((SRC / "circuit.py").read_text(encoding="utf-8"))
+    raisers = set()
+    for top in tree.body:
+        members = [(f"{top.name}.", m) for m in top.body] if isinstance(top, ast.ClassDef) else []
+        for prefix, func in [("", top), *members]:
+            if isinstance(func, ast.FunctionDef):
+                raisers.update(prefix + func.name for node in ast.walk(func)
+                               if isinstance(node, ast.Raise) and node.exc is not None
+                               and refusals & {n.id for n in ast.walk(node.exc)
+                                               if isinstance(n, ast.Name)})
+    assert raisers == {"_pick", "ZeroOracle.term_values"}
+
+
 def test_field_tables_stay_behind_their_module():
     # the log, antilog and Zech tables and product's list view of the log
     # table are Field's; every other module multiplies and adds through Field
