@@ -76,37 +76,31 @@ def _poly_mulmod(a, b, mod, p):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, mod, p)[1]
+    return _poly_mod(prod, mod, p)
 
 
-def _poly_divmod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
+def _poly_mod(a, b, p):
+    """The remainder of a divided by b over GF(p), trimmed; b's lead is nonzero."""
+    a, db = list(a), len(b) - 1
     inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(da - db + 1, 0)
-    while da >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-            da = len(a) - 1
-        if da < db or not a:
-            break
-        c = (a[-1] * inv_lead) % p
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-    return q, _poly_trim(a)
+    while len(_poly_trim(a)) > db:
+        c = a.pop() * inv_lead % p
+        shift = len(a) - db
+        for j in range(db):
+            a[shift + j] = (a[shift + j] - c * b[j]) % p
+    return a
 
 
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
+        a, b = b, _poly_mod(a, b, p)
     return a
 
 
 def _poly_powmod(base, k, mod, p):
     """base^k mod (mod) by square-and-multiply."""
-    base = _poly_divmod(base, mod, p)[1]
+    base = _poly_mod(base, mod, p)
     result = [1]
     while k:
         if k & 1:

@@ -673,7 +673,7 @@ def _element_from_json(p: int, e: int, obj):
         if not 0 <= obj < p:
             raise ValueError(f"element {obj} out of range [0, {p})")
         return obj
-    if not isinstance(obj, list) or len(obj) != e:
+    if type(obj) is not list or len(obj) != e:
         raise ValueError(f"extension elements serialize as length-{e} arrays")
     if not all(type(c) is int and 0 <= c < p for c in obj):
         raise ValueError("extension element coefficients out of range")
@@ -707,12 +707,12 @@ def _vectors_from_json(p: int, e: int, n: int, vectors, name: str) -> list:
                 for i in range(e - 2, -1, -1):
                     packed = [a * p + c for a, c in zip(packed, digits[i::e])]
                 out = [tuple(packed[j:j + n]) for j in range(0, len(packed), n)]
-    if out is None:
-        out = []
+    if out is None:  # some element is bad: name the first
         for vec in vectors:
             if len(vec) != n:
                 raise ValueError(f"form has {len(vec)} coordinates, expected {n}")
-            out.append(tuple(_element_from_json(p, e, c) for c in vec))
+            for c in vec:
+                _element_from_json(p, e, c)
     if not all(map(any, out)):
         raise ValueError(f"every form of {name} must be nonzero")
     return out

@@ -49,6 +49,11 @@ def _parity_forms(field: Field, r: int, parity: int, with_last: bool):
             for bits in itertools.product((0, 1), repeat=r - 1) if sum(bits) % 2 == parity]
 
 
+def _unit(field: Field, n: int, i: int) -> LinearForm:
+    """The form x_{i+1} in n variables."""
+    return LinearForm._wrap(field, (0,) * i + (1,) + (0,) * (n - i - 1))
+
+
 def gen_ks(r: int) -> Circuit:
     """The 3-term parity-product identity over GF(2) in r variables.
 
@@ -180,10 +185,7 @@ def gen_tight_lists(s: int, p: int = 5) -> TightLists:
     u = tuple(_parity_forms(field, s, 0, with_last=True))
     v = tuple(_parity_forms(field, s, 1, with_last=True))
 
-    candidates = [
-        FormIdeal(field, s, (LinearForm(field, [1 if j == i else 0 for j in range(s)]),))
-        for i in range(s - 1)
-    ]
+    candidates = [FormIdeal(field, s, (_unit(field, s, i),)) for i in range(s - 1)]
     candidates.append(
         FormIdeal(field, s, (LinearForm(field, [1] * (s - 1) + [2]),))
     )
@@ -215,18 +217,15 @@ def gen_intro_counterexamples(d: int, p: int = 5) -> tuple[Circuit, Circuit]:
                   unit="form coefficients")
     field = field_make(p)
 
-    xs = [LinearForm(field, [1 if j == i else 0 for j in range(d)]) for i in range(d)]
+    xs = [_unit(field, d, i) for i in range(d)]
     nonsimple = Circuit(
         field, d, [Term(field, 1, xs), Term(field, field.neg(field.one), xs)]
     )
 
     n = 2 * d + 2
-    ys = [LinearForm(field, [1 if j == i else 0 for j in range(n)]) for i in range(d)]
-    zs = [
-        LinearForm(field, [1 if j == d + i else 0 for j in range(n)]) for i in range(d)
-    ]
-    x1 = LinearForm(field, [1 if j == 2 * d else 0 for j in range(n)])
-    x2 = LinearForm(field, [1 if j == 2 * d + 1 else 0 for j in range(n)])
+    ys = [_unit(field, n, i) for i in range(d)]
+    zs = [_unit(field, n, d + i) for i in range(d)]
+    x1, x2 = _unit(field, n, 2 * d), _unit(field, n, 2 * d + 1)
     neg = field.neg(field.one)
     nonminimal = Circuit(
         field,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, is_
 from typing import NamedTuple
 
@@ -55,6 +56,16 @@ def _level(mul, c, a, b) -> int:
     return level
 
 
+def _top(a) -> int:
+    """a's last nonzero coordinate, or -1 if a is zero."""
+    return max(compress(range(len(a)), a), default=-1)
+
+
+def _inverse(sigma) -> list:
+    """The inverse of the slot permutation sigma."""
+    return sorted(range(len(sigma)), key=sigma.__getitem__)
+
+
 def _derive_edges(ideal, src, dst) -> list:
     """Minimal-level certificates for dst[i] = c*src[i] + w_i, one per slot
     (None where there is none), from the aligned records s = (a, rest, key,
@@ -76,9 +87,7 @@ def _derive_edges(ideal, src, dst) -> list:
             c = 1 if lead_d == lead_s else div(lead_d, lead_s)
             edges.append(MatchEdge(c, _level(mul, c, a, b), True))
         else:
-            top = len(a) - 1
-            while top >= 0 and not a[top]:
-                top -= 1
+            top = _top(a)
             edge = plain
             if top >= 0 and b[top]:
                 c = 1 if b[top] == a[top] else div(b[top], a[top])
@@ -112,9 +121,7 @@ def _check_edges(ideal, src, dst, edges) -> int | None:
             if _level(mul, c, a, b) != level or (key_s is None and not any(a[level:])):
                 return i
             continue
-        top = len(a) - 1  # level r: w lies in prefix(r) once rest_s = rest_d = 0
-        while top >= 0 and not a[top]:
-            top -= 1
+        top = _top(a)  # level r: w lies in prefix(r) once rest_s = rest_d = 0
         if key_s is not None or (top >= 0 and b[top] and not any(b[top + 1:])):
             return i
     return None
@@ -234,7 +241,11 @@ def split_term(ideal, u, term: Term, positions, sigma, reductions):
     term = M(u) * residual mod I; reductions are (u's, the sublist's). When
     the two record lists hold the same objects slot for slot and sigma is
     the identity, the sublist is u itself, and pi is OrderedMatching.identity,
-    whose scaling factor is 1."""
+    whose scaling factor is 1.
+    Implied, so not checked: pi is ordered, as scaling_factor requires.
+    gcd_data takes regular terms only, whose forms lie outside the span, and
+    a chain round pairs a form at iteration j only while it lies outside
+    prefix(j), so even a form of its V0 gets an edge of level at most j."""
     field, (src, dst) = term.field, reductions
     sublist = [term.forms[p] for p in positions]
     taken = set(positions)
@@ -242,18 +253,12 @@ def split_term(ideal, u, term: Term, positions, sigma, reductions):
     if tuple(sigma) == tuple(range(len(src))) and all(map(is_, src, dst)):
         return OrderedMatching.identity(ideal, u, sublist), Term(field, term.coef, rest)
     pi = OrderedMatching.build(ideal, u, sublist, sigma, reductions)
-    if not pi.is_ordered:
-        raise VerificationError("common-factor matching failed to validate as ordered")
     return pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
 
 
 def invert(pi: OrderedMatching) -> OrderedMatching:
     """Inverse matching; its scaling factor is the inverse scalar."""
-    d = len(pi)
-    inv_sigma = [0] * d
-    for i, j in enumerate(pi.sigma):
-        inv_sigma[j] = i
-    return OrderedMatching.build(pi.ideal, pi.codomain, pi.domain, tuple(inv_sigma))
+    return OrderedMatching.build(pi.ideal, pi.codomain, pi.domain, _inverse(pi.sigma))
 
 
 def disjoint_union(pi1: OrderedMatching, pi2: OrderedMatching) -> OrderedMatching:
@@ -296,10 +301,7 @@ def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching
     if lists_similar(sub_u, sub_v) is None:
         raise ValueError("unscramble requires similar sublists")
 
-    sigma = list(pi.sigma)
-    inv = [0] * len(sigma)
-    for i, j in enumerate(sigma):
-        inv[j] = i
+    sigma, inv = list(pi.sigma), _inverse(pi.sigma)
 
     free: dict = {}
     for j in v_positions:

@@ -84,6 +84,32 @@ def test_modulus_is_deterministic_and_monic():
     assert Field(2, 2).modulus == (1, 1, 1)
 
 
+def test_poly_mod_returns_the_remainder_of_q_b_plus_r():
+    # a = q*b + r with deg r < deg b, q*b by plain convolution here, so the
+    # remainder is checked by no sps code; a's top may hold zeros, and q = 0
+    # gives deg a < deg b
+    rng = random.Random(43)
+    shapes = set()
+    for p in (2, 3, 5, 7, 13):
+        for _ in range(60):
+            db = rng.randrange(0, 6)
+            b = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
+            q = [rng.randrange(p) for _ in range(rng.randrange(0, 5))]
+            r = [rng.randrange(p) for _ in range(db)]
+            a = [0] * max(len(q) + len(b) - 1, len(r))
+            for i, qi in enumerate(q):
+                for j, bj in enumerate(b):
+                    a[i + j] = (a[i + j] + qi * bj) % p
+            for i, ri in enumerate(r):
+                a[i] = (a[i] + ri) % p
+            a += [0] * rng.randrange(0, 3)
+            while r and r[-1] == 0:
+                r.pop()
+            shapes.add((any(q), a[-1:] == [0]))
+            assert sps.algebra._poly_mod(a, b, p) == r, (p, a, b)
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # GF(2^e) for e = 2..16, and odd characteristic up to q = 961
 TABLE_GRID = ([(2, e) for e in range(2, 17)] + [(3, e) for e in range(2, 7)]
               + [(5, 2), (5, 3), (7, 3), (31, 2)])

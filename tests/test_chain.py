@@ -30,6 +30,7 @@ from sps import (
     make_circuit,
     similarity_key,
     single_round,
+    subcircuit,
 )
 import sps.algebra
 import sps.chain
@@ -396,6 +397,33 @@ def test_single_round_refuses_non_identities(field, n, spec, message, monkeypatc
         refuse_oracle_work(monkeypatch)
     with pytest.raises(VerificationError, match=message):
         single_round(make_circuit(field, n, spec), SpanBasis(field, n))
+
+
+def test_every_split_term_matching_is_ordered():
+    # split_term does not check that its matching is ordered, as scaling_factor
+    # would refuse it otherwise: gcd_data takes regular terms only, and a
+    # chain round pairs a form at iteration j only while it lies outside
+    # prefix(j). Here every matching of a link, and of gcd_data mod the zero
+    # ideal and mod each link's ideal on the terms regular mod it, is ordered
+    bench = load_bench("instances")
+    cases = {"ks9": gen_ks(9), "family-4-3": gen_family(4, 3)}
+    for p, e in ((5, 1), (3, 2)):  # vp-5^1-j2 and vp-3^2-j2, densified
+        obj = bench.change_variables(bench.joined_identity(sps, p, e, 2), random.Random(1))
+        cases[f"vp-{p}^{e}-j2"] = loads_circuit(bench.canon(obj))
+    for name, circuit in cases.items():
+        chain = build_chain(circuit)
+        matchings = [pi for link in chain.links for pi in link.mdata.matchings.values()]
+        gcd_terms = 0
+        ideals = [FormIdeal(circuit.field, circuit.n, ())] + [link.ideal for link in chain.links]
+        for ideal in ideals:
+            regular = [q for q, t in enumerate(circuit.terms)
+                       if sps.quotient.reductions(t.forms, ideal) is not None]
+            if regular:
+                gd = sps.quotient.gcd_data(subcircuit(circuit, regular), ideal)
+                matchings += gd.matchings.values()
+                gcd_terms += len(regular)
+        assert gcd_terms > circuit.k, name
+        assert all(pi.is_ordered for pi in matchings), name
 
 
 def test_each_round_derives_each_edge_once(monkeypatch):

@@ -985,22 +985,35 @@ def test_json_round_trip_byte_identical():
 def test_load_canonicalizes_each_element_once(monkeypatch):
     # every coefficient is a checked int, an extension one packed from its
     # digit array where it is checked; only each term constant goes through
-    # Field.element, once, in Term
-    circuits = [gen_ks(4), random_circuit(random.Random(2), F5, 3, 3, 2, any_element=True),
-                random_circuit(random.Random(3), F9, 3, 3, 2, any_element=True)]
-    texts = [dumps_circuit(c) for c in circuits]
-    calls = []
-    element = Field.element
+    # Field.element, once, in Term, and through _element_from_json, whose
+    # per-element pass over the forms runs only to name a bad element
+    bench = load_bench("instances")
+    texts = [dumps_circuit(c) for c in (
+        gen_ks(4), gen_family(3, 2),
+        random_circuit(random.Random(2), F5, 3, 3, 2, any_element=True),
+        random_circuit(random.Random(3), F9, 3, 3, 2, any_element=True))]
+    texts += [bench.canon(bench.change_variables(bench.joined_identity(sps, p, e, 1),
+                                                 random.Random(1)))
+              for p, e in ((5, 1), (2, 3), (3, 2))]
+    calls, checks = [], []
+    element, element_from_json = Field.element, sps.circuit._element_from_json
 
     def counted(self, x):
         calls.append(x)
         return element(self, x)
 
+    def checked(p, e, obj):
+        checks.append(obj)
+        return element_from_json(p, e, obj)
+
     monkeypatch.setattr(Field, "element", counted)
-    for c, text in zip(circuits, texts):
+    monkeypatch.setattr(sps.circuit, "_element_from_json", checked)
+    for text in texts:
         calls.clear()
-        assert loads_circuit(text) == c
-        assert len(calls) == c.k
+        checks.clear()
+        c = loads_circuit(text)
+        assert dumps_circuit(c) == text
+        assert len(calls) == len(checks) == c.k
 
 
 @st.composite

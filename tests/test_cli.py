@@ -988,6 +988,7 @@ _EXT_FAULTS = {  # name: (edit of the faulty form, message without "length-e")
     "digit-p": (lambda f, p, e: f[1].__setitem__(e - 1, p), _DIGITS),
     "negative-digit": (lambda f, p, e: f[1].__setitem__(0, -1), _DIGITS),
     "digit-count": (lambda f, p, e: f[0].append(0), None),
+    "short-element": (lambda f, p, e: f[0].pop(), None),
     "int-element": (lambda f, p, e: f.__setitem__(1, 1), None),
     "form-length": (lambda f, p, e: f.append([1] + [0] * (e - 1)),
                     "form has 3 coordinates, expected 2"),
@@ -1008,6 +1009,35 @@ def test_malformed_extension_bodies_exit_2_with_the_element_message(fault, p, e,
     edit, message = _EXT_FAULTS[fault]
     edit(obj["terms"][1]["forms"][1], p, e)
     message = message or f"extension elements serialize as length-{e} arrays"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", str(path), "--exact"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+
+# a GF(5) body with one fault in the second form of the second term; the
+# whole-array check fails on each, and the element pass names the element
+_PRIME_BODY = {"p": 5, "e": 1, "n": 2, "terms": [
+    {"coef": 1, "forms": [[1, 2], [3, 4]]}, {"coef": 4, "forms": [[2, 0], [1, 1]]}]}
+_INTS = "prime-field elements serialize as ints"
+_PRIME_FAULTS = {  # name: (edit of the faulty form, message)
+    "short-vector": (lambda f: f.pop(), "form has 1 coordinates, expected 2"),
+    "bool": (lambda f: f.__setitem__(0, True), _INTS),
+    "float": (lambda f: f.__setitem__(0, 1.0), _INTS),
+    "list": (lambda f: f.__setitem__(1, [1]), _INTS),
+    "negative": (lambda f: f.__setitem__(1, -1), "element -1 out of range [0, 5)"),
+    "element-p": (lambda f: f.__setitem__(0, 5), "element 5 out of range [0, 5)"),
+}
+
+
+@pytest.mark.parametrize("fault", _PRIME_FAULTS)
+def test_malformed_prime_bodies_exit_2_with_the_element_message(fault, tmp_path, capsys):
+    text = json.dumps(_PRIME_BODY)
+    assert loads_circuit(text).k == 2  # the body as given loads
+    obj = json.loads(text)
+    edit, message = _PRIME_FAULTS[fault]
+    edit(obj["terms"][1]["forms"][1])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(["check", str(path), "--exact"], capsys)

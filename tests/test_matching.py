@@ -12,6 +12,7 @@ from sps import (
     LinearForm,
     OrderedMatching,
     SpanBasis,
+    Term,
     VerificationError,
     compose,
     disjoint_union,
@@ -42,7 +43,7 @@ from helpers import (
     reference_derive_edge,
     scan_edge,
 )
-from sps.matching import MatchEdge
+from sps.matching import MatchEdge, split_term
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -245,10 +246,20 @@ def test_plain_matching_has_no_scaling_factor():
 
     # dissimilar forms inside the span only admit a plain edge; sc undefined
     i12 = ideal(F5, 3, [1, 0, 0], [0, 1, 0])
-    pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [0, 1, 0]),), i12)
+    x, y = LinearForm(F5, [1, 0, 0]), LinearForm(F5, [0, 1, 0])
+    pi = find_matching((x,), (y,), i12)
     assert pi is not None and not pi.is_ordered
     with pytest.raises(ValueError):
         pi.scaling_factor()
+    # built by hand too; split_term, which has no check of its own, refuses
+    # it through scaling_factor
+    hand = OrderedMatching(i12, (x,), (y,), (0,), (MatchEdge(1, 2, False),))
+    assert hand.edges == pi.edges
+    with pytest.raises(ValueError, match="ordered"):
+        hand.scaling_factor()
+    term = Term(F5, 1, [y, LinearForm(F5, [0, 0, 1])])
+    with pytest.raises(ValueError, match="ordered"):
+        split_term(i12, (x,), term, (0,), (0,), sps.matching._records(i12, (x,), (y,)))
 
 
 def test_unscramble_rejects_dissimilar_sublists():

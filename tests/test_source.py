@@ -1,8 +1,11 @@
 """Source hygiene checks on the package, using only the standard library."""
 
 import ast
+import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -302,3 +305,22 @@ def test_no_environment_reads():
                   if isinstance(node, ast.ImportFrom) and node.module == "os"
                   and {a.name for a in node.names} & {"environ", "getenv"}]
     assert found == []
+
+
+def test_size_report_totals_its_rows():
+    # tools/size.py prints wc and code lines per module; a code line holds a
+    # token other than a comment, outside docstrings, and a multi-line string
+    # that is not a docstring counts every line it spans
+    tool = Path(__file__).resolve().parent.parent / "tools" / "size.py"
+    out = subprocess.run([sys.executable, str(tool), str(SRC)], capture_output=True,
+                         text=True, check=True).stdout
+    rows = [(name, int(wc), int(code)) for name, wc, code in map(str.split, out.splitlines()[1:])]
+    *modules, total = rows
+    assert {name for name, _, _ in modules} == {path.name for path in SRC.glob("*.py")}
+    assert total == ("total", sum(row[1] for row in modules), sum(row[2] for row in modules))
+    assert all(0 < code <= wc for _, wc, code in modules)
+    spec = importlib.util.spec_from_file_location("size_tool", tool)
+    size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size)
+    text = '"""Doc\nstring."""\n# note\n\ndef f():\n    """Doc."""\n    return """a\nb"""  # c\n'
+    assert size.count(text) == (8, 3)
