@@ -307,8 +307,9 @@ def build_chain(circuit: Circuit) -> Chain:
     """Build a maximal chain for a verified simple, minimal identity and check
     every bound along the way.
 
-    Verifies first (k >= 3, d >= 1, equal degrees; simple, then zero and
-    minimal under ZeroOracle(): auto, 20 trials, seed 0), then repeats
+    Verifies first, raising VerificationError on the first that fails (k >= 3,
+    d >= 1, equal degrees; simple, then zero and minimal under ZeroOracle():
+    auto, 20 trials, seed 0), then repeats
     single_round with S growing by each round's ideal until S has the
     circuit's rank, so spans all its forms. Asserts rank <= (k - 2) * m
     always, and for d >= 2 the chain-length and per-type counts:
@@ -319,18 +320,18 @@ def build_chain(circuit: Circuit) -> Chain:
     k = circuit.k
     d = circuit.degree
     if k < 3:
-        raise ValueError("chains need top fanin k >= 3")
+        raise VerificationError("chains need top fanin k >= 3")
     if d < 1:
-        raise ValueError("chains need term degree d >= 1")
+        raise VerificationError("chains need term degree d >= 1")
     if len(set(circuit.degrees)) != 1:
-        raise ValueError("chains need equal term degrees")
+        raise VerificationError("chains need equal term degrees")
     if not is_simple(circuit):
-        raise ValueError("chains require a simple circuit")
+        raise VerificationError("chains require a simple circuit")
     values = ZeroOracle().term_values(circuit)
     if not values.is_zero():
-        raise ValueError("chains require an identity (zero oracle said no)")
+        raise VerificationError("chains require an identity (zero oracle said no)")
     if not values.is_minimal():
-        raise ValueError("chains require a minimal circuit")
+        raise VerificationError("chains require a minimal circuit")
 
     s_span = SpanBasis(circuit.field, circuit.n)
     rank = circuit_rank(circuit)

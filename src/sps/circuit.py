@@ -45,7 +45,7 @@ from functools import partial, reduce
 from operator import attrgetter
 
 from .algebra import Field, SpanBasis, field_make, pack_digits
-from .errors import BudgetExceededError
+from .errors import OracleRefusalError
 from .forms import LinearForm, Term, pair_cancels_mod, similarity_key
 
 EXPANSION_BUDGET = 10_000_000  # read at call time, like ZeroOracle.auto_budget
@@ -318,11 +318,6 @@ def _divisibility_rung(circuit: Circuit):
 
 # one rung's record: price and limit are None for random, factory None if refused
 Rung = namedtuple("Rung", "name price limit factory refusal")
-
-
-class OracleRefusalError(BudgetExceededError, ValueError):
-    """No rung of the oracle ladder answers the circuit, and the message
-    names each rung tried and why; or term_values' k <= 16 cap: exit 2."""
 
 
 def _pick(rungs) -> Rung:

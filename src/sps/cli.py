@@ -3,9 +3,10 @@
 Machine-readable JSON goes to stdout (one object per line; chain traces are
 JSON lines followed by a summary object); the human summary goes to stderr.
 Reports are byte-stable across runs for fixed inputs and seeds, so timing is
-reported only on stderr. Exit codes: 0 all checks pass, 1 a checked property
-is false, 2 usage, I/O or malformed-input error, 3 a proven bound was
-violated (the falsification signal).
+reported only on stderr. A command returns 0 or raises what failed, and main
+alone turns that into an exit code (sps.errors): 1 a checked property is
+false (VerificationError), 2 usage, I/O, malformed input or a budget refusal,
+3 a proven bound was violated (BoundViolationError, the falsification signal).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .chain import build_chain, chain_length_bound
 from .circuit import (
     MAX_TRIALS,
     Circuit,
-    OracleRefusalError,
     ZeroOracle,
     _dumps,
     _form_to_json,
@@ -220,8 +220,7 @@ def cmd_check(args) -> int:
         f"({elapsed:.2f}s)"
     )
     if args.assert_zero and not zero:
-        _note("assertion failed: circuit is not zero")
-        return 1
+        raise VerificationError("circuit is not zero")
     return 0
 
 
@@ -233,13 +232,7 @@ def cmd_chain(args) -> int:
     except BoundViolationError as exc:
         _emit({"command": "chain", "digest": digest, "ok": False,
                "violation": str(exc)})
-        _note(f"BOUND VIOLATION: {exc}")
-        return 3
-    except OracleRefusalError:
-        raise  # the oracle cannot decide the input: exit 2, as in check
-    except ValueError as exc:  # not an identity, not simple, not minimal, ...
-        _note(f"error: {exc}")
-        return 1
+        raise
     if args.trace:
         for row in chain.trace_rounds():
             _emit(row)
@@ -294,11 +287,7 @@ def cmd_doubling(args) -> int:
     field = field_make(p, e)
     u, v, *gens = [tuple(_forms_from_vectors(field, vectors)) for vectors in lists]
     ideals = [FormIdeal(field, n, g) for g in gens]  # a bad generator: exit 2
-    try:
-        report = doubling_check(u, v, ideals)
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return 1
+    report = doubling_check(u, v, ideals)
     if args.trace:
         for line in report.transcript_lines():
             _note(line)
@@ -308,15 +297,15 @@ def cmd_doubling(args) -> int:
     out["bound"] = _json_number(out["bound"])
     _emit(out)
     _note(f"doubling: verdict={report.verdict} r={report.r} d'={report.d_prime}")
-    return 3 if report.verdict == "CONTRADICTION" else 0
+    if report.verdict == "CONTRADICTION":
+        raise BoundViolationError(report.reason)
+    return 0
 
 
 def cmd_bound(args) -> int:
-    try:
-        m_bound = chain_length_bound(args.k, args.d)
-        rank_bound = (args.k - 2) * m_bound
-    except OverflowError:
-        rank_bound = math.inf
+    fits = math.comb(args.k, 2) <= sys.float_info.max  # then k - 2 converts too
+    m_bound = chain_length_bound(args.k, args.d) if fits else math.inf
+    rank_bound = (args.k - 2) * m_bound
     if not math.isfinite(rank_bound):  # k >= 3, so m_bound <= rank_bound
         raise ValueError("--k is too large: the bound overflows a float")
     _emit(

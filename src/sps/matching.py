@@ -389,7 +389,8 @@ def doubling_check(u, v, ideals) -> DoublingReport:
     similarity, reporting a per-round transcript.
 
     First find and certify a matching between u and v by each ideal
-    (find_matching), then check the lists and the ideals' orthogonality.
+    (find_matching), then check the lists and the ideals' orthogonality;
+    the first of these hypotheses that fails raises VerificationError.
     Steps: split off maximal similar sublists, leaving the remainders rest_u
     and rest_v; seed a basis with the first leftover form and add one ideal
     per round, tracking which forms fall into the span ("green"). Green
@@ -416,11 +417,11 @@ def doubling_check(u, v, ideals) -> DoublingReport:
     u, v, ideals = tuple(u), tuple(v), list(ideals)
     for i, ideal in enumerate(ideals):
         if find_matching(u, v, ideal) is None:
-            raise ValueError(f"no matching between U and V by ideal {i}")
+            raise VerificationError(f"no matching between U and V by ideal {i}")
     if not u or len(u) != len(v):
-        raise ValueError("doubling check needs nonempty lists of equal size")
+        raise VerificationError("doubling check needs nonempty lists of equal size")
     if not spans_orthogonal([i.span for i in ideals]):
-        raise ValueError("ideals must be mutually orthogonal")
+        raise VerificationError("ideals must be mutually orthogonal")
 
     d = len(u)
     r = len(ideals)

@@ -40,6 +40,7 @@ import sps.matching
 import sps.quotient
 from sps.chain import MatchingData
 from sps.circuit import form_basis, form_keys
+from sps.errors import OracleRefusalError
 from helpers import (
     CountedKey,
     counting_eliminate,
@@ -71,21 +72,21 @@ def test_build_chain_refuses_more_than_16_terms_before_any_work(monkeypatch):
     refuse_oracle_work(monkeypatch)
     # 17 distinct variables: simple, equal degrees, so only k stops it
     c = make_circuit(F2, 17, [(1, [[int(i == j) for j in range(17)]]) for i in range(17)])
-    with pytest.raises(ValueError, match="k <= 16"):
+    with pytest.raises(OracleRefusalError, match="k <= 16"):
         build_chain(c)
     for mode in ("exact", "random"):  # the refusal holds whichever oracle would answer
-        with pytest.raises(ValueError, match="k <= 16"):
+        with pytest.raises(OracleRefusalError, match="k <= 16"):
             ZeroOracle(mode).term_values(c)
 
 
 def test_gen_joined_refuses_more_than_16_terms_before_any_work(monkeypatch):
     refuse_oracle_work(monkeypatch)
     base = make_circuit(F2, 1, [(1, [[1]])] * 16)
-    with pytest.raises(ValueError, match="k <= 16"):
+    with pytest.raises(OracleRefusalError, match="k <= 16"):
         gen_joined(base, gen_ks(3))
     joined = gen_joined(base, gen_ks(3), verify=False)
     for mode in ("exact", "random"):  # the refusal holds whichever oracle would answer
-        with pytest.raises(ValueError, match="k <= 16"):
+        with pytest.raises(OracleRefusalError, match="k <= 16"):
             ZeroOracle(mode).term_values(joined)
 
 
@@ -167,15 +168,15 @@ def test_trivial_link_simple_part_diagnostic():
 
 
 def test_build_chain_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         build_chain(make_circuit(F2, 2, [(1, [[1, 0]]), (1, [[1, 0]])]))  # k < 3
     nonzero = make_circuit(
         F2, 3, [(1, [[1, 0, 0]]), (1, [[0, 1, 0]]), (1, [[0, 0, 1]])]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         build_chain(nonzero)
     nonsimple, nonminimal = gen_intro_counterexamples(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         build_chain(
             make_circuit(F5, 2, list(
                 (t.coef, [list(f.coeffs) for f in t.forms]) for t in nonsimple.terms

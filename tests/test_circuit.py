@@ -47,6 +47,7 @@ from sps.circuit import (
     exact_cost_bound,
     form_keys,
 )
+from sps.errors import OracleRefusalError
 from helpers import (
     brute_expand,
     count_trials,
@@ -661,7 +662,7 @@ def test_random_oracle_lifts_prime_fields_and_refuses_extension_fields():
     # GF(3^2) with d = 8: |F| = 9 <= 2d, and an extension field is not lifted
     x, y = [1, 0], [0, 1]
     c = make_circuit(field_make(3, 2), 2, [(1, [x] * 8), (1, [y] * 8), (2, [x] * 4 + [y] * 4)])
-    with pytest.raises(ValueError, match="cannot lift"):
+    with pytest.raises(OracleRefusalError, match="cannot lift"):
         ZeroOracle("random").is_zero(c)
 
 
@@ -856,7 +857,7 @@ def test_is_minimal_examples():
         ],
     )
     assert not is_minimal(four)
-    with pytest.raises(ValueError):
+    with pytest.raises(OracleRefusalError):
         is_minimal(random_circuit(random.Random(0), F2, 2, 17, 1))
 
 
@@ -1123,5 +1124,5 @@ def test_is_zero_answers_k_over_16_and_term_values_refuses_first(monkeypatch):
         assert zero.k == 17 and oracle.is_zero(zero) and not oracle.is_zero(nonzero)
     refuse_oracle_work(monkeypatch)
     for mode in ("exact", "random", "auto"):
-        with pytest.raises(ValueError, match="k <= 16"):
+        with pytest.raises(OracleRefusalError, match="k <= 16"):
             ZeroOracle(mode).term_values(zero)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sps import (
-    Circuit, Field, SpanBasis, ZeroOracle, build_chain, dumps_circuit, field_make, gen_family,
-    gen_joined, gen_ks, loads_circuit, make_circuit,
+    Circuit, DoublingReport, Field, SpanBasis, ZeroOracle, build_chain, dumps_circuit,
+    field_make, gen_family, gen_joined, gen_ks, loads_circuit, make_circuit,
 )
 from sps.cli import _build_parser, _digest, _load_circuit, main
 from sps.errors import BoundViolationError
@@ -246,6 +247,68 @@ def test_bound_violation_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["ok"] is False
     assert "BOUND VIOLATION" in err
+
+
+def test_doubling_contradiction_exits_3_after_its_report(tmp_path, capsys, monkeypatch):
+    lists = _gen_file(tmp_path, capsys, ["tight", "--s", "4"], "tight4.json")
+    digest = json.loads(run_cli(["doubling", "--lists", lists], capsys)[1])["digest"]
+    report = DoublingReport("CONTRADICTION", 4, 4, 4, 4.0, 5, 0, (),
+                            "green count failed to double in round 2")
+    monkeypatch.setattr(sps.cli, "doubling_check", lambda u, v, ideals: report)
+    code, out, err = run_cli(["doubling", "--lists", lists], capsys)
+    assert code == 3
+    obj = json.loads(out)
+    assert (obj.pop("command"), obj.pop("digest")) == ("doubling", digest)
+    assert obj == json.loads(json.dumps(asdict(report)))
+    assert "BOUND VIOLATION: green count failed to double in round 2" in err
+
+
+def test_false_checked_properties_exit_1_with_one_line_naming_them(tmp_path, capsys):
+    # input that loads but fails a property the command checks: exit 1, the
+    # stdout written before the check (none, or check's report) and one
+    # stderr line with the message
+    f2, f5 = field_make(2), field_make(5)
+    circuits = {
+        "unequal": make_circuit(f5, 2, [(1, [[1, 0], [0, 1]]), (1, [[1, 0]]), (1, [[0, 1]])]),
+        "nonzero": make_circuit(f2, 3, [(1, [[1, 0, 0]]), (1, [[0, 1, 0]]), (1, [[0, 0, 1]])]),
+        "shared": make_circuit(f5, 2, [(c, [[1, 0], [0, 1]]) for c in (1, 2, 2)]),  # xy + 2xy + 2xy
+        "deg0": make_circuit(f5, 1, [(c, []) for c in (1, 1, 3)]),
+        "nz": make_circuit(f5, 2, [(1, [[1, 0]]), (1, [[0, 1]])]),
+    }
+    lists = {
+        "nomatch": ([[1, 0]], [[0, 1]], [[[1, 0]]]),
+        "sizes": ([[1, 0]], [[0, 1], [1, 1]], []),
+        "dependent": ([[1, 1]], [[1, 2]], [[[0, 1]], [[0, 2]]]),
+    }
+    path = {name: str(tmp_path / f"{name}.json") for name in [*circuits, *lists]}
+    for name, c in circuits.items():
+        (tmp_path / f"{name}.json").write_text(dumps_circuit(c))
+    for name, (u, v, ideals) in lists.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"p": 5, "n": 2, "U": u, "V": v, "ideals": ideals}))
+    for which in ("nonsimple", "nonminimal"):  # the nonsimple one has 2 terms
+        path[which] = _gen_file(tmp_path, capsys, ["counter", "--d", "2", "--which", which],
+                                f"{which}.json")
+    _, report, _ = run_cli(["check", "--exact", path["nz"]], capsys)
+    assert json.loads(report)["zero"] is False
+    cases = [
+        (["chain", path["nonsimple"]], "", "chains need top fanin k >= 3"),
+        (["chain", path["unequal"]], "", "chains need equal term degrees"),
+        (["chain", path["nonzero"]], "", "chains require an identity"),
+        (["chain", path["shared"]], "", "chains require a simple circuit"),
+        (["chain", path["nonminimal"]], "", "chains require a minimal circuit"),
+        (["chain", path["deg0"]], "", "chains need term degree d >= 1"),
+        (["doubling", "--lists", path["nomatch"]], "", "no matching between U and V by ideal 0"),
+        (["doubling", "--lists", path["sizes"]], "", "nonempty lists of equal size"),
+        (["doubling", "--lists", path["dependent"]], "", "ideals must be mutually orthogonal"),
+        (["check", "--exact", "--assert-zero", path["nz"]], report, "circuit is not zero"),
+    ]
+    for argv, expected, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        lines = err.splitlines()
+        assert (code, out) == (1, expected), argv
+        assert [line for line in lines if message in line] == lines[-1:], (argv, err)
+        assert len(lines) == (2 if argv[0] == "check" else 1), (argv, err)  # check's summary
 
 
 def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch):

@@ -697,15 +697,15 @@ def test_doubling_check_input_validation():
     i2 = ideal(F5, 3, [0, 1, 0])
     u = (LinearForm(F5, [0, 0, 1]),)
     v = (LinearForm(F5, [1, 0, 1]),)
-    with pytest.raises(ValueError, match="no matching between U and V by ideal 1"):
+    with pytest.raises(VerificationError, match="no matching between U and V by ideal 1"):
         doubling_check(u, v, [i1, i2, i1b])
-    with pytest.raises(ValueError, match="no matching between U and V by ideal 0"):
+    with pytest.raises(VerificationError, match="no matching between U and V by ideal 0"):
         doubling_check(u, (), [i1])
-    with pytest.raises(ValueError, match="nonempty lists of equal size"):
+    with pytest.raises(VerificationError, match="nonempty lists of equal size"):
         doubling_check(u, (), [])
-    with pytest.raises(ValueError, match="nonempty lists of equal size"):
+    with pytest.raises(VerificationError, match="nonempty lists of equal size"):
         doubling_check((), (), [i1])
-    with pytest.raises(ValueError, match="mutually orthogonal"):
+    with pytest.raises(VerificationError, match="mutually orthogonal"):
         doubling_check(u, v, [i1, i1b])
 
 

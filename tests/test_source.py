@@ -324,3 +324,50 @@ def test_size_report_totals_its_rows():
     spec.loader.exec_module(size)
     text = '"""Doc\nstring."""\n# note\n\ndef f():\n    """Doc."""\n    return """a\nb"""  # c\n'
     assert size.count(text) == (8, 3)
+
+
+def exit_codes(node):
+    """The int constants 1, 2 and 3 a return expression can give: the
+    constant itself or a branch of a conditional."""
+    if isinstance(node, ast.IfExp):
+        return exit_codes(node.body) | exit_codes(node.orelse)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return {node.value} & {1, 2, 3}
+    return set()
+
+
+def test_only_main_turns_failures_into_exit_codes():
+    # a command returns 0 or raises what failed; main's table alone maps
+    # exceptions to exit codes. chain may catch a bound violation to write
+    # its "ok": false line, and must raise it again
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name, func in funcs.items():
+        if name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and node.value is not None and exit_codes(node.value):
+                found.append(f"{name}:{node.lineno} returns {exit_codes(node.value)}")
+            elif isinstance(node, ast.ExceptHandler) and not (
+                    name == "cmd_chain" and ast.unparse(node.type) == "BoundViolationError"
+                    and isinstance(node.body[-1], ast.Raise) and node.body[-1].exc is None):
+                found.append(f"{name}:{node.lineno} catches {ast.unparse(node.type)}")
+    assert found == []
+    table = {ast.unparse(handler.type): exit_codes(handler.body[-1].value)
+             for node in ast.walk(funcs["main"]) if isinstance(node, ast.Try)
+             for handler in node.handlers}
+    assert table == {"BoundViolationError": {3}, "VerificationError": {1},
+                     "(OSError, ValueError, KeyError, TypeError, BudgetExceededError)": {2}}
+
+
+def test_every_exception_type_has_one_base():
+    # an exception's type says what failed, so its exit code follows from
+    # one line of ancestors, never from a second base chosen to map it
+    modules = [importlib.import_module(f"sps.{path.stem}") for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__main__"]
+    types = {obj for module in modules for obj in vars(module).values()
+             if inspect.isclass(obj) and issubclass(obj, BaseException)
+             and obj.__module__.startswith("sps.")}
+    assert {t.__name__ for t in types} >= {"OracleRefusalError", "VerificationError"}
+    assert [t.__name__ for t in types if len(t.__bases__) != 1] == []
