@@ -25,11 +25,11 @@ from .algebra import SpanBasis
 from .circuit import (
     Circuit,
     ZeroOracle,
-    _form_to_json,
-    _json_number,
     circuit_rank,
     form_keys,
+    form_to_json,
     is_simple,
+    json_number,
 )
 from .errors import BoundViolationError, VerificationError
 from .forms import LinearForm, pair_common, pair_is_zero_mod
@@ -86,7 +86,7 @@ class Chain:
         return {
             "m": self.m,
             "rank": self.rank,
-            "bound": _json_number(self.bound),
+            "bound": json_number(self.bound),
             "N1": self.n1,
             "N2": self.n2,
             "N3": self.n3,
@@ -104,7 +104,7 @@ class Chain:
             out.append(
                 {
                     "round": i,
-                    "ideal": [_form_to_json(g) for g in link.ideal.generators],
+                    "ideal": [form_to_json(g) for g in link.ideal.generators],
                     "Q": list(md.q_set),
                     "V_q_sizes": {str(q): len(md.v_positions[q]) for q in md.q_set},
                     "type": md.mtype,

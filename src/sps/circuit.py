@@ -1,4 +1,4 @@
-"""Depth-3 circuits: evaluation, zero testing, structure checks, file format.
+"""Depth-3 circuits: evaluation, zero testing, structure checks, file formats.
 
 A circuit is a sum of multiplication terms, each a nonzero constant times a
 product of nonzero linear forms. Whether it computes the zero polynomial is
@@ -27,17 +27,21 @@ digits in fields too wide to carry, each reduced mod p once per form. Trial
 0 is a pass of one lane, so a nonzero circuit pays for one point, and every
 later trial shares a second pass.
 
-The loader checks a term's vectors as one array of digits and goes element
-by element only to name a bad one.
+The codec defines both file formats, circuits and gen tight's doubling
+lists, and both digests (circuit_digest, loads_lists). The loader checks a
+term's vectors as one array of digits and goes element by element only to
+name a bad one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import operator
 import random
+import re
 import sys
 from array import array
 from collections import namedtuple
@@ -617,14 +621,35 @@ def is_minimal(circuit: Circuit) -> bool:
     return circuit.k < 3 or ZeroOracle().term_values(circuit).is_minimal()
 
 
-# -- persistent format: the one JSON codec for numbers, elements, forms, circuits --
+# -- persistent format: the one JSON codec for numbers, elements, forms, circuits, lists --
 
-def _dumps(obj) -> str:
+def dumps_json(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace variance."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _json_number(x: float):
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+_BETWEEN_KEYS = re.compile(r'[0-9\[\],{}:]*')  # one loop, keeps no backtracking state
+
+
+def _canonical_text(text: str, keys) -> str | None:
+    """text, but for one final newline, when it is already the canonical
+    dump (dumps_json) of the JSON it holds, given the keys that dump writes,
+    in order; None when it may not be. It is when it is ASCII, its quoted
+    strings are those keys, and every letter lies inside one: outside them
+    there are only digits, brackets, braces, commas and colons, so no
+    whitespace, sign, point, exponent or literal."""
+    text = text[:-1] if text.endswith("\n") else text
+    parts = text.split('"')
+    if text.isascii() and parts[1::2] == keys and all(map(_BETWEEN_KEYS.fullmatch, parts[::2])):
+        return text
+    return None
+
+
+def json_number(x: float):
     return int(x) if float(x).is_integer() else x
 
 
@@ -632,7 +657,7 @@ def _element_to_json(field: Field, el):
     return el if field.e == 1 else list(field.digits(el))
 
 
-def _form_to_json(f: LinearForm) -> list:
+def form_to_json(f: LinearForm) -> list:
     if f.field.e == 1:
         return list(f.coeffs)
     return [_element_to_json(f.field, c) for c in f.coeffs]
@@ -727,7 +752,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "terms": [
             {
                 "coef": _element_to_json(field, t.coef),
-                "forms": [_form_to_json(f) for f in t.forms],
+                "forms": [form_to_json(f) for f in t.forms],
             }
             for t in circuit.terms
         ],
@@ -755,7 +780,36 @@ def circuit_from_dict(obj: dict) -> Circuit:
 
 def dumps_circuit(circuit: Circuit) -> str:
     """Canonical emission: sorted keys, no whitespace variance."""
-    return _dumps(circuit_to_dict(circuit))
+    return dumps_json(circuit_to_dict(circuit))
+
+
+def circuit_digest(text: str, circuit: Circuit) -> str:
+    """The digest of circuit's canonical dump, where text is the file it was
+    loaded from: of text itself when it is that dump (_canonical_text), which
+    the dump's keys decide, since the loader has checked every value as an
+    int; any other text is re-encoded."""
+    keys = ["e", "n", "p", "terms", *["coef", "forms"] * circuit.k]
+    return _digest(_canonical_text(text, keys) or dumps_circuit(circuit))
+
+
+def lists_to_dict(t) -> dict:
+    """The lists file object of gen_tight_lists' t: its field, n, the form
+    lists U and V, each ideal's generators, and the claimed and verified
+    matching counts."""
+    return {
+        "p": t.field.p,
+        "e": t.field.e,
+        "n": t.n,
+        "U": [form_to_json(f) for f in t.u],
+        "V": [form_to_json(f) for f in t.v],
+        "ideals": [[form_to_json(g) for g in ideal.generators] for ideal in t.ideals],
+        "claimed": t.claimed,
+        "verified": len(t.ideals),
+    }
+
+
+# the keys lists_to_dict writes, in dump order
+_LISTS_KEYS = ["U", "V", "claimed", "e", "ideals", "n", "p", "verified"]
 
 
 def _json_loads(text: str):
@@ -768,3 +822,20 @@ def _json_loads(text: str):
 
 def loads_circuit(text: str) -> Circuit:
     return circuit_from_dict(_json_loads(text))
+
+
+def loads_lists(text: str) -> tuple:
+    """(field, n, U, V, each ideal's generators, digest) of a lists file, "e"
+    defaulting to 1; every list is checked before the header's field is
+    built. The digest hashes text as it stands when it is the canonical dump
+    in lists_to_dict's layout, else the whole object re-encoded."""
+    obj = _json_loads(text)
+    p, e, n = _header_from_json({"e": 1, **obj} if type(obj) is dict else obj)
+    if type(obj["ideals"]) is not list:
+        raise ValueError('"ideals" must be an array')
+    named = {'"U"': obj["U"], '"V"': obj["V"]}
+    named.update((f"ideals[{i}]", g) for i, g in enumerate(obj["ideals"]))
+    lists = [_vectors_from_json(p, e, n, vectors, name) for name, vectors in named.items()]
+    field = field_make(p, e)
+    u, v, *gens = [tuple(_forms_from_vectors(field, vectors)) for vectors in lists]
+    return field, n, u, v, gens, _digest(_canonical_text(text, _LISTS_KEYS) or dumps_json(obj))

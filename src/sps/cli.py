@@ -7,6 +7,8 @@ reported only on stderr. A command returns 0 or raises what failed, and main
 alone turns that into an exit code (sps.errors): 1 a checked property is
 false (VerificationError), 2 usage, I/O, malformed input or a budget refusal,
 3 a proven bound was violated (BoundViolationError, the falsification signal).
+sps.circuit defines both file formats and both digests; this module reads
+argv and files and assembles reports.
 """
 
 from __future__ import annotations
@@ -14,31 +16,26 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import math
-import re
 import sys
 import time
 from dataclasses import asdict
 
-from .algebra import field_make
 from .chain import build_chain, chain_length_bound
 from .circuit import (
     MAX_TRIALS,
     Circuit,
     ZeroOracle,
-    _dumps,
-    _form_to_json,
-    _forms_from_vectors,
-    _header_from_json,
-    _json_loads,
-    _json_number,
-    _vectors_from_json,
+    circuit_digest,
     circuit_rank,
     circuit_to_dict,
     dumps_circuit,
+    dumps_json,
     is_simple,
+    json_number,
+    lists_to_dict,
     loads_circuit,
+    loads_lists,
 )
 from .errors import BoundViolationError, BudgetExceededError, VerificationError
 from .families import (
@@ -53,7 +50,7 @@ from .quotient import FormIdeal
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
+    sys.stdout.write(dumps_json(obj) + "\n")
 
 
 def _note(msg: str) -> None:
@@ -75,48 +72,11 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-_BETWEEN_KEYS = re.compile(r'[0-9\[\],{}:]*')  # one loop, keeps no backtracking state
-
-
-def _canonical_text(text: str, keys) -> str | None:
-    """text, but for one final newline, when it is already the canonical
-    dump (_dumps) of the JSON it holds, given the keys that dump writes, in
-    order; None when it may not be. It is when it is ASCII, its quoted
-    strings are those keys, and every letter lies inside one: outside them
-    there are only digits, brackets, braces, commas and colons, so no
-    whitespace, sign, point, exponent or literal."""
-    text = text[:-1] if text.endswith("\n") else text
-    parts = text.split('"')
-    if text.isascii() and parts[1::2] == keys and all(map(_BETWEEN_KEYS.fullmatch, parts[::2])):
-        return text
-    return None
-
-
-def _dump_keys(obj) -> list:
-    """The keys a sorted-key dump of obj writes, in order, descending into
-    objects held by objects; a text with a key inside an array is not taken
-    as canonical by _canonical_text, so it is re-encoded."""
-    keys = []
-    for key in sorted(obj):
-        keys.append(key)
-        if type(obj[key]) is dict:
-            keys += _dump_keys(obj[key])
-    return keys
-
-
 def _load_circuit(path: str) -> tuple[Circuit, str]:
-    """The circuit in a file ("-": stdin) and the digest of its canonical
-    dump: of the text itself when it is canonical (_canonical_text), which
-    the dump's keys decide, since the loader has checked every value as an
-    int; any other text is re-encoded."""
+    """The circuit in a file ("-": stdin) and its digest (circuit_digest)."""
     text = _read_text(path)
     circuit = loads_circuit(text)
-    keys = ["e", "n", "p", "terms", *["coef", "forms"] * circuit.k]
-    return circuit, _digest(_canonical_text(text, keys) or dumps_circuit(circuit))
+    return circuit, circuit_digest(text, circuit)
 
 
 def _int_in(name: str, low: int, high: int | None = None):
@@ -161,19 +121,7 @@ def cmd_gen(args) -> int:
         text = dumps_circuit(gen_family(args.r, args.i)) + "\n"
     elif args.family == "tight":
         t = gen_tight_lists(args.s, args.p)
-        obj = {
-            "p": t.field.p,
-            "e": t.field.e,
-            "n": t.n,
-            "U": [_form_to_json(f) for f in t.u],
-            "V": [_form_to_json(f) for f in t.v],
-            "ideals": [
-                [_form_to_json(g) for g in ideal.generators] for ideal in t.ideals
-            ],
-            "claimed": t.claimed,
-            "verified": len(t.ideals),
-        }
-        text = _dumps(obj) + "\n"
+        text = dumps_json(lists_to_dict(t)) + "\n"
         _note(f"tight lists s={args.s}: {len(t.ideals)} of {t.claimed} "
               "claimed matchings verified")
     else:  # counter
@@ -183,7 +131,7 @@ def cmd_gen(args) -> int:
         elif args.which == "nonminimal":
             text = dumps_circuit(nonminimal) + "\n"
         else:
-            text = _dumps([circuit_to_dict(nonsimple), circuit_to_dict(nonminimal)]) + "\n"
+            text = dumps_json([circuit_to_dict(nonsimple), circuit_to_dict(nonminimal)]) + "\n"
     _write_text(args.output, text)
     return 0
 
@@ -276,25 +224,15 @@ def cmd_match(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    text = _read_text(args.lists)
-    obj = _json_loads(text)
-    p, e, n = _header_from_json({"e": 1, **obj} if type(obj) is dict else obj)
-    if type(obj["ideals"]) is not list:
-        raise ValueError('"ideals" must be an array')
-    named = {'"U"': obj["U"], '"V"': obj["V"]}
-    named.update((f"ideals[{i}]", g) for i, g in enumerate(obj["ideals"]))
-    lists = [_vectors_from_json(p, e, n, vectors, name) for name, vectors in named.items()]
-    field = field_make(p, e)
-    u, v, *gens = [tuple(_forms_from_vectors(field, vectors)) for vectors in lists]
+    field, n, u, v, gens, digest = loads_lists(_read_text(args.lists))
     ideals = [FormIdeal(field, n, g) for g in gens]  # a bad generator: exit 2
     report = doubling_check(u, v, ideals)
     if args.trace:
         for line in report.transcript_lines():
             _note(line)
-    out = {"command": "doubling", "digest": _digest(_canonical_text(text, _dump_keys(obj))
-                                                    or _dumps(obj))}
+    out = {"command": "doubling", "digest": digest}
     out.update(asdict(report))
-    out["bound"] = _json_number(out["bound"])
+    out["bound"] = json_number(out["bound"])
     _emit(out)
     _note(f"doubling: verdict={report.verdict} r={report.r} d'={report.d_prime}")
     if report.verdict == "CONTRADICTION":
@@ -313,11 +251,11 @@ def cmd_bound(args) -> int:
             "command": "bound",
             "k": args.k,
             "d": args.d,
-            "m_bound": _json_number(m_bound),
-            "rank_bound": _json_number(rank_bound),
+            "m_bound": json_number(m_bound),
+            "rank_bound": json_number(rank_bound),
         }
     )
-    _note(f"m <= {_json_number(m_bound)}, rank <= {_json_number(rank_bound)}")
+    _note(f"m <= {json_number(m_bound)}, rank <= {json_number(rank_bound)}")
     return 0
 
 

@@ -18,7 +18,8 @@ from sps import (
     Circuit, DoublingReport, Field, SpanBasis, ZeroOracle, build_chain, dumps_circuit,
     field_make, gen_family, gen_joined, gen_ks, loads_circuit, make_circuit,
 )
-from sps.cli import _build_parser, _digest, _load_circuit, main
+from sps.circuit import _digest
+from sps.cli import _build_parser, _load_circuit, main
 from sps.errors import BoundViolationError
 import sps.circuit
 import sps.cli
@@ -754,6 +755,32 @@ def test_doubling_rejects_non_integer_json(tmp_path, capsys):
     assert "error" in err
 
 
+def _embedded(vectors, e):
+    """Prime-field vectors over GF(p^e): each element c as [c, 0, ..., 0]."""
+    return [[[c] + [0] * (e - 1) for c in vec] for vec in vectors]
+
+
+@pytest.mark.parametrize("s, p, e", [(4, 5, 2), (5, 5, 2), (4, 7, 2), (6, 5, 3)])
+def test_doubling_over_an_extension_field_matches_the_prime_field(s, p, e, tmp_path, capsys):
+    # gen tight's lists embedded into GF(p^e) give the prime-field report
+    # field for field, but for the digest
+    path = _gen_file(tmp_path, capsys, ["tight", "--s", str(s), "--p", str(p)], "tight.json")
+    code, out, _ = run_cli(["doubling", "--lists", path], capsys)
+    assert code == 0
+    prime = json.loads(out)
+    obj = json.loads((tmp_path / "tight.json").read_text())
+    lifted = {**obj, "e": e, "U": _embedded(obj["U"], e), "V": _embedded(obj["V"], e),
+              "ideals": [_embedded(g, e) for g in obj["ideals"]]}
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps(lifted))
+    code, out, _ = run_cli(["doubling", "--lists", str(ext)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == prime["verdict"] == "BOUND_OK"
+    assert report["digest"] != prime["digest"]
+    assert {**report, "digest": None} == {**prime, "digest": None}
+
+
 # GF(997^2)'s log, antilog and Zech tables take seconds to build
 _LENGTH_2 = "extension elements serialize as length-2 arrays"
 
@@ -1195,7 +1222,7 @@ def test_canonical_texts_are_hashed_without_reencoding(monkeypatch):
     circuits = [gen_ks(5), random_circuit(rng, field_make(5), 3, 3, 2),
                 random_circuit(rng, field_make(3, 2), 3, 3, 2)]
     calls = []
-    monkeypatch.setattr(sps.cli, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
+    monkeypatch.setattr(sps.circuit, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
     for c in circuits:
         text = dumps_circuit(c)
         assert _stdin_digest(text) == _stdin_digest(text + "\n") == _digest(text)
@@ -1208,22 +1235,27 @@ def test_canonical_texts_are_hashed_without_reencoding(monkeypatch):
 
 def test_doubling_digest_is_that_of_the_canonical_lists_dump(tmp_path, capsys, monkeypatch):
     # doubling hashes its lists text as it stands when it is the canonical
-    # dump, the rule check, chain and match use; "claimed" and "verified"
-    # are checked by nothing, so a 1e5 or a true there must be re-encoded
+    # dump in gen tight's layout; "claimed" and "verified" are checked by
+    # nothing, so a 1e5 or a true there must be re-encoded, and so must a
+    # canonical dump in another layout: without "e", or with an extra key
     path = tmp_path / "tight5.json"
     assert run_cli(["gen", "tight", "--s", "5", "-o", str(path)], capsys)[0] == 0
     text = path.read_text()
     obj = json.loads(text)
     claimed = '"claimed":%d' % obj["claimed"]
+    dumps = sps.circuit.dumps_json
     variants = {
         "canonical": text,
         "padded": json.dumps(obj, indent=1, sort_keys=True) + "\n",
         "1e5": text.replace(claimed, '"claimed":1e5'),
         "true": text.replace(claimed, '"claimed":true'),
+        "no-e": dumps({key: value for key, value in obj.items() if key != "e"}) + "\n",
+        "extra-key": dumps({**obj, "x": 1}) + "\n",
     }
+    assert all(variants[name] == dumps(json.loads(variants[name])) + "\n"
+               for name in ("canonical", "no-e", "extra-key"))
     lists_dumps = []
-    dumps = sps.cli._dumps
-    monkeypatch.setattr(sps.cli, "_dumps",
+    monkeypatch.setattr(sps.circuit, "dumps_json",
                         lambda o: lists_dumps.append("U" in o) or dumps(o))
     for name, variant in variants.items():
         assert variant != text or name == "canonical"
@@ -1252,7 +1284,7 @@ _KS3 = dumps_circuit(gen_ks(3))
         "extra-key", "e-in-term", "float"])
 def test_each_near_canonical_class_is_reencoded(text, tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(sps.cli, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
+    monkeypatch.setattr(sps.circuit, "dumps_circuit", lambda c: calls.append(c) or dumps_circuit(c))
     path = tmp_path / "ks3.json"
     path.write_text(text + "\n")
     code, out, _ = run_cli(["check", "--exact", str(path)], capsys)

@@ -371,3 +371,16 @@ def test_every_exception_type_has_one_base():
              and obj.__module__.startswith("sps.")}
     assert {t.__name__ for t in types} >= {"OracleRefusalError", "VerificationError"}
     assert [t.__name__ for t in types if len(t.__bases__) != 1] == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a module reaches another only through its public names: a name with a
+    # leading underscore stays behind its own module (attribute reads such
+    # as LinearForm._wrap are another matter)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}: {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
