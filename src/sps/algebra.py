@@ -520,19 +520,26 @@ class SpanBasis:
     @classmethod
     def from_vectors(cls, field: Field, n: int, vectors) -> "SpanBasis":
         """The insertions of vectors in order, each vector eliminated by the
-        rows so far and none of them recorded. Once the rank is n, the later
-        vectors are only checked for length, all in one pass."""
-        basis = cls(field, n)
+        rows so far and none of them recorded."""
+        return cls(field, n).appended(vectors)
+
+    def appended(self, vectors) -> "SpanBasis":
+        """A new basis: this one's rows and sources, then the insertions of
+        vectors in order as ``from_vectors`` makes them, so only the new
+        vectors are eliminated. Once the rank is n, the later vectors are
+        only checked for length, all in one pass."""
+        basis = SpanBasis(self.field, self.n)
+        basis.sparse_rows, basis.sources = self.sparse_rows, self.sources
         vectors = iter(vectors)
         for v in vectors:
             basis._check(v)
-            if len(basis.sparse_rows) == n:
+            if len(basis.sparse_rows) == self.n:
                 break
-            [(_, rest)] = eliminate(field, basis.sparse_rows, (v,))
+            [(_, rest)] = eliminate(self.field, basis.sparse_rows, (v,))
             basis._append(v, rest)
-        bad = set(map(len, vectors)) - {n}  # of the vectors left at full rank
+        bad = set(map(len, vectors)) - {self.n}  # of the vectors left at full rank
         if bad:
-            raise ValueError(f"vector has dimension {min(bad)}, basis ambient is {n}")
+            raise ValueError(f"vector has dimension {min(bad)}, basis ambient is {self.n}")
         return basis
 
     @property

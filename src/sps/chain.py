@@ -32,7 +32,7 @@ from .circuit import (
     json_number,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import LinearForm, pair_common, pair_is_zero_mod
+from .forms import pair_common, pair_is_zero_mod
 from .matching import OrderedMatching, split_term
 from .quotient import FormIdeal, is_zero_mod, reductions
 
@@ -129,17 +129,22 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     build_chain's, which checked its preconditions before the first round and
     starts a round only while some form lies outside sp(S) (asserted). Each
     iteration picks the first remaining form outside sp(S u I) (terms in
-    index order, forms in list order), extends I by it, and reduces each
-    remaining form of the other survivors once mod I (the pick's term dies
-    unreduced): a term survives iff no form lies in sp(I), and the
-    survivors' class keys give the gcd pairing (forms.pair_common) folded
-    into the accumulated V / V_q lists. The round stops when the surviving
-    fanin is 2 or when every leftover form lies in sp(S u I). One record
-    per form of V and of each V_q under the final I (the last iteration's,
-    or one new reduction filled in after the loop), held per term by
-    position, places V (trimmed from sp(S u I) \\ sp(I), else kept in sp(I)
-    or outside sp(S u I), read by one SpanBasis.outside query) and derives
-    and checks the final matchings' edges. The final I's first j echelon
+    index order, forms in list order) and extends I by it
+    (FormIdeal.extended eliminates the new generator alone). The pick's
+    term dies unreduced. Every form of each other survivor has one record
+    mod I, held per term by position: the first iteration reduces each form
+    once (quotient.reductions, which stops at a term's first form in sp(I)),
+    and each later one extends the records by I's new row alone
+    (FormIdeal.carry), paired forms included. A term survives iff none of
+    its remaining forms lies in sp(I), and the survivors' class keys of
+    those forms give the gcd pairing (forms.pair_common) folded into the
+    accumulated V / V_q lists. The round stops when the surviving fanin is
+    2 or when every leftover form lies in sp(S u I). The records under the
+    final I (the survivors' carried ones, and one reduction after the loop
+    for each form of V whose term died after it was paired) place V
+    (trimmed from sp(S u I) \\ sp(I), else kept in sp(I) or outside
+    sp(S u I), read by one SpanBasis.outside query) and derive and check
+    the final matchings' edges. The final I's first j echelon
     rows are the rows of iteration j's ideal, so a slot paired at iteration
     j gets the same (c, level) as it would under that ideal. A two-term
     residual is decided exactly from its forms' records
@@ -166,9 +171,9 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     n = circuit.n
     survivors = list(range(circuit.k))
     remaining = {q: list(range(circuit.terms[q].degree)) for q in survivors}
-    gens: list[LinearForm] = []
     v_slots: list[tuple[int, int]] = []  # (term, position) of V's forms
     vq_pos: dict[int, list[int]] = {q: [] for q in survivors}
+    ideal = None
 
     def first_unspanned():
         for q in survivors:
@@ -181,26 +186,26 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     ell = first_unspanned()
     assert ell is not None, "build_chain starts a round only for a form outside sp(S)"
     while ell is not None:
-        before = len(v_slots)  # the slots of V and of each V_q from earlier iterations
         owner, form = ell
-        gens.append(form)
         su_span.insert(form.coeffs)
-        ideal = FormIdeal(field, n, gens)
-
-        recs = {}  # term -> position -> its reduction mod this ideal
-        for q in survivors:
-            if q == owner:  # form lies in sp(I): the owner term dies, unreduced
-                continue
-            rq = reductions([circuit.terms[q].forms[p] for p in remaining[q]], ideal)
-            if rq is not None:
-                recs[q] = dict(zip(remaining[q], rq))
-        if len(recs) < 2:
+        # term -> its forms' records mod this ideal, by position; form lies in
+        # sp(I), so the owner term dies unreduced
+        if ideal is None:
+            ideal = FormIdeal(field, n, (form,))
+            recs = {q: reductions(circuit.terms[q].forms, ideal)
+                    for q in survivors if q != owner}
+        else:
+            ideal = ideal.extended(form)
+            recs = {q: ideal.carry(recs[q]) for q in survivors if q != owner}
+        keys = {q: [rq[p].key for p in remaining[q]] for q, rq in recs.items() if rq}
+        survivors = [q for q, kq in keys.items() if None not in kq]
+        if len(survivors) < 2:
             raise VerificationError(
                 "fewer than two terms survived; the input cannot be an identity"
             )
-        survivors = list(recs)
+        recs = {q: recs[q] for q in survivors}
 
-        positions, sigmas = pair_common([[x.key for x in rq.values()] for rq in recs.values()])
+        positions, sigmas = pair_common([keys[q] for q in survivors])
         first = survivors[0]
         v_slots.extend((first, remaining[first][p]) for p in positions[0])
         for q, pos_list, sigma in zip(survivors, positions, sigmas):
@@ -220,11 +225,10 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
             break
         ell = first_unspanned()
 
-    # the final ideal's records of the forms paired at earlier iterations
-    missing = dict.fromkeys([*v_slots[:before],
-                             *((q, p) for q in survivors for p in vq_pos[q][:before])])
-    forms = [circuit.terms[q].forms[pos] for q, pos in missing]
-    for (q, pos), rec in zip(missing, ideal.reductions(forms)):
+    # the final ideal's records of V's forms whose term died after pairing them
+    died = [(q, pos) for q, pos in v_slots if q not in recs]
+    forms = [circuit.terms[q].forms[pos] for q, pos in died]
+    for (q, pos), rec in zip(died, ideal.reductions(forms)):
         recs.setdefault(q, {})[pos] = rec
 
     outside = su_span.outside([circuit.terms[q].forms[pos].coeffs for q, pos in v_slots])

@@ -5,15 +5,16 @@ A form-ideal is generated by linearly independent nonzero linear forms; the
 quotient by it is again a polynomial ring, so reduction is plain Gaussian
 elimination on coefficient vectors and products of forms factor uniquely
 modulo the ideal. The ideal is its generators plus the ``SpanBasis`` that
-``SpanBasis.from_vectors`` builds from them in order, so its first j rows
+``SpanBasis.appended`` builds from them in order, so its first j rows
 span the first j generators and one elimination pass writes a form in
 coordinates over every generator prefix at once: ``FormIdeal.reduction``,
 the one record of a form modulo the ideal that every later decision about
 the form reads; ``FormIdeal.reductions`` gives the records of a whole form
-list from one elimination call. A linear factor q of a circuit is a form
-with C = 0 mod (q), tested by reduction modulo the one-generator ideal. The
-zero ideal is the same type with no generators, and every operation treats
-it uniformly as "span is {0}".
+list from one elimination call, and ``FormIdeal.carry`` brings them up to
+date by one row when ``FormIdeal.extended`` appends a generator. A linear
+factor q of a circuit is a form with C = 0 mod (q), tested by reduction
+modulo the one-generator ideal. The zero ideal is the same type with no
+generators, and every operation treats it uniformly as "span is {0}".
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ FACTOR_BUDGET = 1_000_000
 
 class FormIdeal:
     """Ordered form-ideal: its generators and their span, built by
-    ``SpanBasis.from_vectors`` and so keeping no running remainder.
+    ``SpanBasis.appended`` and so keeping no running remainder.
 
     Row j is generator j with the earlier rows' pivots cleared and its own
     pivot (first nonzero column) scaled to 1, so the first j rows span
@@ -40,6 +41,9 @@ class FormIdeal:
     the representative that is zero at their pivots, a set fixed by the
     span alone, so it equals reduction by any echelon basis of prefix(j).
     ``reductions`` computes records afresh on every call and keeps none.
+    ``extended`` appends one generator on the rows already built, and
+    ``carry`` brings records mod the ideal without its last generator up to
+    date by that generator's row alone.
     Generators must be nonzero and linearly independent; an empty generator
     list is the distinguished zero ideal.
     """
@@ -47,15 +51,27 @@ class FormIdeal:
     __slots__ = ("field", "n", "generators", "span")
 
     def __init__(self, field: Field, n: int, generators):
-        self.field = field
-        self.n = n
-        self.generators = tuple(generators)
-        for g in self.generators:
-            if not isinstance(g, LinearForm) or g.field != field or g.n != n:
+        self.field, self.n, self.generators, self.span = field, n, (), SpanBasis(field, n)
+        self._add(tuple(generators))
+
+    def extended(self, g: LinearForm) -> "FormIdeal":
+        """The ideal with g appended to the generators, as the constructor
+        builds it from them all but on this ideal's rows: g alone is
+        checked and eliminated."""
+        ideal = object.__new__(FormIdeal)
+        for name in self.__slots__:
+            setattr(ideal, name, getattr(self, name))
+        ideal._add((g,))
+        return ideal
+
+    def _add(self, generators: tuple):
+        for g in generators:
+            if not isinstance(g, LinearForm) or g.field != self.field or g.n != self.n:
                 raise ValueError("generators must be forms over the ideal's space")
             if g.is_zero:
                 raise ValueError("ideal generators must be nonzero")
-        self.span = SpanBasis.from_vectors(field, n, (g.coeffs for g in self.generators))
+        self.generators += generators
+        self.span = self.span.appended(g.coeffs for g in generators)
         if self.span.rank < self.r:
             raise ValueError("ideal generators must be linearly independent")
 
@@ -74,6 +90,30 @@ class FormIdeal:
         field = self.field
         return reduction_records(field, eliminate(field, self.span.sparse_rows,
                                                   (f.coeffs for f in forms)))
+
+    def carry(self, records) -> list:
+        """The records mod this ideal of the forms whose records mod the ideal
+        of its first r - 1 generators are given, in order, as ``reductions``
+        would yield them: each is extended by the last row alone, which is
+        zero at the earlier pivots. A record whose rest is 0 at that row's
+        pivot is returned itself, rest, key and lead unchanged. Every
+        record's a list is extended in place, so no given record still reads
+        as a record mod the smaller ideal."""
+        sub, mul = self.field.sub, self.field.mul
+        piv, entries = self.span.sparse_rows[-1]
+        out, moved = list(records), {}  # position -> (a, rest) of a record the row moves
+        for i, rec in enumerate(out):
+            c = rec.rest[piv]
+            rec.a.append(c)
+            if c:
+                rest = list(rec.rest)
+                rest[piv] = 0
+                for j, x in entries:
+                    rest[j] = sub(rest[j], mul(c, x))
+                moved[i] = rec.a, rest
+        for i, rec in zip(moved, reduction_records(self.field, moved.values())):
+            out[i] = rec
+        return out
 
     def reduction(self, f: LinearForm) -> Reduction:
         """f's record, as ``reductions`` gives it."""

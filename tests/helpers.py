@@ -10,8 +10,10 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import sps.algebra
 import sps.circuit
 import sps.matching
+import sps.quotient
 from sps import (
     Circuit,
     FormIdeal,
@@ -19,9 +21,12 @@ from sps import (
     SpanBasis,
     Term,
     VerificationError,
+    build_chain,
     field_make,
     find_matching,
     gcd_data,
+    gen_family,
+    gen_ks,
     similar,
     spans_orthogonal,
     subcircuit,
@@ -576,6 +581,40 @@ def counting_eliminate(record):
         return eliminate(field, rows, read())
 
     return counted
+
+
+def chain_work(circuit):
+    """The row applications of build_chain(circuit), per kernel: for each
+    vector eliminate reads in sps.algebra, sps.quotient or sps.matching, the
+    rows it meets, and one per record FormIdeal.carry extends. The kernels
+    are patched and restored here, with no pytest fixture, so that a
+    subprocess can count as well."""
+    counts = Counter()
+    modules = (sps.algebra, sps.quotient, sps.matching)
+    kernels, carry = [m.eliminate for m in modules], FormIdeal.carry
+
+    def record(rows, v):
+        counts["eliminate"] += len(rows)
+
+    def counted_carry(ideal, records):
+        counts["carry"] += len(records)
+        return carry(ideal, records)
+
+    try:
+        for m in modules:
+            m.eliminate = counting_eliminate(record)
+        FormIdeal.carry = counted_carry
+        build_chain(circuit)
+    finally:
+        for m, kernel in zip(modules, kernels):
+            m.eliminate = kernel
+        FormIdeal.carry = carry
+    return {"eliminate": counts["eliminate"], "carry": counts["carry"]}
+
+
+def pinned_chain_work():
+    """chain_work on fresh copies of the two circuits whose counts are pinned."""
+    return {"ks9": chain_work(gen_ks(9)), "family-4-3": chain_work(gen_family(4, 3))}
 
 
 def spy_edge_passes(monkeypatch):

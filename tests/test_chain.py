@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -326,6 +331,13 @@ PINNED_ROUND_CERTIFICATES = {
     "vp-5^1": "ea5b32bc3d356636",
     "vp-2^3": "c22255076123d16b",
     "vp-3^2": "f8628aeb76daaec6",
+    # recorded when each iteration of a round still reduced every remaining
+    # form afresh; each round of these holds 2 or 3 generators
+    "vp-5^1-j1": "9d076fa31bb63a22",
+    "vp-5^1-j2": "e3615d50d15af072",
+    "vp-7^1-j1": "192622a5bc6d94ba",
+    "vp-2^3-j1": "a27035578b1bd05b",
+    "vp-3^2-j1": "7f891253f3ed553e",
 }
 
 
@@ -339,6 +351,11 @@ def pinned_chains():
     for p, e in ((5, 1), (2, 3), (3, 2)):  # the densified vanishing-product identities
         obj = bench.change_variables(bench.vanishing_identity(p, e), random.Random(1))
         cases[f"vp-{p}^{e}"] = lambda obj=obj: loads_circuit(bench.canon(obj))
+    # densified joins, as check-exact draws them: odd characteristic and
+    # rounds of several iterations, so carried records with leads other than 1
+    for p, e, j in ((5, 1, 1), (5, 1, 2), (7, 1, 1), (2, 3, 1), (3, 2, 1)):
+        obj = bench.change_variables(bench.joined_identity(sps, p, e, j), random.Random(1))
+        cases[f"vp-{p}^{e}-j{j}"] = lambda obj=obj: loads_circuit(bench.canon(obj))
     return {name: build_chain(make()) for name, make in cases.items()}
 
 
@@ -488,19 +505,44 @@ PINNED_ROUND_FACTS = {
 }
 
 
+def _spy_record_steps(monkeypatch, on_step):
+    """Patch a round's two record steps, the first iteration's
+    quotient.reductions and each later iteration's FormIdeal.carry, to call
+    on_step(kind, ideal, forms, records) as each returns, where forms are
+    the forms whose records the step took (the first step's forms, followed
+    through every carry) and records is what it returned."""
+    form_of = {}  # id of a record a step returned -> its form
+    reductions, carry = sps.chain.reductions, FormIdeal.carry
+
+    def spied_reductions(forms, ideal):
+        forms = list(forms)
+        out = reductions(forms, ideal)
+        on_step("reductions", ideal, forms, out)
+        form_of.update(zip(map(id, out or ()), forms))
+        return out
+
+    def spied_carry(ideal, records):
+        forms = [form_of[id(rec)] for rec in records]
+        out = carry(ideal, records)
+        on_step("carry", ideal, forms, out)
+        form_of.update(zip(map(id, out), forms))
+        return out
+
+    monkeypatch.setattr(sps.chain, "reductions", spied_reductions)
+    monkeypatch.setattr(FormIdeal, "carry", spied_carry)
+
+
 def test_rounds_never_reduce_the_term_that_owns_the_picked_form(monkeypatch):
     # the picked form lies in sp(I), so its term dies in that iteration and
-    # none of its forms is reduced; the rounds stay those pinned above. The
-    # circuits are reloaded so that no form object is shared by two terms
-    calls = []
-    original = sps.chain.reductions
-
-    def spied(forms, ideal):
-        forms = list(forms)
-        calls.append((forms, ideal.generators[-1]))
-        return original(forms, ideal)
-
-    monkeypatch.setattr(sps.chain, "reductions", spied)
+    # none of its forms is reduced: neither by the first iteration's
+    # reductions nor by a later one's FormIdeal.carry, each call of which
+    # takes the records of one other term's forms. The rounds stay those
+    # pinned above. The circuits are reloaded so that no form object is
+    # shared by two terms
+    calls = []  # per record step: its kind, the terms of its forms, the picked form
+    _spy_record_steps(monkeypatch, lambda kind, ideal, forms, out: calls.append(
+        (kind, {term_of[id(f)] for f in forms}, ideal.generators[-1])))
+    carried = 0
     cases = {f"ks{r}": gen_ks(r) for r in range(3, 10)}
     for r in (3, 4):
         for i in (1, 2, 3):
@@ -513,12 +555,72 @@ def test_rounds_never_reduce_the_term_that_owns_the_picked_form(monkeypatch):
         calls.clear()
         chain = build_chain(circuit)
         assert calls, name
-        for forms, picked in calls:
-            terms = {term_of[id(f)] for f in forms}
+        for kind, terms, picked in calls:
             assert len(terms) == 1 and term_of[id(picked)] not in terms, name
+        carried += sum(kind == "carry" for kind, _, _ in calls)
         text = repr([_round_facts(link.ideal, link.mdata) for link in chain.links])
         digests[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digests == PINNED_ROUND_FACTS
+    assert carried  # some rounds ran several iterations
+
+
+def test_carried_records_equal_fresh_reductions(pinned_chains, monkeypatch):
+    # at every iteration of every round of the pinned corpus, the ideal built
+    # on the previous one's rows is the constructor's, and each term's
+    # carried records are the ones a fresh elimination gives, field for
+    # field (a list and a tuple differ, so the rest's type is compared too)
+    extended = FormIdeal.extended
+    ideals, checked = [], Counter()
+
+    def spied_extended(ideal, g):
+        got = extended(ideal, g)
+        want = FormIdeal(ideal.field, ideal.n, ideal.generators + (g,))
+        assert got.generators == want.generators
+        assert got.span.sparse_rows == want.span.sparse_rows
+        assert got.span.sources == want.span.sources
+        assert got == want and hash(got) == hash(want)
+        ideals.append(got)
+        return got
+
+    def compare(kind, ideal, forms, out):
+        if out is not None:
+            fresh = list(FormIdeal(ideal.field, ideal.n, ideal.generators).reductions(forms))
+            assert list(out) == fresh
+            checked[kind] += len(fresh)
+            if kind == "carry":
+                checked["lead not 1"] += sum(rec.lead not in (None, 1) for rec in fresh)
+
+    monkeypatch.setattr(FormIdeal, "extended", spied_extended)
+    _spy_record_steps(monkeypatch, compare)
+    for name, chain in pinned_chains.items():
+        got = build_chain(chain.circuit)
+        assert got.trace_rounds() == chain.trace_rounds(), name
+    assert len(ideals) > 30 and checked["carry"] > 500 and checked["reductions"] > 1000
+    # the joins over odd characteristic and extension fields carry records
+    # whose key is their rest scaled, lead != 1
+    assert checked["lead not 1"] > 50
+
+
+# build_chain's row applications per kernel (helpers.chain_work), recorded
+# when each iteration of a round first carried its records by one row
+PINNED_CHAIN_WORK = {
+    "ks9": {"eliminate": 5377, "carry": 0},
+    "family-4-3": {"eliminate": 942, "carry": 576},
+}
+
+
+def test_chain_work_pinned():
+    # a round that reduced its forms afresh at each iteration, or rebuilt
+    # its ideal from every generator, would move these counts; they are the
+    # same under two hash seeds
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(Path(sps.__file__).resolve().parent.parent)])
+    code = "import json, helpers; print(json.dumps(helpers.pinned_chain_work()))"
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert json.loads(run.stdout) == PINNED_CHAIN_WORK
 
 
 def _count_span_rows(monkeypatch, skip=None):
@@ -556,9 +658,9 @@ def test_k3_rounds_run_on_remainders_and_factorization_alone(pinned_chains, monk
 
 def test_build_chain_makes_no_membership_test(monkeypatch):
     # no membership test from scratch: each distinct form meets each row of
-    # the chain's span at most once. Besides, each iteration's ideal builds
-    # a span of its own from its j generators (j(j - 1) / 2 rows), and the
-    # exact oracle's coordinates are over the circuit's cached form basis
+    # the chain's span at most once. Besides, iteration j's ideal eliminates
+    # its new generator by the j - 1 rows before it, and the exact oracle's
+    # coordinates are over the circuit's cached form basis
     for circuit in (gen_ks(6), gen_family(3, 2)):
         want = build_chain(circuit)
         with monkeypatch.context() as patched:
@@ -566,7 +668,7 @@ def test_build_chain_makes_no_membership_test(monkeypatch):
             got = build_chain(circuit)
         assert (got.trace_rounds(), got.summary()) == (want.trace_rounds(), want.summary())
         distinct = len({f.coeffs for f in circuit.all_forms()})
-        ideals = sum(j * (j - 1) // 2 for link in got.links for j in range(1, link.ideal.r + 1))
+        ideals = sum(link.ideal.r * (link.ideal.r - 1) // 2 for link in got.links)
         assert sum(rows) <= distinct * got.rank + ideals
 
 

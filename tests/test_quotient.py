@@ -74,6 +74,29 @@ def test_form_ideal_invariants():
     assert z.reduce_prefix(z.r, LinearForm(F5, [1, 2])).coeffs == (1, 2)
 
 
+def test_extended_ideal_refuses_what_the_constructor_refuses():
+    # extending by one generator checks it as the constructor checks its
+    # whole generator list, with the same message; a full-rank ideal takes
+    # no further generator
+    base = ideal(F5, 3, [1, 0, 2], [0, 1, 1])
+    bad = {
+        "zero": LinearForm(F5, [0, 0, 0]),
+        "wrong field": LinearForm(F7, [0, 0, 1]),
+        "wrong dimension": LinearForm(F5, [0, 1]),
+        "dependent": LinearForm(F5, [2, 1, 0]),
+    }
+    for name, g in bad.items():
+        with pytest.raises(ValueError) as want:
+            FormIdeal(F5, 3, base.generators + (g,))
+        with pytest.raises(ValueError) as got:
+            base.extended(g)
+        assert str(got.value) == str(want.value), name
+    full = base.extended(LinearForm(F5, [0, 0, 1]))
+    with pytest.raises(ValueError, match="linearly independent"):
+        full.extended(LinearForm(F5, [1, 1, 1]))
+    assert base.r == 2 and full.r == 3 and full == ideal(F5, 3, [1, 0, 2], [0, 1, 1], [0, 0, 1])
+
+
 def test_form_ideal_span_is_its_echelon_basis():
     i = ideal(F5, 4, [0, 2, 1, 0], [1, 3, 0, 4], [0, 1, 0, 0])
     assert i.span is i.span
