@@ -47,12 +47,8 @@ from .forms import (
 from .matching import (
     DoublingReport,
     OrderedMatching,
-    compose,
-    disjoint_union,
     doubling_check,
     find_matching,
-    invert,
-    trivialize,
     unscramble,
 )
 from .quotient import (

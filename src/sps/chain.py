@@ -32,9 +32,9 @@ from .circuit import (
     json_number,
 )
 from .errors import BoundViolationError, VerificationError
-from .forms import pair_common, pair_is_zero_mod
+from .forms import pair_common
 from .matching import OrderedMatching, split_term
-from .quotient import FormIdeal, is_zero_mod, reductions
+from .quotient import FormIdeal, reductions, sum_is_zero_mod
 
 
 @dataclass
@@ -146,12 +146,11 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     sp(S u I), read by one SpanBasis.outside query) and derive and check
     the final matchings' edges. The final I's first j echelon
     rows are the rows of iteration j's ideal, so a slot paired at iteration
-    j gets the same (c, level) as it would under that ideal. A two-term
-    residual is decided exactly from its forms' records
-    (forms.pair_is_zero_mod, by unique factorization), with no oracle call;
-    a longer one goes to is_zero_mod and ZeroOracle(). Returns the useful
-    ideal and the verified matching data, whose q_set is the blocking
-    subset.
+    j gets the same (c, level) as it would under that ideal. The residual
+    is decided from its forms' records by quotient.sum_is_zero_mod: with
+    two terms exactly, by unique factorization and with no oracle call, and
+    with more under ZeroOracle(). Returns the useful ideal and the verified
+    matching data, whose q_set is the blocking subset.
 
     Checked here: at least two terms survive each iteration, the fanin-2
     stop leaves no form unmatched, and the residual is an identity mod I.
@@ -246,19 +245,16 @@ def single_round(circuit: Circuit, su_span: SpanBasis) -> tuple[FormIdeal, Match
     v_kept = tuple(circuit.terms[q].forms[pos] for q, pos in kept)
     v_recs = [recs[q][pos] for q, pos in kept]
     v_positions = {q: tuple(vq_pos[q][t] for t in keep) for q in survivors}
-    matchings, residual = {}, []  # per survivor: its residual term, its forms' records
+    matchings, residual = {}, []  # per survivor: its residual's constant, its forms' records
     for q in survivors:
         rq = recs[q]
         matchings[q], term = split_term(
             ideal, v_kept, circuit.terms[q], v_positions[q], range(len(keep)),
             (v_recs, [rq[pos] for pos in v_positions[q]]))
         taken = set(v_positions[q])
-        residual.append((term, [rq[p] for p in range(circuit.terms[q].degree) if p not in taken]))
-    if len(residual) == 2:  # exact, from the records of the residual's forms
-        zero = pair_is_zero_mod(field, [(t.coef, rest) for t, rest in residual])
-    else:
-        zero = is_zero_mod(Circuit(field, n, [t for t, _ in residual]), ideal)
-    if not zero:
+        residual.append((term.coef, [rq[p] for p in range(circuit.terms[q].degree)
+                                     if p not in taken]))
+    if not sum_is_zero_mod(field, n, residual):
         raise VerificationError("residual circuit is not an identity mod the ideal")
 
     return ideal, MatchingData(tuple(survivors), v_positions, matchings,

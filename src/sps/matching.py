@@ -1,5 +1,5 @@
-"""Certified ideal matchings between form lists, their algebra, and the
-constructive doubling checker.
+"""Certified ideal matchings between form lists (built, checked, found,
+split off a term and unscrambled) and the constructive doubling checker.
 
 A matching between lists U and V by a form-ideal I is a position-level
 bijection where each image equals a nonzero multiple of its source plus an
@@ -22,7 +22,8 @@ the self-edge rule, a nonzero form matched to itself admitting (1, 0, True)
 alone, on the whole list at once. An instance that exists is a verified
 certificate (instances are immutable). ``doubling_check`` finds the matching
 by each ideal itself, with ``find_matching``, so no matching it uses needs
-its ideal, domain or codomain checked.
+its ideal, domain or codomain checked. An inverse, union or composite of
+matchings is a sigma given to ``build``, which certifies it afresh.
 """
 
 from __future__ import annotations
@@ -256,34 +257,6 @@ def split_term(ideal, u, term: Term, positions, sigma, reductions):
     return pi, Term(field, field.mul(pi.scaling_factor(), term.coef), rest)
 
 
-def invert(pi: OrderedMatching) -> OrderedMatching:
-    """Inverse matching; its scaling factor is the inverse scalar."""
-    return OrderedMatching.build(pi.ideal, pi.codomain, pi.domain, _inverse(pi.sigma))
-
-
-def disjoint_union(pi1: OrderedMatching, pi2: OrderedMatching) -> OrderedMatching:
-    """Concatenate two matchings by the same ordered ideal; sc multiplies."""
-    if pi1.ideal != pi2.ideal:
-        raise ValueError("disjoint union requires the same ordered ideal")
-    off = len(pi1)
-    return OrderedMatching.build(
-        pi1.ideal,
-        pi1.domain + pi2.domain,
-        pi1.codomain + pi2.codomain,
-        pi1.sigma + tuple(j + off for j in pi2.sigma),
-    )
-
-
-def compose(pi2: OrderedMatching, pi1: OrderedMatching) -> OrderedMatching:
-    """Composite matching pi2 . pi1 (pi1's codomain must be pi2's domain)."""
-    if pi1.ideal != pi2.ideal:
-        raise ValueError("composition requires the same ordered ideal")
-    if pi1.codomain != pi2.domain:
-        raise ValueError("composition requires codomain(pi1) == domain(pi2) as lists")
-    sigma = tuple(pi2.sigma[j] for j in pi1.sigma)
-    return OrderedMatching.build(pi1.ideal, pi1.domain, pi2.codomain, sigma)
-
-
 def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching:
     """Rearrange images so the given similar sublists are similar *under* the
     matching, leaving a valid matching on the complements.
@@ -324,26 +297,6 @@ def unscramble(pi: OrderedMatching, u_positions, v_positions) -> OrderedMatching
     if tuple(sigma) == pi.sigma:
         return pi
     return OrderedMatching.build(pi.ideal, pi.domain, pi.codomain, tuple(sigma))
-
-
-def trivialize(pi: OrderedMatching) -> OrderedMatching:
-    """Rearrange a matching between similar lists into per-edge similarities.
-
-    The result maps every form to a plain scalar multiple and keeps the same
-    scaling factor, which is what makes M(V) = sc(pi) * M(U) an exact
-    identity.
-    """
-    if not pi.is_ordered:
-        raise ValueError("trivialize requires an ordered matching")
-    if lists_similar(pi.domain, pi.codomain) is None:
-        raise ValueError("trivialize requires similar domain and codomain")
-    before = pi.scaling_factor()
-    out = unscramble(pi, range(len(pi)), range(len(pi)))
-    if any(e.level for e in out.edges):
-        raise VerificationError("trivialize left a non-similar edge")
-    if out.scaling_factor() != before:
-        raise VerificationError("trivialize changed the scaling factor")
-    return out
 
 
 # -- the doubling checker --

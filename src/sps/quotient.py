@@ -11,10 +11,11 @@ coordinates over every generator prefix at once: ``FormIdeal.reduction``,
 the one record of a form modulo the ideal that every later decision about
 the form reads; ``FormIdeal.reductions`` gives the records of a whole form
 list from one elimination call, and ``FormIdeal.carry`` brings them up to
-date by one row when ``FormIdeal.extended`` appends a generator. A linear
-factor q of a circuit is a form with C = 0 mod (q), tested by reduction
-modulo the one-generator ideal. The zero ideal is the same type with no
-generators, and every operation treats it uniformly as "span is {0}".
+date by one row when ``FormIdeal.extended`` appends a generator.
+``sum_is_zero_mod`` decides a sum of terms modulo the ideal from their
+forms' records. A linear factor q of a circuit is a form with C = 0 mod
+(q). The zero ideal is the same type with no generators, and every
+operation treats it uniformly as "span is {0}".
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import itertools
 from .algebra import Field, SpanBasis, eliminate
 from .circuit import Circuit, ZeroOracle
 from .errors import BudgetExceededError
-from .forms import LinearForm, Reduction, Term, pair_common, reduction_records
+from .forms import (LinearForm, Reduction, Term, pair_common, pair_is_zero_mod,
+                    reduction_records)
 from .matching import split_term
 
 FACTOR_BUDGET = 1_000_000
@@ -156,28 +158,29 @@ def reductions(forms, ideal: FormIdeal):
     return out
 
 
-def reduce_circuit(circuit: Circuit, ideal: FormIdeal):
-    """Rewrite every form by its reduced representative, dropping terms that
-    vanish. Returns None when all terms vanish (the reduction is literally 0);
-    otherwise the returned circuit is zero in R iff the input is zero mod the
-    ideal."""
-    field = circuit.field
-    new_terms = []
-    for t in circuit.terms:
-        recs = reductions(t.forms, ideal)
-        if recs is not None:
-            forms = [LinearForm._wrap(field, tuple(x.rest)) for x in recs]
-            new_terms.append(Term(field, t.coef, forms))
-    if not new_terms:
-        return None
-    return Circuit(field, circuit.n, new_terms)
+def sum_is_zero_mod(field: Field, n: int, terms) -> bool:
+    """Whether sum(c * M) is zero modulo an ideal I, for the terms given as a
+    list of (c, the records mod I of M's forms) pairs. A term with a form in
+    sp(I) (key None) vanishes. Up to two live terms are decided exactly from
+    the records (forms.pair_is_zero_mod, by unique factorization); three or
+    more go to ZeroOracle() on the live terms with each form rewritten by its
+    rest, a circuit that is zero iff the sum is zero mod I."""
+    if len(terms) > 2:
+        terms = [(c, recs) for c, recs in terms if all(x.key is not None for x in recs)]
+        if len(terms) > 2:
+            return ZeroOracle().is_zero(Circuit(field, n, [
+                Term(field, c, [LinearForm._wrap(field, tuple(x.rest)) for x in recs])
+                for c, recs in terms]))
+    if len(terms) == 2:
+        return pair_is_zero_mod(field, terms)
+    return not terms or any(x.key is None for x in terms[0][1])
 
 
 def is_zero_mod(circuit: Circuit, ideal: FormIdeal) -> bool:
-    """Whether the circuit is zero modulo the ideal, by ZeroOracle() on its
-    reduction."""
-    reduced = reduce_circuit(circuit, ideal)
-    return reduced is None or ZeroOracle().is_zero(reduced)
+    """Whether the circuit is zero modulo the ideal: sum_is_zero_mod on the
+    ideal's records of its forms."""
+    return sum_is_zero_mod(circuit.field, circuit.n,
+                           [(t.coef, list(ideal.reductions(t.forms))) for t in circuit.terms])
 
 
 def linear_factors(circuit: Circuit) -> tuple[LinearForm, ...]:
@@ -185,8 +188,9 @@ def linear_factors(circuit: Circuit) -> tuple[LinearForm, ...]:
     computed polynomial, without multiplicity.
 
     Enumerates every normalized candidate over the prime field ((p^n - 1) /
-    (p - 1) of them) and zero-tests the circuit reduced modulo the ideal (q)
-    (is_zero_mod, under ZeroOracle()).
+    (p - 1) of them) and tests the circuit modulo the ideal (q) (is_zero_mod):
+    a reduction with at most two live terms exactly, by unique factorization,
+    a longer one under ZeroOracle().
     The caller should check the circuit is nonzero first; on an identity the
     enumeration degenerates to every form.
     """

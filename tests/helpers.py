@@ -44,7 +44,7 @@ from sps.algebra import (
 from sps.circuit import _source_coordinates, form_basis
 from sps.forms import pair_by_key
 from sps.matching import MatchEdge
-from sps.quotient import is_zero_mod
+from sps.quotient import is_zero_mod, reductions
 
 
 def brute_expand(circuit):
@@ -162,6 +162,24 @@ def brute_product(field, n, forms, coef=None):
     """brute_expand of a single term."""
     c = field.one if coef is None else field.element(coef)
     return brute_expand(Circuit(field, n, [Term(field, c, list(forms))]))
+
+
+def reduce_circuit(circuit, ideal):
+    """Rewrite every form by its reduced representative, dropping terms that
+    vanish. Returns None when all terms vanish (the reduction is literally 0);
+    otherwise the returned circuit is zero in R iff the input is zero mod the
+    ideal. The reference that verdicts modulo an ideal are checked against,
+    through zero_test_exact."""
+    field = circuit.field
+    new_terms = []
+    for t in circuit.terms:
+        recs = reductions(t.forms, ideal)
+        if recs is not None:
+            forms = [LinearForm._wrap(field, tuple(x.rest)) for x in recs]
+            new_terms.append(Term(field, t.coef, forms))
+    if not new_terms:
+        return None
+    return Circuit(field, circuit.n, new_terms)
 
 
 def form_add(f, g):

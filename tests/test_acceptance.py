@@ -16,8 +16,6 @@ from sps import (
     build_chain,
     chain_length_bound,
     circuit_rank,
-    compose,
-    disjoint_union,
     doubling_check,
     field_make,
     find_matching,
@@ -26,17 +24,15 @@ from sps import (
     gen_intro_counterexamples,
     gen_ks,
     gen_tight_lists,
-    invert,
     is_minimal,
     is_simple,
     linear_factors,
     lists_similar,
     similarity_key,
     subcircuit,
-    trivialize,
+    unscramble,
     zero_test_exact,
 )
-from sps.quotient import reduce_circuit
 from helpers import (
     brute_expand,
     brute_product,
@@ -44,11 +40,12 @@ from helpers import (
     random_embedding,
     random_form,
     random_pair_identity,
+    reduce_circuit,
     substitute,
     tight_lists_orthogonal,
     verify_gcd_by_expansion,
 )
-from test_matching import random_ordered_matching
+from test_matching import composite, inverse, random_ordered_matching, union
 from test_quotient import _random_regular_instance
 
 F2 = field_make(2)
@@ -199,15 +196,15 @@ def test_criterion_5_matching_algebra():
     for t in range(200):
         pi1 = random_ordered_matching(rng, F5, n_max=6, size_max=8)
         sc1 = pi1.scaling_factor()
-        if F5.mul(sc1, invert(pi1).scaling_factor()) != 1:
+        if F5.mul(sc1, inverse(pi1).scaling_factor()) != 1:
             failures.append(f"#{t}: invert scaling")
         pi2 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, size_max=8)
-        if disjoint_union(pi1, pi2).scaling_factor() != F5.mul(
+        if union(pi1, pi2).scaling_factor() != F5.mul(
             sc1, pi2.scaling_factor()
         ):
             failures.append(f"#{t}: union scaling")
         pi3 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, domain=pi1.codomain)
-        if compose(pi3, pi1).scaling_factor() != F5.mul(sc1, pi3.scaling_factor()):
+        if composite(pi3, pi1).scaling_factor() != F5.mul(sc1, pi3.scaling_factor()):
             failures.append(f"#{t}: compose scaling")
 
     for t in range(100):
@@ -228,7 +225,9 @@ def test_criterion_5_matching_algebra():
             failures.append(f"sim #{t}: no matching found")
             continue
         sc = pi.scaling_factor()
-        out = trivialize(pi)
+        out = unscramble(pi, range(size), range(size))  # trivialized
+        if any(e.level for e in out.edges):
+            failures.append(f"sim #{t}: trivialize left a non-similar edge")
         if out.scaling_factor() != sc:
             failures.append(f"sim #{t}: trivialize changed sc")
         mu = brute_product(F5, n, u)

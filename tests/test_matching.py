@@ -14,16 +14,12 @@ from sps import (
     SpanBasis,
     Term,
     VerificationError,
-    compose,
-    disjoint_union,
     doubling_check,
     field_make,
     find_matching,
     gen_tight_lists,
-    invert,
     similar,
     similarity_key,
-    trivialize,
     unscramble,
 )
 from helpers import (
@@ -136,36 +132,59 @@ def test_scaling_factor_examples():
     assert pi2.scaling_factor() == 6
 
 
+def inverse(pi):
+    """pi's inverse matching, certified afresh: codomain to domain by sigma's
+    inverse."""
+    return OrderedMatching.build(pi.ideal, pi.codomain, pi.domain,
+                                 sorted(range(len(pi)), key=pi.sigma.__getitem__))
+
+
+def union(pi1, pi2):
+    """The concatenation of two matchings, certified afresh by pi1's ideal."""
+    return OrderedMatching.build(pi1.ideal, pi1.domain + pi2.domain,
+                                 pi1.codomain + pi2.codomain,
+                                 pi1.sigma + tuple(j + len(pi1) for j in pi2.sigma))
+
+
+def composite(pi2, pi1):
+    """pi2 after pi1 (pi1's codomain is pi2's domain), certified afresh."""
+    return OrderedMatching.build(pi1.ideal, pi1.domain, pi2.codomain,
+                                 [pi2.sigma[j] for j in pi1.sigma])
+
+
 def test_invert_union_compose_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
     pi = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [2, 0, 1]),), i3)
-    back = invert(pi)
+    back = inverse(pi)
     assert back.scaling_factor() == 3  # 2^-1 mod 5
 
     empty = OrderedMatching.build(i3, (), (), ())
-    assert disjoint_union(pi, empty).scaling_factor() == pi.scaling_factor()
+    assert union(pi, empty).scaling_factor() == pi.scaling_factor()
 
-    round_trip = compose(back, pi)
+    round_trip = composite(back, pi)
     assert round_trip.scaling_factor() == 1
     assert all(offset.is_zero for offset in offsets(round_trip))
 
-    with pytest.raises(ValueError):
-        disjoint_union(pi, find_matching((LinearForm(F5, [1, 0, 0]),),
-                                         (LinearForm(F5, [1, 0, 0]),),
-                                         ideal(F5, 3, [0, 1, 0])))
+    # a union is certified by one ideal: an edge that only another ideal
+    # certifies (x1 -> x1 + x2 by (x2)) is refused
+    other = find_matching((LinearForm(F5, [1, 0, 0]),), (LinearForm(F5, [1, 1, 0]),),
+                          ideal(F5, 3, [0, 1, 0]))
+    assert other is not None
+    with pytest.raises(VerificationError):
+        union(pi, other)
 
 
 def test_matching_algebra_random():
     rng = random.Random(2024)
     for _ in range(60):
         pi1 = random_ordered_matching(rng, F5)
-        assert F5.mul(pi1.scaling_factor(), invert(pi1).scaling_factor()) == 1
+        assert F5.mul(pi1.scaling_factor(), inverse(pi1).scaling_factor()) == 1
         pi2 = random_ordered_matching(rng, F5, ideal_=pi1.ideal)
-        assert disjoint_union(pi1, pi2).scaling_factor() == F5.mul(
+        assert union(pi1, pi2).scaling_factor() == F5.mul(
             pi1.scaling_factor(), pi2.scaling_factor()
         )
         pi3 = random_ordered_matching(rng, F5, ideal_=pi1.ideal, domain=pi1.codomain)
-        assert compose(pi3, pi1).scaling_factor() == F5.mul(
+        assert composite(pi3, pi1).scaling_factor() == F5.mul(
             pi1.scaling_factor(), pi3.scaling_factor()
         )
 
@@ -188,12 +207,21 @@ def test_unscramble_one_flip_example():
     assert out.codomain[out.sigma[0]] == x1
 
 
+def trivialized(pi):
+    """pi unscrambled toward its whole domain and codomain (lists that must be
+    similar), checked to be per-edge similarities of pi's scaling factor."""
+    out = unscramble(pi, range(len(pi)), range(len(pi)))
+    assert not any(e.level for e in out.edges)
+    assert out.scaling_factor() == pi.scaling_factor()
+    return out
+
+
 def test_trivialize_examples():
     i3 = ideal(F5, 3, [0, 0, 1])
     u = (LinearForm(F5, [1, 0, 0]),)
     v = (LinearForm(F5, [2, 0, 0]),)
     pi = find_matching(u, v, i3)
-    out = trivialize(pi)
+    out = trivialized(pi)
     assert out.sigma == pi.sigma and out.scaling_factor() == 2
 
     # non-similar lists: a matching exists by (x3) but cannot be trivialized
@@ -201,7 +229,7 @@ def test_trivialize_examples():
     pi_ns = find_matching(u, w, i3)
     assert pi_ns is not None
     with pytest.raises(ValueError):
-        trivialize(pi_ns)
+        trivialized(pi_ns)
 
 
 def test_constructor_refuses_a_zero_offset_at_a_higher_level():
@@ -212,7 +240,7 @@ def test_constructor_refuses_a_zero_offset_at_a_higher_level():
     assert built.edges[0].level == 0
     with pytest.raises(VerificationError):
         OrderedMatching(i1, u, v, (0,), (built.edges[0]._replace(level=1),))
-    assert trivialize(built).scaling_factor() == 2
+    assert trivialized(built).scaling_factor() == 2
 
 
 def test_trivialize_preserves_scaling_and_products():
@@ -229,7 +257,7 @@ def test_trivialize_preserves_scaling_and_products():
         pi = find_matching(u, v, ideal_)
         assert pi is not None
         sc = pi.scaling_factor()
-        out = trivialize(pi)
+        out = trivialized(pi)
         assert out.scaling_factor() == sc
         assert all(offset.is_zero for offset in offsets(out))
         # M(V) = sc * M(U) exactly, via the independent expansion oracle
@@ -484,8 +512,8 @@ def _distinct_class_lists(rng, field, ideal_, size):
 
 
 def test_constructor_refuses_every_single_field_corruption():
-    """Matchings from build, from the identity path and from invert and
-    compose: the constructor refuses each edge with c + 1, c - 1, level + 1,
+    """Matchings from build, from the identity path and from the inverse and
+    composite sigmas: the constructor refuses each edge with c + 1, c - 1, level + 1,
     level - 1 or the ordered flag flipped, and c given as a float or as
     True, every swap of two sigma entries and sigma's entries 0 and 1 given
     as bools; with the records reduced afresh, and for identity matchings
@@ -506,8 +534,8 @@ def test_constructor_refuses_every_single_field_corruption():
             recs = list(ideal_.reductions(u))
             same = OrderedMatching.identity(ideal_, u, u)
             cases = [("build", built, None), ("identity", same, None),
-                     ("identity", same, (recs, recs)), ("invert", invert(built), None),
-                     ("compose", compose(invert(built), built), None)]
+                     ("identity", same, (recs, recs)), ("invert", inverse(built), None),
+                     ("compose", composite(inverse(built), built), None)]
             for source, pi, reductions in cases:
                 sources.add(source)
                 for i, e in enumerate(pi.edges):

@@ -27,7 +27,7 @@ from sps import (
     zero_test_exact,
 )
 from sps.forms import pair_is_zero_mod
-from sps.quotient import is_zero_mod, reduce_circuit, reductions
+from sps.quotient import is_zero_mod, reductions, sum_is_zero_mod
 from helpers import (
     CountedKey,
     brute_expand,
@@ -43,7 +43,10 @@ from helpers import (
     random_form,
     random_ideal,
     random_pair_identity,
+    random_span_element,
     random_unit,
+    reduce_circuit,
+    refuse_oracle_work,
     verify_gcd_by_expansion,
 )
 
@@ -128,6 +131,30 @@ def test_linear_factors_match_substitution_reference():
                 assert linear_factors(c) == want
                 sizes.add(len(want))
     assert 0 in sizes and len(sizes) > 3
+
+
+# linear_factors of the first two terms of gen_ks(5), recorded when
+# ZeroOracle() still decided every reduction modulo (q)
+KS5_PAIR_FACTORS = {(1, 0, 0, 0, 1), (1, 0, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
+                    (0, 1, 0, 0, 1), (0, 1, 1, 1, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)}
+
+
+def test_linear_factors_decides_two_term_reductions_exactly(monkeypatch):
+    # modulo each candidate (q) a two-term circuit keeps at most two live
+    # terms, decided by unique factorization: no ZeroOracle is built or run
+    pair = subcircuit(gen_ks(5), [0, 1])
+    decided = []
+    decide = sps.quotient.sum_is_zero_mod
+
+    def spied(field, n, terms):
+        decided.append(len(terms))
+        return decide(field, n, terms)
+
+    monkeypatch.setattr(sps.quotient, "sum_is_zero_mod", spied)
+    monkeypatch.setattr(sps.quotient, "ZeroOracle", None)
+    refuse_oracle_work(monkeypatch)
+    assert {f.coeffs for f in linear_factors(pair)} == KS5_PAIR_FACTORS
+    assert decided == [2] * (2**5 - 1)  # one decision per candidate
 
 
 def test_reduce_form_examples():
@@ -425,14 +452,56 @@ def test_two_term_verdict_hashes_each_key_once_per_side():
     assert checked >= 100
 
 
-def test_two_term_verdict_by_factorization_equals_expansion():
+def _many_term_corpus(rng):
+    """(circuit, ideal) pairs of at least three terms over GF(2), GF(5),
+    GF(2^3) and GF(3^2), under random ideals of rank 0 to 2: 0 to 4 live
+    terms (copies of one product modulo the ideal, each form scaled by a
+    unit and moved by a span element), the last constant mostly chosen so
+    that their sum cancels, and dead terms (one form in the span) to make up
+    three; and gen_ks(3) and gen_ks(4) under random ideals."""
+    out = []
+    for field in (F2, F5, field_make(2, 3), field_make(3, 2)):
+        for _ in range(50):
+            n, d, r = rng.randrange(3, 5), rng.randrange(1, 4), rng.randrange(3)
+            ideal_ = random_ideal(rng, field, n, r)
+            live = rng.randrange(5) if r else rng.randrange(3, 5)
+            base = [random_form(rng, field, n, avoid_span=ideal_.span) for _ in range(d)]
+            terms, total = [], 0
+            for i in range(live):
+                units = [random_unit(rng, field) for _ in base]
+                forms = [form_add(b.scale(u), random_span_element(rng, field, ideal_, r))
+                         for b, u in zip(base, units)]
+                rng.shuffle(forms)
+                scale, c = field.product(units), random_unit(rng, field)
+                if i == live - 1 and total and rng.random() < 0.6:
+                    c = field.neg(field.div(total, scale))  # the sum cancels mod I
+                total = field.add(total, field.mul(c, scale))
+                terms.append(Term(field, c, forms))
+            while len(terms) < 3 or (r and rng.random() < 0.3):
+                w = random_span_element(rng, field, ideal_, r)
+                if not w.is_zero:
+                    forms = [random_form(rng, field, n) for _ in range(d - 1)]
+                    forms.insert(rng.randrange(d), w)
+                    terms.append(Term(field, random_unit(rng, field), forms))
+            rng.shuffle(terms)
+            out.append((Circuit(field, n, terms), ideal_))
+    for r in (3, 4):
+        out += [(gen_ks(r), random_ideal(rng, F2, r, rng.randrange(3))) for _ in range(20)]
+    return out
+
+
+def test_two_term_verdict_by_factorization_equals_expansion(monkeypatch):
+    # pair_is_zero_mod and sum_is_zero_mod, each against the reduction
+    # expanded; the latter also on three or more terms
     corpus = _two_term_corpus(random.Random(2008))
     seen = Counter()
     for c, ideal_ in corpus:
         recs = [[ideal_.reduction(f) for f in t.forms] for t in c.terms]
-        verdict = pair_is_zero_mod(c.field, [(t.coef, r) for t, r in zip(c.terms, recs)])
+        pairs = [(t.coef, r) for t, r in zip(c.terms, recs)]
+        verdict = pair_is_zero_mod(c.field, pairs)
         reduced = reduce_circuit(c, ideal_)
         assert verdict == (reduced is None or zero_test_exact(reduced)), (c, ideal_)
+        assert sum_is_zero_mod(c.field, c.n, pairs) == verdict, (c, ideal_)
         vanishing = sum(any(x.key is None for x in r) for r in recs)
         if vanishing:
             seen[f"{vanishing} vanishing"] += 1
@@ -443,3 +512,25 @@ def test_two_term_verdict_by_factorization_equals_expansion():
         else:
             seen["keys differ"] += 1
     assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+    by_live = Counter()  # (live terms, 3 meaning three or more; verdict)
+    for c, ideal_ in _many_term_corpus(random.Random(2010)):
+        reduced = reduce_circuit(c, ideal_)
+        want = reduced is None or zero_test_exact(reduced)
+        pairs = [(t.coef, [ideal_.reduction(f) for f in t.forms]) for t in c.terms]
+        assert sum_is_zero_mod(c.field, c.n, pairs) == want, (c, ideal_)
+        by_live[min(reduced.k if reduced else 0, 3), want] += 1
+    assert set(by_live) == {(0, True), (1, False), (2, True), (2, False),
+                            (3, True), (3, False)}, by_live
+    assert min(by_live.values()) >= 10, by_live
+
+    # three terms, one with a form in sp(I): the two live ones cancel (or do
+    # not) by unique factorization, with no oracle built or run
+    refuse_oracle_work(monkeypatch)
+    monkeypatch.setattr(sps.quotient, "ZeroOracle", None)
+    i3 = ideal(F5, 3, [0, 0, 1])
+    for second, zero in ((4, True), (3, False)):
+        c = make_circuit(F5, 3, [(1, [[1, 0, 1], [0, 1, 0]]), (second, [[1, 0, 0], [0, 1, 3]]),
+                                 (2, [[1, 1, 0], [0, 0, 2]])])
+        assert reduce_circuit(c, i3).k == 2
+        assert is_zero_mod(c, i3) is zero
